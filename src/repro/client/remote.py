@@ -49,6 +49,7 @@ import random
 import socket
 import threading
 import time
+from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
     Dict,
@@ -60,7 +61,6 @@ from typing import (
     Union,
 )
 
-from .. import errors as _errors
 from ..api.session import Answer
 from ..errors import (
     CoralError,
@@ -74,18 +74,15 @@ from ..relations import Tuple
 from ..server.protocol import (
     PROTOCOL_VERSION,
     FrameTimeout,
+    error_from_response,
     read_frame,
     write_frame,
 )
 from ..storage.serde import decode_batch
 
-#: error-name -> exception class, so remote failures re-raise as their
-#: original type (unknown names fall back to CoralError)
-_ERROR_CLASSES: Dict[str, type] = {
-    name: value
-    for name, value in vars(_errors).items()
-    if isinstance(value, type) and issubclass(value, CoralError)
-}
+
+#: what an unsampled operation runs in (stateless, so one instance serves)
+_UNTRACED = nullcontext()
 
 
 class _TransportLost(Exception):
@@ -111,6 +108,20 @@ class _Link:
         self.index = index
         self.generation = generation
         self.info = info
+
+
+def _hang_up(sock, say_bye: bool = False) -> None:
+    """Drop a connection, with a clean goodbye or without; never raises."""
+    if say_bye:
+        try:
+            write_frame(sock, {"op": "BYE"})
+            read_frame(sock)
+        except (FrameTimeout, ProtocolError, OSError):
+            pass
+    try:
+        sock.close()
+    except OSError:
+        pass
 
 
 class RemoteQueryResult:
@@ -327,13 +338,11 @@ class RemoteSubscription:
             self.closed = True
             self.close_reason = f"connection lost: {exc.cause}"
             raise exc.cause from None
-        except CoralError:
-            raise
         kind = str(response.get("kind", "none"))
         if kind == "closed":
             self.close_reason = str(response.get("reason", "server closed"))
             self.closed = True
-            self._hang_up(say_bye=True)
+            _hang_up(self._link.sock, say_bye=True)
             return "closed", self.close_reason
         if kind == "resnapshot":
             self.resnapshots += 1
@@ -381,19 +390,7 @@ class RemoteSubscription:
             self._session._unwrap(frame)
         except (_TransportLost, CoralError, OSError):
             pass  # connection already gone: the server reclaims the view
-        self._hang_up(say_bye=True)
-
-    def _hang_up(self, say_bye: bool) -> None:
-        if say_bye:
-            try:
-                write_frame(self._link.sock, {"op": "BYE"})
-                read_frame(self._link.sock)
-            except (FrameTimeout, ProtocolError, OSError):
-                pass
-        try:
-            self._link.sock.close()
-        except OSError:
-            pass
+        _hang_up(self._link.sock, say_bye=True)
 
     def __enter__(self) -> "RemoteSubscription":
         return self
@@ -513,14 +510,24 @@ class RemoteSession:
 
     # -- distributed tracing --------------------------------------------------
 
-    def _begin_trace(self) -> Optional[TraceContext]:
-        """One head-based sampling decision; a yes mints a fresh root
-        context and remembers its trace id as :attr:`last_trace_id`."""
+    def _span(self, request: Dict[str, object], name: str, **attrs):
+        """The context one logical operation runs in, after one head-based
+        sampling decision: a no-op unless it says yes."""
         if not self.trace_sampler.decide():
-            return None
+            return _UNTRACED
+        return self._sampled_span(request, name, attrs)
+
+    @contextmanager
+    def _sampled_span(self, request: Dict[str, object], name: str, attrs):
+        """Mint a fresh root context (remembered as :attr:`last_trace_id`),
+        stamp it onto ``request``, yield it and, when the block completes,
+        record the client-side ``name`` span."""
         ctx = TraceContext.mint(sampled=True)
         self.last_trace_id = ctx.trace_id
-        return ctx
+        request["trace"] = ctx.to_wire()
+        started = SpanBuffer.now()
+        yield ctx
+        self.spans.record(ctx, name, started, SpanBuffer.now(), **attrs)
 
     def trace(self, trace_id: Optional[str] = None) -> List[Dict[str, Any]]:
         """All spans recorded under ``trace_id`` (default: the last trace
@@ -546,16 +553,8 @@ class RemoteSession:
     def query(self, text: str, batch_size: Optional[int] = None) -> RemoteQueryResult:
         """Open a server-side cursor for a textual query."""
         request: Dict[str, object] = {"op": "QUERY", "query": text}
-        ctx = self._begin_trace()
-        started = 0.0
-        if ctx is not None:
-            request["trace"] = ctx.to_wire()
-            started = SpanBuffer.now()
-        link, (header, _) = self._request(request)
-        if ctx is not None:
-            self.spans.record(
-                ctx, "client.query", started, SpanBuffer.now(), query=text
-            )
+        with self._span(request, "client.query", query=text) as ctx:
+            link, (header, _) = self._request(request)
         return RemoteQueryResult(
             self,
             link,
@@ -579,17 +578,8 @@ class RemoteSession:
         text come back as open cursors (one per query, in order).  A write:
         routed to the primary in replica-set mode."""
         request: Dict[str, object] = {"op": "CONSULT", "source": source}
-        ctx = self._begin_trace()
-        started = 0.0
-        if ctx is not None:
-            request["trace"] = ctx.to_wire()
-            started = SpanBuffer.now()
-        link, (header, _) = self._request(request, write=True)
-        if ctx is not None:
-            self.spans.record(
-                ctx, "client.consult", started, SpanBuffer.now(),
-                bytes=len(source),
-            )
+        with self._span(request, "client.consult", bytes=len(source)) as ctx:
+            link, (header, _) = self._request(request, write=True)
         return [
             RemoteQueryResult(
                 self,
@@ -613,17 +603,8 @@ class RemoteSession:
 
     def _update(self, op: str, pred: str, values: List[Any]) -> bool:
         request: Dict[str, object] = {"op": op, "pred": pred, "values": values}
-        ctx = self._begin_trace()
-        started = 0.0
-        if ctx is not None:
-            request["trace"] = ctx.to_wire()
-            started = SpanBuffer.now()
-        _, (header, _) = self._request(request, write=True)
-        if ctx is not None:
-            self.spans.record(
-                ctx, f"client.{op.lower()}", started, SpanBuffer.now(),
-                pred=pred,
-            )
+        with self._span(request, f"client.{op.lower()}", pred=pred):
+            _, (header, _) = self._request(request, write=True)
         return bool(header.get("changed"))
 
     def stats(self) -> Dict[str, Any]:
@@ -647,31 +628,8 @@ class RemoteSession:
             index = self._read.index if self._read is not None else 0
             link = self._connect(index)
         request: Dict[str, object] = {"op": "SUBSCRIBE", "query": query}
-        ctx = self._begin_trace()
-        started = 0.0
-        if ctx is not None:
-            request["trace"] = ctx.to_wire()
-            started = SpanBuffer.now()
-        try:
-            frame = self._transport(link, request, b"")
-            header, body = self._unwrap(frame)
-        except _TransportLost as exc:
-            try:
-                link.sock.close()
-            except OSError:
-                pass
-            raise exc.cause from None
-        except BaseException:
-            try:
-                link.sock.close()
-            except OSError:
-                pass
-            raise
-        if ctx is not None:
-            self.spans.record(
-                ctx, "client.subscribe", started, SpanBuffer.now(),
-                query=query,
-            )
+        with self._span(request, "client.subscribe", query=query):
+            header, body = self._first_exchange(link, request)
         sub = RemoteSubscription(
             self,
             link,
@@ -716,10 +674,7 @@ class RemoteSession:
                 frame = self._transport(link, {"op": "PROMOTE"}, b"")
                 header, _ = self._unwrap(frame)
             finally:
-                try:
-                    link.sock.close()
-                except OSError:
-                    pass
+                _hang_up(link.sock)
             # the topology changed: re-resolve the primary on the next write
             self._primary_index = index
             self._drop("_write")
@@ -744,16 +699,7 @@ class RemoteSession:
         for sub in subscriptions:
             sub.close()
         for link in links.values():
-            try:
-                write_frame(link.sock, {"op": "BYE"})
-                read_frame(link.sock)
-            except (FrameTimeout, ProtocolError, OSError):
-                pass
-            finally:
-                try:
-                    link.sock.close()
-                except OSError:
-                    pass
+            _hang_up(link.sock, say_bye=True)
         self.spans.close()
 
     def __enter__(self) -> "RemoteSession":
@@ -773,26 +719,30 @@ class RemoteSession:
             raise ProtocolError(
                 f"cannot connect to coral server at {host}:{port}: {exc}"
             ) from exc
+        self._generation += 1
+        link = _Link(sock, index, self._generation, "?")
+        header, _ = self._first_exchange(
+            link,
+            {
+                "op": "HELLO",
+                "version": PROTOCOL_VERSION,
+                "client": "repro.client/1",
+            },
+        )
+        link.info = str(header.get("server", "?"))
+        return link
+
+    def _first_exchange(
+        self, link: _Link, header: Dict[str, object]
+    ) -> PyTuple[Dict[str, object], bytes]:
+        """One round trip on a link nothing else holds yet: any failure
+        closes its socket, and a lost transport surfaces as its cause."""
         try:
-            self._generation += 1
-            link = _Link(sock, index, self._generation, "?")
-            frame = self._transport(
-                link,
-                {
-                    "op": "HELLO",
-                    "version": PROTOCOL_VERSION,
-                    "client": "repro.client/1",
-                },
-                b"",
-            )
-            header, _ = self._unwrap(frame)
-            link.info = str(header.get("server", "?"))
-            return link
-        except _TransportLost as exc:
-            sock.close()
-            raise exc.cause from None
-        except BaseException:
-            sock.close()
+            return self._unwrap(self._transport(link, header, b""))
+        except BaseException as exc:
+            _hang_up(link.sock)
+            if isinstance(exc, _TransportLost):
+                raise exc.cause from None
             raise
 
     def _connect_any(self, start: int) -> _Link:
@@ -815,10 +765,7 @@ class RemoteSession:
         setattr(self, role, None)
         if link is not None:
             self.counters["failovers"] += 1
-            try:
-                link.sock.close()
-            except OSError:
-                pass
+            _hang_up(link.sock)
             # the two roles may share one link (they never do in replica-set
             # mode, but be safe): a dead socket must not linger under the
             # other name
@@ -855,12 +802,9 @@ class RemoteSession:
         frame: PyTuple[Dict[str, object], bytes]
     ) -> PyTuple[Dict[str, object], bytes]:
         """Raise a server-reported error as its original class."""
-        response, rbody = frame
-        if not response.get("ok"):
-            name = str(response.get("error", "CoralError"))
-            message = str(response.get("message", "remote error"))
-            raise _ERROR_CLASSES.get(name, CoralError)(message)
-        return response, rbody
+        if not frame[0].get("ok"):
+            raise error_from_response(frame[0])
+        return frame
 
     def _request(
         self,

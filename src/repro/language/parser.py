@@ -449,7 +449,12 @@ class Parser:
 
 def parse_program(source: str) -> Program:
     """Parse a whole source text (a consulted file or typed-in block)."""
-    return Parser(source).parse_program()
+    try:
+        return Parser(source).parse_program()
+    except RecursionError:
+        # the parser is recursive-descent: nesting beyond the interpreter's
+        # stack is a property of the input, so refuse it as one
+        raise ParseError("term nested too deeply") from None
 
 
 def parse_query(source: str) -> Query:
@@ -461,7 +466,7 @@ def parse_query(source: str) -> Query:
         text = "?- " + text
     if not text.rstrip().endswith("."):
         text = text + "."
-    program = Parser(text).parse_program()
+    program = parse_program(text)
     if len(program.queries) != 1:
         raise ParseError("expected exactly one query")
     return program.queries[0]

@@ -3,11 +3,13 @@ apply, acknowledge — and keep doing it across failures.
 
 A read replica runs an ordinary :class:`~repro.server.CoralServer` (role
 ``"replica"``: writes refused) plus one :class:`ReplicationClient` thread.
-The thread connects to the primary as a protocol client, performs the normal
-``HELLO`` handshake, then sends ``REPL_HELLO`` carrying the replica's last
-applied sequence — after which the *roles on the socket invert*: the primary
-pushes ``REPL_SHIP`` frames (one changelog record, or a heartbeat, each) and
-this thread answers each with ``REPL_ACK``.
+The thread connects to the primary as a protocol client (the shared
+:func:`repro.server.protocol.dial`, which performs the normal ``HELLO``
+handshake), then sends ``REPL_HELLO`` carrying the replica's last applied
+sequence (a refusal arrives under the primary's own error class) — after
+which the *roles on the socket invert*: the primary pushes ``REPL_SHIP``
+frames (one changelog record, or a heartbeat, each) and this thread answers
+each with ``REPL_ACK``.
 
 Applying is sequence-gated and crash-safe: each record is applied to the
 session first and only then appended to the replica's *own* changelog (with
@@ -27,7 +29,6 @@ is down keeps serving reads, merely reporting growing lag and a degraded
 from __future__ import annotations
 
 import random
-import socket
 import threading
 import time
 from typing import Optional, Tuple as PyTuple
@@ -35,9 +36,10 @@ from typing import Optional, Tuple as PyTuple
 from ..errors import CoralError, ProtocolError, StorageError
 from ..faults import SimulatedCrash
 from ..server.protocol import (
-    PROTOCOL_VERSION,
     FrameTimeout,
+    dial,
     read_frame,
+    roundtrip,
     write_frame,
 )
 from .changelog import record_crc
@@ -141,18 +143,10 @@ class ReplicationClient:
 
     def _stream(self) -> None:
         host, port = self.upstream
-        with socket.create_connection(
-            (host, port), timeout=self.connect_timeout
+        with dial(
+            self.upstream, self.connect_timeout, f"repro.replica/{self.name}"
         ) as sock:
-            self._roundtrip(
-                sock,
-                {
-                    "op": "HELLO",
-                    "version": PROTOCOL_VERSION,
-                    "client": f"repro.replica/{self.name}",
-                },
-            )
-            header, _ = self._roundtrip(
+            header, _ = roundtrip(
                 sock,
                 {
                     "op": "REPL_HELLO",
@@ -208,23 +202,6 @@ class ReplicationClient:
         write_frame(
             sock, {"op": "REPL_ACK", "seq": self.server.changelog.last_seq}
         )
-
-    @staticmethod
-    def _roundtrip(sock, header) -> PyTuple[dict, bytes]:
-        write_frame(sock, header)
-        try:
-            frame = read_frame(sock)
-        except FrameTimeout:
-            raise ProtocolError("timed out waiting for the primary") from None
-        if frame is None:
-            raise ProtocolError("primary closed during the handshake")
-        response, body = frame
-        if not response.get("ok"):
-            raise ProtocolError(
-                f"primary refused {header.get('op')}: "
-                f"{response.get('message', 'no reason given')}"
-            )
-        return response, body
 
     def __repr__(self) -> str:
         state = "connected" if self.connected else "disconnected"

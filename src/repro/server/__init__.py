@@ -22,10 +22,12 @@ from .protocol import (
     read_frame,
     write_frame,
 )
+from .transport import FrameServer
 
 __all__ = [
     "CoralServer",
     "DEFAULT_BATCH",
+    "FrameServer",
     "FrameTimeout",
     "MAX_FRAME_BYTES",
     "PROTOCOL_VERSION",

@@ -203,6 +203,39 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _serve(front, args, label: str, also=(), cleanup=()) -> int:
+    """Announce a front end (server or router — both are FrameServers),
+    serve until SIGTERM/SIGINT, drain, shut down, then run ``cleanup``.
+    ``also`` are extra banner lines between the listening and telemetry
+    lines."""
+    host, port = front.address
+    print(f"coral-server listening on {host}:{port} ({label})", flush=True)
+    for line in also:
+        print(line, flush=True)
+    if front.telemetry_address is not None:
+        thost, tport = front.telemetry_address
+        print(f"coral-server telemetry on {thost}:{tport}", flush=True)
+
+    # SIGTERM/SIGINT -> KeyboardInterrupt on the serving thread: the
+    # graceful path below must NOT run inside the handler (shutdown joins
+    # the serve loop, which would deadlock against itself)
+    def _stop(signum, frame):  # pragma: no cover - signal path
+        raise KeyboardInterrupt
+
+    signal.signal(signal.SIGTERM, _stop)
+    try:
+        front.serve_forever()
+    except KeyboardInterrupt:
+        print("coral-server: draining", flush=True)
+        front.drain(timeout=args.drain_timeout)
+    finally:
+        front.shutdown()
+        for close in cleanup:
+            close()
+    print("coral-server: clean shutdown", flush=True)
+    return 0
+
+
 def _run_router(args) -> int:
     """``--workers N``: boot a supervised fleet and route to it."""
     from ..sharding import ShardRouter, WorkerPool
@@ -256,33 +289,12 @@ def _run_router(args) -> int:
         span_dir=args.span_dir,
         process_name=args.process_name or "router",
     )
-    host, port = router.address
-    print(f"coral-server listening on {host}:{port} (router)", flush=True)
-    for handle in pool.workers:
-        whost, wport = handle.address
-        print(
-            f"coral-server worker {handle.index} on {whost}:{wport} "
-            f"pid {handle.pid}",
-            flush=True,
-        )
-    if router.telemetry_address is not None:
-        thost, tport = router.telemetry_address
-        print(f"coral-server telemetry on {thost}:{tport}", flush=True)
-
-    def _stop(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        router.serve_forever()
-    except KeyboardInterrupt:
-        print("coral-server: draining", flush=True)
-        router.drain(timeout=args.drain_timeout)
-    finally:
-        router.shutdown()
-        pool.stop()
-    print("coral-server: clean shutdown", flush=True)
-    return 0
+    workers = [
+        f"coral-server worker {handle.index} on {handle.address[0]}:"
+        f"{handle.address[1]} pid {handle.pid}"
+        for handle in pool.workers
+    ]
+    return _serve(router, args, "router", also=workers, cleanup=[pool.stop])
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -336,29 +348,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         span_dir=args.span_dir,
         process_name=args.process_name,
     )
-    host, port = server.address
-    print(f"coral-server listening on {host}:{port} ({server.role})", flush=True)
-    if server.telemetry_address is not None:
-        thost, tport = server.telemetry_address
-        print(f"coral-server telemetry on {thost}:{tport}", flush=True)
-
-    # SIGTERM/SIGINT -> KeyboardInterrupt on the serving thread: the
-    # graceful path below must NOT run inside the handler (shutdown joins
-    # the serve loop, which would deadlock against itself)
-    def _stop(signum, frame):  # pragma: no cover - signal path
-        raise KeyboardInterrupt
-
-    signal.signal(signal.SIGTERM, _stop)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("coral-server: draining", flush=True)
-        server.drain(timeout=args.drain_timeout)
-    finally:
-        server.shutdown()
-        session.close()
-    print("coral-server: clean shutdown", flush=True)
-    return 0
+    return _serve(server, args, server.role, cleanup=[session.close])
 
 
 if __name__ == "__main__":

@@ -12,9 +12,14 @@ batch.  A client that stops fetching stops server work (backpressure); a
 client that disconnects mid-stream has its cursors closed exactly like any
 abandoned evaluation (Section 5.4.3).
 
-Concurrency model: one handler thread per connection
-(``socketserver.ThreadingTCPServer``), all database work serialized under a
-single lock.  Evaluation itself is single-threaded Python either way (and
+The socket side — accept loop, framed reads with io/idle timeouts, the
+HELLO/BYE/draining gate, request accounting, error mapping, lifecycle — is
+:class:`repro.server.transport.FrameServer`, shared with the shard router;
+this module adds what makes it a *database* server: the op table, cursors,
+live subscriptions and replication.
+
+Concurrency model: one handler thread per connection, all database work
+serialized under a single lock.  Evaluation itself is single-threaded Python either way (and
 the paper's CORAL was single-user); the lock is held per *request*, not per
 connection, so many clients interleave at batch granularity — a slow
 consumer never blocks the server, because between its fetches it holds
@@ -25,18 +30,18 @@ the server's configured limits are cloned for every ``FETCH``/``QUERY``, so
 each request gets a fresh timeout/tuple budget and one abusive query cannot
 starve the rest beyond a single bounded request.
 
-Observability: the server owns a :class:`repro.obs.MetricsRegistry`
-(connection/request/cursor/answer counters, a request-latency histogram)
-and, optionally, an :class:`repro.obs.EventTracer` recording per-connection
-accept/request/close events.  Fault injection reuses :mod:`repro.faults`
-with three new points — ``net.accept``, ``net.read``, ``net.write`` — so
-chaos tests can kill connections at every I/O boundary.
+Observability: on top of the transport's connection/request/cursor
+counters and request-latency histogram the server counts answers, pulls,
+per-client and per-predicate traffic, replication and live-view activity
+in the same :class:`repro.obs.MetricsRegistry`, and optionally records
+per-connection accept/request/close events in an
+:class:`repro.obs.EventTracer`.  Fault injection reuses :mod:`repro.faults`:
+the transport's ``net.*`` points plus ``repl.*`` here.
 """
 
 from __future__ import annotations
 
 import os
-import socketserver
 import threading
 import time
 from collections import deque
@@ -47,16 +52,10 @@ from ..api import Session
 from ..api.session import QueryResult
 from ..errors import CoralError, ProtocolError, ReadOnlyError, StorageError
 from ..eval.limits import ResourceLimits
-from ..faults import FaultInjector, SimulatedCrash
+from ..faults import FaultInjector
 from ..language import Literal, parse_program, parse_query
-from ..obs import (
-    EventTracer,
-    FlightRecorder,
-    LabelCapper,
-    MetricsRegistry,
-    TelemetryServer,
-)
-from ..obs.disttrace import HeadSampler, SpanBuffer, TraceCollector, TraceContext
+from ..obs import EventTracer, FlightRecorder, LabelCapper
+from ..obs.disttrace import SpanBuffer, TraceContext
 # only the changelog side is imported eagerly: ReplicationClient lives in
 # repro.replication.replica, which imports this package's protocol module —
 # importing it here at module level would make repro.replication and
@@ -79,15 +78,7 @@ from .protocol import (
     read_frame,
     write_frame,
 )
-
-#: default answers per FETCH when the client does not say
-DEFAULT_BATCH = 64
-
-#: ops a draining server still accepts: existing cursors may finish, live
-#: subscribers may drain their queues and detach, the rest of the lifecycle
-#: keeps working, but no new work is admitted
-_DRAIN_OPS = ("HELLO", "FETCH", "CLOSE_CURSOR", "DELTA", "UNSUBSCRIBE",
-              "STATS", "TRACE", "BYE")
+from .transport import DEFAULT_BATCH, Connection, FrameServer
 
 #: cap on distinct label values for metric families fed by uncontrolled
 #: input (client hosts, query predicates); later values collapse to "other"
@@ -168,23 +159,14 @@ class _Subscription:
         self.resnapshots = 0
 
 
-class _Connection:
-    """Per-connection server state: identity, handshake flag, open cursors."""
+class _Connection(Connection):
+    """The transport's connection record plus live subscriptions and the
+    replication-stream marker."""
 
-    __slots__ = (
-        "conn_id", "peer", "peer_host", "greeted", "cursors", "subs",
-        "ship_from", "replica_name", "sock",
-    )
+    __slots__ = ("subs", "ship_from", "replica_name")
 
-    def __init__(self, conn_id: int, peer: str, sock=None) -> None:
-        self.conn_id = conn_id
-        self.peer = peer
-        self.sock = sock
-        # host only: the metric label for per-client counters (an ephemeral
-        # port per connection would mint unbounded label series)
-        self.peer_host = peer.rsplit(":", 1)[0] if ":" in peer else peer
-        self.greeted = False
-        self.cursors: Dict[int, _Cursor] = {}
+    def __init__(self, conn_id: int, peer: str, sock) -> None:
+        super().__init__(conn_id, peer, sock)
         #: live subscriptions owned by this connection (reclaimed with it)
         self.subs: Dict[int, _Subscription] = {}
         #: set by a successful REPL_HELLO: the replica's last applied
@@ -193,27 +175,7 @@ class _Connection:
         self.replica_name = ""
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - thin shim, logic in server
-        self.server.coral._handle_connection(self.request)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    coral: "CoralServer"
-
-    def handle_error(self, request, client_address) -> None:
-        # an unhandled exception in one handler thread (e.g. an injected
-        # SimulatedCrash) must neither kill the server nor spray a stack
-        # trace; the connection's cursors were already freed by the
-        # handler's finally block
-        self.coral.metrics.counter(
-            "server.errors", "request failures by kind", ("kind",)
-        ).inc(1, "unhandled")
-
-
-class CoralServer:
+class CoralServer(FrameServer):
     """A TCP query server around one shared :class:`~repro.api.Session`.
 
     ::
@@ -243,6 +205,11 @@ class CoralServer:
     connection idle longer than ``idle_timeout`` is reaped.
     """
 
+    connection_class = _Connection
+    #: while draining, live subscribers may also drain their queues and
+    #: detach
+    drain_ops = FrameServer.drain_ops + ("DELTA", "UNSUBSCRIBE")
+
     def __init__(
         self,
         session: Optional[Session] = None,
@@ -257,7 +224,6 @@ class CoralServer:
         telemetry_port: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
         flight: Union[None, bool, FlightRecorder] = None,
-        rate_window: float = 30.0,
         role: str = "primary",
         changelog: Union[None, str, Changelog] = None,
         replicate_from: Union[None, str, PyTuple[str, int]] = None,
@@ -274,34 +240,12 @@ class CoralServer:
         process_name: Optional[str] = None,
         span_limit: int = 20_000,
     ) -> None:
-        self.session = session if session is not None else Session()
-        self.limits = limits
-        self.batch_size = batch_size
-        self.faults = faults if faults is not None else FaultInjector()
-        self.metrics = MetricsRegistry()
-        self.tracer = EventTracer(limit=trace_limit) if trace else None
-        #: distributed tracing (docs/OBSERVABILITY.md): head-sample this
-        #: fraction of requests arriving without a wire ``trace`` context
-        self.trace_sampler = HeadSampler(trace_sample)
-        self.span_dir = span_dir
-        self.process_name = process_name or f"{role}-{os.getpid()}"
-        self._span_limit = span_limit
-        #: the request-scoped trace context, per handler thread
-        self._trace_local = threading.local()
-        #: seq -> wire trace context for REPL_SHIP stamping (bounded)
-        self._ship_traces: Dict[int, str] = {}
         if role not in ("primary", "replica"):
             raise ProtocolError(f"role must be 'primary' or 'replica', got {role!r}")
-        self.role = role
-        self.sync_replicas = sync_replicas
-        self.ack_timeout = ack_timeout
-        self.heartbeat = heartbeat
-        self.stall_after = stall_after
-        self.io_timeout = io_timeout
-        self.idle_timeout = idle_timeout
-        #: per-subscription outbound queue bound, in deltas; overflow flips
-        #: the subscription to lagged → next DELTA answers a resnapshot
-        self.live_queue = live_queue
+        self.session = session if session is not None else Session()
+        faults = faults if faults is not None else FaultInjector()
+        # everything that can refuse its arguments runs before the transport
+        # binds the listening socket
         #: the changelog, present whenever replication is in play: a
         #: replica always keeps one (it is what REPL_HELLO resumes from and
         #: what promotion inherits); a primary keeps one when given a path
@@ -309,11 +253,11 @@ class CoralServer:
         if isinstance(changelog, Changelog):
             self.changelog: Optional[Changelog] = changelog
         elif changelog is True:
-            self.changelog = Changelog(None, faults=self.faults)
+            self.changelog = Changelog(None, faults=faults)
         elif isinstance(changelog, str):
-            self.changelog = Changelog(changelog, faults=self.faults)
+            self.changelog = Changelog(changelog, faults=faults)
         elif role == "replica" or replicate_from is not None or sync_replicas > 0:
-            self.changelog = Changelog(None, faults=self.faults)
+            self.changelog = Changelog(None, faults=faults)
         else:
             self.changelog = None
         if self.changelog is not None and len(self.changelog):
@@ -321,11 +265,6 @@ class CoralServer:
             # the redo replay that makes a restarted primary (or a promoted
             # replica rebooting) resume where its acknowledged writes ended
             replay_into(self.session, self.changelog.records())
-        #: set by a router's WORKER_HELLO: this server's shard index in a
-        #: repro.sharding fleet (None = standalone); surfaced in STATS so
-        #: @top/@workers can attribute the numbers
-        self.worker_index: Optional[int] = None
-        self.worker_router = ""
         self.repl_client: Optional["ReplicationClient"] = None
         if replicate_from is not None:
             from ..replication.replica import ReplicationClient
@@ -336,11 +275,6 @@ class CoralServer:
             self.repl_client = ReplicationClient(
                 self, tuple(replicate_from), name=replica_name
             )
-        #: primary-side acknowledgement ledger: replica name -> (acked seq,
-        #: monotonic time of that ack); guarded by _ack_cond
-        self._ack_cond = threading.Condition()
-        self._replica_acks: Dict[str, PyTuple[int, float]] = {}
-        self._draining = False
         #: the flight recorder surfaced at /debug/flight: an explicit one,
         #: True (install a fresh recorder on the session), or whatever the
         #: session already carries
@@ -354,50 +288,47 @@ class CoralServer:
             self.flight = flight
         else:
             self.flight = self.session.flight
-        #: rate-windowed request history for STATS (the @top dashboard):
-        #: (perf_counter, answers) per request, bounded
-        self.rate_window = rate_window
-        self._recent: deque = deque(maxlen=8192)
-        self._started_at = time.perf_counter()
-        #: the /metrics—/healthz—/debug/flight endpoint (None = disabled)
-        self.telemetry: Optional[TelemetryServer] = None
-        if telemetry_port is not None:
-            self.telemetry = TelemetryServer(
-                port=telemetry_port,
-                host=telemetry_host,
-                registries=[self.metrics],
-                flight=self.flight,
-                health=self._health,
-                trace_lookup=self._trace_lookup,
-            )
+        super().__init__(
+            host,
+            port,
+            faults=faults,
+            io_timeout=io_timeout,
+            idle_timeout=idle_timeout,
+            trace_sample=trace_sample,
+            span_dir=span_dir,
+            process_name=process_name or f"{role}-{os.getpid()}",
+            span_limit=span_limit,
+            telemetry_port=telemetry_port,
+            telemetry_host=telemetry_host,
+            telemetry_extra={"flight": self.flight},
+            tracer=EventTracer(limit=trace_limit) if trace else None,
+        )
+        self.limits = limits
+        self.batch_size = batch_size
+        #: seq -> wire trace context for REPL_SHIP stamping (bounded)
+        self._ship_traces: Dict[int, str] = {}
+        self.role = role
+        self.sync_replicas = sync_replicas
+        self.ack_timeout = ack_timeout
+        self.heartbeat = heartbeat
+        self.stall_after = stall_after
+        #: per-subscription outbound queue bound, in deltas; overflow flips
+        #: the subscription to lagged → next DELTA answers a resnapshot
+        self.live_queue = live_queue
+        #: set by a router's WORKER_HELLO: this server's shard index in a
+        #: repro.sharding fleet (None = standalone); surfaced in STATS so
+        #: @top/@workers can attribute the numbers
+        self.worker_index: Optional[int] = None
+        self.worker_router = ""
+        #: primary-side acknowledgement ledger: replica name -> (acked seq,
+        #: monotonic time of that ack); guarded by _ack_cond
+        self._ack_cond = threading.Condition()
+        self._replica_acks: Dict[str, PyTuple[int, float]] = {}
         #: serializes all database work (parse, evaluate, update)
         self._db_lock = threading.RLock()
-        #: guards the connection/cursor registry (never held during eval)
-        self._state_lock = threading.Lock()
-        self._connections: Dict[int, _Connection] = {}
-        self._next_conn = 0
-        self._next_cursor = 0
         self._next_sub = 0
-        self._requests_total = 0
-        self._connections_total = 0
-        self._cursors_opened = 0
-        self._cursors_closed = 0
-        self._tcp = _TCPServer((host, port), _Handler, bind_and_activate=True)
-        self._tcp.coral = self
-        self._thread: Optional[threading.Thread] = None
-        self._serving = False
 
         m = self.metrics
-        self._m_conns = m.counter("server.connections.total", "connections accepted")
-        self._m_active = m.gauge("server.connections.active", "open connections")
-        self._m_requests = m.counter("server.requests", "requests by op", ("op",))
-        self._m_errors = m.counter("server.errors", "request failures by kind", ("kind",))
-        self._m_latency = m.histogram(
-            "server.request.seconds", "request service time", ("op",)
-        )
-        self._m_cursors_opened = m.counter("server.cursors.opened", "cursors opened")
-        self._m_cursors_closed = m.counter("server.cursors.closed", "cursors closed")
-        self._m_cursors_open = m.gauge("server.cursors.open", "cursors currently open")
         self._m_pulls = m.counter(
             "server.cursor.pulls", "answers pulled from evaluation (get-next calls)"
         )
@@ -423,28 +354,6 @@ class CoralServer:
                 ("pred",),
             ),
             k=_LABEL_CAP,
-        )
-        self._m_trace_dropped = m.counter(
-            "obs.trace.dropped",
-            "trace events/spans dropped at bounded-buffer caps",
-            ("buffer",),
-        )
-        if self.tracer is not None:
-            self.tracer.on_drop = (
-                lambda: self._m_trace_dropped.inc(1, "events")
-            )
-        span_path = (
-            os.path.join(span_dir, f"{self.process_name}.jsonl")
-            if span_dir
-            else None
-        )
-        #: bounded per-process buffer of distributed-trace spans, drained
-        #: to <span_dir>/<process_name>.jsonl when a span directory is set
-        self.spans = SpanBuffer(
-            self.process_name,
-            limit=span_limit,
-            path=span_path,
-            on_drop=lambda: self._m_trace_dropped.inc(1, "spans"),
         )
         self._m_repl_events = m.counter(
             "replication.events",
@@ -494,11 +403,8 @@ class CoralServer:
         self._m_repl_events.inc(1, event)
 
     def _health(self) -> PyTuple[bool, str]:
-        if self._draining:
-            return False, "draining"
-        if not self._serving:
-            return False, "not serving"
-        if self.role == "replica" and self.repl_client is not None:
+        verdict = super()._health()
+        if verdict[0] and self.role == "replica" and self.repl_client is not None:
             self._refresh_replica_gauges()
             stalled = self.repl_client.stalled_for()
             if stalled is None and not self.repl_client.connected:
@@ -510,7 +416,7 @@ class CoralServer:
                     f"degraded: replication stalled {stalled:.1f}s "
                     f"(applied seq {self.changelog.last_seq})"
                 )
-        return True, f"serving ({self.role})"
+        return verdict
 
     def _refresh_replica_gauges(self) -> None:
         """Push the replica's current lag into its gauges (sampled on
@@ -527,27 +433,13 @@ class CoralServer:
     # -- distributed tracing (repro.obs.disttrace) ---------------------------
 
     def _request_trace(self, header) -> Optional[TraceContext]:
-        """The trace context this request runs under, or None.
-
-        A wire ``trace`` field (any client, any hop) wins: the request runs
-        under a child of the carried context, sampled or not.  Without one,
-        the head sampler may mint a sampled root (``trace_sample`` > 0);
-        failing that, a server with a slow-query log still mints an
-        *unsampled* root so a threshold trip can flip it to sampled
-        (forced sampling) — otherwise tracing stays entirely off-path."""
-        wire = header.get("trace")
-        if wire is not None:
-            parent = TraceContext.from_wire(wire)
-            if parent is not None:
-                return parent.child()
-        if self.trace_sampler.rate > 0.0 and self.trace_sampler.decide():
-            return TraceContext.mint(True)
-        if self.session.slow_log is not None:
+        """The transport's rule, plus: a server with a slow-query log mints
+        an *unsampled* root for an otherwise untraced request, so a
+        threshold trip can flip it to sampled (forced sampling)."""
+        ctx = super()._request_trace(header)
+        if ctx is None and self.session.slow_log is not None:
             return TraceContext.mint(False)
-        return None
-
-    def _current_trace(self) -> Optional[TraceContext]:
-        return getattr(self._trace_local, "ctx", None)
+        return ctx
 
     @contextmanager
     def _session_trace(self):
@@ -584,281 +476,39 @@ class CoralServer:
         while len(self._ship_traces) > _SHIP_TRACE_CAP:
             self._ship_traces.pop(next(iter(self._ship_traces)))
 
-    def _trace_lookup(self, trace_id: str) -> Optional[Dict[str, object]]:
-        """Assemble one trace id from this process's spans plus whatever
-        sibling processes drained into ``span_dir`` — the payload behind
-        ``/debug/trace/<id>`` on the telemetry endpoint."""
-        collector = TraceCollector()
-        if self.span_dir:
-            try:
-                collector.load_dir(self.span_dir)
-            except OSError:
-                pass
-        collector.add_spans(self.spans.snapshot())
-        if not collector.spans(trace_id):
-            return None
-        return collector.assemble(trace_id)
+    # -- lifecycle (the transport's, plus the replication side services) ----
 
-    def _op_trace(self, header) -> Dict[str, object]:
-        """The TRACE op: return this process's spans for one trace id (the
-        shard router additionally gathers its workers' — that is how the
-        shell's ``@trace <id>`` sees the whole cluster)."""
-        trace_id = str(header.get("id", ""))
-        spans = self.spans.spans_for(trace_id)
-        if self.span_dir:
-            # merge sibling processes' drained spans (e.g. a replica's):
-            # the collector dedupes ids, first writer wins
-            collector = TraceCollector()
-            collector.add_spans(spans)
-            try:
-                collector.load_dir(self.span_dir)
-            except OSError:
-                pass
-            spans = collector.spans(trace_id)
-        return {
-            "ok": True,
-            "id": trace_id,
-            "process": self.process_name,
-            "spans": spans,
-        }
-
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> PyTuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return host, port
-
-    @property
-    def telemetry_address(self) -> Optional[PyTuple[str, int]]:
-        return self.telemetry.address if self.telemetry is not None else None
-
-    def start(self) -> "CoralServer":
-        """Serve in a daemon thread; returns immediately."""
-        if self._thread is not None:
-            raise ProtocolError("server already started")
-        self._serving = True
-        self._started_at = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.start()
+    def _begin(self) -> None:
+        super()._begin()
         if self.repl_client is not None:
             self.repl_client.start()
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="coral-server",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        """Serve on the calling thread until :meth:`shutdown`."""
-        self._serving = True
-        self._started_at = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        if self.repl_client is not None:
-            self.repl_client.start()
-        self._tcp.serve_forever(poll_interval=0.05)
-
-    def drain(self, timeout: float = 5.0) -> bool:
-        """Graceful-shutdown step one: refuse new connections and new work,
-        then wait (up to ``timeout`` seconds) for open cursors to finish.
-        Returns True when every cursor drained, False on deadline — either
-        way the server is ready for :meth:`shutdown`."""
-        self._draining = True
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.open_cursors() == 0:
-                return True
-            time.sleep(0.02)
-        return self.open_cursors() == 0
 
     def shutdown(self) -> None:
         """Stop accepting, close the listening socket, free all cursors."""
         if self.repl_client is not None:
             self.repl_client.stop()
-        if self.telemetry is not None:
-            self.telemetry.shutdown()
-        if self._serving:
-            # BaseServer.shutdown blocks forever if serve_forever never ran
-            self._tcp.shutdown()
-            self._serving = False
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        with self._state_lock:
-            leftovers = list(self._connections.values())
-            self._connections.clear()
-        for conn in leftovers:
-            # sever live connections so their handler threads exit (and
-            # so an in-process "kill" looks to clients like a real one:
-            # sockets die, in-flight requests fail at the transport layer)
-            if conn.sock is not None:
-                try:
-                    conn.sock.close()
-                except OSError:
-                    pass
-            self._free_cursors(conn)
-            self._free_subscriptions(conn)
+        super().shutdown()
         if self.changelog is not None:
             self.changelog.close()
-        self.spans.close()
 
-    def __enter__(self) -> "CoralServer":
-        return self.start()
+    # -- per-connection hooks the transport calls ----------------------------
 
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    # -- connection loop -----------------------------------------------------
-
-    def _handle_connection(self, sock) -> None:
-        if self._draining:
-            return  # refusing new connections: drop before the handshake
-        try:
-            self.faults.check("net.accept")
-        except OSError:
-            self._m_errors.inc(1, "accept")
-            return
-        # bound every socket operation: a wedged or half-open client gets
-        # io_timeout per frame, and a silent one is reaped at idle_timeout
-        wait = self.io_timeout if self.io_timeout is not None else self.idle_timeout
-        if wait is not None:
-            sock.settimeout(wait)
-        conn = self._register(sock)
-        try:
-            idle_deadline = (
-                time.monotonic() + self.idle_timeout
-                if self.idle_timeout is not None
-                else None
-            )
-            while True:
-                try:
-                    self.faults.check("net.read")
-                    frame = read_frame(sock)
-                except FrameTimeout:
-                    # nothing arrived within the socket timeout: idle, not
-                    # wedged — keep waiting until the idle budget runs out
-                    if (
-                        idle_deadline is not None
-                        and time.monotonic() >= idle_deadline
-                    ):
-                        self._m_errors.inc(1, "idle_reaped")
-                        return
-                    continue
-                except (ProtocolError, OSError):
-                    # client vanished, spoke garbage, or stalled mid-frame:
-                    # drop it
-                    self._m_errors.inc(1, "read")
-                    return
-                if frame is None:
-                    return  # clean EOF
-                if self.idle_timeout is not None:
-                    idle_deadline = time.monotonic() + self.idle_timeout
-                header, body = frame
-                if not self._serve_request(conn, sock, header, body):
-                    return
-        finally:
-            self._unregister(conn)
-
-    def _serve_request(self, conn, sock, header, body) -> bool:
-        """Dispatch one request and send its response; False ends the
-        connection (BYE, handshake refusal, or a dead socket)."""
-        op = str(header.get("op", ""))
-        started = time.perf_counter()
-        trace_ctx = self._request_trace(header)
-        self._trace_local.ctx = trace_ctx
-        wall = SpanBuffer.now() if trace_ctx is not None else 0.0
-        keep_going = True
-        try:
-            response, rbody, keep_going = self._dispatch(conn, op, header, body)
-        except SimulatedCrash:
-            raise  # chaos tests: nothing may swallow a simulated crash
-        except CoralError as exc:
-            self._m_errors.inc(1, type(exc).__name__)
-            response = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-            rbody = b""
-        except (ValueError, TypeError) as exc:
-            # a well-formed frame carrying a malformed field (a non-integer
-            # cursor or sequence, a list where a scalar belongs): answer a
-            # clean protocol error instead of letting the handler thread die
-            self._m_errors.inc(1, "ProtocolError")
-            response = {
-                "ok": False,
-                "error": "ProtocolError",
-                "message": f"malformed {op or '?'} field: {exc}",
-            }
-            rbody = b""
-        self._m_requests.inc(1, op or "?")
+    def _note_request(self, conn: _Connection, op: str) -> None:
         self._m_client_requests.inc(1, conn.peer_host)
-        self._m_latency.observe(time.perf_counter() - started, op or "?")
-        answers = response.get("count", 0) if op == "FETCH" else 0
-        # deque.append is atomic; stats() filters by age against rate_window
-        self._recent.append((time.perf_counter(), answers))
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"request.{op or '?'}", "server", started, conn=conn.conn_id
-            )
-        if trace_ctx is not None and trace_ctx.sampled:
-            # sampled either from the start or force-flipped by a slowlog
-            # trip during dispatch — either way the hop is worth a span
-            self.spans.record(
-                trace_ctx,
-                f"request.{op or '?'}",
-                wall,
-                SpanBuffer.now(),
-                conn=conn.conn_id,
-                ok=bool(response.get("ok")),
-            )
-        self._trace_local.ctx = None
-        try:
-            self.faults.check("net.write")
-            write_frame(sock, response, rbody)
-        except (ProtocolError, OSError):
-            self._m_errors.inc(1, "write")
+
+    def _takes_over(self, conn: _Connection, sock, response) -> bool:
+        if conn.ship_from is None or not response.get("ok"):
             return False
-        if conn.ship_from is not None and response.get("ok"):
-            # a successful REPL_HELLO inverts the socket's roles: this
-            # handler thread becomes the ship loop for one replica
-            self._ship_loop(conn, sock)
-            return False
-        return keep_going
+        # a successful REPL_HELLO inverts the socket's roles: this handler
+        # thread becomes the ship loop for one replica
+        self._ship_loop(conn, sock)
+        return True
 
-    def _register(self, sock) -> _Connection:
-        try:
-            peer = "%s:%s" % sock.getpeername()[:2]
-        except OSError:
-            peer = "?"
-        with self._state_lock:
-            self._next_conn += 1
-            conn = _Connection(self._next_conn, peer, sock)
-            self._connections[conn.conn_id] = conn
-            self._connections_total += 1
-        self._m_conns.inc()
-        self._m_active.inc()
-        if self.tracer is not None:
-            self.tracer.instant("net.accept", "server", conn=conn.conn_id, peer=peer)
-        return conn
-
-    def _unregister(self, conn: _Connection) -> None:
-        with self._state_lock:
-            self._connections.pop(conn.conn_id, None)
-        self._free_cursors(conn)
-        self._free_subscriptions(conn)
-        self._m_active.dec()
-        if self.tracer is not None:
-            self.tracer.instant("net.close", "server", conn=conn.conn_id)
-
-    def _free_cursors(self, conn: _Connection) -> None:
-        for cursor in list(conn.cursors.values()):
-            self._close_cursor(conn, cursor.cursor_id)
+    def _release(self, conn: _Connection) -> None:
+        for cursor_id in list(conn.cursors):
+            self._close_cursor(conn, cursor_id)
+        for sub_id in list(conn.subs):
+            self._close_subscription(conn, sub_id)
 
     def _close_cursor(self, conn: _Connection, cursor_id: int) -> bool:
         cursor = conn.cursors.pop(cursor_id, None)
@@ -866,10 +516,7 @@ class CoralServer:
             return False
         with self._db_lock:
             cursor.result.close()
-        with self._state_lock:
-            self._cursors_closed += 1
-        self._m_cursors_closed.inc()
-        self._m_cursors_open.dec()
+        self._count_cursors_closed()
         return True
 
     # -- request dispatch ----------------------------------------------------
@@ -877,50 +524,6 @@ class CoralServer:
     def _dispatch(
         self, conn: _Connection, op: str, header, body
     ) -> PyTuple[Dict[str, object], bytes, bool]:
-        with self._state_lock:
-            self._requests_total += 1
-        if not conn.greeted:
-            if op != "HELLO":
-                return (
-                    {
-                        "ok": False,
-                        "error": "ProtocolError",
-                        "message": f"first request must be HELLO, got {op!r}",
-                    },
-                    b"",
-                    False,
-                )
-            version = header.get("version")
-            if version != PROTOCOL_VERSION:
-                return (
-                    {
-                        "ok": False,
-                        "error": "ProtocolError",
-                        "message": (
-                            f"protocol version mismatch: client speaks "
-                            f"{version!r}, server speaks {PROTOCOL_VERSION}"
-                        ),
-                    },
-                    b"",
-                    False,
-                )
-            conn.greeted = True
-            return (
-                {
-                    "ok": True,
-                    "server": "repro.server/1",
-                    "version": PROTOCOL_VERSION,
-                },
-                b"",
-                True,
-            )
-        if op == "BYE":
-            self._free_cursors(conn)
-            return {"ok": True, "bye": True}, b"", False
-        if self._draining and op not in _DRAIN_OPS:
-            raise ProtocolError(
-                f"server is draining for shutdown; {op} refused"
-            )
         if self.role == "replica" and op in _WRITE_OPS:
             raise ReadOnlyError(
                 f"{op} refused: this server is a read replica — writes go "
@@ -930,10 +533,6 @@ class CoralServer:
             return self._op_query(conn, header), b"", True
         if op == "FETCH":
             return self._op_fetch(conn, header) + (True,)
-        if op == "CLOSE_CURSOR":
-            cursor_id = int(header.get("cursor", -1))
-            closed = self._close_cursor(conn, cursor_id)
-            return {"ok": True, "closed": closed}, b"", True
         if op == "CONSULT":
             return self._op_consult(conn, header), b"", True
         if op == "INSERT":
@@ -948,17 +547,15 @@ class CoralServer:
             sub_id = int(header.get("sub", -1))
             closed = self._close_subscription(conn, sub_id)
             return {"ok": True, "closed": closed}, b"", True
-        if op == "STATS":
-            return {"ok": True, "stats": self.stats()}, b"", True
         if op == "TRACE":
             return self._op_trace(header), b"", True
         if op == "REPL_HELLO":
             return self._op_repl_hello(conn, header), b"", True
         if op == "PROMOTE":
-            return self._op_promote(header), b"", True
+            return self.promote(), b"", True
         if op == "WORKER_HELLO":
             return self._op_worker_hello(conn, header), b"", True
-        raise ProtocolError(f"unknown request op {op!r}")
+        return super()._dispatch(conn, op, header, body)
 
     def _op_worker_hello(self, conn: _Connection, header) -> Dict[str, object]:
         """A shard router (repro.sharding) claims this server as worker #N.
@@ -994,19 +591,14 @@ class CoralServer:
             result = self.session.query_literal(literal)
         if self.limits is not None:
             result.set_limits(self.limits.clone())
-        with self._state_lock:
-            self._next_cursor += 1
-            self._cursors_opened += 1
-            cursor = _Cursor(
-                self._next_cursor,
-                result,
-                query_variable_names(literal),
-                literal.arity,
-                query_text,
-            )
+        cursor = _Cursor(
+            self._count_cursor_opened(),
+            result,
+            query_variable_names(literal),
+            literal.arity,
+            query_text,
+        )
         conn.cursors[cursor.cursor_id] = cursor
-        self._m_cursors_opened.inc()
-        self._m_cursors_open.inc()
         self._m_query_preds.inc(1, f"{literal.pred}/{literal.arity}")
         return cursor
 
@@ -1072,10 +664,10 @@ class CoralServer:
             raise ProtocolError(f"FETCH max must be >= 1, got {limit}")
         rows = []
         done = False
-        with self._db_lock, self._session_trace():
-            if self.limits is not None:
-                cursor.result.set_limits(self.limits.clone())
-            try:
+        try:
+            with self._db_lock, self._session_trace():
+                if self.limits is not None:
+                    cursor.result.set_limits(self.limits.clone())
                 for _ in range(limit):
                     answer = cursor.result.get_next()
                     self._m_pulls.inc()
@@ -1086,14 +678,12 @@ class CoralServer:
                     for name in cursor.vars:
                         row.append(answer.term(name))
                     rows.append(row)
-            except CoralError:
-                # evaluation died (limits, storage, non-primitive answer):
-                # the cursor's state is unusable — free it, then report
-                self._close_cursor(conn, cursor_id)
-                raise
-        try:
             body = encode_batch(rows)
-        except CoralError:
+        except Exception:
+            # evaluation died (limits, storage, a bug in a registered
+            # builtin) or an answer does not encode (non-primitive): the
+            # cursor's state is unusable — free it, then let the transport
+            # report
             self._close_cursor(conn, cursor_id)
             raise
         if done:
@@ -1174,11 +764,10 @@ class CoralServer:
                     sub.lagged = True
                     sub.drops += dropped
                     self._m_live_drops.inc(dropped)
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "live.drop", "live", sub=sub.sub_id,
-                            dropped=dropped,
-                        )
+                    self._event(
+                        "live.drop", "live", sub=sub.sub_id,
+                        dropped=dropped,
+                    )
                 else:
                     sub.queue.extend(deltas)
                 sub.cond.notify_all()
@@ -1199,10 +788,9 @@ class CoralServer:
         conn.subs[sub.sub_id] = sub
         self._m_live_subs.inc()
         self._m_query_preds.inc(1, f"{literal.pred}/{literal.arity}")
-        if self.tracer is not None:
-            self.tracer.instant(
-                "live.subscribe", "live", sub=sub.sub_id, query=text
-            )
+        self._event(
+            "live.subscribe", "live", sub=sub.sub_id, query=text
+        )
         body = encode_batch([list(t.args) for t in snapshot])
         return (
             {
@@ -1279,11 +867,10 @@ class CoralServer:
                     snapshot = sub.view.snapshot()
             self._m_live_resnapshots.inc()
             self._update_live_lag()
-            if self.tracer is not None:
-                self.tracer.instant(
-                    "live.resnapshot", "live", sub=sub_id,
-                    count=len(snapshot),
-                )
+            self._event(
+                "live.resnapshot", "live", sub=sub_id,
+                count=len(snapshot),
+            )
             return (
                 {
                     "ok": True,
@@ -1324,10 +911,6 @@ class CoralServer:
         self._m_live_subs.dec()
         self._update_live_lag()
         return True
-
-    def _free_subscriptions(self, conn: _Connection) -> None:
-        for sub_id in list(conn.subs):
-            self._close_subscription(conn, sub_id)
 
     def _update_live_lag(self) -> None:
         """Refresh the ``live.lag`` gauge: total queued-but-unsent deltas
@@ -1381,10 +964,9 @@ class CoralServer:
             self._ack_cond.notify_all()
         self._m_replicas_connected.inc()
         self._m_repl_events.inc(1, "connects")
-        if self.tracer is not None:
-            self.tracer.instant(
-                "repl.connect", "server", conn=conn.conn_id, replica=name
-            )
+        self._event(
+            "repl.connect", "server", conn=conn.conn_id, replica=name
+        )
         try:
             while self._serving and self.role == "primary":
                 record = self.changelog.wait_for(next_seq, timeout=self.heartbeat)
@@ -1425,10 +1007,9 @@ class CoralServer:
                 if record is not None:
                     next_seq = record.seq + 1
                     self._m_repl_events.inc(1, "shipped")
-                    if self.tracer is not None:
-                        self.tracer.instant(
-                            "repl.ship", "server", seq=record.seq, replica=name
-                        )
+                    self._event(
+                        "repl.ship", "server", seq=record.seq, replica=name
+                    )
                 else:
                     self._m_repl_events.inc(1, "heartbeats")
         except (FrameTimeout, ProtocolError, OSError, ValueError, TypeError):
@@ -1454,8 +1035,7 @@ class CoralServer:
             self._replica_acks.pop(name, None)
             self._ack_cond.notify_all()
         self._m_replicas_connected.dec()
-        if self.tracer is not None:
-            self.tracer.instant("repl.disconnect", "server", replica=name)
+        self._event("repl.disconnect", "server", replica=name)
 
     def _await_replication(self, seq: int) -> None:
         """Block until ``sync_replicas`` replicas acknowledged ``seq``.
@@ -1532,8 +1112,7 @@ class CoralServer:
             self.changelog.append(kind, pred, payload, seq=seq)
         self._m_repl_events.inc(1, "applied")
         self._refresh_replica_gauges()
-        if self.tracer is not None:
-            self.tracer.instant("repl.apply", "server", seq=seq)
+        self._event("repl.apply", "server", seq=seq)
         if ctx is not None:
             self.spans.record(
                 ctx,
@@ -1544,9 +1123,6 @@ class CoralServer:
                 pred=pred,
             )
         return True
-
-    def _op_promote(self, header) -> Dict[str, object]:
-        return self.promote()
 
     def promote(self) -> Dict[str, object]:
         """Turn this replica into a writable primary (failover).
@@ -1568,10 +1144,9 @@ class CoralServer:
             self.repl_client.stop()  # drains the in-flight apply
         self.role = "primary"
         self._m_repl_events.inc(1, "promotions")
-        if self.tracer is not None:
-            self.tracer.instant(
-                "repl.promote", "server", last_seq=self.changelog.last_seq
-            )
+        self._event(
+            "repl.promote", "server", last_seq=self.changelog.last_seq
+        )
         return {
             "ok": True,
             "role": "primary",
@@ -1628,56 +1203,10 @@ class CoralServer:
 
     # -- introspection -------------------------------------------------------
 
-    def open_cursors(self) -> int:
-        with self._state_lock:
-            return sum(len(c.cursors) for c in self._connections.values())
-
-    def _rates(self) -> Dict[str, float]:
-        """Request/answer throughput over the trailing ``rate_window``
-        seconds (clamped to actual uptime, so a young server's rates are
-        not diluted by a window it has not lived through yet)."""
-        now = time.perf_counter()
-        horizon = now - self.rate_window
-        recent = [item for item in self._recent if item[0] >= horizon]
-        elapsed = max(1e-9, min(self.rate_window, now - self._started_at))
-        return {
-            "window_seconds": self.rate_window,
-            "requests": len(recent),
-            "requests_per_second": len(recent) / elapsed,
-            "answers_per_second": sum(a for _, a in recent) / elapsed,
-        }
-
-    def _latency(self) -> Dict[str, Dict[str, object]]:
-        """Per-op service-time percentiles from the request histogram."""
-        out: Dict[str, Dict[str, object]] = {}
-        for labels, snap in self._m_latency.collect().items():
-            if snap["count"]:
-                out[labels[0]] = {
-                    "count": snap["count"],
-                    "p50": snap["p50"],
-                    "p90": snap["p90"],
-                    "p99": snap["p99"],
-                }
-        return out
-
     def stats(self) -> Dict[str, object]:
-        """The STATS payload: connection/cursor/request counters, trailing
-        request rates and latency percentiles (what the shell's ``@top``
-        renders), plus the shared session's evaluation statistics and the
-        metrics registry."""
-        with self._state_lock:
-            connections = {
-                "total": self._connections_total,
-                "active": len(self._connections),
-            }
-            cursors = {
-                "opened": self._cursors_opened,
-                "closed": self._cursors_closed,
-                "open": sum(
-                    len(c.cursors) for c in self._connections.values()
-                ),
-            }
-            requests_total = self._requests_total
+        """The STATS payload: the transport's stanza plus the shared
+        session's evaluation statistics and, when in play, the worker,
+        replication, buffer, memo and live sections."""
         with self._db_lock:
             eval_stats = self.session.stats.snapshot()
             memo = getattr(self.session, "memo", None)
@@ -1696,25 +1225,11 @@ class CoralServer:
             live_stats["deltas_sent"] = sum(s.deltas_sent for s in subs)
             live_stats["drops"] = sum(s.drops for s in subs)
             live_stats["resnapshots"] = sum(s.resnapshots for s in subs)
-        payload = {
-            "connections": connections,
-            "cursors": cursors,
-            "requests": requests_total,
-            "role": self.role,
-            "rates": self._rates(),
-            "latency": self._latency(),
-            "eval": eval_stats,
-            "metrics": self.metrics.collect(),
-            "trace": {
-                "process": self.process_name,
-                "sample_rate": self.trace_sampler.rate,
-                "spans_recorded": self.spans.recorded,
-                "spans_dropped": self.spans.dropped,
-                "events_dropped": (
-                    self.tracer.dropped if self.tracer is not None else 0
-                ),
-            },
-        }
+        payload = super().stats()
+        payload["eval"] = eval_stats
+        payload["trace"]["events_dropped"] = (
+            self.tracer.dropped if self.tracer is not None else 0
+        )
         if self.worker_index is not None:
             payload["worker"] = {
                 "index": self.worker_index,

@@ -71,6 +71,14 @@ the request.  The protocol version is unchanged.
 Error responses carry ``{"ok": false, "error": <class name>, "message":
 ...}``; the client re-raises the matching :class:`~repro.errors.CoralError`
 subclass, so remote failures look exactly like local ones.
+:func:`error_response` builds that header and :func:`error_from_response`
+turns it back into the exception — the only two places that know the shape.
+
+The peers that *dial* a server from inside the system (the worker pool, the
+router's upstream links, a replica's shipping client) share :func:`dial`
+(connect + ``HELLO``) and :func:`roundtrip` (one request, one response, a
+refusal re-raised under the upstream's own class); their retry *policies*
+stay with them.
 """
 
 from __future__ import annotations
@@ -80,7 +88,8 @@ import socket
 import struct
 from typing import Dict, Optional, Tuple as PyTuple
 
-from ..errors import ProtocolError
+from .. import errors as _errors
+from ..errors import CoralError, ProtocolError
 
 #: protocol version spoken by this build; HELLO negotiates equality
 PROTOCOL_VERSION = 1
@@ -123,6 +132,36 @@ class FrameTimeout(Exception):
     timeout *mid*-frame (some bytes arrived, then silence) still raises
     :class:`ProtocolError`: that peer is wedged, not idle.
     """
+
+
+class PeerLost(ProtocolError):
+    """A :func:`dial` or :func:`roundtrip` failed at the socket layer — the
+    peer is unreachable, vanished, stalled, or spoke garbage — as opposed
+    to answering with a refusal.  Callers that retry or fail over catch
+    this; everyone else sees an ordinary :class:`ProtocolError`."""
+
+
+#: error name -> exception class, so a refusal re-raises as its original
+#: type on the far side of the wire
+_ERROR_TYPES: Dict[str, type] = {
+    name: value
+    for name, value in vars(_errors).items()
+    if isinstance(value, type) and issubclass(value, CoralError)
+}
+
+
+def error_response(exc: BaseException) -> Dict[str, object]:
+    """The ``ok: false`` response header reporting ``exc``."""
+    return {"ok": False, "error": type(exc).__name__, "message": str(exc)}
+
+
+def error_from_response(response: Dict[str, object]) -> CoralError:
+    """The exception an ``ok: false`` response stands for, under its
+    original class (unknown names fall back to :class:`CoralError`), with
+    the sender's message intact."""
+    name = str(response.get("error", "CoralError"))
+    message = str(response.get("message", "remote error"))
+    return _ERROR_TYPES.get(name, CoralError)(message)
 
 
 def encode_frame(header: Dict[str, object], body: bytes = b"") -> bytes:
@@ -226,3 +265,47 @@ def write_frame(
         sock.sendall(encode_frame(header, body))
     except OSError as exc:
         raise ProtocolError(f"connection lost while sending: {exc}") from exc
+
+
+def roundtrip(
+    sock: socket.socket, header: Dict[str, object], body: bytes = b""
+) -> PyTuple[Dict[str, object], bytes]:
+    """One request/response on an established connection.
+
+    A transport failure (send error, timeout, EOF, garbage) raises
+    :class:`PeerLost`; an ``ok: false`` answer raises the refusal under the
+    upstream's own class (:func:`error_from_response`)."""
+    try:
+        write_frame(sock, header, body)
+        frame = read_frame(sock)
+    except FrameTimeout:
+        raise PeerLost("timed out waiting for the peer's response") from None
+    except ProtocolError as exc:
+        raise PeerLost(str(exc)) from exc
+    if frame is None:
+        raise PeerLost("peer closed the connection mid-conversation")
+    if not frame[0].get("ok"):
+        raise error_from_response(frame[0])
+    return frame
+
+
+def dial(
+    address: PyTuple[str, int], timeout: Optional[float], client: str
+) -> socket.socket:
+    """Connect to a server and complete the ``HELLO`` handshake as
+    ``client``; the returned socket keeps ``timeout`` per operation."""
+    try:
+        sock = socket.create_connection(address, timeout=timeout)
+    except OSError as exc:
+        raise PeerLost(
+            f"cannot connect to {address[0]}:{address[1]}: {exc}"
+        ) from exc
+    try:
+        roundtrip(
+            sock,
+            {"op": "HELLO", "version": PROTOCOL_VERSION, "client": client},
+        )
+    except BaseException:
+        sock.close()
+        raise
+    return sock

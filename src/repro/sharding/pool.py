@@ -30,26 +30,27 @@ Two modes:
 Either way, after boot the pool performs the ``WORKER_HELLO`` handshake,
 branding the server with its shard index so its own STATS/metrics identify
 it, and learning its pid (what the chaos suite SIGKILLs).
+
+Every conversation with a worker is a one-shot
+:func:`repro.server.protocol.dial` + :func:`~repro.server.protocol.roundtrip`
+— the same pair the router's upstream links and the replication client use
+— so a worker's refusal arrives under its own error class; what the pool
+adds is only the policy (retry until ``start_timeout``, flip to down, back
+off).
 """
 
 from __future__ import annotations
 
 import os
 import re
-import socket
 import subprocess
 import sys
 import threading
 import time
 from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
 
-from ..errors import ProtocolError, WorkerRestartingError
-from ..server.protocol import (
-    PROTOCOL_VERSION,
-    FrameTimeout,
-    read_frame,
-    write_frame,
-)
+from ..errors import CoralError, ProtocolError, WorkerRestartingError
+from ..server.protocol import dial, roundtrip
 
 #: the stdout line ``python -m repro.server`` prints once it accepts
 _LISTENING = re.compile(
@@ -57,36 +58,12 @@ _LISTENING = re.compile(
 )
 
 
-def _roundtrip(sock: socket.socket, header, body: bytes = b""):
-    """One request/response on an established worker connection."""
-    write_frame(sock, header, body)
-    frame = read_frame(sock)
-    if frame is None:
-        raise ProtocolError("worker closed the connection mid-conversation")
-    response, rbody = frame
-    if not response.get("ok"):
-        raise ProtocolError(
-            f"worker refused {header.get('op')}: "
-            f"{response.get('message', response.get('error'))}"
-        )
-    return response, rbody
-
-
-def _dial(address: PyTuple[str, int], timeout: float) -> socket.socket:
-    sock = socket.create_connection(address, timeout=timeout)
-    try:
-        _roundtrip(
-            sock,
-            {
-                "op": "HELLO",
-                "version": PROTOCOL_VERSION,
-                "client": "repro.sharding/1",
-            },
-        )
-        return sock
-    except BaseException:
-        sock.close()
-        raise
+def _ask(
+    address: PyTuple[str, int], timeout: float, header
+) -> Dict[str, object]:
+    """Dial a worker, make one request, hang up; the response header."""
+    with dial(address, timeout, "repro.sharding/1") as sock:
+        return roundtrip(sock, header)[0]
 
 
 class WorkerHandle:
@@ -332,25 +309,22 @@ class WorkerPool:
         last: Optional[Exception] = None
         while time.monotonic() < deadline:
             try:
-                sock = _dial(handle.address, self.io_timeout)
-                try:
-                    response, _ = _roundtrip(
-                        sock,
-                        {
-                            "op": "WORKER_HELLO",
-                            "worker": handle.index,
-                            "router": self.router_name,
-                        },
-                    )
-                finally:
-                    sock.close()
+                response = _ask(
+                    handle.address,
+                    self.io_timeout,
+                    {
+                        "op": "WORKER_HELLO",
+                        "worker": handle.index,
+                        "router": self.router_name,
+                    },
+                )
                 handle.pid = int(response.get("pid", 0)) or None
                 handle.generation += 1
                 handle.state = "up"
                 handle.last_seen = time.monotonic()
                 handle._backoff = 0.0
                 return
-            except (FrameTimeout, ProtocolError, OSError) as exc:
+            except CoralError as exc:
                 last = exc
                 time.sleep(0.05)
         handle.state = "down"
@@ -415,12 +389,8 @@ class WorkerPool:
         if handle.address is None:
             return None
         try:
-            sock = _dial(handle.address, timeout)
-            try:
-                response, _ = _roundtrip(sock, {"op": "STATS"})
-            finally:
-                sock.close()
-        except (FrameTimeout, ProtocolError, OSError):
+            response = _ask(handle.address, timeout, {"op": "STATS"})
+        except CoralError:
             if handle.state == "up":
                 handle.state = "down"
                 handle._backoff = self.backoff

@@ -1,6 +1,12 @@
 """The shard router: one TCP front speaking the unmodified wire protocol,
 N workers behind it.
 
+The front itself — accept loop, framed reads, the HELLO/BYE/draining gate,
+request accounting, error mapping, lifecycle — is the same
+:class:`repro.server.transport.FrameServer` a :class:`~repro.server.
+CoralServer` is built on; this module is only the op table whose ops
+*forward*, plus the upstream links and scatter-gather cursors that needs.
+
 Clients — :class:`~repro.client.RemoteSession`, the shell, scripts — dial
 the router exactly as they would a :class:`~repro.server.CoralServer`; the
 protocol module, frame layout, and every op are unchanged.  Behind the
@@ -42,10 +48,7 @@ from __future__ import annotations
 
 import os
 import socket
-import socketserver
 import threading
-import time
-from collections import deque
 from typing import Dict, List, Optional, Tuple as PyTuple, Union
 
 from ..errors import (
@@ -55,42 +58,18 @@ from ..errors import (
     ShardRoutingError,
     WorkerRestartingError,
 )
-from ..faults import FaultInjector, SimulatedCrash
+from ..faults import FaultInjector
 from ..language import parse_program, parse_query
-from ..obs import MetricsRegistry, TelemetryServer
-from ..obs.disttrace import (
-    HeadSampler,
-    SpanBuffer,
-    TraceCollector,
-    TraceContext,
-)
+from ..obs.disttrace import SpanBuffer, TraceContext
+from ..server.protocol import PeerLost, dial, roundtrip
+from ..server.transport import DEFAULT_BATCH, Connection, FrameServer
 from ..storage.serde import decode_batch, encode_batch
 from ..terms import to_arg
 from .hashring import ShardMap, partition_key
-from .pool import WorkerPool, _dial
+from .pool import WorkerPool
 
-#: default answers per FETCH when the client does not say (mirrors the
-#: worker-side default so a router in front changes no batch shapes)
-DEFAULT_BATCH = 64
-
-from ..server.protocol import (  # noqa: E402  (grouped with protocol use)
-    PROTOCOL_VERSION,
-    FrameTimeout,
-    read_frame,
-    write_frame,
-)
-
-#: ops a draining router still accepts (same contract as CoralServer)
-_DRAIN_OPS = ("HELLO", "FETCH", "CLOSE_CURSOR", "STATS", "TRACE", "BYE")
-
-
-class _UpstreamLost(Exception):
-    """Internal: the router↔worker hop failed at the socket layer."""
-
-    def __init__(self, index: int, cause: Exception) -> None:
-        super().__init__(f"worker {index}: {cause}")
-        self.index = index
-        self.cause = cause
+#: socket timeout, in seconds, on every router→worker link
+UPSTREAM_TIMEOUT = 30.0
 
 
 class _Upstream:
@@ -105,7 +84,7 @@ class _Upstream:
 
 
 class _Part:
-    """One worker's slice of a gather cursor."""
+    """One worker-side cursor behind a router cursor."""
 
     __slots__ = ("upstream", "remote_id")
 
@@ -114,18 +93,10 @@ class _Part:
         self.remote_id = remote_id
 
 
-class _ProxyCursor:
-    """A router cursor backed by exactly one worker cursor."""
-
-    __slots__ = ("cursor_id", "part")
-
-    def __init__(self, cursor_id: int, part: _Part) -> None:
-        self.cursor_id = cursor_id
-        self.part = part
-
-
-class _GatherCursor:
-    """A router cursor concatenating one worker cursor per shard."""
+class _Cursor:
+    """A router cursor over one worker cursor per shard it spans: a single
+    part is a *proxy* (batches are relayed as opaque bytes), several are a
+    *gather* (the shards' streams are concatenated)."""
 
     __slots__ = ("cursor_id", "parts", "current")
 
@@ -135,37 +106,18 @@ class _GatherCursor:
         self.current = 0  # index of the part FETCH is draining
 
 
-class _RouterConn:
-    """Per-client-connection state: upstream links and open cursors."""
+class _RouterConn(Connection):
+    """The transport's connection record plus this client's upstream
+    links (its cursors are :class:`_Cursor`)."""
 
-    __slots__ = ("conn_id", "peer", "peer_host", "greeted", "links",
-                 "cursors", "sock")
+    __slots__ = ("links",)
 
-    def __init__(self, conn_id: int, peer: str, sock=None) -> None:
-        self.conn_id = conn_id
-        self.peer = peer
-        self.peer_host = peer.rsplit(":", 1)[0] if ":" in peer else peer
-        self.greeted = False
-        self.sock = sock
+    def __init__(self, conn_id: int, peer: str, sock) -> None:
+        super().__init__(conn_id, peer, sock)
         self.links: Dict[int, _Upstream] = {}
-        self.cursors: Dict[int, Union[_ProxyCursor, _GatherCursor]] = {}
 
 
-class _Handler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:  # pragma: no cover - thin shim
-        self.server.router._handle_connection(self.request)
-
-
-class _TCPServer(socketserver.ThreadingTCPServer):
-    daemon_threads = True
-    allow_reuse_address = True
-    router: "ShardRouter"
-
-    def handle_error(self, request, client_address) -> None:
-        self.router._m_errors.inc(1, "unhandled")
-
-
-class ShardRouter:
+class ShardRouter(FrameServer):
     """The multi-process front: route, scatter, gather, aggregate.
 
     ::
@@ -180,6 +132,10 @@ class ShardRouter:
     pool over in-process servers); the router only *uses* it.
     """
 
+    metric_prefix = "router"
+    role = "router"
+    connection_class = _RouterConn
+
     def __init__(
         self,
         pool: WorkerPool,
@@ -191,10 +147,8 @@ class ShardRouter:
         faults: Optional[FaultInjector] = None,
         telemetry_port: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
-        rate_window: float = 30.0,
         io_timeout: Optional[float] = 30.0,
         idle_timeout: Optional[float] = 300.0,
-        upstream_timeout: float = 30.0,
         trace_sample: float = 0.0,
         span_dir: Optional[str] = None,
         process_name: Optional[str] = None,
@@ -202,60 +156,32 @@ class ShardRouter:
     ) -> None:
         self.pool = pool
         self.shard_map = ShardMap.load(shard_map, pool.count)
-        self.batch_size = batch_size
-        self.faults = faults if faults is not None else FaultInjector()
-        self.io_timeout = io_timeout
-        self.idle_timeout = idle_timeout
-        self.upstream_timeout = upstream_timeout
-        self.metrics = MetricsRegistry()
-        # -- distributed tracing (repro.obs.disttrace): the router parses
-        # the optional wire ``trace`` field, records its own request and
-        # per-worker forwarding-leg spans, and stamps a child context on
-        # every upstream hop so worker spans nest under the fan-out legs
-        self.trace_sampler = HeadSampler(trace_sample)
-        self.span_dir = span_dir
-        self.process_name = process_name or f"router-{os.getpid()}"
-        self.spans = SpanBuffer(
-            self.process_name,
-            limit=span_limit,
-            path=(
-                os.path.join(span_dir, f"{self.process_name}.jsonl")
-                if span_dir
-                else None
-            ),
-            on_drop=lambda: self._m_trace_dropped.inc(1, "spans"),
+        # the transport parses the optional wire ``trace`` field and records
+        # the request span; the router adds per-worker forwarding-leg spans
+        # and stamps a child context on every upstream hop so worker spans
+        # nest under the fan-out legs (see _forward)
+        super().__init__(
+            host,
+            port,
+            faults=faults,
+            io_timeout=io_timeout,
+            idle_timeout=idle_timeout,
+            trace_sample=trace_sample,
+            span_dir=span_dir,
+            process_name=process_name or f"router-{os.getpid()}",
+            span_limit=span_limit,
+            telemetry_port=telemetry_port,
+            telemetry_host=telemetry_host,
+            telemetry_extra={"snapshots": self._worker_snapshots},
         )
-        self._trace_local = threading.local()
+        self.batch_size = batch_size
         #: predicate/module → worker placements learned from consults; a
         #: name, once placed, stays put (first-wins) so later programs and
         #: queries find their data
         self._learned: Dict[str, int] = {}
         self._learned_lock = threading.Lock()
-        self._state_lock = threading.Lock()
-        self._connections: Dict[int, _RouterConn] = {}
-        self._next_conn = 0
-        self._next_cursor = 0
-        self._requests_total = 0
-        self._connections_total = 0
-        self._cursors_opened = 0
-        self._cursors_closed = 0
-        self._draining = False
-        self._serving = False
-        self.rate_window = rate_window
-        self._recent: deque = deque(maxlen=8192)
-        self._started_at = time.perf_counter()
-        self._tcp = _TCPServer((host, port), _Handler, bind_and_activate=True)
-        self._tcp.router = self
-        self._thread: Optional[threading.Thread] = None
 
         m = self.metrics
-        self._m_conns = m.counter("router.connections.total", "connections accepted")
-        self._m_active = m.gauge("router.connections.active", "open connections")
-        self._m_requests = m.counter("router.requests", "requests by op", ("op",))
-        self._m_errors = m.counter("router.errors", "request failures by kind", ("kind",))
-        self._m_latency = m.histogram(
-            "router.request.seconds", "request service time", ("op",)
-        )
         self._m_upstream = m.counter(
             "router.upstream.requests", "requests forwarded per worker",
             ("worker",),
@@ -263,111 +189,21 @@ class ShardRouter:
         self._m_scatter = m.counter(
             "router.scatter.queries", "queries fanned out to every shard"
         )
-        self._m_cursors_opened = m.counter("router.cursors.opened", "cursors opened")
-        self._m_cursors_closed = m.counter("router.cursors.closed", "cursors closed")
-        self._m_cursors_open = m.gauge("router.cursors.open", "cursors currently open")
         self._m_workers_up = m.gauge("router.workers.up", "workers currently up")
         self._m_restarts = m.counter(
             "router.worker.restarts", "worker restarts observed", ("worker",)
         )
-        self._m_trace_dropped = m.counter(
-            "obs.trace.dropped",
-            "trace events/spans dropped at bounded-buffer caps",
-            ("buffer",),
-        )
         self._restart_seen: Dict[int, int] = {}
 
-        self.telemetry: Optional[TelemetryServer] = None
-        if telemetry_port is not None:
-            self.telemetry = TelemetryServer(
-                port=telemetry_port,
-                host=telemetry_host,
-                registries=[self.metrics],
-                health=self._health,
-                snapshots=self._worker_snapshots,
-                trace_lookup=self._trace_lookup,
-            )
+    # -- what the transport asks ---------------------------------------------
 
-    # -- lifecycle -----------------------------------------------------------
-
-    @property
-    def address(self) -> PyTuple[str, int]:
-        host, port = self._tcp.server_address[:2]
-        return host, port
-
-    @property
-    def telemetry_address(self) -> Optional[PyTuple[str, int]]:
-        return self.telemetry.address if self.telemetry is not None else None
-
-    def start(self) -> "ShardRouter":
-        if self._thread is not None:
-            raise ProtocolError("router already started")
-        self._serving = True
-        self._started_at = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        self._thread = threading.Thread(
-            target=self._tcp.serve_forever,
-            kwargs={"poll_interval": 0.05},
-            name="shard-router",
-            daemon=True,
-        )
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._serving = True
-        self._started_at = time.perf_counter()
-        if self.telemetry is not None:
-            self.telemetry.start()
-        self._tcp.serve_forever(poll_interval=0.05)
-
-    def drain(self, timeout: float = 5.0) -> bool:
-        self._draining = True
-        deadline = time.monotonic() + timeout
-        while time.monotonic() < deadline:
-            if self.open_cursors() == 0:
-                return True
-            time.sleep(0.02)
-        return self.open_cursors() == 0
-
-    def shutdown(self) -> None:
-        if self.telemetry is not None:
-            self.telemetry.shutdown()
-        if self._serving:
-            self._tcp.shutdown()
-            self._serving = False
-        self._tcp.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5.0)
-            self._thread = None
-        with self._state_lock:
-            leftovers = list(self._connections.values())
-            self._connections.clear()
-        for conn in leftovers:
-            if conn.sock is not None:
-                try:
-                    conn.sock.close()
-                except OSError:
-                    pass
-            self._sever_upstreams(conn)
-        self.spans.close()
-
-    def __enter__(self) -> "ShardRouter":
-        return self.start()
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()
-
-    def open_cursors(self) -> int:
-        with self._state_lock:
-            return sum(len(c.cursors) for c in self._connections.values())
+    def _hello(self) -> Dict[str, object]:
+        return dict(super()._hello(), workers=self.pool.count)
 
     def _health(self) -> PyTuple[bool, str]:
-        if self._draining:
-            return False, "draining"
-        if not self._serving:
-            return False, "not serving"
+        verdict = super()._health()
+        if not verdict[0]:
+            return verdict
         up = sum(1 for h in self.pool.workers if h.state == "up")
         self._m_workers_up.set(up)
         if up == 0:
@@ -389,209 +225,38 @@ class ShardRouter:
                 out.append(({"worker": str(handle.index)}, stats["metrics"]))
         return out
 
-    # -- distributed tracing -------------------------------------------------
-
-    def _request_trace(self, header) -> Optional[TraceContext]:
-        """The trace context this request runs under: a child of the wire
-        context when the client sent one, a fresh sampled root when the
-        router's own sampler says yes, else None (untraced)."""
-        parent = TraceContext.from_wire(header.get("trace"))
-        if parent is not None:
-            return parent.child()
-        if self.trace_sampler.decide():
-            return TraceContext.mint(sampled=True)
-        return None
-
-    def _trace_lookup(self, trace_id: str) -> Optional[Dict[str, object]]:
-        """Assemble one trace for ``/debug/trace/<id>`` from the shared
-        span directory (which the workers drain into when launched by
-        ``repro.server --workers``) plus the router's own buffer."""
-        collector = TraceCollector()
-        if self.span_dir is not None and os.path.isdir(self.span_dir):
-            try:
-                collector.load_dir(self.span_dir)
-            except OSError:
-                pass
-        collector.add_spans(self.spans.snapshot())
-        if trace_id not in collector.trace_ids():
-            return None
-        return collector.assemble(trace_id)
-
-    def _op_trace(self, conn: _RouterConn, header) -> Dict[str, object]:
-        """Cluster-wide span gather for one trace id: every reachable
-        worker's TRACE answer, the shared span directory, and the router's
-        own spans, deduplicated by span id.  Unreachable workers are
-        skipped — a partial trace is the contract, not an error."""
-        trace_id = str(header.get("id", ""))
-        merged: Dict[str, Dict[str, object]] = {}
-
-        def add(spans) -> None:
-            for span in spans:
-                if isinstance(span, dict) and isinstance(span.get("id"), str):
-                    merged.setdefault(span["id"], span)
-
-        add(self.spans.spans_for(trace_id))
+    def _worker_spans(self, conn: _RouterConn, trace_id: str) -> List[dict]:
+        """Every reachable worker's TRACE answer for one trace id — the
+        cluster-wide half of the TRACE op.  Unreachable or refusing workers
+        are skipped: a partial trace is the contract, not an error."""
+        spans: List[dict] = []
         for index in range(self.pool.count):
             try:
                 upstream = self._upstream(conn, index)
+            except WorkerRestartingError:
+                continue
+            try:
                 response, _ = self._forward(
                     upstream, {"op": "TRACE", "id": trace_id}
                 )
-            except _UpstreamLost as exc:
-                lost = conn.links.get(exc.index)
-                if lost is not None:
-                    self._drop_upstream(conn, lost)
-                continue
-            except (WorkerRestartingError, CoralError):
-                continue
-            if response.get("ok"):
-                add(response.get("spans", []))
-        if self.span_dir is not None and os.path.isdir(self.span_dir):
-            collector = TraceCollector()
-            try:
-                collector.load_dir(self.span_dir)
-            except OSError:
+                spans.extend(response.get("spans", []))
+            except PeerLost:
+                self._drop_upstream(conn, upstream)
+            except CoralError:
                 pass
-            add(collector.spans(trace_id))
-        return {
-            "ok": True,
-            "id": trace_id,
-            "process": self.process_name,
-            "spans": list(merged.values()),
-        }
+        return spans
 
-    # -- connection loop (mirrors CoralServer) -------------------------------
-
-    def _handle_connection(self, sock) -> None:
-        if self._draining:
-            return
-        try:
-            self.faults.check("net.accept")
-        except OSError:
-            self._m_errors.inc(1, "accept")
-            return
-        wait = self.io_timeout if self.io_timeout is not None else self.idle_timeout
-        if wait is not None:
-            sock.settimeout(wait)
-        conn = self._register(sock)
-        try:
-            idle_deadline = (
-                time.monotonic() + self.idle_timeout
-                if self.idle_timeout is not None
-                else None
-            )
-            while True:
-                try:
-                    self.faults.check("net.read")
-                    frame = read_frame(sock)
-                except FrameTimeout:
-                    if (
-                        idle_deadline is not None
-                        and time.monotonic() >= idle_deadline
-                    ):
-                        self._m_errors.inc(1, "idle_reaped")
-                        return
-                    continue
-                except (ProtocolError, OSError):
-                    self._m_errors.inc(1, "read")
-                    return
-                if frame is None:
-                    return  # clean EOF
-                if self.idle_timeout is not None:
-                    idle_deadline = time.monotonic() + self.idle_timeout
-                header, body = frame
-                if not self._serve_request(conn, sock, header, body):
-                    return
-        finally:
-            self._unregister(conn)
-
-    def _serve_request(self, conn, sock, header, body) -> bool:
-        op = str(header.get("op", ""))
-        started = time.perf_counter()
-        trace_ctx = self._request_trace(header)
-        self._trace_local.ctx = trace_ctx
-        wall = SpanBuffer.now() if trace_ctx is not None else 0.0
-        keep_going = True
-        try:
-            response, rbody, keep_going = self._dispatch(conn, op, header, body)
-        except SimulatedCrash:
-            raise
-        except CoralError as exc:
-            self._m_errors.inc(1, type(exc).__name__)
-            response = {
-                "ok": False,
-                "error": type(exc).__name__,
-                "message": str(exc),
-            }
-            rbody = b""
-        except (ValueError, TypeError) as exc:
-            self._m_errors.inc(1, "ProtocolError")
-            response = {
-                "ok": False,
-                "error": "ProtocolError",
-                "message": f"malformed {op or '?'} field: {exc}",
-            }
-            rbody = b""
-        self._m_requests.inc(1, op or "?")
-        self._m_latency.observe(time.perf_counter() - started, op or "?")
-        if trace_ctx is not None and trace_ctx.sampled:
-            self.spans.record(
-                trace_ctx,
-                f"request.{op or '?'}",
-                wall,
-                SpanBuffer.now(),
-                conn=conn.conn_id,
-                ok=bool(response.get("ok")),
-            )
-        self._trace_local.ctx = None
-        answers = response.get("count", 0) if op == "FETCH" else 0
-        self._recent.append((time.perf_counter(), answers))
-        try:
-            self.faults.check("net.write")
-            write_frame(sock, response, rbody)
-        except (ProtocolError, OSError):
-            self._m_errors.inc(1, "write")
-            return False
-        return keep_going
-
-    def _register(self, sock) -> _RouterConn:
-        try:
-            peer = "%s:%s" % sock.getpeername()[:2]
-        except OSError:
-            peer = "?"
-        with self._state_lock:
-            self._next_conn += 1
-            conn = _RouterConn(self._next_conn, peer, sock)
-            self._connections[conn.conn_id] = conn
-            self._connections_total += 1
-        self._m_conns.inc()
-        self._m_active.inc()
-        return conn
-
-    def _unregister(self, conn: _RouterConn) -> None:
-        with self._state_lock:
-            self._connections.pop(conn.conn_id, None)
-        self._sever_upstreams(conn)
-        self._m_active.dec()
-
-    def _sever_upstreams(self, conn: _RouterConn) -> None:
+    def _release(self, conn: _RouterConn) -> None:
         """Drop every upstream link this client held.  Closing the sockets
         is the reclamation signal: each worker's own disconnect handling
         frees the cursors the router had opened there — abandoning a
         scatter-gather frees state on *every* shard."""
         closed = len(conn.cursors)
         conn.cursors.clear()
-        for upstream in conn.links.values():
-            try:
-                upstream.sock.close()
-            except OSError:
-                pass
-        conn.links.clear()
+        for upstream in list(conn.links.values()):
+            self._drop_upstream(conn, upstream)
         if closed:
-            with self._state_lock:
-                self._cursors_closed += closed
-            self._m_cursors_closed.inc(closed)
-            self._m_cursors_open.dec(closed)
+            self._count_cursors_closed(closed)
 
     # -- upstream links ------------------------------------------------------
 
@@ -605,15 +270,11 @@ class ShardRouter:
                 return upstream
             # the worker restarted since this link was dialed: the socket
             # is dead (or soon will be) and its cursors are gone
-            try:
-                upstream.sock.close()
-            except OSError:
-                pass
-            del conn.links[index]
+            self._drop_upstream(conn, upstream)
         address = self.pool.address_of(index)  # raises WorkerRestartingError
         try:
-            sock = _dial(address, self.upstream_timeout)
-        except (FrameTimeout, ProtocolError, OSError) as exc:
+            sock = dial(address, UPSTREAM_TIMEOUT, "repro.sharding/1")
+        except CoralError as exc:
             raise WorkerRestartingError(
                 f"worker {index} at {address[0]}:{address[1]} is not "
                 f"answering ({exc}); retry shortly"
@@ -625,16 +286,18 @@ class ShardRouter:
     def _forward(
         self, upstream: _Upstream, header, body: bytes = b""
     ) -> PyTuple[Dict[str, object], bytes]:
-        """One round trip to a worker; socket failures raise
-        :class:`_UpstreamLost` (never a client-visible error directly —
-        the caller decides between retriable and cursor-fatal).
+        """One round trip to a worker.  A socket failure raises
+        :class:`~repro.server.protocol.PeerLost` (never a client-visible
+        error directly — the caller decides between retriable and
+        cursor-fatal); a refusal re-raises under the worker's own error
+        class, so the transport relays it to the client intact.
 
         When the request being served is traced, every forwarding leg gets
         its own child context stamped on the upstream header and its own
         span — a scatter-gather fan-out shows up as one leg per worker,
         with the worker's spans nested under its leg."""
         self._m_upstream.inc(1, str(upstream.index))
-        ctx = getattr(self._trace_local, "ctx", None)
+        ctx = self._current_trace()
         leg: Optional[TraceContext] = None
         started = 0.0
         if ctx is not None and ctx.sampled:
@@ -642,23 +305,14 @@ class ShardRouter:
             header = dict(header)
             header["trace"] = leg.to_wire()
             started = SpanBuffer.now()
+        lost = False
         try:
-            write_frame(upstream.sock, header, body)
-            frame = read_frame(upstream.sock)
-        except FrameTimeout as exc:
-            self._record_leg(leg, header, started, upstream, lost=True)
-            raise _UpstreamLost(upstream.index, exc) from exc
-        except (ProtocolError, OSError) as exc:
-            self._record_leg(leg, header, started, upstream, lost=True)
-            raise _UpstreamLost(upstream.index, exc) from exc
-        if frame is None:
-            self._record_leg(leg, header, started, upstream, lost=True)
-            raise _UpstreamLost(
-                upstream.index,
-                ProtocolError("worker closed the connection"),
-            )
-        self._record_leg(leg, header, started, upstream, lost=False)
-        return frame
+            return roundtrip(upstream.sock, header, body)
+        except PeerLost:
+            lost = True
+            raise
+        finally:
+            self._record_leg(leg, header, started, upstream, lost)
 
     def _record_leg(
         self,
@@ -689,6 +343,42 @@ class ShardRouter:
         if conn.links.get(upstream.index) is upstream:
             del conn.links[upstream.index]
 
+    def _ask(
+        self,
+        conn: _RouterConn,
+        index: int,
+        header,
+        died: str,
+        advice: str = "retry shortly",
+    ) -> PyTuple[_Upstream, Dict[str, object]]:
+        """One request to worker ``index`` over this client's link, where
+        losing the worker is *retriable*: the link is dropped and the
+        client told to come back (``died`` says when it happened, ``advice``
+        what to do about it).  Refusals propagate under their own class."""
+        upstream = self._upstream(conn, index)
+        try:
+            response, _ = self._forward(upstream, header)
+        except PeerLost as exc:
+            self._drop_upstream(conn, upstream)
+            raise WorkerRestartingError(
+                f"worker {index} died {died} ({exc}); {advice}"
+            ) from exc
+        return upstream, response
+
+    def _close_part(self, conn: _RouterConn, part: _Part) -> None:
+        """Free one worker-side cursor, best effort."""
+        if conn.links.get(part.upstream.index) is not part.upstream:
+            return  # that upstream is already gone, its cursors with it
+        try:
+            self._forward(
+                part.upstream, {"op": "CLOSE_CURSOR", "cursor": part.remote_id}
+            )
+        except PeerLost:
+            # the worker died; its cursors died with it — done either way
+            self._drop_upstream(conn, part.upstream)
+        except CoralError:
+            pass  # refused: the worker holds nothing we could still free
+
     # -- routing -------------------------------------------------------------
 
     def _route_name(self, name: str) -> Optional[int]:
@@ -716,183 +406,95 @@ class ShardRouter:
     def _dispatch(
         self, conn: _RouterConn, op: str, header, body
     ) -> PyTuple[Dict[str, object], bytes, bool]:
-        with self._state_lock:
-            self._requests_total += 1
-        if not conn.greeted:
-            if op != "HELLO":
-                return (
-                    {
-                        "ok": False,
-                        "error": "ProtocolError",
-                        "message": f"first request must be HELLO, got {op!r}",
-                    },
-                    b"",
-                    False,
-                )
-            version = header.get("version")
-            if version != PROTOCOL_VERSION:
-                return (
-                    {
-                        "ok": False,
-                        "error": "ProtocolError",
-                        "message": (
-                            f"protocol version mismatch: client speaks "
-                            f"{version!r}, server speaks {PROTOCOL_VERSION}"
-                        ),
-                    },
-                    b"",
-                    False,
-                )
-            conn.greeted = True
-            return (
-                {
-                    "ok": True,
-                    "server": "repro.router/1",
-                    "version": PROTOCOL_VERSION,
-                    "workers": self.pool.count,
-                },
-                b"",
-                True,
-            )
-        if op == "BYE":
-            self._sever_upstreams(conn)
-            return {"ok": True, "bye": True}, b"", False
-        if self._draining and op not in _DRAIN_OPS:
-            raise ProtocolError(
-                f"server is draining for shutdown; {op} refused"
-            )
         if op == "QUERY":
             return self._op_query(conn, header), b"", True
         if op == "FETCH":
             return self._op_fetch(conn, header) + (True,)
-        if op == "CLOSE_CURSOR":
-            cursor_id = int(header.get("cursor", -1))
-            closed = self._close_cursor(conn, cursor_id)
-            return {"ok": True, "closed": closed}, b"", True
         if op == "CONSULT":
             return self._op_consult(conn, header), b"", True
         if op in ("INSERT", "DELETE"):
             return self._op_update(conn, op, header), b"", True
-        if op == "STATS":
-            return {"ok": True, "stats": self.stats()}, b"", True
         if op == "TRACE":
-            return self._op_trace(conn, header), b"", True
+            gathered = self._worker_spans(conn, str(header.get("id", "")))
+            return self._op_trace(header, gathered), b"", True
         if op in ("REPL_HELLO", "PROMOTE", "WORKER_HELLO"):
             raise ProtocolError(
                 f"{op} is not served by a shard router: replication and "
                 f"worker supervision compose per worker — address the "
                 f"worker directly (see docs/SHARDING.md)"
             )
-        raise ProtocolError(f"unknown request op {op!r}")
+        return super()._dispatch(conn, op, header, body)
 
     # -- cursors -------------------------------------------------------------
 
-    def _mint_cursor(self, conn: _RouterConn, cursor) -> int:
-        with self._state_lock:
-            self._next_cursor += 1
-            self._cursors_opened += 1
-            cursor_id = self._next_cursor
-        cursor.cursor_id = cursor_id
-        conn.cursors[cursor_id] = cursor
-        self._m_cursors_opened.inc()
-        self._m_cursors_open.inc()
-        return cursor_id
+    def _mint_cursor(
+        self, conn: _RouterConn, parts: List[_Part], meta
+    ) -> Dict[str, object]:
+        """Open a router cursor over ``parts`` and describe it to the
+        client the way the worker that answered ``meta`` described its own."""
+        cursor = _Cursor(self._count_cursor_opened(), parts)
+        conn.cursors[cursor.cursor_id] = cursor
+        return {
+            "cursor": cursor.cursor_id,
+            "vars": meta.get("vars", []),
+            "arity": meta.get("arity", 0),
+        }
 
     def _retire_cursor(self, conn: _RouterConn, cursor_id: int) -> bool:
         if conn.cursors.pop(cursor_id, None) is None:
             return False
-        with self._state_lock:
-            self._cursors_closed += 1
-        self._m_cursors_closed.inc()
-        self._m_cursors_open.dec()
+        self._count_cursors_closed()
         return True
 
     def _close_cursor(self, conn: _RouterConn, cursor_id: int) -> bool:
+        """Free a cursor's undrained worker cursors (on CLOSE_CURSOR, or
+        after a failure mid-stream) and retire it."""
         cursor = conn.cursors.get(cursor_id)
         if cursor is None:
             return False
-        parts = (
-            [cursor.part]
-            if isinstance(cursor, _ProxyCursor)
-            else cursor.parts[cursor.current :]
-        )
-        for part in parts:
-            try:
-                self._forward(
-                    part.upstream,
-                    {"op": "CLOSE_CURSOR", "cursor": part.remote_id},
-                )
-            except _UpstreamLost:
-                # the worker died; its cursors died with it — done either way
-                self._drop_upstream(conn, part.upstream)
+        for part in cursor.parts[cursor.current :]:
+            self._close_part(conn, part)
         self._retire_cursor(conn, cursor_id)
         return True
 
     def _open_remote_cursor(
         self, conn: _RouterConn, index: int, text: str
     ) -> PyTuple[_Part, Dict[str, object]]:
-        upstream = self._upstream(conn, index)
-        try:
-            response, _ = self._forward(
-                upstream, {"op": "QUERY", "query": text}
-            )
-        except _UpstreamLost as exc:
-            self._drop_upstream(conn, upstream)
-            raise WorkerRestartingError(
-                f"worker {index} died while opening a cursor "
-                f"({exc.cause}); retry shortly"
-            ) from exc.cause
-        if not response.get("ok"):
-            raise _remote_error(response)
+        upstream, response = self._ask(
+            conn, index, {"op": "QUERY", "query": text},
+            "while opening a cursor",
+        )
         return _Part(upstream, int(response["cursor"])), response
 
     def _op_query(self, conn: _RouterConn, header) -> Dict[str, object]:
         text = str(header.get("query", ""))
         literal = parse_query(text).literal
-        return self._route_query(conn, literal.pred, text)
+        return dict(self._route_query(conn, literal.pred, text), ok=True)
 
     def _route_query(
         self, conn: _RouterConn, pred: str, text: str
     ) -> Dict[str, object]:
         owner = self._route_name(pred)
-        if owner is not None:
-            part, response = self._open_remote_cursor(conn, owner, text)
-            cursor_id = self._mint_cursor(conn, _ProxyCursor(0, part))
-            return {
-                "ok": True,
-                "cursor": cursor_id,
-                "vars": response.get("vars", []),
-                "arity": response.get("arity", 0),
-            }
-        # partitioned: one cursor per shard, concatenated
-        self._m_scatter.inc()
+        if owner is None:
+            # partitioned: one cursor per shard, concatenated
+            self._m_scatter.inc()
+            targets = range(self.pool.count)
+        else:
+            targets = [owner]
         parts: List[_Part] = []
-        meta: Optional[Dict[str, object]] = None
+        meta: Dict[str, object] = {}
         try:
-            for index in range(self.pool.count):
+            for index in targets:
                 part, response = self._open_remote_cursor(conn, index, text)
                 parts.append(part)
-                if meta is None:
-                    meta = response
-        except (CoralError, _UpstreamLost):
+                meta = meta or response
+        except CoralError:
             # a partial scatter must not leak cursors on the shards that
             # did answer
             for part in parts:
-                try:
-                    self._forward(
-                        part.upstream,
-                        {"op": "CLOSE_CURSOR", "cursor": part.remote_id},
-                    )
-                except _UpstreamLost:
-                    self._drop_upstream(conn, part.upstream)
+                self._close_part(conn, part)
             raise
-        cursor_id = self._mint_cursor(conn, _GatherCursor(0, parts))
-        return {
-            "ok": True,
-            "cursor": cursor_id,
-            "vars": meta.get("vars", []) if meta else [],
-            "arity": meta.get("arity", 0) if meta else 0,
-        }
+        return self._mint_cursor(conn, parts, meta)
 
     def _op_fetch(
         self, conn: _RouterConn, header
@@ -904,30 +506,30 @@ class ShardRouter:
         limit = int(header.get("max", self.batch_size))
         if limit < 1:
             raise ProtocolError(f"FETCH max must be >= 1, got {limit}")
-        if isinstance(cursor, _ProxyCursor):
+        if len(cursor.parts) == 1:
             return self._fetch_proxy(conn, cursor, limit)
         return self._fetch_gather(conn, cursor, limit)
 
     def _fetch_proxy(
-        self, conn: _RouterConn, cursor: _ProxyCursor, limit: int
+        self, conn: _RouterConn, cursor: _Cursor, limit: int
     ) -> PyTuple[Dict[str, object], bytes]:
-        part = cursor.part
+        part = cursor.parts[0]
         try:
             response, body = self._forward(
                 part.upstream,
                 {"op": "FETCH", "cursor": part.remote_id, "max": limit},
             )
-        except _UpstreamLost as exc:
+        except PeerLost as exc:
             self._drop_upstream(conn, part.upstream)
             self._retire_cursor(conn, cursor.cursor_id)
             raise FailoverError(
                 f"cursor {cursor.cursor_id} was lost: worker "
-                f"{part.upstream.index} died mid-stream ({exc.cause}) — "
+                f"{part.upstream.index} died mid-stream ({exc}) — "
                 f"reissue the query"
-            ) from exc.cause
-        if not response.get("ok"):
+            ) from exc
+        except CoralError:
             self._retire_cursor(conn, cursor.cursor_id)
-            raise _remote_error(response)
+            raise
         if response.get("done"):
             self._retire_cursor(conn, cursor.cursor_id)
         # the batch bytes are relayed untouched; only the cursor id is ours
@@ -942,7 +544,7 @@ class ShardRouter:
         )
 
     def _fetch_gather(
-        self, conn: _RouterConn, cursor: _GatherCursor, limit: int
+        self, conn: _RouterConn, cursor: _Cursor, limit: int
     ) -> PyTuple[Dict[str, object], bytes]:
         """Fill one client batch from the concatenated shard streams.
 
@@ -961,17 +563,17 @@ class ShardRouter:
                     part.upstream,
                     {"op": "FETCH", "cursor": part.remote_id, "max": need},
                 )
-            except _UpstreamLost as exc:
+            except PeerLost as exc:
                 self._drop_upstream(conn, part.upstream)
-                self._abandon_gather(conn, cursor)
+                self._close_cursor(conn, cursor.cursor_id)
                 raise FailoverError(
                     f"cursor {cursor.cursor_id} was lost: worker "
                     f"{part.upstream.index} died mid-scatter-gather "
-                    f"({exc.cause}) — reissue the query"
-                ) from exc.cause
-            if not response.get("ok"):
-                self._abandon_gather(conn, cursor)
-                raise _remote_error(response)
+                    f"({exc}) — reissue the query"
+                ) from exc
+            except CoralError:
+                self._close_cursor(conn, cursor.cursor_id)
+                raise
             batch = decode_batch(body)
             rows.extend(batch)
             if response.get("done"):
@@ -979,7 +581,7 @@ class ShardRouter:
             elif not batch:
                 # a worker must not answer empty-and-not-done; treat it as
                 # a wedged stream rather than spinning here forever
-                self._abandon_gather(conn, cursor)
+                self._close_cursor(conn, cursor.cursor_id)
                 raise ProtocolError(
                     f"worker {part.upstream.index} answered an empty "
                     f"non-final batch for cursor {part.remote_id}"
@@ -996,22 +598,6 @@ class ShardRouter:
             },
             encode_batch(rows),
         )
-
-    def _abandon_gather(
-        self, conn: _RouterConn, cursor: _GatherCursor
-    ) -> None:
-        """Free a gather cursor's surviving shard cursors after a failure."""
-        for part in cursor.parts[cursor.current :]:
-            if conn.links.get(part.upstream.index) is not part.upstream:
-                continue  # that upstream is already gone
-            try:
-                self._forward(
-                    part.upstream,
-                    {"op": "CLOSE_CURSOR", "cursor": part.remote_id},
-                )
-            except _UpstreamLost:
-                self._drop_upstream(conn, part.upstream)
-        self._retire_cursor(conn, cursor.cursor_id)
 
     # -- consults and updates ------------------------------------------------
 
@@ -1076,17 +662,10 @@ class ShardRouter:
             not program.index_annotations
         ):
             # pure query batch: route each query on its own predicate
-            opened = []
-            for query in program.queries:
-                literal = query.literal
-                response = self._route_query(conn, literal.pred, str(literal))
-                opened.append(
-                    {
-                        "cursor": response["cursor"],
-                        "vars": response["vars"],
-                        "arity": response["arity"],
-                    }
-                )
+            opened = [
+                self._route_query(conn, q.literal.pred, str(q.literal))
+                for q in program.queries
+            ]
             return {"ok": True, "cursors": opened}
         return self._consult_single_owner(conn, source, program)
 
@@ -1103,20 +682,12 @@ class ShardRouter:
             )
             slices.setdefault(index, []).append(str(fact))
         for index, lines in sorted(slices.items()):
-            upstream = self._upstream(conn, index)
-            try:
-                response, _ = self._forward(
-                    upstream, {"op": "CONSULT", "source": "\n".join(lines)}
-                )
-            except _UpstreamLost as exc:
-                self._drop_upstream(conn, upstream)
-                raise WorkerRestartingError(
-                    f"worker {index} died mid-consult ({exc.cause}); the "
-                    f"batch was partially loaded — retry the consult "
-                    f"(facts are idempotent)"
-                ) from exc.cause
-            if not response.get("ok"):
-                raise _remote_error(response)
+            self._ask(
+                conn, index, {"op": "CONSULT", "source": "\n".join(lines)},
+                "mid-consult",
+                "the batch was partially loaded — retry the consult "
+                "(facts are idempotent)",
+            )
         return {"ok": True, "cursors": []}
 
     def _consult_single_owner(
@@ -1161,32 +732,17 @@ class ShardRouter:
         else:
             anchor = names[0] if names else "program"
             owner = self.shard_map.owner(anchor)
-        upstream = self._upstream(conn, owner)
-        try:
-            response, _ = self._forward(
-                upstream, {"op": "CONSULT", "source": source}
-            )
-        except _UpstreamLost as exc:
-            self._drop_upstream(conn, upstream)
-            raise WorkerRestartingError(
-                f"worker {owner} died mid-consult ({exc.cause}); retry "
-                f"shortly"
-            ) from exc.cause
-        if not response.get("ok"):
-            raise _remote_error(response)
+        upstream, response = self._ask(
+            conn, owner, {"op": "CONSULT", "source": source}, "mid-consult"
+        )
         # placement is only durable once the worker accepted the program
         self._learn(names, owner)
-        opened = []
-        for item in response.get("cursors", []):
-            part = _Part(upstream, int(item["cursor"]))
-            cursor_id = self._mint_cursor(conn, _ProxyCursor(0, part))
-            opened.append(
-                {
-                    "cursor": cursor_id,
-                    "vars": item.get("vars", []),
-                    "arity": item.get("arity", 0),
-                }
+        opened = [
+            self._mint_cursor(
+                conn, [_Part(upstream, int(item["cursor"]))], item
             )
+            for item in response.get("cursors", [])
+        ]
         return {"ok": True, "cursors": opened}
 
     def _op_update(
@@ -1201,67 +757,22 @@ class ShardRouter:
             index = self.shard_map.tuple_owner(pred, key)
         else:
             index = self._route_name(pred)
-        upstream = self._upstream(conn, index)
-        try:
-            response, _ = self._forward(
-                upstream, {"op": op, "pred": pred, "values": values}
-            )
-        except _UpstreamLost as exc:
-            self._drop_upstream(conn, upstream)
-            raise WorkerRestartingError(
-                f"worker {index} died during {op} ({exc.cause}); the "
-                f"write was not acknowledged — retry shortly"
-            ) from exc.cause
-        if not response.get("ok"):
-            raise _remote_error(response)
+        _, response = self._ask(
+            conn, index, {"op": op, "pred": pred, "values": values},
+            f"during {op}",
+            "the write was not acknowledged — retry shortly",
+        )
         if not self.shard_map.is_partitioned(pred):
             self._learn([pred], index)
         return {"ok": True, "changed": bool(response.get("changed"))}
 
     # -- introspection -------------------------------------------------------
 
-    def _rates(self) -> Dict[str, float]:
-        now = time.perf_counter()
-        horizon = now - self.rate_window
-        recent = [item for item in self._recent if item[0] >= horizon]
-        elapsed = max(1e-9, min(self.rate_window, now - self._started_at))
-        return {
-            "window_seconds": self.rate_window,
-            "requests": len(recent),
-            "requests_per_second": len(recent) / elapsed,
-            "answers_per_second": sum(a for _, a in recent) / elapsed,
-        }
-
-    def _latency(self) -> Dict[str, Dict[str, object]]:
-        out: Dict[str, Dict[str, object]] = {}
-        for labels, snap in self._m_latency.collect().items():
-            if snap["count"]:
-                out[labels[0]] = {
-                    "count": snap["count"],
-                    "p50": snap["p50"],
-                    "p90": snap["p90"],
-                    "p99": snap["p99"],
-                }
-        return out
-
     def stats(self) -> Dict[str, object]:
-        """The router's STATS payload: its own counters plus a ``workers``
-        section digesting each worker's supervision state and (when the
-        worker is reachable) its own STATS — what ``@top``/``@workers``
-        render and the saturation benchmark reads."""
-        with self._state_lock:
-            connections = {
-                "total": self._connections_total,
-                "active": len(self._connections),
-            }
-            cursors = {
-                "opened": self._cursors_opened,
-                "closed": self._cursors_closed,
-                "open": sum(
-                    len(c.cursors) for c in self._connections.values()
-                ),
-            }
-            requests_total = self._requests_total
+        """The router's STATS payload: the transport's stanza plus a
+        ``workers`` section digesting each worker's supervision state and
+        (when the worker is reachable) its own STATS — what
+        ``@top``/``@workers`` render and the saturation benchmark reads."""
         # a live sweep so @top/@workers see current numbers; a down worker
         # fails fast (connection refused) and keeps its cached snapshot
         self.pool.fetch_stats(timeout=2.0)
@@ -1288,33 +799,7 @@ class ShardRouter:
         sharding = self.shard_map.describe()
         sharding["learned_pins"] = self.learned_pins()
         sharding["workers_up"] = up
-        return {
-            "connections": connections,
-            "cursors": cursors,
-            "requests": requests_total,
-            "role": "router",
-            "rates": self._rates(),
-            "latency": self._latency(),
-            "sharding": sharding,
-            "workers": workers,
-            "trace": {
-                "process": self.process_name,
-                "sample_rate": self.trace_sampler.rate,
-                "spans_recorded": self.spans.recorded,
-                "spans_dropped": self.spans.dropped,
-            },
-            "metrics": self.metrics.collect(),
-        }
-
-
-def _remote_error(response: Dict[str, object]) -> CoralError:
-    """Re-raise a worker's error response under its original class, so the
-    router relays it to the client with the class name intact."""
-    from .. import errors as _errors
-
-    name = str(response.get("error", "CoralError"))
-    message = str(response.get("message", "remote error"))
-    cls = getattr(_errors, name, None)
-    if not (isinstance(cls, type) and issubclass(cls, CoralError)):
-        cls = CoralError
-    return cls(message)
+        payload = super().stats()  # after the sweep: metrics include it
+        payload["sharding"] = sharding
+        payload["workers"] = workers
+        return payload

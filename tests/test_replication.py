@@ -1,6 +1,7 @@
 """Log-shipping replication (ISSUE 6): the changelog codec, primary-to-
 replica shipping, sequence gating, synchronous acknowledgement, promotion,
-client failover, socket hygiene, and graceful shutdown.
+client failover, and a SIGTERM'd server process (socket hygiene and
+drain moved to test_transport.py, where they run against every front end).
 
 The contract under test, end to end: every mutation a primary acknowledges
 is either on the primary's durable changelog or (with ``sync_replicas``) on
@@ -11,7 +12,6 @@ and resumes writing after a promotion.
 
 import os
 import signal
-import socket
 import subprocess
 import sys
 import time
@@ -36,7 +36,6 @@ from repro.replication import (
     replay_into,
 )
 from repro.server import CoralServer
-from repro.server.protocol import PROTOCOL_VERSION, read_frame, write_frame
 from repro.terms import to_arg
 
 TC_PROGRAM = """
@@ -490,67 +489,6 @@ class TestClientFailover:
 
 
 # ---------------------------------------------------------------------------
-# socket hygiene: io timeouts and idle reaping
-# ---------------------------------------------------------------------------
-
-
-class TestSocketHygiene:
-    def test_idle_connection_is_reaped(self):
-        session = Session()
-        with CoralServer(
-            session, port=0, io_timeout=0.05, idle_timeout=0.15
-        ) as server:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
-            read_frame(sock)
-            assert server.stats()["connections"]["active"] == 1
-            # say nothing: the server reaps us at the idle deadline
-            assert _wait_until(
-                lambda: server.stats()["connections"]["active"] == 0,
-                timeout=5.0,
-            )
-            assert (
-                server.metrics.counter(
-                    "server.errors", "", ("kind",)
-                ).value("idle_reaped")
-                == 1
-            )
-            sock.close()
-
-    def test_stall_mid_frame_is_dropped_not_waited_forever(self):
-        session = Session()
-        with CoralServer(
-            session, port=0, io_timeout=0.05, idle_timeout=5.0
-        ) as server:
-            sock = socket.create_connection(server.address, timeout=5.0)
-            write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
-            read_frame(sock)
-            sock.sendall(b"\x00\x00")  # half a length prefix, then silence
-            assert _wait_until(
-                lambda: server.stats()["connections"]["active"] == 0,
-                timeout=5.0,
-            )
-            assert (
-                server.metrics.counter(
-                    "server.errors", "", ("kind",)
-                ).value("read")
-                == 1
-            )
-            sock.close()
-
-    def test_activity_resets_the_idle_deadline(self):
-        session = Session()
-        session.insert("edge", 1, 2)
-        with CoralServer(
-            session, port=0, io_timeout=0.05, idle_timeout=0.3
-        ) as server:
-            with RemoteSession(*server.address) as db:
-                for _ in range(5):
-                    time.sleep(0.15)  # beyond io_timeout, inside idle budget
-                    assert db.query("edge(X, Y)").tuples() == [(1, 2)]
-
-
-# ---------------------------------------------------------------------------
 # the shell's replication commands
 # ---------------------------------------------------------------------------
 
@@ -597,30 +535,6 @@ class TestShellCommands:
 
 
 class TestGracefulShutdown:
-    def test_drain_refuses_new_work_but_serves_open_cursors(self):
-        session = Session()
-        for i in range(6):
-            session.insert("edge", i, i + 1)
-        with CoralServer(session, port=0) as server:
-            with RemoteSession(*server.address, batch_size=2) as db:
-                cursor = db.query("edge(X, Y)")
-                assert cursor.get_next() is not None
-                assert server.drain(timeout=0.1) is False  # cursor open
-                with pytest.raises(ProtocolError, match="draining"):
-                    db.query("edge(X, Y)")
-                with pytest.raises(ProtocolError, match="draining"):
-                    db.insert("edge", 9, 9)
-                # the open cursor still streams to completion
-                assert len(cursor.all()) == 6
-                assert server.drain(timeout=1.0) is True
-
-    def test_draining_server_refuses_new_connections(self):
-        session = Session()
-        with CoralServer(session, port=0) as server:
-            server.drain(timeout=0.05)
-            with pytest.raises(ProtocolError):
-                RemoteSession(*server.address, timeout=1.0)
-
     def test_sigterm_mid_fetch_exits_clean_and_keeps_storage_intact(
         self, tmp_path
     ):

@@ -1,6 +1,7 @@
 """Unit tests for the wire protocol: frame codec, the shared tuple-batch
 codec (disk format == wire format), handshake rules, and per-message
-behaviour against a live server."""
+behaviour against a live server.  (The handshake rules moved to
+test_transport.py, where they run against every front end.)"""
 
 import socket
 import struct
@@ -136,45 +137,6 @@ def _raw_conn(server):
     sock = socket.create_connection(server.address, timeout=5.0)
     sock.settimeout(5.0)
     return sock
-
-
-class TestHandshake:
-    def test_request_before_hello_refused(self, server):
-        with _raw_conn(server) as sock:
-            write_frame(sock, {"op": "QUERY", "query": "edge(X, Y)"})
-            header, _ = read_frame(sock)
-            assert header["ok"] is False
-            assert header["error"] == "ProtocolError"
-            assert "HELLO" in header["message"]
-            # the server hangs up after refusing the handshake
-            assert read_frame(sock) is None
-
-    def test_version_mismatch_refused(self, server):
-        with _raw_conn(server) as sock:
-            write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION + 1})
-            header, _ = read_frame(sock)
-            assert header["ok"] is False
-            assert "version mismatch" in header["message"]
-            assert read_frame(sock) is None
-
-    def test_hello_ok(self, server):
-        with _raw_conn(server) as sock:
-            write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
-            header, _ = read_frame(sock)
-            assert header["ok"] is True
-            assert header["version"] == PROTOCOL_VERSION
-
-    def test_unknown_op_is_an_error_but_keeps_the_connection(self, server):
-        with _raw_conn(server) as sock:
-            write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
-            read_frame(sock)
-            write_frame(sock, {"op": "FROBNICATE"})
-            header, _ = read_frame(sock)
-            assert header["ok"] is False
-            assert header["error"] == "ProtocolError"
-            write_frame(sock, {"op": "STATS"})
-            header, _ = read_frame(sock)
-            assert header["ok"] is True
 
 
 class TestMessages:

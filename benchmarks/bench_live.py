@@ -14,16 +14,26 @@ subscriber holding the delta) p50/p99 and end-to-end deltas/s at 1, 8 and
 32 subscribers, plus the poll loop's detection latency at its default
 10 ms interval.  The point of the subsystem is the tail: the live p99 must
 beat the poll baseline's p99, and CI checks exactly that.
+
+A second, in-process row — ``repair_vs_cold`` — prices the maintenance
+engine itself: on a 6x8 layered DAG (the perf ledger's ``live_update``
+shape) the time one live view takes to absorb a one-edge insert, and a
+one-edge delete, each divided by a cold evaluation of the same goal in the
+same process.  A ratio, so it is stable across runners; incremental repair
+that is not clearly cheaper than starting over has no reason to exist, and
+CI gates both ratios at 0.5.
 """
 
 import statistics
 import threading
 import time
 
+from repro import Session
 from repro.client import RemoteSession
 from repro.server import CoralServer
 
 from emit import emit
+from ledger.gen import layered_dag
 from workloads import report
 
 CHAIN = 12  # initial chain 1..CHAIN
@@ -180,6 +190,55 @@ def run_poll_baseline(host, port, n_subs):
     }
 
 
+DAG_LAYERS, DAG_WIDTH = 6, 8
+REPAIR_ROUNDS = 30
+
+
+def run_repair_vs_cold():
+    """One view's one-edge repairs against cold evaluation of its goal."""
+    dag = layered_dag(DAG_LAYERS, DAG_WIDTH, weighted=False)
+    program = "".join(f"edge({a}, {b}).\n" for a, b in dag)
+    program += TC_MODULE
+    goal = "path(0, Y)"
+    toggled = (3 * DAG_WIDTH + 2, 4 * DAG_WIDTH + 2)  # a middle-gap edge
+
+    cold = Session()  # no memo, no view: every query starts over
+    cold.consult_string(program)
+    answers = len(cold.query(goal).all())  # compiles the query form
+    cold_samples = []
+    for _ in range(REPAIR_ROUNDS):
+        start = time.perf_counter()
+        cold.query(goal).all()
+        cold_samples.append(time.perf_counter() - start)
+    cold_ms = statistics.median(cold_samples) * 1e3
+
+    live = Session()
+    live.consult_string(program)
+    live.subscribe(f"?- {goal}.", lambda deltas: None)
+    live.delete("edge", *toggled)  # the first repair builds the delta joins
+    live.insert("edge", *toggled)
+    delete_samples, insert_samples = [], []
+    for _ in range(REPAIR_ROUNDS):
+        start = time.perf_counter()
+        live.delete("edge", *toggled)
+        middle = time.perf_counter()
+        live.insert("edge", *toggled)
+        insert_samples.append(time.perf_counter() - middle)
+        delete_samples.append(middle - start)
+    stats = live.live.snapshot()
+    insert_ms = statistics.median(insert_samples) * 1e3
+    delete_ms = statistics.median(delete_samples) * 1e3
+    return {
+        "answers": answers,
+        "cold_ms": cold_ms,
+        "insert_repair_ms": insert_ms,
+        "delete_repair_ms": delete_ms,
+        "insert_ratio": insert_ms / cold_ms,
+        "delete_ratio": delete_ms / cold_ms,
+        "rebuilds": stats["rebuilds"],
+    }
+
+
 def main():
     counters = {}
     rows = []
@@ -213,6 +272,7 @@ def main():
             "-",
         )
     )
+    repair = counters["repair_vs_cold"] = run_repair_vs_cold()
     wall = time.perf_counter() - overall_start
 
     live_p99 = counters["live_1_subscribers"]["notify_p99_ms"]
@@ -229,6 +289,17 @@ def main():
         f"{baseline['notify_p99_ms']:.2f}ms -> "
         f"{'BEATS' if counters['live_p99_beats_poll_baseline'] else 'LOSES TO'}"
         f" the poll baseline"
+    )
+    report(
+        "one view's one-edge repair vs cold evaluation of its goal",
+        ("operation", "time", "vs cold"),
+        [
+            ("cold evaluation", f"{repair['cold_ms']:.2f}ms", "1.00"),
+            ("insert repair", f"{repair['insert_repair_ms']:.2f}ms",
+             f"{repair['insert_ratio']:.2f}"),
+            ("delete repair", f"{repair['delete_repair_ms']:.2f}ms",
+             f"{repair['delete_ratio']:.2f}"),
+        ],
     )
     path = emit(
         "live",

@@ -127,15 +127,21 @@ def _eq_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
         trail.undo_to(mark)
 
 
+def is_arith_expr(term: Arg) -> bool:
+    """Is ``term`` a *compound* arithmetic expression — something ``=``
+    evaluates (and so needs ground) rather than unifies structurally?"""
+    return isinstance(term, Functor) and (
+        (term.name in _BINARY_OPS and len(term.args) == 2)
+        or (term.name in _UNARY_OPS and len(term.args) == 1)
+    )
+
+
 def _try_arith(term: Arg, env: Optional[BindEnv]) -> Optional[Number]:
     """Evaluate if the term is a *compound* arithmetic expression; leave
     plain constants and variables to structural unification."""
     resolved, resolved_env = deref(term, env)
-    if isinstance(resolved, Functor):
-        if (resolved.name in _BINARY_OPS and len(resolved.args) == 2) or (
-            resolved.name in _UNARY_OPS and len(resolved.args) == 1
-        ):
-            return eval_arith(resolved, resolved_env)
+    if is_arith_expr(resolved):
+        return eval_arith(resolved, resolved_env)
     return None
 
 

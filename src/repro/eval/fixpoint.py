@@ -319,11 +319,7 @@ class SCCEvaluator:
 def apply_rule(scope: LocalScope, rule: SNRule, executor: BodyExecutor, ranges) -> None:
     """Evaluate one semi-naive rule version against ``scope``, inserting
     derived heads.  ``ranges(pred, kind)`` maps each body literal's scan kind
-    to a mark window (or None for the full extent).
-
-    Shared by :class:`SCCEvaluator` and the memo cache's incremental-refresh
-    path (:mod:`repro.eval.memo`), which replays base-predicate deltas
-    through the same rule machinery."""
+    to a mark window (or None for the full extent)."""
     stats = scope.ctx.stats
     stats.rule_applications += 1
     obs = scope.ctx.obs

@@ -1,36 +1,62 @@
 """The shared incremental view-maintenance engine.
 
-PR 4 built two repair paths for the cross-query answer cache: *delta
-refresh* for base-fact inserts (per-SCC ``EXT_DELTA`` rule versions replay
-the unconsumed slice of every base relation, then the retained evaluators
-resume their semi-naive fixpoint — the marks machinery of Section 3.2
-pointed at cross-query time) and *DRed* delete-rederive for base-fact
-deletes (over-delete everything derivable from the removed tuples by
-joining against the pre-deletion state, then re-derive what still has an
-independent proof).  Behrend's *Uniform Fixpoint Approach* (PAPERS.md)
-observes that this is not a cache trick but general view maintenance: the
-same fixpoint machinery that computes a materialized result can repair it.
+Behrend's *Uniform Fixpoint Approach* (PAPERS.md) observes that update
+propagation is just the program's delta rules seeded with the change: the
+same joins that compute a materialized result can repair it.  This module
+is that observation made concrete, around one mechanism — **delta-seeded
+joins with the indexes they need** — so that absorbing a commit costs in
+proportion to the change, not to the size of the materialization or to how
+long the session has lived.
 
-This module is that observation made concrete.  The machinery formerly
-private to :mod:`repro.eval.memo` lives here as a consumer-neutral engine
-with **strictly per-consumer state**: a :class:`MaintenancePlan` wraps one
-retained :class:`~repro.modules.manager.MaterializedInstance` together with
-its base dependencies, its consumed-marks table, and its delta rule
-versions.  Two consumers drive it today:
+A :class:`MaintenancePlan` wraps one retained
+:class:`~repro.modules.manager.MaterializedInstance` and builds, once:
+
+* a **delta join** for every rule and every positive non-builtin body
+  position: unify that literal with a changed tuple, then run the *rest* of
+  the body bound-first (:func:`repro.optimizer.joinorder.order_body`;
+  builtins only once their inputs are bound);
+* a **head-bound check** for every rule: unify the head with a fact, then
+  run the body bound-first — "does this rule still derive it?";
+* the :class:`~repro.relations.ArgumentIndexSpec` every one of those probes
+  needs, added to the instance's local relations and to the base
+  dependencies, so no probe walks a relation.
+
+Both repairs are the same wave over those joins:
+
+* :meth:`MaintenancePlan.apply_inserts` seeds a wave with the unconsumed
+  slice of each base dependency (everything past the mark recorded in
+  ``base_seen`` — the marks machinery of Section 3.2 pointed at cross-query
+  time) and pushes it through the delta joins over the current state until
+  a wave derives nothing new.  The retained evaluators are not resumed and
+  take no further marks.
+* :meth:`MaintenancePlan.apply_deletes` is DRed.  *Over-delete*: push the
+  removed tuples through the same joins against the pre-state, collecting
+  everything that loses a derivation **before** physically deleting any of
+  it, so the joins run on the real, indexed relations (only a base
+  dependency with pending tuples is shown as current ∪ pending).  Magic
+  predicates are exempt: an over-complete magic set only gates relevance,
+  never truth.  *Re-derive*: check each over-deleted fact **once** with the
+  head-bound checks, reinsert the survivors, and let the insert wave carry
+  them to everything they support.
+
+Each repair returns the :class:`NetChange` of the goal's answer set, so a
+consumer patches what it published instead of re-reading the answer
+relation.
+
+The engine is consumer-neutral with **strictly per-consumer state**: the
+consumed marks and the joins belong to one plan, the pending-delete queue
+to the consumer that owns it.  Two consumers drive it today:
 
 * :class:`repro.eval.memo.MemoCache` — lazy repair: entries marked stale by
   an update are freshened at the next lookup;
 * :class:`repro.live.LiveViewManager` — eager repair: registered live views
-  are repaired at commit time and the answer-set difference is pushed to
-  subscribers as ``+tuple``/``-tuple`` deltas (docs/LIVE.md).
+  are repaired at commit time and the net change is pushed to subscribers
+  as ``+tuple``/``-tuple`` deltas (docs/LIVE.md).
 
-The per-consumer discipline matters: a memo entry and a live view over the
-same predicate each hold their *own* pending-delete queue and build their
-*own* pre-state union (current contents ∪ tuples that consumer has not yet
-repaired for).  Nothing here attaches repair state to the shared base
-relations, so one consumer's DRed pass can never double-apply — or starve —
-another's.  ``tests/test_live.py`` pins this with an interleaved
-memo+subscription regression.
+Nothing here attaches repair state to the shared base relations, so one
+consumer's DRed pass can never double-apply — or starve — another's.
+``tests/test_live.py`` pins this with an interleaved memo+subscription
+regression.
 
 :func:`analyze_instance` decides *whether* a plan can exist and reports the
 first obstruction as a human-readable reason (negation, aggregation,
@@ -42,6 +68,7 @@ subsystem surfaces it verbatim in a typed ``SubscriptionError`` refusal.
 
 from __future__ import annotations
 
+from itertools import chain
 from typing import (
     Callable,
     Dict,
@@ -54,12 +81,20 @@ from typing import (
     Tuple as PyTuple,
 )
 
-from ..relations import GeneratorTupleIterator, MarkedRelation, Relation, Tuple
+from ..language.ast import Literal, Rule
+from ..optimizer.joinorder import order_body
+from ..relations import (
+    ArgumentIndexSpec,
+    GeneratorTupleIterator,
+    HashRelation,
+    MarkedRelation,
+    Relation,
+    Tuple,
+)
 from ..rewriting.magic import MAGIC_PREFIX
-from ..rewriting.seminaive import ScanKind, SNLiteral, SNRule
+from ..rewriting.seminaive import ScanKind, SNLiteral
 from ..terms import BindEnv, Trail
 from ..terms.unify import unify_fact
-from .fixpoint import apply_rule
 from .join import BodyExecutor, instantiate_head
 
 PredKey = PyTuple[str, int]
@@ -71,13 +106,52 @@ ModuleDeps = Callable[[str], FrozenSet[PredKey]]
 
 
 class DamageExceeded(Exception):
-    """DRed over-deletion crossed the damage threshold.
+    """DRed over-deletion crossed the damage threshold: repairing would
+    touch so much of the materialization that starting over is cheaper.
 
-    The plan's local relations are partially over-deleted when this is
-    raised, so the consumer must discard the instance: the memo cache
-    evicts the entry, a live view rebuilds from scratch (and still emits a
-    correct delta, because the delta is a diff against its last published
-    answer set)."""
+    Raised while the over-deleted set is still being *collected* — nothing
+    has been deleted — but the consumer is expected to discard the instance
+    all the same: the memo cache evicts the entry, a live view rebuilds
+    from scratch (and still emits a correct delta, because a rebuild diffs
+    against its last published answer set)."""
+
+
+def failure_reason(exc: Exception) -> str:
+    """Why a repair fell back, as consumers record it on their ``memo.evict``
+    / ``live.rebuild`` events: ``"damage"``, or the exception's type name."""
+    return "damage" if isinstance(exc, DamageExceeded) else type(exc).__name__
+
+
+class NetChange:
+    """What repairs did to the goal's answer set: the facts that arrived
+    and the facts that left, each keyed by ``Tuple.key()``.
+
+    A fact that leaves and comes back (over-deleted, then re-derived), or
+    arrives and leaves again, cancels out — thread one ``NetChange``
+    through a delete repair and the insert repair that follows it and the
+    consumer sees a single net difference."""
+
+    __slots__ = ("added", "removed", "over_deleted", "rederived")
+
+    def __init__(self) -> None:
+        self.added: Dict[object, Tuple] = {}
+        self.removed: Dict[object, Tuple] = {}
+        #: DRed bookkeeping, over all local predicates (not just answers)
+        self.over_deleted = 0
+        self.rederived = 0
+
+    def __bool__(self) -> bool:
+        return bool(self.added or self.removed)
+
+    def arrive(self, tup: Tuple) -> None:
+        key = tup.key()
+        if self.removed.pop(key, None) is None:
+            self.added[key] = tup
+
+    def leave(self, tup: Tuple) -> None:
+        key = tup.key()
+        if self.added.pop(key, None) is None:
+            self.removed[key] = tup
 
 
 def analyze_instance(
@@ -152,17 +226,77 @@ def analyze_instance(
     return frozenset(deps), reason
 
 
+class _DeltaJoin:
+    """One rule seeded at one body position: unify ``seed`` with a changed
+    tuple, run ``rest`` (the other body literals, bound-first), and every
+    solution instantiates the head."""
+
+    __slots__ = ("rule", "seed", "head_key", "shrinks", "rest")
+
+    def __init__(self, rule: Rule, seed: Literal, shrinks: bool,
+                 rest: BodyExecutor) -> None:
+        self.rule = rule
+        self.seed = seed
+        self.head_key: PredKey = rule.head.key
+        #: False for magic heads, which over-deletion leaves alone
+        self.shrinks = shrinks
+        self.rest = rest
+
+
+class _PreState:
+    """A base dependency as over-deletion must see it: its current contents
+    ∪ the tuples this consumer has not yet repaired for.  Only ever scanned;
+    the pending side is a handful of tuples, returned to every probe (the
+    caller unifies each candidate anyway)."""
+
+    def __init__(self, current: Relation, pending: Sequence[Tuple]) -> None:
+        self.current = current
+        self.pending = pending
+
+    def scan(self, pattern=None, env=None) -> GeneratorTupleIterator:
+        return GeneratorTupleIterator(
+            chain(self.current.scan(pattern, env), self.pending)
+        )
+
+
+class _RepairScope:
+    """The :class:`LocalScope` stand-in the plan's executors resolve
+    relations through: the instance's own scope, except that while an
+    over-deletion is collecting, ``pre_state`` shows each base dependency
+    with pending deletes as current ∪ pending.
+
+    ``pre_state`` is filled from one consumer's pending queue for the
+    duration of one :meth:`MaintenancePlan.apply_deletes` call and lives on
+    that consumer's plan — never on the shared base relations — which is
+    what keeps concurrent consumers (memo + live views) from
+    double-applying each other's deletions."""
+
+    def __init__(self, scope) -> None:
+        self.ctx = scope.ctx
+        self._scope = scope
+        self.pre_state: Dict[PredKey, _PreState] = {}
+
+    def relation(self, name: str, arity: int):
+        shown = self.pre_state.get((name, arity))
+        if shown is not None:
+            return shown
+        return self._scope.relation(name, arity)
+
+
 class MaintenancePlan:
     """One retained instance plus everything needed to repair it in place.
 
     Built by :func:`plan_maintenance`.  All repair state — the consumed
-    marks in ``base_seen``, the per-SCC delta rule versions — is owned by
-    this plan (and therefore by one consumer); the engine never hangs
-    repair state off the shared base relations.
+    marks in ``base_seen``, the delta joins — is owned by this plan (and
+    therefore by one consumer); the engine never hangs repair state off the
+    shared base relations.  The joins and their indexes are built by the
+    first repair, over the evaluated relations: a retained result that is
+    never updated never pays for them, and the initial fixpoint does not
+    maintain (or probe past) indexes only repairs use.
     """
 
-    __slots__ = ("ctx", "instance", "deps", "reason", "base_seen",
-                 "base_delta_rules")
+    __slots__ = ("ctx", "instance", "deps", "reason", "call_args",
+                 "base_seen", "_scope", "_joins", "_checks", "_answer_key")
 
     def __init__(
         self,
@@ -170,18 +304,28 @@ class MaintenancePlan:
         instance,
         deps: FrozenSet[PredKey],
         reason: Optional[str],
+        call_args: Sequence = (),
     ) -> None:
         self.ctx = ctx
         self.instance = instance
         self.deps = deps
         self.reason = reason
+        #: the canonical call this instance answers; selects (and, under
+        #: context factoring, completes) the answer facts a repair reports
+        self.call_args = list(call_args)
         #: per base dep: the relation mark up to which inserts are absorbed
         self.base_seen: Dict[PredKey, int] = {}
-        #: per evaluator index: [(SNRule, BodyExecutor)] replaying base deltas
-        self.base_delta_rules: List[List] = []
-        if reason is None:
-            self._build_base_delta_rules()
-            self.record_base_marks()
+        self._scope = _RepairScope(instance.scope)
+        #: seed predicate -> the delta joins a change to it starts; None
+        #: until the first repair builds them
+        self._joins: Optional[Dict[PredKey, List[_DeltaJoin]]] = None
+        #: head predicate -> [(rule, head-bound body executor)]
+        self._checks: Dict[PredKey, List[PyTuple[Rule, BodyExecutor]]] = {}
+        rewritten = instance.compiled.rewritten
+        self._answer_key: PredKey = (
+            rewritten.answer_pred, rewritten.answer_arity
+        )
+        self.record_base_marks()
 
     @property
     def maintainable(self) -> bool:
@@ -191,63 +335,167 @@ class MaintenancePlan:
 
     def record_base_marks(self) -> None:
         """Snapshot every base dependency's current mark: inserts at or
-        below it are considered absorbed.  Called at build time and after
-        every successful repair."""
+        below it are considered absorbed.  Called at build time and again
+        once the initial evaluation has read the base relations; after that
+        :meth:`apply_inserts` advances the marks itself."""
         if not self.maintainable:
             return
         for dep in self.deps:
             relation = self.ctx.base_relation(*dep)
             self.base_seen[dep] = relation.mark()
 
-    def _build_base_delta_rules(self) -> None:
-        """For every rule and every base body literal, a delta version
-        scanning that literal's *unconsumed* base facts (EXT_DELTA ranged by
-        ``base_seen``) against the full extent of everything else — the
-        cross-query analogue of ``ext_rewrite``."""
-        instance = self.instance
-        scope = instance.scope
-        use_backjumping = instance.compiled.use_backjumping
-        self.base_delta_rules = []
-        for plan in instance.compiled.scc_plans:
-            versions = []
-            for rule in plan.rules:
-                for position, literal in enumerate(rule.body):
-                    if literal.negated or literal.key not in self.deps:
-                        continue
-                    body = tuple(
-                        SNLiteral(
-                            item,
-                            ScanKind.EXT_DELTA if index == position
-                            else ScanKind.ALL,
-                        )
-                        for index, item in enumerate(rule.body)
+    def _build_joins(self) -> None:
+        """The delta joins and head-bound checks of every rule, each with
+        its body ordered for the bindings it starts from, plus the indexes
+        their probes need."""
+        rewritten = self.instance.compiled.rewritten
+        magic_names = {MAGIC_PREFIX + adorned for adorned in rewritten.origin}
+        if rewritten.magic_pred is not None:
+            magic_names.add(rewritten.magic_pred)
+        lookup_builtin = self.ctx.builtins.lookup
+        self._joins = {}
+        for rule in rewritten.rules:
+            shrinks = rule.head.pred not in magic_names
+            for position, seed in enumerate(rule.body):
+                if seed.negated or lookup_builtin(*seed.key) is not None:
+                    continue
+                rest = rule.body[:position] + rule.body[position + 1:]
+                self._joins.setdefault(seed.key, []).append(
+                    _DeltaJoin(rule, seed, shrinks,
+                               self._executor(rest, seed.args))
+                )
+            self._checks.setdefault(rule.head.key, []).append(
+                (rule, self._executor(rule.body, rule.head.args))
+            )
+
+    def _executor(self, body: Sequence[Literal], bound_args) -> BodyExecutor:
+        """``body`` ordered bound-first given that the variables of
+        ``bound_args`` are bound when it starts; every probe it will make
+        gets an argument index on exactly the positions bound by then."""
+        lookup_builtin = self.ctx.builtins.lookup
+        bound = {var.vid for arg in bound_args for var in arg.variables()}
+        ordered = order_body(body, lookup_builtin, bound)
+        local = self.instance.scope.local
+        for literal in ordered:
+            if lookup_builtin(*literal.key) is None:
+                positions = [
+                    position
+                    for position, arg in enumerate(literal.args)
+                    if all(var.vid in bound for var in arg.variables())
+                ]
+                relation = local.get(literal.key)
+                if relation is None and literal.key in self.deps:
+                    relation = self.ctx.base_relation(*literal.key)
+                if positions and isinstance(relation, HashRelation):
+                    relation.add_index(
+                        ArgumentIndexSpec(literal.arity, positions)
                     )
-                    sn_rule = SNRule(rule.head, body, rule.head_aggregates,
-                                     once=True)
-                    versions.append(
-                        (sn_rule, BodyExecutor(scope, body, use_backjumping))
-                    )
-            self.base_delta_rules.append(versions)
+            bound.update(
+                var.vid for arg in literal.args for var in arg.variables()
+            )
+        return BodyExecutor(
+            self._scope,
+            [SNLiteral(literal, ScanKind.ALL) for literal in ordered],
+            self.instance.compiled.use_backjumping,
+        )
+
+    # -- the one mechanism -----------------------------------------------------
+
+    def _solutions(
+        self, bound_args, fact: Tuple, executor: BodyExecutor
+    ) -> Iterator[BindEnv]:
+        """Unify ``bound_args`` with ``fact``, then yield the environment
+        once per solution of ``executor`` under those bindings."""
+        self.ctx.stats.rule_applications += 1
+        env = BindEnv()
+        trail = Trail()
+        if unify_fact(bound_args, env, fact.renamed().args, trail):
+            for _ in executor.solutions(env, trail):
+                yield env
+
+    def _derive(self, join: _DeltaJoin, changed: Tuple) -> List[Tuple]:
+        """The head facts ``join``'s rule derives through ``changed``."""
+        head_args = join.rule.head.args
+        derived = [
+            instantiate_head(head_args, env)
+            for env in self._solutions(join.seed.args, changed, join.rest)
+        ]
+        self.ctx.stats.inferences += len(derived)
+        return derived
+
+    def _derivable(self, key: PredKey, fact: Tuple) -> bool:
+        """Does some rule derive ``fact`` from the current state?"""
+        for rule, executor in self._checks.get(key, ()):
+            head_args = rule.head.args
+            for env in self._solutions(head_args, fact, executor):
+                # unifying may have specialised a non-ground fact: only a
+                # derivation of the fact itself counts
+                if fact.is_ground() or \
+                        instantiate_head(head_args, env).key() == fact.key():
+                    return True
+        return False
+
+    def _answer(self, fact: Tuple) -> Optional[Tuple]:
+        """An answer-relation fact as the goal's caller sees it: completed
+        with the bound constants under context factoring; None when it
+        answers some other call (a different magic seed)."""
+        call_args = self.call_args
+        positions = self.instance.compiled.rewritten.answer_positions
+        if positions is not None:
+            full = list(call_args)
+            for value, position in zip(fact.args, positions):
+                full[position] = value
+            return Tuple(tuple(full))
+        if unify_fact(call_args, BindEnv(), fact.renamed().args, Trail()):
+            return fact
+        return None
+
+    def _insert(self, key: PredKey, fact: Tuple, change: NetChange) -> bool:
+        inserted = self.instance.scope.insert_fact(key[0], key[1], fact)
+        if inserted and key == self._answer_key:
+            answer = self._answer(fact)
+            if answer is not None:
+                change.arrive(answer)
+        return inserted
+
+    def _propagate(
+        self, wave: Dict[PredKey, List[Tuple]], change: NetChange
+    ) -> None:
+        """Push ``wave`` — facts already in place, base or local — through
+        the delta joins over the current state, wave after wave, until one
+        derives nothing new.  A derivation that needs several new facts is
+        found when the last of them is pushed, the others being in place."""
+        while wave:
+            next_wave: Dict[PredKey, List[Tuple]] = {}
+            for key, changed in wave.items():
+                for join in self._joins.get(key, ()):
+                    head_key = join.head_key
+                    for tup in changed:
+                        for fact in self._derive(join, tup):
+                            if self._insert(head_key, fact, change):
+                                next_wave.setdefault(head_key, []).append(fact)
+            wave = next_wave
 
     # -- insert repair ---------------------------------------------------------
 
-    def apply_inserts(self) -> None:
-        """Absorb base-predicate inserts: replay each SCC's base-delta rule
-        versions over the unconsumed slice of every base relation, then let
-        the retained evaluators resume their fixpoint (their own EXT rules
-        pick up growth of earlier SCCs)."""
-        scope = self.instance.scope
-        base_seen = self.base_seen
-
-        def ranges(pred: PredKey, kind: ScanKind):
-            if kind is ScanKind.EXT_DELTA:
-                return (base_seen.get(pred, 0), None)
-            return None
-
-        for index, evaluator in enumerate(self.instance.evaluators):
-            for sn_rule, executor in self.base_delta_rules[index]:
-                apply_rule(scope, sn_rule, executor, ranges)
-            evaluator.run_to_completion()
+    def apply_inserts(self, change: Optional[NetChange] = None) -> NetChange:
+        """Absorb base-predicate inserts: seed a wave with the unconsumed
+        slice of every base dependency, propagate it, and advance the
+        consumed marks.  Returns ``change`` (a fresh one by default) with
+        the answers that arrived folded in."""
+        if change is None:
+            change = NetChange()
+        if self._joins is None:
+            self._build_joins()
+        wave: Dict[PredKey, List[Tuple]] = {}
+        for dep in self.deps:
+            relation = self.ctx.base_relation(*dep)
+            fresh = list(relation.scan(since=self.base_seen[dep]))
+            if fresh:
+                wave[dep] = fresh
+                self.base_seen[dep] = relation.mark()
+        self._propagate(wave, change)
+        return change
 
     # -- delete repair (DRed) --------------------------------------------------
 
@@ -255,134 +503,83 @@ class MaintenancePlan:
         self,
         pending: Dict[PredKey, List[Tuple]],
         damage_threshold: float,
-    ) -> PyTuple[int, int]:
+        change: Optional[NetChange] = None,
+    ) -> NetChange:
         """DRed delete-rederive over the instance's retained local
         relations; ``pending`` maps each base predicate to the tuples this
-        consumer has not yet repaired for.  Returns ``(over_deleted,
-        re_derived)`` counts; raises :class:`DamageExceeded` when
-        over-deletion touches more than ``damage_threshold`` of the derived
-        facts (the plan is then unusable — discard the instance)."""
-        instance = self.instance
-        scope = instance.scope
-        rewritten = instance.compiled.rewritten
-        magic_names = {
-            name for name in (rewritten.magic_pred,) if name is not None
-        }
-        for adorned in rewritten.origin:
-            magic_names.add(MAGIC_PREFIX + adorned)
-
-        total = sum(len(relation) for relation in scope.local.values())
+        consumer has not yet repaired for.  Returns ``change`` (a fresh one
+        by default) with the net effect on the answers folded in and the
+        ``over_deleted``/``rederived`` counts added; raises
+        :class:`DamageExceeded` when over-deletion would touch more than
+        ``damage_threshold`` of the derived facts."""
+        if change is None:
+            change = NetChange()
+        if self._joins is None:
+            self._build_joins()
+        local = self.instance.scope.local
+        total = sum(len(relation) for relation in local.values())
         budget = max(64, int(damage_threshold * total))
-        use_backjumping = instance.compiled.use_backjumping
 
-        # pre-state view: current contents plus everything removed so far —
-        # built from *this consumer's* pending queue, never shared state
-        removed_store: Dict[PredKey, List[Tuple]] = {
-            key: list(tuples) for key, tuples in pending.items()
+        # --- over-delete: collect everything a removed tuple supports ------
+        # Nothing is deleted yet, so the joins see the local pre-state as it
+        # stands, indexes and all; base deps get the pending tuples back.
+        over: Dict[PredKey, Dict[object, Tuple]] = {}
+        count = 0
+        self._scope.pre_state = {
+            key: _PreState(self.ctx.base_relation(*key), tuples)
+            for key, tuples in pending.items() if tuples
         }
-        pre_state = PreStateScope(scope, removed_store)
-
-        # --- over-delete: propagate deletion deltas to fixpoint -------------
-        over_deleted: List[PyTuple[PredKey, Tuple]] = []
-        wave = {key: list(tuples) for key, tuples in pending.items()}
-        executors: Dict[PyTuple[int, int], BodyExecutor] = {}
-        rules = list(rewritten.rules)
-        while wave:
-            next_wave: Dict[PredKey, List[Tuple]] = {}
-            for rule_index, rule in enumerate(rules):
-                head_key = rule.head.key
-                if rule.head.pred in magic_names:
-                    continue  # over-complete magic is sound; never shrink it
-                head_relation = scope.local.get(head_key)
-                if head_relation is None:
-                    continue
-                for position, literal in enumerate(rule.body):
-                    deleted = wave.get(literal.key)
-                    if not deleted or literal.negated \
-                            or self.ctx.builtins.lookup(*literal.key):
-                        continue
-                    executor = executors.get((rule_index, position))
-                    if executor is None:
-                        rest = tuple(
-                            SNLiteral(item, ScanKind.ALL)
-                            for index, item in enumerate(rule.body)
-                            if index != position
-                        )
-                        executor = BodyExecutor(pre_state, rest, use_backjumping)
-                        executors[(rule_index, position)] = executor
-                    for tup in deleted:
-                        env = BindEnv()
-                        trail = Trail()
-                        if not unify_fact(
-                            literal.args, env, tup.renamed().args, trail
-                        ):
-                            trail.undo_to(0)
-                            continue
-                        for _ in executor.solutions(env, trail, None):
-                            head_fact = instantiate_head(rule.head.args, env)
-                            if head_relation.delete(head_fact):
-                                over_deleted.append((head_key, head_fact))
-                                next_wave.setdefault(head_key, []).append(
-                                    head_fact
-                                )
-                                if len(over_deleted) > budget:
+        try:
+            wave = {key: list(tuples) for key, tuples in pending.items()}
+            while wave:
+                next_wave: Dict[PredKey, List[Tuple]] = {}
+                for key, changed in wave.items():
+                    for join in self._joins.get(key, ()):
+                        if not join.shrinks:
+                            continue  # over-complete magic is sound
+                        head_key = join.head_key
+                        relation = local[head_key]
+                        doomed = over.setdefault(head_key, {})
+                        for tup in changed:
+                            for fact in self._derive(join, tup):
+                                stored = relation.find(fact)
+                                if stored is None or stored.key() in doomed:
+                                    continue
+                                doomed[stored.key()] = stored
+                                next_wave.setdefault(head_key, []).append(stored)
+                                count += 1
+                                if count > budget:
                                     raise DamageExceeded()
-                        trail.undo_to(0)
-            for key, tuples in next_wave.items():
-                removed_store.setdefault(key, []).extend(tuples)
-            wave = next_wave
+                wave = next_wave
+        finally:
+            self._scope.pre_state = {}
+        for key, doomed in over.items():
+            relation = local[key]
+            for stored in doomed.values():
+                relation.delete(stored)
+                if key == self._answer_key:
+                    answer = self._answer(stored)
+                    if answer is not None:
+                        change.leave(answer)
 
-        # --- re-derive: restore over-deleted tuples with surviving proofs ---
-        rederived = 0
-        rules_by_head: Dict[PredKey, List] = {}
-        for rule in rules:
-            rules_by_head.setdefault(rule.head.key, []).append(rule)
-        full_executors: Dict[int, BodyExecutor] = {}
-        pending_facts = list(over_deleted)
-        while pending_facts:
-            progressed = False
-            remaining: List[PyTuple[PredKey, Tuple]] = []
-            for head_key, tup in pending_facts:
-                if self._rederivable(
-                    scope, rules_by_head.get(head_key, ()), tup,
-                    full_executors, use_backjumping,
-                ):
-                    scope.local[head_key].insert(tup)
-                    rederived += 1
-                    progressed = True
-                else:
-                    remaining.append((head_key, tup))
-            if not progressed:
-                break  # the rest have no support left: correctly deleted
-            pending_facts = remaining
-        return len(over_deleted), rederived
-
-    def _rederivable(
-        self, scope, candidate_rules, tup, executors, use_backjumping
-    ) -> bool:
-        """Does some rule still derive ``tup`` over the *current* state?"""
-        target_key = tup.key()
-        for rule in candidate_rules:
-            rule_id = id(rule)
-            executor = executors.get(rule_id)
-            if executor is None:
-                body = tuple(
-                    SNLiteral(item, ScanKind.ALL) for item in rule.body
-                )
-                executor = BodyExecutor(scope, body, use_backjumping)
-                executors[rule_id] = executor
-            env = BindEnv()
-            trail = Trail()
-            if not unify_fact(rule.head.args, env, tup.renamed().args, trail):
-                trail.undo_to(0)
-                continue
-            for _ in executor.solutions(env, trail, None):
-                head_fact = instantiate_head(rule.head.args, env)
-                if head_fact.key() == target_key or tup.is_ground():
-                    trail.undo_to(0)
-                    return True
-            trail.undo_to(0)
-        return False
+        # --- re-derive: one check per over-deleted fact, then the wave -----
+        # A fact whose support is itself restored later is not missed: the
+        # restored fact is pushed through the delta joins and derives it.
+        restored: Dict[PredKey, List[Tuple]] = {}
+        for key, doomed in over.items():
+            for stored in doomed.values():
+                if self._derivable(key, stored) and \
+                        self._insert(key, stored, change):
+                    restored.setdefault(key, []).append(stored)
+        self._propagate(restored, change)
+        change.over_deleted += count
+        change.rederived += sum(
+            1
+            for key, doomed in over.items()
+            for stored in doomed.values()
+            if local[key].find(stored) is not None
+        )
+        return change
 
 
 def plan_maintenance(
@@ -390,68 +587,12 @@ def plan_maintenance(
     instance,
     exports: Dict[PredKey, tuple],
     module_deps: Optional[ModuleDeps] = None,
+    call_args: Sequence = (),
 ) -> MaintenancePlan:
     """Analyze an instance and wrap it in a :class:`MaintenancePlan`.
 
     The plan is always returned — ``plan.maintainable`` / ``plan.reason``
-    tell the consumer whether repairs will work or why they won't."""
+    tell the consumer whether repairs will work or why they won't.
+    ``call_args`` is the canonical call the instance is about to answer."""
     deps, reason = analyze_instance(ctx, instance, exports, module_deps)
-    return MaintenancePlan(ctx, instance, deps, reason)
-
-
-# -- pre-state views -----------------------------------------------------------
-
-
-class UnionRelation(Relation):
-    """Pre-state view of one relation: current contents ∪ removed tuples."""
-
-    def __init__(self, current: Relation, removed: Sequence[Tuple]) -> None:
-        super().__init__(current.name, current.arity)
-        self.current = current
-        self.removed = removed
-
-    def insert(self, tup: Tuple) -> bool:  # pragma: no cover - never written
-        raise NotImplementedError("pre-state views are read-only")
-
-    def delete(self, tup: Tuple) -> bool:  # pragma: no cover - never written
-        raise NotImplementedError("pre-state views are read-only")
-
-    def __len__(self) -> int:
-        return len(self.current) + len(self.removed)
-
-    def scan(self, pattern=None, env=None) -> "GeneratorTupleIterator":
-        def generate() -> Iterator[Tuple]:
-            cursor = self.current.scan(pattern, env)
-            try:
-                while True:
-                    candidate = cursor.get_next()
-                    if candidate is None:
-                        break
-                    yield candidate
-            finally:
-                cursor.close()
-            yield from self.removed
-
-        return GeneratorTupleIterator(generate())
-
-
-class PreStateScope:
-    """A :class:`LocalScope` stand-in whose relations show the pre-deletion
-    state (current ∪ removed), for DRed's over-deletion joins.
-
-    ``removed`` belongs to exactly one repair pass of one consumer; it is
-    threaded in per call rather than cached anywhere shared, which is what
-    keeps concurrent consumers (memo + live views) from double-applying
-    each other's deletions."""
-
-    def __init__(self, scope, removed: Dict[PredKey, List[Tuple]]) -> None:
-        self._scope = scope
-        self.ctx = scope.ctx
-        self._removed = removed
-
-    def relation(self, name: str, arity: int) -> Relation:
-        underlying = self._scope.relation(name, arity)
-        removed = self._removed.get((name, arity))
-        if removed:
-            return UnionRelation(underlying, removed)
-        return underlying
+    return MaintenancePlan(ctx, instance, deps, reason, call_args)

@@ -22,19 +22,19 @@ Three mechanisms make the cache safe:
   ``assertz``/``retract`` builtins) report base-predicate changes to the
   cache.  For *maintainable* entries (positive, aggregation-free,
   single-module, interpreted, non-multiset) inserts are absorbed lazily by
-  delta semi-naive: per-SCC cross-query delta rule versions (``EXT_DELTA``
-  on one base literal, the base relation's mark recording what the entry has
-  consumed) re-seed the retained evaluators, which then resume their
-  fixpoint — exactly the marks machinery of Section 3.2.  Deletes run
-  DRed-style delete-rederive: over-delete everything derivable from the
-  deleted tuples (joining the remaining body against the *pre-state*,
-  current ∪ removed), then re-derive over-deleted tuples that still have an
-  independent proof.  Magic/supplementary-magic *magic* predicates are
-  exempt from over-deletion: an over-complete magic set only gates
-  relevance, never truth.  Above a configurable damage threshold — or for
-  any entry the incremental path cannot maintain (negation, aggregation,
-  cross-module calls, compiled or ordered-search evaluation) — the whole
-  entry is evicted and recomputed on next use.
+  wave propagation: the unconsumed slice of each base relation (the
+  relation's mark records what the entry has consumed — the marks machinery
+  of Section 3.2) is pushed through the rules' delta joins until nothing
+  new is derived.  Deletes run DRed-style delete-rederive with the same
+  joins: over-delete everything the deleted tuples support (against the
+  *pre-state*), then re-derive, checking each over-deleted fact once.
+  Magic/supplementary-magic *magic* predicates are exempt from
+  over-deletion: an over-complete magic set only gates relevance, never
+  truth.  A repair reports the net change of the answer set and the entry
+  patches its snapshot with it.  Above a configurable damage threshold —
+  or for any entry the incremental path cannot maintain (negation,
+  aggregation, cross-module calls, compiled or ordered-search evaluation)
+  — the whole entry is evicted and recomputed on next use.
 
 * **Snapshot pinning.**  Served answers are an immutable list captured at
   lookup time; a refresh *replaces* the list rather than mutating it, so a
@@ -45,9 +45,9 @@ Entries live in an LRU keyed store under a byte budget
 (:class:`MemoPolicy`); ``@memo`` / ``@no_memo`` module annotations and the
 ``Session(memo=...)`` policy select which modules participate.
 
-The repair machinery itself (EXT_DELTA replay, DRed, pre-state unions)
-lives in :mod:`repro.eval.maintenance` — this cache and the live-query
-subsystem (:mod:`repro.live`) are two consumers of one engine.
+The repair machinery itself (delta joins, wave propagation, DRed) lives in
+:mod:`repro.eval.maintenance` — this cache and the live-query subsystem
+(:mod:`repro.live`) are two consumers of one engine.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from typing import (
 from ..relations import GeneratorTupleIterator, Tuple, TupleIterator
 from ..terms import Atom, BindEnv, Double, Functor, Int, Str, Trail, Var
 from ..terms.unify import unify_fact
-from .maintenance import plan_maintenance
+from .maintenance import NetChange, failure_reason, plan_maintenance
 
 PredKey = PyTuple[str, int]
 
@@ -104,6 +104,8 @@ class MemoStats:
     subsumption_hits: int = 0
     invalidations: int = 0  # entries marked stale or evicted by an update
     evictions: int = 0  # entries dropped (budget, damage, unmaintainable)
+    evictions_damage: int = 0  # ... because DRed crossed the damage threshold
+    evictions_error: int = 0  # ... because a repair raised
     insert_refreshes: int = 0
     delete_refreshes: int = 0
     dred_overdeleted: int = 0
@@ -345,7 +347,8 @@ class MemoCache:
         """An existing entry whose bound positions are a subset of this
         call's ground positions (with equal values) serves by filtering."""
         module_name, pred, arity = key[0], key[1], key[2]
-        for entry_key in self._by_pred.get((module_name, pred, arity), ()):
+        # (a copy: freshening an entry may evict it from this very bucket)
+        for entry_key in list(self._by_pred.get((module_name, pred, arity), ())):
             entry = self._entries.get(entry_key)
             if entry is None:
                 continue
@@ -407,6 +410,7 @@ class MemoCache:
             entry.instance,
             self.manager.exports,
             module_deps=lambda name: self._info(name).base_deps,
+            call_args=entry.call_args,
         )
 
     def _store(self, entry: MemoEntry) -> None:
@@ -450,34 +454,50 @@ class MemoCache:
         the caller falls back to a rebuild."""
         if not entry.stale:
             return True
+        change = NetChange()
+        scope_bytes = _estimate_scope_bytes(entry.instance)
         try:
             if entry.pending_deletes:
-                over_deleted, rederived = entry.plan.apply_deletes(
-                    entry.pending_deletes, self.policy.damage_threshold
+                entry.plan.apply_deletes(
+                    entry.pending_deletes, self.policy.damage_threshold, change
                 )
-                self.stats.dred_overdeleted += over_deleted
-                self.stats.dred_rederived += rederived
+                self.stats.dred_overdeleted += change.over_deleted
+                self.stats.dred_rederived += change.rederived
                 self.stats.delete_refreshes += 1
             if entry.stale_inserts:
-                entry.plan.apply_inserts()
+                entry.plan.apply_inserts(change)
                 self.stats.insert_refreshes += 1
-        except Exception:
+        except Exception as exc:
             # any repair failure degrades to eviction: correctness comes
-            # from recomputation, the cache only ever skips work
+            # from recomputation, the cache only ever skips work — but say
+            # why, or a repair that always fails looks like one that works
+            reason = failure_reason(exc)
+            if reason == "damage":
+                self.stats.evictions_damage += 1
+            else:
+                self.stats.evictions_error += 1
+            self._trace("memo.evict", entry, reason=reason)
             self._evict(entry)
             return False
         entry.pending_deletes = {}
         entry.stale_inserts = False
-        entry.plan.record_base_marks()
-        old_bytes = entry.nbytes
-        entry.answers = self._collect_answers(entry)
-        entry.nbytes = _estimate_entry_bytes(entry)
-        self.total_bytes += entry.nbytes - old_bytes
+        if change:
+            # patch the snapshot with the net change; a new list, so an
+            # open cursor keeps the one it captured
+            removed = change.removed
+            kept = entry.answers
+            if removed:
+                kept = [tup for tup in kept if tup.key() not in removed]
+            entry.answers = kept + list(change.added.values())
+        grown = (
+            sum(map(_estimate_tuple_bytes, change.added.values()))
+            - sum(map(_estimate_tuple_bytes, change.removed.values()))
+            + _estimate_scope_bytes(entry.instance) - scope_bytes
+        )
+        entry.nbytes += grown
+        self.total_bytes += grown
         self._trace("memo.refresh", entry, answers=len(entry.answers))
         return True
-
-    def _collect_answers(self, entry: MemoEntry) -> List[Tuple]:
-        return list(entry.instance._answer_cursor(entry.call_args, since=0))
 
 
 # -- serving -------------------------------------------------------------------
@@ -539,10 +559,13 @@ def _estimate_tuple_bytes(tup: Tuple) -> int:
     return 56 + sum(_estimate_arg_bytes(arg) for arg in tup.args)
 
 
+def _estimate_scope_bytes(instance) -> int:
+    return sum(
+        len(relation) * (64 + 32 * arity)
+        for (_name, arity), relation in instance.scope.local.items()
+    )
+
+
 def _estimate_entry_bytes(entry: MemoEntry) -> int:
     answer_bytes = sum(_estimate_tuple_bytes(tup) for tup in entry.answers)
-    scope_bytes = 0
-    if entry.instance is not None:
-        for (name, arity), relation in entry.instance.scope.local.items():
-            scope_bytes += len(relation) * (64 + 32 * arity)
-    return 1024 + answer_bytes + scope_bytes
+    return 1024 + answer_bytes + _estimate_scope_bytes(entry.instance)

@@ -12,14 +12,16 @@ Two kinds of view share one registry:
   view holds a private retained
   :class:`~repro.modules.manager.MaterializedInstance` wrapped in a
   :class:`~repro.eval.maintenance.MaintenancePlan`, the same engine the
-  memo cache uses: inserts are absorbed by EXT_DELTA fixpoint resumption,
-  deletes by DRed delete-rederive.  Where the memo cache repairs *lazily*
-  (entries marked stale, freshened at the next lookup) a live view repairs
-  *eagerly*, at mutation time, because the delta itself is the product.
-  The emitted delta is the keyed difference between the answer set before
-  and after the repair — so even when a repair fails (damage threshold,
-  any unexpected error) the view falls back to a full rebuild and still
-  emits a correct difference, where the memo cache can only evict.
+  memo cache uses: inserts are absorbed by wave propagation through the
+  rules' delta joins, deletes by DRed delete-rederive over the same joins.
+  Where the memo cache repairs *lazily* (entries marked stale, freshened at
+  the next lookup) a live view repairs *eagerly*, at mutation time, because
+  the delta itself is the product: the repair reports the net change of
+  the answer set, and the view filters it through the goal, patches its
+  published answers and emits it.  When a repair fails (damage threshold,
+  any unexpected error) the view falls back to a full rebuild and emits
+  the keyed difference against what it last published — still a correct
+  delta, where the memo cache can only evict — and records why.
 
 * **Base views** — the predicate is a plain base relation.  No fixpoint is
   needed: inserts are read straight off the relation's insertion marks
@@ -49,7 +51,12 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..errors import SubscriptionError
-from ..eval.maintenance import MaintenancePlan, plan_maintenance
+from ..eval.maintenance import (
+    MaintenancePlan,
+    NetChange,
+    failure_reason,
+    plan_maintenance,
+)
 from ..language.ast import Literal
 from ..relations import MarkedRelation, Tuple
 from ..terms import BindEnv, Trail, resolve
@@ -78,8 +85,11 @@ class LiveStats:
     refusals: int = 0  # SUBSCRIBE attempts rejected with SubscriptionError
     deltas_emitted: int = 0  # individual +/- tuples pushed to sinks
     events_emitted: int = 0  # non-empty delta batches pushed to sinks
-    refreshes: int = 0  # incremental repairs (EXT_DELTA / DRed)
-    rebuilds: int = 0  # full re-evaluations (damage threshold, repair failure)
+    refreshes: int = 0  # incremental repairs (insert wave / DRed)
+    rebuilds: int = 0  # full re-evaluations, whatever the cause
+    rebuilds_damage: int = 0  # ... because DRed crossed the damage threshold
+    rebuilds_error: int = 0  # ... because a repair raised
+    rebuilds_modules: int = 0  # ... because a module was loaded or unloaded
     closes: int = 0  # views closed server-side (module unload/redefinition)
 
     def snapshot(self) -> Dict[str, int]:
@@ -200,7 +210,8 @@ class LiveView:
             self.module_name, self.literal.pred, self.form
         )
         plan = plan_maintenance(
-            manager.ctx, instance, manager.modules.exports
+            manager.ctx, instance, manager.modules.exports,
+            call_args=self.call_args,
         )
         if not plan.maintainable:
             raise SubscriptionError(
@@ -276,35 +287,34 @@ class LiveView:
 
     def _apply_derived(self, key: PredKey, deleted: Optional[Tuple]) -> None:
         plan = self.plan
+        change = NetChange()
         try:
             if deleted is not None:
                 plan.apply_deletes(
-                    {key: [deleted]}, self.manager.damage_threshold
+                    {key: [deleted]}, self.manager.damage_threshold, change
                 )
-            plan.apply_inserts()
-            plan.record_base_marks()
+            plan.apply_inserts(change)
             self.manager.stats.refreshes += 1
-        except Exception:
+        except Exception as exc:
             # damage threshold or any repair failure: rebuild from scratch.
-            # The delta stays correct either way — it is a diff against the
-            # last *published* answer set, not a claim about the repair.
-            self._rebuild()
+            # The delta stays correct either way — a rebuild diffs against
+            # the last *published* answer set — but say why, or a repair
+            # that always fails looks like one that works, only slower.
+            self._rebuild(failure_reason(exc))
             return
-        self._emit(self._diff(self._collect()))
-
-    def _collect(self) -> Dict[object, Tuple]:
-        fresh: Dict[object, Tuple] = {}
-        cursor = self.instance._answer_cursor(self.call_args, since=0)
-        try:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    break
-                if self._matches(candidate):
-                    fresh[candidate.key()] = candidate
-        finally:
-            cursor.close()
-        return fresh
+        # the repair's net change, narrowed to the goal: a removed key is
+        # published only if it was, an added one only if it is not yet
+        answers = self.answers
+        deltas: List[Delta] = []
+        for answer_key in change.removed:
+            gone = answers.pop(answer_key, None)
+            if gone is not None:
+                deltas.append((-1, gone))
+        for answer_key, tup in change.added.items():
+            if answer_key not in answers and self._matches(tup):
+                answers[answer_key] = tup
+                deltas.append((+1, tup))
+        self._emit(deltas)
 
     def _diff(self, fresh: Dict[object, Tuple]) -> List[Delta]:
         deltas: List[Delta] = []
@@ -317,11 +327,22 @@ class LiveView:
         self.answers = fresh
         return deltas
 
-    def _rebuild(self) -> None:
+    def _rebuild(self, reason: str) -> None:
         """Full re-evaluation against the current database, diffed against
-        the last published answer set."""
-        self.manager.stats.rebuilds += 1
+        the last published answer set.  ``reason`` is ``"damage"``,
+        ``"modules"`` or the type name of the exception a repair raised."""
+        stats = self.manager.stats
+        stats.rebuilds += 1
+        if reason == "damage":
+            stats.rebuilds_damage += 1
+        elif reason == "modules":
+            stats.rebuilds_modules += 1
+        else:
+            stats.rebuilds_error += 1
         self.rebuilds += 1
+        self.manager._trace("live.rebuild", self.literal.pred,
+                            self.literal.arity, view=self.view_id,
+                            reason=reason)
         old = self.answers
         try:
             self._build_instance()
@@ -462,7 +483,7 @@ class LiveViewManager:
                 )
                 continue
             old_deps = view.deps
-            view._rebuild()
+            view._rebuild("modules")
             if view.closed:
                 continue
             if view.deps != old_deps:

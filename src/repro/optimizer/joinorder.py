@@ -12,15 +12,16 @@ rule body is greedily reordered bound-first:
   runs next (indexable probes before cartesian scans), ties broken by the
   original order;
 * ``=`` is scheduled once either side is fully bound (it then binds the
-  other);
+  other), an arithmetic side counting as bound only when it is ground;
 * rules containing impure builtins are left untouched — their order is
   observable.
 """
 
 from __future__ import annotations
 
-from typing import Callable, List, Sequence, Set
+from typing import Callable, Iterable, List, Sequence, Set
 
+from ..builtins import is_arith_expr
 from ..language.ast import Literal, Rule
 
 BuiltinInfo = Callable[[str, int], object]  # returns Builtin-like or None
@@ -41,10 +42,25 @@ def order_rule_body(
         builtin = lookup_builtin(literal.pred, literal.arity)
         if builtin is not None and not getattr(builtin, "pure", True):
             return rule  # observable side effects: order is the spec
+    ordered = order_body(rule.body, lookup_builtin)
+    if ordered == list(rule.body):
+        return rule
+    return Rule(rule.head, tuple(ordered), rule.head_aggregates)
 
-    remaining: List[Literal] = list(rule.body)
+
+def order_body(
+    body: Sequence[Literal],
+    lookup_builtin: BuiltinInfo,
+    bound_vids: Iterable[int] = (),
+) -> List[Literal]:
+    """``body`` greedily reordered bound-first, given the variables (by vid)
+    already bound when it starts — none for a rule evaluated from scratch;
+    the variables of the seed literal, or of the head, for the maintenance
+    engine's delta joins and re-derivation checks.  The caller vouches that
+    the literals have no observable side effects."""
+    remaining: List[Literal] = list(body)
     ordered: List[Literal] = []
-    bound: Set[int] = set()
+    bound: Set[int] = set(bound_vids)
 
     def eligible_filter(literal: Literal) -> bool:
         builtin = lookup_builtin(literal.pred, literal.arity)
@@ -53,9 +69,15 @@ def order_rule_body(
         if builtin is None:
             return False
         if literal.pred == "=" and len(literal.args) == 2:
-            left = {v.vid for v in literal.args[0].variables()}
-            right = {v.vid for v in literal.args[1].variables()}
-            return left <= bound or right <= bound
+            # one bound side binds the other by unification — unless the
+            # other is arithmetic, which `=` evaluates and so needs ground
+            free_sides = [
+                side for side in literal.args
+                if not {v.vid for v in side.variables()} <= bound
+            ]
+            return not free_sides or (
+                len(free_sides) == 1 and not is_arith_expr(free_sides[0])
+            )
         return _vids(literal) <= bound
 
     def bound_arg_count(literal: Literal) -> int:
@@ -94,10 +116,7 @@ def order_rule_body(
         literal = remaining.pop(best_index)
         ordered.append(literal)
         bound |= _vids(literal)
-
-    if ordered == list(rule.body):
-        return rule
-    return Rule(rule.head, tuple(ordered), rule.head_aggregates)
+    return ordered
 
 
 def order_program(

@@ -57,6 +57,12 @@ class IndexSpec(ABC):
     def describe(self) -> str:
         """Human-readable form for `explain` output and error messages."""
 
+    @property
+    def width(self) -> int:
+        """How many values make up a key: among the indexes a probe can use,
+        the widest selects the smallest bucket."""
+        return 1
+
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.describe()}>"
 
@@ -96,6 +102,10 @@ class ArgumentIndexSpec(IndexSpec):
 
     def describe(self) -> str:
         return "args(" + ",".join(str(p + 1) for p in self.positions) + ")"
+
+    @property
+    def width(self) -> int:
+        return len(self.positions)
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -185,6 +195,10 @@ class PatternIndexSpec(IndexSpec):
         pattern = ", ".join(str(term) for term in self.pattern)
         keys = ", ".join(str(var) for var in self.key_vars)
         return f"pattern({pattern})({keys})"
+
+    @property
+    def width(self) -> int:
+        return len(self.key_vars)
 
 
 class Index:

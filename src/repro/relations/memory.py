@@ -19,6 +19,16 @@ segment and opens a new one; a ranged scan unions the segments between two
 marks.  Every index spec is realised once per segment, so delta scans are
 indexed for free.
 
+Marks are *ids*, not list positions: monotone ints with ``0`` meaning "from
+the start".  Each segment remembers the mark at which it opened and a
+ranged scan resolves ``since``/``until`` against those, so a segment
+emptied by deletes can be dropped without disturbing any mark a consumer
+still holds — a long-lived relation whose tuples come and go (a base
+relation under a live view) keeps a bounded number of segments, and scan
+cost does not grow with the number of commits it has seen.  Until a segment
+has been dropped, ids and positions coincide and scans slice the list
+directly.
+
 Duplicate semantics (Section 4.2): the default policy performs subsumption
 checks — a new fact is discarded when an equal fact (ground) or a variant or
 more general fact (non-ground, Section 3.1) is already stored.  A relation
@@ -29,6 +39,7 @@ optimizer then restricts duplicate checks to the magic predicates.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from enum import Enum
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
@@ -92,8 +103,9 @@ class MarkedRelation(Relation):
 
     def mark(self) -> int:
         """Get a mark: facts inserted later are distinguishable from facts
-        inserted earlier (Section 3.2).  Returns an opaque mark id usable as
-        the ``since``/``until`` of a ranged scan."""
+        inserted earlier (Section 3.2).  Returns a mark id usable as the
+        ``since``/``until`` of a ranged scan: ids only ever grow, and ``0``
+        means "from the start"."""
         raise NotImplementedError
 
     def scan(
@@ -126,7 +138,17 @@ class HashRelation(MarkedRelation):
         super().__init__(name, arity)
         self.policy = policy
         self._specs: List[IndexSpec] = list(index_specs)
+        #: positions into ``_specs``, widest key first (ties: registration
+        #: order) — the order in which a probe tries them
+        self._probe_order: List[int] = []
+        self._rank_specs()
+        #: subsidiary relations in mark order; the last one is open
         self._segments: List[_Segment] = [_Segment(self._specs)]
+        #: parallel to ``_segments``: the mark each one opened at — it holds
+        #: the tuples inserted at or after that mark and before the next
+        self._opened: List[int] = [0]
+        #: no segment dropped yet, so mark ids are still list positions
+        self._dense = True
         #: duplicate-detection key -> representative tuple (SET policy)
         self._by_key: Dict[Any, Tuple] = {}
         #: stored non-ground tuples, for subsumption checks of new facts
@@ -138,12 +160,29 @@ class HashRelation(MarkedRelation):
     # -- marks ---------------------------------------------------------------
 
     def mark(self) -> int:
+        opened = self._opened[-1]
         if len(self._segments[-1]):
+            opened += 1
             self._segments.append(_Segment(self._specs))
-        return len(self._segments) - 1
+            self._opened.append(opened)
+        return opened
+
+    def _window(self, since: int, until: Optional[int]) -> List[_Segment]:
+        """The segments holding marks ``since <= m < until`` (a copy, so a
+        scan is not disturbed by marks taken while it is open)."""
+        if not self._dense:
+            if since:
+                since = bisect_left(self._opened, since)
+            if until is not None:
+                until = bisect_left(self._opened, until)
+        return self._segments[since:until]
 
     def count_since(self, mark: int) -> int:
-        return sum(len(segment) for segment in self._segments[mark:])
+        return sum(len(segment) for segment in self._window(mark, None))
+
+    def segment_count(self) -> int:
+        """How many subsidiary relations a full scan walks."""
+        return len(self._segments)
 
     # -- updates --------------------------------------------------------------
 
@@ -192,13 +231,27 @@ class HashRelation(MarkedRelation):
         self._count += count
         return count
 
+    def find(self, tup: Tuple) -> Optional[Tuple]:
+        """The stored tuple equal to ``tup`` (for a non-ground fact, a
+        variant of it), or None."""
+        if self.policy is DuplicatePolicy.SET:
+            return self._by_key.get(tup.key())  # every stored tuple is keyed
+        return self._find_exact(tup)
+
     def delete(self, tup: Tuple) -> bool:
-        stored = self._by_key.get(tup.key()) if self.policy is DuplicatePolicy.SET else None
-        target = stored if stored is not None else self._find_exact(tup)
+        target = self.find(tup)
         if target is None:
             return False
-        for segment in reversed(self._segments):
+        segments = self._segments
+        for position in range(len(segments) - 1, -1, -1):
+            segment = segments[position]
             if segment.delete(target):
+                if not len(segment) and position < len(segments) - 1:
+                    # emptied and closed: nothing can land in it again, and
+                    # no mark names it by position — drop it
+                    del segments[position]
+                    del self._opened[position]
+                    self._dense = False
                 break
         else:
             return False
@@ -229,8 +282,15 @@ class HashRelation(MarkedRelation):
         if any(existing == spec for existing in self._specs if isinstance(spec, ArgumentIndexSpec)):
             return
         self._specs.append(spec)
+        self._rank_specs()
         for segment in self._segments:
             segment.add_index(spec)
+
+    def _rank_specs(self) -> None:
+        specs = self._specs
+        self._probe_order = sorted(
+            range(len(specs)), key=lambda position: -specs[position].width
+        )
 
     @property
     def index_specs(self) -> Sequence[IndexSpec]:
@@ -245,8 +305,9 @@ class HashRelation(MarkedRelation):
         since: int = 0,
         until: Optional[int] = None,
     ) -> TupleIterator:
-        segments = self._segments[since:until]
-        return GeneratorTupleIterator(self._generate(segments, pattern, env))
+        return GeneratorTupleIterator(
+            self._generate(self._window(since, until), pattern, env)
+        )
 
     def _generate(
         self,
@@ -256,9 +317,12 @@ class HashRelation(MarkedRelation):
     ) -> Iterator[Tuple]:
         probe_key = None
         spec_position = None
-        if pattern is not None and self._specs:
-            for position, spec in enumerate(self._specs):
-                key = spec.key_for_probe(pattern, env)
+        if pattern is not None:
+            # the usable index keyed on the most positions: the smallest
+            # bucket a probe this bound can be served from
+            specs = self._specs
+            for position in self._probe_order:
+                key = specs[position].key_for_probe(pattern, env)
                 if key is not None:
                     probe_key = key
                     spec_position = position
@@ -275,6 +339,8 @@ class HashRelation(MarkedRelation):
     def clear(self) -> None:
         """Discard all tuples and marks (used by save-module resets)."""
         self._segments = [_Segment(self._specs)]
+        self._opened = [0]
+        self._dense = True
         self._by_key.clear()
         self._nonground.clear()
         self._count = 0

@@ -25,6 +25,15 @@ insert/delete schedule, fold the emitted delta stream into the initial
 snapshot, and require the folded view to equal a cold re-evaluation over
 the final fact state at every checkpoint.  ``REPRO_LIVE_SCHEDULES``
 overrides the number of schedules (default 100).
+
+The **targeted schedules** (ISSUE 15) replay, on every generated program of
+the maintainable class, the update shapes an incremental engine is most
+likely to get wrong — a tuple deleted and re-inserted (or inserted and
+deleted) between two reads, two pending deletes that join with each other,
+a delete that disconnects followed by inserts that reconnect another way —
+through memo lazy repair and through streamed live deltas, each against a
+cold rebuild.  Every maintainable column also asserts that nothing was
+rebuilt or evicted: the fallback must not be able to mask a broken repair.
 """
 
 import os
@@ -34,6 +43,7 @@ from pathlib import Path
 import pytest
 
 from repro import Session
+from repro.eval.memo import MemoPolicy
 
 _FAILURE_DIR = Path(__file__).parent / "_diff_failures"
 
@@ -232,6 +242,12 @@ def test_static_engines_agree(seed):
 # ---------------------------------------------------------------------------
 
 
+#: no DRed damage budget: every stale entry must be *repaired*, so a
+#: fallback (eviction, rebuild) in the maintainable class is a failure
+_NO_DAMAGE_BUDGET = 1e9
+_REPAIR_ONLY = MemoPolicy(damage_threshold=_NO_DAMAGE_BUDGET)
+
+
 def _random_ops(rng, case, count=8):
     """Interleaved inserts/deletes/queries over the base relations."""
     ops = []
@@ -267,7 +283,7 @@ def test_update_interleavings_agree(seed):
     rng = random.Random(seed ^ 0xDEADBEEF)
     ops = _random_ops(rng, case)
 
-    memo_session = Session(memo=True)
+    memo_session = Session(memo=_REPAIR_ONLY)
     memo_session.consult_string(case.program())
     plain_session = Session()
     plain_session.consult_string(case.program())
@@ -307,6 +323,11 @@ def test_update_interleavings_agree(seed):
                 f"repro dumped to {path}"
             )
         trail.append(f"query {query} -> {len(cold)} answers")
+
+    if not case.has_negation:
+        # the maintainable class: every stale entry was repaired in place
+        # (the damage budget is off, so an eviction can only be a failure)
+        assert memo_session.memo.snapshot()["evictions"] == 0, trail
 
 
 # ---------------------------------------------------------------------------
@@ -348,6 +369,7 @@ def test_streamed_deltas_fold_to_cold_truth(seed):
         views[query] = view
         for tup in view.snapshot():
             state[tup.key()] = tuple(from_arg(a) for a in tup.args)
+    session.live.damage_threshold = _NO_DAMAGE_BUDGET
 
     trail = []
     for op in ops:
@@ -387,3 +409,138 @@ def test_streamed_deltas_fold_to_cold_truth(seed):
             f"seed {seed}: final folded view for {query} diverged: "
             f"cold={cold}, folded={got}"
         )
+    assert session.live.snapshot()["rebuilds"] == 0, trail
+
+
+# ---------------------------------------------------------------------------
+# targeted schedules: the update shapes a repair engine gets wrong first
+# ---------------------------------------------------------------------------
+
+
+class TargetedCase(GeneratedCase):
+    """A generated positive program plus one predicate that is certain to
+    exercise the hard shapes: ``hop`` joins two base literals (so two
+    pending deletes can meet in one rule) and ``far`` is its transitive
+    closure (so a delete can disconnect and an insert reconnect)."""
+
+    def __init__(self, seed: int) -> None:
+        super().__init__(seed, allow_negation=False)
+        self.derived_preds += ["hop", "far"]
+        self.rules += [
+            "hop(X, Y) :- b0(X, Z), b1(Z, Y).",
+            "far(X, Y) :- hop(X, Y).",
+            "far(X, Y) :- hop(X, Z), far(Z, Y).",
+        ]
+        source = min(x for x, _ in self.facts["b0"])
+        self.queries = [self.queries[0], "hop(X, Y)", f"far({source}, Y)"]
+
+
+def _targeted_schedules(case, rng):
+    """name -> list of update batches; the caller reads between batches."""
+    b0, b1 = sorted(case.facts["b0"]), sorted(case.facts["b1"])
+    present = rng.choice(b0)
+    absent = rng.choice([
+        (x, y) for x in case.domain for y in case.domain
+        if x != y and (x, y) not in case.facts["b0"]
+    ])
+    schedules = {
+        "delete_then_reinsert": [
+            [("delete", "b0", present), ("insert", "b0", present)],
+        ],
+        "insert_then_delete": [
+            [("insert", "b0", absent), ("delete", "b0", absent)],
+        ],
+    }
+    joining = [(left, right) for left in b0 for right in b1 if left[1] == right[0]]
+    if joining:
+        left, right = rng.choice(joining)
+        schedules["two_deletes_that_join"] = [
+            [("delete", "b0", left), ("delete", "b1", right)],
+            [("insert", "b1", right)],
+            [("insert", "b0", left)],
+        ]
+        # cut hop(x, y) at its b0 half, then route x to the same b1 tuple
+        # through a fresh middle node: b0(x, w), b1(w, y)
+        fresh = max(case.domain) + 1
+        schedules["disconnect_then_reconnect_elsewhere"] = [
+            [("delete", "b0", left)],
+            [("insert", "b0", (left[0], fresh)),
+             ("insert", "b1", (fresh, right[1]))],
+            [("delete", "b1", right)],
+        ]
+    return schedules
+
+
+def _apply_batch(session, case_facts, batch):
+    for kind, pred, tup in batch:
+        getattr(session, kind)(pred, *tup)
+        (case_facts[pred].add if kind == "insert"
+         else case_facts[pred].discard)(tup)
+
+
+def _cold(case, facts_now, queries):
+    saved = case.facts
+    case.facts = facts_now
+    try:
+        return _evaluate(case.program(), queries)
+    finally:
+        case.facts = saved
+
+
+@pytest.mark.parametrize("seed", range(30_000, 30_000 + max(10, _N_LIVE // 2)))
+def test_targeted_schedules_repair_without_falling_back(seed):
+    from repro.terms import from_arg
+
+    case = TargetedCase(seed)
+    schedules = _targeted_schedules(case, random.Random(seed ^ 0xFACADE))
+    for name, batches in schedules.items():
+        # memo lazy repair: whole batches are pending at each read
+        facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
+        memo_session = Session(memo=_REPAIR_ONLY)
+        memo_session.consult_string(case.program())
+        for query in case.queries:
+            memo_session.query(query).tuples()  # retain an entry per goal
+        for batch in batches:
+            _apply_batch(memo_session, facts_now, batch)
+            cold = _cold(case, facts_now, case.queries)
+            for query in case.queries:
+                got = sorted(set(memo_session.query(query).tuples()))
+                assert got == cold[query], (
+                    f"seed {seed}, {name}: memo repair of {query} diverged "
+                    f"after {batch}: cold={cold[query]}, memo={got}"
+                )
+        stats = memo_session.memo.snapshot()
+        assert stats["evictions"] == 0, (seed, name, stats)
+        assert stats["insert_refreshes"] + stats["delete_refreshes"] > 0
+
+        # streamed live deltas: every update is repaired as it commits
+        facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
+        live_session = Session()
+        live_session.consult_string(case.program())
+        folded = {}
+        for query in case.queries:
+            state = folded[query] = {}
+
+            def sink(deltas, state=state):
+                for sign, tup in deltas:
+                    if sign > 0:
+                        assert tup.key() not in state, (seed, name, tup)
+                        state[tup.key()] = tuple(from_arg(a) for a in tup.args)
+                    else:
+                        del state[tup.key()]  # only published answers leave
+
+            view = live_session.subscribe(f"?- {query}.", sink)
+            for tup in view.snapshot():
+                state[tup.key()] = tuple(from_arg(a) for a in tup.args)
+        live_session.live.damage_threshold = _NO_DAMAGE_BUDGET
+        for batch in batches:
+            _apply_batch(live_session, facts_now, batch)
+            cold = _cold(case, facts_now, case.queries)
+            for query in case.queries:
+                got = sorted(folded[query].values())
+                assert got == cold[query], (
+                    f"seed {seed}, {name}: folded deltas of {query} diverged "
+                    f"after {batch}: cold={cold[query]}, folded={got}"
+                )
+        stats = live_session.live.snapshot()
+        assert stats["rebuilds"] == 0, (seed, name, stats)

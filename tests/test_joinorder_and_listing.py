@@ -8,7 +8,7 @@ from repro import Session
 from repro.builtins import default_registry
 from repro.language import parse_module, parse_program
 from repro.language.ast import Literal, Rule
-from repro.optimizer.joinorder import order_rule_body
+from repro.optimizer.joinorder import order_body, order_rule_body
 from repro.terms import Int, Var
 
 REGISTRY = default_registry()
@@ -53,6 +53,35 @@ class TestJoinOrdering:
         assert ordered.endswith("a(X), Y = (X + 1).") or ordered.endswith(
             "Y = (X + 1)."
         )
+
+    def test_equals_waits_for_its_arithmetic_side(self):
+        # `=` evaluates an arithmetic side, so Y being bound is no licence
+        # to run `Y = X + 1` before a(X) binds X
+        ordered = _order(
+            "module m. q(Y) :- c(Y), Y = X + 1, a(X). end_module."
+        )
+        assert ordered == "q(Y) :- c(Y), a(X), Y = (X + 1)."
+
+    def test_bodies_are_ordered_for_the_bindings_they_start_from(self):
+        rule = parse_module(
+            "module m. q(X, Y) :- a(X, Z), Y = Z + 1, b(Y, W). end_module."
+        ).rules[0]
+        # seeded with b's variables (a delta join on b): a(X, Z) has nothing
+        # bound, but once it runs the `=` becomes a check
+        seed = rule.body[2]
+        rest = order_body(
+            rule.body[:2], REGISTRY.lookup,
+            {var.vid for arg in seed.args for var in arg.variables()},
+        )
+        assert [str(literal) for literal in rest] == ["a(X, Z)", "Y = (Z + 1)"]
+        # seeded with the head's variables (a re-derivation check)
+        body = order_body(
+            rule.body, REGISTRY.lookup,
+            {var.vid for arg in rule.head.args for var in arg.variables()},
+        )
+        assert [str(literal) for literal in body] == [
+            "a(X, Z)", "Y = (Z + 1)", "b(Y, W)",
+        ]
 
     def test_same_answers_with_and_without(self):
         program = """

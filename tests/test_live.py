@@ -178,6 +178,74 @@ class TestLiveViewLocal:
         assert stats["refreshes"] >= 1
 
 
+class TestRebuildFallbackIsVisible:
+    """A failed repair still degrades to a rebuild, and the delta stays
+    right — but the view says why, so a repair path that always fails
+    cannot pass for one that works, only slower."""
+
+    CHAIN = "".join(f"edge({n}, {n + 1}).\n" for n in range(1, 20)) + TC[
+        TC.index("module tc."):
+    ]
+
+    @staticmethod
+    def _rebuild_events(prof):
+        return [
+            event for event in prof.profile.chrome_trace()["traceEvents"]
+            if event["name"] == "live.rebuild"
+        ]
+
+    def test_damage_rebuild_is_counted_and_traced_as_damage(self):
+        session = Session()
+        session.consult_string(self.CHAIN)
+        view, log = _collect(session, "?- path(X, Y).")
+        snapshot = view.snapshot()
+        session.live.damage_threshold = 0.0
+        with session.profile() as prof:
+            session.delete("edge", 10, 11)  # over-deletes 10 * 10 facts
+        assert _fold(snapshot, log) == sorted(
+            set(session.query("path(X, Y)").tuples())
+        )
+        assert len(log) == 100 and all(sign < 0 for sign, _ in log)
+        stats = session.live.snapshot()
+        assert stats["rebuilds"] == 1 and stats["rebuilds_damage"] == 1
+        assert stats["rebuilds_error"] == 0
+        (event,) = self._rebuild_events(prof)
+        assert event["args"]["reason"] == "damage"
+
+    def test_failing_repair_is_counted_and_traced_by_exception_type(
+        self, monkeypatch
+    ):
+        from repro.eval.maintenance import MaintenancePlan
+
+        def broken(self, change=None):
+            raise ZeroDivisionError("a repair path that always throws")
+
+        monkeypatch.setattr(MaintenancePlan, "apply_inserts", broken)
+        session = Session()
+        session.consult_string(TC)
+        view, log = _collect(session, "?- path(1, Y).")
+        snapshot = view.snapshot()
+        with session.profile() as prof:
+            session.insert("edge", 4, 5)
+        assert _fold(snapshot, log) == [(1, 2), (1, 3), (1, 4), (1, 5)]
+        stats = session.live.snapshot()
+        assert stats["rebuilds"] == 1 and stats["rebuilds_error"] == 1
+        assert stats["rebuilds_damage"] == 0 and stats["refreshes"] == 0
+        (event,) = self._rebuild_events(prof)
+        assert event["args"]["reason"] == "ZeroDivisionError"
+
+    def test_module_reload_rebuilds_are_counted_apart(self):
+        session = Session()
+        session.consult_string(TC)
+        _collect(session, "?- path(X, Y).")
+        session.consult_string(
+            "module other.\nexport q(f).\nq(1).\nend_module.\n"
+        )
+        stats = session.live.snapshot()
+        assert stats["rebuilds"] == stats["rebuilds_modules"] == 1
+        assert stats["rebuilds_damage"] == stats["rebuilds_error"] == 0
+
+
 class TestRefusalMatrix:
     """Unmaintainable programs are refused at subscribe time with a typed
     error naming the obstruction (docs/LIVE.md's matrix)."""

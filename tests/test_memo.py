@@ -194,6 +194,78 @@ class TestDeleteInvalidation:
         assert got == want
 
 
+class TestRepairFallbackIsVisible:
+    """A failed repair still degrades to eviction — but says why, so a
+    repair path that always fails cannot pass for one that works."""
+
+    #: a 20-node chain: deleting the middle edge over-deletes 10 * 10 facts
+    CHAIN = "".join(f"edge({n}, {n + 1}).\n" for n in range(1, 20)) + TC[
+        TC.index("module tc."):
+    ]
+
+    @staticmethod
+    def _events(prof, name):
+        return [
+            event for event in prof.profile.chrome_trace()["traceEvents"]
+            if event["name"] == name
+        ]
+
+    def test_damage_eviction_is_counted_and_traced_as_damage(self):
+        session = _memo_session(
+            self.CHAIN, memo=MemoPolicy(damage_threshold=0.0)
+        )
+        session.query("path(X, Y)").all()
+        session.delete("edge", 10, 11)
+        with session.profile() as prof:
+            got = sorted(session.query("path(X, Y)").tuples())
+        want = sorted(
+            _cold(self.CHAIN, ("delete", "edge", (10, 11)))
+            .query("path(X, Y)").tuples()
+        )
+        assert got == want
+        stats = session.memo.snapshot()
+        assert stats["evictions"] == 1
+        assert stats["evictions_damage"] == 1 and stats["evictions_error"] == 0
+        (event,) = self._events(prof, "memo.evict")
+        assert event["args"]["reason"] == "damage"
+
+    def test_failing_repair_is_counted_and_traced_by_exception_type(
+        self, monkeypatch
+    ):
+        from repro.eval.maintenance import MaintenancePlan
+
+        def broken(self, change=None):
+            raise ZeroDivisionError("a repair path that always throws")
+
+        monkeypatch.setattr(MaintenancePlan, "apply_inserts", broken)
+        session = _memo_session()
+        session.query("path(X, Y)").all()
+        session.insert("edge", 5, 6)
+        with session.profile() as prof:
+            got = sorted(session.query("path(X, Y)").tuples())
+        want = sorted(
+            _cold(TC, ("insert", "edge", (5, 6))).query("path(X, Y)").tuples()
+        )
+        assert got == want  # recomputed: still right, only slower
+        stats = session.memo.snapshot()
+        assert stats["evictions_error"] == 1 and stats["evictions_damage"] == 0
+        (event,) = self._events(prof, "memo.evict")
+        assert event["args"]["reason"] == "ZeroDivisionError"
+
+    def test_subsumption_scan_survives_evicting_the_entry_it_is_trying(self):
+        session = _memo_session(
+            self.CHAIN, memo=MemoPolicy(damage_threshold=0.0)
+        )
+        session.query("path(X, Y)").all()  # the all-free entry
+        session.delete("edge", 10, 11)
+        # path(bf) has no entry of its own, so the lookup tries to serve it
+        # from the stale all-free one — whose repair trips the damage budget
+        assert sorted(session.query("path(1, Y)").tuples()) == [
+            (1, n) for n in range(2, 11)
+        ]
+        assert session.memo.snapshot()["evictions_damage"] == 1
+
+
 class TestUnmaintainableEntries:
     NEGATION = """
     e(1, 2). e(2, 3). blocked(2).

@@ -144,6 +144,55 @@ class TestMarks:
         rel.mark()
         assert not rel.insert(t(1))
 
+    def test_marks_are_ids_that_survive_dropping_an_emptied_segment(self):
+        rel = HashRelation("p", 1)
+        rel.insert(t(1))
+        first = rel.mark()
+        rel.insert(t(2))
+        second = rel.mark()
+        rel.insert(t(3))
+        third = rel.mark()
+        assert 0 < first < second < third
+        assert rel.segment_count() == 4
+        rel.delete(t(2))  # empties a closed segment: dropped
+        assert rel.segment_count() == 3
+        values = lambda **window: sorted(  # noqa: E731
+            tup[0].value for tup in rel.scan(**window)
+        )
+        assert values() == [1, 3]
+        assert values(since=first) == [3]
+        assert values(since=second) == [3]
+        assert values(since=third) == []
+        assert values(until=second) == [1]
+        assert values(since=first, until=third) == [3]
+        assert rel.count_since(first) == 1
+        # marks keep growing past the gap, and new facts land after them
+        rel.insert(t(4))
+        assert rel.mark() > third
+        assert values(since=third) == [4]
+
+    def test_emptied_open_segment_stays_and_is_reused(self):
+        rel = HashRelation("p", 1)
+        rel.insert(t(1))
+        mark = rel.mark()
+        rel.insert(t(2))
+        rel.delete(t(2))  # the open segment: kept, so the mark is reissued
+        assert rel.segment_count() == 2
+        assert rel.mark() == mark
+        rel.insert(t(3))
+        assert [tup[0].value for tup in rel.scan(since=mark)] == [3]
+
+    def test_toggling_one_tuple_keeps_the_segment_count_bounded(self):
+        rel = HashRelation("p", 1)
+        rel.insert(t(0))
+        for _ in range(200):
+            rel.mark()
+            rel.insert(t(1))
+            rel.mark()
+            rel.delete(t(1))
+        assert rel.segment_count() <= 3
+        assert [tup[0].value for tup in rel.scan()] == [0]
+
     def test_list_relation_marks(self):
         rel = ListRelation("p", 1)
         rel.insert(t(1))
@@ -189,6 +238,27 @@ class TestArgumentIndex:
         rel.insert(t(1, 2))
         rel.delete(t(1, 2))
         assert list(rel.scan([Int(1), Var("Y")], None)) == []
+
+    def test_probe_uses_the_widest_usable_index_not_the_first(self):
+        rel = HashRelation("edge", 2)
+        rel.add_index(ArgumentIndexSpec(2, [0]))  # registered first
+        rel.add_index(ArgumentIndexSpec(2, [0, 1]))
+        for b in range(50):
+            rel.insert(t(1, b))
+        # fully bound: one candidate, not the whole first-argument bucket
+        assert len(list(rel.scan([Int(1), Int(7)], None))) == 1
+        # only the first argument bound: the narrower index still serves
+        assert len(list(rel.scan([Int(1), Var("Y")], None))) == 50
+
+    def test_equally_wide_indexes_are_tried_in_registration_order(self):
+        rel = HashRelation("p", 2)
+        rel.add_index(ArgumentIndexSpec(2, [1]))
+        rel.add_index(ArgumentIndexSpec(2, [0]))
+        for a, b in [(1, 9), (2, 9), (3, 9), (1, 8)]:
+            rel.insert(t(a, b))
+        # both usable, same width: args(2) was registered first, so the
+        # probe sees its bucket of three, not args(1)'s bucket of two
+        assert len(list(rel.scan([Int(1), Int(9)], None))) == 3
 
     def test_index_spans_segments(self):
         rel = HashRelation("p", 2)

@@ -30,7 +30,7 @@ from ..optimizer import index_spec_from_annotation
 from ..relations import HashRelation, Relation, Tuple
 from ..storage import BufferPool, PersistentRelation, StorageServer
 from ..terms import Arg, BindEnv, Trail, Var, from_arg, resolve, to_arg, unify
-from ..terms.unify import unify_fact
+from ..terms.unify import flat_constants, unify_fact
 from ..extensibility import TypeRegistry
 
 
@@ -440,10 +440,18 @@ class Session:
                 f"cannot query persistent relation {literal.pred}/"
                 f"{literal.arity}: the session's storage was closed"
             )
-        variable_names: Dict[int, str] = {}
-        for arg in literal.args:
+        args = literal.args
+        #: the variables an answer reports, by name (first occurrence)
+        named: Dict[str, Var] = {}
+        for arg in args:
             for var in arg.variables():
-                variable_names.setdefault(var.vid, var.name)
+                if var.name != "_":
+                    named.setdefault(var.name, var)
+        # a flat goal meets a ground fact position by position: nothing to
+        # bind, resolve or undo
+        constants = flat_constants(args)
+        reported = [(name, args.index(var)) for name, var in named.items()] \
+            if constants is not None else []
 
         def answers() -> Iterator[Answer]:
             # observability is sampled at first pull, not at query() time —
@@ -462,7 +470,7 @@ class Session:
                 resumed = time.perf_counter()
             env = BindEnv()
             trail = Trail()
-            cursor = relation.scan(literal.args, env)
+            cursor = relation.scan(args, env)
             try:
                 while True:
                     candidate = cursor.get_next()
@@ -471,35 +479,40 @@ class Session:
                             finished = True
                         return
                     fact = candidate.renamed()
-                    mark = trail.mark()
-                    if unify_fact(literal.args, env, fact.args, trail):
-                        bindings = {}
-                        for arg in literal.args:
-                            for var in arg.variables():
-                                name = variable_names[var.vid]
-                                if name not in bindings and name != "_":
-                                    bindings[name] = resolve(var, env)
-                        answer = Answer(
-                            Tuple(
-                                tuple(
-                                    resolve(arg, env) for arg in literal.args
-                                )
-                            ),
-                            bindings,
-                        )
-                        if slow is None:
+                    answer = None
+                    if constants is not None and fact.is_ground():
+                        if all(
+                            arg.equals(fact.args[p]) for p, arg in constants
+                        ):
+                            answer = Answer(
+                                Tuple.ground(fact.args),
+                                {name: fact.args[p] for name, p in reported},
+                            )
+                    else:
+                        mark = trail.mark()
+                        if unify_fact(args, env, fact.args, trail):
+                            answer = Answer(
+                                Tuple(tuple(resolve(arg, env) for arg in args)),
+                                {
+                                    name: resolve(var, env)
+                                    for name, var in named.items()
+                                },
+                            )
+                        trail.undo_to(mark)
+                    if answer is None:
+                        continue
+                    if slow is None:
+                        yield answer
+                    else:
+                        produced += 1
+                        eval_seconds += time.perf_counter() - resumed
+                        try:
                             yield answer
-                        else:
-                            produced += 1
-                            eval_seconds += time.perf_counter() - resumed
-                            try:
-                                yield answer
-                            finally:
-                                # runs on normal resumption *and* on close
-                                # at this yield, so the tail segment added
-                                # in the outer finally starts counting here
-                                resumed = time.perf_counter()
-                    trail.undo_to(mark)
+                        finally:
+                            # runs on normal resumption *and* on close
+                            # at this yield, so the tail segment added
+                            # in the outer finally starts counting here
+                            resumed = time.perf_counter()
             finally:
                 cursor.close()
                 if obs is not None:

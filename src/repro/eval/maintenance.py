@@ -35,7 +35,9 @@ Both repairs are the same wave over those joins:
   it, so the joins run on the real, indexed relations (only a base
   dependency with pending tuples is shown as current ∪ pending).  Magic
   predicates are exempt: an over-complete magic set only gates relevance,
-  never truth.  *Re-derive*: check each over-deleted fact **once** with the
+  never truth.  A factored context relation is not — its facts generate
+  answers — except for the call's own seed fact, which no rule derives and
+  which is therefore pinned.  *Re-derive*: check each over-deleted fact **once** with the
   head-bound checks, reinsert the survivors, and let the insert wave carry
   them to everything they support.
 
@@ -296,7 +298,8 @@ class MaintenancePlan:
     """
 
     __slots__ = ("ctx", "instance", "deps", "reason", "call_args",
-                 "base_seen", "_scope", "_joins", "_checks", "_answer_key")
+                 "base_seen", "_scope", "_joins", "_checks", "_answer_key",
+                 "_seed")
 
     def __init__(
         self,
@@ -325,6 +328,15 @@ class MaintenancePlan:
         self._answer_key: PredKey = (
             rewritten.answer_pred, rewritten.answer_arity
         )
+        #: a factored call's own seed fact (predicate key, tuple key): its
+        #: context relation shrinks, but no rule derives the seed, so
+        #: over-deletion must never take it
+        self._seed: Optional[PyTuple[PredKey, object]] = None
+        if rewritten.technique == "factoring":
+            seed = Tuple(
+                tuple(self.call_args[p] for p in rewritten.bound_positions)
+            )
+            self._seed = ((rewritten.magic_pred, len(seed.args)), seed.key())
         self.record_base_marks()
 
     @property
@@ -350,7 +362,8 @@ class MaintenancePlan:
         their probes need."""
         rewritten = self.instance.compiled.rewritten
         magic_names = {MAGIC_PREFIX + adorned for adorned in rewritten.origin}
-        if rewritten.magic_pred is not None:
+        if rewritten.magic_pred is not None and rewritten.technique != "factoring":
+            # (a factored context relation generates answers, so it shrinks)
             magic_names.add(rewritten.magic_pred)
         lookup_builtin = self.ctx.builtins.lookup
         self._joins = {}
@@ -543,9 +556,13 @@ class MaintenancePlan:
                         for tup in changed:
                             for fact in self._derive(join, tup):
                                 stored = relation.find(fact)
-                                if stored is None or stored.key() in doomed:
+                                if stored is None:
                                     continue
-                                doomed[stored.key()] = stored
+                                fact_key = stored.key()
+                                if fact_key in doomed or \
+                                        (head_key, fact_key) == self._seed:
+                                    continue
+                                doomed[fact_key] = stored
                                 next_wave.setdefault(head_key, []).append(stored)
                                 count += 1
                                 if count > budget:

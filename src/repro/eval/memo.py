@@ -67,7 +67,7 @@ from typing import (
 
 from ..relations import GeneratorTupleIterator, Tuple, TupleIterator
 from ..terms import Atom, BindEnv, Double, Functor, Int, Str, Trail, Var
-from ..terms.unify import unify_fact
+from ..terms.unify import flat_constants, unify_fact
 from .maintenance import NetChange, failure_reason, plan_maintenance
 
 PredKey = PyTuple[str, int]
@@ -528,14 +528,20 @@ def _serve(
         else:
             return GeneratorTupleIterator(iter(answers))
     pattern = list(resolved)
+    constants = flat_constants(pattern)
 
     def generate() -> Iterator[Tuple]:
         env = BindEnv()
         trail = Trail()
         for fact in answers:
-            mark = trail.mark()
-            matched = unify_fact(pattern, env, fact.args, trail)
-            trail.undo_to(mark)
+            if constants is not None and fact.is_ground():
+                matched = all(
+                    arg.equals(fact.args[p]) for p, arg in constants
+                )
+            else:
+                mark = trail.mark()
+                matched = unify_fact(pattern, env, fact.args, trail)
+                trail.undo_to(mark)
             if matched:
                 yield fact
 

@@ -90,6 +90,7 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
         f"   answers: {'lazy' if compiled.lazy else 'eager'}"
         f"   {mode}"
     )
+    lines += [f"|      {line}" for line in compiled.choice_lines()]
     if compiled.compiled:
         from ..compilemod import compile_report
 

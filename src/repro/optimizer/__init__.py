@@ -7,12 +7,14 @@ several control annotations."* (Section 2.)
 
 :class:`Optimizer.compile` performs, per module and query form:
 
-1. choice of rewriting technique (Section 4.1) — Supplementary Magic by
-   default, or Magic Templates / GoalId indexing / context factoring /
-   nothing, per module annotations; all-free query forms skip rewriting
-   (bindings are only a final selection);
+1. choice of rewriting technique (Section 4.1) — the first candidate whose
+   structural precondition holds: nothing for all-free query forms
+   (bindings are only a final selection), then context factoring, then
+   Supplementary Magic; a module annotation (Magic Templates / GoalId
+   indexing / ...) overrides the candidates, and the trail of rejections
+   stays on the compiled form;
 2. existential (projection-pushing) rewriting, on by default alongside a
-   selection-pushing rewriting (Section 4.1);
+   magic-family rewriting (Section 4.1);
 3. run-time decisions (Section 4.2): fixpoint strategy (BSN/PSN), index
    selection for the rewritten rules, subsumption/multiset policy, lazy vs
    eager answer return, intelligent backtracking;
@@ -56,6 +58,11 @@ from ..terms import Var
 PredKey = PyTuple[str, int]
 
 
+#: the technique annotations that replace the candidates after ``none``
+#: with their own, in the order they win over each other
+_TECHNIQUE_FLAGS = ("magic", "supplementary_magic_goalid", "supplementary_magic")
+
+
 class _PureMarker:
     """Stand-in builtin descriptor when only an is_builtin predicate is
     available (assumes purity — the manager passes the real registry)."""
@@ -72,6 +79,9 @@ class CompiledForm:
     pred: str
     adornment: str
     rewritten: RewrittenProgram
+    #: the rewriting candidates tried, in order: (candidate, "chosen" or the
+    #: one-line reason it was rejected); the last entry is the chosen one
+    choice: List[PyTuple[str, str]]
     scc_plans: List[SCCPlan]
     strategy: str  # 'bsn' | 'psn' | 'naive'
     lazy: bool
@@ -90,6 +100,13 @@ class CompiledForm:
     #: predicates with multiset (duplicate-keeping) semantics
     multiset_preds: Set[str] = field(default_factory=set)
 
+    def choice_lines(self) -> List[str]:
+        """One line per rewriting candidate tried: chosen, or why not."""
+        return [
+            f"{candidate}: {why if why == 'chosen' else 'rejected — ' + why}"
+            for candidate, why in self.choice
+        ]
+
     def listing(self) -> str:
         """The rewritten program as text (Section 2: 'stored as a text file —
         useful as a debugging aid')."""
@@ -99,6 +116,7 @@ class CompiledForm:
             f"% technique: {self.rewritten.technique}, strategy: {self.strategy}"
             f"{', lazy' if self.lazy else ''}",
         ]
+        lines += [f"%   {line}" for line in self.choice_lines()]
         for plan in self.scc_plans:
             preds = ", ".join(f"{n}/{a}" for n, a in sorted(plan.preds))
             lines.append(f"% scc: {preds}")
@@ -134,51 +152,30 @@ class Optimizer:
         — the paper's strategy for left-to-right modularly stratified
         programs (Section 5.4.1).
         """
-        try:
-            return self._compile(module, pred, adornment, force_ordered=False)
-        except StratificationError:
-            if module.has_flag("ordered_search"):
-                raise
-            return self._compile(module, pred, adornment, force_ordered=True)
-
-    def _compile(
-        self,
-        module: ModuleDecl,
-        pred: str,
-        adornment: str,
-        force_ordered: bool,
-    ) -> CompiledForm:
-        ordered_flag = module.has_flag("ordered_search") or force_ordered
-        technique = "none" if ordered_flag else self._technique(module, adornment)
-        rules = list(module.rules)
+        ordered_search = module.has_flag("ordered_search")
         multiset_preds = {
             flag.argument
             for flag in module.flags
             if flag.name == "multiset" and flag.argument
         }
         if module.has_flag("multiset") and module.flag("multiset").argument is None:
-            multiset_preds.update(rule.head.pred for rule in rules)
+            multiset_preds.update(rule.head.pred for rule in module.rules)
 
-        # existential rewriting (projection pushing), Section 4.1: applied by
-        # default with a selection-pushing rewriting; skipped under multiset
-        # semantics (projection changes duplicate counts)
-        if (
-            not module.has_flag("no_existential_rewriting")
-            and not multiset_preds
-            and technique != "none"
-        ):
-            rules = existential_rewrite(
-                rules,
-                pred,
-                len(adornment),
-                self.is_builtin,
-                protected={
-                    selection.pred
-                    for selection in module.aggregate_selections
-                },
-            )
-
-        rewritten = self._rewrite(rules, module, pred, adornment, technique)
+        rewritten, choice = self._rewrite(module, pred, adornment)
+        graph = build_dependency_graph(rewritten.rules, self.is_builtin)
+        if not ordered_search:
+            try:
+                check_stratified(graph)
+            except StratificationError:
+                ordered_search = True
+                choice[-1] = (
+                    choice[-1][0],
+                    "the rewritten program is not stratified (ordered search "
+                    "over the original rules instead)",
+                )
+                choice.append(("none", "chosen"))
+                rewritten = no_rewriting(module.rules, pred, len(adornment))
+                graph = build_dependency_graph(rewritten.rules, self.is_builtin)
         if module.has_flag("join_ordering"):
             from .joinorder import order_program
 
@@ -188,7 +185,6 @@ class Optimizer:
 
         strategy = "psn" if module.has_flag("psn") else "bsn"
         save_module = module.has_flag("save_module")
-        ordered_search = ordered_flag
 
         constraints = self._map_constraints(module, rewritten)
         lazy = not (
@@ -200,14 +196,6 @@ class Optimizer:
         if module.has_flag("lazy_eval"):
             lazy = True
 
-        graph = build_dependency_graph(rewritten.rules, self.is_builtin)
-        if not ordered_search:
-            try:
-                check_stratified(graph)
-            except StratificationError as error:
-                raise StratificationError(
-                    f"module {module.name}: {error} "
-                ) from error
         seed_preds: Set[PredKey] = set()
         if rewritten.magic_pred is not None:
             seed_preds.add(
@@ -220,6 +208,7 @@ class Optimizer:
             pred=pred,
             adornment=adornment,
             rewritten=rewritten,
+            choice=choice,
             scc_plans=scc_plans,
             strategy=strategy,
             lazy=lazy,
@@ -253,51 +242,73 @@ class Optimizer:
 
     # -- technique choice --------------------------------------------------------
 
-    def _technique(self, module: ModuleDecl, adornment: str) -> str:
-        if module.has_flag("no_rewriting"):
-            return "none"
-        if module.has_flag("ordered_search"):
-            # Ordered Search drives the original rules through its own
-            # subgoal context (Section 5.4.1); selection propagation happens
-            # through the subgoal patterns rather than magic predicates.
-            return "none"
-        if "b" not in adornment:
-            # Section 4.1: all-free forms ignore bindings except for a final
-            # selection — plain bottom-up evaluation
-            return "none"
-        if module.has_flag("magic"):
-            return "magic"
-        if module.has_flag("supplementary_magic_goalid"):
-            return "goalid"
-        if module.has_flag("context_factoring"):
-            return "factoring"
-        return "supmagic"
-
     def _rewrite(
-        self,
-        rules: List[Rule],
-        module: ModuleDecl,
-        pred: str,
-        adornment: str,
-        technique: str,
-    ) -> RewrittenProgram:
-        if technique == "none":
-            return no_rewriting(rules, pred, len(adornment))
-        if technique == "factoring":
-            try:
-                return factoring_rewrite(
-                    rules, pred, adornment, self.is_builtin
+        self, module: ModuleDecl, pred: str, adornment: str
+    ) -> PyTuple[RewrittenProgram, List[PyTuple[str, str]]]:
+        """Take the first candidate whose structural precondition holds: no
+        rewriting for all-free forms, then context factoring, then
+        supplementary magic (Section 4.1: "each technique is superior to
+        the rest for some programs"); a technique annotation puts its own
+        candidate after ``none`` instead.  Returns the rewritten program
+        and one (candidate, "chosen" | rejection reason) pair per candidate
+        tried — the last candidate always holds."""
+        flag = next((f for f in _TECHNIQUE_FLAGS if module.has_flag(f)), None)
+        choice: List[PyTuple[str, str]] = []
+        for candidate in ["none"] + (
+            [flag] if flag else ["factoring", "supplementary_magic"]
+        ):
+            reason = "chosen"
+            if candidate == "none":
+                # Section 4.1: all-free forms ignore bindings except for a
+                # final selection; Ordered Search propagates selections
+                # through its subgoal patterns, not magic predicates
+                # (Section 5.4.1)
+                if "b" in adornment and not (
+                    module.has_flag("ordered_search")
+                    or module.has_flag("no_rewriting")
+                ):
+                    reason = f"form {adornment} binds arguments"
+                else:
+                    rewritten = no_rewriting(module.rules, pred, len(adornment))
+            elif candidate == "factoring":
+                try:
+                    rewritten = factoring_rewrite(module, pred, adornment)
+                except FactoringNotApplicable as rejection:
+                    reason = str(rejection)
+            else:
+                rules = module.rules
+                # existential rewriting (projection pushing), Section 4.1:
+                # applied by default with a magic-family rewriting; skipped
+                # under multiset semantics (projection changes duplicate
+                # counts)
+                if not (
+                    module.has_flag("no_existential_rewriting")
+                    or module.has_flag("multiset")
+                ):
+                    rules = existential_rewrite(
+                        rules,
+                        pred,
+                        len(adornment),
+                        self.is_builtin,
+                        protected={
+                            selection.pred
+                            for selection in module.aggregate_selections
+                        },
+                    )
+                adorned = adorn_program(
+                    rules, pred, len(adornment), adornment, self.is_builtin
                 )
-            except FactoringNotApplicable:
-                technique = "supmagic"  # graceful fallback
-        adorned = adorn_program(
-            rules, pred, len(adornment), adornment, self.is_builtin
-        )
-        if technique == "magic":
-            return magic_rewrite(adorned, self.is_builtin)
-        if technique == "goalid":
-            return supmagic_rewrite(adorned, self.is_builtin, use_goal_ids=True)
-        return supmagic_rewrite(adorned, self.is_builtin)
+                if candidate == "magic":
+                    rewritten = magic_rewrite(adorned, self.is_builtin)
+                else:
+                    rewritten = supmagic_rewrite(
+                        adorned,
+                        self.is_builtin,
+                        use_goal_ids=candidate == "supplementary_magic_goalid",
+                    )
+            choice.append((candidate, reason))
+            if reason == "chosen":
+                return rewritten, choice
 
     # -- SCC planning ---------------------------------------------------------------
 

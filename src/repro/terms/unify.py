@@ -22,7 +22,7 @@ Occurs-check is off by default, as in Prolog and the original CORAL; pass
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple as PyTuple
 
 from .base import Arg
 from .bindenv import BindEnv, Trail, deref
@@ -229,6 +229,29 @@ def unify_fact(
         unify(pattern_arg, env, fact_arg, fact_env, trail)
         for pattern_arg, fact_arg in zip(pattern_args, fact_args)
     )
+
+
+def flat_constants(
+    pattern_args: "Sequence[Arg]",
+) -> "Optional[List[PyTuple[int, Arg]]]":
+    """The (position, constant) pairs of a *flat* pattern — constants and
+    pairwise-distinct variables only — or None for any other shape.
+
+    A flat pattern unifies with a ground fact iff ``constant.equals(fact
+    argument)`` at each of those positions: there is nothing to bind or
+    undo, so whoever filters many ground facts by one goal (the top-level
+    answer loop, a memo entry serving a more-bound call) can skip the
+    binding environments.
+    """
+    constants = [
+        (position, arg)
+        for position, arg in enumerate(pattern_args)
+        if arg.is_ground()
+    ]
+    variables = {arg.vid for arg in pattern_args if isinstance(arg, Var)}
+    if len(constants) + len(variables) != len(pattern_args):
+        return None
+    return constants
 
 
 def subsumes_all(general: "Sequence[Arg]", specific: "Sequence[Arg]") -> bool:

@@ -11,6 +11,12 @@ positive literals, comparisons, arithmetic ``=``) so well over half of all
 generated rules actually exercise the code generators; negation cases
 exercise the per-rule interpreter fallback under ``@compiled(push).``.
 
+The unflagged program is the **optimizer's choice** (ISSUE 16): context
+factoring where its precondition holds, supplementary magic elsewhere.  The
+old default stays covered by an explicit ``@supplementary_magic.`` column in
+every test, and :class:`TargetedCase` adds a right-linear recursion over
+base relations, so the update tests repair factored forms.
+
 Materialized engines use set semantics, so answers are compared as sorted
 duplicate-free lists; the pipelined engine enumerates one answer per proof
 and is compared as a set.  Failures dump a standalone repro file under
@@ -193,6 +199,7 @@ def _assert_same(case, baseline, other, engine, extra=""):
 
 
 _ENGINE_FLAGS = {
+    "supmagic": "@supplementary_magic.",
     "magic": "@magic.",
     "no_rewriting": "@no_rewriting.",
     "psn": "@psn.",
@@ -217,6 +224,7 @@ def test_static_engines_agree(seed):
         # push backend, whose per-rule fallback must keep negated rules on
         # the interpreter and still agree
         {
+            "supmagic": "@supplementary_magic.",
             "psn": "@psn.",
             "no_rewriting": "@no_rewriting.",
             "push": "@compiled(push).",
@@ -248,6 +256,20 @@ _NO_DAMAGE_BUDGET = 1e9
 _REPAIR_ONLY = MemoPolicy(damage_threshold=_NO_DAMAGE_BUDGET)
 
 
+#: the rewriting columns every update test runs under
+_COLUMNS = pytest.mark.parametrize(
+    "flags", ["", "@supplementary_magic."], ids=["choice", "supmagic"]
+)
+
+
+def _update_case(seed, allow_negation):
+    """Every fourth schedule runs on a :class:`TargetedCase`, whose last
+    query is a factored form; the rest on a plain generated program."""
+    if seed % 4 == 0:
+        return TargetedCase(seed)
+    return GeneratedCase(seed, allow_negation)
+
+
 def _random_ops(rng, case, count=8):
     """Interleaved inserts/deletes/queries over the base relations."""
     ops = []
@@ -277,16 +299,17 @@ def _random_ops(rng, case, count=8):
     return ops
 
 
+@_COLUMNS
 @pytest.mark.parametrize("seed", range(10_000, 10_000 + _N_INTERLEAVED))
-def test_update_interleavings_agree(seed):
-    case = GeneratedCase(seed, allow_negation=seed % 4 == 3)
+def test_update_interleavings_agree(seed, flags):
+    case = _update_case(seed, allow_negation=seed % 4 == 3)
     rng = random.Random(seed ^ 0xDEADBEEF)
     ops = _random_ops(rng, case)
 
     memo_session = Session(memo=_REPAIR_ONLY)
-    memo_session.consult_string(case.program())
+    memo_session.consult_string(case.program(flags))
     plain_session = Session()
-    plain_session.consult_string(case.program())
+    plain_session.consult_string(case.program(flags))
 
     trail = []
     for op in ops:
@@ -335,23 +358,27 @@ def test_update_interleavings_agree(seed):
 # ---------------------------------------------------------------------------
 
 
+@_COLUMNS
 @pytest.mark.parametrize("seed", range(20_000, 20_000 + _N_LIVE))
-def test_streamed_deltas_fold_to_cold_truth(seed):
+def test_streamed_deltas_fold_to_cold_truth(seed, flags):
     """Subscribe to a generated query, replay a random update schedule,
     fold the delta stream into the snapshot, and require the folded view
     to equal a cold re-evaluation at every query checkpoint."""
     from repro.terms import from_arg
 
-    case = GeneratedCase(seed, allow_negation=False)
+    case = _update_case(seed, allow_negation=False)
     rng = random.Random(seed ^ 0xBEEF)
     ops = _random_ops(rng, case)
-    # every schedule folds the free query; odd seeds add a bound goal too
+    # every schedule folds the free query; odd seeds add a bound goal too,
+    # targeted cases their factored one
     queries = [case.queries[0]]
     if seed % 2:
         queries.append(case.queries[1])
+    if isinstance(case, TargetedCase):
+        queries.append(case.queries[-1])
 
     session = Session()
-    session.consult_string(case.program())
+    session.consult_string(case.program(flags))
 
     folded = {}  # query -> {tuple.key(): python-value tuple}
     views = {}
@@ -421,18 +448,31 @@ class TargetedCase(GeneratedCase):
     """A generated positive program plus one predicate that is certain to
     exercise the hard shapes: ``hop`` joins two base literals (so two
     pending deletes can meet in one rule) and ``far`` is its transitive
-    closure (so a delete can disconnect and an insert reconnect)."""
+    closure (so a delete can disconnect and an insert reconnect).
+    ``reach`` is a right-linear recursion over base relations only, which
+    the optimizer factors: its repairs run on a context relation."""
 
     def __init__(self, seed: int) -> None:
         super().__init__(seed, allow_negation=False)
-        self.derived_preds += ["hop", "far"]
+        self.derived_preds += ["hop", "far", "reach"]
         self.rules += [
             "hop(X, Y) :- b0(X, Z), b1(Z, Y).",
             "far(X, Y) :- hop(X, Y).",
             "far(X, Y) :- hop(X, Z), far(Z, Y).",
+            "reach(X, Y) :- b1(X, Y).",
+            "reach(X, Y) :- b0(X, Z), reach(Z, Y).",
         ]
         source = min(x for x, _ in self.facts["b0"])
-        self.queries = [self.queries[0], "hop(X, Y)", f"far({source}, Y)"]
+        self.queries = [
+            self.queries[0], "hop(X, Y)", f"far({source}, Y)",
+            f"reach({source}, Y)",
+        ]
+
+    def assert_factored(self, session, flags):
+        """The coverage this case exists for must not silently go away."""
+        compiled = session.modules.compiled_form(f"gen{self.seed}", "reach", "bf")
+        expected = "supplementary_magic" if flags else "factoring"
+        assert compiled.rewritten.technique == expected, compiled.choice
 
 
 def _targeted_schedules(case, rng):
@@ -487,8 +527,9 @@ def _cold(case, facts_now, queries):
         case.facts = saved
 
 
+@_COLUMNS
 @pytest.mark.parametrize("seed", range(30_000, 30_000 + max(10, _N_LIVE // 2)))
-def test_targeted_schedules_repair_without_falling_back(seed):
+def test_targeted_schedules_repair_without_falling_back(seed, flags):
     from repro.terms import from_arg
 
     case = TargetedCase(seed)
@@ -497,7 +538,8 @@ def test_targeted_schedules_repair_without_falling_back(seed):
         # memo lazy repair: whole batches are pending at each read
         facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
         memo_session = Session(memo=_REPAIR_ONLY)
-        memo_session.consult_string(case.program())
+        memo_session.consult_string(case.program(flags))
+        case.assert_factored(memo_session, flags)
         for query in case.queries:
             memo_session.query(query).tuples()  # retain an entry per goal
         for batch in batches:
@@ -516,7 +558,7 @@ def test_targeted_schedules_repair_without_falling_back(seed):
         # streamed live deltas: every update is repaired as it commits
         facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
         live_session = Session()
-        live_session.consult_string(case.program())
+        live_session.consult_string(case.program(flags))
         folded = {}
         for query in case.queries:
             state = folded[query] = {}

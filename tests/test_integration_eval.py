@@ -335,6 +335,47 @@ class TestAggregation:
         assert [(a["Y"], a["C"]) for a in answers] == [("b", 2)]
 
 
+class TestAnswerShapes:
+    """A flat goal meets ground facts position by position (no binding
+    environment); every other goal/fact pair unifies.  Same answers."""
+
+    FACTS = "e(1, 2). e(1, f(3)). e(2, 2). e(3, 1). e(1, Open)."
+
+    def _session(self):
+        session = Session()
+        session.consult_string(self.FACTS)
+        return session
+
+    def test_flat_goal_over_ground_and_open_facts(self):
+        answers = self._session().query("e(1, Y)").all()
+        assert [str(a.tuple) for a in answers[:2]] == ["(1, 2)", "(1, f(3))"]
+        assert [a["Y"] for a in answers[:1]] == [2]
+        assert len(answers) == 3  # ... and the open fact, Y left unbound
+        assert not answers[2].tuple.is_ground()
+
+    def test_repeated_and_nested_variables_still_unify(self):
+        session = self._session()
+        assert sorted(session.query("e(X, X)").tuples()) == [(1, 1), (2, 2)]
+        nested = session.query("e(1, f(Z))").all()
+        assert sorted(str(a.term("Z")) for a in nested)[0] == "3"
+        assert len(nested) == 2
+
+    def test_anonymous_positions_are_not_reported(self):
+        answers = self._session().query_values("e", 2, None).all()
+        assert [a.variables() for a in answers] == [{}]
+        assert [str(a.tuple) for a in answers] == ["(2, 2)"]
+
+    def test_an_answer_owns_its_tuple(self):
+        session = self._session()
+        answer = session.query("e(3, Y)").all()[0]
+        session.relation("copy", 2).insert(answer.tuple)
+        # inserting it elsewhere must not disturb the stored fact's marks
+        assert sorted(session.query("e(3, Y)").tuples()) == [(3, 1)]
+        session.delete("e", 3, 1)
+        assert session.query("e(3, Y)").all() == []
+        assert sorted(session.query("copy(X, Y)").tuples()) == [(3, 1)]
+
+
 class TestNonGroundFacts:
     def test_universal_fact_answers_any_query(self):
         session = Session()

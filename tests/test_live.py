@@ -23,6 +23,8 @@ from repro.client import RemoteSession
 from repro.errors import SubscriptionError
 from repro.server import CoralServer
 
+from .test_memo import FACTORED
+
 TC = """
 edge(1, 2). edge(2, 3). edge(3, 4).
 
@@ -99,6 +101,24 @@ class TestLiveViewLocal:
         ]
         session.insert("edge", 4, 5)
         assert sorted(_values(t) for _, t in log) == [(1, 5)]
+
+    @pytest.mark.parametrize("flag", ["", "@supplementary_magic."])
+    def test_factored_view_does_not_go_stale_on_delete(self, flag):
+        """Mirror of the memo regression: the context relation of a
+        factored view shrinks under DRed, the call's own seed stays."""
+        session = Session()
+        session.consult_string(FACTORED % flag)
+        view, log = _collect(session, "?- d1(4, Y).")
+        snapshot = view.snapshot()
+        assert len(snapshot) == 5
+        session.delete("b1", 4, 5)
+        assert _fold(snapshot, log) == [(4, 2), (4, 4)]
+        assert sorted(v for _, t in log for v in [_values(t)]) == [
+            (4, 1), (4, 3), (4, 5),
+        ]
+        session.insert("b1", 4, 5)
+        assert len(_fold(snapshot, log)) == 5
+        assert session.live.snapshot()["rebuilds"] == 0
 
     def test_base_relation_view(self):
         session = Session()

@@ -30,6 +30,20 @@ end_module.
 """
 
 
+#: a right-linear recursion the optimizer factors; 4 reaches 5, 3 and 1 only
+#: through b1(4, 5), and every cycle back to 4 runs through it or through 2
+FACTORED = """
+b1(1, 4). b1(2, 4). b1(3, 1). b1(3, 4). b1(4, 2). b1(4, 5). b1(5, 3). b1(6, 3).
+
+module m.
+export d1(bf).
+%s
+d1(X, Y) :- b1(X, Z), d1(Z, Y).
+d1(X, Y) :- b1(X, Y).
+end_module.
+"""
+
+
 def _memo_session(program=TC, **kwargs):
     session = Session(memo=kwargs.pop("memo", True), **kwargs)
     session.consult_string(program)
@@ -164,6 +178,27 @@ class TestDeleteInvalidation:
         ]
         session.delete("e", 0, 1)
         assert session.query("reach(0, Y)").tuples() == []
+
+    @pytest.mark.parametrize("memo", [False, True])
+    @pytest.mark.parametrize("flag", ["", "@supplementary_magic."])
+    def test_factored_entry_does_not_go_stale_on_delete(self, flag, memo):
+        """Regression: a factored context relation generates answers, so it
+        must shrink under DRed (a stale ctx_d1(5) kept 1 and 3 alive) — all
+        but the call's own seed ctx_d1(4), which no rule derives."""
+        session = Session(memo=memo)
+        session.consult_string(FACTORED % flag)
+        technique = session.modules.compiled_form(
+            "m", "d1", "bf"
+        ).rewritten.technique
+        assert technique == ("supplementary_magic" if flag else "factoring")
+        assert sorted(session.query("d1(4, Y)").tuples()) == [
+            (4, 1), (4, 2), (4, 3), (4, 4), (4, 5),
+        ]
+        session.delete("b1", 4, 5)
+        assert sorted(session.query("d1(4, Y)").tuples()) == [(4, 2), (4, 4)]
+        if memo:
+            stats = session.memo.snapshot()
+            assert stats["delete_refreshes"] == 1 and stats["evictions"] == 0
 
     def test_insert_then_delete_batch(self):
         session = _memo_session()

@@ -82,9 +82,11 @@ class TestListingAndStats:
             """
         )
         listing = session.modules.compiled_form("tc", "path", "bf").listing()
-        assert "supplementary_magic" in listing
+        assert "% technique: factoring" in listing
+        assert "%   none: rejected — form bf binds arguments" in listing
+        assert "%   factoring: chosen" in listing
         assert "% scc:" in listing
-        assert "m_path_bf" in listing
+        assert "ctx_path" in listing
 
     def test_stats_reset(self):
         session = Session()

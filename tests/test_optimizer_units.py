@@ -27,9 +27,13 @@ TC = parse_module(
 
 
 class TestTechniqueSelection:
-    def test_bound_form_defaults_to_supmagic(self):
+    def test_bound_form_of_a_linear_recursion_is_factored(self):
         compiled = optimizer().compile(TC, "path", "bf")
-        assert compiled.rewritten.technique == "supplementary_magic"
+        assert compiled.rewritten.technique == "factoring"
+        assert compiled.choice == [
+            ("none", "form bf binds arguments"),
+            ("factoring", "chosen"),
+        ]
 
     def test_all_free_form_skips_rewriting(self):
         compiled = optimizer().compile(TC, "path", "ff")
@@ -68,6 +72,139 @@ class TestTechniqueSelection:
         )
         compiled = optimizer().compile(module, "p", "bf")
         # left-linear: factoring inapplicable -> supplementary magic fallback
+        assert compiled.rewritten.technique == "supplementary_magic"
+        assert compiled.choice[1] == (
+            "factoring",
+            "free argument 2 of p/2 does not pass through the recursive "
+            "call unchanged",
+        )
+
+
+def _factoring_verdict(text, pred="p", form="bf"):
+    compiled = optimizer().compile(parse_module(text), pred, form)
+    return dict(compiled.choice)["factoring"], compiled
+
+
+class TestFactoringPrecondition:
+    """The precondition is conservative, and every rejection says why.  The
+    first four were silent misbehaviours of ``factoring_rewrite``."""
+
+    def test_non_recursive_predicate_keeps_its_aggregate_selection(self):
+        why, compiled = _factoring_verdict(
+            """
+            module m.
+            export p(bff).
+            @context_factoring.
+            @aggregate_selection p(X, Y, C) (X, Y) min(C).
+            p(X, Y, C) :- e(X, Y, C).
+            end_module.
+            """,
+            form="bff",
+        )
+        assert why == "p/3 has no recursive rule"
+        assert compiled.constraints  # used to be dropped: origin was {}
+
+    def test_other_exports_are_not_carried_into_the_factored_program(self):
+        session = Session()
+        session.consult_string(
+            """
+            e(1, 2). e(2, 3). price(1, 5).
+            module m.
+            export p(bf).
+            export cheap(bf).
+            cheap(Limit, X) :- price(X, P), P <= Limit.
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y).
+            end_module.
+            """
+        )
+        # cheap/2 run with no bindings raised "unbound operand Limit"
+        assert sorted(session.query("p(1, Y)").tuples()) == [(1, 2), (1, 3)]
+        compiled = session.modules.compiled_form("m", "p", "bf")
+        assert compiled.rewritten.technique == "factoring"
+        assert {r.head.pred for r in compiled.rewritten.rules} == {
+            "ctx_p", "fans_p"
+        }
+
+    def test_save_module_is_not_factored(self):
+        session = Session()
+        session.consult_string(
+            """
+            e(1, 2). e(2, 3). e(3, 4).
+            module m.
+            export p(bf).
+            @save_module.
+            @context_factoring.
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y).
+            end_module.
+            """
+        )
+        compiled = session.modules.compiled_form("m", "p", "bf")
+        assert dict(compiled.choice)["factoring"] == "module m is @save_module"
+        session.query("p(1, Y)").all()
+        # a shared context relation answered the union of both calls
+        assert sorted(session.query("p(2, Y)").tuples()) == [(2, 3), (2, 4)]
+
+    def test_derived_predicate_in_a_body_is_rejected(self):
+        why, compiled = _factoring_verdict(
+            """
+            module m.
+            export p(bf).
+            hop(X, Y) :- e(X, Z), e(Z, Y).
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- hop(X, Z), p(Z, Y).
+            end_module.
+            """
+        )
+        assert why == "body of p/2 calls derived predicate hop/2"
+        assert compiled.rewritten.technique == "supplementary_magic"
+
+    def test_recursive_literal_need_not_be_last(self):
+        why, compiled = _factoring_verdict(
+            """
+            module m.
+            export p(bf).
+            p(X, Y) :- e(X, Y).
+            p(X, Y) :- e(X, Z), p(Z, Y), Z > 0.
+            end_module.
+            """
+        )
+        assert why == "chosen"
+        assert "ctx_p(Z) :- ctx_p(X), e(X, Z), Z > 0." in compiled.listing()
+
+    @pytest.mark.parametrize(
+        "rules, why",
+        [
+            ("p(X, Y) :- e(X, Z), p(Z, Y).", "p/2 has no exit rule"),
+            (
+                "p(X, Y) :- e(X, Y). p(X, Y) :- p(X, Z), p(Z, Y).",
+                "a rule of p/2 is not linear in it",
+            ),
+            (
+                "p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y), Y > 0.",
+                "free argument 2 of p/2 does not pass through the "
+                "recursive call unchanged",
+            ),
+            (
+                "p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(W, Y).",
+                "a recursive call of p/2 has an unbound context argument",
+            ),
+            (
+                "p(X, count(<Y>)) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y).",
+                "p/2 has head aggregates",
+            ),
+            (
+                "@multiset. p(X, Y) :- e(X, Y). p(X, Y) :- e(X, Z), p(Z, Y).",
+                "module m is @multiset",
+            ),
+        ],
+    )
+    def test_rejections_say_why(self, rules, why):
+        verdict, compiled = _factoring_verdict(
+            f"module m.\nexport p(bf).\n{rules}\nend_module.\n"
+        )
+        assert verdict == why
         assert compiled.rewritten.technique == "supplementary_magic"
 
 
@@ -119,12 +256,7 @@ class TestRuntimeDecisions:
     def test_scc_order_is_callees_first(self):
         compiled = optimizer().compile(TC, "path", "bf")
         names = [sorted(p.preds)[0][0] for p in compiled.scc_plans]
-        answer_scc = names.index("path_bf")
-        magic_scc = next(
-            i for i, plan in enumerate(compiled.scc_plans)
-            if any(name.startswith("m_") for name, _a in plan.preds)
-        )
-        assert magic_scc < answer_scc
+        assert names == ["ctx_path", "fans_path"]  # contexts feed answers
 
     def test_index_selection_covers_join_probes(self):
         compiled = optimizer().compile(TC, "path", "bf")

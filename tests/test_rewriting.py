@@ -340,7 +340,7 @@ class TestFactoring:
             end_module.
             """
         )
-        rewritten = factoring_rewrite(module.rules, "p", "bf", is_builtin)
+        rewritten = factoring_rewrite(module, "p", "bf")
         assert rewritten.technique == "factoring"
         assert rewritten.answer_positions == (1,)
         assert {r.head.pred for r in rewritten.rules} == {"ctx_p", "fans_p"}
@@ -356,7 +356,7 @@ class TestFactoring:
             """
         )
         with pytest.raises(FactoringNotApplicable):
-            factoring_rewrite(module.rules, "p", "bf", is_builtin)
+            factoring_rewrite(module, "p", "bf")
 
     def test_all_free_rejected(self):
         module = parse_module(
@@ -369,7 +369,7 @@ class TestFactoring:
             """
         )
         with pytest.raises(FactoringNotApplicable):
-            factoring_rewrite(module.rules, "p", "ff", is_builtin)
+            factoring_rewrite(module, "p", "ff")
 
     def test_nonlinear_rejected(self):
         module = parse_module(
@@ -382,7 +382,7 @@ class TestFactoring:
             """
         )
         with pytest.raises(FactoringNotApplicable):
-            factoring_rewrite(module.rules, "p", "bf", is_builtin)
+            factoring_rewrite(module, "p", "bf")
 
 
 class TestExistentialProtection:

@@ -176,10 +176,10 @@ class TestConcurrentClients:
 
     def test_per_request_limits_bound_each_fetch(self):
         session = Session()
-        session.consult_string(_tc_program(40))
-        # path(1, Y) is bf: its magic-rewritten evaluation materializes
-        # eagerly on the first pull, deriving ~118 facts on a 40-chain —
-        # over the cap.  path(35, Y) derives ~26 — under it.
+        session.consult_string(_tc_program(60))
+        # path(1, Y) is bf: its factored evaluation derives a context fact
+        # and an answer per reachable node, ~118 facts on a 60-chain, all
+        # on the first pull — over the cap.  path(55, Y) derives ~10.
         limits = ResourceLimits(max_tuples=100)
         with CoralServer(session, port=0, limits=limits) as srv:
             with RemoteSession(*srv.address) as db:
@@ -188,8 +188,8 @@ class TestConcurrentClients:
                 # the failed cursor was freed, and the session survives:
                 # a small query still answers (its evaluation fits the cap)
                 assert db.stats()["cursors"]["open"] == 0
-                small = sorted(db.query("path(35, Y)").tuples())
-                assert small == [(35, y) for y in range(36, 41)]
+                small = sorted(db.query("path(55, Y)").tuples())
+                assert small == [(55, y) for y in range(56, 61)]
 
     def test_limits_are_per_fetch_not_per_cursor(self):
         """The cap bounds each FETCH request, not the cursor's lifetime:

@@ -21,6 +21,21 @@ TC_PROGRAM = """
 """
 
 
+#: Figure 3 of the paper: aggregate selections and head aggregates
+SP_MODULE = """
+    module s_p.
+    export s_p(bfff).
+    @aggregate_selection p(X, Y, P, C) (X, Y) min(C).
+    @aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).
+    s_p(X, Y, P, C) :- s_p_length(X, Y, C), p(X, Y, P, C).
+    s_p_length(X, Y, min(<C>)) :- p(X, Y, P, C).
+    p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),
+                       append([edge(Z, Y)], P, P1), C1 = C + EC.
+    p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
+    end_module.
+"""
+
+
 def _session():
     session = Session()
     session.consult_string(TC_PROGRAM)
@@ -42,6 +57,46 @@ class TestExplain:
         plan = _session().explain("path(X, Y)?")
         assert "call adornment: ff" in plan
         assert "chosen form: ff" in plan
+
+    def test_rewriting_choice_is_spelled_out(self):
+        """Golden: the chosen technique and why each earlier candidate was
+        rejected, identically in explain, @explain and the listing."""
+        session = _session()
+        session.consult_string(SP_MODULE)
+        shell = Shell(session=session)
+        golden = {
+            ("tc", "path(1, X)", "bf"): (
+                "factoring",
+                ["none: rejected — form bf binds arguments",
+                 "factoring: chosen"],
+            ),
+            ("s_p", "s_p(1, Y, P, C)", "bfff"): (
+                "none",
+                ["none: rejected — form bfff binds arguments",
+                 "factoring: rejected — s_p/4 has no recursive rule",
+                 "supplementary_magic: rejected — the rewritten program is "
+                 "not stratified (ordered search over the original rules "
+                 "instead)",
+                 "none: chosen"],
+            ),
+            ("tc", "path(X, Y)", "ff"): ("none", ["none: chosen"]),
+        }
+        for (module, query, form), (technique, trail) in golden.items():
+            plan = session.explain(query).splitlines()
+            at = next(
+                i for i, line in enumerate(plan)
+                if line.startswith(f"+- rewriting: {technique} ")
+            )
+            assert plan[at + 1:at + 1 + len(trail)] == [
+                f"|      {line}" for line in trail
+            ]
+            assert shell.execute(f'@explain "{query}".').splitlines() == plan
+            pred = query.split("(")[0]
+            listing = session.modules.compiled_form(module, pred, form).listing()
+            assert listing.splitlines()[1:2 + len(trail)] == [
+                f"% technique: {technique}, strategy: bsn"
+                + (", lazy" if module == "tc" else "")
+            ] + [f"%   {line}" for line in trail]
 
     def test_base_relation_plan(self):
         plan = _session().explain("edge(1, X)?")

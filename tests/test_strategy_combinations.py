@@ -119,4 +119,4 @@ class TestFlagCombinations:
         session = Session()
         session.consult_string(tc("@join_ordering.\n@no_index_selection."))
         compiled = session.modules.compiled_form("tc", "path", "bf")
-        assert compiled.rewritten.technique == "supplementary_magic"
+        assert compiled.rewritten.technique == "factoring"

@@ -20,7 +20,7 @@ from repro.terms import (
     unify,
     variant,
 )
-from repro.terms.unify import subsumes_all
+from repro.terms.unify import flat_constants, subsumes_all, unify_fact
 
 
 def f(*args):
@@ -215,6 +215,31 @@ class TestSubsumption:
 
     def test_subsumes_all_arity_mismatch(self):
         assert not subsumes_all([Var("X")], [Int(1), Int(2)])
+
+
+class TestFlatConstants:
+    def test_constants_and_distinct_variables_are_flat(self):
+        pattern = [Int(1), Var("X"), f(Atom("a")), Var("Y")]
+        assert flat_constants(pattern) == [(0, Int(1)), (2, f(Atom("a")))]
+        assert flat_constants([Var("X"), Var("Y")]) == []
+
+    def test_repeated_or_nested_variables_are_not(self):
+        x = Var("X")
+        assert flat_constants([x, x]) is None
+        assert flat_constants([Int(1), f(x)]) is None
+
+    def test_agrees_with_unify_fact_on_ground_facts(self):
+        pattern = [Int(1), Var("X"), f(Atom("a"))]
+        constants = flat_constants(pattern)
+        for fact in (
+            [Int(1), Int(7), f(Atom("a"))],
+            [Int(2), Int(7), f(Atom("a"))],
+            [Int(1), Int(7), f(Atom("b"))],
+            [Int(1), f(Int(3)), Atom("a")],
+        ):
+            trail = Trail()
+            flat = all(arg.equals(fact[p]) for p, arg in constants)
+            assert flat == unify_fact(pattern, BindEnv(), fact, trail)
 
 
 class TestVariantAndRenaming:

@@ -18,9 +18,12 @@ from repro import Session
 PROGRAM = TC_RIGHT.format(flags="")
 # a dense random graph: many alternative derivations per distinct answer,
 # so evaluation work dwarfs the per-answer cost of draining a cursor (the
-# part of a query the cache cannot remove)
+# part of a query the cache cannot remove).  12 edges per node: at 4 the
+# all-free query's 1,521-answer drain was a quarter of the cold side once the
+# join kernel's ground-fact fast path halved evaluation (ratio 3.6x); the
+# answers barely change (1,600), the derivations triple (6.5-6.9x).
 NODES = 40
-EDGES = 160
+EDGES = 480
 REPEATS = 20
 UPDATE_ROUNDS = 12
 

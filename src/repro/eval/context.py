@@ -182,14 +182,15 @@ class LocalScope:
         if self.ctx.limits is not None:
             self.ctx.limits.check(self.ctx.stats)
         relation = self.declare_local(name, arity)
-        for constraint in self.constraints.get((name, arity), ()):
+        constraints = self.constraints.get((name, arity), ())
+        for constraint in constraints:
             if not constraint.admit(relation, tup):
                 self.ctx.stats.duplicates += 1
                 return False
         inserted = relation.insert(tup)
         if inserted:
             self.ctx.stats.facts_inserted += 1
-            for constraint in self.constraints.get((name, arity), ()):
+            for constraint in constraints:
                 constraint.record(relation, tup)
         else:
             self.ctx.stats.duplicates += 1

@@ -21,15 +21,59 @@ from typing import Callable, Iterator, List, Optional, Sequence, Tuple as PyTupl
 
 from ..errors import EvaluationError
 from ..language.ast import Literal
-from ..relations import MarkedRelation, Relation, Tuple
+from ..relations import MarkedRelation, Relation, Tuple, TupleIterator
 from ..rewriting.seminaive import ScanKind, SNLiteral
-from ..terms import Arg, BindEnv, Trail, resolve, unify
+from ..terms import Arg, BindEnv, Trail, Var, resolve
+from ..terms.base import FLAT_PRIMITIVES
 from ..terms.unify import unify_fact
 from .context import EvalContext, LocalScope
 
 #: resolves a ScanKind to a (since, until) mark range for a literal's relation,
 #: given the predicate key; returns None for an unrestricted scan
 RangeResolver = Callable[[PyTuple[str, int], ScanKind], Optional[PyTuple[int, Optional[int]]]]
+
+_EXHAUSTED = object()
+
+
+def fact_solutions(
+    cursor: TupleIterator,
+    args: Sequence[Arg],
+    env: BindEnv,
+    trail: Trail,
+    obs=None,
+    key: Optional[PyTuple[str, int]] = None,
+) -> Iterator[None]:
+    """The match loop of the nested-loops join — the only copy: yield once
+    per candidate of ``cursor`` that unifies with ``args``, with the
+    bindings in ``env`` while the consumer holds the solution and undone
+    before the next candidate is tried.
+
+    Stored non-ground facts are standardized apart before unification
+    (their variables are universally quantified, Section 3.1).  The cursor
+    is closed when the loop ends or is abandoned, and a profiled session's
+    ``obs`` is then told the probe side's counts for predicate ``key``
+    (tuples consulted, unifications that stuck).  Abandoning the loop at a
+    solution leaves that solution's bindings for the caller to undo.
+    """
+    probed = matched = 0
+    get_next = cursor.get_next
+    undo_to = trail.undo_to
+    # every candidate is tried at the same trail height
+    mark = trail.mark()
+    try:
+        while True:
+            candidate = get_next()
+            if candidate is None:
+                return
+            probed += 1
+            if unify_fact(args, env, candidate.renamed().args, trail):
+                matched += 1
+                yield None
+            undo_to(mark)
+    finally:
+        cursor.close()
+        if obs is not None:
+            obs.on_scan(key, probed, matched)
 
 
 def positive_solutions(
@@ -39,13 +83,9 @@ def positive_solutions(
     trail: Trail,
     scan_range: Optional[PyTuple[int, Optional[int]]] = None,
 ) -> Iterator[None]:
-    """Enumerate bindings that satisfy a positive, non-builtin literal.
-
-    Opens a scan (indexed when the probe allows) and unifies each candidate
-    tuple against the literal's arguments.  Stored non-ground facts are
-    standardized apart before unification (their variables are universally
-    quantified, Section 3.1).
-    """
+    """Enumerate bindings that satisfy a positive, non-builtin literal:
+    open a scan (indexed when the probe allows) and run the match loop over
+    it (which also counts the probe side for a profiled session)."""
     relation = scope.relation(literal.pred, literal.arity)
     if scan_range is not None and isinstance(relation, MarkedRelation):
         cursor = relation.scan(
@@ -54,36 +94,23 @@ def positive_solutions(
     else:
         cursor = relation.scan(literal.args, env)
     obs = scope.ctx.obs
+    if obs is None:
+        return fact_solutions(cursor, literal.args, env, trail)
+    return fact_solutions(cursor, literal.args, env, trail, obs, literal.key)
+
+
+def matches_any(
+    relation: Relation, args: Sequence[Arg], env: BindEnv, trail: Trail
+) -> bool:
+    """Does some stored fact of ``relation`` unify with ``args``?  Leaves
+    no binding behind."""
+    mark = trail.mark()
+    solutions = fact_solutions(relation.scan(args, env), args, env, trail)
     try:
-        if obs is None:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    return
-                fact = candidate.renamed()
-                mark = trail.mark()
-                if unify_fact(literal.args, env, fact.args, trail):
-                    yield None
-                trail.undo_to(mark)
-        # profiled twin of the loop above: counts the probe side of the
-        # nested-loops join (tuples consulted, unifications that stuck)
-        probed = matched = 0
-        try:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    return
-                probed += 1
-                fact = candidate.renamed()
-                mark = trail.mark()
-                if unify_fact(literal.args, env, fact.args, trail):
-                    matched += 1
-                    yield None
-                trail.undo_to(mark)
-        finally:
-            obs.on_scan(literal.key, probed, matched)
+        return next(solutions, _EXHAUSTED) is not _EXHAUSTED
     finally:
-        cursor.close()
+        solutions.close()
+        trail.undo_to(mark)
 
 
 def negative_holds(
@@ -97,51 +124,21 @@ def negative_holds(
     Stratification (or Ordered Search's done-markers) guarantees the
     relation is fully evaluated when this runs."""
     relation = scope.relation(literal.pred, literal.arity)
-    cursor = relation.scan(literal.args, env)
-    try:
-        while True:
-            candidate = cursor.get_next()
-            if candidate is None:
-                return True
-            fact = candidate.renamed()
-            mark = trail.mark()
-            matched = unify_fact(literal.args, env, fact.args, trail)
-            trail.undo_to(mark)
-            if matched:
-                return False
-    finally:
-        cursor.close()
+    return not matches_any(relation, literal.args, env, trail)
 
 
-def literal_solutions(
-    scope: LocalScope,
-    sn_literal: SNLiteral,
-    env: BindEnv,
-    trail: Trail,
-    ranges: Optional[RangeResolver],
-) -> Iterator[None]:
-    """Solutions of one body literal of any flavour: builtin, negated, or a
-    (possibly delta-restricted) relation scan."""
-    literal = sn_literal.literal
-    builtin = scope.ctx.builtins.lookup(literal.pred, literal.arity)
-    if builtin is not None:
-        if literal.negated:
-            raise EvaluationError(
-                f"negation of builtin {literal.pred} is not supported"
-            )
-        mark = trail.mark()
-        for _ in builtin.impl(literal.args, env, trail):
-            yield None
-        trail.undo_to(mark)
-        return
-    if literal.negated:
-        if negative_holds(scope, literal, env, trail):
-            yield None
-        return
-    scan_range = None
-    if ranges is not None and sn_literal.kind is not ScanKind.ALL:
-        scan_range = ranges(literal.key, sn_literal.kind)
-    yield from positive_solutions(scope, literal, env, trail, scan_range)
+def _builtin_solutions(impl, args, env: BindEnv, trail: Trail) -> Iterator[None]:
+    """Solutions of a builtin literal; its bindings are undone at the end."""
+    mark = trail.mark()
+    for _ in impl(args, env, trail):
+        yield None
+    trail.undo_to(mark)
+
+
+def _negation_solutions(scope, literal, env, trail) -> Iterator[None]:
+    """At most one solution, binding nothing: the negated literal holds."""
+    if negative_holds(scope, literal, env, trail):
+        yield None
 
 
 def backtrack_points(body: Sequence[SNLiteral]) -> List[int]:
@@ -182,6 +179,41 @@ class BodyExecutor:
         self.body = list(body)
         self.points = backtrack_points(self.body)
         self.use_backjumping = use_backjumping
+        self._openers = [self._opener(item) for item in self.body]
+
+    def _opener(
+        self, item: SNLiteral
+    ) -> Callable[[BindEnv, Trail, Optional[RangeResolver]], Iterator[None]]:
+        """How to start enumerating one body literal's solutions — builtin,
+        negated, or a (possibly delta-restricted) relation scan — decided
+        here, once, rather than at every activation."""
+        scope = self.scope
+        literal = item.literal
+        builtin = scope.ctx.builtins.lookup(literal.pred, literal.arity)
+        if builtin is not None:
+            if literal.negated:
+                def refuse(env, trail, ranges):
+                    raise EvaluationError(
+                        f"negation of builtin {literal.pred} is not supported"
+                    )
+                return refuse
+            impl = builtin.impl
+            return lambda env, trail, ranges: _builtin_solutions(
+                impl, literal.args, env, trail
+            )
+        if literal.negated:
+            return lambda env, trail, ranges: _negation_solutions(
+                scope, literal, env, trail
+            )
+        kind = item.kind
+        if kind is ScanKind.ALL:
+            return lambda env, trail, ranges: positive_solutions(
+                scope, literal, env, trail
+            )
+        return lambda env, trail, ranges: positive_solutions(
+            scope, literal, env, trail,
+            ranges(literal.key, kind) if ranges is not None else None,
+        )
 
     def solutions(
         self,
@@ -195,6 +227,7 @@ class BodyExecutor:
         if count == 0:
             yield None
             return
+        openers = self._openers
         iterators: List[Optional[Iterator[None]]] = [None] * count
         marks: List[int] = [0] * count
         produced: List[bool] = [False] * count
@@ -203,9 +236,7 @@ class BodyExecutor:
             if iterators[position] is None:
                 marks[position] = trail.mark()
                 produced[position] = False
-                iterators[position] = literal_solutions(
-                    self.scope, self.body[position], env, trail, ranges
-                )
+                iterators[position] = openers[position](env, trail, ranges)
             step = next(iterators[position], _EXHAUSTED)
             if step is not _EXHAUSTED:
                 produced[position] = True
@@ -229,10 +260,25 @@ class BodyExecutor:
             position = target
 
 
-_EXHAUSTED = object()
-
-
 def instantiate_head(head_args: Sequence[Arg], env: BindEnv) -> Tuple:
     """Resolve a satisfied rule's head into a standalone fact (remaining free
-    variables stay universally quantified — non-ground facts, Section 3.1)."""
-    return Tuple(tuple(resolve(arg, env) for arg in head_args))
+    variables stay universally quantified — non-ground facts, Section 3.1).
+
+    A head argument that is a primitive constant, or a variable bound to
+    one, is taken as it stands; when every argument is, the fact is ground
+    by construction and nothing is walked.  Anything else is resolved."""
+    bindings = env._bindings
+    args = []
+    flat = True
+    for arg in head_args:
+        if arg.__class__ is Var:
+            bound = bindings.get(arg.vid)
+            if bound is not None and bound[0].__class__ in FLAT_PRIMITIVES:
+                args.append(bound[0])
+                continue
+        elif arg.__class__ in FLAT_PRIMITIVES:
+            args.append(arg)
+            continue
+        flat = False
+        args.append(resolve(arg, env))
+    return Tuple.ground(args) if flat else Tuple(args)

@@ -25,12 +25,12 @@ from __future__ import annotations
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import StratificationError
-from ..language.ast import Literal, Rule
-from ..relations import HashRelation, Tuple
+from ..language.ast import Aggregation, Literal, Rule
+from ..relations import HashRelation, ListTupleIterator, Tuple
 from ..terms import Arg, BindEnv, Trail, Var, rename_term, resolve, unify
-from ..terms.unify import unify_fact
 from .aggregates import AggregateConstraint, fold_aggregate
 from .context import LocalScope
+from .join import fact_solutions, matches_any
 
 PredKey = PyTuple[str, int]
 
@@ -174,8 +174,6 @@ class OrderedSearchEvaluator:
                 )
                 for item in rule.body
             )
-            from ..language.ast import Aggregation
-
             aggregates = tuple(
                 (
                     position,
@@ -273,6 +271,7 @@ class OrderedSearchEvaluator:
             trail.undo_to(mark)
             return
 
+        callee = None
         if literal.key in self.rules_by_pred:
             pattern = tuple(resolve(arg, env) for arg in literal.args)
             callee, lowlink = self._solve(literal.pred, pattern)
@@ -283,56 +282,22 @@ class OrderedSearchEvaluator:
                     f"negated/aggregated before it is done: the program is "
                     f"not left-to-right modularly stratified"
                 )
-            if literal.negated:
-                if not self._matches_any(callee, literal, env, trail):
-                    yield from self._body_solutions(
-                        body, position + 1, env, trail, cell, require_done
-                    )
-                return
-            for fact in list(callee.answers.scan(literal.args, env)):
-                fact = fact.renamed()
-                mark = trail.mark()
-                if unify_fact(literal.args, env, fact.args, trail):
-                    yield from self._body_solutions(
-                        body, position + 1, env, trail, cell, require_done
-                    )
-                trail.undo_to(mark)
-            return
-
-        # base relation (or another module's export)
-        relation = self.scope.relation(literal.pred, literal.arity)
+            relation = callee.answers
+        else:
+            # base relation (or another module's export)
+            relation = self.scope.relation(literal.pred, literal.arity)
         if literal.negated:
-            from .join import negative_holds
-
-            if negative_holds(self.scope, literal, env, trail):
+            if not matches_any(relation, literal.args, env, trail):
                 yield from self._body_solutions(
                     body, position + 1, env, trail, cell, require_done
                 )
             return
         cursor = relation.scan(literal.args, env)
-        try:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    return
-                fact = candidate.renamed()
-                mark = trail.mark()
-                if unify_fact(literal.args, env, fact.args, trail):
-                    yield from self._body_solutions(
-                        body, position + 1, env, trail, cell, require_done
-                    )
-                trail.undo_to(mark)
-        finally:
-            cursor.close()
-
-    def _matches_any(
-        self, callee: _Subgoal, literal: Literal, env: BindEnv, trail: Trail
-    ) -> bool:
-        for fact in callee.answers.scan(literal.args, env):
-            fact = fact.renamed()
-            mark = trail.mark()
-            matched = unify_fact(literal.args, env, fact.args, trail)
-            trail.undo_to(mark)
-            if matched:
-                return True
-        return False
+        if callee is not None:
+            # a snapshot: the callee's answers may grow while the rest of
+            # the body is being solved
+            cursor = ListTupleIterator(list(cursor))
+        for _ in fact_solutions(cursor, literal.args, env, trail):
+            yield from self._body_solutions(
+                body, position + 1, env, trail, cell, require_done
+            )

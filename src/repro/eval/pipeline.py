@@ -25,8 +25,8 @@ from ..errors import EvaluationError, ModuleError
 from ..language.ast import Literal, ModuleDecl, Rule
 from ..relations import GeneratorTupleIterator, Tuple, TupleIterator
 from ..terms import Arg, BindEnv, Trail, Var, rename_term, resolve, unify
-from ..terms.unify import unify_fact
 from .context import EvalContext
+from .join import fact_solutions
 
 PredKey = PyTuple[str, int]
 
@@ -169,19 +169,9 @@ class PipelinedModule:
         """A predicate not defined here: a base relation or another module's
         export — the same cursor interface either way (Section 5.6)."""
         relation = self.ctx.resolve(literal.pred, literal.arity)
-        cursor = relation.scan(literal.args, env)
-        try:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    return
-                fact = candidate.renamed()
-                mark = trail.mark()
-                if unify_fact(literal.args, env, fact.args, trail):
-                    yield None
-                trail.undo_to(mark)
-        finally:
-            cursor.close()
+        return fact_solutions(
+            relation.scan(literal.args, env), literal.args, env, trail
+        )
 
     # -- the relation-style surface -------------------------------------------------
 

@@ -13,8 +13,9 @@ inside a number.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
-from typing import Iterator, List, Optional
+from typing import List
 
 from ..errors import ParseError
 
@@ -58,6 +59,15 @@ _OPERATORS = [
 ]
 
 
+#: whitespace and comments; a block comment left open does not match, so
+#: the scan stops in front of its ``/*``
+_TRIVIA = re.compile(r"(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*", re.DOTALL)
+_WORD = re.compile(r"\w+")
+#: digits, then (group 1) whatever makes the number a float
+_NUMBER = re.compile(r"\d*((?:\.\d+)?(?:[eE][+-]?\d+)?)")
+_OPERATOR = re.compile("|".join(re.escape(op) for op in _OPERATORS))
+
+
 @dataclass(frozen=True)
 class Token:
     kind: str
@@ -76,109 +86,70 @@ class Lexer:
         self.source = source
         self.position = 0
         self.line = 1
-        self.column = 1
+        #: where the current line begins: column = position - line_start + 1
+        self.line_start = 0
 
     def _error(self, message: str) -> ParseError:
-        return ParseError(message, self.line, self.column)
+        return ParseError(
+            message, self.line, self.position - self.line_start + 1
+        )
 
-    def _peek(self, offset: int = 0) -> str:
-        index = self.position + offset
-        return self.source[index] if index < len(self.source) else ""
+    def _move_to(self, end: int) -> None:
+        """Consume up to ``end``, counting the lines gone by (only trivia
+        and string escapes can span one)."""
+        newlines = self.source.count("\n", self.position, end)
+        if newlines:
+            self.line += newlines
+            self.line_start = self.source.rfind("\n", self.position, end) + 1
+        self.position = end
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.position : self.position + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.position += count
-        return text
+    def _peek(self) -> str:
+        return self.source[self.position : self.position + 1]
 
-    def _skip_trivia(self) -> None:
-        while self.position < len(self.source):
-            ch = self._peek()
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "%":  # line comment
-                while self._peek() and self._peek() != "\n":
-                    self._advance()
-            elif ch == "/" and self._peek(1) == "*":  # block comment
-                self._advance(2)
-                while self.position < len(self.source) and not (
-                    self._peek() == "*" and self._peek(1) == "/"
-                ):
-                    self._advance()
-                if self.position >= len(self.source):
-                    raise self._error("unterminated block comment")
-                self._advance(2)
-            else:
-                return
+    def _advance(self) -> str:
+        ch = self._peek()
+        self._move_to(self.position + len(ch))
+        return ch
 
     def tokens(self) -> List[Token]:
+        source = self.source
         result: List[Token] = []
         while True:
-            token = self._next_token()
-            result.append(token)
-            if token.kind == EOF:
+            end = _TRIVIA.match(source, self.position).end()
+            if end != self.position:
+                self._move_to(end)
+            if source.startswith("/*", end):
+                self._move_to(len(source))
+                raise self._error("unterminated block comment")
+            position, line = end, self.line
+            column = position - self.line_start + 1
+            ch = source[position : position + 1]
+            if not ch:
+                result.append(Token(EOF, "", line, column))
                 return result
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        line, column = self.line, self.column
-        ch = self._peek()
-        if not ch:
-            return Token(EOF, "", line, column)
-
-        if ch.isdigit():
-            return self._number(line, column)
-        if ch.isalpha() or ch == "_":
-            return self._word(line, column)
-        if ch == '"':
-            return self._string(line, column)
-        if ch == ".":
-            nxt = self._peek(1)
-            if nxt.isdigit():
-                return self._number(line, column)
-            self._advance()
-            return Token(END, ".", line, column)
-        for op in _OPERATORS:
-            if self.source.startswith(op, self.position):
-                self._advance(len(op))
-                return Token(PUNCT, op, line, column)
-        raise self._error(f"unexpected character {ch!r}")
-
-    def _number(self, line: int, column: int) -> Token:
-        start = self.position
-        while self._peek().isdigit():
-            self._advance()
-        is_float = False
-        if self._peek() == "." and self._peek(1).isdigit():
-            is_float = True
-            self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        if self._peek() in "eE" and (
-            self._peek(1).isdigit()
-            or (self._peek(1) in "+-" and self._peek(2).isdigit())
-        ):
-            is_float = True
-            self._advance()
-            if self._peek() in "+-":
-                self._advance()
-            while self._peek().isdigit():
-                self._advance()
-        text = self.source[start : self.position]
-        return Token(FLOAT if is_float else INTEGER, text, line, column)
-
-    def _word(self, line: int, column: int) -> Token:
-        start = self.position
-        while self._peek().isalnum() or self._peek() == "_":
-            self._advance()
-        text = self.source[start : self.position]
-        kind = VARIABLE if text[0].isupper() or text[0] == "_" else IDENT
-        return Token(kind, text, line, column)
+            if ch.isalpha() or ch == "_":
+                end = _WORD.match(source, position).end()
+                kind = VARIABLE if ch.isupper() or ch == "_" else IDENT
+            elif ch.isdecimal() or (
+                ch == "." and source[position + 1 : position + 2].isdecimal()
+            ):
+                match = _NUMBER.match(source, position)
+                end = match.end()
+                kind = FLOAT if match.group(1) else INTEGER
+            elif ch == '"':
+                result.append(self._string(line, column))
+                continue
+            elif ch == ".":
+                end = position + 1
+                kind = END
+            else:
+                match = _OPERATOR.match(source, position)
+                if match is None:
+                    raise self._error(f"unexpected character {ch!r}")
+                end = match.end()
+                kind = PUNCT
+            self.position = end
+            result.append(Token(kind, source[position:end], line, column))
 
     def _string(self, line: int, column: int) -> Token:
         self._advance()  # opening quote

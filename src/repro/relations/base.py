@@ -55,7 +55,9 @@ class Tuple:
     def ground(cls, args: Sequence[Arg]) -> "Tuple":
         """A tuple the caller guarantees is ground — skips the groundness
         walk.  The push compiler's flush creates tens of thousands at once
-        from already-interned (hence ground) Args."""
+        from already-interned (hence ground) Args; the interpreter's
+        ``instantiate_head`` makes one per inference whenever every head
+        argument came out a primitive constant."""
         tup = cls.__new__(cls)
         tup.args = tuple(args)
         tup._ground = True

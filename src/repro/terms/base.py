@@ -28,11 +28,10 @@ Design notes
 
 from __future__ import annotations
 
-from abc import ABC, abstractmethod
-from typing import Any, Iterator, Sequence
+from typing import Any, Iterator
 
 
-class Arg(ABC):
+class Arg:
     """Root of the CORAL data-type hierarchy.
 
     Every value manipulated by the system — constants, variables, functor
@@ -192,6 +191,13 @@ class Atom(_Primitive):
 
     def __str__(self) -> str:
         return self.value
+
+
+#: The constant classes the join kernel may compare by ``.value`` when both
+#: sides have the *same* class (``a.__class__ is b.__class__``).  A closed
+#: set: :class:`BigNum` (equal to an :class:`Int` by ``kind``) and
+#: user-defined :class:`Arg` subclasses are compared through ``equals``.
+FLAT_PRIMITIVES = frozenset((Int, Double, Str, Atom))
 
 
 #: Values acceptable wherever a term is expected from host-language (Python)

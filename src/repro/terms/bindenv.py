@@ -70,10 +70,6 @@ class BindEnv:
         if trail is not None:
             trail.push(self, var)
 
-    def unbind(self, var: Var) -> None:
-        """Remove the binding for ``var`` (used by trail undo only)."""
-        self._bindings.pop(var.vid, None)
-
     def clear(self) -> None:
         self._bindings.clear()
 
@@ -99,9 +95,10 @@ class Trail:
 
     def undo_to(self, mark: int) -> None:
         """Unbind everything recorded after ``mark``."""
-        while len(self._entries) > mark:
-            env, var = self._entries.pop()
-            env.unbind(var)
+        entries = self._entries
+        while len(entries) > mark:
+            env, var = entries.pop()
+            env._bindings.pop(var.vid, None)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -110,8 +107,8 @@ class Trail:
 def deref(term: Arg, env: Optional[BindEnv]) -> Tuple[Arg, Optional[BindEnv]]:
     """Follow variable bindings until reaching a non-variable or an unbound
     variable.  Returns the final ``(term, env)`` pair."""
-    while isinstance(term, Var) and env is not None:
-        bound = env.lookup(term)
+    while env is not None and isinstance(term, Var):
+        bound = env._bindings.get(term.vid)
         if bound is None:
             break
         term, env = bound

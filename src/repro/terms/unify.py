@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence, Tuple as PyTuple
 
-from .base import Arg
+from .base import FLAT_PRIMITIVES, Arg
 from .bindenv import BindEnv, Trail, deref
 from .functor import Functor
 from .hashcons import hc_id
@@ -218,17 +218,56 @@ def unify_fact(
 ) -> bool:
     """Unify a literal's arguments against a stored fact's arguments.
 
-    The fact gets its own fresh binding environment (non-ground facts carry
-    universally quantified variables, Section 3.1 / Figure 2), so a fact
-    variable can be bound for the duration of this inference without
-    touching the stored fact.  On failure, partial bindings remain on the
-    trail for the caller to undo — same contract as :func:`unify`.
+    Argument by argument.  The common case — a primitive constant in the
+    fact (exactly :data:`FLAT_PRIMITIVES`) against a pattern variable or a
+    constant of the same class, or a ground functor term against an unbound
+    pattern variable — is settled by position: compare ``.value`` or bind the
+    variable to ``(term, None)``, no unifier and nothing allocated.  Every
+    other argument (a fact variable, a structured or partly bound pattern, a
+    pattern variable bound to another variable, ``BigNum`` against ``Int``,
+    a user-defined type) goes to :func:`unify`.
+
+    For those the fact gets its own fresh binding environment, shared by
+    all its arguments (non-ground facts carry universally quantified
+    variables, Section 3.1 / Figure 2), so a fact variable can be bound for
+    the duration of this inference without touching the stored fact.  On
+    failure, partial bindings remain on the trail for the caller to undo —
+    same contract as :func:`unify`.
     """
-    fact_env = BindEnv()
-    return all(
-        unify(pattern_arg, env, fact_arg, fact_env, trail)
-        for pattern_arg, fact_arg in zip(pattern_args, fact_args)
-    )
+    bindings = env._bindings
+    fact_env = None
+    for pattern_arg, fact_arg in zip(pattern_args, fact_args):
+        fact_class = fact_arg.__class__
+        pattern_class = pattern_arg.__class__
+        if fact_class in FLAT_PRIMITIVES:
+            if pattern_class is Var:
+                bound = bindings.get(pattern_arg.vid)
+                if bound is None:
+                    bindings[pattern_arg.vid] = (fact_arg, None)
+                    trail._entries.append((env, pattern_arg))
+                    continue
+                # bound: compare what it is bound to (a constant needs no env)
+                value = bound[0]
+            else:
+                value = pattern_arg
+            if value.__class__ is fact_class:
+                if value.value != fact_arg.value:
+                    return False
+                continue
+        elif (
+            pattern_class is Var
+            and fact_class is Functor
+            and fact_arg._ground
+            and pattern_arg.vid not in bindings
+        ):
+            bindings[pattern_arg.vid] = (fact_arg, None)
+            trail._entries.append((env, pattern_arg))
+            continue
+        if fact_env is None:
+            fact_env = BindEnv()
+        if not unify(pattern_arg, env, fact_arg, fact_env, trail):
+            return False
+    return True
 
 
 def flat_constants(

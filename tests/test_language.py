@@ -64,6 +64,43 @@ class TestLexer:
         assert q_token.line == 2 and q_token.column == 1
 
 
+    def test_positions_after_comments_and_blank_lines(self):
+        source = "p(1). % c\n\n  /* a\n b */ q(X,\n\tYy2) .\n"
+        found = {t.text: (t.line, t.column) for t in tokenize(source)}
+        assert found["p"] == (1, 1)
+        assert found["q"] == (4, 7)
+        assert found["X"] == (4, 9)
+        assert found["Yy2"] == (5, 2)
+        assert tokenize(source)[-1].kind == "eof"
+        assert (tokenize(source)[-1].line, tokenize(source)[-1].column) == (6, 1)
+
+    def test_number_shapes(self):
+        tokens = tokenize("f(.5, 1.e, 2E-3, 7e+, 12abc, 3.4.5).")
+        texts = [(t.kind, t.text) for t in tokens if t.kind != "punct"]
+        assert texts == [
+            ("ident", "f"), ("float", ".5"),
+            ("integer", "1"), ("end", "."), ("ident", "e"),
+            ("float", "2E-3"),
+            ("integer", "7"), ("ident", "e"),
+            ("integer", "12"), ("ident", "abc"),
+            ("float", "3.4"), ("float", ".5"),
+            ("end", "."), ("eof", ""),
+        ]
+
+    def test_error_positions(self):
+        with pytest.raises(ParseError) as unexpected:
+            tokenize("p(1).\n  q(#).")
+        assert (unexpected.value.line, unexpected.value.column) == (2, 5)
+        with pytest.raises(ParseError) as open_comment:
+            tokenize("p(1). /* never\nclosed")
+        assert "unterminated block comment" in str(open_comment.value)
+        assert (open_comment.value.line, open_comment.value.column) == (2, 7)
+        with pytest.raises(ParseError) as open_string:
+            tokenize('p("ab\ncd").')
+        assert "unterminated string literal" in str(open_string.value)
+        assert (open_string.value.line, open_string.value.column) == (1, 6)
+
+
 class TestParserClauses:
     def test_fact(self):
         program = parse_program("edge(1, 2).")

@@ -1,12 +1,18 @@
 """Unit tests for unification, matching, subsumption, and bindenvs."""
 
+import random
+
 import pytest
 
 from repro.terms import (
+    Arg,
     Atom,
+    BigNum,
     BindEnv,
+    Double,
     Functor,
     Int,
+    Str,
     Trail,
     Var,
     canonicalize_term,
@@ -240,6 +246,167 @@ class TestFlatConstants:
             trail = Trail()
             flat = all(arg.equals(fact[p]) for p, arg in constants)
             assert flat == unify_fact(pattern, BindEnv(), fact, trail)
+
+
+class Celsius(Arg):
+    """A user-defined type (Section 7.1): only the Arg contract, no
+    ``value`` attribute for a matcher to reach for."""
+
+    __slots__ = ("degrees",)
+    kind = "celsius"
+
+    def __init__(self, degrees):
+        object.__setattr__(self, "degrees", degrees)
+
+    def equals(self, other):
+        return isinstance(other, Celsius) and other.degrees == self.degrees
+
+    def __eq__(self, other):
+        return self.equals(other) if isinstance(other, Arg) else NotImplemented
+
+    def __hash__(self):
+        return hash(("celsius", self.degrees))
+
+    def __repr__(self):
+        return f"Celsius({self.degrees})"
+
+
+def reference_unify_fact(pattern_args, env, fact_args, trail):
+    """``unify_fact`` with no positional prefix: one fresh environment for
+    the fact and the general unifier for every argument."""
+    fact_env = BindEnv()
+    return all(
+        unify(pattern_arg, env, fact_arg, fact_env, trail)
+        for pattern_arg, fact_arg in zip(pattern_args, fact_args)
+    )
+
+
+class TestUnifyFactAgainstUnify:
+    """The positional prefix of ``unify_fact`` is an optimisation only: on
+    every shape of pattern, binding state and fact it must give the verdict
+    and the bindings the general unifier gives, and leave a trail that
+    undoes them."""
+
+    PX, PY, PZ = Var("PX"), Var("PY"), Var("PZ")
+    FA, FB = Var("FA"), Var("FB")
+    # the seeded pools nest these three, and only these, inside functor
+    # terms: a variable that occurs both bare and nested can be bound to a
+    # term containing itself (no occurs check, as in Prolog), and nothing
+    # resolves a cyclic binding
+    PW, PV, FC = Var("PW"), Var("PV"), Var("FC")
+    PATTERN_VARS = (PX, PY, PZ, PW, PV)
+    CONSTANTS = (
+        Int(1), Int(2), BigNum(1), Double(1.0), Double(2.5), Str("a"),
+        Str("1"), Atom("a"), Atom("b"), f(Int(1)), f(Atom("a"), Int(2)),
+        make_list([Int(1), Int(2)]), Celsius(1), Celsius(2),
+    )
+    PATTERN_ARGS = CONSTANTS + (PX, PY, PZ, f(PW), f(PW, Int(2)))
+    FACT_ARGS = CONSTANTS + (FA, FB, f(FC), f(FC, Int(2)))
+    #: what a pattern variable may already be bound to when the match starts
+    PRIOR = CONSTANTS + (PY, PZ, f(PV), None, None, None, None)
+
+    def _environment(self, prior):
+        """An activation environment with ``prior`` — a (variable, term)
+        list — applied.  A variable is aliased only to a later one, so the
+        chains end."""
+        env = BindEnv()
+        order = self.PATTERN_VARS
+        for var, term in prior:
+            if term is None or var in env:
+                continue
+            if isinstance(term, Var) and order.index(term) <= order.index(var):
+                continue
+            env.bind(var, term, env)
+        return env
+
+    def _state(self, env):
+        return [
+            (var, None if env.lookup(var) is None else env.lookup(var)[0])
+            for var in self.PATTERN_VARS + (self.FA, self.FB, self.FC)
+        ], len(env)
+
+    def _check(self, pattern, prior, fact):
+        outcomes = []
+        for matcher in (unify_fact, reference_unify_fact):
+            env = self._environment(prior)
+            before = self._state(env)
+            trail = Trail()
+            mark = trail.mark()
+            verdict = matcher(pattern, env, fact, trail)
+            resolved = [resolve(arg, env) for arg in pattern]
+            bound = [resolve(var, env) for var in self.PATTERN_VARS]
+            trail.undo_to(mark)
+            assert self._state(env) == before, (pattern, prior, fact)
+            outcomes.append((verdict, resolved, bound))
+        assert outcomes[0] == outcomes[1], (pattern, prior, fact)
+        return outcomes[0][0]
+
+    def test_seeded_patterns_times_facts(self):
+        rng = random.Random(18)
+        matched = 0
+        for _ in range(4000):
+            arity = rng.randint(1, 4)
+            pattern = [rng.choice(self.PATTERN_ARGS) for _ in range(arity)]
+            fact = [rng.choice(self.FACT_ARGS) for _ in range(arity)]
+            if rng.random() < 0.5:
+                # bias towards matches: the fact is the pattern, perturbed
+                fact = [
+                    p if p.is_ground() and rng.random() < 0.8 else a
+                    for p, a in zip(pattern, fact)
+                ]
+            prior = [
+                (var, rng.choice(self.PRIOR))
+                for var in (self.PX, self.PY, self.PZ)
+            ]
+            matched += self._check(pattern, prior, fact)
+        assert 400 < matched < 3600  # both verdicts are well represented
+
+    @pytest.mark.parametrize(
+        "pattern, prior, fact, expected",
+        [
+            # equal by kind, different classes: the general path's call
+            ([Int(1)], [], [BigNum(1)], True),
+            ([BigNum(1)], [], [Int(1)], True),
+            ([PX], [(PX, BigNum(1))], [Int(1)], True),
+            ([Int(1)], [], [Double(1.0)], False),
+            ([Str("a")], [], [Atom("a")], False),
+            # a pattern variable bound to a structured term, or to a variable
+            ([PX], [(PX, f(PZ))], [f(Int(1))], True),
+            ([PX], [(PX, f(Int(1)))], [f(Int(2))], False),
+            ([PX], [(PX, PY)], [Int(3)], True),
+            ([PX, PY], [(PX, PY)], [Int(3), Int(4)], False),
+            # a repeated pattern variable
+            ([PX, PX], [], [Int(1), Int(1)], True),
+            ([PX, PX], [], [Int(1), Int(2)], False),
+            ([PX, PX], [], [f(Int(1)), f(Int(1))], True),
+            ([PX, PX], [], [f(Int(1)), Int(1)], False),
+            # a non-ground stored fact: its variables are shared across
+            # arguments for the length of the inference
+            ([Int(1), PX], [], [FA, FA], True),
+            ([Int(1), Int(2)], [], [FA, FA], False),
+            ([PX, Int(2)], [], [Int(1), FA], True),
+            ([f(PX), PX], [], [f(FA), Int(5)], True),
+            # a user-defined type is matched through equals()
+            ([Celsius(1)], [], [Celsius(1)], True),
+            ([Celsius(1)], [], [Celsius(2)], False),
+            ([PX, PX], [], [Celsius(1), Celsius(1)], True),
+            ([Int(1)], [], [Celsius(1)], False),
+        ],
+    )
+    def test_cases_the_positional_prefix_must_hand_over(
+        self, pattern, prior, fact, expected
+    ):
+        assert self._check(pattern, prior, fact) is expected
+
+    def test_ground_facts_bind_without_an_environment(self):
+        """What the prefix is for: a ground fact's values are bound as
+        ``(term, None)`` and one trail entry each — nothing else."""
+        env, trail = BindEnv(), Trail()
+        fact = [Int(1), f(Int(2)), Atom("a")]
+        assert unify_fact([self.PX, self.PY, Atom("a")], env, fact, trail)
+        assert env.lookup(self.PX) == (Int(1), None)
+        assert env.lookup(self.PY) == (f(Int(2)), None)
+        assert len(trail) == 2
 
 
 class TestVariantAndRenaming:

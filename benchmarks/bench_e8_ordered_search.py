@@ -12,12 +12,18 @@ random DAGs — not stratified (win depends negatively on itself), but
 left-to-right modularly stratified on acyclic move graphs.  Verified against
 an independent game solver; scaling measured across board sizes.  A cyclic
 game graph must be rejected, not answered wrongly.
+
+Every win(x) subgoal on an acyclic board reads only base facts and done
+subgoals, so its rules are applied once: passes over a subgoal's rules must
+equal subgoals (they were twice that while every subgoal was re-run to
+confirm its fixpoint).
 """
 
 import pytest
 
 from repro import Session
 from repro.errors import StratificationError
+from repro.eval.ordered import OrderedSearchEvaluator
 from workloads import report, session_with
 
 GAME = """
@@ -72,26 +78,38 @@ class TestE8OrderedSearch:
             got = len(session.query(f"win({node})").all()) == 1
             assert got == (node in expected), f"position {node}"
 
-    def test_subgoal_scaling(self):
+    def test_subgoal_scaling(self, monkeypatch):
+        passes = []
+        apply_rules = OrderedSearchEvaluator._apply_rules
+        monkeypatch.setattr(
+            OrderedSearchEvaluator,
+            "_apply_rules",
+            lambda self, subgoal: passes.append(subgoal.pred)
+            or apply_rules(self, subgoal),
+        )
         rows = []
         for levels in (3, 5, 7):
             nodes, moves = _game_dag(levels)
             facts = " ".join(f"move({a}, {b})." for a, b in moves)
             session = session_with(facts, GAME)
+            del passes[:]
             session.query("win(0)").all()
             rows.append(
                 (
                     levels,
                     len(moves),
                     session.stats.subgoals,
+                    len(passes),
                     session.stats.inferences,
                 )
             )
         report(
             "E8: ordered-search win/move, subgoals explored per root query",
-            ["levels", "moves", "subgoals", "inferences"],
+            ["levels", "moves", "subgoals", "rule passes", "inferences"],
             rows,
         )
+        # acyclic board: no subgoal reaches an open one, none is iterated
+        assert all(row[2] == row[3] for row in rows)
         # subgoal count is bounded by positions reachable from the root —
         # polynomial in the board, not exponential in game-tree paths
         assert rows[-1][2] <= 4 * len(_game_dag(7)[0])

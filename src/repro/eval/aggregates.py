@@ -21,7 +21,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
 from ..errors import EvaluationError
 from ..language.ast import AggregateSelection
 from ..relations import HashRelation, Tuple
-from ..terms import Arg, BindEnv, Double, Int, Trail, resolve
+from ..terms import Arg, BindEnv, Double, Int, Trail, Var, resolve
 from ..terms.unify import match
 
 
@@ -148,17 +148,56 @@ class AggregateConstraint:
         self._best: Dict[Any, PyTuple[float, List[Tuple]]] = {}
         #: group key -> the single retained witness (any/choice)
         self._witness: Dict[Any, Tuple] = {}
+        #: (group argument positions, target position or None) when the
+        #: pattern is distinct variables and the grouping terms and target
+        #: are among them: a fact is then read by position, not matched
+        self._positions = self._positional(selection)
+        #: the fact ``admit`` last looked at and what it extracted, for the
+        #: ``record`` of the same fact that follows its insertion
+        self._admitted: PyTuple[Optional[Tuple], Any] = (None, None)
+
+    @staticmethod
+    def _positional(
+        selection: AggregateSelection,
+    ) -> Optional[PyTuple[PyTuple[int, ...], Optional[int]]]:
+        position_of = {
+            arg.vid: position
+            for position, arg in enumerate(selection.pattern)
+            if isinstance(arg, Var)
+        }
+        if len(position_of) != len(selection.pattern):
+            return None  # a constant, a structured term or a repeated variable
+        target = selection.target
+        wanted = tuple(selection.group_vars) + (() if target is None else (target,))
+        if not all(
+            isinstance(term, Var) and term.vid in position_of for term in wanted
+        ):
+            return None
+        return (
+            tuple(position_of[var.vid] for var in selection.group_vars),
+            None if target is None else position_of[target.vid],
+        )
 
     def _extract(self, tup: Tuple) -> Optional[PyTuple[Any, Optional[Arg]]]:
         """Match the selection pattern against a fact; return (group key,
         target value) or None when the pattern does not apply."""
         selection = self.selection
-        if len(tup.args) != len(selection.pattern):
+        args = tup.args
+        if len(args) != len(selection.pattern):
             return None
+        if self._positions is not None:
+            group, target_at = self._positions
+            target = args[target_at] if target_at is not None else None
+            if not tup.is_ground() and not (
+                all(args[position].is_ground() for position in group)
+                and (target is None or target.is_ground())
+            ):
+                return None
+            return tuple(args[position].ground_key() for position in group), target
         env = BindEnv()
         trail = Trail()
         try:
-            for pattern_arg, fact_arg in zip(selection.pattern, tup.args):
+            for pattern_arg, fact_arg in zip(selection.pattern, args):
                 if not match(pattern_arg, env, fact_arg, None, trail):
                     return None
             key_parts = []
@@ -180,6 +219,7 @@ class AggregateConstraint:
 
     def admit(self, relation: HashRelation, tup: Tuple) -> bool:
         extracted = self._extract(tup)
+        self._admitted = (tup, extracted)
         if extracted is None:
             return True  # pattern does not constrain this fact
         key, target = extracted
@@ -205,7 +245,9 @@ class AggregateConstraint:
         return True
 
     def record(self, relation: HashRelation, tup: Tuple) -> None:
-        extracted = self._extract(tup)
+        admitted, extracted = self._admitted
+        if admitted is not tup:
+            extracted = self._extract(tup)
         if extracted is None:
             return
         key, target = extracted

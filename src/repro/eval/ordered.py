@@ -18,16 +18,31 @@ aggregated body literal may only consume a done subgoal; if it lands in the
 current SCC the program is not left-to-right modularly stratified and
 evaluation stops with an error, matching the paper's scope for the
 technique.
+
+Each subgoal's answers are generated once.  A subgoal whose first pass read
+only base relations and done subgoals is done after that pass (nothing it
+read can grow); only a subgoal that reached itself or an open subgoal is
+iterated.  A call that a *done* subgoal subsumes opens no subgoal: the
+caller scans the done subgoal's answers, and its own literal does the
+filtering.  An open subgoal is never used that way — its answers are not
+all there yet, which is exactly what negation and aggregation must not see.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import StratificationError
-from ..language.ast import Aggregation, Literal, Rule
+from ..language.ast import (
+    AggregateSelection,
+    Aggregation,
+    Literal,
+    Rule,
+    group_positions,
+)
 from ..relations import HashRelation, ListTupleIterator, Tuple
 from ..terms import Arg, BindEnv, Trail, Var, rename_term, resolve, unify
+from ..terms.unify import subsumes_all
 from .aggregates import AggregateConstraint, fold_aggregate
 from .context import LocalScope
 from .join import fact_solutions, matches_any
@@ -78,7 +93,19 @@ class OrderedSearchEvaluator:
         self.rules_by_pred: Dict[PredKey, List[Rule]] = {}
         for rule in compiled.rewritten.rules:
             self.rules_by_pred.setdefault(rule.head.key, []).append(rule)
+        self.selections: Dict[PredKey, List[AggregateSelection]] = {}
+        for key, selection in compiled.constraints:
+            self.selections.setdefault(key, []).append(selection)
+        #: the argument positions a call to a predicate with selections may
+        #: bind (see :func:`group_positions`)
+        self.bindable: Dict[PredKey, FrozenSet[int]] = {
+            key: group_positions(selections)
+            for key, selections in self.selections.items()
+        }
         self.memo: Dict[object, _Subgoal] = {}
+        #: done subgoals with a non-ground pattern (a ground one subsumes
+        #: only its own variants, and those hit the memo)
+        self.done_general: Dict[PredKey, List[_Subgoal]] = {}
         self.stack: List[_Subgoal] = []
         self._version = 0  # bumps on every new answer anywhere
 
@@ -98,8 +125,7 @@ class OrderedSearchEvaluator:
     def _constraints_for(self, pred: str, arity: int) -> List[AggregateConstraint]:
         return [
             AggregateConstraint(selection)
-            for (name, selection_arity), selection in self.compiled.constraints
-            if name == pred and selection_arity == arity
+            for selection in self.selections.get((pred, arity), ())
         ]
 
     def _solve(self, pred: str, pattern: PyTuple[Arg, ...]) -> PyTuple[_Subgoal, int]:
@@ -122,13 +148,25 @@ class OrderedSearchEvaluator:
     ) -> PyTuple[_Subgoal, int]:
         if self.scope.ctx.limits is not None:
             self.scope.ctx.limits.check(self.scope.ctx.stats)
-        key = Tuple(pattern).key()
-        key = (pred, key)
+        pred_key = (pred, len(pattern))
+        bindable = self.bindable.get(pred_key)
+        if bindable is not None:
+            # the selection must see every candidate of the group before a
+            # bound cost or witness filters them: call on the group alone
+            # and leave the other bindings to the caller's scan
+            pattern = tuple(
+                arg if position in bindable else Var()
+                for position, arg in enumerate(pattern)
+            )
+        key = (pred, Tuple(pattern).key())
         subgoal = self.memo.get(key)
         if subgoal is not None:
             if subgoal.done:
                 return subgoal, _COMPLETE
             return subgoal, subgoal.depth
+        for general in self.done_general.get(pred_key, ()):
+            if subsumes_all(general.pattern, pattern):
+                return general, _COMPLETE
 
         subgoal = _Subgoal(
             pred,
@@ -142,7 +180,9 @@ class OrderedSearchEvaluator:
         self.scope.ctx.stats.subgoals += 1
 
         lowlink = self._apply_rules(subgoal)
-        if lowlink >= subgoal.depth:
+        if lowlink < subgoal.depth:
+            return subgoal, lowlink
+        if lowlink != _COMPLETE:
             # root of its subgoal SCC: iterate the whole SCC to fixpoint,
             # then mark every member done (the paper's 'done' facts)
             while True:
@@ -153,11 +193,16 @@ class OrderedSearchEvaluator:
                     self._apply_rules(member)
                 if self._version == version:
                     break
-            for member in self.stack[subgoal.depth :]:
-                member.done = True
-            del self.stack[subgoal.depth :]
-            return subgoal, _COMPLETE
-        return subgoal, lowlink
+        # else the one pass read base relations and done subgoals only, so
+        # it is alone on top of the context with every answer generated
+        for member in self.stack[subgoal.depth :]:
+            member.done = True
+            if not all(arg.is_ground() for arg in member.pattern):
+                self.done_general.setdefault(
+                    (member.pred, member.arity), []
+                ).append(member)
+        del self.stack[subgoal.depth :]
+        return subgoal, _COMPLETE
 
     def _apply_rules(self, subgoal: _Subgoal) -> int:
         """One pass over the subgoal's rules; returns the minimum lowlink
@@ -293,9 +338,9 @@ class OrderedSearchEvaluator:
                 )
             return
         cursor = relation.scan(literal.args, env)
-        if callee is not None:
-            # a snapshot: the callee's answers may grow while the rest of
-            # the body is being solved
+        if callee is not None and not callee.done:
+            # a snapshot: an open callee's answers may grow while the rest
+            # of the body is being solved
             cursor = ListTupleIterator(list(cursor))
         for _ in fact_solutions(cursor, literal.args, env, trail):
             yield from self._body_solutions(

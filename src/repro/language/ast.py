@@ -15,7 +15,7 @@ of the group expression ``<C>`` under ``min``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple as PyTuple
 
 from ..terms import Arg, Var
 
@@ -137,6 +137,25 @@ class AggregateSelection:
     @property
     def arity(self) -> int:
         return len(self.pattern)
+
+
+def group_positions(selections: Sequence[AggregateSelection]) -> FrozenSet[int]:
+    """The argument positions that hold a grouping variable of *every* one
+    of these selections (all on one predicate).
+
+    A selection compares all the facts of a group, so these are the only
+    positions a call may bind before evaluation: a binding anywhere else
+    (a cost, a witness) would hide candidates from the selection, and is
+    applied to the selected facts instead."""
+    return frozenset(
+        position
+        for position in range(selections[0].arity)
+        if all(
+            isinstance(selection.pattern[position], Var)
+            and selection.pattern[position] in selection.group_vars
+            for selection in selections
+        )
+    )
 
 
 @dataclass(frozen=True)

@@ -296,7 +296,12 @@ class Optimizer:
                         },
                     )
                 adorned = adorn_program(
-                    rules, pred, len(adornment), adornment, self.is_builtin
+                    rules,
+                    pred,
+                    len(adornment),
+                    adornment,
+                    self.is_builtin,
+                    module.aggregate_selections,
                 )
                 if candidate == "magic":
                     rewritten = magic_rewrite(adorned, self.is_builtin)

@@ -16,10 +16,10 @@ arguments or by earlier body literals.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, FrozenSet, List, Sequence, Set, Tuple as PyTuple
 
 from ..errors import RewriteError
-from ..language.ast import Literal, Rule
+from ..language.ast import AggregateSelection, Literal, Rule, group_positions
 from ..terms import Arg
 
 PredKey = PyTuple[str, int]
@@ -68,6 +68,7 @@ def adorn_program(
     query_arity: int,
     adornment: str,
     is_builtin: Callable[[str, int], bool],
+    selections: Sequence[AggregateSelection] = (),
 ) -> AdornedProgram:
     """Adorn ``rules`` for a query on ``query_pred`` with ``adornment``.
 
@@ -75,6 +76,11 @@ def adorn_program(
     predicates); anything else — base relations, other modules' exports,
     builtins — is scanned as-is and treated as binding all its variables
     once evaluated.
+
+    A predicate that carries aggregate ``selections`` is adorned bound at
+    its grouping positions only (:func:`group_positions`), the query form
+    included: the selection must choose among all the facts of a group, and
+    whoever reads the answers applies the remaining bindings.
     """
     if len(adornment) != query_arity or any(c not in "bf" for c in adornment):
         raise RewriteError(
@@ -84,6 +90,14 @@ def adorn_program(
     by_pred: Dict[PredKey, List[Rule]] = {}
     for rule in rules:
         by_pred.setdefault(rule.head.key, []).append(rule)
+
+    by_selected: Dict[PredKey, List[AggregateSelection]] = {}
+    for selection in selections:
+        by_selected.setdefault((selection.pred, selection.arity), []).append(
+            selection
+        )
+    bindable = {key: group_positions(on) for key, on in by_selected.items()}
+    adornment = _restrict(adornment, bindable.get((query_pred, query_arity)))
 
     out = AdornedProgram([], adorned_name(query_pred, adornment), adornment)
     worklist: List[PyTuple[PredKey, str]] = [((query_pred, query_arity), adornment)]
@@ -99,7 +113,8 @@ def adorn_program(
         for rule in by_pred.get((pred, arity), []):
             out.rules.append(
                 _adorn_rule(
-                    rule, new_name, pred_adornment, defined, is_builtin, worklist
+                    rule, new_name, pred_adornment, defined, is_builtin,
+                    worklist, bindable,
                 )
             )
     if (query_pred, query_arity) not in defined:
@@ -110,6 +125,16 @@ def adorn_program(
     return out
 
 
+def _restrict(adornment: str, bindable: "FrozenSet[int] | None") -> str:
+    """``adornment`` with every position outside ``bindable`` freed."""
+    if bindable is None:
+        return adornment
+    return "".join(
+        flag if position in bindable else "f"
+        for position, flag in enumerate(adornment)
+    )
+
+
 def _adorn_rule(
     rule: Rule,
     new_head_name: str,
@@ -117,6 +142,7 @@ def _adorn_rule(
     defined: Set[PredKey],
     is_builtin: Callable[[str, int], bool],
     worklist: List[PyTuple[PredKey, str]],
+    bindable: Dict[PredKey, FrozenSet[int]],
 ) -> Rule:
     # Variables bound on entry: those in head arguments at 'b' positions.
     # Aggregated head positions never receive bindings from the caller (the
@@ -137,7 +163,9 @@ def _adorn_rule(
                     bound_vars.update(var.vid for var in arg.variables())
             continue
         if literal.key in defined:
-            body_adornment = _literal_adornment(literal, bound_vars)
+            body_adornment = _restrict(
+                _literal_adornment(literal, bound_vars), bindable.get(literal.key)
+            )
             worklist.append((literal.key, body_adornment))
             new_body.append(
                 Literal(

@@ -40,6 +40,15 @@ a delete that disconnects followed by inserts that reconnect another way —
 through memo lazy repair and through streamed live deltas, each against a
 cold rebuild.  Every maintainable column also asserts that nothing was
 rebuilt or evicted: the fallback must not be able to mask a broken repair.
+
+The **Ordered Search column** (ISSUE 19) has its own generator,
+:class:`OrderedCase`: programs that are stratified, so ``@no_rewriting.`` can
+be the reference, but written to make ``@ordered_search.`` take every path it
+has — negation and grouped aggregation over a recursive positive predicate,
+calls with a repeated variable, partially bound structured arguments, a
+specific call made before and again after its generalisation is done, and an
+aggregate selection called with a bound non-group argument.
+``REPRO_DIFF_CASES`` scales it (default 40 programs).
 """
 
 import os
@@ -57,6 +66,7 @@ _TOTAL_CASES = max(10, int(os.environ.get("REPRO_DIFF_CASES", "200")))
 _N_STATIC = (_TOTAL_CASES * 3) // 5
 _N_INTERLEAVED = _TOTAL_CASES - _N_STATIC
 _N_LIVE = max(10, int(os.environ.get("REPRO_LIVE_SCHEDULES", "100")))
+_N_ORDERED = _TOTAL_CASES // 5
 
 
 # ---------------------------------------------------------------------------
@@ -586,3 +596,114 @@ def test_targeted_schedules_repair_without_falling_back(seed, flags):
                 )
         stats = live_session.live.snapshot()
         assert stats["rebuilds"] == 0, (seed, name, stats)
+
+
+# ---------------------------------------------------------------------------
+# Ordered Search: subgoal completion against plain bottom-up evaluation
+# ---------------------------------------------------------------------------
+
+
+class OrderedCase:
+    """A random program for ``@ordered_search.`` against ``@no_rewriting.``.
+
+    ``r`` is a transitive closure (right-, left- or non-linear, over a graph
+    that may have cycles); every other predicate calls it in a way Ordered
+    Search treats differently from a plain call:
+
+    * ``cut``/``low``/``hub`` negate it, ``fan``/``low`` aggregate over it —
+      both legal only over *done* subgoals;
+    * ``twice`` calls ``r(x, y)``, then ``r(x, W)``, then ``r(x, y)`` again:
+      the first specific call precedes its generalisation, later ones (other
+      ``y``) find the generalisation done;
+    * ``cyc``/``hub`` call ``r`` with a repeated variable, which ``r(x, W)``
+      subsumes but which subsumes no ``r(x, y)`` with ``x != y``;
+    * ``via`` calls ``step`` with a partially bound structured argument and
+      then with that argument ground;
+    * ``cost`` carries a ``min`` selection (no ``any``: which witness
+      survives is engine-dependent) and is queried with its cost bound.
+    """
+
+    _EXPORTS = [
+        "r(ff, bf, fb, bb)", "cut(ff, bf)", "fan(ff, bf, bb)", "low(ff, bf)",
+        "twice(fff, bff)", "cyc(f, b)", "hub(ff, bf)", "step(ff, bf, bb)",
+        "via(ff, bf)", "cost(fff, bff, bbf, bfb, bbb)", "best(fff, bff)",
+    ]
+
+    def __init__(self, seed: int) -> None:
+        rng = random.Random(seed)
+        self.seed = seed
+        self.domain = list(range(1, rng.randint(4, 6) + 1))
+        universe = [(x, y) for x in self.domain for y in self.domain]
+        self.facts = {
+            pred: set(rng.sample(universe, rng.randint(3, 8)))
+            for pred in ("b0", "b1")
+        }
+        e, f = rng.sample(["b0", "b1"], 2)
+        recursion = rng.choice([
+            f"r(X, Y) :- {e}(X, Z), r(Z, Y).",
+            f"r(X, Y) :- r(X, Z), {e}(Z, Y).",
+            "r(X, Y) :- r(X, Z), r(Z, Y).",
+        ])
+        self.rules = [
+            f"r(X, Y) :- {e}(X, Y).",
+            recursion,
+            f"cut(X, Y) :- {f}(X, Y), not r(Y, X).",
+            "fan(X, count(<Y>)) :- r(X, Y).",
+            "low(X, min(<Y>)) :- r(X, Y), not cut(X, Y).",
+            f"twice(X, Y, W) :- {f}(X, Y), r(X, Y), r(X, W), r(X, Y).",
+            "cyc(X) :- r(X, X).",
+            f"hub(X, Y) :- r(Z, Z), {f}(Z, X), r(X, Y), not cut(X, Y).",
+            "step(p(X, Y), s(Y)) :- r(X, Y).",
+            f"via(X, Y) :- {f}(X, Z), step(p(Z, Y), S), step(p(Z, Y), s(Y)).",
+            # an edge weighs the sum of its ends: positive, so min(C) is
+            # reached on cyclic graphs too
+            f"cost(X, Y, C) :- {e}(X, Y), C = X + Y.",
+            f"cost(X, Y, C) :- cost(X, Z, C1), {e}(Z, Y), C = C1 + Z + Y.",
+            "best(X, Y, C) :- cost(X, Y, C), fan(X, N), N > 1.",
+        ]
+        a, b = rng.choice(self.domain), rng.choice(self.domain)
+        costs = rng.sample(range(4, 15), 4)
+        self.queries = [
+            "r(X, Y)", f"r({a}, Y)", f"r(X, {b})", f"r({a}, {b})", "r(X, X)",
+            "cut(X, Y)", f"cut({a}, Y)",
+            "fan(X, N)", f"fan({a}, N)", f"fan({a}, {rng.randint(1, 3)})",
+            "low(X, M)", f"low({a}, M)",
+            "twice(X, Y, W)", f"twice({a}, Y, W)",
+            "cyc(X)", f"cyc({a})",
+            "hub(X, Y)", f"hub({a}, Y)",
+            "step(P, S)", f"step(p({a}, Y), S)", f"step(p({a}, Y), s({b}))",
+            "via(X, Y)", f"via({a}, Y)",
+            "cost(X, Y, C)", f"cost({a}, Y, C)", f"cost({a}, {b}, C)",
+            *[f"cost({a}, Y, {c})" for c in costs],
+            *[f"cost({a}, {b}, {c})" for c in costs],
+            "best(X, Y, C)", f"best({a}, Y, C)",
+        ]
+
+    def program(self, flags: str = "") -> str:
+        lines = [
+            f"{pred}({x}, {y})."
+            for pred in sorted(self.facts)
+            for x, y in sorted(self.facts[pred])
+        ]
+        lines += ["", f"module ord{self.seed}."]
+        if flags:
+            lines.append(flags)
+        lines += [f"export {form}." for form in self._EXPORTS]
+        lines.append("@aggregate_selection cost(X, Y, C) (X, Y) min(C).")
+        return "\n".join(lines + self.rules + ["end_module."]) + "\n"
+
+
+def _evaluate_terms(program: str, queries):
+    """As :func:`_evaluate`, for answers that hold structured terms."""
+    session = Session()
+    session.consult_string(program)
+    return {q: sorted({str(a) for a in session.query(q).all()}) for q in queries}
+
+
+@pytest.mark.parametrize("seed", range(40_000, 40_000 + _N_ORDERED))
+def test_ordered_search_agrees_with_no_rewriting(seed):
+    case = OrderedCase(seed)
+    baseline = _evaluate_terms(case.program("@no_rewriting."), case.queries)
+    run = _evaluate_terms(case.program("@ordered_search."), case.queries)
+    _assert_same(case, baseline, run, "ordered_search")
+    assert any(baseline.values()), "a case with no answers checks nothing"

@@ -13,7 +13,7 @@ from repro.language import parse_module
 from repro.language.ast import AggregateSelection, Literal
 from repro.relations import HashRelation, Tuple
 from repro.rewriting.seminaive import ScanKind, SNLiteral
-from repro.terms import Atom, BindEnv, Double, Int, Trail, Var, resolve
+from repro.terms import Atom, BindEnv, Double, Functor, Int, Trail, Var, resolve
 
 
 def t(*values):
@@ -218,6 +218,59 @@ class TestAggregateConstraint:
         constraint.record(relation, first)
         assert not constraint.admit(relation, t(1, 8))
         assert constraint.admit(relation, t(2, 8))
+
+    def test_admitted_fact_is_extracted_once(self, monkeypatch):
+        """``record`` reuses what ``admit`` read from the same fact."""
+        constraint = self._min_constraint()
+        calls = []
+        extract = constraint._extract
+        monkeypatch.setattr(
+            constraint, "_extract", lambda tup: calls.append(tup) or extract(tup)
+        )
+        relation = HashRelation("p", 3)
+        for fact in (t(1, 2, 10), t(1, 2, 5), t(1, 3, 7)):
+            assert constraint.admit(relation, fact)
+            relation.insert(fact)
+            constraint.record(relation, fact)
+        assert len(calls) == 3
+        assert not constraint.admit(relation, t(1, 2, 6))
+        constraint.record(relation, t(1, 3, 7))  # not the fact last admitted
+        assert len(calls) == 5
+
+    def test_non_ground_group_or_target_is_not_constrained(self):
+        constraint = self._min_constraint()
+        relation = HashRelation("p", 3)
+        best = t(1, 2, 5)
+        constraint.admit(relation, best)
+        relation.insert(best)
+        constraint.record(relation, best)
+        open_group = Tuple((Int(1), Var("Y"), Int(9)))
+        open_cost = Tuple((Int(1), Int(2), Var("C")))
+        for fact in (open_group, open_cost):
+            assert constraint.admit(relation, fact)
+            constraint.record(relation, fact)
+        assert not constraint.admit(relation, t(1, 2, 9))
+
+    def test_structured_pattern_is_matched_not_read_by_position(self):
+        """``p(f(X), C)`` grouped by X: the grouping term is inside an
+        argument, so the fact goes through the general matcher."""
+        x, c = Var("X"), Var("C")
+        constraint = AggregateConstraint(
+            AggregateSelection("p", (Functor("f", (x,)), c), (x,), "min", c)
+        )
+        assert constraint._positions is None
+        relation = HashRelation("p", 2)
+
+        def fact(key, cost):
+            return Tuple((Functor("f", (Int(key),)), Int(cost)))
+
+        worse, better = fact(1, 10), fact(1, 5)
+        assert constraint.admit(relation, worse)
+        relation.insert(worse)
+        constraint.record(relation, worse)
+        assert constraint.admit(relation, better)
+        assert not relation.contains(worse)
+        assert constraint.admit(relation, Tuple((Atom("g"), Int(99))))  # no match
 
 
 def _random_graph_program(edges):

@@ -158,3 +158,42 @@ class TestOrderedSearchAggregation:
         )
         answers = {(a["Y"], a["C"]) for a in session.query("cheap(a, Y, C)")}
         assert answers == {("b", 2), ("c", 3)}
+
+
+FIGURE_3_PATHS = """
+module s_p.
+export p(bbfb, bbff, bfff).
+{flag}
+@aggregate_selection p(X, Y, P, C) (X, Y) min(C).
+@aggregate_selection p(X, Y, P, C) (X, Y, C) any(P).
+p(X, Y, P1, C1) :- p(X, Z, P, C), edge(Z, Y, EC),
+                   append([edge(Z, Y)], P, P1), C1 = C + EC.
+p(X, Y, [edge(X, Y)], C) :- edge(X, Y, C).
+end_module.
+"""
+
+
+class TestSelectionWithABoundNonGroupArgument:
+    """A selection compares all the facts of a group, so an argument bound
+    outside the grouping variables filters the *selected* facts: the
+    cost-6 path from a to b is not a shortest path, whoever evaluates."""
+
+    @pytest.mark.parametrize(
+        "flag", ["@ordered_search.", "@no_rewriting.", ""],
+        ids=["ordered_search", "no_rewriting", "default"],
+    )
+    def test_bound_cost_filters_the_minimum(self, flag):
+        session = Session()
+        session.consult_string(
+            "edge(a, b, 1). edge(a, c, 1). edge(c, b, 5)."
+            + FIGURE_3_PATHS.format(flag=flag)
+        )
+        assert session.query("p(a, b, P, 6)").all() == []
+        assert [
+            ([str(edge) for edge in a["P"]], a["C"])
+            for a in session.query("p(a, b, P, C)")
+        ] == [(["edge(a, b)"], 1)]
+        assert sorted(
+            (a["Y"], [str(edge) for edge in a["P"]], a["C"])
+            for a in session.query("p(a, Y, P, C)")
+        ) == [("b", ["edge(a, b)"], 1), ("c", ["edge(a, c)"], 1)]

@@ -101,6 +101,31 @@ class TestAdornment:
         }
         assert q_literals == {"q_bb"}  # both bound after the '=' builtin
 
+    def test_a_selection_keeps_only_its_grouping_positions_bound(self):
+        """``cost`` groups by (X, Y): neither the query form nor a body
+        call may push a cost binding past the selection."""
+        module = parse_module(
+            """
+            module m.
+            export cost(bbb).
+            @aggregate_selection cost(X, Y, C) (X, Y) min(C).
+            cost(X, Y, C) :- edge(X, Y, C).
+            cost(X, Y, C) :- cost(X, Z, C1), edge(Z, Y, C2), C = C1 + C2.
+            cheap(X, Y) :- edge(X, Y, C), cost(X, Y, C).
+            end_module.
+            """
+        )
+        adorned = adorn_program(
+            module.rules, "cost", 3, "bbb", is_builtin, module.aggregate_selections
+        )
+        assert adorned.query_pred == "cost_bbf"
+        assert adorned.query_adornment == "bbf"
+        adorned = adorn_program(
+            module.rules, "cheap", 2, "ff", is_builtin, module.aggregate_selections
+        )
+        assert "cost_bbf" in heads(adorned.rules)
+        assert "cost_bbb" not in heads(adorned.rules)
+
     def test_bad_adornment_rejected(self):
         with pytest.raises(RewriteError):
             adorn_program(tc_rules(), "path", 2, "bx", is_builtin)

@@ -17,6 +17,12 @@ Every win(x) subgoal on an acyclic board reads only base facts and done
 subgoals, so its rules are applied once: passes over a subgoal's rules must
 equal subgoals (they were twice that while every subgoal was re-run to
 confirm its fixpoint).
+
+A recursive subgoal SCC is the other regime: ``path(0, Y)`` on a ring with
+chords opens one subgoal per node, all in one SCC, which is iterated
+semi-naively — a combination of answers is joined once, so inferences grow
+with the answers (n per subgoal, n subgoals), not with passes x answers.
+Counts only; nothing here is timed.
 """
 
 import pytest
@@ -50,6 +56,29 @@ def _game_dag(levels: int, seed: int = 5):
                 continue
             moves.append((node, target_level * 4 + rng.randrange(4)))
     return nodes, sorted(set(moves))
+
+
+RING = """
+module tc.
+export path(bf).
+@ordered_search.
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+end_module.
+"""
+
+#: inferences of ``path(0, Y)`` stay under this many per node squared: every
+#: subgoal derives each of its n answers once per edge leaving its node (two:
+#: the ring edge and the chord), 2.03 n^2 at n = 60.  Iterated naively the
+#: same table read 8.99 / 8.93 / 9.13 n^2 and grew with the diameter.
+RING_INFERENCES_PER_N2 = 2.5
+
+
+def _ring_with_chords(n: int):
+    """Every node has its ring edge and one chord: strongly connected."""
+    return sorted(
+        {(i, (i + 1) % n) for i in range(n)} | {(i, (7 * i + 3) % n) for i in range(n)}
+    )
 
 
 def _solve_reference(nodes, moves):
@@ -113,6 +142,32 @@ class TestE8OrderedSearch:
         # subgoal count is bounded by positions reachable from the root —
         # polynomial in the board, not exponential in game-tree paths
         assert rows[-1][2] <= 4 * len(_game_dag(7)[0])
+
+    def test_recursive_scc_scaling(self):
+        rows = []
+        for n in (20, 40, 60):
+            facts = " ".join(f"edge({a}, {b})." for a, b in _ring_with_chords(n))
+            session = session_with(facts, RING)
+            assert len(session.query("path(0, Y)").all()) == n
+            stats = session.stats
+            rows.append(
+                (
+                    n,
+                    stats.subgoals,
+                    stats.iterations,
+                    stats.rule_applications,
+                    stats.inferences,
+                    round(stats.inferences / (n * n), 2),
+                )
+            )
+        report(
+            "E8: ordered-search path(0, Y) on a ring with chords, one subgoal SCC",
+            ["n", "subgoals", "SCC passes", "rule applications", "inferences",
+             "inferences / n^2"],
+            rows,
+        )
+        assert all(row[1] == row[0] for row in rows)  # one subgoal per node
+        assert all(row[4] <= RING_INFERENCES_PER_N2 * row[0] ** 2 for row in rows)
 
     def test_cyclic_game_rejected(self):
         """win through a negative cycle is not modularly stratified: the

@@ -29,7 +29,7 @@ from abc import ABC, abstractmethod
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import CoralError
-from ..terms import Arg, BindEnv, Trail, Var, match, resolve
+from ..terms import Arg, BindEnv, Trail, Var, canonicalize_term, match, resolve
 from .base import Tuple
 
 #: Sentinel key for the var bucket.
@@ -144,6 +144,19 @@ class PatternIndexSpec(IndexSpec):
                 raise CoralError(
                     f"key variable {var} does not occur in the index pattern"
                 )
+
+    def _shape(self):
+        """The spec up to variable renaming: the pattern with its variables
+        numbered by first occurrence, and the key variables as numbered."""
+        mapping: Dict[int, Var] = {}
+        pattern = tuple(canonicalize_term(term, mapping) for term in self.pattern)
+        return pattern, tuple(mapping[var.vid] for var in self.key_vars)
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, PatternIndexSpec) and other._shape() == self._shape()
+
+    def __hash__(self) -> int:
+        return hash(("patidx", self._shape()))
 
     def _extract(self, instance: Sequence[Arg], instance_env: Optional[BindEnv]):
         """Match the index pattern against ``instance``; return the key-var

@@ -47,7 +47,7 @@ from ..errors import CoralError
 from ..terms import Arg, BindEnv
 from ..terms.unify import subsumes_all
 from .base import GeneratorTupleIterator, Relation, Tuple, TupleIterator
-from .index import ArgumentIndexSpec, Index, IndexSpec
+from .index import Index, IndexSpec
 
 _next_seqno = itertools.count(1)
 
@@ -278,8 +278,10 @@ class HashRelation(MarkedRelation):
         """Add an index, populating it over the existing contents.
 
         Section 3.2: indices "can be added to existing relations".
+        An index equal to an existing one (same positions; same pattern and
+        key variables up to renaming) is not added again.
         """
-        if any(existing == spec for existing in self._specs if isinstance(spec, ArgumentIndexSpec)):
+        if spec in self._specs:
             return
         self._specs.append(spec)
         self._rank_specs()

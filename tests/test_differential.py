@@ -48,7 +48,12 @@ has — negation and grouped aggregation over a recursive positive predicate,
 calls with a repeated variable, partially bound structured arguments, a
 specific call made before and again after its generalisation is done, and an
 aggregate selection called with a bound non-group argument.
-``REPRO_DIFF_CASES`` scales it (default 40 programs).
+:class:`SccCase` (ISSUE 20) aims at the semi-naive iteration of a subgoal
+SCC: non-linear and mutual recursion, two recursive literals around a base
+one, calls whose bound argument is an answer of an open subgoal, a ``min``
+selection deleting answers between passes, and negation and grouping over
+subgoals that completed inside an earlier pass of their caller.
+``REPRO_DIFF_CASES`` scales both (default 40 programs each).
 """
 
 import os
@@ -703,6 +708,127 @@ def _evaluate_terms(program: str, queries):
 @pytest.mark.parametrize("seed", range(40_000, 40_000 + _N_ORDERED))
 def test_ordered_search_agrees_with_no_rewriting(seed):
     case = OrderedCase(seed)
+    baseline = _evaluate_terms(case.program("@no_rewriting."), case.queries)
+    run = _evaluate_terms(case.program("@ordered_search."), case.queries)
+    _assert_same(case, baseline, run, "ordered_search")
+    assert any(baseline.values()), "a case with no answers checks nothing"
+
+
+class SccCase:
+    """Recursions whose subgoals form SCCs that Ordered Search iterates,
+    for ``@ordered_search.`` against ``@no_rewriting.``.
+
+    Every predicate makes a later pass of some rule differ from its first:
+
+    * ``t`` is the non-linear closure: a fresh ``t(x, z, _)`` makes the *new
+      call* ``t(z, Y, _)``, which must see that subgoal's old answers.  It
+      (and ``w``) carries the length of the derivation, bounded, so that no
+      other derivation of the same pair hides a combination never joined;
+    * ``od``/``ev`` are mutually recursive with different binding patterns;
+    * ``w`` has two recursive literals around a base literal;
+    * ``up``/``dn``: a call first made in a later pass of ``dn(x, _)``
+      reaches the still-open ``up`` subgoal *below* it;
+    * ``rl`` calls the derived (and at once done) ``lk`` before its
+      recursive literal: an old prefix over a done callee must go on;
+    * ``sp``/``sq`` carry a ``min`` selection, non-linear and right-linear:
+      dominated answers are deleted between passes;
+    * ``gr`` calls the grouped ``deg`` and the negated ``blk`` from inside
+      its recursion: their subgoals complete inside one pass of ``gr`` and
+      are met again, done, by the next.
+    """
+
+    _EXPORTS = [
+        "t(fff, bff, fbf, bbf)", "od(ff, bf, fb)", "ev(ff, bf, fb)",
+        "w(fff, bff, bbf)", "up(ff, bf)", "dn(ff, bf)", "rl(ff, bf, fb)",
+        "sp(fff, bff, bbf, bfb)", "sq(fff, bff, bbf)", "gr(ff, bf, bb)",
+        "deg(ff, bf)",
+    ]
+
+    def __init__(self, seed: int) -> None:
+        rng = random.Random(seed)
+        self.seed = seed
+        self.domain = list(range(1, rng.randint(4, 7) + 1))
+        universe = [(x, y) for x in self.domain for y in self.domain]
+        self.facts = {
+            pred: set(rng.sample(universe, rng.randint(3, 9)))
+            for pred in ("b0", "b1")
+        }
+        e, f = rng.sample(["b0", "b1"], 2)
+        ev_rule = rng.choice([
+            f"ev(X, Y) :- od(Z, Y), {e}(X, Z).",
+            f"ev(X, Y) :- {e}(X, Z), od(Z, Y).",
+            f"ev(X, Y) :- od(X, Z), {f}(Z, Y).",
+        ])
+        w_rule = rng.choice([
+            f"w(X, Y, N) :- w(X, Z, N1), {f}(Z, U), w(U, Y, N2), "
+            f"N = N1 + N2, N < {rng.randint(4, 6)}.",
+            f"w(X, Y, N) :- w(X, Z, N1), {f}(U, Z), w(U, Y, N2), "
+            f"N = N1 + N2, N < {rng.randint(4, 6)}.",
+            f"w(X, Y, N) :- w(Z, Y, N1), {f}(Z, U), w(X, U, N2), "
+            f"N = N1 + N2, N < {rng.randint(4, 6)}.",
+        ])
+        self.rules = [
+            f"t(X, Y, 1) :- {e}(X, Y).",
+            "t(X, Y, N) :- t(X, Z, N1), t(Z, Y, N2), N = N1 + N2, "
+            f"N < {rng.randint(4, 7)}.",
+            f"od(X, Y) :- {e}(X, Y).",
+            f"od(X, Y) :- {e}(X, Z), ev(Z, Y).",
+            ev_rule,
+            f"w(X, Y, 1) :- {e}(X, Y).",
+            w_rule,
+            f"up(X, Y) :- {f}(X, Z), dn(Z, W), {e}(W, Y).",
+            f"dn(X, Y) :- dn(X, Z), {f}(Z, U), up(U, Y).",
+            f"dn(X, Y) :- {e}(X, Y).",
+            f"dn(X, Y) :- dn(X, Z), {e}(Z, Y).",
+            f"lk(X, Y) :- {e}(X, Y).",
+            f"lk(X, Y) :- {f}(X, Z), {f}(Z, Y).",
+            "rl(X, Y) :- lk(X, Y).",
+            "rl(X, Y) :- lk(X, Z), rl(Z, Y).",
+            # positive weights, so min(C) is reached on cyclic graphs too
+            f"sp(X, Y, C) :- {e}(X, Y), C = X + Y.",
+            "sp(X, Y, C) :- sp(X, Z, C1), sp(Z, Y, C2), C = C1 + C2.",
+            f"sq(X, Y, C) :- {f}(X, Y), C = X * Y.",
+            f"sq(X, Y, C) :- {f}(X, Z), sq(Z, Y, C1), C = C1 + X.",
+            f"deg(X, count(<Y>)) :- {f}(X, Y).",
+            f"blk(X, Y) :- {f}(X, Y), {f}(Y, X).",
+            f"gr(X, Y) :- {e}(X, Y).",
+            f"gr(X, Y) :- gr(X, Z), deg(Z, N), N > {rng.randint(0, 1)}, "
+            f"{e}(Z, Y), not blk(Z, Y).",
+        ]
+        a, b = rng.choice(self.domain), rng.choice(self.domain)
+        self.queries = [
+            "t(X, Y, N)", f"t({a}, Y, N)", f"t(X, {b}, N)", f"t({a}, {b}, N)",
+            "od(X, Y)", f"od({a}, Y)", f"od(X, {b})",
+            "ev(X, Y)", f"ev({a}, Y)", f"ev(X, {b})",
+            "w(X, Y, N)", f"w({a}, Y, N)", f"w({a}, {b}, N)",
+            "up(X, Y)", f"up({a}, Y)", "dn(X, Y)", f"dn({a}, Y)",
+            "rl(X, Y)", f"rl({a}, Y)", f"rl(X, {b})",
+            "sp(X, Y, C)", f"sp({a}, Y, C)", f"sp({a}, {b}, C)",
+            f"sp({a}, Y, {rng.randint(4, 12)})",
+            "sq(X, Y, C)", f"sq({a}, Y, C)", f"sq({a}, {b}, C)",
+            "gr(X, Y)", f"gr({a}, Y)", f"gr({a}, {b})",
+            "deg(X, N)", f"deg({a}, N)",
+        ]
+
+    def program(self, flags: str = "") -> str:
+        lines = [
+            f"{pred}({x}, {y})."
+            for pred in sorted(self.facts)
+            for x, y in sorted(self.facts[pred])
+        ]
+        lines += ["", f"module scc{self.seed}."]
+        if flags:
+            lines.append(flags)
+        lines += [f"export {form}." for form in self._EXPORTS]
+        lines.append("@aggregate_selection sp(X, Y, C) (X, Y) min(C).")
+        lines.append("@aggregate_selection sq(X, Y, C) (X, Y) min(C).")
+        return "\n".join(lines + self.rules + ["end_module."]) + "\n"
+
+
+# 41_000.. was the range used while the semi-naive SCC loop was written
+@pytest.mark.parametrize("seed", range(42_000, 42_000 + _N_ORDERED))
+def test_ordered_search_scc_agrees_with_no_rewriting(seed):
+    case = SccCase(seed)
     baseline = _evaluate_terms(case.program("@no_rewriting."), case.queries)
     run = _evaluate_terms(case.program("@ordered_search."), case.queries)
     _assert_same(case, baseline, run, "ordered_search")

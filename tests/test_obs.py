@@ -386,6 +386,37 @@ class TestProfiler:
         assert pipeline["reach/2"]["calls"] >= 1
         assert pipeline["edge/2"]["calls"] >= 1
 
+    def test_ordered_search_reports_rules_iterations_and_scans(self):
+        session = Session()
+        session.consult_string(
+            """
+            edge(1, 2). edge(2, 3). edge(3, 1).
+
+            module ring. @ordered_search.
+            export path(bf).
+            path(X, Y) :- edge(X, Y).
+            path(X, Y) :- edge(X, Z), path(Z, Y).
+            end_module.
+            """
+        )
+        with session.profile() as prof:
+            assert len(session.query("path(1, X)").all()) == 3
+        profile = prof.profile
+        # one row per rule; a run of a rule for a subgoal is an application
+        by_body = {row["rule"].split(" :- ")[1]: row for row in profile.rules}
+        assert by_body["edge(X, Y)."]["applications"] == 3  # once per subgoal
+        assert by_body["edge(X, Z), path(Z, Y)."]["applications"] > 3
+        assert sum(row["derived"] for row in profile.rules) == 9
+        assert profile.eval["rule_applications"] == sum(
+            row["applications"] for row in profile.rules
+        )
+        # every pass over the one SCC, rooted at path(1, _)
+        assert profile.iteration_count == profile.eval["iterations"] > 1
+        assert {row["scc"] for row in profile.iterations} == {"path/2"}
+        assert sum(row["new_facts"] for row in profile.iterations) < 9
+        assert profile.scans["path/2"]["matches"] > 0
+        assert profile.scans["edge/2"]["scans"] > 0
+
     def test_storage_counters_and_fault_observer_restored(self, tmp_path):
         session = Session(data_directory=str(tmp_path), buffer_capacity=4)
         relation = session.persistent_relation("edge", 2)

@@ -367,3 +367,48 @@ class TestListPatternIndex:
         )
         answers = session.query("stock([widget, S], Q)").all()
         assert len(answers) == 2
+
+
+class TestAddIndexDeduplicates:
+    """An index equal to one the relation already has is not filed again:
+    every later insert would maintain both (ISSUE 20)."""
+
+    def test_repeated_argument_index_is_one_spec(self):
+        rel = HashRelation("p", 4)
+        for _ in range(3):
+            rel.add_index(ArgumentIndexSpec(4, [3, 1]))
+        assert [spec.describe() for spec in rel.index_specs] == ["args(2,4)"]
+
+    def test_a_different_position_set_is_a_second_spec(self):
+        rel = HashRelation("p", 4)
+        rel.add_index(ArgumentIndexSpec(4, [1, 3]))
+        rel.add_index(ArgumentIndexSpec(4, [1]))
+        assert len(rel.index_specs) == 2
+
+    def test_pattern_specs_compare_up_to_variable_renaming(self):
+        def emp(name, street, city, keys):
+            pattern = [name, Functor("addr", (street, city))]
+            return PatternIndexSpec(pattern, keys(name, street, city))
+
+        first = emp(Var("Name"), Var("Street"), Var("City"), lambda n, s, c: [n, c])
+        again = emp(Var("N"), Var("S"), Var("C"), lambda n, s, c: [n, c])
+        other_keys = emp(Var("N"), Var("S"), Var("C"), lambda n, s, c: [n, s])
+        assert first == again and hash(first) == hash(again)
+        assert first != other_keys
+        assert first != ArgumentIndexSpec(2, [0])
+
+        rel = HashRelation("emp", 2)
+        for spec in (first, again, other_keys):
+            rel.add_index(spec)
+        assert rel.index_specs == (first, other_keys)
+
+    def test_make_index_consulted_twice_files_one_index(self):
+        from repro import Session
+
+        session = Session()
+        text = "@make_index emp(Name, addr(Street, City)) (Name, City).\n"
+        session.consult_string(text + "emp(john, addr(main, madison)).\n")
+        session.consult_string(text)
+        relation = session.relation("emp", 2)
+        assert len(relation.index_specs) == 1
+        assert len(session.query("emp(john, addr(S, madison))").all()) == 1

@@ -94,18 +94,15 @@ class QueryResult:
             yield answer
 
     def _notify_error(self, exc: CoralError) -> None:
-        """Let an installed flight recorder see a dying pull (it dumps its
-        ring for StorageError / ResourceLimitError).  Best-effort only: the
-        notification must never mask the original error."""
+        """Let the observer see a dying pull (an attached flight recorder
+        dumps its ring for StorageError / ResourceLimitError).  Best-effort
+        only: the notification must never mask the original error."""
         ctx = self._ctx
         obs = ctx.obs if ctx is not None else None
         if obs is None:
             return
-        hook = getattr(obs, "on_error", None)
-        if hook is None:
-            return
         try:
-            hook(exc)
+            obs.on_error(exc)
         except Exception:
             pass
 
@@ -308,12 +305,9 @@ class Session:
             raise CoralError("storage is already open for this session")
         self._server = StorageServer(directory, faults=faults)
         self._pool = BufferPool(self._server, buffer_capacity)
-        if (
-            self.flight is not None
-            and self._server.faults.observer is None
-        ):
+        if self.ctx.obs is not None:
             # a recorder enabled before storage opened still sees faults
-            self._server.faults.observer = self.flight
+            self.ctx.obs.wire(self._server.faults)
 
     @property
     def storage_pool(self) -> BufferPool:
@@ -652,47 +646,31 @@ class Session:
     # -- observability (repro.obs) -------------------------------------------------
 
     def enable_flight_recorder(
-        self,
-        capacity: int = 4096,
-        dump_path: Optional[str] = None,
-        scan_stride: int = 16,
+        self, capacity: int = 4096, dump_path: Optional[str] = None
     ):
         """Install an always-on :class:`~repro.obs.flight.FlightRecorder`:
         a bounded ring of recent evaluation/storage events, cheap enough to
         leave enabled.  With ``dump_path`` set, the ring is written out as
         JSON lines when a storage fault fires or a query dies with
         ``StorageError``/``ResourceLimitError`` — a post-mortem without
-        re-running under tracing.  ``session.profile()`` still works while
-        a recorder is installed (the profiler borrows the observer slot and
-        restores it).  Returns the recorder."""
+        re-running under tracing.  A ``session.profile()`` block, before or
+        after, shares the observer with the recorder: the ring keeps
+        recording and dumping inside it.  Returns the recorder."""
         from ..obs.flight import FlightRecorder
+        from ..obs.observer import attach
 
-        if self.ctx.obs is not None:
-            raise CoralError(
-                "an observer (profiler or flight recorder) is already "
-                "installed on this session"
-            )
-        recorder = FlightRecorder(
-            capacity=capacity, dump_path=dump_path, scan_stride=scan_stride
-        )
+        recorder = FlightRecorder(capacity=capacity, dump_path=dump_path)
+        injector = self._server.faults if self._server is not None else None
+        attach(self.ctx, injector, "flight", recorder)
         self.flight = recorder
-        self.ctx.obs = recorder
-        if self._server is not None and self._server.faults.observer is None:
-            self._server.faults.observer = recorder
         return recorder
 
     def disable_flight_recorder(self) -> None:
-        recorder = self.flight
-        if recorder is None:
-            return
-        if self.ctx.obs is recorder:
-            self.ctx.obs = None
-        if (
-            self._server is not None
-            and self._server.faults.observer is recorder
-        ):
-            self._server.faults.observer = None
-        self.flight = None
+        from ..obs.observer import detach
+
+        if self.flight is not None:
+            detach(self.ctx, "flight", self.flight)
+            self.flight = None
 
     def enable_slow_query_log(
         self, path: str, threshold: float = 1.0, analyze: bool = False
@@ -719,7 +697,7 @@ class Session:
             return None
         return self._pool.stats.snapshot()
 
-    def profile(self, trace: bool = True, trace_limit: int = 200_000):
+    def profile(self, trace: bool = True):
         """Profile everything evaluated inside a ``with`` block::
 
             with session.profile() as prof:
@@ -731,15 +709,11 @@ class Session:
         (rule applications, fixpoint iterations, subgoal timings, storage
         counters) plus the metrics registry and — unless ``trace=False`` —
         an event tracer exportable to JSON lines or ``chrome://tracing``.
-        Profilers do not nest; the hooks cost one branch per site when no
-        profiler is installed.
+        Profilers do not nest (a flight recorder may be attached alongside);
+        the hooks cost one branch per site when nothing is attached.
         """
         from ..obs import Profiler
 
         return Profiler(
-            self.ctx,
-            pool=self._pool,
-            server=self._server,
-            trace=trace,
-            trace_limit=trace_limit,
+            self.ctx, pool=self._pool, server=self._server, trace=trace
         )

@@ -61,7 +61,7 @@ class EvalContext:
         self.tracer = None
         #: optional ResourceLimits guarding the current evaluation; None = off
         self.limits = None
-        #: optional observability hook (a repro.obs Profiler); None = off.
+        #: optional observability hook (a repro.obs Observer); None = off.
         #: Every instrumentation site guards with `if ctx.obs is not None`,
         #: so a session that never profiles pays one branch per site.
         self.obs = None

@@ -147,8 +147,8 @@ class FaultInjector:
         #: arrivals per point, over the injector's lifetime
         self.counts: Dict[str, int] = {}
         self._rules: Dict[str, List[_Rule]] = {}
-        #: optional observability hook (a repro.obs Profiler): receives
-        #: ``storage_event(point)`` per arrival while installed; None = off
+        #: optional observability hook (a repro.obs Observer): receives
+        #: ``storage_event(point)`` per arrival while attached; None = off
         self.observer = None
 
     # -- scheduling ----------------------------------------------------------
@@ -205,12 +205,10 @@ class FaultInjector:
                 continue
             rule.fired = True
             if self.observer is not None:
-                # a flight recorder (repro.obs.flight) dumps its ring here,
-                # *before* the fault propagates, so the post-mortem's last
-                # events include this arrival; a profiler has no on_fault
-                on_fault = getattr(self.observer, "on_fault", None)
-                if on_fault is not None:
-                    on_fault(point, rule.action)
+                # an attached flight recorder (repro.obs.flight) dumps its
+                # ring here, *before* the fault propagates, so the
+                # post-mortem's last events include this arrival
+                self.observer.on_fault(point, rule.action)
             if rule.action == "crash":
                 raise SimulatedCrash(f"injected crash at {point} (hit {count})")
             if rule.action == "fail":

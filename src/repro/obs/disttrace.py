@@ -10,10 +10,11 @@ back together:
   optional ``trace`` field on every wire op.  Old clients simply omit the
   field; old servers ignore it — the protocol version does not change.
 * :class:`SpanBuffer` — a bounded, thread-safe per-process buffer of
-  completed spans, optionally drained to a JSON-lines file (one per
-  process under ``--span-dir``).  Past the cap spans are counted and
-  dropped (surfaced as the ``obs.trace.dropped`` counter), so a sampling
-  storm cannot exhaust memory.
+  completed spans (an :class:`~repro.obs.trace.EventTracer` ring),
+  optionally drained to a JSON-lines file (one per process under
+  ``--span-dir``).  Past the cap the oldest span is evicted and counted
+  (surfaced as the ``obs.trace.dropped`` counter), so a sampling storm
+  cannot exhaust memory.
 * :class:`TraceCollector` — loads per-process span files (or in-memory
   span dicts fetched over the wire) and assembles everything recorded
   under one trace id into a single Chrome/Perfetto trace (pid = process,
@@ -38,6 +39,8 @@ import secrets
 import threading
 import time
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
+
+from .trace import EventTracer
 
 #: the traceparent version octet we emit; parsers accept any two hex digits
 WIRE_VERSION = "00"
@@ -152,12 +155,14 @@ class HeadSampler:
 class SpanBuffer:
     """A bounded per-process buffer of completed spans.
 
-    Each span is a plain dict (JSON-ready).  With ``path`` set, every
-    record is also appended to that JSON-lines file and flushed, so a
-    process killed mid-query still leaves its spans on disk for the
-    collector — that is what makes missing-hop traces partially
-    assemblable.  ``on_drop`` (if set) is called once per span dropped at
-    the cap, letting the server surface loss as a metric.
+    Each span is a plain dict (JSON-ready), held in an
+    :class:`~repro.obs.trace.EventTracer` ring, which owns the cap, the
+    lock, the exact ``recorded``/``dropped`` counts and ``on_drop`` (called
+    once per evicted span, letting the server surface loss as a metric).
+    With ``path`` set, every record is also appended to that JSON-lines
+    file and flushed, so a process killed mid-query still leaves its spans
+    on disk for the collector — that is what makes missing-hop traces
+    partially assemblable.
     """
 
     def __init__(
@@ -169,22 +174,28 @@ class SpanBuffer:
     ) -> None:
         self.process = process
         self.pid = os.getpid()
-        self.limit = limit
         self.path = path
-        self.on_drop = on_drop
-        self.dropped = 0
-        self.recorded = 0
-        self._spans: List[Dict[str, object]] = []
-        self._lock = threading.Lock()
+        self._store = EventTracer(limit)
+        self._store.on_drop = on_drop
         self._handle = None
         if path is not None:
             directory = os.path.dirname(path)
             if directory:
                 os.makedirs(directory, exist_ok=True)
-            self._handle = open(path, "a")
+            # binary: a buffered writer serialises whole-line writes from
+            # concurrent handler threads
+            self._handle = open(path, "ab")
 
     def __len__(self) -> int:
-        return len(self._spans)
+        return len(self._store)
+
+    @property
+    def recorded(self) -> int:
+        return self._store.recorded
+
+    @property
+    def dropped(self) -> int:
+        return self._store.dropped
 
     @staticmethod
     def now() -> float:
@@ -222,42 +233,29 @@ class SpanBuffer:
             span["conn"] = conn
         if args:
             span["args"] = args
-        with self._lock:
-            if len(self._spans) >= self.limit:
-                self.dropped += 1
-                hook = self.on_drop
-                if hook is not None:
-                    try:
-                        hook()
-                    except Exception:
-                        pass
-                return None
-            self._spans.append(span)
-            self.recorded += 1
-            if self._handle is not None:
-                try:
-                    self._handle.write(json.dumps(span, sort_keys=True) + "\n")
-                    self._handle.flush()
-                except OSError:
-                    pass  # the drain file must never fail the request
+        self._store.append(span)
+        handle = self._handle
+        if handle is not None:
+            try:
+                handle.write(json.dumps(span, sort_keys=True).encode() + b"\n")
+                handle.flush()
+            except (OSError, ValueError):
+                pass  # the drain file must never fail the request
         return span
 
     def spans_for(self, trace_id: str) -> List[Dict[str, object]]:
-        with self._lock:
-            return [s for s in self._spans if s["trace"] == trace_id]
+        return [s for s in self._store.snapshot() if s["trace"] == trace_id]
 
     def snapshot(self) -> List[Dict[str, object]]:
-        with self._lock:
-            return list(self._spans)
+        return self._store.snapshot()
 
     def close(self) -> None:
-        with self._lock:
-            if self._handle is not None:
-                try:
-                    self._handle.close()
-                except OSError:
-                    pass
-                self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            try:
+                handle.close()
+            except OSError:
+                pass
 
 
 class TraceCollector:

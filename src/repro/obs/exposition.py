@@ -265,10 +265,7 @@ class _Handler(BaseHTTPRequestHandler):
                         b"no flight recorder attached\n",
                     )
                 else:
-                    body = "".join(
-                        json.dumps(record, sort_keys=True) + "\n"
-                        for record in flight.snapshot()
-                    ).encode("utf-8")
+                    body = flight.ring.to_jsonl().encode("utf-8")
                     self._send(200, "application/x-ndjson", body)
             elif path.startswith("/debug/trace/"):
                 trace_id = path[len("/debug/trace/"):]

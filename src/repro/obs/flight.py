@@ -5,115 +5,51 @@ A profiler answers "what did this query cost?" — but it must be installed
 *before* the interesting query runs.  Production failures arrive unannounced:
 a storage fault mid-writeback, a runaway query tripping its resource limits.
 The :class:`FlightRecorder` closes that gap the way an aircraft recorder
-does: it implements the same observer protocol as
-:class:`~repro.obs.profiler.Profiler` (so every ``if obs is not None`` hook
-site feeds it at the same single-branch cost discipline), but instead of
-accumulating a full profile it keeps only the last ``capacity`` events in a
-ring (``collections.deque(maxlen=...)``).  Memory is bounded no matter how
-long the session runs, and the per-event cost is one clock read plus one
-deque append — cheap enough to leave enabled on a live server.
+does: it owns one consumer of the context's
+:class:`~repro.obs.observer.Observer` — a ring (an
+:class:`~repro.obs.trace.EventTracer`) holding only the last ``capacity``
+events.  Memory is bounded no matter how long the session runs, and the
+per-event cost is one clock read plus one locked append — cheap enough to
+leave enabled on a live server.  A profiler attached to the same context
+feeds the ring too; profiling never blinds it.
 
 Two triggers write the ring out as a post-mortem dump (when ``dump_path``
 is configured):
 
-* ``on_fault(point, action)`` — called by :meth:`repro.faults.FaultInjector
-  .check` *before* it raises an injected crash/failure, so the dump's final
-  events include the arrival instant at the faulting injection point;
-* ``on_error(exc)`` — called by :class:`~repro.api.session.QueryResult`
-  when a pull dies with a :class:`~repro.errors.StorageError` or
+* ``Observer.on_fault(point, action)`` — called by
+  :meth:`repro.faults.FaultInjector.check` *before* it raises an injected
+  crash/failure, so the dump's final events include the arrival instant at
+  the faulting injection point;
+* ``Observer.on_error(exc)`` — called by
+  :class:`~repro.api.session.QueryResult` when a pull dies with a
+  :class:`~repro.errors.StorageError` or
   :class:`~repro.errors.ResourceLimitError`.
 
-Install via ``session.enable_flight_recorder(...)`` (which also registers
-the recorder as the storage fault injector's observer) or serve the live
-ring over HTTP at ``/debug/flight`` (:mod:`repro.obs.exposition`).
+Install via ``session.enable_flight_recorder(...)`` (which also makes the
+observer the storage fault injector's) or serve the live ring over HTTP at
+``/debug/flight`` (:mod:`repro.obs.exposition`).
 """
 
 from __future__ import annotations
 
-import json
 import time
-from collections import deque
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Optional
 
-from ..errors import ResourceLimitError, StorageError
-
-
-class _RuleToken:
-    """Per-rule handle returned by :meth:`FlightRecorder.begin_rule`; the
-    evaluator mutates ``derived``/``duplicates`` on it (the same contract
-    the profiler's rule entries satisfy)."""
-
-    __slots__ = ("text", "derived", "duplicates")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.derived = 0
-        self.duplicates = 0
-
-
-class _Span:
-    __slots__ = ("_recorder", "_name", "_cat", "_args", "_start")
-
-    def __init__(self, recorder: "FlightRecorder", name, cat, args) -> None:
-        self._recorder = recorder
-        self._name = name
-        self._cat = cat
-        self._args = args
-        self._start = 0.0
-
-    def __enter__(self) -> "_Span":
-        self._start = self._recorder._clock()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._recorder._push(
-            "X", self._start,
-            self._recorder._clock() - self._start,
-            self._name, self._cat, self._args or None,
-        )
+from .trace import EventTracer
 
 
 class FlightRecorder:
-    """A bounded ring buffer observer, installable as ``ctx.obs``.
+    """The owner of the flight ring.
 
     ``capacity`` bounds the ring; ``dump_path`` enables automatic
     post-mortem dumps (None = record only, dump on demand via
-    :meth:`dump`).  ``session.profile()`` may be entered while a recorder
-    is installed: the profiler takes the observer slot for the block and
-    restores the recorder on exit.
+    :meth:`dump`).
     """
 
-    def __init__(
-        self,
-        capacity: int = 4096,
-        dump_path: Optional[str] = None,
-        clock=time.perf_counter,
-        scan_stride: int = 16,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"flight recorder capacity must be >= 1, got {capacity}")
-        if scan_stride < 1:
-            raise ValueError(f"scan_stride must be >= 1, got {scan_stride}")
+    def __init__(self, capacity: int = 4096, dump_path: Optional[str] = None):
+        self.ring = EventTracer(limit=capacity)  # rejects capacity < 1
         self.capacity = capacity
         self.dump_path = dump_path
-        self._clock = clock
-        # relation probes outnumber every other event by ~50:1; recording
-        # each one would dominate the recorder's standing cost, so only
-        # every ``scan_stride``-th probe enters the ring (1 = record all)
-        self.scan_stride = scan_stride
-        self._scan_tick = 0
-        # event tuples: (ph, ts, dur, name, cat, args-or-None); deque with
-        # maxlen discards the oldest entry on overflow in C, so the ring
-        # never grows and never needs trimming.  Appends are lock-free —
-        # deque.append is atomic under the GIL — and snapshots copy with a
-        # retry loop instead, keeping the recording path at one clock read
-        # plus one append (the cost that lets the ring stay always-on)
-        self._ring: deque = deque(maxlen=capacity)
-        self._rules: Dict[int, _RuleToken] = {}
-        #: events recorded over the recorder's lifetime (approximate only
-        #: if multiple threads record simultaneously; a session evaluates
-        #: on one thread at a time, so in practice it is exact)
-        self.recorded = 0
         self.dump_count = 0
         self.last_dump_reason: Optional[str] = None
         #: the distributed trace context active when the next dump fires
@@ -123,153 +59,43 @@ class FlightRecorder:
         self.current_trace = None
 
     def __len__(self) -> int:
-        return len(self._ring)
+        return len(self.ring)
 
-    def _push(self, ph, ts, dur, name, cat, args) -> None:
-        self._ring.append((ph, ts, dur, name, cat, args))
-        self.recorded += 1
-
-    # -- the observer protocol (mirrors Profiler's hook surface) -------------
-
-    def begin_span(self) -> float:
-        return self._clock()
-
-    def end_span(self, name: str, cat: str, start: float, **args) -> None:
-        self._push("X", start, self._clock() - start, name, cat, args or None)
-
-    def span(self, name: str, cat: str = "eval", **args) -> _Span:
-        return _Span(self, name, cat, args)
+    @property
+    def recorded(self) -> int:
+        """Events recorded over the recorder's lifetime (exact)."""
+        return self.ring.recorded
 
     def event(self, name: str, cat: str = "eval", **args) -> None:
-        self._push("i", self._clock(), 0.0, name, cat, args or None)
+        self.ring.instant(name, cat, **args)
 
-    def begin_rule(self, rule) -> PyTuple[_RuleToken, float]:
-        token = self._rules.get(id(rule))
-        if token is None:
-            token = self._rules[id(rule)] = _RuleToken(str(rule))
-        return token, self._clock()
+    def span(self, name: str, cat: str = "eval", **args):
+        return self.ring.span(name, cat, **args)
 
-    def end_rule(self, token: _RuleToken, start: float) -> None:
-        self._push(
-            "X", start, self._clock() - start, "rule", "eval",
-            {"rule": token.text},
-        )
-
-    def begin_iteration(self, scc_label: str, index: int) -> float:
-        return self._clock()
-
-    def end_iteration(
-        self, scc_label: str, index: int, new_facts: int, start: float
-    ) -> None:
-        self._push(
-            "X", start, self._clock() - start, "fixpoint.iteration", "eval",
-            {"scc": scc_label, "index": index, "new_facts": new_facts},
-        )
-
-    def begin_subgoal(self, kind: str, pred: str, arity: int):
-        return (f"{pred}/{arity}", kind, self._clock())
-
-    def end_subgoal(self, token) -> None:
-        label, kind, start = token
-        self._push(
-            "X", start, self._clock() - start, "subgoal", "eval",
-            {"pred": label, "kind": kind},
-        )
-
-    def on_scan(self, key, tuples: int, matches: int) -> None:
-        # the hottest hook by far (one call per relation probe): sample by
-        # stride, store the raw key, and defer string formatting to
-        # snapshot()/dump() time
-        self._scan_tick = tick = self._scan_tick + 1
-        if tick % self.scan_stride:
-            return
-        self._push("i", self._clock(), 0.0, "scan", "eval", (key, tuples, matches))
-
-    # -- storage + failure hooks ---------------------------------------------
-
-    def storage_event(self, point: str) -> None:
-        """One arrival at a fault-injection point (same vocabulary as the
-        profiler's storage instants and docs/OBSERVABILITY.md's table)."""
-        self._push("i", self._clock(), 0.0, point, "storage", None)
-
-    def on_fault(self, point: str, action: str) -> None:
-        """An injected fault is about to fire at ``point``; the arrival
-        instant for the point is already in the ring (``storage_event`` ran
-        first), so the dump's tail shows exactly where the crash hit."""
-        self._push(
-            "i", self._clock(), 0.0, f"fault.{action}", "storage",
-            {"point": point},
-        )
-        self.dump(reason=f"fault.{action}:{point}")
-
-    def on_error(self, exc: BaseException) -> None:
-        """A query pull died.  Every error becomes a ring instant; only the
-        classes worth a post-mortem (storage failures, resource-limit
-        trips) trigger an automatic dump."""
-        self._push(
-            "i", self._clock(), 0.0, f"error.{type(exc).__name__}", "error",
-            {"message": str(exc)[:200]},
-        )
-        if isinstance(exc, (StorageError, ResourceLimitError)):
-            self.dump(reason=type(exc).__name__)
+    def clear(self) -> None:
+        self.ring.clear()
 
     # -- snapshots and dumps --------------------------------------------------
 
     def snapshot(self) -> List[Dict[str, object]]:
         """The ring, oldest first, as JSON-safe dicts with timestamps
         rebased to microseconds from the oldest retained event."""
-        while True:
-            try:
-                events = list(self._ring)
-                break
-            except RuntimeError:
-                # the ring mutated mid-copy (an evaluation thread appended);
-                # appends are bounded-rate, so a retry converges immediately
-                continue
-        origin = events[0][1] if events else 0.0
-        out: List[Dict[str, object]] = []
-        for ph, ts, dur, name, cat, args in events:
-            record: Dict[str, object] = {
-                "ph": ph,
-                "name": name,
-                "cat": cat,
-                "ts_us": round((ts - origin) * 1e6, 3),
-            }
-            if ph == "X":
-                record["dur_us"] = round(dur * 1e6, 3)
-            if args:
-                if type(args) is tuple:  # a deferred scan record
-                    key, tuples, matches = args
-                    args = {
-                        "pred": f"{key[0]}/{key[1]}",
-                        "tuples": tuples,
-                        "matches": matches,
-                    }
-                record["args"] = args
-            out.append(record)
-        return out
-
-    def clear(self) -> None:
-        self._ring.clear()
+        return self.ring.records()
 
     def to_jsonl(self, reason: str = "manual") -> str:
         """A header line (dump metadata) followed by one JSON object per
         retained event, oldest first."""
-        events = self.snapshot()
         header = {
             "flight": True,
             "reason": reason,
             "capacity": self.capacity,
-            "events": len(events),
             "recorded_total": self.recorded,
             "wall_time": time.time(),
         }
         ctx = self.current_trace
         if ctx is not None:
             header["trace"] = ctx.trace_id
-        lines = [json.dumps(header, sort_keys=True)]
-        lines.extend(json.dumps(record, sort_keys=True) for record in events)
-        return "\n".join(lines) + "\n"
+        return self.ring.to_jsonl(header)
 
     def dump(self, path: Optional[str] = None, reason: str = "manual"):
         """Write the ring to ``path`` (default: the configured
@@ -291,6 +117,6 @@ class FlightRecorder:
 
     def __repr__(self) -> str:
         return (
-            f"<FlightRecorder {len(self._ring)}/{self.capacity} events,"
+            f"<FlightRecorder {len(self.ring)}/{self.capacity} events,"
             f" {self.dump_count} dumps>"
         )

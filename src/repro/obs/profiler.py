@@ -9,11 +9,12 @@ shell's ``@profile`` command)::
     print(prof.profile.render())
     prof.profile.write_chrome_trace("query.trace.json")
 
-While the ``with`` block is active the profiler is installed as the
-evaluation context's *observer* (``ctx.obs``) and as the storage fault
-injector's observer; the instrumentation hooks in ``eval/`` and ``storage/``
-are all guarded by a single ``if obs is not None`` branch, so a session that
-never profiles pays one predictable branch per hook site and nothing else.
+While the ``with`` block is active the profiler's trace buffer and
+aggregates are attached to the evaluation context's
+:class:`~repro.obs.observer.Observer` (``ctx.obs``, shared with any flight
+recorder); the instrumentation hooks in ``eval/`` and ``storage/`` are all
+guarded by a single ``if obs is not None`` branch, so a session that never
+profiles pays one predictable branch per hook site and nothing else.
 
 What a profile contains:
 
@@ -42,45 +43,15 @@ from __future__ import annotations
 
 import json
 import time
-from typing import Dict, List, Optional, Tuple as PyTuple
+from typing import Dict, List, Optional
 
 from ..errors import CoralError
-from .flight import FlightRecorder
 from .metrics import MetricsRegistry, SIZE_BUCKETS, TIME_BUCKETS
+from .observer import attach, detach
 from .trace import EventTracer
 
-PredKey = PyTuple[str, int]
-
-
-class _RuleEntry:
-    """Hot-path accumulator for one semi-naive rule; merged by rule text
-    into the profile at exit."""
-
-    __slots__ = ("text", "applications", "derived", "duplicates", "time")
-
-    def __init__(self, text: str) -> None:
-        self.text = text
-        self.applications = 0
-        self.derived = 0
-        self.duplicates = 0
-        self.time = 0.0
-
-
-class _SubgoalEntry:
-    __slots__ = ("calls", "time")
-
-    def __init__(self) -> None:
-        self.calls = 0
-        self.time = 0.0
-
-
-class _ScanEntry:
-    __slots__ = ("scans", "tuples", "matches")
-
-    def __init__(self) -> None:
-        self.scans = 0
-        self.tuples = 0
-        self.matches = 0
+#: the bound on a profile's event buffer
+TRACE_LIMIT = 200_000
 
 
 def _fmt_seconds(seconds: float) -> str:
@@ -163,20 +134,19 @@ class QueryProfile:
         with open(path, "w") as handle:
             json.dump(self.to_dict(), handle, indent=2, sort_keys=True)
 
-    def chrome_trace(self) -> Dict[str, object]:
+    def _trace(self) -> EventTracer:
         if self.tracer is None:
             raise CoralError("profiling ran with trace=False; no trace to export")
-        return self.tracer.chrome_trace()
+        return self.tracer
+
+    def chrome_trace(self) -> Dict[str, object]:
+        return self._trace().chrome_trace()
 
     def write_chrome_trace(self, target) -> None:
-        if self.tracer is None:
-            raise CoralError("profiling ran with trace=False; no trace to export")
-        self.tracer.write_chrome_trace(target)
+        self._trace().write_chrome_trace(target)
 
     def write_jsonl(self, target) -> None:
-        if self.tracer is None:
-            raise CoralError("profiling ran with trace=False; no trace to export")
-        self.tracer.write_jsonl(target)
+        self._trace().write_jsonl(target)
 
     # -- rendering -----------------------------------------------------------
 
@@ -287,38 +257,30 @@ class QueryProfile:
 
 
 class Profiler:
-    """The installable observer; a context manager yielding itself.
+    """The owner of a profile's trace buffer and aggregates; a context
+    manager yielding itself.
 
     ``Profiler(ctx=...)`` is the embedding-level constructor (the benchmarks
     use it directly); ``session.profile()`` fills in the session's context,
-    buffer pool, and storage server.  Only one profiler may be installed on
+    buffer pool, and storage server.  Only one profiler may be attached to
     a context at a time.
     """
 
-    def __init__(
-        self,
-        ctx,
-        pool=None,
-        server=None,
-        trace: bool = True,
-        trace_limit: int = 200_000,
-        clock=time.perf_counter,
-    ) -> None:
+    def __init__(self, ctx, pool=None, server=None, trace: bool = True) -> None:
         self.ctx = ctx
         self.pool = pool
         self.server = server
         self.registry = MetricsRegistry()
-        self.tracer = EventTracer(limit=trace_limit, clock=clock) if trace else None
+        self.tracer = EventTracer(limit=TRACE_LIMIT) if trace else None
         self.profile: Optional[QueryProfile] = None
-        self._clock = clock
-        self._rules: Dict[int, _RuleEntry] = {}
-        self._subgoals: Dict[PyTuple[str, str], _SubgoalEntry] = {}
-        self._scans: Dict[PredKey, _ScanEntry] = {}
-        self._iterations: List[Dict[str, object]] = []
-        self._storage_counter = None
-        self._installed = False
+        # the aggregates, filled by the context's Observer while attached:
+        # rule entries by id(rule), subgoal rows by kind and pred, scan rows
+        # by pred key, iteration rows in order
+        self.rules: Dict[int, object] = {}
+        self.subgoals: Dict[str, Dict[str, Dict[str, object]]] = {}
+        self.scans: Dict[object, Dict[str, int]] = {}
+        self.iterations: List[Dict[str, object]] = []
         self._used = False
-        self._prev_obs = None
 
     # -- install / uninstall -------------------------------------------------
 
@@ -329,154 +291,55 @@ class Profiler:
                 "corrupted by re-entry — create a fresh one "
                 "(session.profile())"
             )
-        previous = self.ctx.obs
-        if previous is not None and not isinstance(previous, FlightRecorder):
-            raise CoralError("a profiler is already installed on this context")
-        # everything that can fail happens before any observer is installed,
-        # so an exception here leaves the context and injector untouched
-        self._t0 = self._clock()
-        self._eval_before = self.ctx.stats.snapshot()
-        memo = getattr(self.ctx, "memo", None)
-        self._memo_before = memo.snapshot() if memo is not None else None
-        if self.pool is not None:
-            self._buffer_before = self.pool.stats.snapshot()
-            btree = self.pool.btree_stats
-            self._btree_before = btree.snapshot() if btree is not None else None
-        if self.server is not None:
-            self._server_before = self.server.stats.snapshot()
-            self._faults_before = dict(self.server.faults.counts)
-        self._storage_counter = self.registry.counter(
-            "storage.events", "arrivals per fault-injection point", ("point",)
-        )
-        if self.server is not None:
-            self._prev_faults_observer = self.server.faults.observer
-            self.server.faults.observer = self
-        # a flight recorder yields the slot for the block; restored at exit
-        self._prev_obs = previous
-        self.ctx.obs = self
-        self._installed = True
+        self._t0 = time.perf_counter()
+        self._before = self._counters()
+        # attaching is the last step: a busy context raises before anything
+        # is installed, leaving the context and injector untouched
+        injector = self.server.faults if self.server is not None else None
+        attach(self.ctx, injector, "profiler", self)
         self._used = True
         return self
 
     def __exit__(self, *exc_info) -> bool:
-        wall = self._clock() - self._t0
-        self.ctx.obs = self._prev_obs
-        if self.server is not None:
-            self.server.faults.observer = self._prev_faults_observer
-        self._installed = False
+        wall = time.perf_counter() - self._t0
+        detach(self.ctx, "profiler", self)
         self.profile = self._finalize(wall)
         return False
 
-    # -- hooks: fixpoint rules -----------------------------------------------
-
-    def begin_rule(self, rule) -> PyTuple[_RuleEntry, float]:
-        entry = self._rules.get(id(rule))
-        if entry is None:
-            entry = self._rules[id(rule)] = _RuleEntry(str(rule))
-        entry.applications += 1
-        return entry, self._clock()
-
-    def end_rule(self, entry: _RuleEntry, start: float) -> None:
-        elapsed = self._clock() - start
-        entry.time += elapsed
-        if self.tracer is not None:
-            self.tracer.complete(
-                f"rule {entry.text.split('(', 1)[0]}", "eval", start,
-                rule=entry.text,
-            )
-
-    # -- hooks: fixpoint iterations ------------------------------------------
-
-    def begin_iteration(self, scc_label: str, index: int) -> float:
-        return self._clock()
-
-    def end_iteration(
-        self, scc_label: str, index: int, new_facts: int, start: float
-    ) -> None:
-        elapsed = self._clock() - start
-        self._iterations.append(
-            {
-                "scc": scc_label,
-                "index": index,
-                "new_facts": new_facts,
-                "time": elapsed,
-            }
-        )
-        if self.tracer is not None:
-            self.tracer.complete(
-                "fixpoint.iteration", "eval", start,
-                scc=scc_label, index=index, new_facts=new_facts,
-            )
-
-    # -- hooks: pipelined / ordered-search subgoals --------------------------
-
-    def begin_subgoal(
-        self, kind: str, pred: str, arity: int
-    ) -> PyTuple[_SubgoalEntry, float, str]:
-        key = (kind, f"{pred}/{arity}")
-        entry = self._subgoals.get(key)
-        if entry is None:
-            entry = self._subgoals[key] = _SubgoalEntry()
-        entry.calls += 1
-        return entry, self._clock(), key[1]
-
-    def end_subgoal(self, token: PyTuple[_SubgoalEntry, float, str]) -> None:
-        entry, start, label = token
-        entry.time += self._clock() - start
-        if self.tracer is not None:
-            self.tracer.complete("subgoal", "eval", start, pred=label)
-
-    # -- hooks: join scans ----------------------------------------------------
-
-    def on_scan(self, key: PredKey, tuples: int, matches: int) -> None:
-        entry = self._scans.get(key)
-        if entry is None:
-            entry = self._scans[key] = _ScanEntry()
-        entry.scans += 1
-        entry.tuples += tuples
-        entry.matches += matches
-
-    # -- hooks: storage (called by FaultInjector.check) ----------------------
-
-    def storage_event(self, point: str) -> None:
-        self._storage_counter.inc(1, point)
-        if self.tracer is not None:
-            self.tracer.instant(point, "storage")
-
-    # -- hooks: generic spans (query, rewrite, module calls) -----------------
-
-    def begin_span(self) -> float:
-        return self._clock()
-
-    def end_span(self, name: str, cat: str, start: float, **args) -> None:
-        if self.tracer is not None:
-            self.tracer.complete(name, cat, start, **args)
-
-    def span(self, name: str, cat: str = "eval", **args):
-        """Context-manager form for non-generator call sites."""
-        if self.tracer is not None:
-            return self.tracer.span(name, cat, **args)
-        import contextlib
-
-        return contextlib.nullcontext()
-
-    def event(self, name: str, cat: str = "eval", **args) -> None:
-        if self.tracer is not None:
-            self.tracer.instant(name, cat, **args)
-
     # -- finalization ---------------------------------------------------------
 
-    def _delta(self, before: Dict[str, float], after: Dict[str, float]):
-        return {key: after[key] - before.get(key, 0) for key in after}
+    def _counters(self) -> Dict[str, Dict[str, float]]:
+        """A snapshot of every counter source the profile diffs."""
+        counters = {"eval": self.ctx.stats.snapshot()}
+        memo = getattr(self.ctx, "memo", None)
+        if memo is not None:
+            counters["memo"] = memo.snapshot()
+        if self.pool is not None:
+            counters["buffer"] = self.pool.stats.snapshot()
+            if self.pool.btree_stats is not None:
+                counters["btree"] = self.pool.btree_stats.snapshot()
+        if self.server is not None:
+            counters["server"] = self.server.stats.snapshot()
+            counters["fault_points"] = dict(self.server.faults.counts)
+        return counters
 
     def _finalize(self, wall: float) -> QueryProfile:
-        eval_after = self.ctx.stats.snapshot()
-        eval_stats = self._delta(self._eval_before, eval_after)
+        after = self._counters()
+        # a source first seen at exit (a B-tree opened in the block) diffs
+        # against zero
+        deltas = {
+            name: {
+                key: value - self._before.get(name, {}).get(key, 0)
+                for key, value in counters.items()
+            }
+            for name, counters in after.items()
+        }
+        eval_stats = deltas["eval"]
 
         # merge rule entries by text (the same rule object exists once per
         # evaluator instance; a re-compiled module yields equal text)
         merged: Dict[str, Dict[str, object]] = {}
-        for entry in self._rules.values():
+        for entry in self.rules.values():
             slot = merged.get(entry.text)
             if slot is None:
                 merged[entry.text] = {
@@ -492,72 +355,36 @@ class Profiler:
                 slot["duplicates"] += entry.duplicates
                 slot["time"] += entry.time
         rules = sorted(merged.values(), key=lambda r: r["time"], reverse=True)
-
-        subgoals: Dict[str, Dict[str, Dict[str, object]]] = {}
-        for (kind, pred), entry in self._subgoals.items():
-            subgoals.setdefault(kind, {})[pred] = {
-                "calls": entry.calls,
-                "time": entry.time,
-            }
-        scans = {
-            f"{pred}/{arity}": {
-                "scans": entry.scans,
-                "tuples": entry.tuples,
-                "matches": entry.matches,
-            }
-            for (pred, arity), entry in self._scans.items()
-        }
+        subgoals = self.subgoals
+        scans = {f"{pred}/{arity}": row for (pred, arity), row in self.scans.items()}
 
         storage: Optional[Dict[str, object]] = None
         if self.pool is not None or self.server is not None:
-            storage = {}
-            if self.pool is not None:
-                storage["buffer"] = self._delta(
-                    self._buffer_before, self.pool.stats.snapshot()
-                )
-                btree = self.pool.btree_stats
-                if btree is not None:
-                    before = self._btree_before or {
-                        key: 0 for key in btree.snapshot()
-                    }
-                    storage["btree"] = self._delta(before, btree.snapshot())
-                else:
-                    storage["btree"] = {
-                        "node_reads": 0, "node_writes": 0, "splits": 0,
-                    }
-            if self.server is not None:
-                storage["server"] = self._delta(
-                    self._server_before, self.server.stats.snapshot()
-                )
-                faults_after = dict(self.server.faults.counts)
-                points = self._delta(self._faults_before, faults_after)
-                storage["fault_points"] = {
-                    point: count for point, count in sorted(points.items()) if count
-                }
-                storage["journal"] = {
+            points = deltas.get("fault_points", {})
+            storage = {
+                "buffer": deltas.get("buffer") or {
+                    "hits": 0, "misses": 0, "evictions": 0, "writebacks": 0,
+                },
+                "server": deltas.get("server") or {
+                    "page_reads": 0, "page_writes": 0, "allocations": 0,
+                },
+                "btree": deltas.get("btree") or {
+                    "node_reads": 0, "node_writes": 0, "splits": 0,
+                },
+                "journal": {
                     "appends": points.get("journal.record", 0),
                     "fsyncs": points.get("journal.sync", 0),
-                }
-            storage.setdefault("buffer", {
-                "hits": 0, "misses": 0, "evictions": 0, "writebacks": 0,
-            })
-            storage.setdefault("server", {
-                "page_reads": 0, "page_writes": 0, "allocations": 0,
-            })
-            storage.setdefault("btree", {
-                "node_reads": 0, "node_writes": 0, "splits": 0,
-            })
-            storage.setdefault("journal", {"appends": 0, "fsyncs": 0})
-            storage.setdefault("fault_points", {})
+                },
+                "fault_points": {
+                    point: count for point, count in sorted(points.items()) if count
+                },
+            }
 
-        memo_stats: Optional[Dict[str, int]] = None
-        memo = getattr(self.ctx, "memo", None)
-        if memo is not None and self._memo_before is not None:
-            after = memo.snapshot()
-            memo_stats = self._delta(self._memo_before, after)
+        memo_stats = deltas.get("memo") if "memo" in self._before else None
+        if memo_stats is not None:
             # entries/bytes are gauges, not counters: report the level
-            memo_stats["entries"] = after["entries"]
-            memo_stats["bytes"] = after["bytes"]
+            memo_stats["entries"] = after["memo"]["entries"]
+            memo_stats["bytes"] = after["memo"]["bytes"]
 
         self._publish_metrics(
             eval_stats, rules, subgoals, scans, storage, memo_stats
@@ -566,7 +393,7 @@ class Profiler:
             wall_time=wall,
             eval_stats=eval_stats,
             rules=rules,
-            iterations=list(self._iterations),
+            iterations=list(self.iterations),
             subgoals=subgoals,
             scans=scans,
             storage=storage,
@@ -610,7 +437,7 @@ class Profiler:
             "eval.iteration.new_facts", "facts per fixpoint iteration",
             boundaries=SIZE_BUCKETS,
         )
-        for item in self._iterations:
+        for item in self.iterations:
             iteration_sizes.observe(item["new_facts"])
         subgoal_calls = registry.counter(
             "eval.subgoal.calls", "subgoal activations", ("kind", "pred")
@@ -628,6 +455,11 @@ class Profiler:
             scan_tuples.inc(entry["tuples"], pred)
             scan_matches.inc(entry["matches"], pred)
         if storage:
+            points = registry.counter(
+                "storage.events", "arrivals per fault-injection point", ("point",)
+            )
+            for point, count in storage["fault_points"].items():
+                points.inc(count, point)
             for group in ("buffer", "server", "btree", "journal"):
                 counter = registry.counter(
                     f"storage.{group}", f"{group} counters", ("stat",)

@@ -15,6 +15,8 @@ trace against the same schema), so it validates structure, not span names.
 import json
 import os
 import socket
+import sys
+import threading
 import urllib.error
 import urllib.request
 
@@ -210,6 +212,42 @@ class TestSpanBuffer:
         lines = [json.loads(l) for l in open(path)]
         assert [l["name"] for l in lines] == ["a", "b"]
         assert all(l["trace"] == ctx.trace_id for l in lines)
+
+    def test_concurrent_records_keep_counts_and_drain_file_exact(self, tmp_path):
+        """Handler threads share one buffer: past the cap the counts stay
+        exact, and every span still reaches the drain file as one whole
+        JSON line."""
+        writers, per_writer, limit = 8, 200, 500
+        path = str(tmp_path / "p.jsonl")
+        buf = SpanBuffer("p", limit=limit, path=path)
+        barrier = threading.Barrier(writers)
+
+        def hammer(index):
+            barrier.wait()
+            for sequence in range(per_writer):
+                buf.record(TraceContext.mint(), f"w{index}", 1.0, 2.0, seq=sequence)
+
+        threads = [
+            threading.Thread(target=hammer, args=(i,)) for i in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        buf.close()
+        total = writers * per_writer
+        assert len(buf) == limit
+        assert buf.recorded == total and buf.dropped == total - limit
+        with open(path) as handle:
+            lines = [json.loads(line) for line in handle]
+        assert len(lines) == total
+        assert len({(l["name"], l["args"]["seq"]) for l in lines}) == total
 
     def test_spans_for_filters_by_trace(self):
         buf = SpanBuffer("p")

@@ -4,6 +4,7 @@ the profiler-overhead guard, and the Chrome-trace golden schema."""
 import json
 import os
 import statistics
+import sys
 import threading
 import time
 
@@ -14,6 +15,7 @@ from repro.errors import CoralError
 from repro.obs import (
     Counter,
     EventTracer,
+    FlightRecorder,
     Gauge,
     Histogram,
     MetricError,
@@ -217,8 +219,9 @@ class TestTracer:
         tracer.instant("disk.sync", "storage")
         with tracer.span("rewrite", "compile", module="m"):
             pass
-        assert [event.ph for event in tracer.events] == ["X", "i", "X"]
-        assert tracer.events[0].args == {"query": "p/1"}
+        # events are (ph, ts, dur, name, cat, args) tuples
+        assert [event[0] for event in tracer.events] == ["X", "i", "X"]
+        assert tracer.events[0][5] == {"query": "p/1"}
 
     def test_limit_drops_but_counts(self):
         tracer = EventTracer(limit=2)
@@ -285,6 +288,46 @@ class TestTracer:
             record = json.loads(line)  # raises on any interleaved write
             assert isinstance(record, dict)
             assert record["name"].startswith("w")
+
+    def test_concurrent_writers_keep_flight_ring_valid(self):
+        """Server handler threads write into the flight ring too: the same
+        hammering must keep its counts exact, keep the newest events (each
+        writer's retained events are a suffix of its own sequence), and
+        keep every dumped line one valid JSON object."""
+        writers, per_writer, capacity = 8, 500, 1000
+        recorder = FlightRecorder(capacity=capacity)
+        barrier = threading.Barrier(writers)
+
+        def hammer(index):
+            barrier.wait()
+            for sequence in range(per_writer):
+                recorder.event(f"w{index}", "test", seq=sequence)
+
+        threads = [
+            threading.Thread(target=hammer, args=(i,)) for i in range(writers)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # force interleaving inside append
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        total = writers * per_writer
+        assert len(recorder) == capacity
+        assert recorder.recorded == total
+        assert recorder.ring.dropped == total - capacity
+        header, *lines = recorder.to_jsonl().splitlines()
+        assert json.loads(header)["events"] == capacity
+        kept = {}
+        for line in lines:
+            record = json.loads(line)  # raises on any interleaved write
+            kept.setdefault(record["name"], []).append(record["args"]["seq"])
+        for seqs in kept.values():
+            assert seqs == list(range(per_writer - len(seqs), per_writer))
 
     def test_chrome_trace_while_writing(self):
         """Snapshots under concurrent appends must not crash or tear."""
@@ -435,7 +478,7 @@ class TestProfiler:
         assert prof.profile.buffer_hit_rate is not None
         assert "disk.read_page" in storage["fault_points"]
         # storage instants share the fault-injection vocabulary
-        names = {event.name for event in prof.profile.tracer.events}
+        names = {event[3] for event in prof.profile.tracer.events}
         assert "disk.read_page" in names
         session.close()
 
@@ -514,7 +557,7 @@ class TestOverheadGuard:
                 telemetry_samples.append(run(telemetry_session))
         baseline = statistics.median(baseline_samples)
         after = statistics.median(telemetry_samples)
-        assert telemetry_session.ctx.obs is recorder
+        assert telemetry_session.ctx.obs.flight is recorder
         assert recorder.recorded > 0, "recorder saw no events"
 
         assert after <= baseline * 1.15 + 0.001, (
@@ -560,6 +603,22 @@ class TestChromeTraceGolden:
         with open(golden_path) as handle:
             golden = json.load(handle)
         assert _normalized_trace(self._trace()) == golden
+
+    def test_flight_ring_matches_golden_schema(self):
+        """The flight ring goes through the same exporter as the profile
+        trace and carries the same schema."""
+        session = _chain_session(4)
+        recorder = session.enable_flight_recorder()
+        session.query("path(1, X)").all()
+        trace = recorder.ring.chrome_trace()
+        # sampled probe instants are the ring's own event
+        trace["traceEvents"] = [
+            event for event in trace["traceEvents"] if event["name"] != "scan"
+        ]
+        golden_path = os.path.join(GOLDEN_DIR, "chrome_trace_tc.json")
+        with open(golden_path) as handle:
+            golden = json.load(handle)
+        assert _normalized_trace(trace) == golden
 
     def test_events_well_formed(self):
         trace = self._trace()

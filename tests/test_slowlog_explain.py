@@ -125,7 +125,7 @@ class TestExplain:
         recorder = session.enable_flight_recorder()
         plan = session.explain("path(1, X)?", analyze=True)
         assert "ANALYZE" in plan
-        assert session.ctx.obs is recorder
+        assert session.ctx.obs.flight is recorder
 
 
 class TestSlowQueryLog:

@@ -11,9 +11,14 @@ Measured:
   independent of N; the structural path (forced by a variable at the end of
   one list) walks all N cells;
 * duplicate checking of big-term tuples through ground keys is likewise
-  size-independent after interning.
+  size-independent after interning;
+* on the paper's Figure 3, where every answer carries a path list, an
+  inference costs a bounded number of Python calls and no general
+  ``unify`` (counted, not timed).
 """
 
+import cProfile
+import pstats
 import time
 
 import pytest
@@ -29,7 +34,13 @@ from repro.terms import (
     make_list,
     unify,
 )
-from workloads import report
+from repro import Session
+from workloads import (
+    SHORTEST_PATH_FIGURE_3,
+    layered_dag_edges,
+    report,
+    weighted_edge_facts,
+)
 
 
 def _ground_list(n, offset=0):
@@ -108,3 +119,46 @@ class TestE9HashConsing:
         left = make_list([Int(i) for i in range(999)], tail=Var("T"))
         right = _ground_list(1000)
         benchmark(lambda: _unify_once(left, right))
+
+
+class TestE9Figure3:
+    def test_path_terms_cost_no_general_unify(self):
+        """Calls and general ``unify`` calls per inference of single-source
+        Figure 3 reads over a weighted layered DAG: a path term is a value
+        the kernel matches, extends (``append/3``) and stores by id."""
+        edges = [
+            (a, b, 1 + (a * 7 + b) % 5) for a, b in layered_dag_edges(6, width=4)
+        ]
+        session = Session()
+        session.consult_string(
+            weighted_edge_facts(edges) + SHORTEST_PATH_FIGURE_3
+        )
+        sources = range(8)
+        for source in sources:  # compile the form, intern the paths
+            session.query(f"s_p({source}, Y, P, C)").all()
+        before = session.stats.inferences
+        profile = cProfile.Profile()
+        profile.enable()
+        for source in sources:
+            session.query(f"s_p({source}, Y, P, C)").all()
+        profile.disable()
+        inferences = session.stats.inferences - before
+        stats = pstats.Stats(profile)
+        unify_calls = sum(
+            counts[1]  # primitive calls
+            for (path, _, name), counts in stats.stats.items()
+            if name == "unify" and path.endswith("unify.py")
+        )
+        report(
+            "E9: Figure 3 reads, per inference",
+            ["inferences", "Python calls", "general unify"],
+            [(
+                inferences,
+                round(stats.total_calls / inferences),
+                round(unify_calls / inferences, 2),
+            )],
+        )
+        assert inferences > 100
+        # what is left is Ordered Search unifying each call's constants into
+        # a rule head, once per subgoal: nothing per inference
+        assert unify_calls / inferences < 0.5

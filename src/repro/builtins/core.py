@@ -69,6 +69,8 @@ def eval_arith(term: Arg, env: Optional[BindEnv]) -> Optional[Number]:
 
 def _require(term: Arg, env: Optional[BindEnv], context: Arg) -> Number:
     resolved, resolved_env = deref(term, env)
+    if resolved.__class__ is Int or resolved.__class__ is Double:
+        return resolved.value
     if isinstance(resolved, Var):
         raise InstantiationError(
             f"unbound variable {resolved} in arithmetic expression {context}"
@@ -114,10 +116,19 @@ def _comparison(op: str, test) -> None:
 
 
 def _eq_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
-    """``X = Expr``: arithmetic evaluation then unification (Figure 3)."""
+    """``X = Expr``: arithmetic evaluation then unification (Figure 3).
+    With ``X`` unbound, the value is bound to it directly."""
     left, right = args[0], args[1]
     left_value = _try_arith(left, env)
     right_value = _try_arith(right, env)
+    if left_value is None and right_value is not None:
+        target, target_env = deref(left, env)
+        if target.__class__ is Var:
+            mark = trail.mark()
+            target_env.bind(target, number_to_arg(right_value), None, trail)
+            yield None
+            trail.undo_to(mark)
+            return
     left_term = number_to_arg(left_value) if left_value is not None else left
     right_term = number_to_arg(right_value) if right_value is not None else right
     mark = trail.mark()

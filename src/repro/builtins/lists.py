@@ -2,9 +2,9 @@
 
 ``append`` is the workhorse the paper's Figure 3 uses to accumulate the edge
 list of a path.  It is fully relational, Prolog-style: any argument may be
-unbound, and the builtin enumerates every solution (the materialized join
-uses it almost exclusively in the (bound, bound, free) mode, where it is
-deterministic).
+unbound, and the builtin enumerates every solution.  The materialized join
+uses it almost exclusively in the (ground, ground, free) mode, where it is
+deterministic: there it builds the one answer directly.
 """
 
 from __future__ import annotations
@@ -24,19 +24,53 @@ from ..terms import (
     deref,
     is_cons,
     is_nil,
+    resolve,
     unify,
 )
 from .registry import BuiltinRegistry
 
 
 def _append_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
-    yield from _append(args[0], args[1], args[2], env, trail)
+    whole = _ground_append(args[0], args[1], env)
+    if whole is None:
+        yield from _append(args[0], args[1], args[2], env, trail)
+        return
+    target, target_env = deref(args[2], env)
+    mark = trail.mark()
+    if target.__class__ is Var:
+        target_env.bind(target, whole, None, trail)
+    elif not unify(target, target_env, whole, None, trail):
+        trail.undo_to(mark)
+        return
+    yield None
+    trail.undo_to(mark)
+
+
+def _ground_append(front: Arg, back: Arg, env: BindEnv) -> Optional[Arg]:
+    """``Front ++ Back`` as n new cons cells onto ``Back``, when ``Front``
+    is a proper list of ground elements and ``Back`` is ground — the mode in
+    which the two clauses below have exactly one solution — else None."""
+    back, _ = deref(back, env)
+    if not back.is_ground():
+        return None
+    elements = []
+    front, front_env = deref(front, env)
+    while is_cons(front):
+        element = resolve(front.args[0], front_env)
+        if not element.is_ground():
+            return None
+        elements.append(element)
+        front, front_env = deref(front.args[1], front_env)
+    if not is_nil(front):
+        return None
+    whole = back
+    for element in reversed(elements):
+        whole = cons(element, whole)
+    return whole
 
 
 def _append(front: Arg, back: Arg, whole: Arg, env: BindEnv, trail: Trail) -> Iterator[None]:
     """append(Front, Back, Whole) — recursion on Front / Whole."""
-    front_term, front_env = deref(front, env)
-
     # clause 1: append([], B, B).
     mark = trail.mark()
     if unify(front, env, NIL, None, trail) and unify(back, env, whole, env, trail):

@@ -23,7 +23,7 @@ from ..errors import EvaluationError
 from ..language.ast import Literal
 from ..relations import MarkedRelation, Relation, Tuple, TupleIterator
 from ..rewriting.seminaive import ScanKind, SNLiteral
-from ..terms import Arg, BindEnv, Trail, Var, resolve
+from ..terms import Arg, BindEnv, Functor, Trail, Var, resolve
 from ..terms.base import FLAT_PRIMITIVES
 from ..terms.unify import unify_fact
 from .context import EvalContext, LocalScope
@@ -264,21 +264,29 @@ def instantiate_head(head_args: Sequence[Arg], env: BindEnv) -> Tuple:
     """Resolve a satisfied rule's head into a standalone fact (remaining free
     variables stay universally quantified — non-ground facts, Section 3.1).
 
-    A head argument that is a primitive constant, or a variable bound to
-    one, is taken as it stands; when every argument is, the fact is ground
-    by construction and nothing is walked.  Anything else is resolved."""
+    A head argument that is a value — a primitive constant or a ground
+    functor term — or a variable bound to one, is taken as it stands.
+    Anything else is resolved, and when every argument is or resolves to a
+    ground term the fact is built ground without another walk."""
     bindings = env._bindings
     args = []
-    flat = True
+    ground = True
     for arg in head_args:
         if arg.__class__ is Var:
             bound = bindings.get(arg.vid)
-            if bound is not None and bound[0].__class__ in FLAT_PRIMITIVES:
-                args.append(bound[0])
-                continue
-        elif arg.__class__ in FLAT_PRIMITIVES:
+            if bound is not None:
+                value = bound[0]
+                if value.__class__ in FLAT_PRIMITIVES or (
+                    value.__class__ is Functor and value._ground
+                ):
+                    args.append(value)
+                    continue
+        elif arg.__class__ in FLAT_PRIMITIVES or (
+            arg.__class__ is Functor and arg._ground
+        ):
             args.append(arg)
             continue
-        flat = False
-        args.append(resolve(arg, env))
-    return Tuple.ground(args) if flat else Tuple(args)
+        value = resolve(arg, env)
+        ground = ground and value.is_ground()
+        args.append(value)
+    return Tuple.ground(args) if ground else Tuple(args)

@@ -356,10 +356,21 @@ class OrderedSearchEvaluator:
             head_args = tuple(rename_term(arg, mapping) for arg in rule.head.args)
             env = BindEnv()
             trail = Trail()
-            pattern_mapping: Dict[int, Var] = {}
+            # the pattern is unified *into* the head: a pattern variable's
+            # first bare occurrence only names the head argument it meets,
+            # the rest of the pattern binds the head's variables — so the
+            # body binds them directly, through no variable-to-variable
+            # chain (docs/INTERNALS.md §4)
+            pattern_mapping: Dict[int, Arg] = {}
+            constraints = []
+            for arg, head_arg in zip(subgoal.pattern, head_args):
+                if arg.__class__ is Var and arg.vid not in pattern_mapping:
+                    pattern_mapping[arg.vid] = head_arg
+                else:
+                    constraints.append((arg, head_arg))
             if not all(
-                unify(head_arg, env, rename_term(arg, pattern_mapping), env, trail)
-                for arg, head_arg in zip(subgoal.pattern, head_args)
+                unify(rename_term(arg, pattern_mapping), env, head_arg, env, trail)
+                for arg, head_arg in constraints
             ):
                 continue
             steps = []

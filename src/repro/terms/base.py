@@ -239,12 +239,12 @@ def from_arg(term: Arg) -> PyValue:
     terms and variables are returned unchanged (host code can still inspect
     them through the Arg interface).
     """
-    from .functor import Functor, list_elements
-
     if isinstance(term, (Int, Double, Str)):
         return term.value
     if isinstance(term, Atom):
         return term.name
+    from .functor import Functor, list_elements  # after the common cases
+
     if isinstance(term, Functor):
         elements = list_elements(term)
         if elements is not None:

@@ -107,7 +107,7 @@ class Trail:
 def deref(term: Arg, env: Optional[BindEnv]) -> Tuple[Arg, Optional[BindEnv]]:
     """Follow variable bindings until reaching a non-variable or an unbound
     variable.  Returns the final ``(term, env)`` pair."""
-    while env is not None and isinstance(term, Var):
+    while env is not None and term.__class__ is Var:
         bound = env._bindings.get(term.vid)
         if bound is None:
             break
@@ -124,10 +124,16 @@ def resolve(term: Arg, env: Optional[BindEnv]) -> Arg:
 
     Iterative (explicit rebuild stack): derived facts routinely carry deep
     list terms — accumulated paths, for one — which must not be bounded by
-    the host recursion limit.
+    the host recursion limit.  A ground functor term is returned as it
+    stands, whatever environment it came with: it has nothing to
+    substitute.
     """
-    term, env = deref(term, env)
-    if not (isinstance(term, Functor) and not (env is None and term.is_ground())):
+    while env is not None and term.__class__ is Var:  # deref, inlined
+        bound = env._bindings.get(term.vid)
+        if bound is None:
+            break
+        term, env = bound
+    if term.__class__ is not Functor or term._ground:
         return term
     # frames: [functor, env, next-child-index, rebuilt-children]
     frames = [[term, env, 0, []]]
@@ -136,11 +142,10 @@ def resolve(term: Arg, env: Optional[BindEnv]) -> Arg:
         functor, frame_env, index, new_args = frames[-1]
         if index == len(functor.args):
             frames.pop()
-            rebuilt_args = tuple(new_args)
             rebuilt = (
                 functor
-                if rebuilt_args == functor.args
-                else Functor(functor.name, rebuilt_args)
+                if all(new is old for new, old in zip(new_args, functor.args))
+                else Functor(functor.name, new_args)
             )
             if frames:
                 frames[-1][3].append(rebuilt)
@@ -149,9 +154,7 @@ def resolve(term: Arg, env: Optional[BindEnv]) -> Arg:
                 result = rebuilt
             continue
         child, child_env = deref(functor.args[index], frame_env)
-        if isinstance(child, Functor) and not (
-            child_env is None and child.is_ground()
-        ):
+        if isinstance(child, Functor) and not child._ground:
             frames.append([child, child_env, 0, []])
         else:
             new_args.append(child)
@@ -187,14 +190,22 @@ def canonicalize_term(term: Arg, mapping: Dict[int, Var]) -> Arg:
     if isinstance(term, Var):
         replacement = mapping.get(term.vid)
         if replacement is None:
-            replacement = Var(f"${len(mapping)}", vid=-(len(mapping) + 1))
-            mapping[term.vid] = replacement
+            position = len(mapping)
+            replacement = mapping[term.vid] = (
+                _CANONICAL[position]
+                if position < len(_CANONICAL)
+                else Var(f"${position}", vid=-(position + 1))
+            )
         return replacement
     if isinstance(term, Functor) and not term.is_ground():
         return Functor(
             term.name, tuple(canonicalize_term(arg, mapping) for arg in term.args)
         )
     return term
+
+
+#: the first canonical variables, made once: ``$n`` has vid ``-(n + 1)``
+_CANONICAL = tuple(Var(f"${n}", vid=-(n + 1)) for n in range(16))
 
 
 def term_variables(terms: Iterable[Arg]) -> List[Var]:

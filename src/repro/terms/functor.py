@@ -15,7 +15,7 @@ groundness bit.  Lists use the conventional cons representation:
 
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Sequence
+from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .base import Arg, Atom
 
@@ -40,11 +40,15 @@ class Functor(Arg):
     kind = "func"
 
     def __init__(self, name: str, args: Sequence[Arg]) -> None:
+        args = tuple(args)
+        ground = True
+        for arg in args:
+            if not arg.is_ground():
+                ground = False
+                break
         object.__setattr__(self, "name", name)
-        object.__setattr__(self, "args", tuple(args))
-        object.__setattr__(
-            self, "_ground", all(arg.is_ground() for arg in self.args)
-        )
+        object.__setattr__(self, "args", args)
+        object.__setattr__(self, "_ground", ground)
         object.__setattr__(self, "_hash", None)
         object.__setattr__(self, "_hc_id", None)
 
@@ -76,36 +80,32 @@ class Functor(Arg):
         Two ground functor terms unify iff their identifiers are equal, so
         the identifier is a sound and complete duplicate-detection key.
         """
-        from .hashcons import hc_id  # lazy import; hashcons imports Functor
-
-        return ("hc", hc_id(self))
+        return ("hc", self._hc_id or _intern(self))
 
     def equals(self, other: Arg) -> bool:
         return self == other
 
     def __eq__(self, other: object) -> bool:
+        """Ground terms are equal iff their identifiers are (assigned on
+        demand); any other pair is compared structurally, iteratively, so a
+        long list is not bounded by the host recursion limit."""
         if self is other:
             return True
         if not isinstance(other, Functor):
             return False
-        if self.name != other.name or len(self.args) != len(other.args):
-            return False
-        if (
-            self._hc_id is not None
-            and other._hc_id is not None
-            and self._ground
-            and other._ground
-        ):
-            return self._hc_id == other._hc_id
-        return self.args == other.args
+        if self._ground and other._ground:
+            return (self._hc_id or _intern(self)) == (other._hc_id or _intern(other))
+        return _equal(self, other)
 
     def __ne__(self, other: object) -> bool:
         return not self.__eq__(other)
 
     def __hash__(self) -> int:
+        if self._ground:
+            return self._hc_id or _intern(self)
         cached = self._hash
         if cached is None:
-            cached = hash((self.name, self.args))
+            cached = _structural_hash(self)
             object.__setattr__(self, "_hash", cached)
         return cached
 
@@ -125,6 +125,58 @@ class Functor(Arg):
             return f"({self.args[0]} {self.name} {self.args[1]})"
         inner = ", ".join(str(arg) for arg in self.args)
         return f"{self.name}({inner})"
+
+
+#: The hash-consed identifier of a ground term, assigned on first demand —
+#: the slow path behind every ``term._hc_id or _intern(term)``.  It is
+#: :data:`repro.terms.hashcons.GLOBAL_TABLE`'s ``hc_id``, installed by that
+#: module (which imports this one).
+_intern: Callable[[Functor], int]
+
+
+def _equal(left: Functor, right: Functor) -> bool:
+    """Structural equality of two functor terms, one of them non-ground."""
+    stack = [(left, right)]
+    while stack:
+        left, right = stack.pop()
+        if left is right:
+            continue
+        if not isinstance(left, Functor):
+            if not left == right:
+                return False
+            continue
+        if (
+            not isinstance(right, Functor)
+            or left.name != right.name
+            or len(left.args) != len(right.args)
+            or left._ground is not right._ground
+        ):
+            return False
+        if left._ground:
+            if (left._hc_id or _intern(left)) != (right._hc_id or _intern(right)):
+                return False
+            continue
+        stack.extend(zip(left.args, right.args))
+    return True
+
+
+def _structural_hash(term: Functor) -> int:
+    """A hash of a non-ground term consistent with :func:`_equal`: its
+    pre-order, with each functor's name and arity and each ground functor
+    subterm's identifier."""
+    parts: list = []
+    stack: list = [term]
+    while stack:
+        current = stack.pop()
+        if isinstance(current, Functor):
+            if current._ground:
+                parts.append(current._hc_id or _intern(current))
+                continue
+            parts.append((current.name, len(current.args)))
+            stack.extend(reversed(current.args))
+        else:
+            parts.append(hash(current))
+    return hash(tuple(parts))
 
 
 # -- list helpers -----------------------------------------------------------

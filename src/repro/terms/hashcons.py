@@ -24,6 +24,7 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
+from . import functor
 from .base import Arg
 from .functor import Functor
 
@@ -51,38 +52,50 @@ class HashConsTable:
         long lists in particular — are exactly the "large terms" the
         mechanism exists for, so the implementation must not be bounded by
         the host recursion limit.
+
+        Only :data:`GLOBAL_TABLE` caches an id on the term itself (the
+        ``_hc_id`` slot that equality, hashing and unification read); a
+        private table keeps the ids of one call's subterms to itself, so
+        its ids never meet the shared ones.
         """
-        if not term.is_ground():
+        if not term._ground:
             raise ValueError(f"cannot hash-cons non-ground term {term}")
-        cached: Optional[int] = term._hc_id
-        if cached is not None:
-            return cached
+        shared = self is GLOBAL_TABLE
+        if shared and term._hc_id is not None:
+            return term._hc_id
+        private: Dict[int, int] = {}  # id(subterm) -> ident, private tables
         stack = [term]
         while stack:
             current = stack[-1]
-            if current._hc_id is not None:
-                stack.pop()
+            if (current._hc_id if shared else private.get(id(current))) is not None:
+                stack.pop()  # reached twice
                 continue
-            pending = [
-                arg
-                for arg in current.args
-                if isinstance(arg, Functor) and arg._hc_id is None
-            ]
-            if pending:
-                stack.extend(pending)
+            key: Optional[list] = [current.name]
+            for arg in current.args:
+                if not isinstance(arg, Functor):
+                    key.append(arg.ground_key())
+                    continue
+                child = arg._hc_id if shared else private.get(id(arg))
+                if child is None:
+                    stack.append(arg)  # first that one, then this one again
+                    key = None
+                    break
+                key.append(("hc", child))
+            if key is None:
                 continue
-            key = (current.name,) + tuple(
-                arg.ground_key() for arg in current.args
-            )
+            key = tuple(key)
             with self._lock:
                 ident = self._ids.get(key)
                 if ident is None:
                     ident = len(self._ids) + 1
                     self._ids[key] = ident
                     self._terms[ident] = current
-            object.__setattr__(current, "_hc_id", ident)
+            if shared:
+                object.__setattr__(current, "_hc_id", ident)
+            else:
+                private[id(current)] = ident
             stack.pop()
-        return term._hc_id  # type: ignore[return-value]
+        return term._hc_id if shared else private[id(term)]
 
     def term_for(self, ident: int) -> Optional[Functor]:
         """The canonical term first interned under ``ident`` (or None)."""
@@ -97,7 +110,8 @@ class HashConsTable:
         return self._terms[self.hc_id(term)]
 
     def clear(self) -> None:
-        """Drop all interned terms (used between tests/benchmarks)."""
+        """Drop all interned terms.  For private tables: the shared table's
+        ids live on in the terms that cached them."""
         with self._lock:
             self._ids.clear()
             self._terms.clear()
@@ -169,6 +183,9 @@ class InternTable:
 
 #: The process-wide table used by default.
 GLOBAL_TABLE = HashConsTable()
+
+# the one table whose ids functor terms cache, equality and hashing included
+functor._intern = GLOBAL_TABLE.hc_id
 
 
 def hc_id(term: Functor, table: HashConsTable | None = None) -> int:

@@ -92,8 +92,8 @@ def unify(
                 return False
             # Hash-consing fast path: two ground functor terms unify iff
             # their unique identifiers are the same (Section 3.1).
-            if left.is_ground() and right.is_ground():
-                if hc_id(left) != hc_id(right):
+            if left._ground and right._ground:
+                if (left._hc_id or hc_id(left)) != (right._hc_id or hc_id(right)):
                     return False
                 continue
             for la, ra in zip(reversed(left.args), reversed(right.args)):
@@ -146,8 +146,10 @@ def match(
                 or len(pattern.args) != len(instance.args)
             ):
                 return False
-            if pattern.is_ground() and instance.is_ground():
-                if hc_id(pattern) != hc_id(instance):
+            if pattern._ground and instance._ground:
+                if (pattern._hc_id or hc_id(pattern)) != (
+                    instance._hc_id or hc_id(instance)
+                ):
                     return False
                 continue
             for pa, ia in zip(reversed(pattern.args), reversed(instance.args)):
@@ -179,6 +181,8 @@ def _consistent_match(
     if isinstance(pattern, Functor):
         if not isinstance(instance, Functor):
             return False
+        if pattern._ground:
+            return pattern == instance
         if pattern.name != instance.name or len(pattern.args) != len(instance.args):
             return False
         return all(
@@ -218,14 +222,15 @@ def unify_fact(
 ) -> bool:
     """Unify a literal's arguments against a stored fact's arguments.
 
-    Argument by argument.  The common case — a primitive constant in the
-    fact (exactly :data:`FLAT_PRIMITIVES`) against a pattern variable or a
-    constant of the same class, or a ground functor term against an unbound
-    pattern variable — is settled by position: compare ``.value`` or bind the
-    variable to ``(term, None)``, no unifier and nothing allocated.  Every
-    other argument (a fact variable, a structured or partly bound pattern, a
-    pattern variable bound to another variable, ``BigNum`` against ``Int``,
-    a user-defined type) goes to :func:`unify`.
+    Argument by argument.  The common case is settled by position, with no
+    unifier and nothing allocated: a fact value — a primitive constant
+    (exactly :data:`FLAT_PRIMITIVES`) or a ground functor term — against an
+    unbound pattern variable (bind it to ``(value, None)``), or against a
+    value of the same class, given as is or bound to a pattern variable
+    (compare ``.value``, or the hash-consed identifiers of two ground
+    functor terms, Section 3.1).  Every other argument (a fact variable, a
+    partly bound pattern, a pattern variable bound to another variable,
+    ``BigNum`` against ``Int``, a user-defined type) goes to :func:`unify`.
 
     For those the fact gets its own fresh binding environment, shared by
     all its arguments (non-ground facts carry universally quantified
@@ -238,31 +243,30 @@ def unify_fact(
     fact_env = None
     for pattern_arg, fact_arg in zip(pattern_args, fact_args):
         fact_class = fact_arg.__class__
-        pattern_class = pattern_arg.__class__
-        if fact_class in FLAT_PRIMITIVES:
-            if pattern_class is Var:
+        if fact_class in FLAT_PRIMITIVES or (
+            fact_class is Functor and fact_arg._ground
+        ):
+            if pattern_arg.__class__ is Var:
                 bound = bindings.get(pattern_arg.vid)
                 if bound is None:
                     bindings[pattern_arg.vid] = (fact_arg, None)
                     trail._entries.append((env, pattern_arg))
                     continue
-                # bound: compare what it is bound to (a constant needs no env)
+                # bound: compare what it is bound to (a value needs no env)
                 value = bound[0]
             else:
                 value = pattern_arg
             if value.__class__ is fact_class:
-                if value.value != fact_arg.value:
-                    return False
-                continue
-        elif (
-            pattern_class is Var
-            and fact_class is Functor
-            and fact_arg._ground
-            and pattern_arg.vid not in bindings
-        ):
-            bindings[pattern_arg.vid] = (fact_arg, None)
-            trail._entries.append((env, pattern_arg))
-            continue
+                if fact_class is not Functor:
+                    if value.value != fact_arg.value:
+                        return False
+                    continue
+                if value._ground:
+                    if value is not fact_arg and (value._hc_id or hc_id(value)) != (
+                        fact_arg._hc_id or hc_id(fact_arg)
+                    ):
+                        return False
+                    continue
         if fact_env is None:
             fact_env = BindEnv()
         if not unify(pattern_arg, env, fact_arg, fact_env, trail):

@@ -1,6 +1,8 @@
 """Unit tests for builtin predicates."""
 
 import io
+import itertools
+import random
 
 import pytest
 
@@ -17,9 +19,12 @@ from repro.terms import (
     Str,
     Trail,
     Var,
+    canonicalize_term,
+    cons,
     list_elements,
     make_list,
     resolve,
+    unify,
 )
 
 
@@ -153,6 +158,98 @@ class TestAppend:
         assert not call(
             registry, "append", (make_list([Int(2)]), make_list([Int(1)]), lst)
         )
+
+
+def clause_append(front, back, whole, env, trail):
+    """The oracle: append/3 as its two clauses, solved Prolog-style.
+
+    append([], B, B).
+    append([H|T], B, [H|W]) :- append(T, B, W).
+    """
+    mark = trail.mark()
+    if unify(front, env, NIL, None, trail) and unify(back, env, whole, env, trail):
+        yield None
+    trail.undo_to(mark)
+    mark = trail.mark()
+    head, tail, rest = Var("H"), Var("T"), Var("W")
+    if unify(front, env, cons(head, tail), env, trail) and unify(
+        whole, env, cons(head, rest), env, trail
+    ):
+        yield from clause_append(tail, back, rest, env, trail)
+    trail.undo_to(mark)
+
+
+class TestAppendAgainstClauses:
+    """The builtin, deterministic mode included, must enumerate exactly the
+    solutions of the two clauses, in the same order, in every mode."""
+
+    ELEMENTS = [Int(1), Int(2), Atom("a"), Functor("e", (Int(1), Int(2)))]
+
+    def arg(self, rng, env):
+        """One argument: unbound, a ground proper list, a partial list
+        ``[X|T]``, a list with a variable element, an improper list, a
+        non-list, or a variable bound to a ground list.  No variable occurs
+        in two arguments: without an occurs check, ``append(V, B, V)`` can
+        recurse forever without a solution."""
+        shape = rng.choice(
+            ["var", "ground", "ground", "partial", "nonground", "improper",
+             "nonlist", "bound"]
+        )
+        if shape == "var":
+            return Var("V")
+        items = [rng.choice(self.ELEMENTS) for _ in range(rng.randint(0, 3))]
+        if shape == "ground":
+            return make_list(items)
+        if shape == "partial":
+            return make_list(items + [Var("X")], Var("Tail"))
+        if shape == "nonground":
+            return make_list(items + [Var("E")] + items)
+        if shape == "improper":
+            return make_list(items + [Int(3)], Atom("b"))
+        if shape == "nonlist":
+            return rng.choice([Atom("a"), Int(3), Functor("f", (Int(1),))])
+        var = Var("B")
+        env.bind(var, make_list(items), None)
+        return var
+
+    def solutions(self, impl, args, env):
+        """The first 8 solutions, as canonical resolved argument triples;
+        then undoes the trail, as the join does."""
+        trail = Trail()
+        found = []
+        for _ in itertools.islice(impl(args, env, trail), 8):
+            found.append(
+                canonicalize_term(
+                    Functor("s", tuple(resolve(a, env) for a in args)), {}
+                )
+            )
+        trail.undo_to(0)
+        return found
+
+    def test_same_solutions_in_the_same_order(self, registry):
+        builtin = registry.lookup("append", 3).impl
+        rng = random.Random(24)
+        deterministic = 0
+        for case in range(3000):
+            env = BindEnv()
+            front, back, whole = (self.arg(rng, env) for _ in range(3))
+            if rng.random() < 0.3:
+                # often the true answer, so the checking mode succeeds too
+                whole = make_list(
+                    (list_elements(resolve(front, env)) or [])
+                    + (list_elements(resolve(back, env)) or [])
+                )
+            args = (front, back, whole)
+            bound = len(env)
+            got = self.solutions(builtin, args, env)
+            assert len(env) == bound, case  # every binding was trailed
+            expected = self.solutions(
+                lambda a, e, t: clause_append(a[0], a[1], a[2], e, t), args, env
+            )
+            assert got == expected, (case, [str(a) for a in args])
+            if resolve(front, env).is_ground() and resolve(back, env).is_ground():
+                deterministic += 1
+        assert deterministic > 500
 
 
 class TestMemberLength:

@@ -54,6 +54,10 @@ one, calls whose bound argument is an answer of an open subgoal, a ``min``
 selection deleting answers between passes, and negation and grouping over
 subgoals that completed inside an earlier pass of their caller.
 ``REPRO_DIFF_CASES`` scales both (default 40 programs each).
+:class:`PathCase` carries list-valued accumulators — paths built with
+``append/3``, costs with ``=`` — through the default rewriting,
+``@ordered_search.`` and memo, against ``@no_rewriting.`` (a quarter as
+many programs).
 """
 
 import os
@@ -698,9 +702,9 @@ class OrderedCase:
         return "\n".join(lines + self.rules + ["end_module."]) + "\n"
 
 
-def _evaluate_terms(program: str, queries):
+def _evaluate_terms(program: str, queries, **session_kwargs):
     """As :func:`_evaluate`, for answers that hold structured terms."""
-    session = Session()
+    session = Session(**session_kwargs)
     session.consult_string(program)
     return {q: sorted({str(a) for a in session.query(q).all()}) for q in queries}
 
@@ -833,3 +837,92 @@ def test_ordered_search_scc_agrees_with_no_rewriting(seed):
     run = _evaluate_terms(case.program("@ordered_search."), case.queries)
     _assert_same(case, baseline, run, "ordered_search")
     assert any(baseline.values()), "a case with no answers checks nothing"
+
+
+class PathCase:
+    """Programs whose answers carry list-valued accumulators — paths built
+    with ``append/3`` in both of its deterministic shapes and costs with
+    ``=`` — for the default rewriting, ``@ordered_search.`` and memo against
+    ``@no_rewriting.``.
+
+    * ``sp`` is the paper's Figure 3 (a ``min`` selection on the cost, no
+      ``any`` on the path: every cheapest path is an answer, so the answer
+      set is engine-independent), on a graph that may have cycles;
+    * ``walk`` prepends to a bounded-length walk (``append([Y], P, P1)``)
+      and ``tour`` appends to its end (``append(P, [Y], P1)``);
+    * ``fwd`` is right-linear and builds its list in the head;
+    * ``hops``/``via``/``far`` read the lists back with ``length/2``,
+      ``member/2`` and a grouped ``max``, and ``pre`` splits one with
+      ``append/3`` in its relational (free, partial, ground) mode;
+    * queries bind a path argument to a ground list, to a partial list
+      ``[Y|T]`` and to a list with a variable element.
+    """
+
+    _EXPORTS = [
+        "sp(ffff, bfff, bbff, bbbf)", "walk(ffff, bfff, bbff, bfbf)",
+        "tour(ff, bf)", "fwd(ffff, bfff, bbff)", "hops(fff, bff)",
+        "via(fff, bff)", "far(ff, bf)", "pre(ff, bf)",
+    ]
+
+    def __init__(self, seed: int) -> None:
+        rng = random.Random(seed)
+        self.seed = seed
+        self.domain = list(range(1, rng.randint(4, 6) + 1))
+        pairs = [(x, y) for x in self.domain for y in self.domain if x != y]
+        self.edges = {
+            (x, y, rng.randint(1, 3))
+            for x, y in rng.sample(pairs, rng.randint(4, 9))
+        }
+        bound = rng.randint(2, 3)
+        self.rules = [
+            "sp(X, Y, [e(X, Y)], C) :- e(X, Y, C).",
+            "sp(X, Y, P1, C1) :- sp(X, Z, P, C), e(Z, Y, EC), "
+            "append([e(Z, Y)], P, P1), C1 = C + EC.",
+            "walk(X, Y, [Y, X], 1) :- e(X, Y, _).",
+            f"walk(X, Y, P1, N1) :- walk(X, Z, P, N), N < {bound}, e(Z, Y, _), "
+            "append([Y], P, P1), N1 = N + 1.",
+            "tour(X, [X]) :- e(X, _, _).",
+            f"tour(X, P1) :- tour(X, P), length(P, N), N < {bound + 1}, "
+            "last(P, Z), e(Z, Y, _), append(P, [Y], P1).",
+            "fwd(X, Y, [X, Y], W) :- e(X, Y, W).",
+            f"fwd(X, Y, [X|P], W) :- e(X, Z, W1), fwd(Z, Y, P, W2), "
+            f"W = W1 + W2, W < {2 * bound + 2}.",
+            "hops(X, Y, N) :- sp(X, Y, P, C), length(P, N).",
+            "via(X, Y, Z) :- sp(X, Y, P, C), member(e(Z, _), P).",
+            "far(X, max(<C>)) :- sp(X, Y, P, C).",
+            "pre(X, F) :- tour(X, P), append(F, [Y], P).",
+        ]
+        a, b = rng.choice(self.domain), rng.choice(self.domain)
+        self.queries = [
+            "sp(X, Y, P, C)", f"sp({a}, Y, P, C)",
+            f"sp({a}, {b}, [e({a}, {b})], C)", f"sp({a}, Y, [e(Z, Y)|T], C)",
+            f"walk({a}, Y, P, N)", f"walk({a}, Y, [Y, {a}], N)",
+            f"walk({a}, Y, [{b}, W, {a}], N)", f"tour({a}, P)",
+            "fwd(X, Y, P, W)", f"fwd({a}, Y, P, W)",
+            f"hops({a}, Y, N)", f"via({a}, Y, Z)", "far(X, C)", f"pre({a}, F)",
+        ]
+
+    def program(self, flags: str = "") -> str:
+        lines = [f"e({x}, {y}, {w})." for x, y, w in sorted(self.edges)]
+        lines += ["", f"module path{self.seed}."]
+        if flags:
+            lines.append(flags)
+        lines += [f"export {form}." for form in self._EXPORTS]
+        lines.append("@aggregate_selection sp(X, Y, P, C) (X, Y) min(C).")
+        return "\n".join(lines + self.rules + ["end_module."]) + "\n"
+
+
+# 43_000.. was the range used while the structured-term fast paths were
+# written
+@pytest.mark.parametrize("seed", range(44_000, 44_000 + _N_ORDERED // 4))
+def test_list_paths_agree_with_no_rewriting(seed):
+    case = PathCase(seed)
+    baseline = _evaluate_terms(case.program("@no_rewriting."), case.queries)
+    assert any(baseline.values()), "a case with no answers checks nothing"
+    for engine, flags, kwargs in (
+        ("default", "", {}),
+        ("ordered_search", "@ordered_search.", {}),
+        ("memo", "", {"memo": True}),
+    ):
+        run = _evaluate_terms(case.program(flags), case.queries, **kwargs)
+        _assert_same(case, baseline, run, engine)

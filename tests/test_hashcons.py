@@ -98,3 +98,45 @@ class TestHashConsProperties:
     @given(ground_terms)
     def test_ground_key_stable(self, term):
         assert term.ground_key() == term.ground_key()
+
+
+class TestDeepTerms:
+    """Equality and hashing of long lists must not be bounded by the host
+    recursion limit: ground terms compare and hash by identifier, and a
+    non-ground comparison walks iteratively."""
+
+    N = 5_000
+
+    def long_list(self, tail=None):
+        items = [Int(i) for i in range(self.N)]
+        return make_list(items) if tail is None else make_list(items, tail)
+
+    def test_equal_ground_lists(self):
+        a, b = self.long_list(), self.long_list()
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert a != make_list([Int(i) for i in range(self.N - 1)] + [Int(-1)])
+
+    def test_equal_non_ground_lists(self):
+        tail = Var("T")
+        a, b = self.long_list(tail), self.long_list(tail)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a != self.long_list(Var("T"))
+        assert a != self.long_list()
+
+    def test_query_with_a_long_ground_list(self):
+        from repro import Session
+
+        text = "[" + ", ".join(str(i) for i in range(3_000)) + "]"
+        session = Session()
+        session.consult_string(f"big({text}).\n")
+        assert len(session.query("big(L)").all()) == 1
+        assert len(session.query(f"big({text})").all()) == 1
+
+    def test_private_table_ids_stay_private(self):
+        table = HashConsTable()
+        term = Functor("private_only", (Int(1),))
+        table.hc_id(term)
+        assert term._hc_id is None
+        assert hc_id(term) == hc_id(Functor("private_only", (Int(1),)))

@@ -7,15 +7,22 @@ binding environment per candidate.  A change that sends the common case back
 through the unifier still gives right answers, so only a count shows it."""
 
 import sys
+from collections import Counter
 
 import pytest
 
+import repro.builtins.lists as lists
+import repro.eval.ordered as ordered
 from repro import Session
-from repro.terms import BindEnv
+from repro.relations import Tuple
+from repro.terms import BindEnv, Int, Var
 
 # the perf ledger's TC_MODULE over its layered DAG, as the maintenance-cost
 # test spells them
 from tests.test_maintenance_cost import LAYERS, TC, WIDTH, facts, layered_dag
+from tests.test_ordered_search_cost import SP
+
+_DONE = object()
 
 
 def session(extra_facts="", annotation=""):
@@ -82,3 +89,103 @@ def test_a_non_ground_fact_takes_the_general_path_and_answers_the_same(counts):
     assert counts["unify"] > 0
     assert "7" in answers[""] and len(answers[""]) == 31
     assert answers[""] == answers["@no_rewriting."]
+
+
+
+# -- structured terms: the paper's Figure 3 ------------------------------------
+
+
+def figure_3_session():
+    made = Session()
+    made.consult_string(
+        "".join(
+            f"edge({a}, {b}, {1 + (a + b) % 3}).\n"
+            for a, b in layered_dag(layers=4)
+        )
+        + SP
+    )
+    return made
+
+
+def test_figure_3_read_keeps_path_terms_on_the_value_path(counts, monkeypatch):
+    """A path is a ground list.  Matching one against a stored fact, handing
+    it to ``append/3`` and putting it in a head are value operations: no
+    general ``unify`` from ``unify_fact``, no ``Var`` and at most one
+    ``unify`` per ``append/3`` call, every head built by ``Tuple.ground``."""
+    made = figure_3_session()
+    seen = Counter()
+    within = set()  # "append" / "head" while one of those is running
+    var_init, tuple_init = Var.__init__, Tuple.__init__
+    list_unify, head = lists.unify, ordered.instantiate_head
+    append = made.ctx.builtins.lookup("append", 3).impl
+
+    def counted_var(self, *args, **kwargs):
+        seen["append_vars"] += "append" in within
+        var_init(self, *args, **kwargs)
+
+    def counted_tuple(self, args):
+        seen["walked_heads"] += "head" in within
+        tuple_init(self, args)
+
+    def counted_list_unify(*args, **kwargs):
+        seen["append_unify"] += "append" in within
+        return list_unify(*args, **kwargs)
+
+    def counted_head(head_args, env):
+        seen["heads"] += 1
+        within.add("head")
+        try:
+            return head(head_args, env)
+        finally:
+            within.discard("head")
+
+    def counted_append(args, env, trail):
+        seen["append"] += 1
+        solutions = append(args, env, trail)
+        while True:
+            within.add("append")
+            try:
+                step = next(solutions, _DONE)
+            finally:
+                within.discard("append")
+            if step is _DONE:
+                return
+            yield step
+
+    monkeypatch.setattr(Var, "__init__", counted_var)
+    monkeypatch.setattr(Tuple, "__init__", counted_tuple)
+    monkeypatch.setattr(lists, "unify", counted_list_unify)
+    monkeypatch.setattr(ordered, "instantiate_head", counted_head)
+    made.ctx.builtins.register_function("append", 3, counted_append, replace=True)
+    counts["unify"] = 0
+    answers = made.query("s_p(0, Y, P, C)").all()
+    assert len(answers) > 10
+    assert seen["append"] > 10
+    assert counts["unify"] == 0
+    assert seen["append_vars"] == 0
+    assert seen["append_unify"] <= seen["append"]
+    assert seen["heads"] > seen["append"]
+    assert seen["walked_heads"] == 0
+
+
+def test_prepare_binds_pattern_variables_to_the_head(monkeypatch):
+    """``p(X, Y, P, C)`` prepared for the call ``p(0, Y', P', C')``: the
+    call's fresh variables only name the head's arguments, so the env holds
+    ``X = 0`` and nothing else — no variable bound to a variable that every
+    body literal binding ``Y``, ``P`` or ``C`` would have to follow."""
+    prepared = {}
+    prepare = ordered.OrderedSearchEvaluator._prepare
+
+    def recorded(self, subgoal):
+        rules = prepare(self, subgoal)
+        prepared[(subgoal.pred, str(subgoal.pattern[0]))] = rules
+        return rules
+
+    monkeypatch.setattr(ordered.OrderedSearchEvaluator, "_prepare", recorded)
+    figure_3_session().query("s_p(0, Y, P, C)").all()
+    rules = prepared[("p", "0")]
+    assert len(rules) == 2
+    for rule in rules:
+        bound = [term for term, _ in rule.env._bindings.values()]
+        assert bound == [Int(0)]
+        assert rule.env.lookup(rule.head_args[0])[0] == Int(0)

@@ -1,6 +1,7 @@
 """Unit tests for unification, matching, subsumption, and bindenvs."""
 
 import random
+import sys
 
 import pytest
 
@@ -391,6 +392,15 @@ class TestUnifyFactAgainstUnify:
             ([Celsius(1)], [], [Celsius(2)], False),
             ([PX, PX], [], [Celsius(1), Celsius(1)], True),
             ([Int(1)], [], [Celsius(1)], False),
+            # ground functor terms meet by hash-consed id: equal copies,
+            # given as is or bound to a pattern variable
+            ([f(Int(1))], [], [f(Int(1))], True),
+            ([f(Int(1))], [], [f(Int(2))], False),
+            ([f(Int(1))], [], [Functor("g", (Int(1),))], False),
+            ([make_list([Int(1), Int(2)])], [], [make_list([Int(1), Int(2)])], True),
+            ([PX], [(PX, make_list([Int(1)]))], [make_list([Int(1)])], True),
+            ([PX], [(PX, make_list([Int(1)]))], [make_list([Int(2)])], False),
+            ([PX], [(PX, f(Int(1)))], [Int(1)], False),
         ],
     )
     def test_cases_the_positional_prefix_must_hand_over(
@@ -407,6 +417,26 @@ class TestUnifyFactAgainstUnify:
         assert env.lookup(self.PX) == (Int(1), None)
         assert env.lookup(self.PY) == (f(Int(2)), None)
         assert len(trail) == 2
+
+    def test_ground_functors_settle_without_the_unifier(self, monkeypatch):
+        """A ground functor pattern, or a variable bound to one, against a
+        ground functor fact: ids compared, no fact environment, no
+        ``unify``."""
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("general unify called")
+
+        monkeypatch.setattr(sys.modules["repro.terms.unify"], "unify", refuse)
+        env, trail = BindEnv(), Trail()
+        env.bind(self.PX, make_list([Int(1), Int(2)]), None)
+        pattern = [self.PX, f(Atom("a"), Int(2))]
+        assert unify_fact(
+            pattern, env, [make_list([Int(1), Int(2)]), f(Atom("a"), Int(2))], trail
+        )
+        assert not unify_fact(
+            pattern, env, [make_list([Int(1), Int(3)]), f(Atom("a"), Int(2))], trail
+        )
+        assert len(trail) == 0
 
 
 class TestVariantAndRenaming:

@@ -79,6 +79,7 @@ from ..server.protocol import (
     write_frame,
 )
 from ..storage.serde import decode_batch
+from ..terms import to_arg
 
 
 #: what an unsampled operation runs in (stateless, so one instance serves)
@@ -567,10 +568,11 @@ class RemoteSession:
 
     def query_values(self, pred: str, *values: Any) -> RemoteQueryResult:
         """Programmatic query mirroring :meth:`Session.query_values`:
-        ``None`` leaves an argument free."""
+        ``None`` leaves an argument free; a value is sent as its printed
+        term, which re-parses as itself."""
         parts = []
         for index, value in enumerate(values):
-            parts.append(f"V{index}" if value is None else _format_value(value))
+            parts.append(f"V{index}" if value is None else str(to_arg(value)))
         return self.query(f"{pred}({', '.join(parts)})" if parts else pred)
 
     def consult_string(self, source: str) -> List[RemoteQueryResult]:
@@ -956,16 +958,3 @@ class RemoteSession:
             eps = ",".join(f"{h}:{p}" for h, p in self.endpoints)
             return f"<RemoteSession replica-set [{eps}] {state}>"
         return f"<RemoteSession {self.address[0]}:{self.address[1]} {state}>"
-
-
-def _format_value(value: Any) -> str:
-    if isinstance(value, bool):  # bool before int; matches terms.to_arg
-        return "true" if value else "false"
-    if isinstance(value, str):
-        if value.isidentifier() and value[:1].islower():
-            return value
-        escaped = value.replace('"', '\\"')
-        return f'"{escaped}"'
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_format_value(item) for item in value) + "]"
-    return repr(value)

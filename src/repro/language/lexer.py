@@ -7,15 +7,21 @@ annotations, functor terms, lists ``[H|T]``, grouped aggregation arguments
 ``min(<C>)``, arithmetic and comparison operators, and ``not`` for negation.
 
 The only lexical subtlety inherited from Prolog is the full stop: ``.`` ends
-a clause when followed by whitespace or end of input, and is a decimal point
-inside a number.
+a clause unless a digit follows it, when it is a decimal point.
+
+The scanner is one compiled regex, :data:`_SCAN`: whitespace and comments
+in front of a token, then one named alternative per token kind.  A match is
+kept as a plain ``(kind, text, start)`` tuple — a string's text still
+quoted and escaped (:func:`unquote` decodes it), so no two kinds share a
+text.  Lines and columns are not tracked while scanning; :func:`position`
+computes them from ``start`` when an error is reported.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 from ..errors import ParseError
 
@@ -29,43 +35,88 @@ PUNCT = "punct"  # operators and punctuation
 END = "end"  # clause-terminating full stop
 EOF = "eof"
 
-#: multi-character operators, longest first so the scanner is greedy
-_OPERATORS = [
-    ":-",
-    "?-",
-    "<=",
-    ">=",
-    "=<",
-    "==",
-    "!=",
-    "\\=",
-    "<",
-    ">",
-    "=",
-    "(",
-    ")",
-    "[",
-    "]",
-    "{",
-    "}",
-    ",",
-    "|",
-    "@",
-    "+",
-    "-",
-    "*",
-    "/",
-    "?",
-]
+#: the alternatives are tried in order; the last four are not tokens:
+#: ``word`` is an identifier led by a non-ASCII character (its kind is
+#: settled by ``str.isupper``/``isalpha``, which a regex cannot test), the
+#: three error kinds take the rest of the source so that a scan stops at
+#: its first error
+_SCAN = re.compile(
+    r"""
+    [ \t\r\n]*(?:(?:%[^\n]*|/\*.*?\*/)[ \t\r\n]*)*
+    (?:(?P<punct>[(),]|:-|\?-|<=|>=|=<|==|!=|\\=|/(?!\*)|[<>=\[\]{}|@+\-*?])
+      |(?P<integer>\d+(?!\d|\.\d|[eE][+-]?\d))
+      |(?P<float>\d*\.\d+(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
+      |(?P<ident>[a-z]\w*)
+      |(?P<variable>[A-Z_]\w*)
+      |(?P<string>"(?:[^"\\\n]|\\.)*")
+      |(?P<end>\.)
+      |(?P<eof>\Z)
+      |(?P<word>[^\W\d]\w*)
+      |(?P<open_comment>/\*.*)
+      |(?P<open_string>".*)
+      |(?P<stray>.+))
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+#: how far an unterminated string literal gets: to its newline or the end
+_OPEN_STRING = re.compile(r'"(?:[^"\\\n]|\\.?)*', re.DOTALL)
+_ERRORS = frozenset(("open_comment", "open_string", "stray"))
+_ESCAPE = re.compile(r"\\(.)", re.DOTALL)
+_ESCAPES = {"n": "\n", "t": "\t"}
+
+RawToken = Tuple[str, str, int]
 
 
-#: whitespace and comments; a block comment left open does not match, so
-#: the scan stops in front of its ``/*``
-_TRIVIA = re.compile(r"(?:[ \t\r\n]+|%[^\n]*|/\*.*?\*/)*", re.DOTALL)
-_WORD = re.compile(r"\w+")
-#: digits, then (group 1) whatever makes the number a float
-_NUMBER = re.compile(r"\d*((?:\.\d+)?(?:[eE][+-]?\d+)?)")
-_OPERATOR = re.compile("|".join(re.escape(op) for op in _OPERATORS))
+def scan(source: str) -> List[RawToken]:
+    """Scan ``source`` into ``(kind, text, start)`` tuples ending with the
+    EOF token; raises :class:`ParseError` at the first lexical error."""
+    tokens = [
+        (match.lastgroup, match[match.lastindex], match.start(match.lastindex))
+        for match in _SCAN.finditer(source)
+    ]
+    if not source.isascii():
+        tokens = [_settle_word(source, token) for token in tokens]
+    # the end matches twice after trailing trivia (once with the trivia,
+    # once empty); an error token takes the rest, so only EOF follows it
+    if len(tokens) == 1:
+        return tokens
+    kind, text, start = tokens[-2]
+    if kind == EOF:
+        del tokens[-1]
+    if kind not in _ERRORS:
+        return tokens
+    if kind == "open_comment":
+        start, message = len(source), "unterminated block comment"
+    elif kind == "open_string":
+        start = _OPEN_STRING.match(source, start).end()
+        message = "unterminated string literal"
+    else:
+        message = f"unexpected character {text[0]!r}"
+    raise ParseError(message, *position(source, start))
+
+
+def _settle_word(source: str, token: RawToken) -> RawToken:
+    kind, text, start = token
+    if kind != "word":
+        return token
+    if not text[0].isalpha():  # a digit-like letter such as '²'
+        raise ParseError(
+            f"unexpected character {text[0]!r}", *position(source, start)
+        )
+    return (VARIABLE if text[0].isupper() else IDENT), text, start
+
+
+def position(source: str, start: int) -> Tuple[int, int]:
+    """(line, column) of offset ``start``, both counted from 1."""
+    return source.count("\n", 0, start) + 1, start - source.rfind("\n", 0, start)
+
+
+def unquote(text: str) -> str:
+    """The value of a string token: quotes stripped, escapes decoded."""
+    body = text[1:-1]
+    if "\\" not in body:
+        return body
+    return _ESCAPE.sub(lambda m: _ESCAPES.get(m[1], m[1]), body)
 
 
 @dataclass(frozen=True)
@@ -79,98 +130,17 @@ class Token:
         return f"{self.kind}({self.text!r})"
 
 
-class Lexer:
-    """A one-pass scanner producing a list of tokens."""
-
-    def __init__(self, source: str) -> None:
-        self.source = source
-        self.position = 0
-        self.line = 1
-        #: where the current line begins: column = position - line_start + 1
-        self.line_start = 0
-
-    def _error(self, message: str) -> ParseError:
-        return ParseError(
-            message, self.line, self.position - self.line_start + 1
-        )
-
-    def _move_to(self, end: int) -> None:
-        """Consume up to ``end``, counting the lines gone by (only trivia
-        and string escapes can span one)."""
-        newlines = self.source.count("\n", self.position, end)
-        if newlines:
-            self.line += newlines
-            self.line_start = self.source.rfind("\n", self.position, end) + 1
-        self.position = end
-
-    def _peek(self) -> str:
-        return self.source[self.position : self.position + 1]
-
-    def _advance(self) -> str:
-        ch = self._peek()
-        self._move_to(self.position + len(ch))
-        return ch
-
-    def tokens(self) -> List[Token]:
-        source = self.source
-        result: List[Token] = []
-        while True:
-            end = _TRIVIA.match(source, self.position).end()
-            if end != self.position:
-                self._move_to(end)
-            if source.startswith("/*", end):
-                self._move_to(len(source))
-                raise self._error("unterminated block comment")
-            position, line = end, self.line
-            column = position - self.line_start + 1
-            ch = source[position : position + 1]
-            if not ch:
-                result.append(Token(EOF, "", line, column))
-                return result
-            if ch.isalpha() or ch == "_":
-                end = _WORD.match(source, position).end()
-                kind = VARIABLE if ch.isupper() or ch == "_" else IDENT
-            elif ch.isdecimal() or (
-                ch == "." and source[position + 1 : position + 2].isdecimal()
-            ):
-                match = _NUMBER.match(source, position)
-                end = match.end()
-                kind = FLOAT if match.group(1) else INTEGER
-            elif ch == '"':
-                result.append(self._string(line, column))
-                continue
-            elif ch == ".":
-                end = position + 1
-                kind = END
-            else:
-                match = _OPERATOR.match(source, position)
-                if match is None:
-                    raise self._error(f"unexpected character {ch!r}")
-                end = match.end()
-                kind = PUNCT
-            self.position = end
-            result.append(Token(kind, source[position:end], line, column))
-
-    def _string(self, line: int, column: int) -> Token:
-        self._advance()  # opening quote
-        parts: List[str] = []
-        while True:
-            ch = self._peek()
-            if not ch or ch == "\n":
-                raise self._error("unterminated string literal")
-            if ch == '"':
-                self._advance()
-                return Token(STRING, "".join(parts), line, column)
-            if ch == "\\":
-                self._advance()
-                escape = self._advance()
-                parts.append(
-                    {"n": "\n", "t": "\t", '"': '"', "\\": "\\"}.get(escape, escape)
-                )
-            else:
-                parts.append(self._advance())
-
-
 def tokenize(source: str) -> List[Token]:
     """Scan ``source`` into tokens (including the trailing EOF token)."""
-    return Lexer(source).tokens()
+    tokens: List[Token] = []
+    line, line_start, seen = 1, 0, 0
+    for kind, text, start in scan(source):
+        newlines = source.count("\n", seen, start)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", seen, start) + 1
+        seen = start
+        if kind == STRING:
+            text = unquote(text)
+        tokens.append(Token(kind, text, line, start - line_start + 1))
+    return tokens

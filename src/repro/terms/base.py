@@ -169,7 +169,13 @@ class Str(_Primitive):
         super().__init__(str(value))
 
     def __str__(self) -> str:
-        return f'"{self.value}"'
+        # escaped as the lexer reads them, so a printed string re-parses
+        return f'"{self.value.translate(_STRING_ESCAPES)}"'
+
+
+_STRING_ESCAPES = str.maketrans(
+    {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\t": "\\t"}
+)
 
 
 class Atom(_Primitive):

@@ -1,17 +1,23 @@
 """Unit tests for the lexer and parser."""
 
+import random
+
 import pytest
 
+from repro import Session
 from repro.errors import ParseError
 from repro.language import (
     Aggregation,
     Literal,
+    Rule,
     parse_module,
     parse_program,
     parse_query,
     tokenize,
 )
-from repro.terms import Atom, Double, Functor, Int, NIL, Str, Var, list_elements
+from repro.terms import (
+    Atom, Double, Functor, Int, NIL, Str, Var, list_elements, make_list,
+)
 
 
 class TestLexer:
@@ -296,6 +302,114 @@ class TestParserQueries:
     def test_parse_query_helper(self):
         assert parse_query("path(1, X)").literal.pred == "path"
         assert parse_query("?- path(1, X).").literal.args[0] == Int(1)
+
+    def test_terminator_comes_from_the_tokens(self):
+        """A trailing comment does not swallow the query's full stop."""
+        for text in ("p(X) % why", "p(X). % why", "?- p(X) /* c */",
+                     "p(X)?", "p(X)? % why\n", "?- p(X)"):
+            assert str(parse_query(text).literal) == "p(X)", text
+
+    def test_one_query_only_and_positions_in_the_text_given(self):
+        with pytest.raises(ParseError, match="exactly one query"):
+            parse_query("p(X). q(Y).")
+        with pytest.raises(ParseError) as error:
+            parse_query("p(1, ")
+        assert (error.value.line, error.value.column) == (1, 6)
+
+
+class TestNegativeLiterals:
+    """``-`` directly before a number is part of the constant wherever a
+    term may stand; before anything else it is ``0 - ...``."""
+
+    def test_queries_and_nested_arguments(self):
+        assert parse_query("p(-1)").literal.args == (Int(-1),)
+        assert parse_query("r(-2.5)").literal.args == (Double(-2.5),)
+        fact = parse_program("p(f(-3), [-4], -5e-3).").facts[0]
+        assert fact.head.args == (
+            Functor("f", (Int(-3),)), make_list([Int(-4)]), Double(-0.005)
+        )
+
+    def test_minus_before_anything_else_subtracts_from_zero(self):
+        module = parse_module(
+            "module m. p(Y) :- q(X), Y = 2 * -3 - -X - -(1 + X) - 4. end_module."
+        )
+        assign = module.rules[0].body[1]
+        assert str(assign.args[1]) == (
+            "((((2 * -3) - (0 - X)) - (0 - (1 + X))) - 4)"
+        )
+
+    def test_queries_and_rule_bodies_find_negative_facts(self):
+        session = Session()
+        session.consult_string(
+            """
+            p(-1). p(1). r(-2.5). r(2.5).
+            module m.
+            export q(f).
+            q(X) :- p(-1), X = yes.
+            end_module.
+            """
+        )
+        assert len(session.query("p(-1)").all()) == 1
+        assert len(session.query("r(-2.5)").all()) == 1
+        assert [a["X"] for a in session.query("q(X)").all()] == ["yes"]
+
+
+#: what the generated strings are made of: everything the lexer escapes,
+#: comment and clause punctuation, and a non-ASCII letter
+_STRING_CHARS = ['a', 'Z', ' ', '"', '\\', '\n', '\t', '%', '/*', '.', ')',
+                 "'", 'é']
+_ATOMS = ["a", "john", "x_1", "end_of_list", "not", "min", "module", "żółw"]
+
+
+def _ground_term(rng, depth=0):
+    choice = rng.randrange(7 if depth < 3 else 4)
+    if choice == 0:
+        return Int(rng.choice([rng.randint(-99, 99),
+                               rng.randint(-10**30, 10**30)]))
+    if choice == 1:
+        return Double(rng.uniform(-1000, 1000) * 10.0 ** rng.randint(-30, 30))
+    if choice == 2:
+        size = rng.randrange(6)
+        return Str("".join(rng.choice(_STRING_CHARS) for _ in range(size)))
+    if choice == 3:
+        return Atom(rng.choice(_ATOMS))
+    parts = [_ground_term(rng, depth + 1) for _ in range(rng.randint(1, 3))]
+    if choice == 4:
+        return Functor(rng.choice(_ATOMS), tuple(parts))
+    if choice == 5:
+        return make_list(parts)
+    return make_list(parts[:-1], parts[-1])  # a list with a tail
+
+
+class TestPrintedTermsReparse:
+    """``str`` of a ground term is source text for the same term."""
+
+    def test_seeded_facts_and_query_arguments(self):
+        rng = random.Random(25)
+        for _ in range(1500):
+            args = tuple(_ground_term(rng) for _ in range(rng.randint(1, 3)))
+            fact = Rule(Literal("p", args))
+            assert parse_program(str(fact)).facts == [fact], str(fact)
+            for arg in args:
+                query = parse_query(f"q({arg})")
+                assert query.literal.args == (arg,), str(arg)
+
+    def test_strings_print_escaped(self):
+        assert str(Str('O"Brien\\\n\t')) == '"O\\"Brien\\\\\\n\\t"'
+
+    def test_dump_relation_consults_again(self, tmp_path):
+        session = Session()
+        session.consult_string(
+            'p(-1, "O\\"Brien"). p(2, "back\\\\slash\\ttab").'
+            ' p(3, f([-4.5e-7, "%"], b)).'
+        )
+        path = str(tmp_path / "p.facts")
+        assert session.dump_relation("p", 2, path) == 3
+        again = Session()
+        again.consult(path)
+        assert sorted(map(str, again.query("p(X, Y)").tuples())) == sorted(
+            map(str, session.query("p(X, Y)").tuples())
+        )
 
 
 class TestParserErrors:

@@ -186,6 +186,20 @@ class TestMessages:
                 (1, 2), (2, 3), (3, 4),
             ]
 
+    def test_query_values_sends_negative_numbers_and_escaped_strings(
+        self, server
+    ):
+        """A value travels as its printed term; ``-3`` is the constant, not
+        ``0 - 3``, and quotes and backslashes survive the round trip."""
+        awkward = 'a\\b "c"\n'
+        with RemoteSession(*server.address) as db:
+            assert db.insert("n", -3)
+            assert db.insert("n", -2.5)
+            assert db.insert("s", awkward)
+            assert db.query_values("n", -3).tuples() == [(-3,)]
+            assert db.query_values("n", -2.5).tuples() == [(-2.5,)]
+            assert db.query_values("s", awkward).tuples() == [(awkward,)]
+
     def test_bye_then_session_close_is_clean(self, server):
         db = RemoteSession(*server.address)
         db.query("edge(X, Y)").all()

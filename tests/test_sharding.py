@@ -336,6 +336,22 @@ class TestScatterGather:
                 assert db.delete("edge", 0, 1)
                 assert len(db.query("edge(X, Y)").all()) == 29
 
+    def test_partitioned_consult_of_negative_and_quoted_values(self):
+        """The router re-prints partitioned facts for the workers: a quoted
+        string must re-parse as itself, and a routed query for a negative
+        constant must find it."""
+        with _Fleet(3, shard_map={"scratch": "*"}) as fleet:
+            with RemoteSession(*fleet.router.address) as db:
+                db.consult_string(
+                    'scratch(-1, "O\\"Brien"). scratch(2, "back\\\\slash").'
+                )
+                assert db.query("scratch(-1, Y)").tuples() == [
+                    (-1, 'O"Brien')
+                ]
+                rows = db.query_values("scratch", None, "back\\slash").tuples()
+                assert rows == [(2, "back\\slash")]
+                assert len(db.query("scratch(X, Y)").all()) == 2
+
     def test_gather_has_per_upstream_backpressure(self):
         """A partial FETCH drains shards in order: pulling 5 rows from a
         3-way scatter touches only the first shard with answers."""

@@ -200,9 +200,9 @@ class Session:
         compiled: Optional[str] = None,
     ) -> None:
         self.ctx = EvalContext(builtins)
-        #: ``compiled="closure"`` / ``compiled="push"`` evaluates every
-        #: module through that code generator by default (docs/COMPILED.md);
-        #: an explicit ``@compiled(...)`` module annotation still wins
+        #: ``compiled="push"`` evaluates every module through the push code
+        #: generator by default (docs/COMPILED.md); an explicit
+        #: ``@compiled(...)`` module annotation still wins
         self.modules = ModuleManager(self.ctx, default_compiled=compiled)
         #: default ResourceLimits applied to every query (None = unbounded);
         #: per-call ``QueryResult.all(timeout=...)`` overrides it

@@ -6,40 +6,30 @@ We found that this approach took a significantly longer time to compile
 programs, and the resulting gain in execution speed was minimal.  We have
 therefore focused on the interpreted version."*
 
-This package reproduces that experiment (benchmark E12) in Python terms,
-with two code generators over the same compilable class — see
-``docs/COMPILED.md`` for the full architecture and fallback matrix:
+This package reproduces that experiment (benchmark E12) in Python terms
+with one code generator — see ``docs/COMPILED.md`` for the architecture
+and fallback matrix.  The **push** backend (:class:`PushCompiler` +
+:class:`PushSCCEvaluator`, :mod:`.push`) generates one function per *SCC*,
+in the style of Brass & Stephan's push method.  Ground constants are
+interned to dense ints (:class:`repro.terms.hashcons.InternTable`); derived
+tuples are pushed through a LIFO worklist directly into consuming rule
+bodies; semi-naive evaluation falls out of push order instead of
+materialized delta relations; base relations are scanned batch-at-a-time
+over pre-interned tuples.
 
-* the **closure** backend (:class:`RuleCompiler` +
-  :class:`CompiledSCCEvaluator`): one generated function per semi-naive
-  rule — nested loops with inline equality guards instead of general
-  unification — still driven by the ordinary delta-window fixpoint loop.
-  This is the paper's experiment: specialization alone buys little,
-  because the iteration machinery and Arg-object comparisons remain.
-* the **push** backend (:class:`PushCompiler` + :class:`PushSCCEvaluator`,
-  :mod:`.push`): one generated function per *SCC*, in the style of Brass &
-  Stephan's push method.  Ground constants are interned to dense ints
-  (:class:`repro.terms.hashcons.InternTable`); derived tuples are pushed
-  through a LIFO worklist directly into consuming rule bodies; semi-naive
-  evaluation falls out of push order instead of materialized delta
-  relations; base relations are scanned batch-at-a-time over pre-interned
-  tuples.  This is where compilation pays: the whole fixpoint runs as one
-  specialized function over machine ints.
-
-Modules opt in with ``@compiled.`` / ``@compiled(closure).`` /
-``@compiled(push).``, or session-wide with ``Session(compiled="push")``.
-The compilable class is the same for both backends and deliberately
-restricted, like any realistic codegen: flat argument patterns (variables
-and primitive constants), positive non-builtin literals plus comparisons
-and arithmetic ``=``, and ground facts.  Rules outside the class fall back
-to the interpreter *per rule*; every fallback is counted with its reason in
-:class:`CompileStats` (``instance.compiler.stats``), shown by ``EXPLAIN``,
-and surfaced through the ``compile.fallbacks`` profiler counter.
+Modules opt in with ``@compiled.`` (or ``@compiled(push).``), or
+session-wide with ``Session(compiled="push")``.  The compilable class is
+deliberately restricted, like any realistic codegen: flat argument patterns
+(variables and primitive constants), positive non-builtin literals plus
+comparisons and arithmetic ``=``, and ground facts.  Rules outside the
+class fall back to the interpreter *per rule*; every fallback is counted
+with its reason in :class:`CompileStats` (``instance.compiler.stats``),
+shown by ``EXPLAIN``, and surfaced through the ``compile.fallbacks``
+profiler counter.
 """
 
-from .codegen import CompileStats, RuleCompiler
-from .evaluator import CompiledSCCEvaluator
 from .push import (
+    CompileStats,
     PushCompiler,
     PushProgram,
     PushSCCEvaluator,
@@ -51,36 +41,26 @@ def compile_report(compiled_form, is_builtin) -> CompileStats:
     """A dry-run :class:`CompileStats` for ``EXPLAIN``: what would compile,
     what would fall back (and why) if this module were instantiated now.
 
-    For the push backend this also warms the per-plan program cache, so the
-    report costs nothing extra at first call time.
+    This also warms the per-plan program cache, so the report costs nothing
+    extra at first call time.
     """
-    if compiled_form.compiled == "push":
-        reason = module_level_push_fallback(compiled_form)
-        if reason is not None:
-            stats = CompileStats(backend="push")
-            total = sum(len(plan.rules) for plan in compiled_form.scc_plans)
-            stats.record_fallback(reason, max(total, 1))
-            return stats
-        compiler = PushCompiler()
-        for plan in compiled_form.scc_plans:
-            compiler.program_for(plan, is_builtin)
-        return compiler.stats
-    compiler = RuleCompiler()
+    reason = module_level_push_fallback(compiled_form)
+    if reason is not None:
+        stats = CompileStats()
+        total = sum(len(plan.rules) for plan in compiled_form.scc_plans)
+        stats.record_fallback(reason, max(total, 1))
+        return stats
+    compiler = PushCompiler()
     for plan in compiled_form.scc_plans:
-        for rule in (
-            list(plan.once_rules) + list(plan.delta_rules) + list(plan.ext_rules)
-        ):
-            compiler.try_compile(rule)
+        compiler.program_for(plan, is_builtin)
     return compiler.stats
 
 
 __all__ = [
     "CompileStats",
-    "CompiledSCCEvaluator",
     "PushCompiler",
     "PushProgram",
     "PushSCCEvaluator",
-    "RuleCompiler",
     "compile_report",
     "module_level_push_fallback",
 ]

@@ -1,10 +1,11 @@
 """The push-based whole-SCC compiler (Brass & Stephan's "push method").
 
-The closure backend (:mod:`.codegen`) specializes one semi-naive rule at a
-time and still pays the full fixpoint machinery between rules: delta
-windows, relation scans, per-rule dispatch.  The push method compiles the
-*entire SCC* into one Python function in which every derived tuple is
-pushed directly into the rule bodies that consume its predicate:
+Specializing one semi-naive rule at a time still pays the full fixpoint
+machinery between rules: delta windows, relation scans, per-rule dispatch
+(the rule-at-a-time backend this repository once had measured 0.88x the
+interpreter; EXPERIMENTS.md E12).  The push method compiles the *entire
+SCC* into one Python function in which every derived tuple is pushed
+directly into the rule bodies that consume its predicate:
 
 * ground constants are interned to dense ints (:class:`~repro.terms.hashcons.InternTable`)
   before the run, so the hot loop compares and hashes machine ints — tuple-id
@@ -20,15 +21,16 @@ pushed directly into the rule bodies that consume its predicate:
   tuples ("batches") with hash indexes built per bound-position pattern —
   batch-at-a-time scans instead of cursor calls per probe.
 
-The compilable class is the closure backend's: flat argument patterns over
-primitive constants, positive non-builtin literals, comparisons and
-arithmetic ``=`` after the first scan, no aggregation.  Out-of-class rules
+The compilable class is deliberately restricted, like any realistic
+codegen: flat argument patterns over primitive constants, positive
+non-builtin literals, comparisons and arithmetic ``=`` after the first
+scan, no aggregation, ground facts.  Out-of-class rules
 fall back *per rule* to the interpreter: non-recursive ones run before the
 push phase (their heads become push seeds), recursive ones run in the
 ordinary delta loop afterwards, with the pushed rules suppressed for the
 first iteration (everything push derived is "new", so the triangular
 versions with ``prev = 0`` cover the cross product exactly once).  Every
-fallback is recorded with its reason in :class:`~.codegen.CompileStats`.
+fallback is recorded with its reason in :class:`CompileStats`.
 """
 
 from __future__ import annotations
@@ -37,28 +39,79 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
 
+from ..errors import EvaluationError
 from ..eval.context import LocalScope
 from ..eval.fixpoint import SCCEvaluator, SCCPlan
 from ..relations import Tuple
 from ..rewriting.seminaive import recursive_body_positions
-from ..terms import Arg, Var
+from ..terms import Arg, Atom, Double, Functor, Int, Str, Var
 from ..terms.hashcons import InternTable
-from .codegen import (
-    _ARITH,
-    _COMPARISONS,
-    _PRIMITIVES,
-    CompileStats,
-    NotCompilable,
-    _nonground_error,
-    note_fallback,
-)
 
 PredKey = PyTuple[str, int]
+
+#: comparison operators the code generator can inline
+_COMPARISONS = {"<": "<", ">": ">", "<=": "<=", ">=": ">=", "==": "==", "!=": "!="}
+#: arithmetic functors the code generator can inline
+_ARITH = {"+": "+", "-": "-", "*": "*", "/": "/"}
+
+_PRIMITIVES = (Int, Double, Str, Atom)
 
 #: flush the pending-fact count into EvalStats (and check resource limits)
 #: every this many new facts / this many derivation attempts
 _TICK_MASK = 1023
 _ATTEMPT_MASK = 8191
+
+
+class NotCompilable(Exception):
+    """The rule is outside the compiled class; fall back to interpretation."""
+
+
+@dataclass
+class CompileStats:
+    """Consult-time accounting for the compiled-vs-interpreted comparison.
+
+    ``fallbacks`` maps a human-readable reason (the :class:`NotCompilable`
+    message) to how many rules fell back to the interpreter for it, so
+    silent per-rule fallback is visible through ``EXPLAIN``, the profiler's
+    ``compile.fallbacks`` counter, and ``instance.compiler.stats``.
+    """
+
+    rules_compiled: int = 0
+    rules_interpreted: int = 0
+    codegen_seconds: float = 0.0
+    generated_lines: int = 0
+    #: fallback reason -> number of rules interpreted for that reason
+    fallbacks: Dict[str, int] = field(default_factory=dict)
+
+    def record_fallback(self, reason: str, count: int = 1) -> None:
+        self.rules_interpreted += count
+        self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
+
+
+def note_fallback(obs, rule, reason: str) -> None:
+    """Surface one rule's interpreter fallback through the observability
+    plane: a trace event plus the ``compile.fallbacks`` counter (labelled by
+    reason) when a metrics registry is installed."""
+    if obs is None:
+        return
+    obs.event(
+        "compile.fallback", cat="compile", backend="push", rule=str(rule),
+        reason=reason,
+    )
+    registry = obs.registry
+    if registry is not None:
+        registry.counter(
+            "compile.fallbacks",
+            "rules interpreted under a compiled backend, by reason",
+            ("reason",),
+        ).inc(1, reason)
+
+
+def _nonground_error(tup) -> None:
+    raise EvaluationError(
+        f"compiled mode requires ground facts; found {tup} "
+        f"(use the interpreted evaluator for non-ground data)"
+    )
 
 
 @dataclass
@@ -107,7 +160,7 @@ class PushCompiler:
     manager, so codegen happens once, not once per call)."""
 
     def __init__(self) -> None:
-        self.stats = CompileStats(backend="push")
+        self.stats = CompileStats()
 
     def program_for(
         self, plan: SCCPlan, is_builtin, obs=None
@@ -122,7 +175,7 @@ class PushCompiler:
         self.stats.rules_compiled += program.rules_compiled
         for rule, reason in program.fallbacks:
             self.stats.record_fallback(reason)
-            note_fallback(obs, rule, reason, "push")
+            note_fallback(obs, rule, reason)
         if fresh:
             self.stats.codegen_seconds += program.codegen_seconds
             self.stats.generated_lines += program.source.count("\n")
@@ -199,7 +252,7 @@ class _PushCodegen:
             self.dyn_indexes[(out_i, positions)] = name
         return name
 
-    # -- classification (mirrors the closure backend's compilable class) -------
+    # -- classification ---------------------------------------------------------
 
     def _classify(self, rule) -> None:
         if rule.head_aggregates:
@@ -250,8 +303,6 @@ class _PushCodegen:
             return
         if isinstance(arg, _PRIMITIVES):
             return
-        from ..terms import Functor
-
         if isinstance(arg, Functor) and arg.name in _ARITH and len(arg.args) == 2:
             self._check_expr(arg.args[0], bound)
             self._check_expr(arg.args[1], bound)
@@ -270,8 +321,6 @@ class _PushCodegen:
             return f"vals[{name}]"
         if isinstance(arg, _PRIMITIVES):
             return repr(arg.value)
-        from ..terms import Functor
-
         if isinstance(arg, Functor) and arg.name in _ARITH and len(arg.args) == 2:
             left = self._expr(arg.args[0], names)
             right = self._expr(arg.args[1], names)
@@ -570,59 +619,37 @@ class PushSCCEvaluator(SCCEvaluator):
 
     # -- interpreter interleaving ---------------------------------------------
 
-    def _apply(self, rule, executor) -> None:
+    def _apply(self, rule, executor, seed=None) -> None:
         if self._suppress_pushed and rule.source_index in self._pushed_sources:
             return
-        super()._apply(rule, executor)
+        super()._apply(rule, executor, seed)
 
     def iterations(self):
         if self._program is None or self._started:
             # nothing compiled, or a resumption: plain interpreted fixpoint
             yield from super().iterations()
             return
-        yield self._push_seed()
-        if not self._unpushed_delta:
-            # every recursive rule was fused into the push program; its
-            # fixpoint is already complete — no verification pass needed
-            self._advance_ext_seen()
-            return
         self._suppress_pushed = True
         try:
-            inner = (
-                self._naive_loop()
-                if self.strategy == "naive"
-                else self._delta_loop()
-            )
-            for new_facts in inner:
+            yield self._seed()
+            if not self._unpushed_delta:
+                # every recursive rule was fused into the push program; its
+                # fixpoint is already complete — no verification pass needed
+                return
+            for new_facts in self._delta_loop():
                 # the first interpreted iteration has run; re-enable the
                 # pushed rules so later deltas flow through all rules
                 self._suppress_pushed = False
                 yield new_facts
         finally:
             self._suppress_pushed = False
-        if self.strategy == "naive":
-            self._advance_ext_seen()
 
-    def _push_seed(self) -> int:
-        obs = self.scope.ctx.obs
-        seed_started = obs.begin_span() if obs is not None else None
-        self._started = True
-        for pred in self.plan.recursive:
-            self.prev[pred] = 0
-        for rule, executor in self._once_executors:
-            if rule.source_index not in self._pushed_sources:
-                self._apply(rule, executor)
-        self._run_push()
-        for pred in self.plan.recursive:
-            self.cur[pred] = self._relation(pred).mark()
-        produced = sum(
-            self._relation(pred).count_since(0) for pred in self.plan.recursive
-        )
-        if obs is not None:
-            obs.end_span(
-                "fixpoint.seed", "eval", seed_started, scc=self._obs_label()
-            )
-        return produced
+    def _start(self) -> None:
+        # the once rules push did not absorb (``_apply`` skips the rest),
+        # then the push run, seeded with their heads
+        super()._start()
+        if self._program is not None:
+            self._run_push()
 
     # -- the push run ----------------------------------------------------------
 

@@ -11,15 +11,24 @@ source query runs in O(E·V).
 Grouped head aggregation (``s_p_length(X, Y, min(<C>))``) is evaluated at a
 stratum boundary: the rule's body is enumerated completely, solutions are
 grouped by the non-aggregated head arguments, and one fact per group is
-produced (:func:`fold_aggregate` implements the fold for each function).
+produced — :func:`fold_groups`, shared by the fixpoint and Ordered Search
+(:func:`fold_aggregate` implements the fold for each function).
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple as PyTuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    List,
+    Optional,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from ..errors import EvaluationError
-from ..language.ast import AggregateSelection
+from ..language.ast import AggregateSelection, Aggregation
 from ..relations import HashRelation, Tuple
 from ..terms import Arg, BindEnv, Double, Int, Trail, Var, resolve
 from ..terms.unify import match
@@ -119,6 +128,44 @@ def fold_aggregate(function: str, values: List[Optional[Arg]]) -> Arg:
     for value in values:
         fold.add(value)
     return fold.result()
+
+
+def fold_groups(
+    head_args: Sequence[Arg],
+    aggregates: Sequence[PyTuple[int, Aggregation]],
+    env: BindEnv,
+    solutions: Iterable[None],
+    stats,
+) -> List[Tuple]:
+    """Grouped head aggregation, the one fold every evaluator uses: drain
+    ``solutions`` (each an inference, its bindings in ``env``), group them
+    by the non-aggregated head arguments and return one fact per group.
+
+    Groups are keyed as facts are, so a grouping argument left non-ground
+    by the body (``g(Y, count(<X>)) :- e(X).``) forms one group per variant
+    and yields a non-ground fact, like any other rule head."""
+    positions = dict(aggregates)
+    plain = [p for p in range(len(head_args)) if p not in positions]
+    groups: Dict[object, PyTuple[Tuple, Dict[int, list]]] = {}
+    for _ in solutions:
+        stats.inferences += 1
+        group = Tuple(tuple(resolve(head_args[p], env) for p in plain))
+        _, values = groups.setdefault(group.key(), (group, {}))
+        for position, aggregation in positions.items():
+            values.setdefault(position, []).append(
+                resolve(aggregation.expr, env)
+            )
+    facts = []
+    for group, values in groups.values():
+        args: List[Optional[Arg]] = [None] * len(head_args)
+        for position, value in zip(plain, group.args):
+            args[position] = value
+        for position, aggregation in positions.items():
+            args[position] = fold_aggregate(
+                aggregation.function, values.get(position, [])
+            )
+        facts.append(Tuple(tuple(args)))
+    return facts
 
 
 # ---------------------------------------------------------------------------

@@ -18,32 +18,31 @@ Three strategies (Section 4.2):
   predicates (benchmark E4).
 * **naive** — the rederive-everything baseline (benchmark E2).
 
-Delta windows are realised with relation *marks* (Section 3.2): ``FULL``
-scans ``[0, cur)``, ``DELTA`` scans ``[prev, cur)``, ``OLD`` scans
-``[0, prev)``.  The evaluator is a generator yielding control after every
-iteration, which is precisely the hook lazy evaluation (Section 5.4.3) and
-the inter-module answer protocol (Section 5.6) need.
+Every version is a :class:`~repro.rewriting.seminaive.DeltaRule` whose
+seed reads the last iteration's arrivals ``[prev, cur)`` of a relation
+(Section 3.2's marks); other recursive literals read ``[0, cur)`` before
+the seed and ``[0, prev)`` after it.  The evaluator is a generator yielding
+control after every iteration, which is precisely the hook lazy evaluation
+(Section 5.4.3) and the inter-module answer protocol (Section 5.6) need.
+A save-module plan (Section 5.4.2) also carries *resumption* versions: on a
+later call each is seeded with the slice of a non-recursive relation this
+SCC has not consumed yet, which is how new magic facts and base inserts
+reach facts derived by earlier calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple as PyTuple
 
 from ..errors import EvaluationError
-from ..language.ast import Rule
-from ..relations import MarkedRelation
-from ..rewriting.seminaive import (
-    ScanKind,
-    SNRule,
-    ext_rewrite,
-    naive_rewrite,
-    seminaive_rewrite,
-)
-from ..terms import BindEnv, Trail, resolve
-from .aggregates import fold_aggregate
+from ..language.ast import Literal, Rule
+from ..relations import MarkedRelation, TupleIterator
+from ..rewriting.seminaive import DeltaRule, delta_rules, seminaive_rewrite
+from ..terms import BindEnv, Trail
+from .aggregates import fold_groups
 from .context import LocalScope
-from .join import BodyExecutor, instantiate_head
+from .join import BodyExecutor, SeedSource, derive, instantiate_head
 
 PredKey = PyTuple[str, int]
 
@@ -56,12 +55,11 @@ class SCCPlan:
     preds: FrozenSet[PredKey]
     recursive: Set[PredKey]
     rules: List[Rule]
-    once_rules: List[SNRule] = field(default_factory=list)
-    delta_rules: List[SNRule] = field(default_factory=list)
-    #: local predicates of earlier SCCs this one reads
-    external: Set[PredKey] = field(default_factory=set)
-    #: cross-call delta versions (save-module resumption, Section 5.4.2)
-    ext_rules: List[SNRule] = field(default_factory=list)
+    once_rules: List[DeltaRule] = field(default_factory=list)
+    delta_rules: List[DeltaRule] = field(default_factory=list)
+    #: save-module resumption versions (Section 5.4.2), seeded at every
+    #: positive position of a relation outside the SCC's recursion
+    resume_rules: List[DeltaRule] = field(default_factory=list)
 
     @staticmethod
     def build(
@@ -70,14 +68,22 @@ class SCCPlan:
         rules: List[Rule],
         is_builtin,
         strategy: str = "bsn",
-        external: Optional[Set[PredKey]] = None,
+        resumable: bool = False,
     ) -> "SCCPlan":
-        rewriter = naive_rewrite if strategy == "naive" else seminaive_rewrite
-        once_rules, delta_rules = rewriter(rules, recursive, is_builtin)
-        external = set(external or ())
-        ext_rules = ext_rewrite(rules, recursive, external, is_builtin)
+        once_rules, versions = seminaive_rewrite(
+            rules, recursive, is_builtin, naive=strategy == "naive"
+        )
+        resume_rules = []
+        if resumable:
+            outside = {
+                literal.key
+                for rule in rules
+                for literal in rule.body
+                if literal.key not in recursive
+            }
+            resume_rules = delta_rules(rules, is_builtin, outside)
         return SCCPlan(
-            preds, recursive, rules, once_rules, delta_rules, external, ext_rules
+            preds, recursive, rules, once_rules, versions, resume_rules
         )
 
 
@@ -104,55 +110,53 @@ class SCCEvaluator:
         self._label: Optional[str] = None
         for pred in plan.preds:
             scope.declare_local(pred[0], pred[1])
-        self._once_executors = [
-            (rule, BodyExecutor(scope, rule.body, use_backjumping))
-            for rule in plan.once_rules
-        ]
-        self._ext_executors = [
-            (rule, BodyExecutor(scope, rule.body, use_backjumping))
-            for rule in plan.ext_rules
-        ]
-        #: per external predicate: the mark up to which this SCC has consumed
-        #: its contents (advanced at the end of every run)
-        self._ext_seen: Dict[PredKey, int] = {}
-        delta = [
-            (rule, BodyExecutor(scope, rule.body, use_backjumping))
-            for rule in plan.delta_rules
-        ]
+        marks = (self.prev, self.cur)
+
+        def executors(rules):
+            return [
+                (rule, BodyExecutor(
+                    scope, rule.body, use_backjumping, rule.seed,
+                    rule.recursive, marks,
+                ))
+                for rule in rules
+            ]
+
+        self._once_executors = executors(plan.once_rules)
+        self._resume_executors = executors(plan.resume_rules)
+        #: per resumption seed predicate: the mark up to which this SCC has
+        #: consumed its relation (advanced at the end of every run)
+        self._seen: Dict[PredKey, int] = {}
+        delta = executors(plan.delta_rules)
         if strategy == "psn":
             self._groups = self._group_by_head(delta)
         else:
             self._groups = [(None, delta)]
 
-    # -- delta windows -----------------------------------------------------------
+    # -- seed sources and delta windows -------------------------------------------
 
     def _relation(self, pred: PredKey) -> MarkedRelation:
         relation = self.scope.local[pred]
         assert isinstance(relation, MarkedRelation)
         return relation
 
-    def _ranges(self, pred: PredKey, kind: ScanKind):
-        if kind is ScanKind.EXT_DELTA:
-            return (self._ext_seen.get(pred, 0), None)
-        if pred not in self.plan.recursive:
-            return None
-        if kind is ScanKind.FULL:
-            return (0, self.cur[pred])
-        if kind is ScanKind.DELTA:
-            return (self.prev[pred], self.cur[pred])
-        if kind is ScanKind.OLD:
-            return (0, self.prev[pred])
-        return None
+    def _arrivals(self, literal: Literal, env: BindEnv) -> TupleIterator:
+        """The fixpoint's seed source: the last iteration's new facts."""
+        key = literal.key
+        return self.scope.local[key].scan(
+            literal.args, env, self.prev[key], self.cur[key]
+        )
 
-    def _external_relation(self, pred: PredKey) -> Optional[MarkedRelation]:
-        relation = self.scope.local.get(pred)
-        return relation if isinstance(relation, MarkedRelation) else None
+    def _unconsumed(self, literal: Literal, env: BindEnv) -> TupleIterator:
+        """Resumption's seed source: what arrived since this SCC last ran."""
+        relation = self.scope.relation(literal.pred, literal.arity)
+        return relation.scan(literal.args, env, self._seen.get(literal.key, 0))
 
-    def _advance_ext_seen(self) -> None:
-        for pred in self.plan.external:
-            relation = self._external_relation(pred)
-            if relation is not None:
-                self._ext_seen[pred] = relation.mark()
+    def _advance_seen(self) -> None:
+        for rule in self.plan.resume_rules:
+            literal = rule.body[rule.seed]
+            relation = self.scope.relation(literal.pred, literal.arity)
+            if isinstance(relation, MarkedRelation):
+                self._seen[literal.key] = relation.mark()
 
     def _group_by_head(self, executors):
         """PSN: group rules by head predicate, ordered so that predicates
@@ -169,8 +173,8 @@ class SCCEvaluator:
         def in_scc_deps(key: PredKey) -> int:
             count = 0
             for rule, _ in by_head[key]:
-                for item in rule.body:
-                    if item.literal.key in by_head and item.literal.key != key:
+                for literal in rule.body:
+                    if literal.key in by_head and literal.key != key:
                         count += 1
             return count
 
@@ -187,9 +191,12 @@ class SCCEvaluator:
             )
         return label
 
-    def _apply(self, rule: SNRule, executor: BodyExecutor) -> None:
-        """Evaluate one semi-naive rule version, inserting derived heads."""
-        apply_rule(self.scope, rule, executor, self._ranges)
+    def _apply(
+        self, rule: DeltaRule, executor: BodyExecutor,
+        seed: Optional[SeedSource] = None,
+    ) -> None:
+        """Evaluate one rule version, inserting derived heads."""
+        apply_rule(self.scope, rule, executor, seed)
 
     def iterations(self) -> Iterator[int]:
         """Run to fixpoint, yielding the number of new facts after each
@@ -197,32 +204,33 @@ class SCCEvaluator:
         Calling it again after new facts were seeded resumes incrementally
         (the save-module facility, Section 5.4.2)."""
         yield self._seed()
-        if self.strategy == "naive":
-            yield from self._naive_loop()
-            self._advance_ext_seen()
-            return
         yield from self._delta_loop()
 
+    def _start(self) -> None:
+        """The first run's pre-iteration work: the once rules."""
+        for rule, executor in self._once_executors:
+            self._apply(rule, executor)
+
     def _seed(self) -> int:
-        """Apply the once rules (first call) or the cross-call delta versions
-        (resumption), set the initial delta windows, and return the number of
-        facts present — the pre-iteration half of one fixpoint run."""
+        """Apply the once rules (first call) or the resumption versions (a
+        later save-module call), set the initial delta windows, and return
+        the number of facts present — the pre-iteration half of one
+        fixpoint run."""
         obs = self.scope.ctx.obs
         seed_started = obs.begin_span() if obs is not None else None
         if not self._started:
             self._started = True
             for pred in self.plan.recursive:
                 self.prev[pred] = 0
-            for rule, executor in self._once_executors:
-                self._apply(rule, executor)
+            self._start()
         else:
-            # resumption (save-module, Section 5.4.2): predicates of earlier
-            # SCCs may have grown since this SCC's last fixpoint; the
-            # cross-call delta versions pair their *new* facts with this
-            # SCC's existing facts — no derivation is repeated, because each
-            # version restricts one literal to facts not yet consumed
-            for rule, executor in self._ext_executors:
-                self._apply(rule, executor)
+            # resumption (save-module, Section 5.4.2): earlier SCCs' and
+            # base relations may have grown since this SCC's last fixpoint;
+            # the resumption versions pair their *new* facts with this SCC's
+            # existing facts — no derivation is repeated, because each
+            # version's seed reads only facts not yet consumed
+            for rule, executor in self._resume_executors:
+                self._apply(rule, executor, self._unconsumed)
         for pred in self.plan.recursive:
             self.cur[pred] = self._relation(pred).mark()
         produced = sum(
@@ -235,8 +243,10 @@ class SCCEvaluator:
         return produced
 
     def _delta_loop(self) -> Iterator[int]:
-        """The BSN/PSN iteration loop: run every delta-rule group, advance
-        the delta windows, stop when an iteration derives nothing new."""
+        """The iteration loop: run every rule group, advance the delta
+        windows, stop when an iteration derives nothing new.  Naive
+        versions have no seed, so they ignore the windows and rederive
+        everything each time."""
         stats = self.scope.ctx.stats
         iteration_index = 0
         while True:
@@ -252,7 +262,7 @@ class SCCEvaluator:
             new_facts = 0
             for head_key, group in self._groups:
                 for rule, executor in group:
-                    self._apply(rule, executor)
+                    self._apply(rule, executor, self._arrivals)
                 if self.strategy == "psn" and head_key is not None:
                     if head_key in self.plan.recursive:
                         relation = self._relation(head_key)
@@ -275,39 +285,7 @@ class SCCEvaluator:
                     iteration_started,
                 )
             if new_facts == 0:
-                self._advance_ext_seen()
-                return
-            yield new_facts
-
-    def _naive_loop(self) -> Iterator[int]:
-        stats = self.scope.ctx.stats
-        iteration_index = 0
-        while True:
-            if self.scope.ctx.limits is not None:
-                self.scope.ctx.limits.checkpoint(stats)
-            obs = self.scope.ctx.obs
-            iteration_index += 1
-            iteration_started = (
-                obs.begin_iteration(self._obs_label(), iteration_index)
-                if obs is not None
-                else None
-            )
-            marks = {
-                pred: self._relation(pred).mark() for pred in self.plan.recursive
-            }
-            for rule, executor in self._groups[0][1]:
-                self._apply(rule, executor)
-            stats.iterations += 1
-            new_facts = sum(
-                self._relation(pred).count_since(marks[pred])
-                for pred in self.plan.recursive
-            )
-            if obs is not None:
-                obs.end_iteration(
-                    self._obs_label(), iteration_index, new_facts,
-                    iteration_started,
-                )
-            if new_facts == 0:
+                self._advance_seen()
                 return
             yield new_facts
 
@@ -316,10 +294,16 @@ class SCCEvaluator:
         return sum(self.iterations())
 
 
-def apply_rule(scope: LocalScope, rule: SNRule, executor: BodyExecutor, ranges) -> None:
-    """Evaluate one semi-naive rule version against ``scope``, inserting
-    derived heads.  ``ranges(pred, kind)`` maps each body literal's scan kind
-    to a mark window (or None for the full extent)."""
+def apply_rule(
+    scope: LocalScope,
+    rule: DeltaRule,
+    executor: BodyExecutor,
+    seed: Optional[SeedSource] = None,
+) -> None:
+    """Evaluate one rule version against ``scope``, its seed literal (if
+    any) reading ``seed``, and insert the derived heads — for a grouping
+    rule (``min(<C>)`` heads), one per group of the complete body;
+    stratification guarantees the body's relations are complete then."""
     stats = scope.ctx.stats
     stats.rule_applications += 1
     obs = scope.ctx.obs
@@ -328,29 +312,27 @@ def apply_rule(scope: LocalScope, rule: SNRule, executor: BodyExecutor, ranges) 
         entry, started = obs.begin_rule(rule)
     env = BindEnv()
     trail = Trail()
-    if rule.head_aggregates:
-        _apply_aggregate(scope, rule, executor, env, trail, ranges)
-        if entry is not None:
-            obs.end_rule(entry, started)
-        return
     head = rule.head
     tracer = scope.ctx.tracer
-    for _ in executor.solutions(env, trail, ranges):
-        stats.inferences += 1
-        fact = instantiate_head(head.args, env)
+    if rule.head_aggregates:
+        facts = fold_groups(
+            head.args, rule.head_aggregates, env,
+            executor.solutions(env, trail, seed), stats,
+        )
+        tracer = None
+    else:
+        facts = derive(executor, head.args, env, trail, seed)
+    for fact in facts:
         if tracer is not None:
             tracer.record(
                 head.pred,
                 f"{head.pred}{fact}",
                 str(rule),
                 tuple(
-                    f"{item.literal.pred}"
-                    f"{instantiate_head(item.literal.args, env)}"
-                    for item in rule.body
-                    if not item.literal.negated
-                    and not scope.ctx.is_builtin(
-                        item.literal.pred, item.literal.arity
-                    )
+                    f"{literal.pred}{instantiate_head(literal.args, env)}"
+                    for literal in rule.body
+                    if not literal.negated
+                    and not scope.ctx.is_builtin(literal.pred, literal.arity)
                 ),
             )
         inserted = scope.insert_fact(head.pred, len(head.args), fact)
@@ -362,49 +344,3 @@ def apply_rule(scope: LocalScope, rule: SNRule, executor: BodyExecutor, ranges) 
     trail.undo_to(0)
     if entry is not None:
         obs.end_rule(entry, started)
-
-
-def _apply_aggregate(scope: LocalScope, rule: SNRule, executor: BodyExecutor, env, trail, ranges):
-    """A grouping rule (``min(<C>)`` heads): enumerate the complete body,
-    group by the non-aggregated head arguments, emit one fact per group.
-    Stratification guarantees the body's relations are complete here."""
-    stats = scope.ctx.stats
-    aggregates = dict(rule.head_aggregates)
-    plain_positions = [
-        position
-        for position in range(len(rule.head.args))
-        if position not in aggregates
-    ]
-    groups: Dict[tuple, Dict[int, list]] = {}
-    keys_seen: Dict[tuple, tuple] = {}
-    for _ in executor.solutions(env, trail, ranges):
-        stats.inferences += 1
-        plain_values = tuple(
-            resolve(rule.head.args[position], env)
-            for position in plain_positions
-        )
-        if not all(value.is_ground() for value in plain_values):
-            raise EvaluationError(
-                f"non-ground grouping arguments in {rule.head.pred}"
-            )
-        group_key = tuple(value.ground_key() for value in plain_values)
-        keys_seen[group_key] = plain_values
-        per_position = groups.setdefault(group_key, {})
-        for position, aggregation in aggregates.items():
-            value = resolve(aggregation.expr, env)
-            per_position.setdefault(position, []).append(value)
-    trail.undo_to(0)
-
-    for group_key, plain_values in keys_seen.items():
-        args: List = [None] * len(rule.head.args)
-        for position, value in zip(plain_positions, plain_values):
-            args[position] = value
-        for position, aggregation in aggregates.items():
-            args[position] = fold_aggregate(
-                aggregation.function, groups[group_key].get(position, [])
-            )
-        from ..relations import Tuple as RelTuple
-
-        scope.insert_fact(
-            rule.head.pred, len(args), RelTuple(tuple(args))
-        )

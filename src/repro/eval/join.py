@@ -17,20 +17,29 @@ intermediate literals' untried alternatives cannot make it succeed.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import (
+    AbstractSet,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from ..errors import EvaluationError
 from ..language.ast import Literal
-from ..relations import MarkedRelation, Relation, Tuple, TupleIterator
-from ..rewriting.seminaive import ScanKind, SNLiteral
+from ..relations import Relation, Tuple, TupleIterator
 from ..terms import Arg, BindEnv, Functor, Trail, Var, resolve
 from ..terms.base import FLAT_PRIMITIVES
 from ..terms.unify import unify_fact
-from .context import EvalContext, LocalScope
+from .context import LocalScope
 
-#: resolves a ScanKind to a (since, until) mark range for a literal's relation,
-#: given the predicate key; returns None for an unrestricted scan
-RangeResolver = Callable[[PyTuple[str, int], ScanKind], Optional[PyTuple[int, Optional[int]]]]
+#: where a delta rule's seed literal reads from: given the literal and the
+#: bindings at that point, the cursor it scans (a mark window of its
+#: relation, or a list of changed tuples)
+SeedSource = Callable[[Literal, BindEnv], TupleIterator]
 
 _EXHAUSTED = object()
 
@@ -81,18 +90,16 @@ def positive_solutions(
     literal: Literal,
     env: BindEnv,
     trail: Trail,
-    scan_range: Optional[PyTuple[int, Optional[int]]] = None,
+    cursor: Optional[TupleIterator] = None,
 ) -> Iterator[None]:
     """Enumerate bindings that satisfy a positive, non-builtin literal:
-    open a scan (indexed when the probe allows) and run the match loop over
-    it (which also counts the probe side for a profiled session)."""
-    relation = scope.relation(literal.pred, literal.arity)
-    if scan_range is not None and isinstance(relation, MarkedRelation):
-        cursor = relation.scan(
-            literal.args, env, since=scan_range[0], until=scan_range[1]
+    run the match loop (which also counts the probe side for a profiled
+    session) over ``cursor``, by default a scan of the literal's whole
+    relation, indexed when the probe allows."""
+    if cursor is None:
+        cursor = scope.relation(literal.pred, literal.arity).scan(
+            literal.args, env
         )
-    else:
-        cursor = relation.scan(literal.args, env)
     obs = scope.ctx.obs
     if obs is None:
         return fact_solutions(cursor, literal.args, env, trail)
@@ -141,13 +148,13 @@ def _negation_solutions(scope, literal, env, trail) -> Iterator[None]:
         yield None
 
 
-def backtrack_points(body: Sequence[SNLiteral]) -> List[int]:
+def backtrack_points(body: Sequence[Literal]) -> List[int]:
     """For each body position, the latest earlier position sharing a
     variable with it (-1 when none) — the pre-computed backjump targets of
     Section 5.1."""
     variable_sets = [
-        {var.vid for arg in item.literal.args for var in arg.variables()}
-        for item in body
+        {var.vid for arg in literal.args for var in arg.variables()}
+        for literal in body
     ]
     points: List[int] = []
     for index, variables in enumerate(variable_sets):
@@ -163,66 +170,84 @@ def backtrack_points(body: Sequence[SNLiteral]) -> List[int]:
 class BodyExecutor:
     """Iterative nested-loops evaluation of one rule body.
 
-    Built once per semi-naive rule (the 'semi-naive rule structure' of
-    Section 5.1: literal order and backtrack points are pre-computed);
+    Built once per delta rule (the 'semi-naive rule structure' of Section
+    5.1: literal order and backtrack points are pre-computed);
     :meth:`solutions` is then called once per rule application with a fresh
-    environment.
+    environment.  The literal at position ``seed`` reads the seed source
+    that call supplies.  A literal at one of the ``recursive`` positions
+    reads the triangular window of its relation: up to ``cur[pred]`` before
+    the seed, below ``prev[pred]`` after it, ``marks`` being the
+    evaluator's live ``(prev, cur)`` maps.  Every other literal reads its
+    relation's full extent.
     """
 
     def __init__(
         self,
         scope: LocalScope,
-        body: Sequence[SNLiteral],
+        body: Sequence[Literal],
         use_backjumping: bool = True,
+        seed: int = -1,
+        recursive: AbstractSet[int] = frozenset(),
+        marks: Optional[PyTuple[Dict, Dict]] = None,
     ) -> None:
         self.scope = scope
         self.body = list(body)
         self.points = backtrack_points(self.body)
         self.use_backjumping = use_backjumping
-        self._openers = [self._opener(item) for item in self.body]
+        self._openers = [
+            self._opener(position, literal, seed, recursive, marks)
+            for position, literal in enumerate(self.body)
+        ]
 
     def _opener(
-        self, item: SNLiteral
-    ) -> Callable[[BindEnv, Trail, Optional[RangeResolver]], Iterator[None]]:
+        self, position: int, literal: Literal, seed: int, recursive, marks
+    ) -> Callable[[BindEnv, Trail, Optional[SeedSource]], Iterator[None]]:
         """How to start enumerating one body literal's solutions — builtin,
-        negated, or a (possibly delta-restricted) relation scan — decided
-        here, once, rather than at every activation."""
+        negated, or a scan of its seed source, window or whole relation —
+        decided here, once, rather than at every activation."""
         scope = self.scope
-        literal = item.literal
         builtin = scope.ctx.builtins.lookup(literal.pred, literal.arity)
         if builtin is not None:
             if literal.negated:
-                def refuse(env, trail, ranges):
+                def refuse(env, trail, source):
                     raise EvaluationError(
                         f"negation of builtin {literal.pred} is not supported"
                     )
                 return refuse
             impl = builtin.impl
-            return lambda env, trail, ranges: _builtin_solutions(
+            return lambda env, trail, source: _builtin_solutions(
                 impl, literal.args, env, trail
             )
         if literal.negated:
-            return lambda env, trail, ranges: _negation_solutions(
+            return lambda env, trail, source: _negation_solutions(
                 scope, literal, env, trail
             )
-        kind = item.kind
-        if kind is ScanKind.ALL:
-            return lambda env, trail, ranges: positive_solutions(
-                scope, literal, env, trail
+        if position == seed:
+            return lambda env, trail, source: positive_solutions(
+                scope, literal, env, trail, source(literal, env)
             )
-        return lambda env, trail, ranges: positive_solutions(
-            scope, literal, env, trail,
-            ranges(literal.key, kind) if ranges is not None else None,
+        if position in recursive:
+            window = marks[1] if position < seed else marks[0]
+            pred, arity, args, key = (
+                literal.pred, literal.arity, literal.args, literal.key
+            )
+            return lambda env, trail, source: positive_solutions(
+                scope, literal, env, trail,
+                scope.relation(pred, arity).scan(args, env, 0, window[key]),
+            )
+        return lambda env, trail, source: positive_solutions(
+            scope, literal, env, trail
         )
 
     def solutions(
         self,
         env: BindEnv,
         trail: Trail,
-        ranges: Optional[RangeResolver] = None,
+        seed: Optional[SeedSource] = None,
     ) -> Iterator[None]:
-        """Yield once per way of satisfying the whole body; bindings are in
-        ``env`` while the consumer holds each solution."""
+        """Yield once per way of satisfying the whole body, the seed literal
+        (if any) reading ``seed``; bindings are in ``env`` while the
+        consumer holds each solution."""
         count = len(self.body)
         if count == 0:
             yield None
@@ -236,7 +261,7 @@ class BodyExecutor:
             if iterators[position] is None:
                 marks[position] = trail.mark()
                 produced[position] = False
-                iterators[position] = openers[position](env, trail, ranges)
+                iterators[position] = openers[position](env, trail, seed)
             step = next(iterators[position], _EXHAUSTED)
             if step is not _EXHAUSTED:
                 produced[position] = True
@@ -258,6 +283,23 @@ class BodyExecutor:
                 iterators[intermediate] = None
                 trail.undo_to(marks[intermediate])
             position = target
+
+
+def derive(
+    executor: BodyExecutor,
+    head_args: Sequence[Arg],
+    env: BindEnv,
+    trail: Trail,
+    seed: Optional[SeedSource] = None,
+) -> Iterator[Tuple]:
+    """Run one delta rule: yield the head fact of every body solution (one
+    inference each), with the solution's bindings in ``env`` while the
+    consumer holds the fact.  The fixpoint inserts what it yields;
+    maintenance inserts it, or collects it while DRed over-deletes."""
+    stats = executor.scope.ctx.stats
+    for _ in executor.solutions(env, trail, seed):
+        stats.inferences += 1
+        yield instantiate_head(head_args, env)
 
 
 def instantiate_head(head_args: Sequence[Arg], env: BindEnv) -> Tuple:

@@ -12,16 +12,21 @@ A :class:`MaintenancePlan` wraps one retained
 :class:`~repro.modules.manager.MaterializedInstance` and builds, once:
 
 * a **delta join** for every rule and every positive non-builtin body
-  position: unify that literal with a changed tuple, then run the *rest* of
-  the body bound-first (:func:`repro.optimizer.joinorder.order_body`;
-  builtins only once their inputs are bound);
+  position — a :class:`~repro.rewriting.seminaive.DeltaRule` made by the
+  same :func:`~repro.rewriting.seminaive.delta_rules` as the fixpoint's
+  versions, its seed first and the rest of the body bound-first
+  (:func:`repro.optimizer.joinorder.order_body`; builtins only once their
+  inputs are bound), every non-seed literal reading its full extent;
 * a **head-bound check** for every rule: unify the head with a fact, then
   run the body bound-first — "does this rule still derive it?";
 * the :class:`~repro.relations.ArgumentIndexSpec` every one of those probes
   needs, added to the instance's local relations and to the base
   dependencies, so no probe walks a relation.
 
-Both repairs are the same wave over those joins:
+Both repairs are the same wave over those joins.  A wave maps each
+predicate to its changed tuples, and each join seeded on that predicate
+runs **once per wave**, its seed reading the whole list; the heads a join
+derives are collected before any is inserted.
 
 * :meth:`MaintenancePlan.apply_inserts` seeds a wave with the unconsumed
   slice of each base dependency (everything past the mark recorded in
@@ -75,7 +80,6 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -94,10 +98,10 @@ from ..relations import (
     Tuple,
 )
 from ..rewriting.magic import MAGIC_PREFIX
-from ..rewriting.seminaive import ScanKind, SNLiteral
+from ..rewriting.seminaive import delta_rules
 from ..terms import BindEnv, Trail
 from ..terms.unify import unify_fact
-from .join import BodyExecutor, instantiate_head
+from .join import BodyExecutor, derive, instantiate_head
 
 PredKey = PyTuple[str, int]
 
@@ -228,23 +232,6 @@ def analyze_instance(
     return frozenset(deps), reason
 
 
-class _DeltaJoin:
-    """One rule seeded at one body position: unify ``seed`` with a changed
-    tuple, run ``rest`` (the other body literals, bound-first), and every
-    solution instantiates the head."""
-
-    __slots__ = ("rule", "seed", "head_key", "shrinks", "rest")
-
-    def __init__(self, rule: Rule, seed: Literal, shrinks: bool,
-                 rest: BodyExecutor) -> None:
-        self.rule = rule
-        self.seed = seed
-        self.head_key: PredKey = rule.head.key
-        #: False for magic heads, which over-deletion leaves alone
-        self.shrinks = shrinks
-        self.rest = rest
-
-
 class _PreState:
     """A base dependency as over-deletion must see it: its current contents
     ∪ the tuples this consumer has not yet repaired for.  Only ever scanned;
@@ -319,9 +306,11 @@ class MaintenancePlan:
         #: per base dep: the relation mark up to which inserts are absorbed
         self.base_seen: Dict[PredKey, int] = {}
         self._scope = _RepairScope(instance.scope)
-        #: seed predicate -> the delta joins a change to it starts; None
-        #: until the first repair builds them
-        self._joins: Optional[Dict[PredKey, List[_DeltaJoin]]] = None
+        #: seed predicate -> the delta joins a change to it starts, each as
+        #: (head key, head arguments, executor, whether over-deletion
+        #: follows it — not into magic heads); None until the first repair
+        #: builds them
+        self._joins: Optional[Dict[PredKey, List[tuple]]] = None
         #: head predicate -> [(rule, head-bound body executor)]
         self._checks: Dict[PredKey, List[PyTuple[Rule, BodyExecutor]]] = {}
         rewritten = instance.compiled.rewritten
@@ -367,33 +356,41 @@ class MaintenancePlan:
             magic_names.add(rewritten.magic_pred)
         lookup_builtin = self.ctx.builtins.lookup
         self._joins = {}
+        for rule in delta_rules(
+            rewritten.rules,
+            self.ctx.is_builtin,
+            order=lambda rest, seed: order_body(
+                rest, lookup_builtin, _vids(seed.args)
+            ),
+        ):
+            seed, head = rule.body[0], rule.head
+            self._joins.setdefault(seed.key, []).append((
+                head.key,
+                head.args,
+                self._executor(rule.body, seed.args, seed=0),
+                head.pred not in magic_names,
+            ))
         for rule in rewritten.rules:
-            shrinks = rule.head.pred not in magic_names
-            for position, seed in enumerate(rule.body):
-                if seed.negated or lookup_builtin(*seed.key) is not None:
-                    continue
-                rest = rule.body[:position] + rule.body[position + 1:]
-                self._joins.setdefault(seed.key, []).append(
-                    _DeltaJoin(rule, seed, shrinks,
-                               self._executor(rest, seed.args))
-                )
+            body = order_body(rule.body, lookup_builtin, _vids(rule.head.args))
             self._checks.setdefault(rule.head.key, []).append(
-                (rule, self._executor(rule.body, rule.head.args))
+                (rule, self._executor(body, rule.head.args))
             )
 
-    def _executor(self, body: Sequence[Literal], bound_args) -> BodyExecutor:
-        """``body`` ordered bound-first given that the variables of
-        ``bound_args`` are bound when it starts; every probe it will make
-        gets an argument index on exactly the positions bound by then."""
+    def _executor(
+        self, body: Sequence[Literal], bound_args, seed: int = -1
+    ) -> BodyExecutor:
+        """An executor for ``body``, which starts with the variables of
+        ``bound_args`` bound; every probe it will make (the seed's list
+        aside) gets an argument index on exactly the positions bound by
+        then."""
         lookup_builtin = self.ctx.builtins.lookup
-        bound = {var.vid for arg in bound_args for var in arg.variables()}
-        ordered = order_body(body, lookup_builtin, bound)
+        bound = _vids(bound_args)
         local = self.instance.scope.local
-        for literal in ordered:
-            if lookup_builtin(*literal.key) is None:
+        for position, literal in enumerate(body):
+            if position != seed and lookup_builtin(*literal.key) is None:
                 positions = [
-                    position
-                    for position, arg in enumerate(literal.args)
+                    index
+                    for index, arg in enumerate(literal.args)
                     if all(var.vid in bound for var in arg.variables())
                 ]
                 relation = local.get(literal.key)
@@ -403,44 +400,52 @@ class MaintenancePlan:
                     relation.add_index(
                         ArgumentIndexSpec(literal.arity, positions)
                     )
-            bound.update(
-                var.vid for arg in literal.args for var in arg.variables()
-            )
+            bound |= _vids(literal.args)
         return BodyExecutor(
-            self._scope,
-            [SNLiteral(literal, ScanKind.ALL) for literal in ordered],
-            self.instance.compiled.use_backjumping,
+            self._scope, body, self.instance.compiled.use_backjumping, seed
         )
 
     # -- the one mechanism -----------------------------------------------------
 
-    def _solutions(
-        self, bound_args, fact: Tuple, executor: BodyExecutor
-    ) -> Iterator[BindEnv]:
-        """Unify ``bound_args`` with ``fact``, then yield the environment
-        once per solution of ``executor`` under those bindings."""
-        self.ctx.stats.rule_applications += 1
-        env = BindEnv()
-        trail = Trail()
-        if unify_fact(bound_args, env, fact.renamed().args, trail):
-            for _ in executor.solutions(env, trail):
-                yield env
-
-    def _derive(self, join: _DeltaJoin, changed: Tuple) -> List[Tuple]:
-        """The head facts ``join``'s rule derives through ``changed``."""
-        head_args = join.rule.head.args
-        derived = [
-            instantiate_head(head_args, env)
-            for env in self._solutions(join.seed.args, changed, join.rest)
-        ]
-        self.ctx.stats.inferences += len(derived)
-        return derived
+    def _waves(
+        self,
+        wave: Dict[PredKey, List[Tuple]],
+        take: Callable[[PredKey, Tuple], Optional[Tuple]],
+        shrinking: bool = False,
+    ) -> None:
+        """Push ``wave`` through the delta joins, wave after wave, until one
+        carries nothing.  Each join seeded on a changed predicate runs once
+        per wave, its seed reading the whole list, and its heads are
+        collected before any is handed to ``take``, which returns the fact
+        to carry into the next wave (or None).  ``shrinking`` skips joins
+        into magic heads."""
+        while wave:
+            next_wave: Dict[PredKey, List[Tuple]] = {}
+            for key, changed in wave.items():
+                source = lambda literal, env: GeneratorTupleIterator(changed)
+                for head_key, head_args, executor, shrinks in \
+                        self._joins.get(key, ()):
+                    if shrinking and not shrinks:
+                        continue  # over-complete magic is sound
+                    self.ctx.stats.rule_applications += 1
+                    for fact in list(derive(
+                        executor, head_args, BindEnv(), Trail(), source
+                    )):
+                        carried = take(head_key, fact)
+                        if carried is not None:
+                            next_wave.setdefault(head_key, []).append(carried)
+            wave = next_wave
 
     def _derivable(self, key: PredKey, fact: Tuple) -> bool:
         """Does some rule derive ``fact`` from the current state?"""
         for rule, executor in self._checks.get(key, ()):
+            self.ctx.stats.rule_applications += 1
             head_args = rule.head.args
-            for env in self._solutions(head_args, fact, executor):
+            env = BindEnv()
+            trail = Trail()
+            if not unify_fact(head_args, env, fact.renamed().args, trail):
+                continue
+            for _ in executor.solutions(env, trail):
                 # unifying may have specialised a non-ground fact: only a
                 # derivation of the fact itself counts
                 if fact.is_ground() or \
@@ -475,19 +480,14 @@ class MaintenancePlan:
         self, wave: Dict[PredKey, List[Tuple]], change: NetChange
     ) -> None:
         """Push ``wave`` — facts already in place, base or local — through
-        the delta joins over the current state, wave after wave, until one
-        derives nothing new.  A derivation that needs several new facts is
-        found when the last of them is pushed, the others being in place."""
-        while wave:
-            next_wave: Dict[PredKey, List[Tuple]] = {}
-            for key, changed in wave.items():
-                for join in self._joins.get(key, ()):
-                    head_key = join.head_key
-                    for tup in changed:
-                        for fact in self._derive(join, tup):
-                            if self._insert(head_key, fact, change):
-                                next_wave.setdefault(head_key, []).append(fact)
-            wave = next_wave
+        the delta joins over the current state, inserting what they derive,
+        until a wave derives nothing new.  A derivation that needs several
+        new facts is found when the last of them is pushed, the others being
+        in place."""
+        self._waves(
+            wave,
+            lambda key, fact: fact if self._insert(key, fact, change) else None,
+        )
 
     # -- insert repair ---------------------------------------------------------
 
@@ -538,36 +538,31 @@ class MaintenancePlan:
         # stands, indexes and all; base deps get the pending tuples back.
         over: Dict[PredKey, Dict[object, Tuple]] = {}
         count = 0
+
+        def doom(head_key: PredKey, fact: Tuple) -> Optional[Tuple]:
+            nonlocal count
+            stored = local[head_key].find(fact)
+            if stored is None:
+                return None
+            doomed = over.setdefault(head_key, {})
+            fact_key = stored.key()
+            if fact_key in doomed or (head_key, fact_key) == self._seed:
+                return None
+            doomed[fact_key] = stored
+            count += 1
+            if count > budget:
+                raise DamageExceeded()
+            return stored
+
         self._scope.pre_state = {
             key: _PreState(self.ctx.base_relation(*key), tuples)
             for key, tuples in pending.items() if tuples
         }
         try:
-            wave = {key: list(tuples) for key, tuples in pending.items()}
-            while wave:
-                next_wave: Dict[PredKey, List[Tuple]] = {}
-                for key, changed in wave.items():
-                    for join in self._joins.get(key, ()):
-                        if not join.shrinks:
-                            continue  # over-complete magic is sound
-                        head_key = join.head_key
-                        relation = local[head_key]
-                        doomed = over.setdefault(head_key, {})
-                        for tup in changed:
-                            for fact in self._derive(join, tup):
-                                stored = relation.find(fact)
-                                if stored is None:
-                                    continue
-                                fact_key = stored.key()
-                                if fact_key in doomed or \
-                                        (head_key, fact_key) == self._seed:
-                                    continue
-                                doomed[fact_key] = stored
-                                next_wave.setdefault(head_key, []).append(stored)
-                                count += 1
-                                if count > budget:
-                                    raise DamageExceeded()
-                wave = next_wave
+            self._waves(
+                {key: list(tuples) for key, tuples in pending.items()},
+                doom, shrinking=True,
+            )
         finally:
             self._scope.pre_state = {}
         for key, doomed in over.items():
@@ -597,6 +592,10 @@ class MaintenancePlan:
             if local[key].find(stored) is not None
         )
         return change
+
+
+def _vids(args) -> Set[int]:
+    return {var.vid for arg in args for var in arg.variables()}
 
 
 def plan_maintenance(

@@ -85,7 +85,7 @@ from ..language.ast import (
 from ..relations import ArgumentIndexSpec, HashRelation, ListTupleIterator, Tuple
 from ..terms import Arg, BindEnv, Trail, Var, rename_term, resolve, unify
 from ..terms.unify import subsumes_all
-from .aggregates import AggregateConstraint, fold_aggregate
+from .aggregates import AggregateConstraint, fold_groups
 from .context import LocalScope
 from .join import fact_solutions, instantiate_head, matches_any
 
@@ -431,7 +431,12 @@ class OrderedSearchEvaluator:
         prepared.reached = _COMPLETE
         solutions = self._body_solutions(prepared, 0, prepared.stamp < 0)
         if prepared.aggregates:
-            facts = self._aggregate(prepared, solutions)
+            # grouping is only legal over *done* subgoals (the paper's
+            # guard: rules with grouping wait for their 'done' literals)
+            facts = fold_groups(
+                prepared.head_args, prepared.aggregates, prepared.env,
+                solutions, self.scope.ctx.stats,
+            )
         else:
             facts = self._heads(prepared, solutions)
         for fact in facts:
@@ -450,37 +455,6 @@ class OrderedSearchEvaluator:
         for _ in solutions:
             stats.inferences += 1
             yield instantiate_head(head_args, env)
-
-    def _aggregate(self, prepared: _PreparedRule, solutions) -> List[Tuple]:
-        """Grouped aggregation: only legal over *done* subgoals (the paper's
-        guard: rules with grouping wait for their 'done' literals)."""
-        stats = self.scope.ctx.stats
-        head_args, env = prepared.head_args, prepared.env
-        positions = dict(prepared.aggregates)
-        plain = [p for p in range(len(head_args)) if p not in positions]
-        groups: Dict[tuple, Dict[int, list]] = {}
-        seen: Dict[tuple, tuple] = {}
-        for _ in solutions:
-            stats.inferences += 1
-            values = tuple(resolve(head_args[p], env) for p in plain)
-            group_key = tuple(v.ground_key() for v in values)
-            seen[group_key] = values
-            bucket = groups.setdefault(group_key, {})
-            for position, aggregation in positions.items():
-                bucket.setdefault(position, []).append(
-                    resolve(aggregation.expr, env)
-                )
-        facts = []
-        for group_key, values in seen.items():
-            args: List[Optional[Arg]] = [None] * len(head_args)
-            for position, value in zip(plain, values):
-                args[position] = value
-            for position, aggregation in positions.items():
-                args[position] = fold_aggregate(
-                    aggregation.function, groups[group_key].get(position, [])
-                )
-            facts.append(Tuple(tuple(args)))
-        return facts
 
     # -- body resolution ----------------------------------------------------------------
 

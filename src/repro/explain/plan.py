@@ -96,7 +96,7 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
 
         report = compile_report(compiled, session.ctx.is_builtin)
         lines.append(
-            f"|      compile ({report.backend}): "
+            f"|      compile (push): "
             f"{report.rules_compiled} rule(s) compiled, "
             f"{report.rules_interpreted} interpreted"
         )

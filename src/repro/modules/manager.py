@@ -18,7 +18,8 @@ inter-module call rule).
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
+from functools import partial
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import ModuleError
 from ..eval.aggregates import AggregateConstraint
@@ -31,6 +32,7 @@ from ..optimizer import CompiledForm, Optimizer
 from ..relations import (
     GeneratorTupleIterator,
     HashRelation,
+    MarkedRelation,
     Relation,
     Tuple,
     TupleIterator,
@@ -164,7 +166,7 @@ class ModuleManager:
         if compiled.save_module:
             key = (module_name, pred, adornment)
             instance = self._saved.get(key)
-            if instance is None:
+            if instance is None or instance.outdated():
                 instance = MaterializedInstance(self.ctx, compiled)
                 self._saved[key] = instance
             return instance
@@ -248,7 +250,9 @@ class MaterializedInstance:
     goes away at the end of the call (Section 5.4.2); under ``@save_module``
     the manager keeps the instance, later calls seed additional magic facts,
     and the semi-naive fixpoint resumes — the marks mechanism guarantees
-    derivations are not repeated across calls.
+    derivations are not repeated across calls.  Resumption also absorbs
+    inserts into base relations; anything it cannot absorb makes the
+    instance :meth:`outdated`.
     """
 
     def __init__(self, ctx: EvalContext, compiled: CompiledForm) -> None:
@@ -257,6 +261,9 @@ class MaterializedInstance:
         self.scope = LocalScope(ctx, multiset_preds=set(compiled.multiset_preds))
         self._active = False
         self._calls = 0
+        #: save-module only: per base dependency, the relation, a mark on it
+        #: and its size, as the last call began
+        self._bases: Dict[PredKey, PyTuple[Relation, int, int]] = {}
 
         # declare every local predicate up front and attach indexes
         for plan in compiled.scc_plans:
@@ -288,69 +295,35 @@ class MaterializedInstance:
             self._ordered = OrderedSearchEvaluator(self.scope, compiled)
         else:
             self._ordered = None
-            if compiled.compiled == "push":
-                from ..compilemod import (
+            self.compiler = None
+            make = SCCEvaluator
+            if compiled.compiled:
+                from ..compilemod.push import (
                     PushCompiler,
                     PushSCCEvaluator,
                     module_level_push_fallback,
+                    note_fallback,
                 )
-                from ..compilemod.codegen import note_fallback
 
                 self.compiler = PushCompiler()
                 reason = module_level_push_fallback(compiled)
                 if reason is None:
-                    self.evaluators = [
-                        PushSCCEvaluator(
-                            self.scope,
-                            plan,
-                            strategy=compiled.strategy,
-                            use_backjumping=compiled.use_backjumping,
-                            compiler=self.compiler,
-                        )
-                        for plan in compiled.scc_plans
-                    ]
+                    make = partial(PushSCCEvaluator, compiler=self.compiler)
                 else:
                     # module-level fallback: the whole module runs
                     # interpreted, but the reason stays visible in the stats
                     total = sum(len(plan.rules) for plan in compiled.scc_plans)
                     self.compiler.stats.record_fallback(reason, max(total, 1))
-                    note_fallback(
-                        ctx.obs, f"module {compiled.module_name}", reason, "push"
-                    )
-                    self.evaluators = [
-                        SCCEvaluator(
-                            self.scope,
-                            plan,
-                            strategy=compiled.strategy,
-                            use_backjumping=compiled.use_backjumping,
-                        )
-                        for plan in compiled.scc_plans
-                    ]
-            elif compiled.compiled:
-                from ..compilemod import CompiledSCCEvaluator, RuleCompiler
-
-                self.compiler = RuleCompiler()
-                self.evaluators = [
-                    CompiledSCCEvaluator(
-                        self.scope,
-                        plan,
-                        strategy=compiled.strategy,
-                        use_backjumping=compiled.use_backjumping,
-                        compiler=self.compiler,
-                    )
-                    for plan in compiled.scc_plans
-                ]
-            else:
-                self.compiler = None
-                self.evaluators = [
-                    SCCEvaluator(
-                        self.scope,
-                        plan,
-                        strategy=compiled.strategy,
-                        use_backjumping=compiled.use_backjumping,
-                    )
-                    for plan in compiled.scc_plans
-                ]
+                    note_fallback(ctx.obs, f"module {compiled.module_name}", reason)
+            self.evaluators = [
+                make(
+                    self.scope,
+                    plan,
+                    strategy=compiled.strategy,
+                    use_backjumping=compiled.use_backjumping,
+                )
+                for plan in compiled.scc_plans
+            ]
 
     # -- the call protocol ----------------------------------------------------------
 
@@ -365,6 +338,19 @@ class MaterializedInstance:
         rewritten = self.compiled.rewritten
         is_resumption = self._calls > 0
         self._calls += 1
+        if self.compiled.save_module:
+            self._bases = {}
+            for rule in rewritten.rules:
+                for literal in rule.body:
+                    key = literal.key
+                    if key in self._bases or self.scope.is_local(*key) or \
+                            self.ctx.is_builtin(*key):
+                        continue
+                    relation = self.scope.relation(*key)
+                    if isinstance(relation, MarkedRelation):
+                        self._bases[key] = (relation, relation.mark(), len(relation))
+                    else:
+                        self._bases[key] = (relation, 0, 0)
 
         if rewritten.magic_pred is not None:
             seed = Tuple(
@@ -387,6 +373,35 @@ class MaterializedInstance:
         if self.compiled.lazy:
             return GeneratorTupleIterator(self._lazy_answers(call_args))
         return self._eager_answers(call_args, self._run_all)
+
+    def outdated(self) -> bool:
+        """Must the next save-module call start from a fresh instance?
+        Resumption absorbs inserts into base relations (its versions read
+        each one's unconsumed slice) but retracts nothing.  So yes when a
+        base dependency lost a tuple since the last call began, does not
+        track insertion marks (a persistent relation, another module's
+        export), or gained one in a module whose old conclusions a new
+        tuple can falsify (negation, grouping, aggregate selections) or
+        whose state is not semi-naive (Ordered Search)."""
+        if self._active:
+            return False  # call() reports the recursive invocation
+        compiled = self.compiled
+        absorbs = not (
+            compiled.ordered_search
+            or compiled.constraints
+            or any(
+                rule.head_aggregates or any(l.negated for l in rule.body)
+                for rule in compiled.rewritten.rules
+            )
+        )
+        for key, (relation, mark, size) in self._bases.items():
+            if self.scope.relation(*key) is not relation or \
+                    not isinstance(relation, MarkedRelation):
+                return True
+            arrived = relation.count_since(mark)
+            if len(relation) - arrived < size or (arrived and not absorbs):
+                return True
+        return False
 
     def _run_all(self) -> None:
         for evaluator in self.evaluators:

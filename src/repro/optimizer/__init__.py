@@ -28,14 +28,12 @@ rewritten program as text, the paper's debugging aid.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..errors import RewriteError, StratificationError
 from ..language.ast import (
     AggregateSelection,
-    ExportDecl,
     IndexAnnotation,
-    Literal,
     ModuleDecl,
     Rule,
 )
@@ -50,7 +48,6 @@ from ..rewriting.graph import (
     recursive_predicates,
 )
 from ..rewriting.magic import RewrittenProgram, magic_rewrite, no_rewriting
-from ..rewriting.seminaive import SNRule
 from ..rewriting.supmagic import supmagic_rewrite
 from ..eval.fixpoint import SCCPlan
 from ..terms import Var
@@ -88,8 +85,8 @@ class CompiledForm:
     use_backjumping: bool
     save_module: bool
     ordered_search: bool
-    #: generated-code backend ("closure" or "push"), or None for the
-    #: interpreter (Section 2's compiled mode; truthy iff compiled)
+    #: generated-code backend ("push"), or None for the interpreter
+    #: (Section 2's compiled mode; truthy iff compiled)
     compiled: Optional[str]
     #: original-name aggregate selections mapped onto rewritten predicates
     constraints: List[PyTuple[PredKey, AggregateSelection]]
@@ -196,12 +193,9 @@ class Optimizer:
         if module.has_flag("lazy_eval"):
             lazy = True
 
-        seed_preds: Set[PredKey] = set()
-        if rewritten.magic_pred is not None:
-            seed_preds.add(
-                (rewritten.magic_pred, len(rewritten.bound_positions))
-            )
-        scc_plans = self._plan_sccs(graph, rewritten.rules, strategy, seed_preds)
+        scc_plans = self._plan_sccs(
+            graph, rewritten.rules, strategy, resumable=save_module
+        )
 
         compiled = CompiledForm(
             module_name=module.name,
@@ -226,17 +220,16 @@ class Optimizer:
 
     def _compiled_backend(self, module: ModuleDecl) -> Optional[str]:
         """Which code generator (if any) this module evaluates through:
-        ``@compiled.`` / ``@compiled(closure).`` / ``@compiled(push).`` on
-        the module, else the session-wide default."""
+        ``@compiled.`` / ``@compiled(push).`` on the module, else the
+        session-wide default."""
         flag = module.flag("compiled")
         if flag is not None:
-            backend = flag.argument or "closure"
+            backend = flag.argument or "push"
         else:
             backend = self.default_compiled
-        if backend not in (None, "closure", "push"):
+        if backend not in (None, "push"):
             raise RewriteError(
-                f"unknown compiled backend {backend!r} "
-                f"(expected 'closure' or 'push')"
+                f"unknown compiled backend {backend!r} (expected 'push')"
             )
         return backend
 
@@ -322,14 +315,11 @@ class Optimizer:
         graph,
         rules: Sequence[Rule],
         strategy: str,
-        seed_preds: Optional[Set[PredKey]] = None,
+        resumable: bool = False,
     ) -> List[SCCPlan]:
-        """One plan per SCC, callees first.  ``earlier`` accumulates the
-        local predicates visible to later components — including the
-        rule-less magic seed predicate, whose growth across save-module
-        calls must be visible to the cross-call delta versions."""
+        """One plan per SCC, callees first; a save-module form's plans
+        carry resumption versions."""
         plans: List[SCCPlan] = []
-        earlier: Set[PredKey] = set(seed_preds or ())
         for component in condensation_order(graph):
             component_rules = [
                 rule for rule in rules if rule.head.key in component
@@ -344,10 +334,9 @@ class Optimizer:
                     component_rules,
                     self.is_builtin,
                     strategy=strategy,
-                    external=set(earlier) - set(component),
+                    resumable=resumable,
                 )
             )
-            earlier |= set(component)
         return plans
 
     # -- aggregate selections ----------------------------------------------------------

@@ -21,28 +21,26 @@ from .magic import (
     magic_rewrite,
     no_rewriting,
 )
-from .seminaive import ScanKind, SNLiteral, SNRule, naive_rewrite, seminaive_rewrite
+from .seminaive import DeltaRule, delta_rules, seminaive_rewrite
 from .supmagic import supmagic_rewrite
 
 __all__ = [
     "AdornedProgram",
+    "DeltaRule",
     "DependencyGraph",
     "FactoringNotApplicable",
     "MAGIC_PREFIX",
     "RewrittenProgram",
-    "SNLiteral",
-    "SNRule",
-    "ScanKind",
     "adorn_program",
     "adorned_name",
     "build_dependency_graph",
     "check_stratified",
     "condensation_order",
+    "delta_rules",
     "existential_rewrite",
     "factoring_rewrite",
     "magic_literal",
     "magic_rewrite",
-    "naive_rewrite",
     "no_rewriting",
     "recursive_predicates",
     "seminaive_rewrite",

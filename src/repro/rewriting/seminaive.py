@@ -1,16 +1,33 @@
-"""Semi-naive (delta) rule rewriting.
+"""Delta rules: the one rule structure under the semi-naive fixpoint,
+save-module resumption and view maintenance.
 
 Section 5.3: *"In order to perform incremental evaluation of rules across
 multiple iterations, CORAL uses the semi-naive evaluation technique.  This
 technique consists of a rule rewriting part performed at compile time, which
 creates versions of rules with delta relations, and an evaluation part."*
 
-For a rule with k body literals recursive in the current SCC, k versions are
-produced; version i scans literal i's *delta* (facts new in the previous
-iteration), literals before i over their *full* extent (old ∪ delta), and
-literals after i over their *old* extent — the classic triangular scheme
-that covers every new combination exactly once.  The delta/old/full ranges
-are realised at run time through relation *marks* (Section 3.2).
+Section 5.1 gives every rule one precomputed "semi-naive rule structure",
+and Behrend's *Uniform Fixpoint Approach* (PAPERS.md) observes that update
+propagation is the same set of delta rules, seeded with the change.  A
+:class:`DeltaRule` is that structure: a source rule, the order its body
+joins in, and the position of its *seed* literal, which reads a *seed
+source* the caller supplies at run time.  Every other literal reads its
+relation's full extent — except a recursive literal of the SCC being
+evaluated, which reads the triangular window: everything up to the start
+of the last iteration (``cur``) before the seed, everything before it
+(``prev``) after the seed.  That covers every new combination exactly once.
+
+:func:`delta_rules` builds them all.  Three callers seed them from three
+sources:
+
+* the fixpoint (:func:`seminaive_rewrite`): one version per recursive body
+  position, seeded with the last iteration's arrivals ``[prev, cur)``;
+* save-module resumption (Section 5.4.2): one version per non-recursive
+  positive position, seeded with that relation's unconsumed slice
+  ``[seen, mark)``;
+* view maintenance (:mod:`repro.eval.maintenance`): one join per positive
+  position, seed first and the rest bound-first, seeded with a wave's
+  changed tuples.
 
 Rules with no recursive body literal fire once, before iteration begins.
 """
@@ -18,57 +35,57 @@ Rules with no recursive body literal fire once, before iteration begins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
-from typing import Callable, List, Sequence, Set, Tuple as PyTuple
+from typing import (
+    Callable,
+    Collection,
+    FrozenSet,
+    List,
+    Optional,
+    Sequence,
+    Set,
+    Tuple as PyTuple,
+)
 
 from ..language.ast import Literal, Rule
 
 PredKey = PyTuple[str, int]
 
-
-class ScanKind(Enum):
-    """Which slice of a relation a semi-naive body literal scans."""
-
-    #: a non-recursive relation: its complete current contents
-    ALL = "all"
-    #: recursive, everything up to the end of the previous iteration
-    FULL = "full"
-    #: recursive, only the facts produced by the previous iteration
-    DELTA = "delta"
-    #: recursive, everything strictly before the previous iteration
-    OLD = "old"
-    #: a local predicate of an *earlier* SCC: only what arrived since this
-    #: SCC's last fixpoint (the cross-call delta of the save-module
-    #: facility, Section 5.4.2)
-    EXT_DELTA = "ext_delta"
+#: orders the rest of a body around its seed literal (the seed runs first)
+BodyOrder = Callable[[Sequence[Literal], Literal], Sequence[Literal]]
 
 
 @dataclass(frozen=True)
-class SNLiteral:
-    literal: Literal
-    kind: ScanKind
+class DeltaRule:
+    """One version of one source rule: its body in join order, the position
+    of the seed literal (-1: none — a once rule, or a naive version), and
+    the positions that read a triangular window."""
 
-    def __str__(self) -> str:
-        suffix = {"all": "", "full": "", "delta": "·δ", "old": "·old"}[
-            self.kind.value
-        ]
-        return f"{self.literal}{suffix}"
-
-
-@dataclass(frozen=True)
-class SNRule:
-    """One semi-naive version of one source rule (Section 5.1's 'semi-naive
-    rule structure'); ``once`` marks non-recursive rules evaluated a single
-    time before the iteration loop."""
-
-    head: Literal
-    body: PyTuple[SNLiteral, ...]
-    head_aggregates: PyTuple = ()
-    once: bool = False
+    rule: Rule
+    body: PyTuple[Literal, ...]
+    seed: int = -1
+    recursive: FrozenSet[int] = frozenset()
+    #: the source rule's index in the SCC's rule list
     source_index: int = -1
 
+    @property
+    def head(self) -> Literal:
+        return self.rule.head
+
+    @property
+    def head_aggregates(self):
+        return self.rule.head_aggregates
+
     def __str__(self) -> str:
-        body = ", ".join(str(lit) for lit in self.body)
+        def marked(position: int, literal: Literal) -> str:
+            if position == self.seed:
+                return f"{literal}·δ"
+            if position in self.recursive and position > self.seed:
+                return f"{literal}·old"
+            return str(literal)
+
+        body = ", ".join(
+            marked(position, literal) for position, literal in enumerate(self.body)
+        )
         return f"{self.head} :- {body}."
 
 
@@ -79,7 +96,7 @@ def recursive_body_positions(
 ) -> List[int]:
     """Body positions of ``rule`` that are recursive in the given SCC: the
     positive, non-builtin occurrences of the SCC's own predicates.  Shared
-    by the semi-naive rewriters and the push compiler's rule classifier (a
+    by :func:`seminaive_rewrite` and the push compiler's rule classifier (a
     negated literal in the same SCC would make the program unstratified and
     is rejected upstream)."""
     return [
@@ -91,123 +108,64 @@ def recursive_body_positions(
     ]
 
 
+def delta_rules(
+    rules: Sequence[Rule],
+    is_builtin: Callable[[str, int], bool],
+    seeds: Optional[Collection[PredKey]] = None,
+    recursive: Collection[PredKey] = frozenset(),
+    order: Optional[BodyOrder] = None,
+) -> List[DeltaRule]:
+    """One delta rule per rule and per positive, non-builtin body literal
+    of a predicate in ``seeds`` (of any predicate when None).
+
+    Literals of ``recursive`` predicates other than the seed read the
+    triangular window.  Without ``order`` the body keeps its written order
+    and the seed its place; with it, the seed runs first and ``order``
+    arranges the rest."""
+    out: List[DeltaRule] = []
+    for index, rule in enumerate(rules):
+        for position, seed in enumerate(rule.body):
+            if (
+                seed.negated
+                or (seeds is not None and seed.key not in seeds)
+                or is_builtin(seed.pred, seed.arity)
+            ):
+                continue
+            body = rule.body
+            if order is not None:
+                rest = body[:position] + body[position + 1:]
+                body, position = (seed, *order(rest, seed)), 0
+            windows = frozenset(
+                other
+                for other, literal in enumerate(body)
+                if other != position
+                and not literal.negated
+                and literal.key in recursive
+                and not is_builtin(literal.pred, literal.arity)
+            )
+            out.append(DeltaRule(rule, body, position, windows, index))
+    return out
+
+
 def seminaive_rewrite(
     rules: Sequence[Rule],
     recursive: Set[PredKey],
     is_builtin: Callable[[str, int], bool],
-) -> PyTuple[List[SNRule], List[SNRule]]:
-    """Split ``rules`` into (once_rules, delta_rules) for one SCC."""
-    once_rules: List[SNRule] = []
-    delta_rules: List[SNRule] = []
+    naive: bool = False,
+) -> PyTuple[List[DeltaRule], List[DeltaRule]]:
+    """Split ``rules`` into (once rules, delta rules) for one SCC.
+
+    ``naive`` is the Bancilhon (1985) baseline instead (benchmark E2): each
+    recursive rule is one version that reads every literal's full extent
+    on every iteration — the rederivation semi-naive exists to avoid."""
+    once: List[DeltaRule] = []
+    plain: List[DeltaRule] = []
     for index, rule in enumerate(rules):
-        recursive_positions = recursive_body_positions(rule, recursive, is_builtin)
-        if not recursive_positions:
-            once_rules.append(
-                SNRule(
-                    rule.head,
-                    tuple(SNLiteral(lit, ScanKind.ALL) for lit in rule.body),
-                    rule.head_aggregates,
-                    once=True,
-                    source_index=index,
-                )
-            )
-            continue
-        for delta_position in recursive_positions:
-            body: List[SNLiteral] = []
-            for position, literal in enumerate(rule.body):
-                if position not in recursive_positions:
-                    body.append(SNLiteral(literal, ScanKind.ALL))
-                elif position < delta_position:
-                    body.append(SNLiteral(literal, ScanKind.FULL))
-                elif position == delta_position:
-                    body.append(SNLiteral(literal, ScanKind.DELTA))
-                else:
-                    body.append(SNLiteral(literal, ScanKind.OLD))
-            delta_rules.append(
-                SNRule(
-                    rule.head,
-                    tuple(body),
-                    rule.head_aggregates,
-                    once=False,
-                    source_index=index,
-                )
-            )
-    return once_rules, delta_rules
-
-
-def ext_rewrite(
-    rules: Sequence[Rule],
-    recursive: Set[PredKey],
-    external: Set[PredKey],
-    is_builtin: Callable[[str, int], bool],
-) -> List[SNRule]:
-    """Cross-call delta versions for the save-module facility.
-
-    When a retained module is called again (Section 5.4.2), predicates of
-    *earlier* SCCs (magic and supplementary relations, typically) have grown
-    since this SCC's last fixpoint.  A combination pairing such a new
-    external fact with *old* facts of this SCC is covered by no standard
-    semi-naive version — those keep a delta only on the SCC's own
-    predicates.  So, per rule and per external-local body literal, one extra
-    version: that literal scans the external delta, everything else scans
-    its full extent.  These versions run once, at resumption, before the
-    ordinary iteration loop.
-    """
-    out: List[SNRule] = []
-    for index, rule in enumerate(rules):
-        for target_position, target in enumerate(rule.body):
-            if (
-                target.negated
-                or target.key not in external
-                or is_builtin(target.pred, target.arity)
-            ):
-                continue
-            body = tuple(
-                SNLiteral(
-                    literal,
-                    ScanKind.EXT_DELTA
-                    if position == target_position
-                    else ScanKind.ALL,
-                )
-                for position, literal in enumerate(rule.body)
-            )
-            out.append(
-                SNRule(
-                    rule.head,
-                    body,
-                    rule.head_aggregates,
-                    once=True,
-                    source_index=index,
-                )
-            )
-    return out
-
-
-def naive_rewrite(
-    rules: Sequence[Rule],
-    recursive: Set[PredKey],
-    is_builtin: Callable[[str, int], bool],
-) -> PyTuple[List[SNRule], List[SNRule]]:
-    """The naive-evaluation baseline (Bancilhon 1985): every rule scans the
-    full extent of every literal on every iteration — the rederivation
-    behaviour semi-naive exists to avoid (benchmark E2)."""
-    once_rules: List[SNRule] = []
-    all_rules: List[SNRule] = []
-    for index, rule in enumerate(rules):
-        sn = SNRule(
-            rule.head,
-            tuple(SNLiteral(lit, ScanKind.ALL) for lit in rule.body),
-            rule.head_aggregates,
-            once=False,
-            source_index=index,
-        )
-        has_recursive = bool(
-            recursive_body_positions(rule, recursive, is_builtin)
-        )
-        if has_recursive:
-            all_rules.append(sn)
+        version = DeltaRule(rule, rule.body, source_index=index)
+        if recursive_body_positions(rule, recursive, is_builtin):
+            plain.append(version)
         else:
-            once_rules.append(
-                SNRule(sn.head, sn.body, sn.head_aggregates, once=True, source_index=index)
-            )
-    return once_rules, all_rules
+            once.append(version)
+    if naive:
+        return once, plain
+    return once, delta_rules(rules, is_builtin, recursive, recursive)

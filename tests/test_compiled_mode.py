@@ -1,13 +1,14 @@
-"""Tests for the compiled evaluation mode (paper Section 2 / benchmark E12)."""
+"""Tests for the compiled evaluation mode (paper Section 2 / benchmark E12):
+``@compiled.`` evaluates through the push backend."""
 
 import pytest
 
 from repro import Session
 from repro.builtins import default_registry
-from repro.compilemod import RuleCompiler
-from repro.errors import EvaluationError
+from repro.compilemod import PushCompiler
+from repro.errors import EvaluationError, RewriteError
+from repro.eval.fixpoint import SCCPlan
 from repro.language import parse_module
-from repro.rewriting.seminaive import seminaive_rewrite
 
 REGISTRY = default_registry()
 
@@ -16,51 +17,48 @@ def is_builtin(name, arity):
     return REGISTRY.is_builtin(name, arity)
 
 
-def _sn_rules(source, recursive):
+def _compile(source, recursive=frozenset()):
+    """Push-compile the one SCC of ``source``; returns (compiler, program
+    source)."""
     module = parse_module(source)
-    once, delta = seminaive_rewrite(module.rules, recursive, is_builtin)
-    return once + delta
+    preds = frozenset(rule.head.key for rule in module.rules)
+    plan = SCCPlan.build(preds, set(recursive), module.rules, is_builtin)
+    compiler = PushCompiler()
+    compiler.program_for(plan, is_builtin)
+    return compiler, plan.push_program.source
 
 
-class TestRuleCompiler:
+class TestPushClassification:
     def test_flat_rule_compiles(self):
-        rules = _sn_rules(
-            "module m. p(X, Y) :- e(X, Z), f(Z, Y). end_module.", set()
+        compiler, source = _compile(
+            "module m. p(X, Y) :- e(X, Z), f(Z, Y). end_module."
         )
-        compiler = RuleCompiler()
-        compiled = compiler.try_compile(rules[0])
-        assert compiled is not None
-        assert "for _t0 in" in compiled.source
+        assert "for _t2 in _b0:" in source
         assert compiler.stats.rules_compiled == 1
 
     def test_arithmetic_and_comparison_compile(self):
-        rules = _sn_rules(
-            "module m. p(X, Y) :- e(X, C), C > 2, Y = C * 10. end_module.",
-            set(),
+        compiler, source = _compile(
+            "module m. p(X, Y) :- e(X, C), C > 2, Y = C * 10. end_module."
         )
-        compiled = RuleCompiler().try_compile(rules[0])
-        assert compiled is not None
-        assert "> (2)" in compiled.source.replace("((", "(").replace("))", ")")
+        assert compiler.stats.rules_compiled == 1
+        assert "> (2)" in source.replace("((", "(").replace("))", ")")
 
     def test_functor_argument_falls_back(self):
-        rules = _sn_rules(
-            "module m. p(X) :- e(f(X)). end_module.", set()
-        )
-        compiler = RuleCompiler()
-        assert compiler.try_compile(rules[0]) is None
+        compiler, _ = _compile("module m. p(X) :- e(f(X)). end_module.")
         assert compiler.stats.rules_interpreted == 1
+        assert any("structured" in reason for reason in compiler.stats.fallbacks)
 
     def test_negation_falls_back(self):
-        rules = _sn_rules(
-            "module m. p(X) :- e(X), not q(X). end_module.", set()
+        compiler, _ = _compile(
+            "module m. p(X) :- e(X), not q(X). end_module."
         )
-        assert RuleCompiler().try_compile(rules[0]) is None
+        assert compiler.stats.fallbacks == {"negation": 1}
 
     def test_aggregation_falls_back(self):
-        rules = _sn_rules(
-            "module m. p(X, min(<C>)) :- e(X, C). end_module.", set()
+        compiler, _ = _compile(
+            "module m. p(X, min(<C>)) :- e(X, C). end_module."
         )
-        assert RuleCompiler().try_compile(rules[0]) is None
+        assert compiler.stats.fallbacks == {"aggregation": 1}
 
 
 class TestCompiledEvaluation:
@@ -127,58 +125,51 @@ class TestCompiledEvaluation:
         )
         assert sorted(a["Y"] for a in session.query("path(1, Y)")) == [1, 2]
 
+    def test_bare_flag_means_push(self):
+        session = Session()
+        session.consult_string("edge(1, 2)." + self.TC)
+        session.query("path(1, Y)").all()
+        form = session.modules.compiled_form("tc", "path", "bf")
+        assert form.compiled == "push"
+
+    def test_closure_backend_is_unknown(self):
+        session = Session()
+        session.consult_string(
+            "edge(1, 2)." + self.TC.replace("@compiled.", "@compiled(closure).")
+        )
+        with pytest.raises(RewriteError, match="unknown compiled backend"):
+            session.query("path(1, Y)").all()
+
 
 class TestGeneratedSource:
     """White-box checks on the generated Python (the codegen contract)."""
 
-    def _compile_one(self, source, recursive=frozenset()):
-        rules = _sn_rules(source, set(recursive))
-        compiled = RuleCompiler().try_compile(rules[0])
-        assert compiled is not None
-        return compiled
-
     def test_constants_become_guards(self):
-        compiled = self._compile_one(
-            "module m. p(X) :- e(7, X). end_module."
-        )
-        assert "consts[" in compiled.source
-        assert "!= _t0.args[0]: continue" in compiled.source
+        _, source = _compile("module m. p(X) :- e(7, X). end_module.")
+        # a constant argument keys the batch index the scan probes
+        assert "si0.get((consts[0],), ())" in source
 
     def test_repeated_variable_becomes_equality_guard(self):
-        compiled = self._compile_one(
-            "module m. p(X) :- e(X, X). end_module."
-        )
-        assert "!= _t0.args[1]: continue" in compiled.source
+        _, source = _compile("module m. p(X) :- e(X, X). end_module.")
+        assert "== _t2[1]:" in source
 
     def test_bound_probe_passed_to_scan(self):
-        compiled = self._compile_one(
+        _, source = _compile(
             "module m. p(X, Y) :- e(X), f(X, Y). end_module."
         )
-        # the second scan's probe carries the bound variable, not _free
-        probe_line = [
-            line for line in compiled.source.splitlines() if "_probe1" in line
-        ][0]
-        assert "_free" in probe_line  # Y is free
-        assert "v" in probe_line  # X is bound
+        # the second scan probes f's index on its bound first argument
+        probe_line = [line for line in source.splitlines() if "si0.get" in line][0]
+        assert "for _t3 in si0.get((v" in probe_line
 
-    def test_nonground_guard_emitted(self):
-        compiled = self._compile_one("module m. p(X) :- e(X). end_module.")
-        assert "_nonground_error" in compiled.source
-
-    def test_delta_ranges_referenced_for_recursive_literals(self):
-        rules = _sn_rules(
-            "module m. p(X, Y) :- e(X, Z), p(Z, Y). end_module.",
-            {("p", 2)},
+    def test_recursive_literals_push_through_the_worklist(self):
+        _, source = _compile(
+            "module m. p(X, Y) :- e(X, Z), p(Z, Y). end_module.", {("p", 2)}
         )
-        delta_rule = [r for r in rules if not r.once][0]
-        compiled = RuleCompiler().try_compile(delta_rule)
-        assert compiled is not None
-        assert "_KINDS['delta']" in compiled.source
+        assert "while stack:" in source
+        assert "stack.append((0, _h))" in source
 
     def test_stats_track_codegen(self):
-        compiler = RuleCompiler()
-        rules = _sn_rules("module m. p(X) :- e(X). end_module.", set())
-        compiler.try_compile(rules[0])
+        compiler, _ = _compile("module m. p(X) :- e(X). end_module.")
         assert compiler.stats.rules_compiled == 1
         assert compiler.stats.generated_lines > 0
         assert compiler.stats.codegen_seconds > 0

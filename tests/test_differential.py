@@ -2,9 +2,9 @@
 
 A seeded generator produces small stratified Datalog programs plus
 query/update interleavings, and every evaluation configuration —
-semi-naive (BSN and PSN), pipelined, compiled (closure and push
-backends), magic-on, magic-off, memo-on and memo-off — must return
-identical answer multisets.
+semi-naive (BSN and PSN), pipelined, compiled (the push backend),
+magic-on, magic-off, memo-on and memo-off — must return identical answer
+multisets.
 
 The generator's rule shapes are biased toward the compiled class (flat
 positive literals, comparisons, arithmetic ``=``) so well over half of all
@@ -54,6 +54,10 @@ one, calls whose bound argument is an answer of an open subgoal, a ``min``
 selection deleting answers between passes, and negation and grouping over
 subgoals that completed inside an earlier pass of their caller.
 ``REPRO_DIFF_CASES`` scales both (default 40 programs each).
+The **save-module column** drives ``@save_module.`` programs through one
+session — bound calls that resume a retained instance, interleaved with
+inserts it must absorb and deletes that make it start afresh — against a
+fresh session at every call (a tenth as many programs).
 :class:`PathCase` carries list-valued accumulators — paths built with
 ``append/3``, costs with ``=`` — through the default rewriting,
 ``@ordered_search.`` and memo, against ``@no_rewriting.`` (a quarter as
@@ -222,7 +226,6 @@ _ENGINE_FLAGS = {
     "magic": "@magic.",
     "no_rewriting": "@no_rewriting.",
     "psn": "@psn.",
-    "compiled": "@compiled.",
     "push": "@compiled(push).",
 }
 
@@ -605,6 +608,43 @@ def test_targeted_schedules_repair_without_falling_back(seed, flags):
                 )
         stats = live_session.live.snapshot()
         assert stats["rebuilds"] == 0, (seed, name, stats)
+
+
+# ---------------------------------------------------------------------------
+# save-module: resumption across calls and updates against cold sessions
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("seed", range(50_000, 50_000 + _TOTAL_CASES // 10))
+def test_save_module_resumption_agrees_with_cold(seed):
+    case = _update_case(seed, allow_negation=seed % 3 == 2)
+    rng = random.Random(seed ^ 0x5AFE)
+    session = Session()
+    session.consult_string(case.program("@save_module."))
+    facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
+    trail = []
+    for _ in range(12):
+        kind = rng.choice(["call", "call", "call", "insert", "delete"])
+        if kind == "call":
+            pred = rng.choice(case.derived_preds)
+            query = f"{pred}({rng.choice(case.domain)}, Y)"
+            got = sorted(set(session.query(query).tuples()))
+            cold = _cold(case, facts_now, [query])[query]
+            assert got == cold, (
+                f"seed {seed}: save-module {query} diverged after "
+                f"{trail or '(nothing)'}: cold={cold}, saved={got}"
+            )
+            trail.append(query)
+            continue
+        pred = rng.choice(case.base_preds)
+        if kind == "insert":
+            tup = (rng.choice(case.domain), rng.choice(case.domain))
+        elif facts_now[pred]:
+            tup = rng.choice(sorted(facts_now[pred]))
+        else:
+            continue
+        _apply_batch(session, facts_now, [(kind, pred, tup)])
+        trail.append(f"{kind} {pred}{tup}")
 
 
 # ---------------------------------------------------------------------------

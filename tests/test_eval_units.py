@@ -12,16 +12,11 @@ from repro.eval.join import BodyExecutor, backtrack_points
 from repro.language import parse_module
 from repro.language.ast import AggregateSelection, Literal
 from repro.relations import HashRelation, Tuple
-from repro.rewriting.seminaive import ScanKind, SNLiteral
 from repro.terms import Atom, BindEnv, Double, Functor, Int, Trail, Var, resolve
 
 
 def t(*values):
     return Tuple(tuple(Int(v) if isinstance(v, int) else Atom(v) for v in values))
-
-
-def sn(literal):
-    return SNLiteral(literal, ScanKind.ALL)
 
 
 @pytest.fixture
@@ -41,7 +36,7 @@ class TestBodyExecutor:
     def test_single_literal_join(self, scope):
         self._fill(scope, "e", 2, [(1, 2), (2, 3)])
         x, y = Var("X"), Var("Y")
-        executor = BodyExecutor(scope, [sn(Literal("e", (x, y)))])
+        executor = BodyExecutor(scope, [Literal("e", (x, y))])
         env, trail = BindEnv(), Trail()
         solutions = []
         for _ in executor.solutions(env, trail):
@@ -52,7 +47,7 @@ class TestBodyExecutor:
         self._fill(scope, "e", 2, [(1, 2), (2, 3), (3, 4)])
         x, y, z = Var("X"), Var("Y"), Var("Z")
         executor = BodyExecutor(
-            scope, [sn(Literal("e", (x, y))), sn(Literal("e", (y, z)))]
+            scope, [Literal("e", (x, y)), Literal("e", (y, z))]
         )
         env, trail = BindEnv(), Trail()
         chains = []
@@ -70,7 +65,7 @@ class TestBodyExecutor:
         self._fill(scope, "n", 1, [(1,), (5,), (9,)])
         x = Var("X")
         executor = BodyExecutor(
-            scope, [sn(Literal("n", (x,))), sn(Literal(">", (x, Int(3))))]
+            scope, [Literal("n", (x,)), Literal(">", (x, Int(3)))]
         )
         env, trail = BindEnv(), Trail()
         values = [resolve(x, env).value for _ in executor.solutions(env, trail)]
@@ -82,7 +77,7 @@ class TestBodyExecutor:
         x = Var("X")
         executor = BodyExecutor(
             scope,
-            [sn(Literal("n", (x,))), sn(Literal("bad", (x,), negated=True))],
+            [Literal("n", (x,)), Literal("bad", (x,), negated=True)],
         )
         env, trail = BindEnv(), Trail()
         values = [resolve(x, env).value for _ in executor.solutions(env, trail)]
@@ -91,7 +86,7 @@ class TestBodyExecutor:
     def test_bindings_undone_between_solutions(self, scope):
         self._fill(scope, "e", 1, [(1,), (2,)])
         x = Var("X")
-        executor = BodyExecutor(scope, [sn(Literal("e", (x,)))])
+        executor = BodyExecutor(scope, [Literal("e", (x,))])
         env, trail = BindEnv(), Trail()
         iterator = executor.solutions(env, trail)
         next(iterator)
@@ -107,9 +102,9 @@ class TestBodyExecutor:
         self._fill(scope, "c", 1, [(2,)])
         x, y = Var("X"), Var("Y")
         body = [
-            sn(Literal("a", (x,))),
-            sn(Literal("b", (y,))),
-            sn(Literal("c", (x,))),
+            Literal("a", (x,)),
+            Literal("b", (y,)),
+            Literal("c", (x,)),
         ]
         executor = BodyExecutor(scope, body, use_backjumping=True)
         env, trail = BindEnv(), Trail()
@@ -123,9 +118,9 @@ class TestBodyExecutor:
     def test_backtrack_points_computed(self):
         x, y, z = Var("X"), Var("Y"), Var("Z")
         body = [
-            sn(Literal("a", (x,))),
-            sn(Literal("b", (y,))),
-            sn(Literal("c", (x, z))),
+            Literal("a", (x,)),
+            Literal("b", (y,)),
+            Literal("c", (x, z)),
         ]
         assert backtrack_points(body) == [-1, -1, 0]
 
@@ -153,6 +148,22 @@ class TestAggregateFolds:
     def test_non_numeric_min_rejected(self):
         with pytest.raises(EvaluationError):
             fold_aggregate("min", [Atom("a")])
+
+    @pytest.mark.parametrize("flags", ["", "@ordered_search."])
+    @pytest.mark.parametrize("group", ["Y", "f(Y)"])
+    def test_group_left_non_ground_by_the_body(self, flags, group):
+        """The fixpoint and Ordered Search share one fold: a grouping
+        argument the body never binds forms one group, and the head fact
+        stays non-ground like any other rule's."""
+        session = Session()
+        session.consult_string(
+            f"e(1). e(2). e(3).\n"
+            f"module m. export g(ff). {flags}\n"
+            f"g({group}, count(<X>)) :- e(X).\n"
+            f"end_module.\n"
+        )
+        answers = session.query("g(A, N)").all()
+        assert [(str(a.term("A")), a["N"]) for a in answers] == [(group, 3)]
 
 
 class TestAggregateConstraint:

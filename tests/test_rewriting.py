@@ -13,13 +13,12 @@ from repro.rewriting import (
     condensation_order,
     existential_rewrite,
     factoring_rewrite,
+    delta_rules,
     magic_rewrite,
-    naive_rewrite,
     recursive_predicates,
     seminaive_rewrite,
     supmagic_rewrite,
 )
-from repro.rewriting.seminaive import ScanKind
 
 REGISTRY = default_registry()
 
@@ -215,20 +214,55 @@ class TestSemiNaive:
         )
         _once, delta = seminaive_rewrite(module.rules, {("p", 2)}, is_builtin)
         first, second = delta
-        assert [l.kind for l in first.body] == [ScanKind.DELTA, ScanKind.OLD]
-        assert [l.kind for l in second.body] == [ScanKind.FULL, ScanKind.DELTA]
+        # the seed reads the last iteration's arrivals; the other recursive
+        # literal reads [0, prev) after the seed, [0, cur) before it
+        assert (first.seed, first.recursive) == (0, frozenset({1}))
+        assert (second.seed, second.recursive) == (1, frozenset({0}))
+        assert str(first) == "p(X, Y) :- p(X, Z)·δ, p(Z, Y)·old."
+        assert str(second) == "p(X, Y) :- p(X, Z), p(Z, Y)·δ."
 
     def test_nonrecursive_literals_are_all(self):
         once, delta = seminaive_rewrite(tc_rules(), {("path", 2)}, is_builtin)
         version = delta[0]
-        kinds = {l.literal.pred: l.kind for l in version.body}
-        assert kinds["edge"] == ScanKind.ALL
-        assert kinds["path"] == ScanKind.DELTA
+        assert version.body[version.seed].pred == "path"
+        assert not version.recursive  # edge reads its full extent
+        assert str(version) == "path(X, Y) :- edge(X, Z), path(Z, Y)·δ."
 
     def test_naive_rewrite_full_scans(self):
-        once, every = naive_rewrite(tc_rules(), {("path", 2)}, is_builtin)
+        once, every = seminaive_rewrite(
+            tc_rules(), {("path", 2)}, is_builtin, naive=True
+        )
         assert len(once) == 1 and len(every) == 1
-        assert all(l.kind == ScanKind.ALL for l in every[0].body)
+        assert every[0].seed == -1 and not every[0].recursive
+
+    def test_resumption_versions_seed_every_outside_literal(self):
+        """Save-module resumption seeds one version at each positive,
+        non-builtin literal of a relation outside the recursion; the rest
+        of the body keeps its written order and full extents."""
+        rules = tc_rules()
+        versions = delta_rules(rules, is_builtin, {("edge", 2)})
+        assert [(v.source_index, v.seed) for v in versions] == [(0, 0), (1, 0)]
+        assert all(not v.recursive for v in versions)
+        assert versions[1].body == rules[1].body
+
+    def test_maintenance_joins_put_the_seed_first(self):
+        """With an ``order``, every positive non-builtin literal seeds a
+        join that runs it first, the rest arranged by the order."""
+        module = parse_module(
+            """
+            module m.
+            p(X, Y) :- e(X, Z), Z > 1, f(Z, Y), not g(Y).
+            end_module.
+            """
+        )
+        versions = delta_rules(
+            module.rules, is_builtin, order=lambda rest, seed: rest
+        )
+        assert [str(v.body[0]) for v in versions] == ["e(X, Z)", "f(Z, Y)"]
+        assert all(v.seed == 0 for v in versions)
+        assert [str(l) for l in versions[1].body[1:]] == [
+            "e(X, Z)", "Z > 1", "not g(Y)"
+        ]
 
 
 class TestDependencyGraph:

@@ -27,6 +27,14 @@ peer(X, Y) :- reports_to(X, MX), peer(MX, MY), reports_to(Y, MY).
 end_module.
 """
 
+TC = """
+edge(1,2). edge(2,3). edge(3,4). edge(5,6).
+module tc. export path(bf). @save_module.
+path(X, Y) :- edge(X, Y).
+path(X, Y) :- edge(X, Z), path(Z, Y).
+end_module.
+"""
+
 
 class TestSaveModuleCorrectness:
     def test_second_call_combines_new_subgoals_with_old_answers(self):
@@ -106,6 +114,53 @@ class TestSaveModuleCorrectness:
         )
         with pytest.raises(ModuleError):
             session.query("pa(1)").all()
+
+    @pytest.mark.parametrize("observer", ["profile", "flight", "tracing"])
+    def test_resumption_under_an_observer(self, observer):
+        """Every rule version a resumption runs is named by the observer's
+        ``begin_rule``; naming one must not fail."""
+        session = Session()
+        session.consult_string(TC)
+        assert session.query("path(1, Y)").tuples() == [(1, 2), (1, 3), (1, 4)]
+        if observer == "profile":
+            with session.profile():
+                got = session.query("path(5, Y)").tuples()
+        else:
+            if observer == "flight":
+                session.enable_flight_recorder()
+            else:
+                session.enable_tracing()
+            got = session.query("path(5, Y)").tuples()
+        assert got == [(5, 6)]
+
+    def test_base_updates_reach_the_retained_state(self):
+        """Inserts are absorbed by resumption; a delete starts afresh."""
+        session = Session()
+        session.consult_string(TC)
+        assert session.query("path(1, Y)").tuples() == [(1, 2), (1, 3), (1, 4)]
+        session.insert("edge", 4, 5)
+        assert sorted(session.query("path(1, Y)").tuples()) == [
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+        ]
+        assert sorted(session.query("path(3, Y)").tuples()) == [
+            (3, 4), (3, 5), (3, 6),
+        ]
+        session.delete("edge", 2, 3)
+        assert session.query("path(1, Y)").tuples() == [(1, 2)]
+
+    def test_inserts_under_negation_start_afresh(self):
+        session = Session()
+        session.consult_string(
+            """
+            e(1). e(2).
+            module m. export ok(b). @save_module.
+            ok(X) :- e(X), not bad(X).
+            end_module.
+            """
+        )
+        assert session.query("ok(1)").tuples() == [(1,)]
+        session.insert("bad", 1)
+        assert session.query("ok(1)").tuples() == []
 
     def test_unload_drops_saved_state(self):
         session = Session()

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Union
+from typing import Any, Dict, Iterator, List, Optional, Union
 
 from ..builtins import BuiltinRegistry
 from ..errors import (
@@ -24,12 +24,12 @@ from ..errors import (
 from ..eval.context import EvalContext
 from ..eval.limits import ResourceLimits
 from ..eval.memo import MemoCache, MemoPolicy
-from ..language import Literal, Program, Query, parse_program, parse_query
+from ..language import Literal, Program, parse_program, parse_query
 from ..modules import ModuleManager
 from ..optimizer import index_spec_from_annotation
 from ..relations import HashRelation, Relation, Tuple
 from ..storage import BufferPool, PersistentRelation, StorageServer
-from ..terms import Arg, BindEnv, Trail, Var, from_arg, resolve, to_arg, unify
+from ..terms import Arg, BindEnv, Trail, Var, from_arg, resolve, to_arg
 from ..terms.unify import flat_constants, unify_fact
 from ..extensibility import TypeRegistry
 
@@ -250,7 +250,6 @@ class Session:
         pipelined modules whose evaluation order is guaranteed (Section 5.2:
         "programmers can exploit this guarantee and use predicates like
         updates that involve side-effects")."""
-        from ..errors import EvaluationError as _EvalError
         from ..terms import Atom, Functor
 
         def _target(args, env):
@@ -259,9 +258,7 @@ class Session:
                 return term.name, term.args
             if isinstance(term, Atom):
                 return term.name, ()
-            raise _EvalError(
-                f"assertz/retract need a predicate term, got {term}"
-            )
+            raise EvaluationError(f"assertz/retract need a predicate term, got {term}")
 
         def _assert_impl(args, env, trail):
             name, fact_args = _target(args, env)
@@ -269,10 +266,7 @@ class Session:
                 Tuple(tuple(fact_args))
             )
             if inserted:
-                if self.ctx.memo is not None:
-                    self.ctx.memo.on_insert((name, len(fact_args)))
-                if self.ctx.live is not None:
-                    self.ctx.live.on_insert((name, len(fact_args)))
+                self.ctx.notify_insert((name, len(fact_args)))
             yield None
 
         def _retract_impl(args, env, trail):
@@ -280,10 +274,7 @@ class Session:
             relation = self.ctx.base_relations.get((name, len(fact_args)))
             tup = Tuple(tuple(fact_args))
             if relation is not None and relation.delete(tup):
-                if self.ctx.memo is not None:
-                    self.ctx.memo.on_delete((name, len(fact_args)), tup)
-                if self.ctx.live is not None:
-                    self.ctx.live.on_delete((name, len(fact_args)), tup)
+                self.ctx.notify_delete((name, len(fact_args)), tup)
                 yield None
 
         self.ctx.builtins.register_function(
@@ -395,12 +386,8 @@ class Session:
                 args = tuple(self.types.reconstruct(arg) for arg in args)
             if relation.insert(Tuple(tuple(args))):
                 changed_keys.add((head.pred, len(head.args)))
-        if self.ctx.memo is not None:
-            for key in changed_keys:
-                self.ctx.memo.on_insert(key)
-        if self.ctx.live is not None:
-            for key in changed_keys:
-                self.ctx.live.on_insert(key)
+        for key in changed_keys:
+            self.ctx.notify_insert(key)
         for annotation in program.index_annotations:
             relation = self.ctx.base_relation(annotation.pred, annotation.arity)
             if isinstance(relation, HashRelation):
@@ -567,10 +554,7 @@ class Session:
             pred, len(values)
         ).insert_values(*values)
         if inserted:
-            if self.ctx.memo is not None:
-                self.ctx.memo.on_insert((pred, len(values)))
-            if self.ctx.live is not None:
-                self.ctx.live.on_insert((pred, len(values)))
+            self.ctx.notify_insert((pred, len(values)))
         return inserted
 
     def delete(self, pred: str, *values: Any) -> bool:
@@ -578,10 +562,7 @@ class Session:
         tup = Tuple(tuple(to_arg(v) for v in values))
         deleted = relation.delete(tup)
         if deleted:
-            if self.ctx.memo is not None:
-                self.ctx.memo.on_delete((pred, len(values)), tup)
-            if self.ctx.live is not None:
-                self.ctx.live.on_delete((pred, len(values)), tup)
+            self.ctx.notify_delete((pred, len(values)), tup)
         return deleted
 
     @property
@@ -598,8 +579,8 @@ class Session:
         .snapshot` is the initial answer set); pass the view's ``view_id``
         to :meth:`unsubscribe` to stop.  Raises
         :class:`~repro.errors.SubscriptionError` when the goal cannot be
-        maintained incrementally (negation, aggregation, compiled modules,
-        ... — docs/LIVE.md lists the refusal matrix)."""
+        maintained incrementally (negation, aggregation, ... — the
+        ``maintain`` column of docs/INTERNALS.md's capability table)."""
         if self.live is None:
             from ..live import LiveViewManager
 

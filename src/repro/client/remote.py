@@ -622,8 +622,9 @@ class RemoteSession:
         the socket, so sharing the session's request link would starve it.
 
         Raises :class:`~repro.errors.SubscriptionError` when the query's
-        program cannot be maintained incrementally (negation, aggregation,
-        compiled modules, ... — the refusal matrix in docs/LIVE.md)."""
+        goal cannot be maintained incrementally (negation, aggregation, ...
+        — the ``maintain`` column of docs/INTERNALS.md's capability
+        table)."""
         if self._closed:
             raise ProtocolError("remote session is closed")
         with self._lock:

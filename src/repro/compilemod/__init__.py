@@ -8,7 +8,7 @@ therefore focused on the interpreted version."*
 
 This package reproduces that experiment (benchmark E12) in Python terms
 with one code generator — see ``docs/COMPILED.md`` for the architecture
-and fallback matrix.  The **push** backend (:class:`PushCompiler` +
+and the compilable class.  The **push** backend (:class:`PushCompiler` +
 :class:`PushSCCEvaluator`, :mod:`.push`) generates one function per *SCC*,
 in the style of Brass & Stephan's push method.  Ground constants are
 interned to dense ints (:class:`repro.terms.hashcons.InternTable`); derived
@@ -22,19 +22,14 @@ session-wide with ``Session(compiled="push")``.  The compilable class is
 deliberately restricted, like any realistic codegen: flat argument patterns
 (variables and primitive constants), positive non-builtin literals plus
 comparisons and arithmetic ``=``, and ground facts.  Rules outside the
-class fall back to the interpreter *per rule*; every fallback is counted
-with its reason in :class:`CompileStats` (``instance.compiler.stats``),
-shown by ``EXPLAIN``, and surfaced through the ``compile.fallbacks``
-profiler counter.
+class fall back to the interpreter *per rule*; a form whose ``push``
+verdict is a refusal (docs/INTERNALS.md, "Capabilities") runs interpreted
+as a whole.  Every fallback is counted with its reason in
+:class:`CompileStats` (``instance.compiler.stats``), shown by ``EXPLAIN``,
+and surfaced through the ``compile.fallbacks`` profiler counter.
 """
 
-from .push import (
-    CompileStats,
-    PushCompiler,
-    PushProgram,
-    PushSCCEvaluator,
-    module_level_push_fallback,
-)
+from .push import CompileStats, PushCompiler, PushProgram, PushSCCEvaluator
 
 
 def compile_report(compiled_form, is_builtin) -> CompileStats:
@@ -44,15 +39,10 @@ def compile_report(compiled_form, is_builtin) -> CompileStats:
     This also warms the per-plan program cache, so the report costs nothing
     extra at first call time.
     """
-    reason = module_level_push_fallback(compiled_form)
-    if reason is not None:
-        stats = CompileStats()
-        total = sum(len(plan.rules) for plan in compiled_form.scc_plans)
-        stats.record_fallback(reason, max(total, 1))
-        return stats
     compiler = PushCompiler()
-    for plan in compiled_form.scc_plans:
-        compiler.program_for(plan, is_builtin)
+    if compiler.admits(compiled_form):
+        for plan in compiled_form.scc_plans:
+            compiler.program_for(plan, is_builtin)
     return compiler.stats
 
 
@@ -62,5 +52,4 @@ __all__ = [
     "PushProgram",
     "PushSCCEvaluator",
     "compile_report",
-    "module_level_push_fallback",
 ]

@@ -88,10 +88,10 @@ class CompileStats:
         self.fallbacks[reason] = self.fallbacks.get(reason, 0) + count
 
 
-def note_fallback(obs, rule, reason: str) -> None:
-    """Surface one rule's interpreter fallback through the observability
-    plane: a trace event plus the ``compile.fallbacks`` counter (labelled by
-    reason) when a metrics registry is installed."""
+def note_fallback(obs, rule, reason: str, count: int = 1) -> None:
+    """Surface an interpreter fallback of ``count`` rules through the
+    observability plane: a trace event plus the ``compile.fallbacks``
+    counter (labelled by reason) when a metrics registry is installed."""
     if obs is None:
         return
     obs.event(
@@ -104,7 +104,7 @@ def note_fallback(obs, rule, reason: str) -> None:
             "compile.fallbacks",
             "rules interpreted under a compiled backend, by reason",
             ("reason",),
-        ).inc(1, reason)
+        ).inc(count, reason)
 
 
 def _nonground_error(tup) -> None:
@@ -142,18 +142,6 @@ class PushProgram:
     codegen_seconds: float = 0.0
 
 
-def module_level_push_fallback(compiled_form) -> Optional[str]:
-    """A reason the push backend cannot evaluate this module at all (the
-    whole module runs interpreted), or None when push applies per-SCC."""
-    if compiled_form.save_module:
-        return "save_module retains state across calls"
-    if compiled_form.constraints:
-        return "aggregate selection constraints"
-    if compiled_form.multiset_preds:
-        return "multiset semantics"
-    return None
-
-
 class PushCompiler:
     """Compiles :class:`SCCPlan`\\ s to :class:`PushProgram`\\ s, caching the
     program on the plan (plans are cached per query form by the module
@@ -161,6 +149,17 @@ class PushCompiler:
 
     def __init__(self) -> None:
         self.stats = CompileStats()
+
+    def admits(self, compiled_form, obs=None) -> bool:
+        """Whether the form's ``push`` verdict (optimizer/capabilities.py)
+        lets this backend run it.  If not, the whole module runs
+        interpreted, every rule counted as a fallback for that reason."""
+        reason = compiled_form.capabilities.push
+        if reason is not None:
+            total = max(sum(len(plan.rules) for plan in compiled_form.scc_plans), 1)
+            self.stats.record_fallback(reason, total)
+            note_fallback(obs, f"module {compiled_form.module_name}", reason, total)
+        return reason is None
 
     def program_for(
         self, plan: SCCPlan, is_builtin, obs=None

@@ -108,13 +108,10 @@ class SubscriptionError(CoralError):
     """A live query (:mod:`repro.live`) could not be registered, or a
     delivered subscription is no longer serviceable.
 
-    Raised at SUBSCRIBE time when the queried program cannot be maintained
-    incrementally — negation, aggregation, compiled or ordered-search
-    evaluation, multiset semantics, cross-module calls, impure builtins,
-    ``@save_module``/``@pipelining`` modules, or base relations without
-    insertion marks (the same obstruction list that makes a memo entry
-    evict-on-update; see docs/LIVE.md for the refusal matrix).  The message
-    names the specific obstruction.  Also raised when polling a
+    Raised at SUBSCRIBE time when the goal's ``maintain`` verdict is a
+    refusal (the same verdict that makes a memo entry evict-on-update;
+    docs/INTERNALS.md, "Capabilities", has the table), or the goal is a
+    builtin; the message names the obstruction.  Also raised when polling a
     subscription that the server has closed (module unloaded, redefined
     predicate)."""
 

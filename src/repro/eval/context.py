@@ -14,12 +14,11 @@ live in per-invocation relations that are discarded when the call ends
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple as PyTuple
 
 from ..builtins import BuiltinRegistry, default_registry
 from ..errors import EvaluationError
-from ..language.ast import Literal
 from ..relations import DuplicatePolicy, HashRelation, Relation, Tuple
 from .aggregates import AggregateConstraint
 
@@ -66,14 +65,27 @@ class EvalContext:
         #: so a session that never profiles pays one branch per site.
         self.obs = None
         #: optional cross-query answer cache (a repro.eval.memo.MemoCache);
-        #: None = off.  Consulted by ExportedRelation.scan, invalidated by
-        #: Session.insert/delete and the assertz/retract builtins.
+        #: None = off.  Consulted by ExportedRelation.scan.
         self.memo = None
         #: optional live-query registry (a repro.live.LiveViewManager);
-        #: None = off.  Notified by the same update hooks as ``memo`` —
-        #: memo repairs lazily at lookup, live views repair eagerly at
-        #: commit and push the answer-set difference to subscribers.
+        #: None = off.  Both hear every commit through :meth:`notify_insert`
+        #: / :meth:`notify_delete`: memo repairs lazily at lookup, live views
+        #: eagerly, pushing the answer-set difference to subscribers.
         self.live = None
+
+    def notify_insert(self, key: PredKey) -> None:
+        """One committed insert batch on base predicate ``key``."""
+        if self.memo is not None:
+            self.memo.on_insert(key)
+        if self.live is not None:
+            self.live.on_insert(key)
+
+    def notify_delete(self, key: PredKey, tup: Tuple) -> None:
+        """One committed delete of ``tup`` from base predicate ``key``."""
+        if self.memo is not None:
+            self.memo.on_delete(key, tup)
+        if self.live is not None:
+            self.live.on_delete(key, tup)
 
     def check_limits(self) -> None:
         """Raise ResourceLimitError if the active guard's budget is spent;

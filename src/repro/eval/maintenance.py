@@ -65,11 +65,9 @@ consumer's DRed pass can never double-apply — or starve — another's.
 ``tests/test_live.py`` pins this with an interleaved memo+subscription
 regression.
 
-:func:`analyze_instance` decides *whether* a plan can exist and reports the
-first obstruction as a human-readable reason (negation, aggregation,
-compiled or ordered-search evaluation, aggregate selections, multiset
-semantics, cross-module calls, impure builtins, unmarked base relations) —
-the memo cache uses the reason to fall back to evict-on-update, the live
+*Whether* an instance can be repaired is not decided here: it is the
+instance's ``maintain`` verdict (docs/INTERNALS.md, "Capabilities") — the
+memo cache falls back to evict-on-update with that reason, the live
 subsystem surfaces it verbatim in a typed ``SubscriptionError`` refusal.
 """
 
@@ -93,7 +91,6 @@ from ..relations import (
     ArgumentIndexSpec,
     GeneratorTupleIterator,
     HashRelation,
-    MarkedRelation,
     Relation,
     Tuple,
 )
@@ -160,78 +157,6 @@ class NetChange:
             self.removed[key] = tup
 
 
-def analyze_instance(
-    ctx,
-    instance,
-    exports: Dict[PredKey, tuple],
-    module_deps: Optional[ModuleDeps] = None,
-) -> PyTuple[FrozenSet[PredKey], Optional[str]]:
-    """Direct base dependencies of a compiled instance, plus the first
-    reason (or None) why incremental maintenance is impossible.
-
-    ``deps`` is complete even when a reason is returned — consumers that
-    retain unmaintainable results (the memo cache's evict-on-update
-    entries) still need the reverse-dependency index.  Cross-module calls
-    contribute the callee's transitive base deps through ``module_deps``
-    when provided.
-    """
-    compiled = instance.compiled
-    scope = instance.scope
-    deps: Set[PredKey] = set()
-    reason: Optional[str] = None
-
-    def obstruct(why: str) -> None:
-        nonlocal reason
-        if reason is None:
-            reason = why
-
-    if compiled.compiled:
-        obstruct("the module is compiled (@compiled)")
-    if compiled.ordered_search:
-        obstruct("the module uses ordered search")
-    if compiled.constraints:
-        obstruct("the module declares aggregate selections")
-    if compiled.multiset_preds:
-        obstruct("the module uses multiset semantics (@multiset)")
-    for rule in compiled.rewritten.rules:
-        if rule.head_aggregates:
-            obstruct("the module uses grouped aggregation")
-        for literal in rule.body:
-            lkey = literal.key
-            builtin = ctx.builtins.lookup(*lkey)
-            if builtin is not None:
-                if not builtin.pure:
-                    obstruct(
-                        f"the module calls the side-effecting builtin "
-                        f"{lkey[0]}/{lkey[1]}"
-                    )
-                continue
-            if literal.negated:
-                obstruct("the module uses negation")
-            if scope.is_local(*lkey):
-                continue
-            exported = exports.get(lkey)
-            if exported is not None:
-                obstruct(
-                    f"the module calls {lkey[0]}/{lkey[1]} exported by "
-                    f"module {exported[0]}"
-                )
-                if module_deps is not None:
-                    deps |= module_deps(exported[0])
-            else:
-                deps.add(lkey)
-    if reason is None:
-        for dep in deps:
-            relation = ctx.base_relation(*dep)
-            if not isinstance(relation, MarkedRelation):
-                reason = (
-                    f"base relation {dep[0]}/{dep[1]} does not track "
-                    f"insertion marks"
-                )
-                break
-    return frozenset(deps), reason
-
-
 class _PreState:
     """A base dependency as over-deletion must see it: its current contents
     ∪ the tuples this consumer has not yet repaired for.  Only ever scanned;
@@ -284,22 +209,19 @@ class MaintenancePlan:
     maintain (or probe past) indexes only repairs use.
     """
 
-    __slots__ = ("ctx", "instance", "deps", "reason", "call_args",
-                 "base_seen", "_scope", "_joins", "_checks", "_answer_key",
-                 "_seed")
+    __slots__ = ("ctx", "instance", "deps", "call_args", "base_seen",
+                 "_scope", "_joins", "_checks", "_answer_key", "_seed")
 
     def __init__(
         self,
         ctx,
         instance,
         deps: FrozenSet[PredKey],
-        reason: Optional[str],
         call_args: Sequence = (),
     ) -> None:
         self.ctx = ctx
         self.instance = instance
         self.deps = deps
-        self.reason = reason
         #: the canonical call this instance answers; selects (and, under
         #: context factoring, completes) the answer facts a repair reports
         self.call_args = list(call_args)
@@ -328,10 +250,6 @@ class MaintenancePlan:
             self._seed = ((rewritten.magic_pred, len(seed.args)), seed.key())
         self.record_base_marks()
 
-    @property
-    def maintainable(self) -> bool:
-        return self.reason is None
-
     # -- bookkeeping -----------------------------------------------------------
 
     def record_base_marks(self) -> None:
@@ -339,8 +257,8 @@ class MaintenancePlan:
         below it are considered absorbed.  Called at build time and again
         once the initial evaluation has read the base relations; after that
         :meth:`apply_inserts` advances the marks itself."""
-        if not self.maintainable:
-            return
+        if self.instance.capabilities.maintain is not None:
+            return  # nothing will be repaired; a dep may keep no marks
         for dep in self.deps:
             relation = self.ctx.base_relation(*dep)
             self.base_seen[dep] = relation.mark()
@@ -605,10 +523,18 @@ def plan_maintenance(
     module_deps: Optional[ModuleDeps] = None,
     call_args: Sequence = (),
 ) -> MaintenancePlan:
-    """Analyze an instance and wrap it in a :class:`MaintenancePlan`.
-
-    The plan is always returned — ``plan.maintainable`` / ``plan.reason``
-    tell the consumer whether repairs will work or why they won't.
-    ``call_args`` is the canonical call the instance is about to answer."""
-    deps, reason = analyze_instance(ctx, instance, exports, module_deps)
-    return MaintenancePlan(ctx, instance, deps, reason, call_args)
+    """Wrap an instance in a :class:`MaintenancePlan`; repairs work only
+    when ``instance.capabilities.maintain`` is None (docs/INTERNALS.md,
+    "Capabilities").  ``plan.deps`` are the base relations the instance
+    reads, a called module's through ``module_deps`` when provided: complete
+    either way, since consumers that retain unmaintainable results (the
+    memo cache's evict-on-update entries) still index them.  ``call_args``
+    is the canonical call the instance is about to answer."""
+    deps: Set[PredKey] = set()
+    for key in instance.compiled.reads:
+        exported = exports.get(key)
+        if exported is None:
+            deps.add(key)
+        elif module_deps is not None:
+            deps |= module_deps(exported[0])
+    return MaintenancePlan(ctx, instance, frozenset(deps), call_args)

@@ -20,8 +20,8 @@ Three mechanisms make the cache safe:
 
 * **Incremental invalidation.**  ``Session.insert/delete`` (and the
   ``assertz``/``retract`` builtins) report base-predicate changes to the
-  cache.  For *maintainable* entries (positive, aggregation-free,
-  single-module, interpreted, non-multiset) inserts are absorbed lazily by
+  cache.  For entries whose ``maintain`` verdict allows it
+  (docs/INTERNALS.md, "Capabilities") inserts are absorbed lazily by
   wave propagation: the unconsumed slice of each base relation (the
   relation's mark records what the entry has consumed — the marks machinery
   of Section 3.2) is pushed through the rules' delta joins until nothing
@@ -32,9 +32,8 @@ Three mechanisms make the cache safe:
   over-deletion: an over-complete magic set only gates relevance, never
   truth.  A repair reports the net change of the answer set and the entry
   patches its snapshot with it.  Above a configurable damage threshold —
-  or for any entry the incremental path cannot maintain (negation,
-  aggregation, cross-module calls, compiled or ordered-search evaluation)
-  — the whole entry is evicted and recomputed on next use.
+  or for any entry whose ``maintain`` verdict is a refusal — the whole
+  entry is evicted, with the reason, and recomputed on next use.
 
 * **Snapshot pinning.**  Served answers are an immutable list captured at
   lookup time; a refresh *replaces* the list rather than mutating it, so a
@@ -165,10 +164,6 @@ class MemoEntry:
         return self.plan.deps if self.plan is not None else frozenset()
 
     @property
-    def maintainable(self) -> bool:
-        return self.plan is not None and self.plan.maintainable
-
-    @property
     def stale(self) -> bool:
         return self.stale_inserts or bool(self.pending_deletes)
 
@@ -216,30 +211,30 @@ class MemoCache:
     # -- invalidation hooks (Session.insert/delete, assertz/retract) -----------
 
     def on_insert(self, key: PredKey) -> None:
-        self.generation += 1
-        for entry_key in list(self._by_dep.get(key, ())):
-            entry = self._entries.get(entry_key)
-            if entry is None:
-                continue
-            self.stats.invalidations += 1
-            self._trace("memo.invalidate", entry, change=f"+{key[0]}/{key[1]}")
-            if entry.maintainable:
-                entry.stale_inserts = True
-            else:
-                self._evict(entry)
+        self._invalidate(key, None)
 
     def on_delete(self, key: PredKey, tup: Tuple) -> None:
+        self._invalidate(key, tup)
+
+    def _invalidate(self, key: PredKey, deleted: Optional[Tuple]) -> None:
+        """Mark every entry depending on ``key`` stale; one whose
+        instance's ``maintain`` verdict is a refusal is evicted with it."""
         self.generation += 1
+        sign = "+" if deleted is None else "-"
         for entry_key in list(self._by_dep.get(key, ())):
             entry = self._entries.get(entry_key)
             if entry is None:
                 continue
             self.stats.invalidations += 1
-            self._trace("memo.invalidate", entry, change=f"-{key[0]}/{key[1]}")
-            if entry.maintainable:
-                entry.pending_deletes.setdefault(key, []).append(tup)
-            else:
+            self._trace("memo.invalidate", entry, change=f"{sign}{key[0]}/{key[1]}")
+            refusal = entry.instance.capabilities.maintain
+            if refusal is not None:
+                self._trace("memo.evict", entry, reason=refusal)
                 self._evict(entry)
+            elif deleted is None:
+                entry.stale_inserts = True
+            else:
+                entry.pending_deletes.setdefault(key, []).append(deleted)
 
     # -- lookup (the ExportedRelation.scan hook) -------------------------------
 
@@ -296,15 +291,14 @@ class MemoCache:
         if cached is not None:
             return cached
         module = self.manager.modules.get(module_name)
-        ok = module is not None
-        if ok:
-            if module.has_flag("no_memo") or module.has_flag("pipelining") \
-                    or module.has_flag("save_module"):
-                ok = False
-            elif self.policy.annotated_only and not module.has_flag("memo"):
-                ok = False
-            else:
-                ok = not self._info(module_name).impure
+        # the module's own opt-out / opt-in, and side effects a hit would
+        # skip; whether an entry is repaired is its instance's verdict
+        ok = (
+            module is not None
+            and not module.has_flag("no_memo")
+            and (module.has_flag("memo") or not self.policy.annotated_only)
+            and not self._info(module_name).impure
+        )
         self._module_eligible[module_name] = ok
         return ok
 

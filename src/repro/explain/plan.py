@@ -6,7 +6,9 @@ debugging aid" (Section 2) — :meth:`CompiledForm.listing` reproduces that.
 ``explain`` goes further and answers the operator questions a slow-query
 log raises: which module served the call, which declared query form was
 chosen for the call's bindings, which rewriting technique and fixpoint
-strategy apply, the SCC evaluation order, and each semi-naive rule with
+strategy apply, which consumers (push backend, view maintenance,
+save-module resumption) may run on the form and why not, the SCC
+evaluation order, and each semi-naive rule with
 its body in join order (:mod:`repro.optimizer.joinorder` reordering, when
 the module asked for it, is already baked into the compiled rules).
 
@@ -19,10 +21,11 @@ shell's ``@explain``, and the slow-query log (docs/OBSERVABILITY.md).
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from ..errors import CoralError
 from ..language import Literal, parse_query
+from ..optimizer.capabilities import instance_capabilities
 
 
 def _is_bound(arg) -> bool:
@@ -110,10 +113,6 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
         details.append(f"bound positions: {positions}")
     if compiled.use_backjumping:
         details.append("intelligent backtracking")
-    if compiled.save_module:
-        details.append("save_module (retains state across calls)")
-    if compiled.ordered_search:
-        details.append("ordered search")
     if details:
         lines.append(f"|      {';  '.join(details)}")
     index_count = sum(len(v) for v in compiled.index_specs.values()) + sum(
@@ -121,6 +120,11 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
     )
     if index_count:
         lines.append(f"|      indexes selected: {index_count}")
+    capabilities = instance_capabilities(
+        compiled, session.ctx, session.modules.exports
+    )
+    lines.append("+- capabilities (docs/INTERNALS.md):")
+    lines += [f"|      {line}" for line in capabilities.lines()]
     lines.append(f"+- scc order ({len(compiled.scc_plans)} component(s))")
     for position, plan in enumerate(compiled.scc_plans, start=1):
         preds = ", ".join(f"{n}/{a}" for n, a in sorted(plan.preds))

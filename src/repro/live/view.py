@@ -36,19 +36,17 @@ notification produces at most one delta event per view.  Re-entrant
 notifications (an ``assertz`` firing mid-repair) are queued and drained in
 order rather than recursed into.
 
-Programs the maintenance engine cannot repair — negation, aggregation,
-compiled/ordered-search evaluation, multiset semantics, cross-module
-calls, impure builtins, ``@save_module``/``@pipelining`` — are refused at
+A goal whose instance's ``maintain`` verdict is a refusal is refused at
 subscribe time with a typed :class:`~repro.errors.SubscriptionError`
-naming the obstruction: the same list that demotes a memo entry to
-evict-on-update (docs/LIVE.md has the full matrix).
+naming the obstruction: the same verdict that demotes a memo entry to
+evict-on-update (docs/INTERNALS.md, "Capabilities", has the table).
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, List, Optional, Set, Tuple as PyTuple
 
 from ..errors import SubscriptionError
 from ..eval.maintenance import (
@@ -58,8 +56,9 @@ from ..eval.maintenance import (
     plan_maintenance,
 )
 from ..language.ast import Literal
+from ..optimizer.capabilities import OBSTRUCTIONS, instance_capabilities
 from ..relations import MarkedRelation, Tuple
-from ..terms import BindEnv, Trail, resolve
+from ..terms import BindEnv, Trail, Var, resolve
 from ..terms.unify import unify_fact
 
 PredKey = PyTuple[str, int]
@@ -166,37 +165,17 @@ class LiveView:
     def _register(self) -> None:
         """Resolve the goal, refuse the unmaintainable, compute the initial
         answer set.  Raises :class:`SubscriptionError` on any obstruction."""
-        manager = self.manager
-        ctx = manager.ctx
+        modules = self.manager.modules
         pred, arity = self.literal.pred, self.literal.arity
-        if ctx.is_builtin(pred, arity):
-            raise SubscriptionError(
-                f"cannot subscribe to builtin {pred}/{arity}"
-            )
-        exported = manager.modules.exports.get((pred, arity))
-        if exported is not None:
-            self._register_derived(exported[0], exported[1])
-        else:
+        if self.manager.ctx.is_builtin(pred, arity):
+            raise SubscriptionError(f"cannot subscribe to builtin {pred}/{arity}")
+        exported = modules.exports.get((pred, arity))
+        if exported is None:
             self._register_base(pred, arity)
-
-    def _register_derived(self, module_name: str, export) -> None:
-        manager = self.manager
-        module = manager.modules.modules[module_name]
-        if module.has_flag("pipelining"):
-            raise SubscriptionError(
-                f"module {module_name} is pipelined (@pipelining): it has "
-                f"no materialized answer set to maintain"
-            )
-        if module.has_flag("save_module"):
-            raise SubscriptionError(
-                f"module {module_name} retains shared state across calls "
-                f"(@save_module); a live view needs a private instance"
-            )
-        self.module_name = module_name
+            return
+        self.module_name, export = exported
         bound = [arg.is_ground() for arg in self.pattern]
-        self.form = manager.modules.choose_form(export, bound)
-        from ..terms import Var
-
+        self.form = modules.choose_form(export, bound)
         self.call_args = [
             self.pattern[position] if flag == "b" else Var("_")
             for position, flag in enumerate(self.form)
@@ -204,34 +183,34 @@ class LiveView:
         self._build_instance()
 
     def _build_instance(self) -> None:
-        """(Re)compile a private instance + plan and evaluate it fully."""
+        """(Re)compile a private instance + plan and evaluate it fully;
+        refused, before any instance is built, when the ``maintain``
+        verdict is."""
         manager = self.manager
-        instance = manager.modules.instance_for(
+        modules = manager.modules
+        compiled = modules.compiled_form(self.module_name, self.literal.pred, self.form)
+        reason = instance_capabilities(compiled, manager.ctx, modules.exports).maintain
+        if reason is not None:
+            raise SubscriptionError(
+                f"{self.literal.pred}/{self.literal.arity} cannot be "
+                f"maintained incrementally: {reason}"
+            )
+        self.instance = instance = modules.instance_for(
             self.module_name, self.literal.pred, self.form
         )
-        plan = plan_maintenance(
+        self.plan = plan = plan_maintenance(
             manager.ctx, instance, manager.modules.exports,
             call_args=self.call_args,
         )
-        if not plan.maintainable:
-            raise SubscriptionError(
-                f"{self.literal.pred}/{self.literal.arity} cannot be "
-                f"maintained incrementally: {plan.reason}"
-            )
-        self.instance = instance
-        self.plan = plan
-        answers: Dict[object, Tuple] = {}
         cursor = instance.call(self.call_args)
         try:
-            while True:
-                candidate = cursor.get_next()
-                if candidate is None:
-                    break
-                if self._matches(candidate):
-                    answers[candidate.key()] = candidate
+            self.answers = {
+                candidate.key(): candidate
+                for candidate in cursor
+                if self._matches(candidate)
+            }
         finally:
             cursor.close()
-        self.answers = answers
         # the evaluation consumed everything present in the base relations,
         # so re-sync the consumed marks to now (they were recorded pre-eval)
         plan.record_base_marks()
@@ -239,10 +218,8 @@ class LiveView:
     def _register_base(self, pred: str, arity: int) -> None:
         relation = self.manager.ctx.base_relation(pred, arity)
         if not isinstance(relation, MarkedRelation):
-            raise SubscriptionError(
-                f"base relation {pred}/{arity} does not track insertion "
-                f"marks; live views need them to stream inserts"
-            )
+            reason = OBSTRUCTIONS["unmarked"][0].format(f"{pred}/{arity}")
+            raise SubscriptionError(f"{reason}; a live view streams inserts off them")
         self.base_key = (pred, arity)
         answers: Dict[object, Tuple] = {}
         for tup in relation.scan():
@@ -367,12 +344,12 @@ class LiveViewManager:
     entry and a live view over the same predicate repair independently —
     neither consumes or double-applies the other's deltas."""
 
-    def __init__(self, ctx, modules, damage_threshold: float = 0.5) -> None:
+    def __init__(self, ctx, modules) -> None:
         self.ctx = ctx
         self.modules = modules
         #: DRed bail-out fraction, as MemoPolicy.damage_threshold — above
         #: it a view rebuilds instead of repairing (still emitting deltas)
-        self.damage_threshold = damage_threshold
+        self.damage_threshold = 0.5
         self.stats = LiveStats()
         self._views: Dict[int, LiveView] = {}
         self._by_dep: Dict[PredKey, Set[int]] = {}

@@ -29,6 +29,7 @@ from ..eval.ordered import OrderedSearchEvaluator
 from ..eval.pipeline import PipelinedModule
 from ..language.ast import ExportDecl, ModuleDecl
 from ..optimizer import CompiledForm, Optimizer
+from ..optimizer.capabilities import instance_capabilities
 from ..relations import (
     GeneratorTupleIterator,
     HashRelation,
@@ -167,10 +168,10 @@ class ModuleManager:
             key = (module_name, pred, adornment)
             instance = self._saved.get(key)
             if instance is None or instance.outdated():
-                instance = MaterializedInstance(self.ctx, compiled)
+                instance = MaterializedInstance(self.ctx, compiled, self.exports)
                 self._saved[key] = instance
             return instance
-        return MaterializedInstance(self.ctx, compiled)
+        return MaterializedInstance(self.ctx, compiled, self.exports)
 
     def pipelined(self, module_name: str) -> Optional[PipelinedModule]:
         return self._pipelined.get(module_name)
@@ -255,15 +256,20 @@ class MaterializedInstance:
     instance :meth:`outdated`.
     """
 
-    def __init__(self, ctx: EvalContext, compiled: CompiledForm) -> None:
+    def __init__(
+        self, ctx: EvalContext, compiled: CompiledForm, exports: Dict
+    ) -> None:
         self.ctx = ctx
         self.compiled = compiled
+        #: the form's verdicts with the session's loaded modules and base
+        #: relations taken into account (optimizer/capabilities.py)
+        self.capabilities = instance_capabilities(compiled, ctx, exports)
         self.scope = LocalScope(ctx, multiset_preds=set(compiled.multiset_preds))
         self._active = False
         self._calls = 0
-        #: save-module only: per base dependency, the relation, a mark on it
-        #: and its size, as the last call began
-        self._bases: Dict[PredKey, PyTuple[Relation, int, int]] = {}
+        #: save-module only: per read, the relation, a mark on it and its
+        #: size, as the last call began (no mark: the relation keeps none)
+        self._bases: Dict[PredKey, PyTuple[Relation, Optional[int], int]] = {}
 
         # declare every local predicate up front and attach indexes
         for plan in compiled.scc_plans:
@@ -290,31 +296,21 @@ class MaterializedInstance:
         for (name, arity), selection in compiled.constraints:
             self.scope.add_constraint(name, arity, AggregateConstraint(selection))
 
+        #: the push backend's compiler when the form is compiled, None for
+        #: the interpreter; a refused ``push`` verdict is recorded in its stats
+        self.compiler = None
+        make = SCCEvaluator
+        if compiled.compiled:
+            from ..compilemod.push import PushCompiler, PushSCCEvaluator
+
+            self.compiler = PushCompiler()
+            if self.compiler.admits(compiled, ctx.obs):
+                make = partial(PushSCCEvaluator, compiler=self.compiler)
         if compiled.ordered_search:
             self.evaluators: List = []
             self._ordered = OrderedSearchEvaluator(self.scope, compiled)
         else:
             self._ordered = None
-            self.compiler = None
-            make = SCCEvaluator
-            if compiled.compiled:
-                from ..compilemod.push import (
-                    PushCompiler,
-                    PushSCCEvaluator,
-                    module_level_push_fallback,
-                    note_fallback,
-                )
-
-                self.compiler = PushCompiler()
-                reason = module_level_push_fallback(compiled)
-                if reason is None:
-                    make = partial(PushSCCEvaluator, compiler=self.compiler)
-                else:
-                    # module-level fallback: the whole module runs
-                    # interpreted, but the reason stays visible in the stats
-                    total = sum(len(plan.rules) for plan in compiled.scc_plans)
-                    self.compiler.stats.record_fallback(reason, max(total, 1))
-                    note_fallback(ctx.obs, f"module {compiled.module_name}", reason)
             self.evaluators = [
                 make(
                     self.scope,
@@ -340,17 +336,13 @@ class MaterializedInstance:
         self._calls += 1
         if self.compiled.save_module:
             self._bases = {}
-            for rule in rewritten.rules:
-                for literal in rule.body:
-                    key = literal.key
-                    if key in self._bases or self.scope.is_local(*key) or \
-                            self.ctx.is_builtin(*key):
-                        continue
-                    relation = self.scope.relation(*key)
-                    if isinstance(relation, MarkedRelation):
-                        self._bases[key] = (relation, relation.mark(), len(relation))
-                    else:
-                        self._bases[key] = (relation, 0, 0)
+            for key in self.compiled.reads:
+                relation = self.scope.relation(*key)
+                self._bases[key] = (
+                    (relation, relation.mark(), len(relation))
+                    if isinstance(relation, MarkedRelation)
+                    else (relation, None, 0)
+                )
 
         if rewritten.magic_pred is not None:
             seed = Tuple(
@@ -378,25 +370,15 @@ class MaterializedInstance:
         """Must the next save-module call start from a fresh instance?
         Resumption absorbs inserts into base relations (its versions read
         each one's unconsumed slice) but retracts nothing.  So yes when a
-        base dependency lost a tuple since the last call began, does not
-        track insertion marks (a persistent relation, another module's
-        export), or gained one in a module whose old conclusions a new
-        tuple can falsify (negation, grouping, aggregate selections) or
-        whose state is not semi-naive (Ordered Search)."""
+        read was rebound or has no insertion marks to tell what changed
+        (another module's export, a persistent relation), when a base
+        dependency lost a tuple since the last call began, or when one
+        gained a tuple and the ``absorb`` verdict is a refusal."""
         if self._active:
             return False  # call() reports the recursive invocation
-        compiled = self.compiled
-        absorbs = not (
-            compiled.ordered_search
-            or compiled.constraints
-            or any(
-                rule.head_aggregates or any(l.negated for l in rule.body)
-                for rule in compiled.rewritten.rules
-            )
-        )
+        absorbs = self.capabilities.absorb is None
         for key, (relation, mark, size) in self._bases.items():
-            if self.scope.relation(*key) is not relation or \
-                    not isinstance(relation, MarkedRelation):
+            if self.scope.relation(*key) is not relation or mark is None:
                 return True
             arrived = relation.count_since(mark)
             if len(relation) - arrived < size or (arrived and not absorbs):

@@ -18,7 +18,9 @@ several control annotations."* (Section 2.)
 3. run-time decisions (Section 4.2): fixpoint strategy (BSN/PSN), index
    selection for the rewritten rules, subsumption/multiset policy, lazy vs
    eager answer return, intelligent backtracking;
-4. SCC decomposition and semi-naive rule generation (Sections 5.1, 5.3).
+4. SCC decomposition and semi-naive rule generation (Sections 5.1, 5.3);
+5. which consumers — the push backend, view maintenance, save-module
+   resumption — may run on the result (:mod:`.capabilities`).
 
 The result, a :class:`CompiledForm`, is the "internal representation used by
 the query evaluation system"; :meth:`CompiledForm.listing` renders the
@@ -51,6 +53,7 @@ from ..rewriting.magic import RewrittenProgram, magic_rewrite, no_rewriting
 from ..rewriting.supmagic import supmagic_rewrite
 from ..eval.fixpoint import SCCPlan
 from ..terms import Var
+from .capabilities import Capabilities, form_capabilities
 
 PredKey = PyTuple[str, int]
 
@@ -96,6 +99,11 @@ class CompiledForm:
     base_index_specs: Dict[PredKey, List[IndexSpec]] = field(default_factory=dict)
     #: predicates with multiset (duplicate-keeping) semantics
     multiset_preds: Set[str] = field(default_factory=set)
+    #: what the rules read from outside the instance: base relations and
+    #: other modules' exports, each once, in rule order
+    reads: List[PredKey] = field(default_factory=list)
+    #: which consumers may run on this form (optimizer/capabilities.py)
+    capabilities: Capabilities = field(default_factory=Capabilities)
 
     def choice_lines(self) -> List[str]:
         """One line per rewriting candidate tried: chosen, or why not."""
@@ -212,6 +220,18 @@ class Optimizer:
             compiled=self._compiled_backend(module),
             constraints=constraints,
             multiset_preds=multiset_preds,
+        )
+        local = {rule.head.key for rule in rewritten.rules}
+        if rewritten.magic_pred is not None:
+            local.add((rewritten.magic_pred, len(rewritten.bound_positions)))
+        compiled.reads = list(dict.fromkeys(
+            literal.key
+            for rule in rewritten.rules
+            for literal in rule.body
+            if literal.key not in local and not self.is_builtin(*literal.key)
+        ))
+        compiled.capabilities = form_capabilities(
+            module, compiled, self._lookup_builtin
         )
         if not module.has_flag("no_index_selection"):
             self._select_indexes(compiled)

@@ -348,30 +348,20 @@ def apply_record(session, record: ChangelogRecord) -> None:
             result.close()  # replicas apply programs, they don't run queries
         return
     rows = decode_batch(record.payload)
-    memo = session.ctx.memo
-    live = session.ctx.live
+    ctx = session.ctx
     if record.kind == KIND_INSERT:
         changed = False
-        relation = None
         for row in rows:
             relation = session.relation(record.pred, len(row))
             changed = relation.insert(Tuple(tuple(row))) or changed
-        if changed and rows:
-            if memo is not None:
-                memo.on_insert((record.pred, len(rows[0])))
-            if live is not None:
-                live.on_insert((record.pred, len(rows[0])))
+        if changed:
+            ctx.notify_insert((record.pred, len(rows[0])))
         return
     for row in rows:
-        relation = session.ctx.base_relations.get((record.pred, len(row)))
-        if relation is None:
-            continue
+        relation = ctx.base_relations.get((record.pred, len(row)))
         tup = Tuple(tuple(row))
-        if relation.delete(tup):
-            if memo is not None:
-                memo.on_delete((record.pred, len(row)), tup)
-            if live is not None:
-                live.on_delete((record.pred, len(row)), tup)
+        if relation is not None and relation.delete(tup):
+            ctx.notify_delete((record.pred, len(row)), tup)
 
 
 def replay_into(session, records: Iterable[ChangelogRecord]) -> int:

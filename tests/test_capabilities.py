@@ -1,0 +1,81 @@
+"""The capability table (``repro.optimizer.capabilities``): the verdicts it
+returns, and docs/INTERNALS.md's copy of it."""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from repro import Session
+from repro.optimizer.capabilities import CONSUMERS, OBSTRUCTIONS
+
+INTERNALS = Path(__file__).resolve().parent.parent / "docs" / "INTERNALS.md"
+
+
+def _doc_rows():
+    """reason -> (push, maintain, absorb) marks, from the doc's table."""
+    text = INTERNALS.read_text()
+    table = text[text.index("| obstruction | reason |"):].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[2:]:
+        cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[cells[1]] = tuple(cells[2:5])
+    return rows
+
+
+def test_doc_table_rows_are_the_reasons_the_table_returns():
+    expected = {
+        reason.replace("{}", "…"): tuple(
+            "no" if consumer in blocks else "yes" for consumer in CONSUMERS
+        )
+        for reason, blocks in OBSTRUCTIONS.values()
+    }
+    assert _doc_rows() == expected
+
+
+#: one program per obstruction the verdicts can name (the form's and the
+#: session's), each read through the instance a call would build
+_PROGRAMS = {
+    "pipelining": "@pipelining.\np(X, Y) :- e(X, Y).",
+    "save_module": "@save_module.\np(X, Y) :- e(X, Y).",
+    "ordered_search": "@ordered_search.\np(X, Y) :- e(X, Y).",
+    "aggregate_selection": "@aggregate_selection p(X, Y) (X) min(Y).\n"
+                           "p(X, Y) :- e(X, Y).",
+    "multiset": "@multiset.\np(X, Y) :- e(X, Y).",
+    "grouping": "p(X, min(<Y>)) :- e(X, Y).",
+    "negation": "p(X, Y) :- e(X, Y), not e(Y, X).",
+    "impure": "p(X, Y) :- e(X, Y), assertz(seen(X)).",
+    "cross_module": "p(X, Y) :- q(X, Y).\nend_module.\n"
+                    "module n.\nexport q(ff).\nq(X, Y) :- e(X, Y).",
+    "unmarked": "p(X, Y) :- e(X, Y), pe(X).",
+}
+
+
+@pytest.mark.parametrize("obstruction", sorted(_PROGRAMS))
+def test_each_obstruction_blocks_its_consumers(obstruction, tmp_path):
+    session = Session(data_directory=str(tmp_path))
+    session.persistent_relation("pe", 1)
+    session.consult_string(
+        f"e(1, 2).\nmodule m.\nexport p(ff).\n{_PROGRAMS[obstruction]}\n"
+        "end_module.\n"
+    )
+    verdicts = session.modules.instance_for("m", "p", "ff").capabilities
+    reason, blocks = OBSTRUCTIONS[obstruction]
+    pattern = re.escape(reason).replace(re.escape("{}"), ".+")
+    for consumer in CONSUMERS:
+        verdict = getattr(verdicts, consumer)
+        if consumer in blocks:
+            assert re.fullmatch(pattern, verdict), (consumer, verdict)
+        else:
+            assert verdict is None, (consumer, verdict)
+
+
+def test_a_plain_module_blocks_nothing():
+    session = Session()
+    session.consult_string(
+        "e(1, 2).\nmodule m.\n@compiled.\nexport p(ff).\n"
+        "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
+    )
+    verdicts = session.modules.instance_for("m", "p", "ff").capabilities
+    assert all(getattr(verdicts, consumer) is None for consumer in CONSUMERS)
+    assert "maintain: yes" in session.explain("p(X, Y)")

@@ -278,10 +278,22 @@ _NO_DAMAGE_BUDGET = 1e9
 _REPAIR_ONLY = MemoPolicy(damage_threshold=_NO_DAMAGE_BUDGET)
 
 
-#: the rewriting columns every update test runs under
-_COLUMNS = pytest.mark.parametrize(
-    "flags", ["", "@supplementary_magic."], ids=["choice", "supmagic"]
-)
+def _columns(seeds):
+    """Parametrize an update test over ``seeds`` x its columns: the
+    optimizer's choice and supplementary magic on every seed, the push
+    backend on one block of four consecutive seeds in four.  A block spans
+    every ``seed % 4`` shape (targeted, negation, plain), so the slice
+    keeps the column's mix.  That is tier-1's share; CI's push-backend job
+    runs ``-k push`` with ``REPRO_DIFF_CASES``/``REPRO_LIVE_SCHEDULES`` four
+    times the default, as many pushed seeds as the full column has."""
+    columns = [("choice", ""), ("supmagic", "@supplementary_magic."),
+               ("push", "@compiled(push).")]
+    return pytest.mark.parametrize("seed, flags", [
+        pytest.param(seed, flags, id=f"{seed}-{name}")
+        for seed in seeds
+        for name, flags in columns
+        if name != "push" or (seed // 4) % 4 == 0
+    ])
 
 
 def _update_case(seed, allow_negation):
@@ -321,8 +333,7 @@ def _random_ops(rng, case, count=8):
     return ops
 
 
-@_COLUMNS
-@pytest.mark.parametrize("seed", range(10_000, 10_000 + _N_INTERLEAVED))
+@_columns(range(10_000, 10_000 + _N_INTERLEAVED))
 def test_update_interleavings_agree(seed, flags):
     case = _update_case(seed, allow_negation=seed % 4 == 3)
     rng = random.Random(seed ^ 0xDEADBEEF)
@@ -380,8 +391,7 @@ def test_update_interleavings_agree(seed, flags):
 # ---------------------------------------------------------------------------
 
 
-@_COLUMNS
-@pytest.mark.parametrize("seed", range(20_000, 20_000 + _N_LIVE))
+@_columns(range(20_000, 20_000 + _N_LIVE))
 def test_streamed_deltas_fold_to_cold_truth(seed, flags):
     """Subscribe to a generated query, replay a random update schedule,
     fold the delta stream into the snapshot, and require the folded view
@@ -493,7 +503,8 @@ class TargetedCase(GeneratedCase):
     def assert_factored(self, session, flags):
         """The coverage this case exists for must not silently go away."""
         compiled = session.modules.compiled_form(f"gen{self.seed}", "reach", "bf")
-        expected = "supplementary_magic" if flags else "factoring"
+        supmagic = "@supplementary_magic." in flags
+        expected = "supplementary_magic" if supmagic else "factoring"
         assert compiled.rewritten.technique == expected, compiled.choice
 
 
@@ -549,8 +560,7 @@ def _cold(case, facts_now, queries):
         case.facts = saved
 
 
-@_COLUMNS
-@pytest.mark.parametrize("seed", range(30_000, 30_000 + max(10, _N_LIVE // 2)))
+@_columns(range(30_000, 30_000 + max(10, _N_LIVE // 2)))
 def test_targeted_schedules_repair_without_falling_back(seed, flags):
     from repro.terms import from_arg
 

@@ -268,7 +268,8 @@ class TestRebuildFallbackIsVisible:
 
 class TestRefusalMatrix:
     """Unmaintainable programs are refused at subscribe time with a typed
-    error naming the obstruction (docs/LIVE.md's matrix)."""
+    error naming the obstruction (the ``maintain`` column of
+    docs/INTERNALS.md's capability table)."""
 
     CASES = {
         "negation": (
@@ -282,12 +283,6 @@ class TestRefusalMatrix:
             "best(G, max(<V>)) :- item(G, V).\nend_module.",
             "?- best(G, V).",
             "aggregation",
-        ),
-        "compiled": (
-            "e(1, 2).\nmodule m.\n@compiled.\nexport ok(ff).\n"
-            "ok(X, Y) :- e(X, Y).\nend_module.",
-            "?- ok(X, Y).",
-            "compiled",
         ),
         "save_module": (
             "e(1, 2).\nmodule m.\n@save_module.\nexport ok(ff).\n"
@@ -312,13 +307,42 @@ class TestRefusalMatrix:
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
-    def test_refused_with_reason(self, name):
+    def test_refused_with_reason(self, name, monkeypatch):
         program, query, fragment = self.CASES[name]
         session = Session()
         session.consult_string(program)
+        built = []
+        monkeypatch.setattr(session.modules, "instance_for",
+                            lambda *args: built.append(args))
         with pytest.raises(SubscriptionError) as err:
             session.subscribe(query, lambda deltas: None)
         assert fragment in str(err.value)
+        assert built == []  # refused before an instance touches shared state
+
+    def test_compiled_module_subscribes_and_folds_to_cold_truth(self):
+        """Push flushes into the instance's relations, which is all the
+        delta joins read: a compiled module is maintained like any other."""
+        compiled = TC.replace("module tc.", "module tc.\n@compiled.")
+        session = Session()
+        session.consult_string(compiled)
+        views = {
+            query: _collect(session, f"?- {query}.")
+            for query in ("path(X, Y)", "path(1, Y)")
+        }
+        snapshots = {query: view.snapshot() for query, (view, _) in views.items()}
+        session.insert("edge", 4, 5)
+        session.delete("edge", 2, 3)
+        session.insert("edge", 1, 3)
+        cold = Session()
+        cold.consult_string(
+            TC.replace("edge(2, 3). ", "") + "edge(4, 5). edge(1, 3).\n"
+        )
+        for query, (_view, log) in views.items():
+            assert log, query
+            assert _fold(snapshots[query], log) == sorted(
+                cold.query(query).tuples()
+            ), query
+        assert session.live.snapshot()["rebuilds"] == 0
 
     def test_builtin_goal_is_refused(self):
         session = Session()

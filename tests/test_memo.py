@@ -338,6 +338,27 @@ class TestUnmaintainableEntries:
         ]
 
 
+class TestCompiledEntries:
+    def test_push_entries_are_repaired_not_evicted(self):
+        """Push flushes into the instance's relations, so a compiled entry
+        is maintained like an interpreted one."""
+        session = _memo_session(compiled="push")
+        queries = ("path(1, Y)", "path(X, Y)")
+        mutations = [("insert", "edge", (5, 6)), ("delete", "edge", (2, 3))]
+        for query in queries:
+            session.query(query).all()
+        for done, (op, pred, values) in enumerate(mutations, start=1):
+            getattr(session, op)(pred, *values)
+            cold = _cold(TC, *mutations[:done])
+            for query in queries:
+                assert sorted(session.query(query).tuples()) == sorted(
+                    cold.query(query).tuples()
+                ), (query, mutations[:done])
+        stats = session.memo.snapshot()
+        assert stats["evictions"] == 0 and stats["hits"] > 0
+        assert stats["insert_refreshes"] > 0 and stats["delete_refreshes"] > 0
+
+
 class TestPoliciesAndAnnotations:
     def test_no_memo_annotation_disables_caching(self):
         session = _memo_session(TC.replace("module tc.", "module tc.\n@no_memo."))
@@ -368,12 +389,24 @@ class TestPoliciesAndAnnotations:
             (1, 2), (1, 3), (1, 4), (1, 5),
         ]
 
-    def test_save_module_is_never_memoized(self):
-        session = _memo_session(
-            TC.replace("module tc.", "module tc.\n@save_module.")
-        )
+    def test_save_module_entry_is_evicted_on_update_with_its_reason(self):
+        """A save-module form's ``maintain`` verdict is a refusal like any
+        other: its entry serves until an update, which evicts it saying
+        why, and the retained instance absorbs the insert."""
+        program = TC.replace("module tc.", "module tc.\n@save_module.")
+        session = _memo_session(program)
         session.query("path(1, Y)").all()
-        assert session.memo.snapshot()["entries"] == 0
+        assert session.memo.snapshot()["entries"] == 1
+        with session.profile() as prof:
+            session.insert("edge", 5, 6)
+        (event,) = [
+            event for event in prof.profile.chrome_trace()["traceEvents"]
+            if event["name"] == "memo.evict"
+        ]
+        assert "@save_module" in event["args"]["reason"]
+        assert sorted(session.query("path(1, Y)").tuples()) == sorted(
+            _cold(program, ("insert", "edge", (5, 6))).query("path(1, Y)").tuples()
+        )
 
     def test_module_load_clears_cache(self):
         session = _memo_session()

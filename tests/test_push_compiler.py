@@ -247,6 +247,51 @@ def test_module_level_fallback_reports_save_module():
     assert any("save_module" in reason for reason in report.fallbacks)
 
 
+_ORDERED_SEARCH = {
+    # the annotation
+    "flag": (
+        "e(1, 2). e(2, 3). e(3, 4).\nmodule m.\nexport p(bf).\n@compiled.\n"
+        "@ordered_search.\np(X, Y) :- e(X, Y).\n"
+        "p(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n",
+        {}, ("m", "p", "bf"), "p(1, Y)", 2,
+    ),
+    # the optimizer's fallback: magic breaks stratification
+    "fallback": (
+        "move(1, 2). move(2, 3).\nmodule g.\nexport win(b).\n"
+        "win(X) :- move(X, Y), not win(Y).\nend_module.\n",
+        {"compiled": "push"}, ("g", "win", "b"), "win(2)", 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ORDERED_SEARCH))
+def test_ordered_search_is_a_recorded_module_level_fallback(case):
+    """Ordered Search runs the module interpreted; the push verdict says so
+    in EXPLAIN, the ``compile.fallbacks`` counter and the instance's stats
+    instead of claiming every rule compiled."""
+    program, kwargs, (module, pred, form), query, rules = _ORDERED_SEARCH[case]
+    reason = "the module uses ordered search"
+    session = Session(**kwargs)
+    session.consult_string(program)
+    text = session.explain(query)
+    assert f"compile (push): 0 rule(s) compiled, {rules} interpreted" in text
+    assert f"fallback x{rules}: {reason}" in text
+    assert f"push: no — {reason}" in text
+    with session.profile(trace=False) as prof:
+        answers = session.query(query).tuples()
+    counter = prof.profile.registry.counter(
+        "compile.fallbacks",
+        "rules interpreted under a compiled backend, by reason",
+        ("reason",),
+    )
+    assert counter.collect() == {(reason,): rules}
+    stats = session.modules.instance_for(module, pred, form).compiler.stats
+    assert stats.fallbacks == {reason: rules} and stats.rules_compiled == 0
+    interpreted = Session()
+    interpreted.consult_string(program.replace("@compiled.\n", ""))
+    assert answers == interpreted.query(query).tuples()
+
+
 def test_bare_compiled_flag_reports_push_fallbacks():
     program = _FALLBACK_PROGRAM.replace("@compiled(push).", "@compiled.")
     session = Session()

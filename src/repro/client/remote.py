@@ -10,11 +10,13 @@ deployment by changing one constructor::
             print(answer["X"])
 
 Iteration is *lazy across the wire*: a query opens a server-side cursor and
-each batch is pulled with ``FETCH`` only when iteration needs it — the
-get-next-tuple discipline of Sections 3/5.6, with the network hop amortized
-over ``batch_size`` answers.  Abandoning a result (:meth:`RemoteQueryResult.
-close`, or just dropping it and closing the session) closes the server-side
-cursor, exactly like abandoning a local lazy evaluation (Section 5.4.3).
+answers with the first batch; each later batch is pulled with ``FETCH`` only
+when iteration needs it — the get-next-tuple discipline of Sections 3/5.6,
+with the network hop amortized over ``batch_size`` answers, and one round
+trip in all for an answer set smaller than a batch.  Abandoning a result
+(:meth:`RemoteQueryResult.close`, or just dropping it and closing the
+session) closes the server-side cursor, exactly like abandoning a local lazy
+evaluation (Section 5.4.3).
 
 Replica sets (docs/REPLICATION.md): pass a *list* of ``"host:port"``
 endpoints instead of one host and the session fails over transparently::
@@ -49,9 +51,11 @@ import random
 import socket
 import threading
 import time
+from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
+    Deque,
     Dict,
     Iterator,
     List,
@@ -128,33 +132,39 @@ def _hang_up(sock, say_bye: bool = False) -> None:
 class RemoteQueryResult:
     """A pull-based cursor over a remote query's answers — the client half
     of a server-side cursor.  Mirrors :class:`~repro.api.session.QueryResult`:
-    iterate lazily, or ``all()`` / ``list(...)`` / ``len(...)`` to drain."""
+    iterate lazily, or ``all()`` / ``list(...)`` / ``len(...)`` to drain.
+
+    ``meta`` is the response that opened the cursor (its ``cursor``,
+    ``vars`` and ``arity``).  A ``QUERY`` result starts with that response's
+    batch (``body``) and, when the batch is already ``done``, holds no
+    server-side cursor at all; a ``CONSULT`` result starts empty."""
 
     def __init__(
         self,
         session: "RemoteSession",
         link: _Link,
-        cursor_id: int,
-        variables: List[str],
-        arity: int,
+        meta: Dict[str, object],
         batch_size: int,
         trace: Optional[TraceContext] = None,
+        body: Optional[bytes] = None,
     ) -> None:
         self._session = session
         self._link = link
         self._generation = link.generation
-        self._cursor_id = cursor_id
-        self._vars = variables
-        self._arity = arity
+        self._cursor_id = meta.get("cursor")
+        self._vars = list(meta["vars"])
+        self._arity = int(meta["arity"])
         self._batch_size = batch_size
         self._cache: List[Answer] = []
-        self._pending: List[Answer] = []
+        self._pending: Deque[Answer] = deque()
         self._done = False
         #: the trace context minted for the QUERY that opened this cursor;
         #: every FETCH runs under a child of it, so the whole drain shares
         #: one trace id
         self._trace = trace
         self.trace_id = trace.trace_id if trace is not None else None
+        if body is not None:
+            self._take(meta, body)
 
     # -- the get-next-tuple interface ---------------------------------------
 
@@ -162,7 +172,7 @@ class RemoteQueryResult:
         if not self._pending and not self._done:
             self._fetch_batch()
         if self._pending:
-            answer = self._pending.pop(0)
+            answer = self._pending.popleft()
             self._cache.append(answer)
             return answer
         return None
@@ -193,7 +203,8 @@ class RemoteQueryResult:
         ]
 
     def close(self) -> None:
-        """Abandon the cursor: tells the server to free it.  Idempotent;
+        """Abandon the cursor: tells the server to free it, unless the last
+        batch already arrived (the server closed it then).  Idempotent;
         already-fetched answers stay readable."""
         if self._done:
             return
@@ -225,13 +236,13 @@ class RemoteQueryResult:
             request["trace"] = child.to_wire()
             started = SpanBuffer.now()
         try:
-            header, body = self._session._cursor_request(
+            frame = self._session._cursor_request(
                 self._link, self._generation, request
             )
         except CoralError:
             self._done = True  # server freed the cursor before erroring
             raise
-        rows = decode_batch(body)
+        rows = self._take(*frame)
         if child is not None:
             self._session.spans.record(
                 child,
@@ -239,14 +250,19 @@ class RemoteQueryResult:
                 started,
                 SpanBuffer.now(),
                 cursor=self._cursor_id,
-                rows=len(rows),
+                rows=rows,
             )
+
+    def _take(self, header: Dict[str, object], body: bytes) -> int:
+        """Queue one batch response's answers; returns how many."""
+        rows = decode_batch(body)
+        arity, variables = self._arity, self._vars
         for row in rows:
-            args = tuple(row[: self._arity])
-            bindings = dict(zip(self._vars, row[self._arity :]))
-            self._pending.append(Answer(Tuple(args), bindings))
+            bindings = dict(zip(variables, row[arity:]))
+            self._pending.append(Answer(Tuple(tuple(row[:arity])), bindings))
         if header.get("done"):
             self._done = True
+        return len(rows)
 
     def __repr__(self) -> str:
         state = "done" if self._done else "open"
@@ -427,7 +443,7 @@ class RemoteSession:
     ``host`` is either a hostname (classic single-server mode, with
     ``port``) or a list of ``"host:port"`` endpoints (replica-set mode with
     transparent failover — see the module docstring).  ``batch_size`` is
-    the answers each FETCH requests and ``timeout`` bounds any single
+    the answers each QUERY or FETCH asks for and ``timeout`` bounds any single
     round trip.  In replica-set mode ``retries`` is the number of full
     passes over the endpoint list before a request gives up with
     :class:`FailoverError`, backing off exponentially from ``backoff`` up
@@ -552,19 +568,14 @@ class RemoteSession:
     # -- queries ------------------------------------------------------------
 
     def query(self, text: str, batch_size: Optional[int] = None) -> RemoteQueryResult:
-        """Open a server-side cursor for a textual query."""
-        request: Dict[str, object] = {"op": "QUERY", "query": text}
+        """Open a server-side cursor for a textual query; the response
+        carries its first batch, so an error evaluating that batch (a
+        resource limit, storage) raises here, not at the first read."""
+        size = batch_size or self.batch_size
+        request: Dict[str, object] = {"op": "QUERY", "query": text, "max": size}
         with self._span(request, "client.query", query=text) as ctx:
-            link, (header, _) = self._request(request)
-        return RemoteQueryResult(
-            self,
-            link,
-            int(header["cursor"]),
-            list(header["vars"]),
-            int(header["arity"]),
-            batch_size or self.batch_size,
-            trace=ctx,
-        )
+            link, (header, body) = self._request(request)
+        return RemoteQueryResult(self, link, header, size, trace=ctx, body=body)
 
     def query_values(self, pred: str, *values: Any) -> RemoteQueryResult:
         """Programmatic query mirroring :meth:`Session.query_values`:
@@ -583,15 +594,7 @@ class RemoteSession:
         with self._span(request, "client.consult", bytes=len(source)) as ctx:
             link, (header, _) = self._request(request, write=True)
         return [
-            RemoteQueryResult(
-                self,
-                link,
-                int(item["cursor"]),
-                list(item["vars"]),
-                int(item["arity"]),
-                self.batch_size,
-                trace=ctx,
-            )
+            RemoteQueryResult(self, link, item, self.batch_size, trace=ctx)
             for item in header.get("cursors", [])
         ]
 

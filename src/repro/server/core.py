@@ -187,7 +187,7 @@ class CoralServer(FrameServer):
         server.shutdown()
 
     ``limits`` (a :class:`ResourceLimits`) is cloned per request so every
-    ``FETCH`` gets a fresh timeout/tuple budget; ``faults`` threads a
+    ``QUERY`` and ``FETCH`` gets a fresh timeout/tuple budget; ``faults`` threads a
     :class:`FaultInjector` through the ``net.*`` and ``repl.*`` injection
     points; ``trace=True`` records per-connection events in
     ``server.tracer``.
@@ -530,7 +530,7 @@ class CoralServer(FrameServer):
                 f"to the primary"
             )
         if op == "QUERY":
-            return self._op_query(conn, header), b"", True
+            return self._op_query(conn, header) + (True,)
         if op == "FETCH":
             return self._op_fetch(conn, header) + (True,)
         if op == "CONSULT":
@@ -589,8 +589,6 @@ class CoralServer(FrameServer):
     ) -> _Cursor:
         if result is None:
             result = self.session.query_literal(literal)
-        if self.limits is not None:
-            result.set_limits(self.limits.clone())
         cursor = _Cursor(
             self._count_cursor_opened(),
             result,
@@ -602,17 +600,18 @@ class CoralServer(FrameServer):
         self._m_query_preds.inc(1, f"{literal.pred}/{literal.arity}")
         return cursor
 
-    def _op_query(self, conn: _Connection, header) -> Dict[str, object]:
+    def _op_query(
+        self, conn: _Connection, header
+    ) -> PyTuple[Dict[str, object], bytes]:
+        """Open a cursor and answer with its first batch, under one db-lock
+        acquisition; a batch that is also the last closes the cursor."""
         text = str(header.get("query", ""))
-        with self._db_lock, self._session_trace():
+
+        def open_cursor() -> _Cursor:
             literal = parse_query(text).literal
-            cursor = self._open_cursor(conn, literal, text)
-        return {
-            "ok": True,
-            "cursor": cursor.cursor_id,
-            "vars": cursor.vars,
-            "arity": cursor.arity,
-        }
+            return self._open_cursor(conn, literal, text)
+
+        return self._fill(conn, "QUERY", header, open_cursor)
 
     def _op_consult(self, conn: _Connection, header) -> Dict[str, object]:
         source = str(header.get("source", ""))
@@ -659,20 +658,32 @@ class CoralServer(FrameServer):
         cursor = conn.cursors.get(cursor_id)
         if cursor is None:
             raise ProtocolError(f"unknown cursor {cursor_id}")
-        limit = int(header.get("max", self.batch_size))
-        if limit < 1:
-            raise ProtocolError(f"FETCH max must be >= 1, got {limit}")
+        return self._fill(conn, "FETCH", header, lambda: cursor)
+
+    def _fill(
+        self, conn: _Connection, op: str, header, open_cursor
+    ) -> PyTuple[Dict[str, object], bytes]:
+        """Answer ``op`` with one batch of up to ``max`` answers (default
+        ``batch_size``) from the cursor ``open_cursor()`` returns; it runs
+        under the same db-lock acquisition as the pulls.  The batch that
+        reaches the end closes the cursor before the lock is released, so
+        ``done: true`` means there is nothing left to FETCH or close."""
+        limit = self._batch_limit(op, header)
+        cursor: Optional[_Cursor] = None
         rows = []
         done = False
         try:
             with self._db_lock, self._session_trace():
+                cursor = open_cursor()
+                result = cursor.result
                 if self.limits is not None:
-                    cursor.result.set_limits(self.limits.clone())
+                    result.set_limits(self.limits.clone())
                 for _ in range(limit):
-                    answer = cursor.result.get_next()
+                    answer = result.get_next()
                     self._m_pulls.inc()
                     if answer is None:
                         done = True
+                        self._close_cursor(conn, cursor.cursor_id)
                         break
                     row = list(answer.tuple.args)
                     for name in cursor.vars:
@@ -684,15 +695,20 @@ class CoralServer(FrameServer):
             # builtin) or an answer does not encode (non-primitive): the
             # cursor's state is unusable — free it, then let the transport
             # report
-            self._close_cursor(conn, cursor_id)
+            if cursor is not None:
+                self._close_cursor(conn, cursor.cursor_id)
             raise
-        if done:
-            self._close_cursor(conn, cursor_id)
         self._m_answers.inc(len(rows))
-        return (
-            {"ok": True, "cursor": cursor_id, "count": len(rows), "done": done},
-            body,
-        )
+        response: Dict[str, object] = {
+            "ok": True,
+            "cursor": cursor.cursor_id,
+            "count": len(rows),
+            "done": done,
+        }
+        if op == "QUERY":
+            response["vars"] = cursor.vars
+            response["arity"] = cursor.arity
+        return response, body
 
     def _op_update(self, header, insert: bool) -> Dict[str, object]:
         pred = str(header.get("pred", ""))
@@ -818,9 +834,7 @@ class CoralServer(FrameServer):
         if sub is None:
             raise ProtocolError(f"unknown subscription {sub_id}")
         timeout = min(max(float(header.get("timeout", 10.0)), 0.0), 30.0)
-        limit = int(header.get("max", self.batch_size))
-        if limit < 1:
-            raise ProtocolError(f"DELTA max must be >= 1, got {limit}")
+        limit = self._batch_limit("DELTA", header)
         deadline = time.monotonic() + timeout
         signs: List[int] = []
         rows: List[List[object]] = []

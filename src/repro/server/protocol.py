@@ -4,9 +4,11 @@ optional binary tuple batch.
 CORAL ran over the EXODUS storage manager's client-server architecture
 (paper Section 2); this module makes that hop real for *queries* rather than
 pages.  The central design choice mirrors the paper's uniform get-next-tuple
-interface (Sections 3, 5.6): a query opens a **server-side cursor**, and the
-client pulls answers in batches with ``FETCH`` — a client that stops
-fetching stops server work.
+interface (Sections 3, 5.6): a query opens a **server-side cursor** and
+answers with its first batch, and the client pulls the rest in batches with
+``FETCH`` — a client that stops fetching stops server work.  A first batch
+that is also the last closes the cursor at once, so an answer set smaller
+than one batch costs one round trip.
 
 Frame layout (all integers big-endian)::
 
@@ -26,7 +28,10 @@ Request ops (client to server)::
     HELLO         version handshake; must be the first frame
     CONSULT       load program text into the shared database; contained
                   queries become cursors
-    QUERY         open a cursor for one query string
+    QUERY         open a cursor for one query string and answer with its
+                  first `max` answers, exactly like a FETCH (plus the
+                  cursor's `vars` and `arity`); `done: true` means the
+                  server already closed the cursor
     FETCH         pull up to `max` answers from a cursor
     CLOSE_CURSOR  abandon a cursor early (Section 5.4.3 on the wire)
     INSERT        add one base fact
@@ -91,8 +96,10 @@ from typing import Dict, Optional, Tuple as PyTuple
 from .. import errors as _errors
 from ..errors import CoralError, ProtocolError
 
-#: protocol version spoken by this build; HELLO negotiates equality
-PROTOCOL_VERSION = 1
+#: protocol version spoken by this build; HELLO negotiates equality.
+#: Version 2: QUERY answers with the first batch and closes a cursor whose
+#: first batch is its last (a version 1 client would FETCH it and fail)
+PROTOCOL_VERSION = 2
 
 #: refuse frames larger than this (a garbage length prefix must not
 #: trigger a gigabyte allocation)

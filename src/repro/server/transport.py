@@ -54,7 +54,7 @@ from .protocol import (
 #: trailing window, in seconds, behind the STATS ``rates`` section
 RATE_WINDOW = 30.0
 
-#: default answers per FETCH when the client does not say — one value for
+#: default answers per QUERY or FETCH batch when the client does not say — one value for
 #: every front end, so a router in front of a server changes no batch shapes
 DEFAULT_BATCH = 64
 
@@ -104,6 +104,8 @@ class FrameServer:
     #: A subclass also sets ``role``, which STATS and /healthz report
     metric_prefix = "server"
     connection_class = Connection
+    #: answers per QUERY/FETCH batch when the request names no ``max``
+    batch_size = DEFAULT_BATCH
     #: ops still served while draining: open cursors may finish, no new
     #: work is admitted
     drain_ops: PyTuple[str, ...] = (
@@ -218,6 +220,14 @@ class FrameServer:
             closed = self._close_cursor(conn, int(header.get("cursor", -1)))
             return {"ok": True, "closed": closed}, b"", True
         raise ProtocolError(f"unknown request op {op!r}")
+
+    def _batch_limit(self, op: str, header) -> int:
+        """A request's ``max`` answers per batch; fewer than one is
+        refused."""
+        limit = int(header.get("max", self.batch_size))
+        if limit < 1:
+            raise ProtocolError(f"{op} max must be >= 1, got {limit}")
+        return limit
 
     def _close_cursor(self, conn, cursor_id: int) -> bool:
         """Abandon one of ``conn``'s cursors; False if it holds no such."""
@@ -437,7 +447,7 @@ class FrameServer:
         self._m_requests.inc(1, op or "?")
         self._note_request(conn, op)
         self._m_latency.observe(time.perf_counter() - started, op or "?")
-        answers = response.get("count", 0) if op == "FETCH" else 0
+        answers = response.get("count", 0) if op in ("QUERY", "FETCH") else 0
         # deque.append is atomic; _rates() filters by age against RATE_WINDOW
         self._recent.append((time.perf_counter(), answers))
         if self.tracer is not None:

@@ -18,14 +18,18 @@ verbatim, relaying the response.
 Cursors keep the get-next-tuple discipline across the extra hop:
 
 * a **proxy cursor** (single-shard query) maps one router-issued cursor id
-  to one worker-side cursor; FETCH bodies are relayed as opaque bytes — the
-  router never decodes a single-shard batch;
+  to one worker-side cursor; the QUERY's first batch and every FETCH body
+  are relayed as opaque bytes — the router never decodes a single-shard
+  batch — and a query answered in its first batch leaves no cursor at all;
 * a **gather cursor** (a query on a partitioned relation) opens one cursor
-  per worker and concatenates their streams.  Each client FETCH pulls *at
-  most the client's requested batch* from one upstream at a time, so
-  backpressure propagates: a client that stops fetching stops work on
-  every shard, and a gather batch is never empty unless it is ``done``
-  (an empty non-final batch would end the client's iteration early).
+  per worker and concatenates their streams.  Each worker's QUERY answers
+  with one client batch, which the router buffers; a client FETCH takes
+  buffered rows first and asks a worker for *at most the client's
+  remaining budget*, so backpressure propagates: a shard runs at most one
+  client batch ahead of what the client consumed, a client that stops
+  fetching stops work on every shard, and a gather batch is never empty
+  unless it is ``done`` (an empty non-final batch would end the client's
+  iteration early).
 
 Upstream connections are **per client connection**, created lazily: when
 the client disconnects — cleanly or by dying — the router closes its
@@ -84,24 +88,32 @@ class _Upstream:
 
 
 class _Part:
-    """One worker-side cursor behind a router cursor."""
+    """One worker-side cursor behind a router cursor, plus the answers its
+    worker already sent that the client has not been given yet (the inline
+    batch of the worker's QUERY response)."""
 
-    __slots__ = ("upstream", "remote_id")
+    __slots__ = ("upstream", "remote_id", "rows", "done")
 
-    def __init__(self, upstream: _Upstream, remote_id: int) -> None:
+    def __init__(
+        self, upstream: _Upstream, remote_id: int, done: bool = False
+    ) -> None:
         self.upstream = upstream
         self.remote_id = remote_id
+        self.rows: List[list] = []
+        #: the worker sent its last batch and closed its cursor
+        self.done = done
 
 
 class _Cursor:
     """A router cursor over one worker cursor per shard it spans: a single
-    part is a *proxy* (batches are relayed as opaque bytes), several are a
-    *gather* (the shards' streams are concatenated)."""
+    part with nothing buffered is a *proxy* (batches are relayed as opaque
+    bytes); anything else is a *gather* (the shards' streams, buffered rows
+    first, are concatenated).  ``cursor_id`` is None until it is minted."""
 
     __slots__ = ("cursor_id", "parts", "current")
 
-    def __init__(self, cursor_id: int, parts: List[_Part]) -> None:
-        self.cursor_id = cursor_id
+    def __init__(self, parts: List[_Part]) -> None:
+        self.cursor_id: Optional[int] = None
         self.parts = parts
         self.current = 0  # index of the part FETCH is draining
 
@@ -350,25 +362,27 @@ class ShardRouter(FrameServer):
         header,
         died: str,
         advice: str = "retry shortly",
-    ) -> PyTuple[_Upstream, Dict[str, object]]:
+    ) -> PyTuple[_Upstream, Dict[str, object], bytes]:
         """One request to worker ``index`` over this client's link, where
         losing the worker is *retriable*: the link is dropped and the
         client told to come back (``died`` says when it happened, ``advice``
         what to do about it).  Refusals propagate under their own class."""
         upstream = self._upstream(conn, index)
         try:
-            response, _ = self._forward(upstream, header)
+            response, body = self._forward(upstream, header)
         except PeerLost as exc:
             self._drop_upstream(conn, upstream)
             raise WorkerRestartingError(
                 f"worker {index} died {died} ({exc}); {advice}"
             ) from exc
-        return upstream, response
+        return upstream, response, body
 
     def _close_part(self, conn: _RouterConn, part: _Part) -> None:
         """Free one worker-side cursor, best effort."""
-        if conn.links.get(part.upstream.index) is not part.upstream:
-            return  # that upstream is already gone, its cursors with it
+        if part.done or conn.links.get(part.upstream.index) is not part.upstream:
+            # the worker closed it with its last batch, or that upstream
+            # is already gone and its cursors with it
+            return
         try:
             self._forward(
                 part.upstream, {"op": "CLOSE_CURSOR", "cursor": part.remote_id}
@@ -407,7 +421,7 @@ class ShardRouter(FrameServer):
         self, conn: _RouterConn, op: str, header, body
     ) -> PyTuple[Dict[str, object], bytes, bool]:
         if op == "QUERY":
-            return self._op_query(conn, header), b"", True
+            return self._op_query(conn, header) + (True,)
         if op == "FETCH":
             return self._op_fetch(conn, header) + (True,)
         if op == "CONSULT":
@@ -427,74 +441,125 @@ class ShardRouter(FrameServer):
 
     # -- cursors -------------------------------------------------------------
 
-    def _mint_cursor(
-        self, conn: _RouterConn, parts: List[_Part], meta
-    ) -> Dict[str, object]:
-        """Open a router cursor over ``parts`` and describe it to the
-        client the way the worker that answered ``meta`` described its own."""
-        cursor = _Cursor(self._count_cursor_opened(), parts)
+    def _mint_cursor(self, conn: _RouterConn, cursor: _Cursor) -> int:
+        """Register ``cursor`` on the client connection under a fresh id."""
+        cursor.cursor_id = self._count_cursor_opened()
         conn.cursors[cursor.cursor_id] = cursor
-        return {
-            "cursor": cursor.cursor_id,
-            "vars": meta.get("vars", []),
-            "arity": meta.get("arity", 0),
-        }
+        return cursor.cursor_id
 
-    def _retire_cursor(self, conn: _RouterConn, cursor_id: int) -> bool:
-        if conn.cursors.pop(cursor_id, None) is None:
-            return False
-        self._count_cursors_closed()
-        return True
+    def _retire_cursor(self, conn: _RouterConn, cursor: _Cursor) -> None:
+        if conn.cursors.pop(cursor.cursor_id, None) is not None:
+            self._count_cursors_closed()
 
-    def _close_cursor(self, conn: _RouterConn, cursor_id: int) -> bool:
+    def _abandon(self, conn: _RouterConn, cursor: _Cursor) -> None:
         """Free a cursor's undrained worker cursors (on CLOSE_CURSOR, or
         after a failure mid-stream) and retire it."""
+        for part in cursor.parts[cursor.current :]:
+            self._close_part(conn, part)
+        self._retire_cursor(conn, cursor)
+
+    def _close_cursor(self, conn: _RouterConn, cursor_id: int) -> bool:
         cursor = conn.cursors.get(cursor_id)
         if cursor is None:
             return False
-        for part in cursor.parts[cursor.current :]:
-            self._close_part(conn, part)
-        self._retire_cursor(conn, cursor_id)
+        self._abandon(conn, cursor)
         return True
 
-    def _open_remote_cursor(
-        self, conn: _RouterConn, index: int, text: str
-    ) -> PyTuple[_Part, Dict[str, object]]:
-        upstream, response = self._ask(
-            conn, index, {"op": "QUERY", "query": text},
-            "while opening a cursor",
-        )
-        return _Part(upstream, int(response["cursor"])), response
-
-    def _op_query(self, conn: _RouterConn, header) -> Dict[str, object]:
-        text = str(header.get("query", ""))
-        literal = parse_query(text).literal
-        return dict(self._route_query(conn, literal.pred, text), ok=True)
-
-    def _route_query(
-        self, conn: _RouterConn, pred: str, text: str
-    ) -> Dict[str, object]:
+    def _open_parts(
+        self, conn: _RouterConn, pred: str, text: str, limit: int
+    ) -> PyTuple[List[_Part], List[PyTuple[Dict[str, object], bytes]]]:
+        """QUERY every worker ``pred`` lives on (its owner, or all of them
+        when it is partitioned) for a first batch of ``limit``: one part per
+        worker, plus each worker's response frame."""
         owner = self._route_name(pred)
         if owner is None:
-            # partitioned: one cursor per shard, concatenated
             self._m_scatter.inc()
             targets = range(self.pool.count)
         else:
             targets = [owner]
         parts: List[_Part] = []
-        meta: Dict[str, object] = {}
+        frames: List[PyTuple[Dict[str, object], bytes]] = []
+        request = {"op": "QUERY", "query": text, "max": limit}
         try:
             for index in targets:
-                part, response = self._open_remote_cursor(conn, index, text)
-                parts.append(part)
-                meta = meta or response
+                upstream, response, body = self._ask(
+                    conn, index, request, "while opening a cursor"
+                )
+                parts.append(
+                    _Part(
+                        upstream,
+                        response.get("cursor"),
+                        bool(response.get("done")),
+                    )
+                )
+                frames.append((response, body))
         except CoralError:
             # a partial scatter must not leak cursors on the shards that
             # did answer
             for part in parts:
                 self._close_part(conn, part)
             raise
-        return self._mint_cursor(conn, parts, meta)
+        return parts, frames
+
+    @staticmethod
+    def _buffer(parts: List[_Part], frames) -> _Cursor:
+        """A cursor whose parts hold their workers' first batches."""
+        for part, (_, body) in zip(parts, frames):
+            part.rows = decode_batch(body)
+        return _Cursor(parts)
+
+    def _op_query(
+        self, conn: _RouterConn, header
+    ) -> PyTuple[Dict[str, object], bytes]:
+        """Open the query on its worker(s) and answer with the first batch.
+
+        One owner: the worker's batch is relayed untouched, and a router
+        cursor is minted only if more answers follow — one round trip per
+        hop.  Scatter: each worker answers one client batch, the response
+        is filled from those batches in shard order, and the rest stays
+        buffered for FETCH — so a shard runs at most one client batch
+        ahead of what the client consumed."""
+        text = str(header.get("query", ""))
+        limit = self._batch_limit("QUERY", header)
+        literal = parse_query(text).literal
+        parts, frames = self._open_parts(conn, literal.pred, text, limit)
+        meta = frames[0][0]
+        if len(parts) == 1:
+            cursor = _Cursor(parts)
+            response = {"count": meta.get("count", 0), "done": parts[0].done}
+            body = frames[0][1]
+        else:
+            cursor = self._buffer(parts, frames)
+            response, body = self._gather(conn, cursor, limit)
+        if not response["done"]:
+            self._mint_cursor(conn, cursor)
+        response.update(
+            ok=True,
+            cursor=cursor.cursor_id,
+            vars=meta.get("vars", []),
+            arity=meta.get("arity", 0),
+        )
+        return response, body
+
+    def _consult_queries(self, conn: _RouterConn, queries) -> List[dict]:
+        """Open a pure query batch's queries, each routed on its own
+        predicate.  A consult's cursors start empty, so every worker's
+        first batch waits in its part for the client's first FETCH."""
+        opened = []
+        for query in queries:
+            literal = query.literal
+            parts, frames = self._open_parts(
+                conn, literal.pred, str(literal), self.batch_size
+            )
+            cursor = self._buffer(parts, frames)
+            opened.append(
+                {
+                    "cursor": self._mint_cursor(conn, cursor),
+                    "vars": frames[0][0].get("vars", []),
+                    "arity": frames[0][0].get("arity", 0),
+                }
+            )
+        return opened
 
     def _op_fetch(
         self, conn: _RouterConn, header
@@ -503,17 +568,25 @@ class ShardRouter(FrameServer):
         cursor = conn.cursors.get(cursor_id)
         if cursor is None:
             raise ProtocolError(f"unknown cursor {cursor_id}")
-        limit = int(header.get("max", self.batch_size))
-        if limit < 1:
-            raise ProtocolError(f"FETCH max must be >= 1, got {limit}")
-        if len(cursor.parts) == 1:
-            return self._fetch_proxy(conn, cursor, limit)
-        return self._fetch_gather(conn, cursor, limit)
-
-    def _fetch_proxy(
-        self, conn: _RouterConn, cursor: _Cursor, limit: int
-    ) -> PyTuple[Dict[str, object], bytes]:
+        limit = self._batch_limit("FETCH", header)
         part = cursor.parts[0]
+        if len(cursor.parts) == 1 and not part.rows and not part.done:
+            # a proxy: the batch bytes are relayed untouched
+            response, body = self._pull(conn, cursor, part, limit)
+            if part.done:
+                self._retire_cursor(conn, cursor)
+            response = {"count": response.get("count", 0), "done": part.done}
+        else:
+            response, body = self._gather(conn, cursor, limit)
+        response.update(ok=True, cursor=cursor_id)
+        return response, body
+
+    def _pull(
+        self, conn: _RouterConn, cursor: _Cursor, part: _Part, limit: int
+    ) -> PyTuple[Dict[str, object], bytes]:
+        """FETCH up to ``limit`` answers from one part's worker.  Losing the
+        worker is fatal to the cursor (its state died with the process):
+        the cursor is abandoned and the client told to reissue."""
         try:
             response, body = self._forward(
                 part.upstream,
@@ -521,83 +594,50 @@ class ShardRouter(FrameServer):
             )
         except PeerLost as exc:
             self._drop_upstream(conn, part.upstream)
-            self._retire_cursor(conn, cursor.cursor_id)
+            self._abandon(conn, cursor)
             raise FailoverError(
                 f"cursor {cursor.cursor_id} was lost: worker "
                 f"{part.upstream.index} died mid-stream ({exc}) — "
                 f"reissue the query"
             ) from exc
         except CoralError:
-            self._retire_cursor(conn, cursor.cursor_id)
+            part.done = True  # the worker freed it before refusing
+            self._abandon(conn, cursor)
             raise
-        if response.get("done"):
-            self._retire_cursor(conn, cursor.cursor_id)
-        # the batch bytes are relayed untouched; only the cursor id is ours
-        return (
-            {
-                "ok": True,
-                "cursor": cursor.cursor_id,
-                "count": response.get("count", 0),
-                "done": bool(response.get("done")),
-            },
-            body,
-        )
+        part.done = bool(response.get("done"))
+        return response, body
 
-    def _fetch_gather(
+    def _gather(
         self, conn: _RouterConn, cursor: _Cursor, limit: int
     ) -> PyTuple[Dict[str, object], bytes]:
-        """Fill one client batch from the concatenated shard streams.
-
-        Per-upstream backpressure: each worker is asked for at most the
-        *remaining* client budget, so no shard ever runs ahead of what the
-        client consumes.  The loop only exits with rows, or with every
-        part drained — a gather batch is never empty-but-not-done (the
-        client would mistake it for end-of-stream).
-        """
+        """Fill one client batch from the concatenated shard streams: a
+        part's buffered rows first, then its worker, asked for at most the
+        *remaining* client budget.  The loop only exits with rows, or with
+        every part drained — a gather batch is never empty-but-not-done
+        (the client would mistake it for end-of-stream)."""
         rows: List[list] = []
         while len(rows) < limit and cursor.current < len(cursor.parts):
             part = cursor.parts[cursor.current]
             need = limit - len(rows)
-            try:
-                response, body = self._forward(
-                    part.upstream,
-                    {"op": "FETCH", "cursor": part.remote_id, "max": need},
-                )
-            except PeerLost as exc:
-                self._drop_upstream(conn, part.upstream)
-                self._close_cursor(conn, cursor.cursor_id)
-                raise FailoverError(
-                    f"cursor {cursor.cursor_id} was lost: worker "
-                    f"{part.upstream.index} died mid-scatter-gather "
-                    f"({exc}) — reissue the query"
-                ) from exc
-            except CoralError:
-                self._close_cursor(conn, cursor.cursor_id)
-                raise
-            batch = decode_batch(body)
-            rows.extend(batch)
-            if response.get("done"):
+            if not part.rows and not part.done:
+                _, body = self._pull(conn, cursor, part, need)
+                part.rows = decode_batch(body)
+                if not part.rows and not part.done:
+                    # a worker must not answer empty-and-not-done; treat it
+                    # as a wedged stream rather than spinning here forever
+                    self._abandon(conn, cursor)
+                    raise ProtocolError(
+                        f"worker {part.upstream.index} answered an empty "
+                        f"non-final batch for cursor {part.remote_id}"
+                    )
+            rows.extend(part.rows[:need])
+            del part.rows[:need]
+            if part.done and not part.rows:
                 cursor.current += 1
-            elif not batch:
-                # a worker must not answer empty-and-not-done; treat it as
-                # a wedged stream rather than spinning here forever
-                self._close_cursor(conn, cursor.cursor_id)
-                raise ProtocolError(
-                    f"worker {part.upstream.index} answered an empty "
-                    f"non-final batch for cursor {part.remote_id}"
-                )
         done = cursor.current >= len(cursor.parts)
         if done:
-            self._retire_cursor(conn, cursor.cursor_id)
-        return (
-            {
-                "ok": True,
-                "cursor": cursor.cursor_id,
-                "count": len(rows),
-                "done": done,
-            },
-            encode_batch(rows),
-        )
+            self._retire_cursor(conn, cursor)
+        return {"count": len(rows), "done": done}, encode_batch(rows)
 
     # -- consults and updates ------------------------------------------------
 
@@ -661,12 +701,10 @@ class ShardRouter(FrameServer):
         if not program.modules and not plain_facts and (
             not program.index_annotations
         ):
-            # pure query batch: route each query on its own predicate
-            opened = [
-                self._route_query(conn, q.literal.pred, str(q.literal))
-                for q in program.queries
-            ]
-            return {"ok": True, "cursors": opened}
+            return {
+                "ok": True,
+                "cursors": self._consult_queries(conn, program.queries),
+            }
         return self._consult_single_owner(conn, source, program)
 
     def _consult_partitioned(
@@ -732,14 +770,17 @@ class ShardRouter(FrameServer):
         else:
             anchor = names[0] if names else "program"
             owner = self.shard_map.owner(anchor)
-        upstream, response = self._ask(
+        upstream, response, _ = self._ask(
             conn, owner, {"op": "CONSULT", "source": source}, "mid-consult"
         )
         # placement is only durable once the worker accepted the program
         self._learn(names, owner)
         opened = [
-            self._mint_cursor(
-                conn, [_Part(upstream, int(item["cursor"]))], item
+            dict(
+                item,
+                cursor=self._mint_cursor(
+                    conn, _Cursor([_Part(upstream, int(item["cursor"]))])
+                ),
             )
             for item in response.get("cursors", [])
         ]
@@ -757,7 +798,7 @@ class ShardRouter(FrameServer):
             index = self.shard_map.tuple_owner(pred, key)
         else:
             index = self._route_name(pred)
-        _, response = self._ask(
+        _, response, _ = self._ask(
             conn, index, {"op": op, "pred": pred, "values": values},
             f"during {op}",
             "the write was not acknowledged — retry shortly",

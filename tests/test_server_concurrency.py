@@ -160,10 +160,10 @@ class TestConcurrentClients:
         sock = socket.create_connection(server.address, timeout=5.0)
         write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
         read_frame(sock)
-        write_frame(sock, {"op": "QUERY", "query": "path(1, Y)"})
+        write_frame(sock, {"op": "QUERY", "query": "path(1, Y)", "max": 2})
         header, _ = read_frame(sock)
-        cursor = header["cursor"]
-        write_frame(sock, {"op": "FETCH", "cursor": cursor, "max": 2})
+        assert header["count"] == 2 and not header["done"]
+        write_frame(sock, {"op": "FETCH", "cursor": header["cursor"], "max": 2})
         header, _ = read_frame(sock)
         assert header["count"] == 2 and not header["done"]
         assert server.open_cursors() == 1

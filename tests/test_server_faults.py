@@ -47,12 +47,15 @@ def _wait_until(predicate, timeout=5.0):
 
 class TestNetFaults:
     def test_write_failure_mid_fetch_drops_only_that_client(self):
-        # response writes on one connection: #1 HELLO, #2 QUERY, #3 FETCH —
-        # the injected failure hits exactly the first FETCH response
+        # response writes on one connection: #1 HELLO, #2 QUERY (the first
+        # two answers), #3 FETCH — the injected failure hits exactly the
+        # first FETCH response
         faults = FaultInjector().fail_at("net.write", hit=3)
         with _tc_server(faults) as server:
             db = RemoteSession(*server.address, batch_size=2)
             result = db.query("path(1, Y)")
+            assert result.get_next() is not None
+            assert result.get_next() is not None
             with pytest.raises(ProtocolError, match="closed the connection"):
                 result.get_next()
             # the dead connection's cursor was freed by the handler

@@ -5,12 +5,19 @@ test_transport.py, where they run against every front end.)"""
 
 import socket
 import struct
+import time
 
 import pytest
 
 from repro import Session
-from repro.client import RemoteSession
-from repro.errors import ParseError, ProtocolError, StorageError
+from repro.client import RemoteSession, remote
+from repro.errors import (
+    ParseError,
+    ProtocolError,
+    ResourceLimitError,
+    StorageError,
+)
+from repro.eval.limits import ResourceLimits
 from repro.language import parse_query
 from repro.server import (
     CoralServer,
@@ -21,6 +28,8 @@ from repro.server import (
     read_frame,
     write_frame,
 )
+from repro.server.protocol import error_from_response
+from repro.sharding import ShardRouter, WorkerPool
 from repro.storage.serde import (
     BATCH_MAGIC,
     CODEC_VERSION,
@@ -215,3 +224,195 @@ class TestMessages:
             assert {"opened", "closed", "open"} <= set(stats["cursors"])
             assert "inferences" in stats["eval"]
             assert "server.requests" in stats["metrics"]
+
+
+def _hello(sock):
+    write_frame(sock, {"op": "HELLO", "version": PROTOCOL_VERSION})
+    assert read_frame(sock)[0]["ok"]
+
+
+def _ask(sock, header):
+    write_frame(sock, header)
+    return read_frame(sock)[0]
+
+
+class TestVersionAndLimits:
+    def test_a_version_1_hello_is_refused_naming_both_versions(self, server):
+        assert PROTOCOL_VERSION == 2
+        with _raw_conn(server) as sock:
+            header = _ask(sock, {"op": "HELLO", "version": 1})
+        assert header["ok"] is False
+        error = error_from_response(header)
+        assert isinstance(error, ProtocolError)
+        assert "client speaks 1" in str(error)
+        assert "server speaks 2" in str(error)
+
+    @pytest.mark.parametrize("op", ["QUERY", "FETCH"])
+    def test_max_below_one_is_refused(self, server, op):
+        with _raw_conn(server) as sock:
+            _hello(sock)
+            opened = _ask(
+                sock, {"op": "QUERY", "query": "path(1, X)", "max": 1}
+            )
+            assert opened["count"] == 1 and not opened["done"]
+            target = (
+                {"query": "path(1, X)"} if op == "QUERY"
+                else {"cursor": opened["cursor"]}
+            )
+            header = _ask(sock, dict(target, op=op, max=0))
+            assert header["ok"] is False
+            assert header["error"] == "ProtocolError"
+            assert header["message"] == f"{op} max must be >= 1, got 0"
+            # the refused QUERY opened nothing; the open cursor survives
+            assert server.open_cursors() == 1
+
+
+@pytest.fixture
+def frames(monkeypatch):
+    """The ops of every frame a RemoteSession writes: one per round trip."""
+    written = []
+
+    def counting(sock, header, body=b""):
+        written.append(header.get("op"))
+        return write_frame(sock, header, body)
+
+    monkeypatch.setattr(remote, "write_frame", counting)
+    return written
+
+
+class TestRoundTrips:
+    def test_an_answer_set_smaller_than_a_batch_is_one_round_trip(
+        self, server, frames
+    ):
+        with RemoteSession(*server.address, batch_size=4) as db:
+            del frames[:]
+            result = db.query("path(1, X)")
+            assert sorted(a["X"] for a in result) == [2, 3, 4]
+            result.close()  # arrived done: the server closed it already
+            assert frames == ["QUERY"]
+            assert server.open_cursors() == 0
+
+    @pytest.mark.parametrize("batch", [1, 2, 3, 4])
+    def test_n_answers_at_batch_b_take_ceil_n_plus_1_over_b(
+        self, server, frames, batch
+    ):
+        # a full batch cannot tell the last answer from one more, so n
+        # answers at batch b end with the batch that finds none past them
+        n = 3
+        with RemoteSession(*server.address, batch_size=batch) as db:
+            del frames[:]
+            assert len(db.query("path(1, X)").all()) == n
+            assert len(frames) == -(-(n + 1) // batch)
+            assert frames[0] == "QUERY" and set(frames[1:]) <= {"FETCH"}
+
+    def test_a_routed_single_owner_query_is_one_round_trip_per_hop(
+        self, frames
+    ):
+        sessions = [Session(), Session()]
+        workers = [CoralServer(s, port=0).start() for s in sessions]
+        pool = WorkerPool(
+            2, endpoints=[w.address for w in workers], heartbeat=0.1
+        ).start()
+        router = ShardRouter(pool, port=0, shard_map={"edge": 0}).start()
+        try:
+            with RemoteSession(*router.address, batch_size=8) as db:
+                for i in range(5):
+                    db.insert("edge", i, i + 1)
+                ops = [
+                    w.metrics.counter("server.requests", "", ("op",))
+                    for w in workers
+                ]
+
+                def worker_reads():
+                    return [
+                        (c.value("QUERY"), c.value("FETCH")) for c in ops
+                    ]
+
+                before = worker_reads()
+                del frames[:]
+                assert len(db.query("edge(X, Y)").all()) == 5
+                assert frames == ["QUERY"]
+                after = worker_reads()
+                assert after[0] == (before[0][0] + 1, before[0][1])
+                assert after[1] == before[1]
+                assert router.open_cursors() == 0
+                assert all(w.open_cursors() == 0 for w in workers)
+        finally:
+            router.shutdown()
+            pool.stop()
+            for worker in workers:
+                worker.shutdown()
+
+
+class TestRemoteQueryResult:
+    def test_close_after_a_done_first_batch_writes_no_frame(
+        self, server, frames
+    ):
+        with RemoteSession(*server.address) as db:
+            result = db.query("path(1, X)")
+            del frames[:]
+            result.close()
+            result.close()
+            assert frames == []
+            assert len(result.all()) == 3  # fetched answers stay readable
+
+    def test_close_of_an_open_cursor_frees_it(self, server, frames):
+        with RemoteSession(*server.address, batch_size=1) as db:
+            result = db.query("path(1, X)")
+            assert server.open_cursors() == 1
+            del frames[:]
+            result.close()
+            assert frames == ["CLOSE_CURSOR"]
+            assert server.open_cursors() == 0
+
+    def test_draining_a_batch_is_linear(self):
+        """get_next takes answers off the front of the received batch; a
+        list's pop(0) made that O(n) each, O(n^2) per batch."""
+
+        def drain_seconds(n):
+            body = encode_batch([[]] * n)
+            best = float("inf")
+            for _ in range(3):
+                result = remote.RemoteQueryResult(
+                    None,
+                    remote._Link(None, 0, 1, "test"),
+                    {"cursor": None, "vars": [], "arity": 0, "done": True},
+                    n,
+                    body=body,
+                )
+                started = time.perf_counter()
+                while result.get_next() is not None:
+                    pass
+                best = min(best, time.perf_counter() - started)
+            return best
+
+        # linear: about 4x for 4x the answers; pop(0) measured ~15x
+        assert drain_seconds(40_000) < 8 * drain_seconds(10_000)
+
+
+class TestAnswerAccounting:
+    def test_inline_answers_are_counted_and_rated(self, server):
+        sent = server.metrics.counter("server.answers.sent", "")
+        before = sent.value()
+        with RemoteSession(*server.address) as db:
+            for _ in range(5):
+                assert len(db.query("path(1, X)").all()) == 3
+            stats = db.stats()
+        assert sent.value() - before == 5 * 3
+        assert stats["rates"]["answers_per_second"] > 0
+
+
+class TestFirstBatchErrors:
+    def test_a_limit_tripped_by_the_first_batch_raises_from_query(self):
+        session = Session()
+        session.consult_string(TC_PROGRAM)
+        for i in range(4, 60):
+            session.insert("edge", i, i + 1)
+        # path(1, Y) on the 60-chain derives ~118 facts on its first pull
+        limits = ResourceLimits(max_tuples=100)
+        with CoralServer(session, port=0, limits=limits) as srv:
+            with RemoteSession(*srv.address) as db:
+                with pytest.raises(ResourceLimitError):
+                    db.query("path(1, Y)")
+                assert db.stats()["cursors"]["open"] == 0
+                assert len(db.query("path(55, Y)").all()) == 5

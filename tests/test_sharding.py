@@ -36,6 +36,8 @@ from repro.sharding import (
     stable_hash,
 )
 from repro.shell.repl import Shell
+from repro.storage.serde import decode_batch
+from repro.terms import from_arg
 
 from .prom_parser import parse_and_validate
 
@@ -353,37 +355,61 @@ class TestScatterGather:
                 assert len(db.query("scratch(X, Y)").all()) == 2
 
     def test_gather_has_per_upstream_backpressure(self):
-        """A partial FETCH drains shards in order: pulling 5 rows from a
-        3-way scatter touches only the first shard with answers."""
+        """The scatter's QUERY asks every shard for one client batch and
+        answers with the first shard's; a FETCH serves a shard's buffered
+        rows before asking it again.  So at every step each shard has sent
+        at most one client batch more than the client has received from it,
+        and over the whole drain no answer is pulled twice."""
+        batch = 5
         with _Fleet(3, shard_map={"edge": "*"}) as fleet:
             with RemoteSession(*fleet.router.address) as db:
                 self._load(db)
+            owner = {
+                row: index
+                for index, session in enumerate(fleet.sessions)
+                for row in session.query("edge(X, Y)").tuples()
+            }
+            sizes = [list(owner.values()).count(i) for i in range(3)]
+            assert all(size > batch for size in sizes)
             sent = [
                 s.metrics.counter("server.answers.sent", "")
                 for s in fleet.servers
             ]
             baseline = [c.value() for c in sent]
+            received = [0, 0, 0]
+
+            def lead():
+                for row in decode_batch(body):
+                    received[owner[tuple(from_arg(a) for a in row[:2])]] += 1
+                return [
+                    c.value() - base - got
+                    for c, base, got in zip(sent, baseline, received)
+                ]
+
             sock = _raw_client(fleet.router.address)
             try:
-                write_frame(sock, {"op": "QUERY", "query": "edge(X, Y)"})
-                header, _ = read_frame(sock)
-                assert header["ok"]
-                cursor = header["cursor"]
-                # the scatter opened one cursor on every worker...
-                assert _wait_until(
-                    lambda: sum(s.open_cursors() for s in fleet.servers) == 3
+                write_frame(
+                    sock, {"op": "QUERY", "query": "edge(X, Y)", "max": batch}
                 )
-                write_frame(sock, {"op": "FETCH", "cursor": cursor, "max": 5})
-                header, _ = read_frame(sock)
-                assert header["ok"] and header["count"] == 5
+                header, body = read_frame(sock)
+                assert header["ok"] and header["count"] == batch
                 assert not header["done"]
-                # ...but a 5-row pull cost exactly 5 answers fleet-wide:
-                # later shards did no work on this client's behalf
-                pulled = [
-                    c.value() - base for c, base in zip(sent, baseline)
-                ]
-                assert sum(pulled) == 5
-                assert sorted(pulled) == [0, 0, 5]
+                # one batch from every shard, the first one's handed on
+                assert sorted(lead()) == [0, batch, batch]
+                assert sum(s.open_cursors() for s in fleet.servers) == 3
+                while not header["done"]:
+                    write_frame(
+                        sock,
+                        {"op": "FETCH", "cursor": header["cursor"],
+                         "max": batch},
+                    )
+                    header, body = read_frame(sock)
+                    assert header["ok"] and (
+                        header["count"] == batch or header["done"]
+                    )
+                    assert all(0 <= ahead <= batch for ahead in lead())
+                assert received == sizes
+                assert sum(c.value() for c in sent) - sum(baseline) == EDGES
             finally:
                 sock.close()
 
@@ -394,7 +420,7 @@ class TestScatterGather:
             with RemoteSession(*fleet.router.address) as db:
                 self._load(db)
             sock = _raw_client(fleet.router.address)
-            write_frame(sock, {"op": "QUERY", "query": "edge(X, Y)"})
+            write_frame(sock, {"op": "QUERY", "query": "edge(X, Y)", "max": 4})
             header, _ = read_frame(sock)
             cursor = header["cursor"]
             write_frame(sock, {"op": "FETCH", "cursor": cursor, "max": 4})
@@ -451,7 +477,9 @@ class TestWorkerFailure:
                 db.consult_string(_tc_program())
             sock = _raw_client(fleet.router.address)
             try:
-                write_frame(sock, {"op": "QUERY", "query": "path(X, Y)"})
+                write_frame(
+                    sock, {"op": "QUERY", "query": "path(X, Y)", "max": 2}
+                )
                 header, _ = read_frame(sock)
                 cursor = header["cursor"]
                 write_frame(sock, {"op": "FETCH", "cursor": cursor, "max": 2})

@@ -168,8 +168,11 @@ class TestHandshake:
 
     def test_bye_is_acknowledged_then_the_server_hangs_up(self, front):
         with front.raw() as sock:
-            cursor = _ask(sock, {"op": "QUERY", "query": "edge(X, Y)"})
-            assert cursor["ok"] is True
+            # a first batch smaller than the answer set keeps the cursor open
+            cursor = _ask(
+                sock, {"op": "QUERY", "query": "edge(X, Y)", "max": 2}
+            )
+            assert cursor["ok"] is True and not cursor["done"]
             assert front.server.open_cursors() == 1
             header = _ask(sock, {"op": "BYE"})
             assert header == {"ok": True, "bye": True}
@@ -316,8 +319,8 @@ class TestGracefulShutdown:
 
     def test_shutdown_severs_live_sockets(self, front):
         sock = front.raw()
-        cursor = _ask(sock, {"op": "QUERY", "query": "edge(X, Y)"})
-        assert cursor["ok"] is True
+        cursor = _ask(sock, {"op": "QUERY", "query": "edge(X, Y)", "max": 2})
+        assert cursor["ok"] is True and front.server.open_cursors() == 1
         front.server.shutdown()
         assert front.server.open_cursors() == 0
         # the kill looks real to the client: EOF or a reset, never a hang

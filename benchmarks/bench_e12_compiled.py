@@ -47,7 +47,7 @@ EDGES = edge_facts(chain_edges(150))
 
 
 def _measure(flags: str):
-    session = Session()
+    session = Session(compiled=None)  # the module's flag picks the backend
     started = time.perf_counter()
     session.consult_string(EDGES + TC.format(flags=flags))
     # force compilation of the query form (part of 'consult' cost here)
@@ -136,7 +136,7 @@ class TestE12CompiledMode:
 
 
 def _session(template: str, flags: str) -> Session:
-    session = Session()
+    session = Session(compiled=None)  # the module's flag picks the backend
     session.consult_string(template.format(flags=flags))
     return session
 
@@ -145,9 +145,11 @@ def _session(template: str, flags: str) -> Session:
 # interpreted vs push on the fixpoint itself
 # ---------------------------------------------------------------------------
 
+# eager: a lazy form's recursive answer SCC streams through the interpreter
 FULL_TC = """
 module tc2.
 export path(ff).
+@eager_eval.
 {flags}
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
@@ -161,6 +163,7 @@ end_module.
 BOUNDED_WPATH = """
 module wp.
 export wpath(fff).
+@eager_eval.
 {flags}
 wpath(X, Y, C) :- edge(X, Y, C).
 wpath(X, Y, C) :- wpath(X, Z, C1), edge(Z, Y, EC), C = C1 + EC, C < 40.

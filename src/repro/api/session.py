@@ -197,12 +197,12 @@ class Session:
         buffer_capacity: int = 64,
         limits: Optional[ResourceLimits] = None,
         memo: Union[None, bool, str, MemoPolicy] = None,
-        compiled: Optional[str] = None,
+        compiled: Optional[str] = "push",
     ) -> None:
         self.ctx = EvalContext(builtins)
-        #: ``compiled="push"`` evaluates every module through the push code
-        #: generator by default (docs/COMPILED.md); an explicit
-        #: ``@compiled(...)`` module annotation still wins
+        #: modules evaluate through the push code generator by default
+        #: (docs/COMPILED.md); ``compiled=None`` keeps the interpreter, and
+        #: an explicit ``@compiled(...)`` module annotation still wins
         self.modules = ModuleManager(self.ctx, default_compiled=compiled)
         #: default ResourceLimits applied to every query (None = unbounded);
         #: per-call ``QueryResult.all(timeout=...)`` overrides it
@@ -325,7 +325,8 @@ class Session:
         return relation
 
     def close(self) -> None:
-        """Flush dirty pages and release the storage stack.
+        """Flush dirty pages and release the storage stack, and drop the
+        push backend's resident state.
 
         Idempotent and exception-safe: a second ``close()`` is a no-op, and
         a ``close()`` after the storage server was already torn down (an
@@ -334,6 +335,7 @@ class Session:
         flush itself fails, the server is still closed and the session's
         references cleared before the error propagates, so retrying cannot
         double-fault."""
+        self.ctx.push = None
         pool, server = self._pool, self._server
         self._pool = None
         self._server = None

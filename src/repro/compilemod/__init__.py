@@ -14,35 +14,49 @@ in the style of Brass & Stephan's push method.  Ground constants are
 interned to dense ints (:class:`repro.terms.hashcons.InternTable`); derived
 tuples are pushed through a LIFO worklist directly into consuming rule
 bodies; semi-naive evaluation falls out of push order instead of
-materialized delta relations; base relations are scanned batch-at-a-time
-over pre-interned tuples.
+materialized delta relations; base relations stay interned and indexed for
+the session (:class:`PushState`).
 
-Modules opt in with ``@compiled.`` (or ``@compiled(push).``), or
-session-wide with ``Session(compiled="push")``.  The compilable class is
-deliberately restricted, like any realistic codegen: flat argument patterns
-(variables and primitive constants), positive non-builtin literals plus
-comparisons and arithmetic ``=``, and ground facts.  Rules outside the
-class fall back to the interpreter *per rule*; a form whose ``push``
-verdict is a refusal (docs/INTERNALS.md, "Capabilities") runs interpreted
-as a whole.  Every fallback is counted with its reason in
+It is the default backend: ``Session()`` pushes, ``Session(compiled=None)``
+interprets, and ``@compiled.`` (or ``@compiled(push).``) pushes one module
+of an interpreting session.  The compilable class is deliberately
+restricted, like any realistic codegen: flat argument patterns (variables
+and primitive constants), positive non-builtin literals plus comparisons
+and ``=``.  Rules outside the class fall back to the interpreter *per
+rule*; a lazy form's recursive answer SCC and a run over a non-ground fact
+*per SCC*; a form whose ``push`` verdict is a refusal (docs/INTERNALS.md,
+"Capabilities") runs interpreted as a whole.  Every fallback is counted
+with its reason in
 :class:`CompileStats` (``instance.compiler.stats``), shown by ``EXPLAIN``,
 and surfaced through the ``compile.fallbacks`` profiler counter.
 """
 
-from .push import CompileStats, PushCompiler, PushProgram, PushSCCEvaluator
+from .push import (
+    CompileStats,
+    PushCompiler,
+    PushProgram,
+    PushSCCEvaluator,
+    PushState,
+)
 
 
-def compile_report(compiled_form, is_builtin) -> CompileStats:
+def compile_report(
+    compiled_form, is_builtin, capabilities=None
+) -> CompileStats:
     """A dry-run :class:`CompileStats` for ``EXPLAIN``: what would compile,
-    what would fall back (and why) if this module were instantiated now.
+    what would fall back (and why) if this module were instantiated now
+    with the instance verdicts ``capabilities`` (default: the form's own).
 
     This also warms the per-plan program cache, so the report costs nothing
     extra at first call time.
     """
     compiler = PushCompiler()
-    if compiler.admits(compiled_form):
+    if capabilities is None:
+        capabilities = compiled_form.capabilities
+    if compiler.admits(compiled_form, capabilities):
         for plan in compiled_form.scc_plans:
-            compiler.program_for(plan, is_builtin)
+            if compiler.admits_scc(compiled_form, plan):
+                compiler.program_for(plan, is_builtin)
     return compiler.stats
 
 
@@ -51,5 +65,6 @@ __all__ = [
     "PushCompiler",
     "PushProgram",
     "PushSCCEvaluator",
+    "PushState",
     "compile_report",
 ]

@@ -7,9 +7,9 @@ interpreter; EXPERIMENTS.md E12).  The push method compiles the *entire
 SCC* into one Python function in which every derived tuple is pushed
 directly into the rule bodies that consume its predicate:
 
-* ground constants are interned to dense ints (:class:`~repro.terms.hashcons.InternTable`)
-  before the run, so the hot loop compares and hashes machine ints — tuple-id
-  arithmetic instead of object unification;
+* ground constants are interned to dense ints (:class:`~repro.terms.hashcons.InternTable`),
+  so the hot loop compares and hashes machine ints — tuple-id arithmetic
+  instead of object unification;
 * semi-naive evaluation falls out of *push order*: a LIFO worklist holds
   derived tuples, and each popped tuple joins against the full extents
   accumulated so far.  A tuple is inserted into its predicate's extent
@@ -17,24 +17,27 @@ directly into the rule bodies that consume its predicate:
   popped later sees the other — every join combination is produced at
   least once, and a ``seen`` set of interned tuples removes repeats.  No
   delta relations are materialized and no iteration barrier exists;
-* base (non-SCC) relations are materialized once into pre-interned column
-  tuples ("batches") with hash indexes built per bound-position pattern —
-  batch-at-a-time scans instead of cursor calls per probe.
+* base (non-SCC) relations are *resident*: a session's :class:`PushState`
+  keeps each one the pushed SCCs read as interned tuples plus every hash
+  index the generated code probes, kept current by insertion marks and
+  delete notifications — a query re-interns nothing it read before.
 
 The compilable class is deliberately restricted, like any realistic
 codegen: flat argument patterns over primitive constants, positive
-non-builtin literals, comparisons and arithmetic ``=`` after the first
-scan, no aggregation, ground facts.  Out-of-class rules
-fall back *per rule* to the interpreter: non-recursive ones run before the
-push phase (their heads become push seeds), recursive ones run in the
-ordinary delta loop afterwards, with the pushed rules suppressed for the
-first iteration (everything push derived is "new", so the triangular
-versions with ``prev = 0`` cover the cross product exactly once).  Every
-fallback is recorded with its reason in :class:`CompileStats`.
+non-builtin literals, comparisons and ``=`` after the first scan, no
+aggregation.  Out-of-class rules fall back *per rule* to the interpreter:
+non-recursive ones run before the push phase (their heads become push
+seeds), recursive ones run in the ordinary delta loop afterwards, with the
+pushed rules suppressed for the first iteration (everything push derived is
+"new", so the triangular versions with ``prev = 0`` cover the cross product
+exactly once).  A run that meets a non-ground fact falls back as a whole.
+Every fallback is recorded with its reason in :class:`CompileStats`.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
@@ -42,7 +45,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tup
 from ..errors import EvaluationError
 from ..eval.context import LocalScope
 from ..eval.fixpoint import SCCEvaluator, SCCPlan
-from ..relations import Tuple
+from ..relations import Relation, Tuple
 from ..rewriting.seminaive import recursive_body_positions
 from ..terms import Arg, Atom, Double, Functor, Int, Str, Var
 from ..terms.hashcons import InternTable
@@ -57,9 +60,12 @@ _ARITH = {"+": "+", "-": "-", "*": "*", "/": "/"}
 _PRIMITIVES = (Int, Double, Str, Atom)
 
 #: flush the pending-fact count into EvalStats (and check resource limits)
-#: every this many new facts / this many derivation attempts
+#: every this many new facts / this many derivation attempts, per rule
 _TICK_MASK = 1023
 _ATTEMPT_MASK = 8191
+
+#: the per-SCC fallback of a lazy form's recursive answer SCC
+LAZY_ANSWERS = "lazy answers stream per iteration; @eager_eval. pushes it"
 
 
 class NotCompilable(Exception):
@@ -107,23 +113,23 @@ def note_fallback(obs, rule, reason: str, count: int = 1) -> None:
         ).inc(count, reason)
 
 
-def _nonground_error(tup) -> None:
-    raise EvaluationError(
-        f"compiled mode requires ground facts; found {tup} "
-        f"(use the interpreted evaluator for non-ground data)"
-    )
+def _scc_label(plan: SCCPlan) -> str:
+    return "scc " + ",".join(f"{name}/{arity}" for name, arity in sorted(plan.preds))
 
 
 @dataclass
 class PushProgram:
     """One SCC compiled to a single push-evaluation function.
 
-    ``fn(seeds, batches, consts, vals, intern_num, tick)`` returns
-    ``(per_pred, attempts)`` where ``per_pred[i]`` is ``(all_tuples,
-    seed_count)`` for ``out_preds[i]`` — interned tuples beyond the seed
-    prefix are the new facts to flush back into relations.  ``fn`` is None
-    when no rule of the SCC was compilable (the evaluator then runs fully
-    interpreted); ``fallbacks`` always carries the per-rule reasons.
+    ``fn(seeds, batches, indexes, consts, vals, intern_num, tick)`` returns
+    ``(per_pred, counts)``: ``per_pred[i]`` is ``(all_tuples, seed_count)``
+    for ``out_preds[i]`` — interned tuples beyond the seed prefix are the
+    new facts to flush back into relations — and ``counts[r]`` is
+    ``(attempts, new facts)`` of ``rules[r]``.  ``batches`` holds the
+    interned tuples of each of ``static_preds``, ``indexes`` the probed
+    hash index of each of ``static_indexes``.  ``fn`` is None when no rule
+    of the SCC was compilable (the evaluator then runs fully interpreted);
+    ``fallbacks`` always carries the per-rule reasons.
     """
 
     source: str
@@ -132,10 +138,14 @@ class PushProgram:
     out_preds: List[PredKey]
     #: non-SCC body predicates, in batch order
     static_preds: List[PredKey]
+    #: (batch, bound positions) of every static index the code probes
+    static_indexes: List[PyTuple[int, tuple]]
     #: rule constants to intern at run start (``consts[k]`` in generated code)
     const_args: List[Arg]
     #: indexes into ``plan.rules`` of the rules fused into the program
     pushed_sources: FrozenSet[int]
+    #: the fused source rules, in the order of the per-rule counts
+    rules: list = field(default_factory=list)
     rules_compiled: int = 0
     #: out-of-class rules with their :class:`NotCompilable` reasons
     fallbacks: List[PyTuple[object, str]] = field(default_factory=list)
@@ -150,16 +160,33 @@ class PushCompiler:
     def __init__(self) -> None:
         self.stats = CompileStats()
 
-    def admits(self, compiled_form, obs=None) -> bool:
-        """Whether the form's ``push`` verdict (optimizer/capabilities.py)
-        lets this backend run it.  If not, the whole module runs
+    def refuse(self, label: str, reason: str, count: int, obs=None) -> None:
+        """Record ``count`` rules run interpreted for ``reason``."""
+        count = max(count, 1)
+        self.stats.record_fallback(reason, count)
+        note_fallback(obs, label, reason, count)
+
+    def admits(self, compiled_form, capabilities, obs=None) -> bool:
+        """Whether an instance's ``push`` verdict (optimizer/capabilities.py)
+        lets this backend run the form.  If not, the whole module runs
         interpreted, every rule counted as a fallback for that reason."""
-        reason = compiled_form.capabilities.push
+        reason = capabilities.push
         if reason is not None:
-            total = max(sum(len(plan.rules) for plan in compiled_form.scc_plans), 1)
-            self.stats.record_fallback(reason, total)
-            note_fallback(obs, f"module {compiled_form.module_name}", reason, total)
+            total = sum(len(plan.rules) for plan in compiled_form.scc_plans)
+            self.refuse(f"module {compiled_form.module_name}", reason, total, obs)
         return reason is None
+
+    def admits_scc(self, compiled_form, plan: SCCPlan, obs=None) -> bool:
+        """Whether ``plan`` runs pushed in an admitted form: all but a lazy
+        form's recursive answer SCC, whose answers stream at the end of
+        every iteration (Section 5.4.3) while push has none to end — that
+        one runs interpreted, recorded as a fallback."""
+        rewritten = compiled_form.rewritten
+        answer = (rewritten.answer_pred, rewritten.answer_arity)
+        if compiled_form.lazy and plan.recursive and answer in plan.preds:
+            self.refuse(_scc_label(plan), LAZY_ANSWERS, len(plan.rules), obs)
+            return False
+        return True
 
     def program_for(
         self, plan: SCCPlan, is_builtin, obs=None
@@ -192,8 +219,10 @@ class _Chunk:
     def emit(self, text: str) -> None:
         self.lines.append((self.indent, text))
 
-    def insert(self, out_index: int, head_exprs: Sequence[str]) -> None:
-        self.lines.append((self.indent, ("insert", out_index, tuple(head_exprs))))
+    def insert(self, rule_index: int, out_index: int, head_exprs: Sequence[str]) -> None:
+        self.lines.append(
+            (self.indent, ("insert", rule_index, out_index, tuple(head_exprs)))
+        )
 
 
 class _PushCodegen:
@@ -311,15 +340,20 @@ class _PushCodegen:
     # -- per-rule emission -----------------------------------------------------
 
     def _expr(self, arg: Arg, names: Dict[int, str]) -> str:
-        """A Python expression over *raw values*: variables go through the
-        intern table's ``vals`` list, constants are inlined literals."""
+        """A Python expression over *operands* (``InternTable.vals``):
+        variables and non-numeric constants read their operand, numbers
+        are inlined literals."""
         if isinstance(arg, Var):
             name = names.get(arg.vid)
             if name is None:
                 raise NotCompilable(f"unbound variable {arg} in expression")
             return f"vals[{name}]"
-        if isinstance(arg, _PRIMITIVES):
+        if isinstance(arg, Int) or (
+            isinstance(arg, Double) and math.isfinite(arg.value)
+        ):
             return repr(arg.value)
+        if isinstance(arg, _PRIMITIVES):
+            return f"vals[{self._const(arg)}]"
         if isinstance(arg, Functor) and arg.name in _ARITH and len(arg.args) == 2:
             left = self._expr(arg.args[0], names)
             right = self._expr(arg.args[1], names)
@@ -340,7 +374,7 @@ class _PushCodegen:
             if isinstance(arg, Var):
                 existing = names.get(arg.vid)
                 if existing is None:
-                    fresh = f"v{arg.vid}c{suffix}"
+                    fresh = f"v{len(names)}c{suffix}"
                     names[arg.vid] = fresh
                     chunk.emit(f"{fresh} = {access}")
                 else:
@@ -390,7 +424,32 @@ class _PushCodegen:
             chunk, tup, literal.args, names, suffix, skip=set(bound_positions)
         )
 
-    def _emit_rule(self, rule, pushed_position: Optional[int]) -> _Chunk:
+    def _emit_assignment(
+        self, chunk: _Chunk, literal, names: Dict[int, str], suffix: int
+    ) -> None:
+        """``X = E`` as the interpreter runs it: a compound arithmetic ``E``
+        is evaluated and the number unified with ``X``; a variable or a
+        constant is unified as it stands.  Unifying ground values is
+        comparing their ids."""
+        target, expr = literal.args
+        existing = names.get(target.vid)
+        if isinstance(expr, Var):
+            value = names[expr.vid]
+        elif isinstance(expr, _PRIMITIVES):
+            value = self._const(expr)
+        else:
+            value = f"intern_num({self._expr(expr, names)})"
+        if existing is not None:
+            chunk.emit(f"if {existing} == {value}:")
+            chunk.indent += 1
+            return
+        fresh = f"v{len(names)}c{suffix}"
+        names[target.vid] = fresh
+        chunk.emit(f"{fresh} = {value}")
+
+    def _emit_rule(
+        self, rule, rule_index: int, pushed_position: Optional[int]
+    ) -> _Chunk:
         """One chunk: either a batch-loop once rule (``pushed_position`` is
         None) or the handler for one recursive body occurrence, joining the
         pushed tuple ``_t`` against everything else."""
@@ -412,28 +471,15 @@ class _PushCodegen:
                     f"if ({left}) {_COMPARISONS[literal.pred]} ({right}):"
                 )
                 chunk.indent += 1
-                continue
-            if literal.pred == "=" and literal.arity == 2:
-                target, expr = literal.args
-                value = self._expr(expr, names)
-                existing = names.get(target.vid)
-                if existing is not None:
-                    chunk.emit(f"if vals[{existing}] == ({value}):")
-                    chunk.indent += 1
-                    continue
-                self._counter += 1
-                tmp = f"_n{self._counter}"
-                fresh = f"v{target.vid}c{suffix}"
-                names[target.vid] = fresh
-                chunk.emit(f"{tmp} = {value}")
-                chunk.emit(f"{fresh} = intern_num({tmp})")
-                continue
-            self._emit_scan(chunk, literal, names, suffix)
+            elif literal.pred == "=" and literal.arity == 2:
+                self._emit_assignment(chunk, literal, names, suffix)
+            else:
+                self._emit_scan(chunk, literal, names, suffix)
         head_exprs = [
             names[arg.vid] if isinstance(arg, Var) else self._const(arg)
             for arg in rule.head.args
         ]
-        chunk.insert(self.out_index[rule.head.key], head_exprs)
+        chunk.insert(rule_index, self.out_index[rule.head.key], head_exprs)
         return chunk
 
     # -- whole-SCC assembly ----------------------------------------------------
@@ -444,18 +490,19 @@ class _PushCodegen:
         once_chunks: List[_Chunk] = []
         handler_chunks: Dict[int, List[_Chunk]] = {}
         for index, rule in enumerate(self.plan.rules):
+            rule_index = len(pushed)
             try:
                 self._classify(rule)
                 positions = recursive_body_positions(
                     rule, self.plan.recursive, self.is_builtin
                 )
                 if not positions:
-                    once_chunks.append(self._emit_rule(rule, None))
+                    once_chunks.append(self._emit_rule(rule, rule_index, None))
                 else:
                     for position in positions:
                         tag = self.dyn_tags[rule.body[position].key]
                         handler_chunks.setdefault(tag, []).append(
-                            self._emit_rule(rule, position)
+                            self._emit_rule(rule, rule_index, position)
                         )
             except NotCompilable as exc:
                 fallbacks.append((rule, str(exc) or "not compilable"))
@@ -468,29 +515,29 @@ class _PushCodegen:
                 fn=None,
                 out_preds=self.out_preds,
                 static_preds=[],
+                static_indexes=[],
                 const_args=[],
                 pushed_sources=frozenset(),
-                rules_compiled=0,
                 fallbacks=fallbacks,
             )
 
-        lines: List[str] = ["def _push(seeds, batches, consts, vals, intern_num, tick):"]
+        lines: List[str] = [
+            "def _push(seeds, batches, indexes, consts, vals, intern_num, tick):"
+        ]
 
         def w(indent: int, text: str) -> None:
             lines.append("    " * (indent + 1) + text)
 
-        w(0, "_att = 0")
-        w(0, "_new = 0")
+        for r in range(len(pushed)):
+            w(0, f"_a{r} = 0")
+            w(0, f"_n{r} = 0")
         for i in range(len(self.out_preds)):
             w(0, f"seen{i} = set()")
             w(0, f"all{i} = []")
         for batch in range(len(self.static_preds)):
             w(0, f"_b{batch} = batches[{batch}]")
-        for (batch, positions), name in self.static_indexes.items():
-            w(0, f"{name} = {{}}")
-            w(0, f"for _x in _b{batch}:")
-            key = ", ".join(f"_x[{p}]" for p in positions)
-            w(1, f"{name}.setdefault(({key},), []).append(_x)")
+        for position, name in enumerate(self.static_indexes.values()):
+            w(0, f"{name} = indexes[{position}]")
         for name in self.dyn_indexes.values():
             w(0, f"{name} = {{}}")
         w(0, "stack = []")
@@ -515,23 +562,25 @@ class _PushCodegen:
                 keyword = "elif"
                 for chunk in handler_chunks[tag]:
                     self._splice(w, chunk, base=2)
-        w(0, f"tick(_new & {_TICK_MASK})")
+        remainders = " + ".join(f"(_n{r} & {_TICK_MASK})" for r in range(len(pushed)))
+        w(0, f"tick({remainders})")
         per_pred = ", ".join(
             f"(all{i}, _s{i})" for i in range(len(self.out_preds))
         )
+        counts = ", ".join(f"(_a{r}, _n{r})" for r in range(len(pushed)))
         trailing = "," if len(self.out_preds) == 1 else ""
-        w(0, f"return ({per_pred}{trailing}), _att")
+        w(0, f"return ({per_pred}{trailing}), ({counts},)")
 
         source = "\n".join(lines) + "\n"
-        namespace: Dict[str, object] = {}
-        exec(compile(source, "<push scc>", "exec"), namespace)
         return PushProgram(
             source=source,
-            fn=namespace["_push"],
+            fn=_function(source),
             out_preds=self.out_preds,
             static_preds=list(self.static_preds),
+            static_indexes=list(self.static_indexes),
             const_args=list(self.const_args),
             pushed_sources=frozenset(pushed),
+            rules=[self.plan.rules[index] for index in pushed],
             rules_compiled=len(pushed),
             fallbacks=fallbacks,
         )
@@ -551,15 +600,15 @@ class _PushCodegen:
             if isinstance(payload, str):
                 w(base + indent, payload)
             else:
-                _, out_i, head_exprs = payload
-                self._render_insert(w, base + indent, out_i, head_exprs)
+                _, rule_index, out_i, head_exprs = payload
+                self._render_insert(w, base + indent, rule_index, out_i, head_exprs)
 
     def _render_insert(
-        self, w, indent: int, out_i: int, head_exprs: Sequence[str]
+        self, w, indent: int, r: int, out_i: int, head_exprs: Sequence[str]
     ) -> None:
         head = f"({', '.join(head_exprs)}{',' if head_exprs else ''})"
-        w(indent, "_att += 1")
-        w(indent, f"if not (_att & {_ATTEMPT_MASK}):")
+        w(indent, f"_a{r} += 1")
+        w(indent, f"if not (_a{r} & {_ATTEMPT_MASK}):")
         w(indent + 1, "tick(0)")
         w(indent, f"_h = {head}")
         w(indent, f"if _h not in seen{out_i}:")
@@ -570,9 +619,148 @@ class _PushCodegen:
         key = self.out_preds[out_i]
         if key in self.dyn_tags:
             w(indent + 1, f"stack.append(({self.dyn_tags[key]}, _h))")
-        w(indent + 1, "_new += 1")
-        w(indent + 1, f"if not (_new & {_TICK_MASK}):")
+        w(indent + 1, f"_n{r} += 1")
+        w(indent + 1, f"if not (_n{r} & {_TICK_MASK}):")
         w(indent + 2, f"tick({_TICK_MASK + 1})")
+
+
+@functools.lru_cache(maxsize=1024)
+def _function(source: str) -> Callable:
+    """The generated function for ``source``.  Variables are named by their
+    order of first binding, so the same rules compile to the same source in
+    every session, and a fresh session's query forms skip ``compile()``."""
+    namespace: Dict[str, object] = {}
+    exec(compile(source, "<push scc>", "exec"), namespace)
+    return namespace["_push"]
+
+
+# -- the session-resident half -------------------------------------------------
+
+
+def _key_of(positions: tuple):
+    return lambda ids: tuple([ids[p] for p in positions])
+
+
+class _Resident:
+    """A relation as pushed code reads it: its tuples interned, and one hash
+    index per bound-position pattern some program probes.  A base
+    relation's stays resident in the session's :class:`PushState`; an
+    instance's own relation is read through one built for the run."""
+
+    __slots__ = ("relation", "mark", "tuples", "indexes")
+
+    def __init__(self, relation: Relation) -> None:
+        self.relation = relation
+        #: the relation's insertion mark up to which ``tuples`` is current
+        self.mark = 0
+        #: interned tuple -> None: an insertion-ordered set
+        self.tuples: Dict[tuple, None] = {}
+        #: bound positions -> {key: [interned tuples]}
+        self.indexes: Dict[tuple, Dict[tuple, list]] = {}
+
+    def absorb(self, intern) -> bool:
+        """Take in what arrived since the last mark; False (and nothing
+        usable) when a non-ground tuple is among it."""
+        relation = self.relation
+        if not relation.count_since(self.mark):
+            return True
+        since, self.mark = self.mark, relation.mark()
+        tuples = self.tuples
+        fresh = []
+        for tup in relation.scan(since=since):
+            if not tup.is_ground():
+                return False
+            ids = tuple(map(intern, tup.args))
+            if ids not in tuples:
+                tuples[ids] = None
+                fresh.append(ids)
+        for positions, index in self.indexes.items():
+            key_of = _key_of(positions)
+            for ids in fresh:
+                index.setdefault(key_of(ids), []).append(ids)
+        return True
+
+    def index(self, positions: tuple) -> Dict[tuple, list]:
+        index = self.indexes.get(positions)
+        if index is None:
+            index = self.indexes[positions] = {}
+            key_of = _key_of(positions)
+            for ids in self.tuples:
+                index.setdefault(key_of(ids), []).append(ids)
+        return index
+
+    def discard(self, ids: tuple) -> None:
+        if ids not in self.tuples:
+            return
+        del self.tuples[ids]
+        for positions, index in self.indexes.items():
+            key = _key_of(positions)(ids)
+            bucket = index[key]
+            bucket.remove(ids)
+            if not bucket:
+                del index[key]
+
+
+class PushState:
+    """The push backend's session-resident state (``EvalContext.push``).
+
+    One :class:`InternTable` for the session, and per base relation a
+    pushed SCC reads, a :class:`_Resident` copy keyed by the relation's
+    identity (a rebound read starts a new one).  A run brings each copy up
+    to date before it starts: inserts arrive through the relation's
+    insertion marks, deletes were already applied by :meth:`on_delete`
+    (``EvalContext.notify_delete``, every commit's fan-out), and a copy
+    whose size disagrees with ``len(relation)`` — a mutation that bypassed
+    both — is rebuilt.  What a run interns beyond the bases (seeds, rule
+    outputs, computed numbers) is truncated away when it ends, so the table
+    is bounded by the values the bases have held, not by the queries."""
+
+    def __init__(self) -> None:
+        self.intern = InternTable()
+        self._bases: Dict[PredKey, _Resident] = {}
+
+    def resident(
+        self, key: PredKey, relation: Relation
+    ) -> Optional[_Resident]:
+        """``relation``'s current resident copy; None while it holds a
+        non-ground tuple."""
+        intern = self.intern.intern
+        entry = self._bases.get(key)
+        if (
+            entry is None
+            or entry.relation is not relation
+            or not entry.absorb(intern)
+            or len(entry.tuples) != len(relation)
+        ):
+            entry = _Resident(relation)
+            if not entry.absorb(intern):
+                self._bases.pop(key, None)
+                return None
+            self._bases[key] = entry
+        return entry
+
+    def on_delete(self, key: PredKey, tup: Tuple) -> None:
+        entry = self._bases.get(key)
+        if entry is None or not tup.is_ground():
+            return
+        ids = []
+        for arg in tup.args:
+            ident = self.intern.find(arg)
+            if ident is None:
+                return  # a value never interned: the tuple is not resident
+            ids.append(ident)
+        entry.discard(tuple(ids))
+
+
+def _interned(relation: Relation, intern) -> Optional[list]:
+    """Every tuple of ``relation`` interned, or None if one is not ground."""
+    batch = []
+    append = batch.append
+    for tup in relation.scan():
+        if not tup.is_ground():
+            return None
+        append(tuple(map(intern, tup.args)))
+    return batch
 
 
 class PushSCCEvaluator(SCCEvaluator):
@@ -589,6 +777,8 @@ class PushSCCEvaluator(SCCEvaluator):
     interpreted rules see every pushed fact exactly once); from the second
     iteration on, all rules participate over real delta windows, so
     interpreter-derived facts flow back into the pushed rules' logic too.
+    A run that finds a non-ground fact among its inputs pushes nothing: the
+    pushed rules run interpreted too, and the fallback is recorded.
     """
 
     def __init__(
@@ -610,6 +800,8 @@ class PushSCCEvaluator(SCCEvaluator):
             else frozenset()
         )
         self._suppress_pushed = False
+        #: whether the first run was pushed (False: it fell back)
+        self._pushed_run = False
         self._unpushed_delta = any(
             rule.source_index not in self._pushed_sources
             for _, group in self._groups
@@ -631,7 +823,7 @@ class PushSCCEvaluator(SCCEvaluator):
         self._suppress_pushed = True
         try:
             yield self._seed()
-            if not self._unpushed_delta:
+            if self._pushed_run and not self._unpushed_delta:
                 # every recursive rule was fused into the push program; its
                 # fixpoint is already complete — no verification pass needed
                 return
@@ -647,39 +839,75 @@ class PushSCCEvaluator(SCCEvaluator):
         # the once rules push did not absorb (``_apply`` skips the rest),
         # then the push run, seeded with their heads
         super()._start()
-        if self._program is not None:
-            self._run_push()
+        if self._program is None:
+            return
+        reason = self._run_push()
+        self._pushed_run = reason is None
+        if reason is not None:
+            # interpret the whole run: the pushed once rules now, every
+            # delta rule from the first iteration on
+            self._suppress_pushed = False
+            for rule, executor in self._once_executors:
+                if rule.source_index in self._pushed_sources:
+                    self._apply(rule, executor)
+            self.compiler.refuse(
+                _scc_label(self.plan), reason, len(self._pushed_sources),
+                self.scope.ctx.obs,
+            )
 
     # -- the push run ----------------------------------------------------------
 
-    def _run_push(self) -> None:
+    def _run_push(self) -> Optional[str]:
+        """Run the program over the session's resident bases and flush what
+        it derived; returns why it could not run, or None."""
         program = self._program
         scope = self.scope
         ctx = scope.ctx
-        stats = ctx.stats
-        limits = ctx.limits
-        intern = InternTable()
+        state = ctx.push
+        if state is None:
+            state = ctx.push = PushState()
+        intern = state.intern
         intern_arg = intern.intern
 
-        consts = [intern_arg(arg) for arg in program.const_args]
-        batches = []
+        bases: Dict[PredKey, _Resident] = {}
         for key in program.static_preds:
-            batch = []
-            append = batch.append
-            for tup in scope.relation(*key).scan():
-                if not tup.is_ground():
-                    _nonground_error(tup)
-                append(tuple(intern_arg(arg) for arg in tup.args))
-            batches.append(batch)
-        seeds = []
-        for key in program.out_preds:
-            seed = []
-            append = seed.append
-            for tup in scope.local[key].scan():
-                if not tup.is_ground():
-                    _nonground_error(tup)
-                append(tuple(intern_arg(arg) for arg in tup.args))
-            seeds.append(seed)
+            if key not in scope.local:
+                entry = state.resident(key, scope.relation(*key))
+                if entry is None:
+                    return "non-ground fact in base relation %s/%d" % key
+                bases[key] = entry
+        consts = [intern_arg(arg) for arg in program.const_args]
+        watermark = len(intern)
+        try:
+            batches = []
+            for key in program.static_preds:
+                entry = bases.get(key)
+                if entry is None:  # the instance's own: interned for this run
+                    entry = _Resident(scope.local[key])
+                    if not entry.absorb(intern_arg):
+                        return "non-ground fact in %s/%d" % key
+                batches.append(entry)
+            indexes = [
+                batches[batch].index(positions)
+                for batch, positions in program.static_indexes
+            ]
+            batches = [entry.tuples for entry in batches]
+            seeds = []
+            for key in program.out_preds:
+                seed = _interned(scope.local[key], intern_arg)
+                if seed is None:
+                    return "non-ground fact in %s/%d" % key
+                seeds.append(seed)
+            self._push(seeds, batches, indexes, consts, intern)
+        finally:
+            intern.truncate(watermark)
+        return None
+
+    def _push(self, seeds, batches, indexes, consts, intern) -> None:
+        program = self._program
+        ctx = self.scope.ctx
+        stats = ctx.stats
+        limits = ctx.limits
 
         def tick(count: int) -> None:
             # the push loop bypasses scope.insert_fact; account for derived
@@ -689,17 +917,22 @@ class PushSCCEvaluator(SCCEvaluator):
                 limits.checkpoint(stats)
 
         obs = ctx.obs
-        if obs is None:
-            per_pred, attempts = program.fn(
-                seeds, batches, consts, intern.vals, intern.intern_num, tick
+        started = (
+            obs.begin_iteration(self._obs_label(), 1) if obs is not None else 0.0
+        )
+        try:
+            per_pred, counts = program.fn(
+                seeds, batches, indexes, consts, intern.vals, intern.intern_num,
+                tick,
             )
-        else:
-            with obs.span("fixpoint.push", cat="eval", scc=self._obs_label()):
-                per_pred, attempts = program.fn(
-                    seeds, batches, consts, intern.vals, intern.intern_num, tick
-                )
+        except ZeroDivisionError:
+            raise EvaluationError(
+                f"division by zero in a rule of {_scc_label(self.plan)}"
+            ) from None
+        elapsed = time.perf_counter() - started if obs is not None else 0.0
 
-        getter = intern.args.__getitem__
+        arg_of = intern.args.__getitem__
+        key_of = intern.keys.__getitem__
         make = Tuple.ground
         new_facts = 0
         for key, (all_tuples, seed_count) in zip(program.out_preds, per_pred):
@@ -708,10 +941,22 @@ class PushSCCEvaluator(SCCEvaluator):
                 continue
             # seen was seeded from this relation's contents, so everything
             # beyond the seed prefix is new — the unchecked bulk path applies
-            scope.local[key].extend_new(
-                make(tuple(map(getter, ids))) for ids in fresh
+            self.scope.local[key].extend_new(
+                make(tuple(map(arg_of, ids)), tuple(map(key_of, ids)))
+                for ids in fresh
             )
             new_facts += len(fresh)
+        attempts = sum(tried for tried, _ in counts)
         stats.inferences += attempts
         stats.duplicates += attempts - new_facts
         stats.rule_applications += program.rules_compiled
+        stats.iterations += 1
+        if obs is not None:
+            obs.end_iteration(self._obs_label(), 1, new_facts, started)
+            obs.pushed_rules(
+                [
+                    (rule, tried, new)
+                    for rule, (tried, new) in zip(program.rules, counts)
+                ],
+                started, elapsed,
+            )

@@ -72,6 +72,11 @@ class EvalContext:
         #: / :meth:`notify_delete`: memo repairs lazily at lookup, live views
         #: eagerly, pushing the answer-set difference to subscribers.
         self.live = None
+        #: the push backend's session-resident interned bases (a
+        #: repro.compilemod.push.PushState), built by the first pushed run;
+        #: inserts reach it through insertion marks, deletes through
+        #: :meth:`notify_delete`
+        self.push = None
 
     def notify_insert(self, key: PredKey) -> None:
         """One committed insert batch on base predicate ``key``."""
@@ -82,6 +87,8 @@ class EvalContext:
 
     def notify_delete(self, key: PredKey, tup: Tuple) -> None:
         """One committed delete of ``tup`` from base predicate ``key``."""
+        if self.push is not None:
+            self.push.on_delete(key, tup)
         if self.memo is not None:
             self.memo.on_delete(key, tup)
         if self.live is not None:

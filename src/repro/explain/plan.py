@@ -94,10 +94,15 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
         f"   {mode}"
     )
     lines += [f"|      {line}" for line in compiled.choice_lines()]
+    capabilities = instance_capabilities(
+        compiled, session.ctx, session.modules.exports
+    )
     if compiled.compiled:
         from ..compilemod import compile_report
 
-        report = compile_report(compiled, session.ctx.is_builtin)
+        report = compile_report(
+            compiled, session.ctx.is_builtin, capabilities
+        )
         lines.append(
             f"|      compile (push): "
             f"{report.rules_compiled} rule(s) compiled, "
@@ -120,9 +125,6 @@ def _explain_module(session, literal: Literal, lines: List[str]) -> None:
     )
     if index_count:
         lines.append(f"|      indexes selected: {index_count}")
-    capabilities = instance_capabilities(
-        compiled, session.ctx, session.modules.exports
-    )
     lines.append("+- capabilities (docs/INTERNALS.md):")
     lines += [f"|      {line}" for line in capabilities.lines()]
     lines.append(f"+- scc order ({len(compiled.scc_plans)} component(s))")

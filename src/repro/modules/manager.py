@@ -297,29 +297,34 @@ class MaterializedInstance:
             self.scope.add_constraint(name, arity, AggregateConstraint(selection))
 
         #: the push backend's compiler when the form is compiled, None for
-        #: the interpreter; a refused ``push`` verdict is recorded in its stats
+        #: the interpreter; a refused ``push`` verdict and every SCC left to
+        #: the interpreter are recorded in its stats
         self.compiler = None
-        make = SCCEvaluator
+        pushed = None
         if compiled.compiled:
             from ..compilemod.push import PushCompiler, PushSCCEvaluator
 
             self.compiler = PushCompiler()
-            if self.compiler.admits(compiled, ctx.obs):
-                make = partial(PushSCCEvaluator, compiler=self.compiler)
+            if self.compiler.admits(compiled, self.capabilities, ctx.obs):
+                pushed = partial(PushSCCEvaluator, compiler=self.compiler)
         if compiled.ordered_search:
             self.evaluators: List = []
             self._ordered = OrderedSearchEvaluator(self.scope, compiled)
         else:
             self._ordered = None
-            self.evaluators = [
-                make(
+            self.evaluators = []
+            for plan in compiled.scc_plans:
+                make = SCCEvaluator
+                if pushed is not None and self.compiler.admits_scc(
+                    compiled, plan, ctx.obs
+                ):
+                    make = pushed
+                self.evaluators.append(make(
                     self.scope,
                     plan,
                     strategy=compiled.strategy,
                     use_backjumping=compiled.use_backjumping,
-                )
-                for plan in compiled.scc_plans
-            ]
+                ))
 
     # -- the call protocol ----------------------------------------------------------
 

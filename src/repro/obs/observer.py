@@ -135,6 +135,20 @@ class Observer:
         entry.time += elapsed
         self._emit(("X", start, elapsed, entry.name, "eval", entry.args))
 
+    def pushed_rules(self, rows, start: float, elapsed: float) -> None:
+        """One push run's rules, ``(rule, attempts, new facts)`` each: an
+        application apiece, and the run's time shared out by attempts (the
+        fused code has no per-rule clock), laid end to end from ``start``."""
+        total = sum(attempts for _, attempts, _ in rows) or 1
+        for rule, attempts, new in rows:
+            entry, _ = self.begin_rule(rule)
+            entry.derived += new
+            entry.duplicates += attempts - new
+            share = elapsed * attempts / total
+            entry.time += share
+            self._emit(("X", start, share, entry.name, "eval", entry.args))
+            start += share
+
     def begin_iteration(self, scc_label: str, index: int) -> float:
         return _clock()
 

@@ -5,15 +5,16 @@ the evaluation of the module".  Three consumers do depend on it, and this
 is the one place that says how: one verdict per consumer, None when it may
 run, else the reason of the first obstruction that blocks it.
 
-* ``push`` — the push code generator; a refusal runs the whole module
-  interpreted (per-rule reasons are codegen facts and stay in the codegen);
+* ``push`` — the push code generator, the default backend; a refusal runs
+  the whole module interpreted (per-rule reasons, and a lazy form's
+  recursive answer SCC, are codegen facts recorded as fallbacks there);
 * ``maintain`` — memo repair and live views; a refusal evicts a memo entry
   on update and refuses a subscription;
 * ``absorb`` — save-module resumption absorbs base inserts (§5.4.2); a
   refusal makes an insert start a fresh instance.
 
-:meth:`Optimizer.compile` builds a form's verdicts once; the two that
-depend on what the session has loaded are added when an instance is built.
+:meth:`Optimizer.compile` builds a form's verdicts once; the three that
+depend on the session's state are added when an instance is built.
 docs/INTERNALS.md ("Capabilities") is this table with the reasons why;
 ``tests/test_capabilities.py`` holds the two equal.
 """
@@ -43,12 +44,9 @@ OBSTRUCTIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "grouping": ("the module uses grouped aggregation", ("maintain", "absorb")),
     "negation": ("the module uses negation", ("maintain", "absorb")),
     "impure": ("the module calls the side-effecting builtin {}", ("maintain",)),
-    "cross_module": (
-        "the module calls {} exported by module {}", ("maintain", "absorb"),
-    ),
-    "unmarked": (
-        "base relation {} does not track insertion marks", ("maintain", "absorb"),
-    ),
+    "cross_module": ("the module calls {} exported by module {}", CONSUMERS),
+    "unmarked": ("base relation {} does not track insertion marks", CONSUMERS),
+    "traced": ("derivations are being traced (enable_tracing)", ("push",)),
 }
 
 
@@ -110,10 +108,12 @@ def form_capabilities(module, compiled, lookup_builtin) -> Capabilities:
 
 
 def instance_capabilities(compiled, ctx, exports) -> Capabilities:
-    """``compiled``'s verdicts plus the two obstructions that depend on what
-    the session has loaded, checked when an instance is built: a read that
-    another module exports (its instance is outside this one's repair and
-    resumption), and a base relation without insertion marks."""
+    """``compiled``'s verdicts plus the obstructions that depend on the
+    session's state, checked when an instance is built: a read that another
+    module exports (its instance is outside this one's repair, resumption
+    and push state), a base relation without insertion marks (push keeps
+    its resident copy current by them), and derivation tracing (a proof
+    tree needs each inference's premises, which pushed code never forms)."""
     found = []
     for key in compiled.reads:
         exported = exports.get(key)
@@ -122,4 +122,6 @@ def instance_capabilities(compiled, ctx, exports) -> Capabilities:
             found.append(("cross_module", ("%s/%d" % key, exported[0])))
         elif relation is not None and not isinstance(relation, MarkedRelation):
             found.append(("unmarked", ("%s/%d" % key,)))
+    if ctx.tracer is not None:
+        found.append(("traced", ()))
     return _verdicts(found, compiled.capabilities) if found else compiled.capabilities

@@ -52,16 +52,17 @@ class Tuple:
         self.seqno: int = -1
 
     @classmethod
-    def ground(cls, args: Sequence[Arg]) -> "Tuple":
+    def ground(cls, args: Sequence[Arg], key: Any = None) -> "Tuple":
         """A tuple the caller guarantees is ground — skips the groundness
         walk.  The push compiler's flush creates tens of thousands at once
-        from already-interned (hence ground) Args; the interpreter's
-        ``instantiate_head`` makes one per inference whenever every head
-        argument came out a primitive constant."""
+        from already-interned (hence ground) Args, and passes their
+        duplicate ``key`` too; the interpreter's ``instantiate_head`` makes
+        one per inference whenever every head argument came out a primitive
+        constant."""
         tup = cls.__new__(cls)
         tup.args = tuple(args)
         tup._ground = True
-        tup._key = None
+        tup._key = key
         tup.seqno = -1
         return tup
 

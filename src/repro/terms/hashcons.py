@@ -24,8 +24,9 @@ from __future__ import annotations
 import threading
 from typing import Any, Dict, Optional
 
+from ..errors import EvaluationError
 from . import functor
-from .base import Arg
+from .base import Arg, Atom, Double, Int, Str
 from .functor import Functor
 
 
@@ -117,16 +118,90 @@ class HashConsTable:
             self._terms.clear()
 
 
+class Symbol:
+    """A non-numeric constant as push-generated code sees it in a
+    comparison or an arithmetic expression.
+
+    The interpreter's comparison builtins order numbers among numbers,
+    strings among strings and atoms among atoms, and raise a type mismatch
+    otherwise; ``==``/``!=`` across kinds are plain false/true; a
+    structured term cannot be compared at all, and nothing but a number is
+    an arithmetic operand.  Numbers reach generated code as raw Python
+    numbers; every other constant is a ``Symbol``, whose operators keep
+    exactly those rules (a raw ``str`` would let ``"a" == a`` hold and
+    ``"a" + "b"`` concatenate)."""
+
+    __slots__ = ("rank", "term")
+
+    def __init__(self, rank: int, term: Arg) -> None:
+        #: 1 a string, 2 an atom, 3 anything else (never ordered)
+        self.rank = rank
+        self.term = term
+
+    def _same_kind(self, other: object, op: str, ordered: bool = True) -> bool:
+        """Whether ``other`` is a string or atom of this kind; raises where
+        the interpreter does (a term, or ordering across kinds)."""
+        other_rank = other.rank if isinstance(other, Symbol) else 0
+        if self.rank == 3 or other_rank == 3:
+            raise EvaluationError(f"cannot compare term {self.term} with {op!r}")
+        if other_rank == self.rank or not ordered:
+            return other_rank == self.rank
+        shown = other.term if isinstance(other, Symbol) else other
+        raise EvaluationError(
+            f"type mismatch in comparison {op!r}: {self.term} vs {shown}"
+        )
+
+    def __lt__(self, other):
+        return self._same_kind(other, "<") and self.term.value < other.term.value
+
+    def __le__(self, other):
+        return self._same_kind(other, "<=") and self.term.value <= other.term.value
+
+    def __gt__(self, other):
+        return self._same_kind(other, ">") and self.term.value > other.term.value
+
+    def __ge__(self, other):
+        return self._same_kind(other, ">=") and self.term.value >= other.term.value
+
+    def __eq__(self, other):
+        return (
+            self._same_kind(other, "==", ordered=False)
+            and self.term.value == other.term.value
+        )
+
+    def __ne__(self, other):
+        return not self.__eq__(other)
+
+    __hash__ = None
+
+    def _not_a_number(self, *_):
+        raise EvaluationError(f"non-numeric operand {self.term} in arithmetic")
+
+    __add__ = __radd__ = __sub__ = __rsub__ = _not_a_number
+    __mul__ = __rmul__ = __truediv__ = __rtruediv__ = _not_a_number
+
+
+def operand(arg: Arg):
+    """What generated code computes and compares for a ground Arg."""
+    if isinstance(arg, (Int, Double)):
+        return arg.value
+    if isinstance(arg, Str):
+        return Symbol(1, arg)
+    if isinstance(arg, Atom):
+        return Symbol(2, arg)
+    return Symbol(3, arg)
+
+
 class InternTable:
     """Dense interning of ground constants for the push compiler.
 
     Unlike :class:`HashConsTable` (sparse ids for functor terms, shared
-    process-wide), an ``InternTable`` is built per push-evaluation run and
-    maps *any* ground :class:`Arg` — Int, Double, Str, Atom, or a ground
-    functor term — to a small dense integer.  Generated push code then
-    compares and hashes plain ints; ``args[ident]`` recovers the original
-    Arg for the final flush back into relations, and ``vals[ident]`` holds
-    the raw Python value for inlined comparisons/arithmetic.
+    process-wide), an ``InternTable`` maps *any* ground :class:`Arg` —
+    Int, Double, Str, Atom, or a ground functor term — to a small dense
+    integer.  Generated push code then compares and hashes plain ints;
+    ``args[ident]`` recovers the original Arg for the final flush back into
+    relations, and ``vals[ident]`` holds its :func:`operand` for inlined
+    comparisons/arithmetic.
 
     Identity follows :meth:`Arg.ground_key` — the same key relations use
     for duplicate elimination — so interning agrees exactly with the
@@ -135,18 +210,24 @@ class InternTable:
     ``0.0`` collapse (``Double.__eq__`` does too), and a NaN equals itself
     under dict semantics (same object → same slot) although ``x == x`` is
     false — consistent with how ``HashRelation`` dedups NaN-carrying
-    tuples.  Tables are single-run, single-thread: no lock, no clearing —
-    the table dies with the run, so interned ids never leak across queries.
+    tuples.  One table lives as long as its session's push state
+    (``compilemod.push.PushState``), single-threaded like the evaluator: the
+    ids of resident base tuples stay valid across queries, and whatever a
+    run interns beyond them (its seeds, the numbers it computes) is dropped
+    again by :meth:`truncate` when the run ends.
     """
 
-    __slots__ = ("_ids", "args", "vals")
+    __slots__ = ("_ids", "args", "vals", "keys")
 
     def __init__(self) -> None:
         self._ids: Dict[Any, int] = {}
         #: ident -> original Arg (for flushing results back into relations)
         self.args: list = []
-        #: ident -> raw Python value (for inlined arithmetic/comparisons)
+        #: ident -> its operand (for inlined arithmetic/comparisons)
         self.vals: list = []
+        #: ident -> its ground key (a flushed tuple's duplicate key is
+        #: these, position by position)
+        self.keys: list = []
 
     def __len__(self) -> int:
         return len(self.args)
@@ -159,8 +240,23 @@ class InternTable:
             ident = len(self.args)
             self._ids[key] = ident
             self.args.append(arg)
-            self.vals.append(getattr(arg, "value", arg))
+            self.vals.append(operand(arg))
+            self.keys.append(key)
         return ident
+
+    def find(self, arg: Arg) -> Optional[int]:
+        """The id of a ground Arg if it was interned, else None."""
+        return self._ids.get(arg.ground_key())
+
+    def truncate(self, size: int) -> None:
+        """Forget every id from ``size`` on (ids are dense, so the rest stay
+        valid)."""
+        ids = self._ids
+        for key in self.keys[size:]:
+            ids.pop(key, None)
+        del self.keys[size:]
+        del self.args[size:]
+        del self.vals[size:]
 
     def intern_num(self, value) -> int:
         """Intern a computed Python number (arithmetic results in generated
@@ -168,12 +264,11 @@ class InternTable:
         key = ("int", value) if isinstance(value, int) else ("dbl", value)
         ident = self._ids.get(key)
         if ident is None:
-            from .base import Double, Int
-
             ident = len(self.args)
             self._ids[key] = ident
             self.args.append(Int(value) if isinstance(value, int) else Double(value))
             self.vals.append(value)
+            self.keys.append(key)
         return ident
 
     def arg_for(self, ident: int) -> Arg:

@@ -48,6 +48,7 @@ _PROGRAMS = {
     "cross_module": "p(X, Y) :- q(X, Y).\nend_module.\n"
                     "module n.\nexport q(ff).\nq(X, Y) :- e(X, Y).",
     "unmarked": "p(X, Y) :- e(X, Y), pe(X).",
+    "traced": "p(X, Y) :- e(X, Y).",  # with the session tracing derivations
 }
 
 
@@ -55,6 +56,8 @@ _PROGRAMS = {
 def test_each_obstruction_blocks_its_consumers(obstruction, tmp_path):
     session = Session(data_directory=str(tmp_path))
     session.persistent_relation("pe", 1)
+    if obstruction == "traced":
+        session.enable_tracing()
     session.consult_string(
         f"e(1, 2).\nmodule m.\nexport p(ff).\n{_PROGRAMS[obstruction]}\n"
         "end_module.\n"
@@ -79,3 +82,35 @@ def test_a_plain_module_blocks_nothing():
     verdicts = session.modules.instance_for("m", "p", "ff").capabilities
     assert all(getattr(verdicts, consumer) is None for consumer in CONSUMERS)
     assert "maintain: yes" in session.explain("p(X, Y)")
+
+
+def test_tracing_keeps_proof_trees_on_the_default_session():
+    session = Session()
+    tracer = session.enable_tracing()
+    session.consult_string(
+        "e(1, 2). e(2, 3).\nmodule m.\nexport p(bf).\n"
+        "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
+    )
+    assert sorted(session.query("p(1, Y)").tuples()) == [(1, 2), (1, 3)]
+    assert "push: no — derivations are being traced" in session.explain("p(1, Y)")
+    assert "via" in tracer.why("fans_p(3)")
+    session.disable_tracing()
+    assert "push: yes" in session.explain("p(1, Y)")
+
+
+def test_a_lazy_recursive_answer_scc_is_a_recorded_fallback():
+    session = Session()
+    session.consult_string(
+        "e(1, 2). e(2, 3).\nmodule m.\nexport p(ff).\n"
+        "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
+    )
+    text = session.explain("p(X, Y)")
+    assert "push: yes" in text
+    assert "compile (push): 0 rule(s) compiled, 2 interpreted" in text
+    assert "fallback x2: lazy answers stream per iteration" in text
+    eager = Session()
+    eager.consult_string(
+        "e(1, 2). e(2, 3).\nmodule m.\n@eager_eval.\nexport p(ff).\n"
+        "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
+    )
+    assert "compile (push): 2 rule(s) compiled" in eager.explain("p(X, Y)")

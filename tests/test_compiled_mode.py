@@ -6,7 +6,7 @@ import pytest
 from repro import Session
 from repro.builtins import default_registry
 from repro.compilemod import PushCompiler
-from repro.errors import EvaluationError, RewriteError
+from repro.errors import RewriteError
 from repro.eval.fixpoint import SCCPlan
 from repro.language import parse_module
 
@@ -75,7 +75,7 @@ class TestCompiledEvaluation:
         edges = "".join(f"edge({i}, {i+1}). " for i in range(20))
         compiled_session = Session()
         compiled_session.consult_string(edges + self.TC)
-        interpreted_session = Session()
+        interpreted_session = Session(compiled=None)
         interpreted_session.consult_string(
             edges + self.TC.replace("@compiled.", "")
         )
@@ -105,14 +105,13 @@ class TestCompiledEvaluation:
         answers = session.query("total(a, c, C)").all()
         assert [a["C"] for a in answers] == [7]
 
-    def test_nonground_fact_raises_in_compiled_mode(self):
+    def test_nonground_fact_falls_back_in_compiled_mode(self):
         session = Session()
         session.consult_string("edge(1, X)." + self.TC)
-        with pytest.raises(EvaluationError):
-            session.query("path(1, Y)").all()
+        assert len(session.query("path(1, Y)").all()) >= 1
 
     def test_interpreted_mode_handles_the_same_nonground_fact(self):
-        session = Session()
+        session = Session(compiled=None)
         session.consult_string(
             "edge(1, X)." + self.TC.replace("@compiled.", "")
         )

@@ -11,6 +11,14 @@ positive literals, comparisons, arithmetic ``=``) so well over half of all
 generated rules actually exercise the code generators; negation cases
 exercise the per-rule interpreter fallback under ``@compiled(push).``.
 
+The default session pushes (docs/COMPILED.md): every unflagged column runs
+the push backend, an explicit ``Session(compiled=None)`` column runs the
+interpreter, the cold sessions the update tests compare against are
+interpreted, and the ``push`` slice adds ``@eager_eval.`` so a recursive
+answer SCC is pushed too.  The **resident-state schedules** keep one
+session's interned base relations across reads while tuples come and go
+(the targeted schedules below, a non-ground fact, a cross-module read).
+
 The unflagged program is the **optimizer's choice** (ISSUE 16): context
 factoring where its precondition holds, supplementary magic elsewhere.  The
 old default stays covered by an explicit ``@supplementary_magic.`` column in
@@ -177,14 +185,10 @@ class GeneratedCase:
         return "\n".join(lines) + "\n"
 
 
-def _evaluate(program: str, queries, memo=None, compiled=None):
-    """All query answers for one engine configuration, as sorted lists."""
-    kwargs = {}
-    if memo is not None:
-        kwargs["memo"] = memo
-    if compiled is not None:
-        kwargs["compiled"] = compiled
-    session = Session(**kwargs)
+def _evaluate(program: str, queries, **session_kwargs):
+    """All query answers for one engine configuration, as sorted lists
+    (the default session pushes; ``compiled=None`` interprets)."""
+    session = Session(**session_kwargs)
     session.consult_string(program)
     return {q: sorted(set(session.query(q).tuples())) for q in queries}
 
@@ -221,12 +225,16 @@ def _assert_same(case, baseline, other, engine, extra=""):
 # ---------------------------------------------------------------------------
 
 
+#: the push slice is eager, so a recursive answer SCC is pushed there too
+#: (a lazy one streams per iteration through the interpreter)
+_PUSH_FLAGS = "@compiled(push).\n@eager_eval."
+
 _ENGINE_FLAGS = {
     "supmagic": "@supplementary_magic.",
     "magic": "@magic.",
     "no_rewriting": "@no_rewriting.",
     "psn": "@psn.",
-    "push": "@compiled(push).",
+    "push": _PUSH_FLAGS,
 }
 
 
@@ -249,7 +257,7 @@ def test_static_engines_agree(seed):
             "supmagic": "@supplementary_magic.",
             "psn": "@psn.",
             "no_rewriting": "@no_rewriting.",
-            "push": "@compiled(push).",
+            "push": _PUSH_FLAGS,
         }
         if case.has_negation
         else _ENGINE_FLAGS
@@ -258,9 +266,9 @@ def test_static_engines_agree(seed):
         run = _evaluate(case.program(flags), case.queries)
         _assert_same(case, baseline, run, engine)
 
-    # the session-wide default must behave exactly like the module flag
-    run = _evaluate(case.program(), case.queries, compiled="push")
-    _assert_same(case, baseline, run, "push-session-default")
+    # the default session pushes: the interpreter must answer the same
+    run = _evaluate(case.program(), case.queries, compiled=None)
+    _assert_same(case, baseline, run, "interpreter")
 
     if not case.recursive and not case.has_negation:
         run = _evaluate(case.program("@pipelining."), case.queries)
@@ -287,7 +295,7 @@ def _columns(seeds):
     runs ``-k push`` with ``REPRO_DIFF_CASES``/``REPRO_LIVE_SCHEDULES`` four
     times the default, as many pushed seeds as the full column has."""
     columns = [("choice", ""), ("supmagic", "@supplementary_magic."),
-               ("push", "@compiled(push).")]
+               ("push", _PUSH_FLAGS)]
     return pytest.mark.parametrize("seed, flags", [
         pytest.param(seed, flags, id=f"{seed}-{name}")
         for seed in seeds
@@ -354,10 +362,11 @@ def test_update_interleavings_agree(seed, flags):
             continue
 
         _, query, live = op
-        # a cold session over the current fact state is ground truth
+        # a cold interpreted session over the current fact state is ground
+        # truth
         saved = case.facts
         case.facts = {pred: set(t) for pred, t in live.items()}
-        cold = _evaluate(case.program(), [query])[query]
+        cold = _evaluate(case.program(), [query], compiled=None)[query]
         program_now = case.program()
         case.facts = saved
 
@@ -440,7 +449,7 @@ def test_streamed_deltas_fold_to_cold_truth(seed, flags):
         _, _, live = op
         saved = case.facts
         case.facts = {pred: set(t) for pred, t in live.items()}
-        cold_all = _evaluate(case.program(), queries)
+        cold_all = _evaluate(case.program(), queries, compiled=None)
         case.facts = saved
         for query in queries:
             cold = cold_all[query]
@@ -552,10 +561,11 @@ def _apply_batch(session, case_facts, batch):
 
 
 def _cold(case, facts_now, queries):
+    """Ground truth: a cold interpreted session over ``facts_now``."""
     saved = case.facts
     case.facts = facts_now
     try:
-        return _evaluate(case.program(), queries)
+        return _evaluate(case.program(), queries, compiled=None)
     finally:
         case.facts = saved
 
@@ -618,6 +628,84 @@ def test_targeted_schedules_repair_without_falling_back(seed, flags):
                 )
         stats = live_session.live.snapshot()
         assert stats["rebuilds"] == 0, (seed, name, stats)
+
+
+# ---------------------------------------------------------------------------
+# push's resident state: one session's interned bases against cold reads
+# ---------------------------------------------------------------------------
+
+
+def _outer_module(case, source):
+    """A module whose one rule reads ``far``, another module's export."""
+    return (
+        f"module outer{case.seed}.\n@eager_eval.\nexport top(bf).\n"
+        f"top(X, Y) :- far(X, Y).\nend_module.\n"
+    ), f"top({source}, Y)"
+
+
+@pytest.mark.parametrize("seed", range(60_000, 60_000 + max(4, _N_LIVE // 8)))
+def test_resident_push_state_agrees_with_cold_interpreter(seed):
+    """One default session keeps its interned bases across reads while base
+    tuples come and go (including a non-ground one); every read must match
+    a cold interpreted session over the facts of that moment."""
+    from repro.terms import Var
+
+    case = TargetedCase(seed)
+    source = min(x for x, _ in case.facts["b0"])
+    outer, outer_query = _outer_module(case, source)
+    queries = case.queries + [outer_query]
+    session = Session()
+    session.consult_string(case.program("@eager_eval.") + outer)
+    facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
+    loose = ""  # the non-ground fact, while present
+
+    def answers(target, asked):
+        # a variable prints with a session-specific id: compare it as "_";
+        # whether an answer a non-ground one subsumes is also stored
+        # depends on which arrived first, so compare without those
+        out = {}
+        for q in asked:
+            found = {
+                tuple(str(arg) if arg.is_ground() else "_"
+                      for arg in answer.tuple.args)
+                for answer in target.query(q)
+            }
+            out[q] = sorted(
+                t for t in found
+                if not any(
+                    u != t and all(b in (a, "_") for a, b in zip(t, u))
+                    for u in found
+                )
+            )
+        return out
+
+    def check(step, asked=queries):
+        saved = case.facts
+        case.facts = facts_now
+        try:
+            cold = Session(compiled=None)
+            cold.consult_string(case.program() + loose + outer)
+        finally:
+            case.facts = saved
+        assert answers(session, asked) == answers(cold, asked), (
+            f"seed {seed}, after {step}"
+        )
+
+    check("consult")
+    rng = random.Random(seed ^ 0x9E5)
+    for schedule in _targeted_schedules(case, rng).values():
+        for batch in schedule:
+            _apply_batch(session, facts_now, batch)
+            check(batch)
+    # a non-ground base fact: those runs fall back, the next ones push again
+    # (asked through the bound forms only: an all-free form evaluates every
+    # rule, and a guard over an unbound variable raises in any engine)
+    session.insert("b1", source, Var("Loose"))
+    loose = f"b1({source}, Loose).\n"
+    check("a non-ground insert", queries[2:])
+    session.delete("b1", source, Var("Loose"))
+    loose = ""
+    check("its delete")
 
 
 # ---------------------------------------------------------------------------

@@ -19,8 +19,9 @@ directly into the rule bodies that consume its predicate:
   delta relations are materialized and no iteration barrier exists;
 * base (non-SCC) relations are *resident*: a session's :class:`PushState`
   keeps each one the pushed SCCs read as interned tuples plus every hash
-  index the generated code probes, kept current by insertion marks and
-  delete notifications — a query re-interns nothing it read before.
+  index the generated code probes, kept current by insertion sequence
+  numbers and delete notifications — a query re-interns nothing it read
+  before.
 
 The compilable class is deliberately restricted, like any realistic
 codegen: flat argument patterns over primitive constants, positive
@@ -30,18 +31,19 @@ non-recursive ones run before the push phase (their heads become push
 seeds), recursive ones run in the ordinary delta loop afterwards, with the
 pushed rules suppressed for the first iteration (everything push derived is
 "new", so the triangular versions with ``prev = 0`` cover the cross product
-exactly once).  A run that meets a non-ground fact falls back as a whole.
-Every fallback is recorded with its reason in :class:`CompileStats`.
+exactly once).  A run that meets a non-ground fact, or whose guards and
+``=`` could meet an arithmetic expression stored as a value (the
+interpreter evaluates one there), falls back as a whole.  Every fallback is recorded with its reason in :class:`CompileStats`.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
 
+from ..builtins.core import is_arith_expr
 from ..errors import EvaluationError
 from ..eval.context import LocalScope
 from ..eval.fixpoint import SCCEvaluator, SCCPlan
@@ -66,6 +68,9 @@ _ATTEMPT_MASK = 8191
 
 #: the per-SCC fallback of a lazy form's recursive answer SCC
 LAZY_ANSWERS = "lazy answers stream per iteration; @eager_eval. pushes it"
+#: the per-run fallback of a program whose guards or ``=`` would read an
+#: arithmetic expression stored as a value
+ARITH_VALUE = "arithmetic expression stored as a value"
 
 
 class NotCompilable(Exception):
@@ -146,6 +151,8 @@ class PushProgram:
     pushed_sources: FrozenSet[int]
     #: the fused source rules, in the order of the per-rule counts
     rules: list = field(default_factory=list)
+    #: whether a fused rule has a comparison or ``=`` (reads operands)
+    evaluates: bool = False
     rules_compiled: int = 0
     #: out-of-class rules with their :class:`NotCompilable` reasons
     fallbacks: List[PyTuple[object, str]] = field(default_factory=list)
@@ -374,7 +381,7 @@ class _PushCodegen:
             if isinstance(arg, Var):
                 existing = names.get(arg.vid)
                 if existing is None:
-                    fresh = f"v{len(names)}c{suffix}"
+                    fresh = f"v{arg.vid}c{suffix}"
                     names[arg.vid] = fresh
                     chunk.emit(f"{fresh} = {access}")
                 else:
@@ -443,7 +450,7 @@ class _PushCodegen:
             chunk.emit(f"if {existing} == {value}:")
             chunk.indent += 1
             return
-        fresh = f"v{len(names)}c{suffix}"
+        fresh = f"v{target.vid}c{suffix}"
         names[target.vid] = fresh
         chunk.emit(f"{fresh} = {value}")
 
@@ -572,15 +579,24 @@ class _PushCodegen:
         w(0, f"return ({per_pred}{trailing}), ({counts},)")
 
         source = "\n".join(lines) + "\n"
+        namespace: Dict[str, object] = {}
+        exec(compile(source, "<push scc>", "exec"), namespace)
+        rules = [self.plan.rules[index] for index in pushed]
         return PushProgram(
             source=source,
-            fn=_function(source),
+            fn=namespace["_push"],
             out_preds=self.out_preds,
             static_preds=list(self.static_preds),
             static_indexes=list(self.static_indexes),
             const_args=list(self.const_args),
             pushed_sources=frozenset(pushed),
-            rules=[self.plan.rules[index] for index in pushed],
+            rules=rules,
+            evaluates=any(
+                literal.arity == 2
+                and (literal.pred in _COMPARISONS or literal.pred == "=")
+                for rule in rules
+                for literal in rule.body
+            ),
             rules_compiled=len(pushed),
             fallbacks=fallbacks,
         )
@@ -624,16 +640,6 @@ class _PushCodegen:
         w(indent + 2, f"tick({_TICK_MASK + 1})")
 
 
-@functools.lru_cache(maxsize=1024)
-def _function(source: str) -> Callable:
-    """The generated function for ``source``.  Variables are named by their
-    order of first binding, so the same rules compile to the same source in
-    every session, and a fresh session's query forms skip ``compile()``."""
-    namespace: Dict[str, object] = {}
-    exec(compile(source, "<push scc>", "exec"), namespace)
-    return namespace["_push"]
-
-
 # -- the session-resident half -------------------------------------------------
 
 
@@ -647,33 +653,32 @@ class _Resident:
     relation's stays resident in the session's :class:`PushState`; an
     instance's own relation is read through one built for the run."""
 
-    __slots__ = ("relation", "mark", "tuples", "indexes")
+    __slots__ = ("relation", "seqno", "tuples", "indexes")
 
     def __init__(self, relation: Relation) -> None:
         self.relation = relation
-        #: the relation's insertion mark up to which ``tuples`` is current
-        self.mark = 0
+        #: the newest insertion (``Tuple.seqno``) ``tuples`` has taken in
+        self.seqno = 0
         #: interned tuple -> None: an insertion-ordered set
         self.tuples: Dict[tuple, None] = {}
         #: bound positions -> {key: [interned tuples]}
         self.indexes: Dict[tuple, Dict[tuple, list]] = {}
 
-    def absorb(self, intern) -> bool:
-        """Take in what arrived since the last mark; False (and nothing
-        usable) when a non-ground tuple is among it."""
-        relation = self.relation
-        if not relation.count_since(self.mark):
+    def absorb(self, arrived: List[Tuple], intern) -> bool:
+        """Take in ``arrived``, the relation's tuples inserted after
+        ``seqno``; False (and nothing usable) when one is not ground."""
+        if not arrived:
             return True
-        since, self.mark = self.mark, relation.mark()
         tuples = self.tuples
         fresh = []
-        for tup in relation.scan(since=since):
+        for tup in arrived:
             if not tup.is_ground():
                 return False
             ids = tuple(map(intern, tup.args))
             if ids not in tuples:
                 tuples[ids] = None
                 fresh.append(ids)
+        self.seqno = arrived[-1].seqno
         for positions, index in self.indexes.items():
             key_of = _key_of(positions)
             for ids in fresh:
@@ -707,13 +712,16 @@ class PushState:
     One :class:`InternTable` for the session, and per base relation a
     pushed SCC reads, a :class:`_Resident` copy keyed by the relation's
     identity (a rebound read starts a new one).  A run brings each copy up
-    to date before it starts: inserts arrive through the relation's
-    insertion marks, deletes were already applied by :meth:`on_delete`
-    (``EvalContext.notify_delete``, every commit's fan-out), and a copy
-    whose size disagrees with ``len(relation)`` — a mutation that bypassed
-    both — is rebuilt.  What a run interns beyond the bases (seeds, rule
-    outputs, computed numbers) is truncated away when it ends, so the table
-    is bounded by the values the bases have held, not by the queries."""
+    to date before it starts: inserts are the relation's tuples numbered
+    after the copy's newest (:meth:`MarkedRelation.inserted_after`, which
+    takes no mark, so reads leave the base's segments alone), deletes were
+    already applied by :meth:`on_delete` (``EvalContext.notify_delete``,
+    every commit's fan-out).  The copy plus those arrivals must count
+    ``len(relation)``; a delete that bypassed the fan-out makes them
+    disagree, and the copy is rebuilt.  What a run interns beyond the bases
+    (seeds, rule outputs, computed numbers) is truncated away when it
+    ends, so the table is bounded by the values the bases have held, not
+    by the queries."""
 
     def __init__(self) -> None:
         self.intern = InternTable()
@@ -726,16 +734,17 @@ class PushState:
         non-ground tuple."""
         intern = self.intern.intern
         entry = self._bases.get(key)
-        if (
-            entry is None
-            or entry.relation is not relation
-            or not entry.absorb(intern)
-            or len(entry.tuples) != len(relation)
-        ):
-            entry = _Resident(relation)
-            if not entry.absorb(intern):
-                self._bases.pop(key, None)
-                return None
+        if entry is not None and entry.relation is relation:
+            arrived = relation.inserted_after(entry.seqno)
+            if (
+                len(entry.tuples) + len(arrived) == len(relation)
+                and entry.absorb(arrived, intern)
+            ):
+                return entry
+        entry = _resident(relation, intern)
+        if entry is None:
+            self._bases.pop(key, None)
+        else:
             self._bases[key] = entry
         return entry
 
@@ -752,15 +761,10 @@ class PushState:
         entry.discard(tuple(ids))
 
 
-def _interned(relation: Relation, intern) -> Optional[list]:
-    """Every tuple of ``relation`` interned, or None if one is not ground."""
-    batch = []
-    append = batch.append
-    for tup in relation.scan():
-        if not tup.is_ground():
-            return None
-        append(tuple(map(intern, tup.args)))
-    return batch
+def _resident(relation: Relation, intern) -> Optional[_Resident]:
+    """All of ``relation`` interned, or None if a tuple is not ground."""
+    entry = _Resident(relation)
+    return entry if entry.absorb(relation.inserted_after(0), intern) else None
 
 
 class PushSCCEvaluator(SCCEvaluator):
@@ -883,8 +887,8 @@ class PushSCCEvaluator(SCCEvaluator):
             for key in program.static_preds:
                 entry = bases.get(key)
                 if entry is None:  # the instance's own: interned for this run
-                    entry = _Resident(scope.local[key])
-                    if not entry.absorb(intern_arg):
+                    entry = _resident(scope.local[key], intern_arg)
+                    if entry is None:
                         return "non-ground fact in %s/%d" % key
                 batches.append(entry)
             indexes = [
@@ -894,10 +898,16 @@ class PushSCCEvaluator(SCCEvaluator):
             batches = [entry.tuples for entry in batches]
             seeds = []
             for key in program.out_preds:
-                seed = _interned(scope.local[key], intern_arg)
+                seed = _resident(scope.local[key], intern_arg)
                 if seed is None:
                     return "non-ground fact in %s/%d" % key
-                seeds.append(seed)
+                seeds.append(list(seed.tuples))
+            if program.evaluates and any(
+                is_arith_expr(intern.args[ident]) for ident in intern.functors
+            ):
+                # the interpreter evaluates a stored 1+2 where a guard or
+                # = reads it; push would compare the term itself
+                return ARITH_VALUE
             self._push(seeds, batches, indexes, consts, intern)
         finally:
             intern.truncate(watermark)

@@ -74,7 +74,8 @@ class EvalContext:
         self.live = None
         #: the push backend's session-resident interned bases (a
         #: repro.compilemod.push.PushState), built by the first pushed run;
-        #: inserts reach it through insertion marks, deletes through
+        #: inserts reach it through the relations' insertion numbers
+        #: (``MarkedRelation.inserted_after``), deletes through
         #: :meth:`notify_delete`
         self.push = None
 

@@ -123,6 +123,13 @@ class MarkedRelation(Relation):
         test."""
         raise NotImplementedError
 
+    def inserted_after(self, seqno: int) -> List[Tuple]:
+        """The stored tuples inserted after the one numbered ``seqno``
+        (``Tuple.seqno``; ``0`` means all of them), oldest first.  A reader
+        that only needs what arrived since it last looked uses this instead
+        of a mark, which would close a segment every time it looked."""
+        raise NotImplementedError
+
 
 class HashRelation(MarkedRelation):
     """The workhorse in-memory relation: hashed duplicate detection,
@@ -183,6 +190,20 @@ class HashRelation(MarkedRelation):
     def segment_count(self) -> int:
         """How many subsidiary relations a full scan walks."""
         return len(self._segments)
+
+    def inserted_after(self, seqno: int) -> List[Tuple]:
+        # seqnos grow with every insert and only the last segment takes
+        # inserts, so the newest tuples are at the end: walk back to seqno
+        arrived: List[Tuple] = []
+        for segment in reversed(self._segments):
+            tuples = segment.tuples
+            for number in reversed(tuples):
+                if number <= seqno:
+                    arrived.reverse()
+                    return arrived
+                arrived.append(tuples[number])
+        arrived.reverse()
+        return arrived
 
     # -- updates --------------------------------------------------------------
 
@@ -369,6 +390,12 @@ class ListRelation(MarkedRelation):
     def count_since(self, mark: int) -> int:
         start = 0 if mark == 0 else self._boundaries[mark - 1]
         return len(self._tuples) - start
+
+    def inserted_after(self, seqno: int) -> List[Tuple]:
+        start = len(self._tuples)
+        while start and self._tuples[start - 1].seqno > seqno:
+            start -= 1
+        return self._tuples[start:]
 
     def insert(self, tup: Tuple) -> bool:
         if len(tup.args) != self.arity:

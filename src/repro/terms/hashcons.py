@@ -217,7 +217,7 @@ class InternTable:
     again by :meth:`truncate` when the run ends.
     """
 
-    __slots__ = ("_ids", "args", "vals", "keys")
+    __slots__ = ("_ids", "args", "vals", "keys", "functors")
 
     def __init__(self) -> None:
         self._ids: Dict[Any, int] = {}
@@ -228,6 +228,8 @@ class InternTable:
         #: ident -> its ground key (a flushed tuple's duplicate key is
         #: these, position by position)
         self.keys: list = []
+        #: the idents of functor terms, ascending
+        self.functors: list = []
 
     def __len__(self) -> int:
         return len(self.args)
@@ -242,6 +244,8 @@ class InternTable:
             self.args.append(arg)
             self.vals.append(operand(arg))
             self.keys.append(key)
+            if isinstance(arg, Functor):
+                self.functors.append(ident)
         return ident
 
     def find(self, arg: Arg) -> Optional[int]:
@@ -257,6 +261,9 @@ class InternTable:
         del self.keys[size:]
         del self.args[size:]
         del self.vals[size:]
+        functors = self.functors
+        while functors and functors[-1] >= size:
+            functors.pop()
 
     def intern_num(self, value) -> int:
         """Intern a computed Python number (arithmetic results in generated

@@ -265,6 +265,11 @@ def test_static_engines_agree(seed):
     for engine, flags in engines.items():
         run = _evaluate(case.program(flags), case.queries)
         _assert_same(case, baseline, run, engine)
+        if engine != "push":
+            # the rewritings' own delta loops (PSN, backjumping) run on
+            # the interpreter only
+            run = _evaluate(case.program(flags), case.queries, compiled=None)
+            _assert_same(case, baseline, run, engine + "-interpreter")
 
     # the default session pushes: the interpreter must answer the same
     run = _evaluate(case.program(), case.queries, compiled=None)

@@ -313,13 +313,15 @@ class TestStrategyAgreement:
         """On arbitrary small graphs (cycles included), BSN, PSN and the
         unrewritten bottom-up evaluation must compute identical answers."""
         answers = {}
-        for flag in ("", "@psn.", "@no_rewriting."):
-            session = Session()
+        for flag, compiled in (
+            ("", None), ("@psn.", None), ("@no_rewriting.", None), ("", "push")
+        ):
+            session = Session(compiled=compiled)
             session.consult_string(_random_graph_program(edges) % flag)
-            answers[flag] = sorted(
+            answers[flag, compiled] = sorted(
                 a["Y"] for a in session.query(f"path({source}, Y)")
             )
-        assert answers[""] == answers["@psn."] == answers["@no_rewriting."]
+        assert len(set(map(tuple, answers.values()))) == 1, answers
 
     @settings(max_examples=10, deadline=None)
     @given(

@@ -127,7 +127,7 @@ class TestRewritingVariants:
         assert run("@context_factoring.") == run("")
 
     def test_psn_strategy_agrees(self):
-        session = Session()
+        session = Session(compiled=None)  # PSN is the interpreter's loop
         session.consult_string(
             self.GRAPH
             + """

@@ -2,9 +2,9 @@
 and the push/interpreter agreements the default backend relies on.
 
 A pushed run reads every base relation from the session's interned copy:
-inserts arrive through insertion marks, deletes through
-``EvalContext.notify_delete``, and a copy whose size disagrees with its
-relation is rebuilt.  Right answers do not show whether a read re-interned
+inserts are the relation's tuples numbered after the copy's newest, deletes
+arrive through ``EvalContext.notify_delete``, and a copy that, with those
+inserts, does not count the relation's tuples is rebuilt.  Right answers do not show whether a read re-interned
 the database — counts of ``InternTable.intern`` calls do.
 """
 
@@ -14,9 +14,10 @@ import weakref
 import pytest
 
 from repro import Session
+from repro.compilemod.push import ARITH_VALUE
 from repro.errors import EvaluationError
 from repro.relations import Tuple
-from repro.terms import Int
+from repro.terms import Functor, Int
 from repro.terms.hashcons import InternTable
 
 TC = """
@@ -98,6 +99,32 @@ def test_a_missed_notification_rebuilds_the_copy():
     assert session.ctx.push._bases[("edge", 2)] is not resident
 
 
+def test_a_missed_delete_hidden_by_an_insert_still_rebuilds():
+    session = _session(_chain(30) + TC)
+    _reach(session, 0)
+    resident = session.ctx.push._bases[("edge", 2)]
+    # the same size as before, but not the same tuples
+    assert session.relation("edge", 2).delete(Tuple((Int(5), Int(6))))
+    session.insert("edge", 40, 41)
+    assert _reach(session, 0) == [1, 2, 3, 4, 5]
+    assert session.ctx.push._bases[("edge", 2)] is not resident
+    interpreted = _session(_chain(30) + TC, compiled=None)
+    interpreted.relation("edge", 2).delete(Tuple((Int(5), Int(6))))
+    interpreted.insert("edge", 40, 41)
+    assert _reach(session, 40) == _reach(interpreted, 40) == [41]
+
+
+def test_reads_leave_the_base_segments_alone():
+    """Absorbing inserts takes no mark, so insert-only traffic with reads in
+    between does not split the base into one segment per read."""
+    session = _session(_chain(20) + TC)
+    relation = session.relation("edge", 2)
+    for step in range(50):
+        session.insert("edge", 100 + step, 101 + step)
+        assert _reach(session, 100) == list(range(101, 102 + step))
+    assert relation.segment_count() == 1
+
+
 def test_fresh_numbers_do_not_grow_the_table():
     session = _session(
         "edge(1, 2, 5). edge(2, 3, 7). edge(3, 4, 1).\n"
@@ -132,17 +159,6 @@ def test_two_sessions_never_share_it():
     first.delete("edge", 3, 4)
     assert _reach(first, 0) == [1, 2, 3]
     assert _reach(second, 0) == list(range(1, 11))
-
-
-def test_sessions_share_generated_code_not_state():
-    first = _session(_chain(3) + TC)
-    second = _session(_chain(3) + TC)
-    functions = []
-    for session in (first, second):
-        session.modules.instance_for("tc", "path", "bf")  # generates the code
-        form = session.modules.compiled_form("tc", "path", "bf")
-        functions.append([plan.push_program.fn for plan in form.scc_plans])
-    assert functions[0] == functions[1]  # one compile() per program text
 
 
 def test_the_interpreter_opt_out_builds_no_state():
@@ -195,6 +211,44 @@ def test_push_answers_or_fails_as_the_interpreter_does(facts, rule, expected):
     assert interpreted == pushed == expected
 
 
+def _fallbacks(prof):
+    return prof.profile.registry.counter(
+        "compile.fallbacks",
+        "rules interpreted under a compiled backend, by reason",
+        ("reason",),
+    ).collect()
+
+
+_SUM = Functor("+", (Int(1), Int(2)))
+
+
+@pytest.mark.parametrize("rule, expected", [
+    # the interpreter evaluates a stored arithmetic term where = or a
+    # guard reads it; such a run falls back
+    ("q(Y) :- p(X), Y = X + 1.", [("4",)]),
+    ("q(Z) :- p(X), Z = X.", [("3",)]),
+    ("q(X) :- p(X), X > 1.", [("(1 + 2)",)]),
+    ("q(X) :- p(X), X = 3.", [("(1 + 2)",)]),
+    # without one, the value is only joined and copied: pushed
+    ("q(X) :- p(X).", [("(1 + 2)",)]),
+])
+def test_a_stored_arithmetic_term_answers_as_the_interpreter_does(
+    rule, expected
+):
+    out = []
+    for compiled in (None, "push"):
+        session = _session(_module("", rule), compiled=compiled)
+        session.insert("p", _SUM)
+        with session.profile(trace=False) as prof:
+            out.append(sorted(
+                tuple(str(arg) for arg in answer.tuple.args)
+                for answer in session.query(rule.split(" :- ")[0])
+            ))
+    assert out == [expected, expected]
+    fell_back = (ARITH_VALUE,) in _fallbacks(prof)
+    assert fell_back == ("=" in rule or ">" in rule)
+
+
 def test_calling_a_pipelined_export_is_not_a_full_scan():
     program = (
         "item(1). item(2).\n"
@@ -213,12 +267,7 @@ def test_a_non_ground_base_fact_falls_back_for_the_run():
     session = _session(program)
     with session.profile(trace=False) as prof:
         session.query("p(a, Y)").all()
-    counter = prof.profile.registry.counter(
-        "compile.fallbacks",
-        "rules interpreted under a compiled backend, by reason",
-        ("reason",),
-    )
-    assert ("non-ground fact in base relation e/2",) in counter.collect()
+    assert ("non-ground fact in base relation e/2",) in _fallbacks(prof)
     # once the base is ground again, runs are pushed again
     relation = session.relation("e", 2)
     nonground = next(t for t in relation.all_tuples() if not t.is_ground())

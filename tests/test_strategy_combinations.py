@@ -40,14 +40,17 @@ class TestFlagCombinations:
         ],
         ids=lambda f: f.replace("\n", "+").replace("@", "").replace(".", ""),
     )
-    def test_combinations_agree(self, flags):
-        session = Session()
+    @pytest.mark.parametrize("compiled", ["push", None], ids=["push", "interp"])
+    def test_combinations_agree(self, flags, compiled):
+        # the interpreter column keeps PSN, backjumping and the rewritings'
+        # delta loops checked now that a default session pushes
+        session = Session(compiled=compiled)
         session.consult_string(tc(flags))
         got = sorted(a["Y"] for a in session.query("path(1, Y)"))
         assert got == [2, 3, 4]
 
     def test_save_module_with_psn_across_calls(self):
-        session = Session()
+        session = Session(compiled=None)
         session.consult_string(tc("@psn.\n@save_module."))
         assert sorted(a["Y"] for a in session.query("path(1, Y)")) == [2, 3, 4]
         assert sorted(a["Y"] for a in session.query("path(2, Y)")) == [3, 4]

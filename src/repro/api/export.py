@@ -22,7 +22,8 @@ from typing import Any, Callable, Iterable, Iterator, Optional, Sequence, Tuple 
 
 from ..builtins.registry import BuiltinRegistry
 from ..errors import EvaluationError
-from ..relations import Relation, Tuple, TupleIterator
+from ..eval.join import goal_filter
+from ..relations import Relation, TupleIterator
 from ..terms import (
     Arg,
     Atom,
@@ -125,7 +126,8 @@ class ScanDescriptor:
                 Var("_") if value is None else to_arg(value)
                 for value in selection
             ]
-        self._pattern = pattern
+        #: the selection's filter (None: no selection)
+        self._matches = None if pattern is None else goal_filter(pattern)
         self._cursor: TupleIterator = relation.scan(pattern, None)
         self._from_arg = from_arg
 
@@ -135,20 +137,9 @@ class ScanDescriptor:
             candidate = self._cursor.get_next()
             if candidate is None:
                 return None
-            if self._pattern is not None and not self._matches(candidate):
+            if self._matches is not None and not self._matches(candidate):
                 continue
             return tuple(self._from_arg(arg) for arg in candidate.args)
-
-    def _matches(self, candidate: Tuple) -> bool:
-        env = BindEnv()
-        trail = Trail()
-        fact = candidate.renamed()
-        try:
-            from ..terms.unify import unify_fact
-
-            return unify_fact(self._pattern, env, fact.args, trail)
-        finally:
-            trail.undo_to(0)
 
     def close(self) -> None:
         self._cursor.close()

@@ -47,7 +47,7 @@ from ..builtins.core import is_arith_expr
 from ..errors import EvaluationError
 from ..eval.context import LocalScope
 from ..eval.fixpoint import SCCEvaluator, SCCPlan
-from ..relations import Relation, Tuple
+from ..relations import Relation, Tuple, Watermark
 from ..rewriting.seminaive import recursive_body_positions
 from ..terms import Arg, Atom, Double, Functor, Int, Str, Var
 from ..terms.hashcons import InternTable
@@ -653,20 +653,19 @@ class _Resident:
     relation's stays resident in the session's :class:`PushState`; an
     instance's own relation is read through one built for the run."""
 
-    __slots__ = ("relation", "seqno", "tuples", "indexes")
+    __slots__ = ("seen", "tuples", "indexes")
 
     def __init__(self, relation: Relation) -> None:
-        self.relation = relation
-        #: the newest insertion (``Tuple.seqno``) ``tuples`` has taken in
-        self.seqno = 0
+        #: how far ``tuples`` has read the relation
+        self.seen = Watermark(relation)
         #: interned tuple -> None: an insertion-ordered set
         self.tuples: Dict[tuple, None] = {}
         #: bound positions -> {key: [interned tuples]}
         self.indexes: Dict[tuple, Dict[tuple, list]] = {}
 
     def absorb(self, arrived: List[Tuple], intern) -> bool:
-        """Take in ``arrived``, the relation's tuples inserted after
-        ``seqno``; False (and nothing usable) when one is not ground."""
+        """Take in ``arrived`` (all the relation's tuples, or those past
+        ``seen``); False (and nothing usable) when one is not ground."""
         if not arrived:
             return True
         tuples = self.tuples
@@ -678,7 +677,6 @@ class _Resident:
             if ids not in tuples:
                 tuples[ids] = None
                 fresh.append(ids)
-        self.seqno = arrived[-1].seqno
         for positions, index in self.indexes.items():
             key_of = _key_of(positions)
             for ids in fresh:
@@ -712,9 +710,9 @@ class PushState:
     One :class:`InternTable` for the session, and per base relation a
     pushed SCC reads, a :class:`_Resident` copy keyed by the relation's
     identity (a rebound read starts a new one).  A run brings each copy up
-    to date before it starts: inserts are the relation's tuples numbered
-    after the copy's newest (:meth:`MarkedRelation.inserted_after`, which
-    takes no mark, so reads leave the base's segments alone), deletes were
+    to date before it starts: inserts are the relation's tuples past the
+    copy's :class:`~repro.relations.Watermark` (which takes no mark, so
+    reads leave the base's segments alone), deletes were
     already applied by :meth:`on_delete` (``EvalContext.notify_delete``,
     every commit's fan-out).  The copy plus those arrivals must count
     ``len(relation)``; a delete that bypassed the fan-out makes them
@@ -734,8 +732,8 @@ class PushState:
         non-ground tuple."""
         intern = self.intern.intern
         entry = self._bases.get(key)
-        if entry is not None and entry.relation is relation:
-            arrived = relation.inserted_after(entry.seqno)
+        if entry is not None and entry.seen.relation is relation:
+            arrived = entry.seen.arrivals()
             if (
                 len(entry.tuples) + len(arrived) == len(relation)
                 and entry.absorb(arrived, intern)

@@ -25,9 +25,10 @@ the seed and ``[0, prev)`` after it.  The evaluator is a generator yielding
 control after every iteration, which is precisely the hook lazy evaluation
 (Section 5.4.3) and the inter-module answer protocol (Section 5.6) need.
 A save-module plan (Section 5.4.2) also carries *resumption* versions: on a
-later call each is seeded with the slice of a non-recursive relation this
-SCC has not consumed yet, which is how new magic facts and base inserts
-reach facts derived by earlier calls.
+later call each is seeded with what arrived at a relation outside the SCC
+since its last run (the tuples past a :class:`~repro.relations.Watermark`:
+the relation is not the SCC's to mark), which is how new magic facts and
+base inserts reach facts derived by earlier calls.
 """
 
 from __future__ import annotations
@@ -37,7 +38,13 @@ from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple as PyTu
 
 from ..errors import EvaluationError
 from ..language.ast import Literal, Rule
-from ..relations import MarkedRelation, TupleIterator
+from ..relations import (
+    GeneratorTupleIterator,
+    ListTupleIterator,
+    MarkedRelation,
+    TupleIterator,
+    Watermark,
+)
 from ..rewriting.seminaive import DeltaRule, delta_rules, seminaive_rewrite
 from ..terms import BindEnv, Trail
 from .aggregates import fold_groups
@@ -87,6 +94,29 @@ class SCCPlan:
         )
 
 
+def _arrivals(seen: Watermark) -> SeedSource:
+    """Resumption's seed source over one relation: what arrived since the
+    SCC last ran.  A seed keeps its written place, so it is probed once per
+    binding of the literals before it: a probe one of the relation's own
+    indexes serves reads that index, kept to the arrivals; any other reads
+    the arrivals whole."""
+    relation, arrived = seen.relation, seen.arrivals()
+    ids = {id(tup) for tup in arrived}
+    specs = getattr(relation, "index_specs", ())
+
+    def scan(literal: Literal, env: BindEnv) -> TupleIterator:
+        args = literal.args
+        if arrived and any(
+            spec.key_for_probe(args, env) is not None for spec in specs
+        ):
+            return GeneratorTupleIterator(
+                tup for tup in relation.scan(args, env) if id(tup) in ids
+            )
+        return ListTupleIterator(arrived)
+
+    return scan
+
+
 class SCCEvaluator:
     """Runs one SCC to fixpoint (resumably, for the save-module facility)."""
 
@@ -123,9 +153,9 @@ class SCCEvaluator:
 
         self._once_executors = executors(plan.once_rules)
         self._resume_executors = executors(plan.resume_rules)
-        #: per resumption seed predicate: the mark up to which this SCC has
-        #: consumed its relation (advanced at the end of every run)
-        self._seen: Dict[PredKey, int] = {}
+        #: per resumption seed predicate: how far this SCC has read its
+        #: relation, as of the last run's start
+        self._seen: Dict[PredKey, Watermark] = {}
         delta = executors(plan.delta_rules)
         if strategy == "psn":
             self._groups = self._group_by_head(delta)
@@ -145,18 +175,6 @@ class SCCEvaluator:
         return self.scope.local[key].scan(
             literal.args, env, self.prev[key], self.cur[key]
         )
-
-    def _unconsumed(self, literal: Literal, env: BindEnv) -> TupleIterator:
-        """Resumption's seed source: what arrived since this SCC last ran."""
-        relation = self.scope.relation(literal.pred, literal.arity)
-        return relation.scan(literal.args, env, self._seen.get(literal.key, 0))
-
-    def _advance_seen(self) -> None:
-        for rule in self.plan.resume_rules:
-            literal = rule.body[rule.seed]
-            relation = self.scope.relation(literal.pred, literal.arity)
-            if isinstance(relation, MarkedRelation):
-                self._seen[literal.key] = relation.mark()
 
     def _group_by_head(self, executors):
         """PSN: group rules by head predicate, ordered so that predicates
@@ -222,15 +240,24 @@ class SCCEvaluator:
             self._started = True
             for pred in self.plan.recursive:
                 self.prev[pred] = 0
+            # the first run reads each resumption seed's relation whole
+            for rule in self.plan.resume_rules:
+                seed = rule.body[rule.seed]
+                relation = self.scope.relation(seed.pred, seed.arity)
+                self._seen[seed.key] = Watermark(relation)
             self._start()
         else:
             # resumption (save-module, Section 5.4.2): earlier SCCs' and
             # base relations may have grown since this SCC's last fixpoint;
             # the resumption versions pair their *new* facts with this SCC's
             # existing facts — no derivation is repeated, because each
-            # version's seed reads only facts not yet consumed
+            # version's seed reads only the arrivals past its watermark (an
+            # instance reading a relation that numbers no insertions is
+            # outdated instead of resumed)
+            fresh = {key: _arrivals(seen) for key, seen in self._seen.items()}
             for rule, executor in self._resume_executors:
-                self._apply(rule, executor, self._unconsumed)
+                seed = fresh[rule.body[rule.seed].key]
+                self._apply(rule, executor, seed)
         for pred in self.plan.recursive:
             self.cur[pred] = self._relation(pred).mark()
         produced = sum(
@@ -285,7 +312,6 @@ class SCCEvaluator:
                     iteration_started,
                 )
             if new_facts == 0:
-                self._advance_seen()
                 return
             yield new_facts
 

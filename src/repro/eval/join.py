@@ -33,7 +33,7 @@ from ..language.ast import Literal
 from ..relations import Relation, Tuple, TupleIterator
 from ..terms import Arg, BindEnv, Functor, Trail, Var, resolve
 from ..terms.base import FLAT_PRIMITIVES
-from ..terms.unify import unify_fact
+from ..terms.unify import flat_constants, unify_fact
 from .context import LocalScope
 
 #: where a delta rule's seed literal reads from: given the literal and the
@@ -118,6 +118,32 @@ def matches_any(
     finally:
         solutions.close()
         trail.undo_to(mark)
+
+
+def goal_filter(pattern: Sequence[Arg]) -> Callable[[Tuple], bool]:
+    """Does a stored fact unify with the goal ``pattern``?  For a consumer
+    filtering many facts by one goal (memo serving a more-bound call, a live
+    view).  Decided once: a flat pattern meets a ground fact by comparing
+    constants (:func:`~repro.terms.unify.flat_constants`); anything else
+    unifies, in one environment reused for every fact."""
+    env, trail = BindEnv(), Trail()
+
+    def unifies(fact: Tuple) -> bool:
+        matched = unify_fact(pattern, env, fact.renamed().args, trail)
+        trail.undo_to(0)
+        return matched
+
+    constants = flat_constants(pattern)
+    if constants is None:
+        return unifies
+
+    def flat(fact: Tuple) -> bool:
+        if not fact.is_ground():
+            return unifies(fact)
+        args = fact.args
+        return all(constant.equals(args[p]) for p, constant in constants)
+
+    return flat
 
 
 def negative_holds(

@@ -29,11 +29,10 @@ runs **once per wave**, its seed reading the whole list; the heads a join
 derives are collected before any is inserted.
 
 * :meth:`MaintenancePlan.apply_inserts` seeds a wave with the unconsumed
-  slice of each base dependency (everything past the mark recorded in
-  ``base_seen`` — the marks machinery of Section 3.2 pointed at cross-query
-  time) and pushes it through the delta joins over the current state until
-  a wave derives nothing new.  The retained evaluators are not resumed and
-  take no further marks.
+  slice of each base dependency (the tuples past the plan's
+  :class:`~repro.relations.Watermark` on it, so reading takes no mark) and
+  pushes it through the delta joins over the current state until a wave
+  derives nothing new.  The retained evaluators are not resumed.
 * :meth:`MaintenancePlan.apply_deletes` is DRed.  *Over-delete*: push the
   removed tuples through the same joins against the pre-state, collecting
   everything that loses a derivation **before** physically deleting any of
@@ -51,7 +50,7 @@ consumer patches what it published instead of re-reading the answer
 relation.
 
 The engine is consumer-neutral with **strictly per-consumer state**: the
-consumed marks and the joins belong to one plan, the pending-delete queue
+watermarks and the joins belong to one plan, the pending-delete queue
 to the consumer that owns it.  Two consumers drive it today:
 
 * :class:`repro.eval.memo.MemoCache` — lazy repair: entries marked stale by
@@ -93,6 +92,7 @@ from ..relations import (
     HashRelation,
     Relation,
     Tuple,
+    Watermark,
 )
 from ..rewriting.magic import MAGIC_PREFIX
 from ..rewriting.seminaive import delta_rules
@@ -200,8 +200,8 @@ class _RepairScope:
 class MaintenancePlan:
     """One retained instance plus everything needed to repair it in place.
 
-    Built by :func:`plan_maintenance`.  All repair state — the consumed
-    marks in ``base_seen``, the delta joins — is owned by this plan (and
+    Built by :func:`plan_maintenance`.  All repair state — the watermarks
+    in ``base_seen``, the delta joins — is owned by this plan (and
     therefore by one consumer); the engine never hangs repair state off the
     shared base relations.  The joins and their indexes are built by the
     first repair, over the evaluated relations: a retained result that is
@@ -225,8 +225,12 @@ class MaintenancePlan:
         #: the canonical call this instance answers; selects (and, under
         #: context factoring, completes) the answer facts a repair reports
         self.call_args = list(call_args)
-        #: per base dep: the relation mark up to which inserts are absorbed
-        self.base_seen: Dict[PredKey, int] = {}
+        #: per base dep: how far its inserts are absorbed, from before the
+        #: evaluation reads it (none when nothing will be repaired)
+        self.base_seen: Dict[PredKey, Watermark] = {}
+        if instance.capabilities.maintain is None:
+            for dep in deps:
+                self.base_seen[dep] = Watermark(ctx.base_relation(*dep))
         self._scope = _RepairScope(instance.scope)
         #: seed predicate -> the delta joins a change to it starts, each as
         #: (head key, head arguments, executor, whether over-deletion
@@ -248,20 +252,8 @@ class MaintenancePlan:
                 tuple(self.call_args[p] for p in rewritten.bound_positions)
             )
             self._seed = ((rewritten.magic_pred, len(seed.args)), seed.key())
-        self.record_base_marks()
 
     # -- bookkeeping -----------------------------------------------------------
-
-    def record_base_marks(self) -> None:
-        """Snapshot every base dependency's current mark: inserts at or
-        below it are considered absorbed.  Called at build time and again
-        once the initial evaluation has read the base relations; after that
-        :meth:`apply_inserts` advances the marks itself."""
-        if self.instance.capabilities.maintain is not None:
-            return  # nothing will be repaired; a dep may keep no marks
-        for dep in self.deps:
-            relation = self.ctx.base_relation(*dep)
-            self.base_seen[dep] = relation.mark()
 
     def _build_joins(self) -> None:
         """The delta joins and head-bound checks of every rule, each with
@@ -410,21 +402,19 @@ class MaintenancePlan:
     # -- insert repair ---------------------------------------------------------
 
     def apply_inserts(self, change: Optional[NetChange] = None) -> NetChange:
-        """Absorb base-predicate inserts: seed a wave with the unconsumed
-        slice of every base dependency, propagate it, and advance the
-        consumed marks.  Returns ``change`` (a fresh one by default) with
-        the answers that arrived folded in."""
+        """Absorb base-predicate inserts: seed a wave with the arrivals past
+        every base dependency's watermark (advancing it) and propagate it.
+        Returns ``change`` (a fresh one by default) with the answers that
+        arrived folded in."""
         if change is None:
             change = NetChange()
         if self._joins is None:
             self._build_joins()
         wave: Dict[PredKey, List[Tuple]] = {}
-        for dep in self.deps:
-            relation = self.ctx.base_relation(*dep)
-            fresh = list(relation.scan(since=self.base_seen[dep]))
+        for dep, seen in self.base_seen.items():
+            fresh = seen.arrivals()
             if fresh:
                 wave[dep] = fresh
-                self.base_seen[dep] = relation.mark()
         self._propagate(wave, change)
         return change
 

@@ -22,12 +22,12 @@ Three mechanisms make the cache safe:
   ``assertz``/``retract`` builtins) report base-predicate changes to the
   cache.  For entries whose ``maintain`` verdict allows it
   (docs/INTERNALS.md, "Capabilities") inserts are absorbed lazily by
-  wave propagation: the unconsumed slice of each base relation (the
-  relation's mark records what the entry has consumed — the marks machinery
-  of Section 3.2) is pushed through the rules' delta joins until nothing
-  new is derived.  Deletes run DRed-style delete-rederive with the same
-  joins: over-delete everything the deleted tuples support (against the
-  *pre-state*), then re-derive, checking each over-deleted fact once.
+  wave propagation: the unconsumed slice of each base relation (the tuples
+  numbered past the entry's watermark on it; reading takes no mark) is
+  pushed through the rules' delta joins until nothing new is derived.
+  Deletes run DRed-style delete-rederive with the same joins: over-delete
+  everything the deleted tuples support (against the *pre-state*), then
+  re-derive, checking each over-deleted fact once.
   Magic/supplementary-magic *magic* predicates are exempt from
   over-deletion: an over-complete magic set only gates relevance, never
   truth.  A repair reports the net change of the answer set and the entry
@@ -56,7 +56,6 @@ from dataclasses import dataclass
 from typing import (
     Dict,
     FrozenSet,
-    Iterator,
     List,
     Optional,
     Sequence,
@@ -65,8 +64,9 @@ from typing import (
 )
 
 from ..relations import GeneratorTupleIterator, Tuple, TupleIterator
-from ..terms import Atom, BindEnv, Double, Functor, Int, Str, Trail, Var
-from ..terms.unify import flat_constants, unify_fact
+from ..terms import Atom, Double, Functor, Int, Str, Var
+from ..terms.unify import flat_constants
+from .join import goal_filter
 from .maintenance import NetChange, failure_reason, plan_maintenance
 
 PredKey = PyTuple[str, int]
@@ -505,41 +505,19 @@ def _serve(
     reference is captured here, so a refresh replacing ``entry.answers``
     never disturbs an open cursor.
 
-    When the caller knows the entry's adornment ``form``, the common case —
-    ground arguments exactly at the 'b' positions (equal to the entry key
-    by construction) and pairwise-distinct free variables elsewhere —
-    serves the snapshot without per-answer unification.
+    When the caller knows the entry's adornment ``form``, its 'b' positions
+    equal the entry key by construction and select nothing; a call whose
+    other arguments are pairwise-distinct free variables — the common case
+    — serves the snapshot without looking at an answer.
     """
-    if form is not None:
-        seen_vars: Set[int] = set()
-        for position, flag in enumerate(form):
-            if flag == "b":
-                continue
-            arg = resolved[position]
-            if not isinstance(arg, Var) or id(arg) in seen_vars:
-                break
-            seen_vars.add(id(arg))
-        else:
-            return GeneratorTupleIterator(iter(answers))
-    pattern = list(resolved)
-    constants = flat_constants(pattern)
-
-    def generate() -> Iterator[Tuple]:
-        env = BindEnv()
-        trail = Trail()
-        for fact in answers:
-            if constants is not None and fact.is_ground():
-                matched = all(
-                    arg.equals(fact.args[p]) for p, arg in constants
-                )
-            else:
-                mark = trail.mark()
-                matched = unify_fact(pattern, env, fact.args, trail)
-                trail.undo_to(mark)
-            if matched:
-                yield fact
-
-    return GeneratorTupleIterator(generate())
+    pattern = [
+        Var("_") if form is not None and form[position] == "b" else arg
+        for position, arg in enumerate(resolved)
+    ]
+    if flat_constants(pattern) == []:
+        return GeneratorTupleIterator(iter(answers))
+    matches = goal_filter(pattern)
+    return GeneratorTupleIterator(fact for fact in answers if matches(fact))
 
 
 # -- sizing --------------------------------------------------------------------

@@ -24,9 +24,10 @@ Two kinds of view share one registry:
   delta, where the memo cache can only evict — and records why.
 
 * **Base views** — the predicate is a plain base relation.  No fixpoint is
-  needed: inserts are read straight off the relation's insertion marks
-  (everything past the view's consumed mark), deletes arrive with the
-  mutation hook; both are filtered through the goal's pattern.
+  needed: inserts are read straight off the relation by insertion number
+  (everything past the view's :class:`~repro.relations.Watermark`; the
+  view takes no mark), deletes arrive with the mutation hook; both are
+  filtered through the goal's pattern.
 
 Exactly-once, ordered delivery follows from the hook discipline: every
 committed mutation (``Session.insert/delete``, consulted fact batches, the
@@ -49,6 +50,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Set, Tuple as PyTuple
 
 from ..errors import SubscriptionError
+from ..eval.join import goal_filter
 from ..eval.maintenance import (
     MaintenancePlan,
     NetChange,
@@ -57,9 +59,8 @@ from ..eval.maintenance import (
 )
 from ..language.ast import Literal
 from ..optimizer.capabilities import OBSTRUCTIONS, instance_capabilities
-from ..relations import MarkedRelation, Tuple
-from ..terms import BindEnv, Trail, Var, resolve
-from ..terms.unify import unify_fact
+from ..relations import MarkedRelation, Tuple, Watermark
+from ..terms import Var, resolve
 
 PredKey = PyTuple[str, int]
 
@@ -110,6 +111,7 @@ class LiveView:
         "plan",
         "base_key",
         "base_seen",
+        "_matches",
         "answers",
         "on_deltas",
         "on_close",
@@ -126,13 +128,14 @@ class LiveView:
         self.literal = literal
         #: the goal's argument pattern (constants bind, variables select)
         self.pattern = [resolve(arg, None) for arg in literal.args]
+        self._matches = goal_filter(self.pattern)
         self.module_name: Optional[str] = None
         self.form: Optional[str] = None
         self.call_args: Optional[list] = None
         self.instance = None
         self.plan: Optional[MaintenancePlan] = None
         self.base_key: Optional[PredKey] = None
-        self.base_seen = 0
+        self.base_seen: Optional[Watermark] = None
         #: current answer set, keyed for diffing (Tuple.key() -> Tuple)
         self.answers: Dict[object, Tuple] = {}
         self.on_deltas = on_deltas
@@ -154,13 +157,6 @@ class LiveView:
         return list(self.answers.values())
 
     # -- registration ----------------------------------------------------------
-
-    def _matches(self, tup: Tuple) -> bool:
-        env = BindEnv()
-        trail = Trail()
-        matched = unify_fact(self.pattern, env, tup.renamed().args, trail)
-        trail.undo_to(0)
-        return matched
 
     def _register(self) -> None:
         """Resolve the goal, refuse the unmaintainable, compute the initial
@@ -198,7 +194,7 @@ class LiveView:
         self.instance = instance = modules.instance_for(
             self.module_name, self.literal.pred, self.form
         )
-        self.plan = plan = plan_maintenance(
+        self.plan = plan_maintenance(
             manager.ctx, instance, manager.modules.exports,
             call_args=self.call_args,
         )
@@ -211,9 +207,6 @@ class LiveView:
             }
         finally:
             cursor.close()
-        # the evaluation consumed everything present in the base relations,
-        # so re-sync the consumed marks to now (they were recorded pre-eval)
-        plan.record_base_marks()
 
     def _register_base(self, pred: str, arity: int) -> None:
         relation = self.manager.ctx.base_relation(pred, arity)
@@ -221,12 +214,8 @@ class LiveView:
             reason = OBSTRUCTIONS["unmarked"][0].format(f"{pred}/{arity}")
             raise SubscriptionError(f"{reason}; a live view streams inserts off them")
         self.base_key = (pred, arity)
-        answers: Dict[object, Tuple] = {}
-        for tup in relation.scan():
-            if self._matches(tup):
-                answers[tup.key()] = tup
-        self.answers = answers
-        self.base_seen = relation.mark()
+        self.base_seen = Watermark(relation)
+        self.answers = {t.key(): t for t in relation.scan() if self._matches(t)}
 
     # -- repair + delta emission ----------------------------------------------
 
@@ -254,12 +243,10 @@ class LiveView:
             if removed is not None:
                 deltas.append((-1, removed))
         else:
-            relation = self.manager.ctx.base_relation(*self.base_key)
-            for tup in relation.scan(since=self.base_seen):
+            for tup in self.base_seen.arrivals():
                 if tup.key() not in self.answers and self._matches(tup):
                     self.answers[tup.key()] = tup
                     deltas.append((+1, tup))
-            self.base_seen = relation.mark()
         self._emit(deltas)
 
     def _apply_derived(self, key: PredKey, deleted: Optional[Tuple]) -> None:
@@ -340,7 +327,7 @@ class LiveViewManager:
     same call sites that notify the memo cache; each hook call is one
     committed mutation and produces at most one delta event per dependent
     view, in commit order.  Each view's repair state (pending deletes,
-    consumed marks) lives in its own :class:`MaintenancePlan`, so a memo
+    watermarks) lives in its own :class:`MaintenancePlan`, so a memo
     entry and a live view over the same predicate repair independently —
     neither consumes or double-applies the other's deltas."""
 
@@ -413,7 +400,7 @@ class LiveViewManager:
 
     def on_insert(self, key: PredKey) -> None:
         """One committed insert batch on base predicate ``key`` (the new
-        tuples are read off the relation's insertion marks)."""
+        tuples are read off the relation by insertion number)."""
         self._notify(key, None)
 
     def on_delete(self, key: PredKey, tup: Tuple) -> None:

@@ -37,6 +37,7 @@ from ..relations import (
     Relation,
     Tuple,
     TupleIterator,
+    Watermark,
 )
 from ..terms import Arg, BindEnv, resolve
 
@@ -250,7 +251,7 @@ class MaterializedInstance:
     By default all relations computed here are discarded when the instance
     goes away at the end of the call (Section 5.4.2); under ``@save_module``
     the manager keeps the instance, later calls seed additional magic facts,
-    and the semi-naive fixpoint resumes — the marks mechanism guarantees
+    and the semi-naive fixpoint resumes — marks and watermarks guarantee
     derivations are not repeated across calls.  Resumption also absorbs
     inserts into base relations; anything it cannot absorb makes the
     instance :meth:`outdated`.
@@ -267,9 +268,9 @@ class MaterializedInstance:
         self.scope = LocalScope(ctx, multiset_preds=set(compiled.multiset_preds))
         self._active = False
         self._calls = 0
-        #: save-module only: per read, the relation, a mark on it and its
-        #: size, as the last call began (no mark: the relation keeps none)
-        self._bases: Dict[PredKey, PyTuple[Relation, Optional[int], int]] = {}
+        #: save-module only: per read, a watermark on it and its size as the
+        #: last call began (None: it numbers no insertions)
+        self._bases: Dict[PredKey, Optional[PyTuple[Watermark, int]]] = {}
 
         # declare every local predicate up front and attach indexes
         for plan in compiled.scc_plans:
@@ -344,9 +345,9 @@ class MaterializedInstance:
             for key in self.compiled.reads:
                 relation = self.scope.relation(*key)
                 self._bases[key] = (
-                    (relation, relation.mark(), len(relation))
+                    (Watermark(relation), len(relation))
                     if isinstance(relation, MarkedRelation)
-                    else (relation, None, 0)
+                    else None
                 )
 
         if rewritten.magic_pred is not None:
@@ -375,18 +376,19 @@ class MaterializedInstance:
         """Must the next save-module call start from a fresh instance?
         Resumption absorbs inserts into base relations (its versions read
         each one's unconsumed slice) but retracts nothing.  So yes when a
-        read was rebound or has no insertion marks to tell what changed
+        read was rebound or numbers no insertions to tell what changed
         (another module's export, a persistent relation), when a base
         dependency lost a tuple since the last call began, or when one
         gained a tuple and the ``absorb`` verdict is a refusal."""
         if self._active:
             return False  # call() reports the recursive invocation
         absorbs = self.capabilities.absorb is None
-        for key, (relation, mark, size) in self._bases.items():
-            if self.scope.relation(*key) is not relation or mark is None:
+        for key, read in self._bases.items():
+            if read is None or self.scope.relation(*key) is not read[0].relation:
                 return True
-            arrived = relation.count_since(mark)
-            if len(relation) - arrived < size or (arrived and not absorbs):
+            seen, size = read
+            arrived = len(seen.relation.inserted_after(seen.seqno))
+            if size + arrived != len(seen.relation) or (arrived and not absorbs):
                 return True
         return False
 
@@ -415,7 +417,7 @@ class MaterializedInstance:
             run()
         finally:
             self._active = False
-        return self._answer_cursor(call_args, since=0)
+        return self._answer_cursor(call_args)
 
     def _lazy_answers(self, call_args: Sequence[Arg]) -> Iterator[Tuple]:
         """Answers at the end of every fixpoint iteration (Sections 5.4.3,

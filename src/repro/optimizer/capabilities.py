@@ -45,7 +45,7 @@ OBSTRUCTIONS: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "negation": ("the module uses negation", ("maintain", "absorb")),
     "impure": ("the module calls the side-effecting builtin {}", ("maintain",)),
     "cross_module": ("the module calls {} exported by module {}", CONSUMERS),
-    "unmarked": ("base relation {} does not track insertion marks", CONSUMERS),
+    "unmarked": ("base relation {} does not number its insertions", CONSUMERS),
     "traced": ("derivations are being traced (enable_tracing)", ("push",)),
 }
 
@@ -111,9 +111,10 @@ def instance_capabilities(compiled, ctx, exports) -> Capabilities:
     """``compiled``'s verdicts plus the obstructions that depend on the
     session's state, checked when an instance is built: a read that another
     module exports (its instance is outside this one's repair, resumption
-    and push state), a base relation without insertion marks (push keeps
-    its resident copy current by them), and derivation tracing (a proof
-    tree needs each inference's premises, which pushed code never forms)."""
+    and push state), a base relation that numbers no insertions (every
+    reader of a base relation keeps a watermark on it), and derivation
+    tracing (a proof tree needs each inference's premises, which pushed
+    code never forms)."""
     found = []
     for key in compiled.reads:
         exported = exports.get(key)

@@ -21,7 +21,13 @@ from .index import (
     IndexSpec,
     PatternIndexSpec,
 )
-from .memory import DuplicatePolicy, HashRelation, ListRelation, MarkedRelation
+from .memory import (
+    DuplicatePolicy,
+    HashRelation,
+    ListRelation,
+    MarkedRelation,
+    Watermark,
+)
 
 __all__ = [
     "ArgumentIndexSpec",
@@ -38,5 +44,6 @@ __all__ = [
     "Tuple",
     "TupleIterator",
     "VAR_BUCKET",
+    "Watermark",
     "make_tuple",
 ]

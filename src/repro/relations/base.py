@@ -47,8 +47,9 @@ class Tuple:
         self.args = tuple(args)
         self._ground = all(arg.is_ground() for arg in self.args)
         self._key: Any = None
-        #: insertion sequence number, assigned by the owning relation; used
-        #: by the marks mechanism (Section 3.2) to partition deltas.
+        #: insertion sequence number, stamped by the relation that stores
+        #: the tuple (which keeps its own copy: a later insert of the same
+        #: tuple elsewhere restamps this one)
         self.seqno: int = -1
 
     @classmethod

@@ -15,19 +15,17 @@ on each subsidiary relation)."*
 
 Exactly that design: a :class:`HashRelation` is a list of
 :class:`_Segment` subsidiary relations.  ``mark()`` closes the current
-segment and opens a new one; a ranged scan unions the segments between two
-marks.  Every index spec is realised once per segment, so delta scans are
-indexed for free.
+segment and opens a new one; a mark is a segment position, and a ranged
+scan unions the segments between two marks.  Every index spec is realised
+once per segment, so delta scans are indexed for free.
 
-Marks are *ids*, not list positions: monotone ints with ``0`` meaning "from
-the start".  Each segment remembers the mark at which it opened and a
-ranged scan resolves ``since``/``until`` against those, so a segment
-emptied by deletes can be dropped without disturbing any mark a consumer
-still holds — a long-lived relation whose tuples come and go (a base
-relation under a live view) keeps a bounded number of segments, and scan
-cost does not grow with the number of commits it has seen.  Until a segment
-has been dropped, ids and positions coincide and scans slice the list
-directly.
+Marks belong to the evaluation that owns the relation: the fixpoint's delta
+windows over its local relations, and the lazy answer cursor.  A reader of
+a relation it does not own — push's resident copy of a base relation, a
+memo entry or live view catching up with inserts, save-module resumption —
+keeps a :class:`Watermark` instead: an insertion number past every tuple
+it has taken in, read back through :meth:`MarkedRelation.inserted_after`.
+Looking takes no mark, so readers never split a relation into segments.
 
 Duplicate semantics (Section 4.2): the default policy performs subsumption
 checks — a new fact is discarded when an equal fact (ground) or a variant or
@@ -39,9 +37,8 @@ optimizer then restricts duplicate checks to the magic predicates.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import CoralError
 from ..terms import Arg, BindEnv
@@ -103,9 +100,9 @@ class MarkedRelation(Relation):
 
     def mark(self) -> int:
         """Get a mark: facts inserted later are distinguishable from facts
-        inserted earlier (Section 3.2).  Returns a mark id usable as the
-        ``since``/``until`` of a ranged scan: ids only ever grow, and ``0``
-        means "from the start"."""
+        inserted earlier (Section 3.2).  Returns a mark usable as the
+        ``since``/``until`` of a ranged scan; ``0`` means "from the start".
+        Only the evaluation that owns the relation takes marks."""
         raise NotImplementedError
 
     def scan(
@@ -124,11 +121,33 @@ class MarkedRelation(Relation):
         raise NotImplementedError
 
     def inserted_after(self, seqno: int) -> List[Tuple]:
-        """The stored tuples inserted after the one numbered ``seqno``
-        (``Tuple.seqno``; ``0`` means all of them), oldest first.  A reader
-        that only needs what arrived since it last looked uses this instead
-        of a mark, which would close a segment every time it looked."""
+        """The stored tuples numbered past ``seqno`` (by the relation's own
+        numbering; ``0`` means all of them), oldest first — what a
+        :class:`Watermark` reads."""
         raise NotImplementedError
+
+
+class Watermark:
+    """How far a reader of a relation it does not own has read: a number
+    from the insertion clock, past every tuple it has taken in.  The
+    relation keeps each tuple under the number it arrived with (not
+    ``Tuple.seqno``, which a later insert of the same object elsewhere
+    restamps), so what arrived since is what is numbered past it.  Looking
+    takes no mark: the relation's segments are its owner's."""
+
+    __slots__ = ("relation", "seqno")
+
+    def __init__(self, relation: MarkedRelation) -> None:
+        self.relation = relation
+        #: "now": everything stored counts as taken in
+        self.seqno = next(_next_seqno)
+
+    def arrivals(self) -> List[Tuple]:
+        """The tuples inserted since, oldest first; taken in from now on."""
+        arrived = self.relation.inserted_after(self.seqno)
+        if arrived:
+            self.seqno = next(_next_seqno)
+        return arrived
 
 
 class HashRelation(MarkedRelation):
@@ -151,11 +170,6 @@ class HashRelation(MarkedRelation):
         self._rank_specs()
         #: subsidiary relations in mark order; the last one is open
         self._segments: List[_Segment] = [_Segment(self._specs)]
-        #: parallel to ``_segments``: the mark each one opened at — it holds
-        #: the tuples inserted at or after that mark and before the next
-        self._opened: List[int] = [0]
-        #: no segment dropped yet, so mark ids are still list positions
-        self._dense = True
         #: duplicate-detection key -> representative tuple (SET policy)
         self._by_key: Dict[Any, Tuple] = {}
         #: stored non-ground tuples, for subsumption checks of new facts
@@ -167,43 +181,27 @@ class HashRelation(MarkedRelation):
     # -- marks ---------------------------------------------------------------
 
     def mark(self) -> int:
-        opened = self._opened[-1]
         if len(self._segments[-1]):
-            opened += 1
             self._segments.append(_Segment(self._specs))
-            self._opened.append(opened)
-        return opened
-
-    def _window(self, since: int, until: Optional[int]) -> List[_Segment]:
-        """The segments holding marks ``since <= m < until`` (a copy, so a
-        scan is not disturbed by marks taken while it is open)."""
-        if not self._dense:
-            if since:
-                since = bisect_left(self._opened, since)
-            if until is not None:
-                until = bisect_left(self._opened, until)
-        return self._segments[since:until]
+        return len(self._segments) - 1
 
     def count_since(self, mark: int) -> int:
-        return sum(len(segment) for segment in self._window(mark, None))
+        return sum(len(segment) for segment in self._segments[mark:])
 
     def segment_count(self) -> int:
         """How many subsidiary relations a full scan walks."""
         return len(self._segments)
 
     def inserted_after(self, seqno: int) -> List[Tuple]:
-        # seqnos grow with every insert and only the last segment takes
+        # numbers grow with every insert and only the last segment takes
         # inserts, so the newest tuples are at the end: walk back to seqno
         arrived: List[Tuple] = []
         for segment in reversed(self._segments):
-            tuples = segment.tuples
-            for number in reversed(tuples):
+            for number, tup in reversed(segment.tuples.items()):
                 if number <= seqno:
-                    arrived.reverse()
-                    return arrived
-                arrived.append(tuples[number])
-        arrived.reverse()
-        return arrived
+                    return arrived[::-1]
+                arrived.append(tup)
+        return arrived[::-1]
 
     # -- updates --------------------------------------------------------------
 
@@ -263,16 +261,8 @@ class HashRelation(MarkedRelation):
         target = self.find(tup)
         if target is None:
             return False
-        segments = self._segments
-        for position in range(len(segments) - 1, -1, -1):
-            segment = segments[position]
+        for segment in reversed(self._segments):
             if segment.delete(target):
-                if not len(segment) and position < len(segments) - 1:
-                    # emptied and closed: nothing can land in it again, and
-                    # no mark names it by position — drop it
-                    del segments[position]
-                    del self._opened[position]
-                    self._dense = False
                 break
         else:
             return False
@@ -329,7 +319,7 @@ class HashRelation(MarkedRelation):
         until: Optional[int] = None,
     ) -> TupleIterator:
         return GeneratorTupleIterator(
-            self._generate(self._window(since, until), pattern, env)
+            self._generate(self._segments[since:until], pattern, env)
         )
 
     def _generate(
@@ -362,8 +352,6 @@ class HashRelation(MarkedRelation):
     def clear(self) -> None:
         """Discard all tuples and marks (used by save-module resets)."""
         self._segments = [_Segment(self._specs)]
-        self._opened = [0]
-        self._dense = True
         self._by_key.clear()
         self._nonground.clear()
         self._count = 0
@@ -373,49 +361,43 @@ class ListRelation(MarkedRelation):
     """A relation organised as a linked list (Section 7.2): no hashing, no
     indexes — every access is a linear scan.
 
-    Kept both as the simplest possible reference implementation (tests
-    compare HashRelation behaviour against it) and as the baseline the
-    indexing benchmarks measure against.
+    Kept both as the simplest possible reference implementation and as the
+    baseline the indexing benchmarks measure against.  It numbers its
+    insertions from the clock :class:`HashRelation` uses, keeping each
+    tuple beside its number, and a mark is a number from that clock: ranged
+    scans and watermarks read the one numbering.
     """
 
     def __init__(self, name: str, arity: int) -> None:
         super().__init__(name, arity)
-        self._tuples: List[Tuple] = []
-        self._boundaries: List[int] = []
+        #: (insertion number, tuple), oldest first
+        self._entries: List[PyTuple[int, Tuple]] = []
 
     def mark(self) -> int:
-        self._boundaries.append(len(self._tuples))
-        return len(self._boundaries)
+        return next(_next_seqno)
 
     def count_since(self, mark: int) -> int:
-        start = 0 if mark == 0 else self._boundaries[mark - 1]
-        return len(self._tuples) - start
+        return len(self.inserted_after(mark))  # no tuple is numbered mark
 
     def inserted_after(self, seqno: int) -> List[Tuple]:
-        start = len(self._tuples)
-        while start and self._tuples[start - 1].seqno > seqno:
-            start -= 1
-        return self._tuples[start:]
+        return [tup for number, tup in self._entries if number > seqno]
 
     def insert(self, tup: Tuple) -> bool:
         if len(tup.args) != self.arity:
             raise CoralError(
                 f"arity mismatch inserting into {self.name}/{self.arity}: {tup}"
             )
-        for existing in self._tuples:
+        for _, existing in self._entries:
             if existing == tup:
                 return False
         tup.seqno = next(_next_seqno)
-        self._tuples.append(tup)
+        self._entries.append((tup.seqno, tup))
         return True
 
     def delete(self, tup: Tuple) -> bool:
-        for position, existing in enumerate(self._tuples):
+        for position, (_, existing) in enumerate(self._entries):
             if existing == tup:
-                del self._tuples[position]
-                self._boundaries = [
-                    b if b <= position else b - 1 for b in self._boundaries
-                ]
+                del self._entries[position]
                 return True
         return False
 
@@ -426,11 +408,11 @@ class ListRelation(MarkedRelation):
         since: int = 0,
         until: Optional[int] = None,
     ) -> TupleIterator:
-        start = 0 if since == 0 else self._boundaries[since - 1]
-        end = len(self._tuples) if until is None else (
-            len(self._tuples) if until > len(self._boundaries) else self._boundaries[until - 1]
-        )
-        return GeneratorTupleIterator(iter(list(self._tuples[start:end])))
+        return GeneratorTupleIterator(iter([
+            tup
+            for number, tup in self._entries
+            if number >= since and (until is None or number < until)
+        ]))
 
     def __len__(self) -> int:
-        return len(self._tuples)
+        return len(self._entries)

@@ -23,8 +23,8 @@ sources:
 * the fixpoint (:func:`seminaive_rewrite`): one version per recursive body
   position, seeded with the last iteration's arrivals ``[prev, cur)``;
 * save-module resumption (Section 5.4.2): one version per non-recursive
-  positive position, seeded with that relation's unconsumed slice
-  ``[seen, mark)``;
+  positive position, seeded with what arrived at that relation since the
+  SCC last ran (read past a watermark, not a mark);
 * view maintenance (:mod:`repro.eval.maintenance`): one join per positive
   position, seed first and the rest bound-first, seeded with a wave's
   changed tuples.

@@ -21,7 +21,7 @@ considers the next tuple in any loop."*  :class:`Trail` implements that.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .base import Arg
 from .functor import Functor
@@ -162,21 +162,47 @@ def resolve(term: Arg, env: Optional[BindEnv]) -> Arg:
     return result
 
 
+def _replace_variables(
+    term: Arg, mapping: Dict[int, Var], make: Callable[[Var, int], Var]
+) -> Arg:
+    """``term`` with each variable replaced by its entry in ``mapping``,
+    made by ``make(variable, len(mapping))`` on first occurrence.  Iterative
+    (an explicit rebuild stack, as :func:`resolve` keeps): a stored fact may
+    end in a long open list."""
+    if term.__class__ is Var:
+        replacement = mapping.get(term.vid)
+        if replacement is None:
+            replacement = mapping[term.vid] = make(term, len(mapping))
+        return replacement
+    if term.__class__ is not Functor or term._ground:
+        return term
+    # frames: (functor, its children still to visit, its rebuilt children)
+    frames = [(term, iter(term.args), [])]
+    while True:
+        functor, children, rebuilt = frames[-1]
+        for child in children:
+            if child.__class__ is Functor and not child._ground:
+                frames.append((child, iter(child.args), []))
+                break
+            rebuilt.append(
+                _replace_variables(child, mapping, make)
+                if child.__class__ is Var else child
+            )
+        else:
+            frames.pop()
+            functor = Functor(functor.name, rebuilt)
+            if not frames:
+                return functor
+            frames[-1][2].append(functor)
+
+
 def rename_term(term: Arg, mapping: Dict[int, Var]) -> Arg:
     """Standardize apart: replace each variable with a fresh one, consistently.
 
     ``mapping`` carries the replacements so several terms (e.g. all the
     arguments of a stored non-ground fact) share one renaming.
     """
-    if isinstance(term, Var):
-        replacement = mapping.get(term.vid)
-        if replacement is None:
-            replacement = Var(term.name)
-            mapping[term.vid] = replacement
-        return replacement
-    if isinstance(term, Functor) and not term.is_ground():
-        return Functor(term.name, tuple(rename_term(arg, mapping) for arg in term.args))
-    return term
+    return _replace_variables(term, mapping, lambda var, _: Var(var.name))
 
 
 def canonicalize_term(term: Arg, mapping: Dict[int, Var]) -> Arg:
@@ -187,21 +213,13 @@ def canonicalize_term(term: Arg, mapping: Dict[int, Var]) -> Arg:
     canonical forms are structurally equal — the basis of the duplicate
     check on non-ground facts.
     """
-    if isinstance(term, Var):
-        replacement = mapping.get(term.vid)
-        if replacement is None:
-            position = len(mapping)
-            replacement = mapping[term.vid] = (
-                _CANONICAL[position]
-                if position < len(_CANONICAL)
-                else Var(f"${position}", vid=-(position + 1))
-            )
-        return replacement
-    if isinstance(term, Functor) and not term.is_ground():
-        return Functor(
-            term.name, tuple(canonicalize_term(arg, mapping) for arg in term.args)
-        )
-    return term
+    return _replace_variables(term, mapping, _canonical)
+
+
+def _canonical(var: Var, position: int) -> Var:
+    if position < len(_CANONICAL):
+        return _CANONICAL[position]
+    return Var(f"${position}", vid=-(position + 1))
 
 
 #: the first canonical variables, made once: ``$n`` has vid ``-(n + 1)``

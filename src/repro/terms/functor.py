@@ -18,6 +18,7 @@ from __future__ import annotations
 from typing import Any, Callable, Iterator, Optional, Sequence
 
 from .base import Arg, Atom
+from .variable import Var
 
 #: The functor name used for list cons cells.
 CONS = "."
@@ -61,10 +62,19 @@ class Functor(Arg):
         return self._ground
 
     def variables(self) -> Iterator[Arg]:
+        # iterative, left to right: a long open list is one chain of cells
         if self._ground:
             return
-        for arg in self.args:
-            yield from arg.variables()
+        stack = [iter(self.args)]
+        while stack:
+            for arg in stack[-1]:
+                if arg.__class__ is Var:
+                    yield arg
+                elif arg.__class__ is Functor and not arg._ground:
+                    stack.append(iter(arg.args))
+                    break
+            else:
+                stack.pop()
 
     def subterms(self) -> Iterator[Arg]:
         yield self

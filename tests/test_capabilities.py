@@ -8,6 +8,7 @@ import pytest
 
 from repro import Session
 from repro.optimizer.capabilities import CONSUMERS, OBSTRUCTIONS
+from repro.relations import ListRelation
 
 INTERNALS = Path(__file__).resolve().parent.parent / "docs" / "INTERNALS.md"
 
@@ -114,3 +115,47 @@ def test_a_lazy_recursive_answer_scc_is_a_recorded_fallback():
         "p(X, Y) :- e(X, Y).\np(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
     )
     assert "compile (push): 2 rule(s) compiled" in eager.explain("p(X, Y)")
+
+
+_TC = (
+    "module m.\nexport p(bf).\n{flags}p(X, Y) :- e(X, Y).\n"
+    "p(X, Y) :- e(X, Z), p(Z, Y).\nend_module.\n"
+)
+
+
+def _list_based(flags="", **options):
+    session = Session(**options)
+    session.register_relation(ListRelation("e", 2))
+    session.consult_string("e(1, 2).\n" + _TC.format(flags=flags))
+    return session
+
+
+def _grow(session):
+    for step in range(2, 6):
+        session.insert("e", step, step + 1)
+        assert sorted(session.query("p(1, Y)").tuples()) == [
+            (1, y) for y in range(2, step + 2)
+        ]
+
+
+def test_a_list_relation_base_is_read_by_watermark():
+    """A ListRelation numbers its insertions, so a base of that kind is no
+    obstruction: push, memo repair and live views catch up with it."""
+    session = _list_based(memo=True)
+    verdicts = session.modules.instance_for("m", "p", "bf").capabilities
+    assert all(getattr(verdicts, consumer) is None for consumer in CONSUMERS)
+    changes = []
+    session.subscribe("p(1, Y)", changes.extend)
+    _grow(session)
+    assert sorted(tup[1].value for sign, tup in changes if sign > 0) == [
+        3, 4, 5, 6,
+    ]
+    assert session.live.snapshot()["rebuilds"] == 0
+    assert session.memo.snapshot()["evictions"] == 0
+
+
+def test_save_module_resumes_over_a_list_relation_base():
+    session = _list_based("@save_module.\n", compiled=None)
+    instance = session.modules.instance_for("m", "p", "bf")
+    _grow(session)
+    assert session.modules.instance_for("m", "p", "bf") is instance

@@ -125,14 +125,22 @@ class TestDeepTerms:
         assert a != self.long_list(Var("T"))
         assert a != self.long_list()
 
-    def test_query_with_a_long_ground_list(self):
+    @pytest.mark.parametrize("compiled", ["push", None])
+    @pytest.mark.parametrize("tail", ["", " | T"], ids=["ground", "open"])
+    def test_query_with_a_long_ground_list(self, tail, compiled):
+        # an open list's fact is keyed, renamed and walked for variables
+        # on every insert and read: none of those may recurse per cell
         from repro import Session
 
-        text = "[" + ", ".join(str(i) for i in range(3_000)) + "]"
-        session = Session()
-        session.consult_string(f"big({text}).\n")
-        assert len(session.query("big(L)").all()) == 1
-        assert len(session.query(f"big({text})").all()) == 1
+        text = "[" + ", ".join(str(i) for i in range(3_000)) + tail + "]"
+        session = Session(compiled=compiled)
+        session.consult_string(
+            f"big(1, {text}).\nmodule m.\nexport via(bf).\n"
+            "via(K, L) :- big(K, L).\nend_module.\n"
+        )
+        assert len(session.query("big(1, L)").all()) == 1
+        assert len(session.query(f"big(1, {text})").all()) == 1
+        assert len(session.query("via(1, L)").all()) == 1
 
     def test_private_table_ids_stay_private(self):
         table = HashConsTable()

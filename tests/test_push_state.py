@@ -114,15 +114,57 @@ def test_a_missed_delete_hidden_by_an_insert_still_rebuilds():
     assert _reach(session, 40) == _reach(interpreted, 40) == [41]
 
 
-def test_reads_leave_the_base_segments_alone():
-    """Absorbing inserts takes no mark, so insert-only traffic with reads in
-    between does not split the base into one segment per read."""
+SAVED = TC.replace("export path(bf).", "export path(bf).\n@save_module.")
+
+
+def _with_live_views():
     session = _session(_chain(20) + TC)
+    views = [
+        session.subscribe("path(100, Y)", lambda deltas: None),
+        session.subscribe("edge(X, Y)", lambda deltas: None),
+    ]
+    return session, views
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda: (_session(_chain(20) + TC), []), id="push"),
+    pytest.param(
+        lambda: (_session(_chain(20) + TC, memo=True), []), id="memo"
+    ),
+    pytest.param(_with_live_views, id="live"),
+    pytest.param(
+        lambda: (_session(_chain(20) + SAVED, compiled=None), []),
+        id="save_module",
+    ),
+])
+def test_reads_leave_the_base_segments_alone(make):
+    """Every reader of a base relation it does not own — push's resident
+    copy, a memo entry, live views, save-module resumption — catches up by
+    insertion number and takes no mark, so insert-only traffic with reads
+    in between does not split the base into one segment per read."""
+    session, views = make()
     relation = session.relation("edge", 2)
     for step in range(50):
         session.insert("edge", 100 + step, 101 + step)
         assert _reach(session, 100) == list(range(101, 102 + step))
     assert relation.segment_count() == 1
+    cold = _session(
+        "".join(f"edge({a}, {b}).\n" for a, b in _edges(relation)) + TC,
+        compiled=None,
+    )
+    assert _reach(session, 100) == _reach(cold, 100)
+    assert _reach(session, 0) == _reach(cold, 0)
+    if views:
+        derived, base = (
+            sorted(tuple(arg.value for arg in t.args) for t in view.snapshot())
+            for view in views
+        )
+        assert [b for _, b in derived] == _reach(cold, 100)
+        assert base == sorted(_edges(cold.relation("edge", 2)))
+
+
+def _edges(relation):
+    return [tuple(arg.value for arg in t.args) for t in relation.scan()]
 
 
 def test_fresh_numbers_do_not_grow_the_table():

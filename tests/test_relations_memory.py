@@ -11,6 +11,7 @@ from repro.relations import (
     ListRelation,
     PatternIndexSpec,
     Tuple,
+    Watermark,
 )
 from repro.terms import Atom, Functor, Int, Var
 
@@ -144,33 +145,6 @@ class TestMarks:
         rel.mark()
         assert not rel.insert(t(1))
 
-    def test_marks_are_ids_that_survive_dropping_an_emptied_segment(self):
-        rel = HashRelation("p", 1)
-        rel.insert(t(1))
-        first = rel.mark()
-        rel.insert(t(2))
-        second = rel.mark()
-        rel.insert(t(3))
-        third = rel.mark()
-        assert 0 < first < second < third
-        assert rel.segment_count() == 4
-        rel.delete(t(2))  # empties a closed segment: dropped
-        assert rel.segment_count() == 3
-        values = lambda **window: sorted(  # noqa: E731
-            tup[0].value for tup in rel.scan(**window)
-        )
-        assert values() == [1, 3]
-        assert values(since=first) == [3]
-        assert values(since=second) == [3]
-        assert values(since=third) == []
-        assert values(until=second) == [1]
-        assert values(since=first, until=third) == [3]
-        assert rel.count_since(first) == 1
-        # marks keep growing past the gap, and new facts land after them
-        rel.insert(t(4))
-        assert rel.mark() > third
-        assert values(since=third) == [4]
-
     def test_emptied_open_segment_stays_and_is_reused(self):
         rel = HashRelation("p", 1)
         rel.insert(t(1))
@@ -181,25 +155,56 @@ class TestMarks:
         assert rel.mark() == mark
         rel.insert(t(3))
         assert [tup[0].value for tup in rel.scan(since=mark)] == [3]
-
-    def test_toggling_one_tuple_keeps_the_segment_count_bounded(self):
-        rel = HashRelation("p", 1)
-        rel.insert(t(0))
-        for _ in range(200):
-            rel.mark()
-            rel.insert(t(1))
-            rel.mark()
-            rel.delete(t(1))
-        assert rel.segment_count() <= 3
-        assert [tup[0].value for tup in rel.scan()] == [0]
-
     def test_list_relation_marks(self):
         rel = ListRelation("p", 1)
         rel.insert(t(1))
         mark = rel.mark()
         rel.insert(t(2))
         assert {tup[0].value for tup in rel.scan(since=mark)} == {2}
+        assert {tup[0].value for tup in rel.scan(until=mark)} == {1}
         assert rel.count_since(mark) == 1
+        rel.delete(t(1))  # a delete before the mark moves no mark
+        assert {tup[0].value for tup in rel.scan(since=mark)} == {2}
+        assert rel.count_since(mark) == 1
+
+
+class TestWatermark:
+    """A reader of a relation it does not own catches up by insertion
+    number and leaves the owner's segments alone."""
+
+    @pytest.mark.parametrize("kind", [HashRelation, ListRelation])
+    def test_arrivals_are_what_came_after_the_last_look(self, kind):
+        rel = kind("p", 1)
+        rel.insert(t(1))
+        seen = Watermark(rel)
+        assert seen.arrivals() == []
+        rel.insert(t(2))
+        rel.insert(t(3))
+        assert seen.arrivals() == [t(2), t(3)]
+        assert seen.arrivals() == []
+        rel.insert(t(4))
+        rel.delete(t(4))  # arrived and left before the reader looked
+        rel.insert(t(5))
+        assert seen.arrivals() == [t(5)]
+
+    def test_looking_takes_no_mark(self):
+        rel = HashRelation("p", 1)
+        seen = Watermark(rel)
+        for value in range(50):
+            rel.insert(t(value))
+            assert seen.arrivals() == [t(value)]
+        assert rel.segment_count() == 1
+
+    @pytest.mark.parametrize("kind", [HashRelation, ListRelation])
+    def test_numbers_are_the_relations_own(self, kind):
+        rel = kind("p", 1)
+        shared = t(1)
+        rel.insert(shared)
+        seen = Watermark(rel)
+        HashRelation("q", 1).insert(shared)  # restamps shared.seqno
+        rel.insert(t(2))
+        assert seen.arrivals() == [t(2)]
+        assert seen.arrivals() == []
 
 
 class TestArgumentIndex:

@@ -148,6 +148,19 @@ class TestSaveModuleCorrectness:
         session.delete("edge", 2, 3)
         assert session.query("path(1, Y)").tuples() == [(1, 2)]
 
+    def test_asking_whether_outdated_changes_nothing(self):
+        session = Session()
+        session.consult_string(TC)
+        session.query("path(1, Y)").tuples()
+        instance = session.modules.instance_for("tc", "path", "bf")
+        session.insert("edge", 4, 5)
+        for _ in range(3):
+            assert not instance.outdated()
+        assert session.modules.instance_for("tc", "path", "bf") is instance
+        assert sorted(session.query("path(1, Y)").tuples()) == [
+            (1, 2), (1, 3), (1, 4), (1, 5), (1, 6),
+        ]
+
     def test_inserts_under_negation_start_afresh(self):
         session = Session()
         session.consult_string(

@@ -812,10 +812,10 @@ class PushSCCEvaluator(SCCEvaluator):
 
     # -- interpreter interleaving ---------------------------------------------
 
-    def _apply(self, rule, executor, seed=None) -> None:
+    def _apply(self, rule, executor) -> None:
         if self._suppress_pushed and rule.source_index in self._pushed_sources:
             return
-        super()._apply(rule, executor, seed)
+        super()._apply(rule, executor)
 
     def iterations(self):
         if self._program is None or self._started:

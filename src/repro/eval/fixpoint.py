@@ -49,7 +49,7 @@ from ..rewriting.seminaive import DeltaRule, delta_rules, seminaive_rewrite
 from ..terms import BindEnv, Trail
 from .aggregates import fold_groups
 from .context import LocalScope
-from .join import BodyExecutor, SeedSource, derive, instantiate_head
+from .join import BodyExecutor, Source, derive, instantiate_head
 
 PredKey = PyTuple[str, int]
 
@@ -94,7 +94,7 @@ class SCCPlan:
         )
 
 
-def _arrivals(seen: Watermark) -> SeedSource:
+def _arrivals(seen: Watermark) -> Source:
     """Resumption's seed source over one relation: what arrived since the
     SCC last ran.  A seed keeps its written place, so it is probed once per
     binding of the literals before it: a probe one of the relation's own
@@ -113,6 +113,20 @@ def _arrivals(seen: Watermark) -> SeedSource:
                 tup for tup in relation.scan(args, env) if id(tup) in ids
             )
         return ListTupleIterator(arrived)
+
+    return scan
+
+
+def _window(scope: LocalScope, low: Optional[Dict], high: Dict) -> Source:
+    """A read of a literal's relation between two of an evaluator's live
+    mark maps: ``[low[pred], high[pred])``, from the start without
+    ``low``."""
+
+    def scan(literal: Literal, env: BindEnv) -> TupleIterator:
+        key = literal.key
+        return scope.relation(literal.pred, literal.arity).scan(
+            literal.args, env, low[key] if low is not None else 0, high[key]
+        )
 
     return scan
 
@@ -140,41 +154,49 @@ class SCCEvaluator:
         self._label: Optional[str] = None
         for pred in plan.preds:
             scope.declare_local(pred[0], pred[1])
-        marks = (self.prev, self.cur)
 
-        def executors(rules):
-            return [
-                (rule, BodyExecutor(
-                    scope, rule.body, use_backjumping, rule.seed,
-                    rule.recursive, marks,
-                ))
-                for rule in rules
-            ]
+        # the sources close over the mark maps, never over the evaluator:
+        # executors that pointed back at it would make every evaluator a
+        # reference cycle, left to the garbage collector
+        upto_cur = _window(scope, None, self.cur)
+        upto_prev = _window(scope, None, self.prev)
+        #: per resumption seed predicate: what the running resumption reads
+        self._fresh: Dict[PredKey, Source] = {}
+        fresh = self._fresh
+
+        def executors(rules, seed: Optional[Source] = None):
+            out = []
+            for rule in rules:
+                sources = {
+                    position: upto_cur if position < rule.seed else upto_prev
+                    for position in rule.recursive
+                }
+                if seed is not None and rule.seed >= 0:
+                    sources[rule.seed] = seed
+                out.append((rule, BodyExecutor(
+                    scope, rule.body, use_backjumping, sources
+                )))
+            return out
 
         self._once_executors = executors(plan.once_rules)
-        self._resume_executors = executors(plan.resume_rules)
+        self._resume_executors = executors(
+            plan.resume_rules,
+            lambda literal, env: fresh[literal.key](literal, env),
+        )
         #: per resumption seed predicate: how far this SCC has read its
         #: relation, as of the last run's start
         self._seen: Dict[PredKey, Watermark] = {}
-        delta = executors(plan.delta_rules)
+        # the seed of a delta version: the last iteration's new facts
+        delta = executors(plan.delta_rules, _window(scope, self.prev, self.cur))
         if strategy == "psn":
             self._groups = self._group_by_head(delta)
         else:
             self._groups = [(None, delta)]
 
-    # -- seed sources and delta windows -------------------------------------------
-
     def _relation(self, pred: PredKey) -> MarkedRelation:
         relation = self.scope.local[pred]
         assert isinstance(relation, MarkedRelation)
         return relation
-
-    def _arrivals(self, literal: Literal, env: BindEnv) -> TupleIterator:
-        """The fixpoint's seed source: the last iteration's new facts."""
-        key = literal.key
-        return self.scope.local[key].scan(
-            literal.args, env, self.prev[key], self.cur[key]
-        )
 
     def _group_by_head(self, executors):
         """PSN: group rules by head predicate, ordered so that predicates
@@ -209,12 +231,9 @@ class SCCEvaluator:
             )
         return label
 
-    def _apply(
-        self, rule: DeltaRule, executor: BodyExecutor,
-        seed: Optional[SeedSource] = None,
-    ) -> None:
+    def _apply(self, rule: DeltaRule, executor: BodyExecutor) -> None:
         """Evaluate one rule version, inserting derived heads."""
-        apply_rule(self.scope, rule, executor, seed)
+        apply_rule(self.scope, rule, executor)
 
     def iterations(self) -> Iterator[int]:
         """Run to fixpoint, yielding the number of new facts after each
@@ -254,10 +273,11 @@ class SCCEvaluator:
             # version's seed reads only the arrivals past its watermark (an
             # instance reading a relation that numbers no insertions is
             # outdated instead of resumed)
-            fresh = {key: _arrivals(seen) for key, seen in self._seen.items()}
+            self._fresh.update(
+                (key, _arrivals(seen)) for key, seen in self._seen.items()
+            )
             for rule, executor in self._resume_executors:
-                seed = fresh[rule.body[rule.seed].key]
-                self._apply(rule, executor, seed)
+                self._apply(rule, executor)
         for pred in self.plan.recursive:
             self.cur[pred] = self._relation(pred).mark()
         produced = sum(
@@ -289,7 +309,7 @@ class SCCEvaluator:
             new_facts = 0
             for head_key, group in self._groups:
                 for rule, executor in group:
-                    self._apply(rule, executor, self._arrivals)
+                    self._apply(rule, executor)
                 if self.strategy == "psn" and head_key is not None:
                     if head_key in self.plan.recursive:
                         relation = self._relation(head_key)
@@ -324,12 +344,11 @@ def apply_rule(
     scope: LocalScope,
     rule: DeltaRule,
     executor: BodyExecutor,
-    seed: Optional[SeedSource] = None,
 ) -> None:
-    """Evaluate one rule version against ``scope``, its seed literal (if
-    any) reading ``seed``, and insert the derived heads — for a grouping
-    rule (``min(<C>)`` heads), one per group of the complete body;
-    stratification guarantees the body's relations are complete then."""
+    """Evaluate one rule version against ``scope`` and insert the derived
+    heads — for a grouping rule (``min(<C>)`` heads), one per group of the
+    complete body; stratification guarantees the body's relations are
+    complete then."""
     stats = scope.ctx.stats
     stats.rule_applications += 1
     obs = scope.ctx.obs
@@ -343,11 +362,11 @@ def apply_rule(
     if rule.head_aggregates:
         facts = fold_groups(
             head.args, rule.head_aggregates, env,
-            executor.solutions(env, trail, seed), stats,
+            executor.solutions(env, trail), stats,
         )
         tracer = None
     else:
-        facts = derive(executor, head.args, env, trail, seed)
+        facts = derive(executor, head.args, env, trail)
     for fact in facts:
         if tracer is not None:
             tracer.record(

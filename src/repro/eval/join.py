@@ -18,11 +18,10 @@ intermediate literals' untried alternatives cannot make it succeed.
 from __future__ import annotations
 
 from typing import (
-    AbstractSet,
     Callable,
-    Dict,
     Iterator,
     List,
+    Mapping,
     Optional,
     Sequence,
     Tuple as PyTuple,
@@ -30,16 +29,17 @@ from typing import (
 
 from ..errors import EvaluationError
 from ..language.ast import Literal
-from ..relations import Relation, Tuple, TupleIterator
+from ..relations import Tuple, TupleIterator
 from ..terms import Arg, BindEnv, Functor, Trail, Var, resolve
 from ..terms.base import FLAT_PRIMITIVES
 from ..terms.unify import flat_constants, unify_fact
 from .context import LocalScope
 
-#: where a delta rule's seed literal reads from: given the literal and the
-#: bindings at that point, the cursor it scans (a mark window of its
-#: relation, or a list of changed tuples)
-SeedSource = Callable[[Literal, BindEnv], TupleIterator]
+#: where one body literal reads from: given the literal and the bindings at
+#: that point, the cursor it scans — a delta window or the last iteration's
+#: arrivals, a wave's changed tuples, an Ordered Search callee's answers.
+#: A literal given no source reads its relation's full extent.
+Source = Callable[[Literal, BindEnv], TupleIterator]
 
 _EXHAUSTED = object()
 
@@ -85,41 +85,6 @@ def fact_solutions(
             obs.on_scan(key, probed, matched)
 
 
-def positive_solutions(
-    scope: LocalScope,
-    literal: Literal,
-    env: BindEnv,
-    trail: Trail,
-    cursor: Optional[TupleIterator] = None,
-) -> Iterator[None]:
-    """Enumerate bindings that satisfy a positive, non-builtin literal:
-    run the match loop (which also counts the probe side for a profiled
-    session) over ``cursor``, by default a scan of the literal's whole
-    relation, indexed when the probe allows."""
-    if cursor is None:
-        cursor = scope.relation(literal.pred, literal.arity).scan(
-            literal.args, env
-        )
-    obs = scope.ctx.obs
-    if obs is None:
-        return fact_solutions(cursor, literal.args, env, trail)
-    return fact_solutions(cursor, literal.args, env, trail, obs, literal.key)
-
-
-def matches_any(
-    relation: Relation, args: Sequence[Arg], env: BindEnv, trail: Trail
-) -> bool:
-    """Does some stored fact of ``relation`` unify with ``args``?  Leaves
-    no binding behind."""
-    mark = trail.mark()
-    solutions = fact_solutions(relation.scan(args, env), args, env, trail)
-    try:
-        return next(solutions, _EXHAUSTED) is not _EXHAUSTED
-    finally:
-        solutions.close()
-        trail.undo_to(mark)
-
-
 def goal_filter(pattern: Sequence[Arg]) -> Callable[[Tuple], bool]:
     """Does a stored fact unify with the goal ``pattern``?  For a consumer
     filtering many facts by one goal (memo serving a more-bound call, a live
@@ -146,31 +111,20 @@ def goal_filter(pattern: Sequence[Arg]) -> Callable[[Tuple], bool]:
     return flat
 
 
-def negative_holds(
-    scope: LocalScope,
-    literal: Literal,
-    env: BindEnv,
-    trail: Trail,
-) -> bool:
-    """Negation as set difference over a *complete* relation (Section 5.4.1):
-    ``not p(args)`` holds when no stored fact unifies with the arguments.
-    Stratification (or Ordered Search's done-markers) guarantees the
-    relation is fully evaluated when this runs."""
-    relation = scope.relation(literal.pred, literal.arity)
-    return not matches_any(relation, literal.args, env, trail)
-
-
-def _builtin_solutions(impl, args, env: BindEnv, trail: Trail) -> Iterator[None]:
-    """Solutions of a builtin literal; its bindings are undone at the end."""
+def _negation_solutions(
+    cursor: TupleIterator, args: Sequence[Arg], env: BindEnv, trail: Trail
+) -> Iterator[None]:
+    """Negation as set difference over a *complete* relation (Section
+    5.4.1): at most one solution, binding nothing, when no fact of
+    ``cursor`` unifies with the arguments.  Stratification (or the source's
+    check that an Ordered Search callee is done) guarantees the relation is
+    fully evaluated when this runs."""
     mark = trail.mark()
-    for _ in impl(args, env, trail):
-        yield None
+    matches = fact_solutions(cursor, args, env, trail)
+    found = next(matches, _EXHAUSTED) is not _EXHAUSTED
+    matches.close()
     trail.undo_to(mark)
-
-
-def _negation_solutions(scope, literal, env, trail) -> Iterator[None]:
-    """At most one solution, binding nothing: the negated literal holds."""
-    if negative_holds(scope, literal, env, trail):
+    if not found:
         yield None
 
 
@@ -199,12 +153,13 @@ class BodyExecutor:
     Built once per delta rule (the 'semi-naive rule structure' of Section
     5.1: literal order and backtrack points are pre-computed);
     :meth:`solutions` is then called once per rule application with a fresh
-    environment.  The literal at position ``seed`` reads the seed source
-    that call supplies.  A literal at one of the ``recursive`` positions
-    reads the triangular window of its relation: up to ``cur[pred]`` before
-    the seed, below ``prev[pred]`` after it, ``marks`` being the
-    evaluator's live ``(prev, cur)`` maps.  Every other literal reads its
-    relation's full extent.
+    environment.  ``sources`` maps a body position to the :data:`Source` its
+    literal reads — a positive literal enumerates that cursor's matches, a
+    negated one holds when it has none; every other literal reads its
+    relation's full extent.  What a source reads is the caller's business:
+    the fixpoint's arrivals and triangular windows, resumption's and
+    maintenance's seeds and Ordered Search's callee reads are all sources,
+    and the executor treats them alike.
     """
 
     def __init__(
@@ -212,68 +167,56 @@ class BodyExecutor:
         scope: LocalScope,
         body: Sequence[Literal],
         use_backjumping: bool = True,
-        seed: int = -1,
-        recursive: AbstractSet[int] = frozenset(),
-        marks: Optional[PyTuple[Dict, Dict]] = None,
+        sources: Mapping[int, Source] = {},
     ) -> None:
         self.scope = scope
         self.body = list(body)
         self.points = backtrack_points(self.body)
         self.use_backjumping = use_backjumping
         self._openers = [
-            self._opener(position, literal, seed, recursive, marks)
+            self._opener(literal, sources.get(position))
             for position, literal in enumerate(self.body)
         ]
 
     def _opener(
-        self, position: int, literal: Literal, seed: int, recursive, marks
-    ) -> Callable[[BindEnv, Trail, Optional[SeedSource]], Iterator[None]]:
+        self, literal: Literal, source: Optional[Source]
+    ) -> Callable[[BindEnv, Trail], Iterator[None]]:
         """How to start enumerating one body literal's solutions — builtin,
-        negated, or a scan of its seed source, window or whole relation —
-        decided here, once, rather than at every activation."""
+        negated, or a scan of its source or whole relation — decided here,
+        once, rather than at every activation."""
         scope = self.scope
+        args = literal.args
         builtin = scope.ctx.builtins.lookup(literal.pred, literal.arity)
         if builtin is not None:
             if literal.negated:
-                def refuse(env, trail, source):
+                def refuse(env, trail):
                     raise EvaluationError(
                         f"negation of builtin {literal.pred} is not supported"
                     )
                 return refuse
+            # the executor undoes a literal's bindings when it moves off it
             impl = builtin.impl
-            return lambda env, trail, source: _builtin_solutions(
-                impl, literal.args, env, trail
-            )
+            return lambda env, trail: impl(args, env, trail)
+        if source is None:
+            pred, arity = literal.pred, literal.arity
+
+            def source(literal, env):
+                # the whole relation, indexed when the probe allows
+                return scope.relation(pred, arity).scan(args, env)
+
         if literal.negated:
-            return lambda env, trail, source: _negation_solutions(
-                scope, literal, env, trail
+            return lambda env, trail: _negation_solutions(
+                source(literal, env), args, env, trail
             )
-        if position == seed:
-            return lambda env, trail, source: positive_solutions(
-                scope, literal, env, trail, source(literal, env)
-            )
-        if position in recursive:
-            window = marks[1] if position < seed else marks[0]
-            pred, arity, args, key = (
-                literal.pred, literal.arity, literal.args, literal.key
-            )
-            return lambda env, trail, source: positive_solutions(
-                scope, literal, env, trail,
-                scope.relation(pred, arity).scan(args, env, 0, window[key]),
-            )
-        return lambda env, trail, source: positive_solutions(
-            scope, literal, env, trail
+        # the match loop also counts the probe side for a profiled session
+        ctx, key = scope.ctx, literal.key
+        return lambda env, trail: fact_solutions(
+            source(literal, env), args, env, trail, ctx.obs, key
         )
 
-    def solutions(
-        self,
-        env: BindEnv,
-        trail: Trail,
-        seed: Optional[SeedSource] = None,
-    ) -> Iterator[None]:
-        """Yield once per way of satisfying the whole body, the seed literal
-        (if any) reading ``seed``; bindings are in ``env`` while the
-        consumer holds each solution."""
+    def solutions(self, env: BindEnv, trail: Trail) -> Iterator[None]:
+        """Yield once per way of satisfying the whole body; bindings are in
+        ``env`` while the consumer holds each solution."""
         count = len(self.body)
         if count == 0:
             yield None
@@ -287,7 +230,7 @@ class BodyExecutor:
             if iterators[position] is None:
                 marks[position] = trail.mark()
                 produced[position] = False
-                iterators[position] = openers[position](env, trail, seed)
+                iterators[position] = openers[position](env, trail)
             step = next(iterators[position], _EXHAUSTED)
             if step is not _EXHAUSTED:
                 produced[position] = True
@@ -316,14 +259,13 @@ def derive(
     head_args: Sequence[Arg],
     env: BindEnv,
     trail: Trail,
-    seed: Optional[SeedSource] = None,
 ) -> Iterator[Tuple]:
     """Run one delta rule: yield the head fact of every body solution (one
     inference each), with the solution's bindings in ``env`` while the
-    consumer holds the fact.  The fixpoint inserts what it yields;
-    maintenance inserts it, or collects it while DRed over-deletes."""
+    consumer holds the fact.  The fixpoint and Ordered Search insert what it
+    yields; maintenance inserts it, or collects it while DRed over-deletes."""
     stats = executor.scope.ctx.stats
-    for _ in executor.solutions(env, trail, seed):
+    for _ in executor.solutions(env, trail):
         stats.inferences += 1
         yield instantiate_head(head_args, env)
 

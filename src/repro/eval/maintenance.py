@@ -90,6 +90,7 @@ from ..relations import (
     ArgumentIndexSpec,
     GeneratorTupleIterator,
     HashRelation,
+    ListTupleIterator,
     Relation,
     Tuple,
     Watermark,
@@ -210,7 +211,8 @@ class MaintenancePlan:
     """
 
     __slots__ = ("ctx", "instance", "deps", "call_args", "base_seen",
-                 "_scope", "_joins", "_checks", "_answer_key", "_seed")
+                 "_scope", "_joins", "_checks", "_answer_key", "_seed",
+                 "_wave")
 
     def __init__(
         self,
@@ -252,6 +254,8 @@ class MaintenancePlan:
                 tuple(self.call_args[p] for p in rewritten.bound_positions)
             )
             self._seed = ((rewritten.magic_pred, len(seed.args)), seed.key())
+        #: predicate -> changed tuples: what the running wave's seeds read
+        self._wave: Dict[PredKey, List[Tuple]] = {}
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -311,8 +315,14 @@ class MaintenancePlan:
                         ArgumentIndexSpec(literal.arity, positions)
                     )
             bound |= _vids(literal.args)
+        # the seed reads the running wave's changed tuples of its predicate
+        # (through the map, not the plan: no reference cycle)
+        wave = self._wave
         return BodyExecutor(
-            self._scope, body, self.instance.compiled.use_backjumping, seed
+            self._scope, body, self.instance.compiled.use_backjumping,
+            {} if seed < 0 else {
+                seed: lambda literal, env: ListTupleIterator(wave[literal.key])
+            },
         )
 
     # -- the one mechanism -----------------------------------------------------
@@ -330,16 +340,17 @@ class MaintenancePlan:
         to carry into the next wave (or None).  ``shrinking`` skips joins
         into magic heads."""
         while wave:
+            self._wave.clear()
+            self._wave.update(wave)
             next_wave: Dict[PredKey, List[Tuple]] = {}
-            for key, changed in wave.items():
-                source = lambda literal, env: GeneratorTupleIterator(changed)
+            for key in wave:
                 for head_key, head_args, executor, shrinks in \
                         self._joins.get(key, ()):
                     if shrinking and not shrinks:
                         continue  # over-complete magic is sound
                     self.ctx.stats.rule_applications += 1
                     for fact in list(derive(
-                        executor, head_args, BindEnv(), Trail(), source
+                        executor, head_args, BindEnv(), Trail()
                     )):
                         carried = take(head_key, fact)
                         if carried is not None:

@@ -28,39 +28,48 @@ filtering.  An open subgoal is never used that way — its answers are not
 all there yet, which is exactly what negation and aggregation must not see.
 
 The SCC of an iterated subgoal is evaluated *semi-naively* (Section 5.1: a
-rule structure built once, every derivation made once).  A subgoal's rules
-are **prepared** on its first pass — renamed apart, the head unified with
-the call pattern, every body literal's kind decided — and every later pass
-runs the prepared rules.  A prepared rule whose run read only base
-relations and done subgoals is never run again.  The others remember a
-*stamp*, the clock when their previous run began.  A run joins what existed
-when it began — what arrives while it runs is the next run's — and, of
-that, only what the previous run could not have:
+rule structure built once, every derivation made once), by the runner the
+fixpoint, save-module resumption and maintenance share:
+:class:`~repro.eval.join.BodyExecutor`, each body position reading a
+*source*.  A subgoal's rules are **prepared** on its first pass — renamed
+apart, the head unified with the call pattern, every positive or negated
+literal of a predicate this module defines given a source that calls its
+subgoal — and every later pass runs the prepared rules.  A prepared rule
+whose run read only base relations and done subgoals is never run again.
+The others remember a *stamp*, the clock when their previous run began.  A
+run joins what existed when it began (``began``) — what arrives while it
+runs is the next run's — and, of that, only what the previous run could
+not have.
 
-* a tuple of an open callee is *old* if it arrived before the stamp; base
-  relations and builtins hold only old tuples, and so does a done callee
-  reached from an old prefix (the same prefix made the same call in the
-  previous run, and a callee that is done now was complete when that run
-  scanned it — had it been an open member of this SCC it would still be
-  open);
-* a body prefix is *fresh* once it holds a tuple that is not old, and a
-  fresh prefix joins with everything: it may make a call no earlier run
-  made, and that call must see the callee's old answers too;
-* an old prefix scans an open callee's answers and tags each old or fresh,
-  except at the last positive derived literal of the body: nothing after it
-  can make the solution fresh, so only the callee's arrivals since the
-  stamp are enumerated (off its arrival-ordered log, in time proportional
-  to their number) and a done callee is not scanned at all.  Before that
-  literal a done callee under an old prefix is scanned like a base
-  relation — a later literal may still bring a fresh tuple.
+A callee's source records the lowlink its call returned, indexes the probe
+a more general subgoal answers, refuses an open callee where only a done
+one may be read, and reads the callee's answers; base relations, builtins
+and done callees are always read whole.  A rule's first run is a single
+pass reading every open callee up to ``began``.  Every later run is a set
+of triangular *versions*, one per positive derived position *i*:
 
-The invariant: *a run joins a combination of answer tuples only if all of
-them existed when it began and at least one arrived since that rule's
-previous run began; every combination of tuples that existed before that
-point was joined then or earlier.*  So each combination is joined once.
-Reading "how far has this literal got" per (rule, position) instead — the
-delta at every recursive literal independently — is right for one linear
-literal and wrong in general, because of the second case above.
+* the *seed* at *i* reads its callee's arrivals in ``(stamp, began]``, off
+  the subgoal's arrival-ordered log, in time proportional to their number;
+  a done callee is never a seed;
+* an open callee before *i* is read up to ``stamp``.  That prefix is *old*,
+  and so are the base relations and done callees in it: the same old prefix
+  made the same call in the previous run, and a callee that is done now was
+  complete when that run scanned it — had it been an open member of this
+  SCC it would still be open;
+* an open callee after *i* is read up to ``began``: a prefix holding a
+  fresh tuple may make a call no earlier run made, and that call must see
+  the callee's old answers too.
+
+So version *i* joins exactly the combinations whose first fresh tuple sits
+at *i*.  The invariant: *a run joins a combination of answer tuples only if
+all of them existed when it began and at least one arrived since that
+rule's previous run began; every combination of tuples that existed before
+that point was joined then or earlier.*  So each combination is joined
+once.  Reading "how far has this literal got" per (rule, position) instead
+— the delta at every recursive literal independently — is right for one
+linear literal and wrong in general, because of the third case above.
+Triangular versions are not that trap: the positions after a seed read the
+whole snapshot, not their own delta.
 
 The clock is ``Tuple.seqno``: global, monotone, assigned when a relation
 takes the tuple.  ``solve_query`` re-inserts a done subgoal's tuples into
@@ -71,8 +80,9 @@ the seqno of a done subgoal's tuple, so that is harmless.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 from operator import attrgetter
-from typing import Dict, FrozenSet, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import StratificationError
 from ..language.ast import (
@@ -82,12 +92,18 @@ from ..language.ast import (
     Rule,
     group_positions,
 )
-from ..relations import ArgumentIndexSpec, HashRelation, ListTupleIterator, Tuple
+from ..relations import (
+    ArgumentIndexSpec,
+    HashRelation,
+    ListTupleIterator,
+    Tuple,
+    TupleIterator,
+)
 from ..terms import Arg, BindEnv, Trail, Var, rename_term, resolve, unify
 from ..terms.unify import subsumes_all
 from .aggregates import AggregateConstraint, fold_groups
 from .context import LocalScope
-from .join import fact_solutions, instantiate_head, matches_any
+from .join import BodyExecutor, Source, derive
 
 PredKey = PyTuple[str, int]
 
@@ -96,49 +112,31 @@ _COMPLETE = 1 << 60  # lowlink value for done subgoals
 _seqno = attrgetter("seqno")
 
 
-class _Step:
-    """One body literal of a prepared rule, its kind decided once: a builtin
-    (``impl``), a call of a predicate this module defines (``derived``), or
-    a scan of a base relation or another module's export."""
-
-    __slots__ = ("literal", "args", "impl", "derived")
-
-    def __init__(self, literal: Literal, args: PyTuple[Arg, ...], impl, derived: bool) -> None:
-        self.literal = literal
-        self.args = args
-        self.impl = impl
-        self.derived = derived
-
-
 class _PreparedRule:
     """One rule of one subgoal, ready to run any number of times: renamed
     apart, the head unified with the subgoal's pattern (those bindings stay
-    in ``env`` below ``mark``), the body as :class:`_Step` s."""
+    in ``env`` below ``mark``), the body's derived positions known."""
 
     __slots__ = (
-        "rule", "head_args", "steps", "aggregates", "env", "trail", "mark",
-        "last_call", "stamp", "began", "reached", "complete",
+        "rule", "head_args", "body", "derived", "aggregates", "env", "trail",
+        "mark", "versions", "stamp", "began", "reached", "complete",
     )
 
     def __init__(
-        self, rule: Rule, head_args, steps, aggregates, env: BindEnv, trail: Trail
+        self, rule: Rule, head_args, body, derived, aggregates, env: BindEnv,
+        trail: Trail,
     ) -> None:
         self.rule = rule
         self.head_args = head_args
-        self.steps = steps
+        self.body = body
+        #: positions of literals of predicates this module defines
+        self.derived = derived
         self.aggregates = aggregates
         self.env = env
         self.trail = trail
         self.mark = trail.mark()
-        #: the last positive derived literal: past it no tuple can be fresh
-        self.last_call = max(
-            (
-                position
-                for position, step in enumerate(steps)
-                if step.derived and not step.literal.negated
-            ),
-            default=-1,
-        )
+        #: the later runs' executors, built by the second run
+        self.versions: Optional[List[BodyExecutor]] = None
         #: the clock when the current (or latest) run began, and when the one
         #: before it did; negative before there was one
         self.began = self.stamp = -1
@@ -337,6 +335,8 @@ class OrderedSearchEvaluator:
         # it is alone on top of the context with every answer generated
         for member in self.stack[subgoal.depth :]:
             member.done = True
+            for prepared in member.rules:
+                prepared.versions = None  # their sources refer back to it
             member.rules = member.log = None  # only an open subgoal is iterated
             if not all(arg.is_ground() for arg in member.pattern):
                 self.done_general.setdefault(
@@ -347,8 +347,8 @@ class OrderedSearchEvaluator:
 
     def _prepare(self, subgoal: _Subgoal) -> List[_PreparedRule]:
         """The subgoal's rules whose head unifies with its pattern, renamed
-        apart and with every body literal's kind decided — the only place a
-        rule is renamed or a builtin looked up."""
+        apart and with their derived positions found — the only place a rule
+        is renamed."""
         lookup = self.scope.ctx.builtins.lookup
         prepared = []
         for rule in self.rules_by_pred.get((subgoal.pred, subgoal.arity), ()):
@@ -373,17 +373,20 @@ class OrderedSearchEvaluator:
                 for arg, head_arg in constraints
             ):
                 continue
-            steps = []
-            for item in rule.body:
-                builtin = lookup(item.pred, item.arity)
-                steps.append(
-                    _Step(
-                        item,
-                        tuple(rename_term(arg, mapping) for arg in item.args),
-                        builtin.impl if builtin is not None else None,
-                        builtin is None and item.key in self.rules_by_pred,
-                    )
+            body = tuple(
+                Literal(
+                    item.pred,
+                    tuple(rename_term(arg, mapping) for arg in item.args),
+                    item.negated,
                 )
+                for item in rule.body
+            )
+            derived = tuple(
+                position
+                for position, item in enumerate(body)
+                if lookup(item.pred, item.arity) is None
+                and item.key in self.rules_by_pred
+            )
             aggregates = tuple(
                 (
                     position,
@@ -395,9 +398,21 @@ class OrderedSearchEvaluator:
                 for position, aggregation in rule.head_aggregates
             )
             prepared.append(
-                _PreparedRule(rule, head_args, tuple(steps), aggregates, env, trail)
+                _PreparedRule(rule, head_args, body, derived, aggregates, env, trail)
             )
         return prepared
+
+    def _executor(self, prepared: _PreparedRule, seed: int) -> BodyExecutor:
+        """The version of a prepared rule seeded at position ``seed`` (-1:
+        the first run's single pass), its derived positions reading
+        :meth:`_source` s."""
+        sources = {
+            position: self._source(prepared, position, seed)
+            for position in prepared.derived
+        }
+        return BodyExecutor(
+            self.scope, prepared.body, self.compiled.use_backjumping, sources
+        )
 
     def _apply_rules(self, subgoal: _Subgoal) -> int:
         """One pass over the subgoal's rules; returns the minimum lowlink
@@ -429,16 +444,29 @@ class OrderedSearchEvaluator:
         profiler's row for the rule, or None."""
         prepared.stamp, prepared.began = prepared.began, self._latest
         prepared.reached = _COMPLETE
-        solutions = self._body_solutions(prepared, 0, prepared.stamp < 0)
+        if prepared.stamp < 0:
+            executors = [self._executor(prepared, -1)]
+        else:
+            if prepared.versions is None:
+                prepared.versions = [
+                    self._executor(prepared, position)
+                    for position in prepared.derived
+                    if not prepared.body[position].negated
+                ]
+            executors = prepared.versions
+        head_args, env, trail = prepared.head_args, prepared.env, prepared.trail
         if prepared.aggregates:
             # grouping is only legal over *done* subgoals (the paper's
-            # guard: rules with grouping wait for their 'done' literals)
+            # guard: rules with grouping wait for their 'done' literals), so
+            # a grouping rule's first run is its only one
             facts = fold_groups(
-                prepared.head_args, prepared.aggregates, prepared.env,
-                solutions, self.scope.ctx.stats,
+                head_args, prepared.aggregates, env,
+                executors[0].solutions(env, trail), self.scope.ctx.stats,
             )
         else:
-            facts = self._heads(prepared, solutions)
+            facts = chain.from_iterable(
+                derive(executor, head_args, env, trail) for executor in executors
+            )
         for fact in facts:
             if subgoal.insert(fact):
                 self._latest = fact.seqno
@@ -449,87 +477,43 @@ class OrderedSearchEvaluator:
         prepared.trail.undo_to(prepared.mark)
         return prepared.reached
 
-    def _heads(self, prepared: _PreparedRule, solutions) -> Iterator[Tuple]:
-        stats = self.scope.ctx.stats
-        head_args, env = prepared.head_args, prepared.env
-        for _ in solutions:
-            stats.inferences += 1
-            yield instantiate_head(head_args, env)
+    def _source(
+        self, prepared: _PreparedRule, position: int, seed: int
+    ) -> Source:
+        """What a derived position of one version of ``prepared`` reads (see
+        the module docstring).  Each read calls the literal's subgoal under
+        the bindings at that point, notes the lowlink it returns and refuses
+        an open callee where only a done one may be read."""
 
-    # -- body resolution ----------------------------------------------------------------
-
-    def _body_solutions(
-        self, prepared: _PreparedRule, position: int, fresh: bool
-    ) -> Iterator[None]:
-        """Solutions of the body from ``position`` on, under the bindings of
-        the prefix; ``fresh`` says the prefix holds a tuple that arrived
-        after the rule's stamp.  Only fresh solutions come out the far end."""
-        steps = prepared.steps
-        if position == len(steps):
-            yield None
-            return
-        step = steps[position]
-        args = step.args
-        env = prepared.env
-        trail = prepared.trail
-        following = position + 1
-
-        if step.impl is not None:
-            mark = trail.mark()
-            for _ in step.impl(args, env, trail):
-                yield from self._body_solutions(prepared, following, fresh)
-            trail.undo_to(mark)
-            return
-
-        literal = step.literal
-        callee = None
-        if step.derived:
-            pattern = tuple(resolve(arg, env) for arg in args)
+        def read(literal: Literal, env: BindEnv) -> TupleIterator:
+            pattern = tuple(resolve(arg, env) for arg in literal.args)
             callee, lowlink = self._solve(literal.pred, pattern)
             _index_probe(callee, pattern)
             if lowlink < prepared.reached:
                 prepared.reached = lowlink
-            if (literal.negated or prepared.aggregates) and not callee.done:
+            if callee.done:
+                if position == seed:
+                    return ListTupleIterator(())
+                return callee.answers.scan(literal.args, env)
+            if literal.negated or prepared.aggregates:
                 raise StratificationError(
                     f"subgoal {literal.pred}/{literal.arity} is needed "
                     f"negated/aggregated before it is done: the program is "
                     f"not left-to-right modularly stratified"
                 )
-            relation = callee.answers
-        else:
-            # base relation (or another module's export)
-            relation = self.scope.relation(literal.pred, literal.arity)
-        if literal.negated:
-            if not matches_any(relation, args, env, trail):
-                yield from self._body_solutions(prepared, following, fresh)
-            return
-
-        # what to enumerate, as (tuples, does one of them make the prefix
-        # fresh) — see the module docstring for the cases
-        if callee is None or callee.done:
-            if not fresh and position == prepared.last_call:
-                return
-            scans = ((relation.scan(args, env), fresh),)
-        elif not fresh and position == prepared.last_call:
-            arrivals = callee.arrivals(prepared.stamp, prepared.began)
-            scans = ((ListTupleIterator(arrivals), True),)
-        else:
-            # an open callee: a snapshot of what it held when this run began
-            # (it may grow while the rest of the body is being solved)
-            began = prepared.began
-            snapshot = [t for t in relation.scan(args, env) if t.seqno <= began]
-            if fresh:
-                scans = ((ListTupleIterator(snapshot), True),)
-            else:
-                stamp = prepared.stamp
-                scans = (
-                    (ListTupleIterator([t for t in snapshot if t.seqno <= stamp]), False),
-                    (ListTupleIterator([t for t in snapshot if t.seqno > stamp]), True),
+            if position == seed:
+                return ListTupleIterator(
+                    callee.arrivals(prepared.stamp, prepared.began)
                 )
-        obs = self.scope.ctx.obs
-        for cursor, now_fresh in scans:
-            for _ in fact_solutions(cursor, args, env, trail, obs, literal.key):
-                yield from self._body_solutions(prepared, following, now_fresh)
+            # a snapshot: the callee may grow while the rest of the body is
+            # being solved
+            upto = prepared.stamp if position < seed else prepared.began
+            return ListTupleIterator([
+                t for t in callee.answers.scan(literal.args, env)
+                if t.seqno <= upto
+            ])
+
+        return read
 
 
 def _index_probe(subgoal: _Subgoal, called: Sequence[Arg]) -> None:

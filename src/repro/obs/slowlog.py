@@ -34,6 +34,9 @@ import threading
 import time
 from typing import Dict, Optional
 
+#: a logged plan is cut to this many characters
+MAX_PLAN_CHARS = 8000
+
 
 class SlowQueryLog:
     """Append-only JSON-lines log of queries slower than ``threshold``."""
@@ -43,14 +46,12 @@ class SlowQueryLog:
         path: str,
         threshold: float = 1.0,
         analyze: bool = False,
-        max_plan_chars: int = 8000,
     ) -> None:
         if threshold < 0:
             raise ValueError(f"slow-query threshold must be >= 0, got {threshold}")
         self.path = path
         self.threshold = threshold
         self.analyze = analyze
-        self.max_plan_chars = max_plan_chars
         self.entries_written = 0
         self.last_entry: Optional[Dict[str, object]] = None
         self._lock = threading.Lock()
@@ -92,7 +93,7 @@ class SlowQueryLog:
         self._busy = True  # the plan (and any analyze re-run) must not re-log
         try:
             plan = explain_literal(session, literal, analyze=self.analyze)
-            entry["plan"] = plan[: self.max_plan_chars]
+            entry["plan"] = plan[:MAX_PLAN_CHARS]
         except CoralError as exc:
             entry["plan_error"] = str(exc)
         finally:

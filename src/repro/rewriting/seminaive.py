@@ -10,12 +10,13 @@ Section 5.1 gives every rule one precomputed "semi-naive rule structure",
 and Behrend's *Uniform Fixpoint Approach* (PAPERS.md) observes that update
 propagation is the same set of delta rules, seeded with the change.  A
 :class:`DeltaRule` is that structure: a source rule, the order its body
-joins in, and the position of its *seed* literal, which reads a *seed
-source* the caller supplies at run time.  Every other literal reads its
-relation's full extent — except a recursive literal of the SCC being
-evaluated, which reads the triangular window: everything up to the start
-of the last iteration (``cur``) before the seed, everything before it
-(``prev``) after the seed.  That covers every new combination exactly once.
+joins in, and the position of its *seed* literal, which reads a *source*
+the caller supplies (:data:`repro.eval.join.Source`).  Every other
+literal reads its relation's full extent — except a recursive literal of
+the SCC being evaluated, which reads the triangular window: everything up
+to the start of the last iteration (``cur``) before the seed, everything
+before it (``prev``) after the seed.  That covers every new combination
+exactly once.
 
 :func:`delta_rules` builds them all.  Three callers seed them from three
 sources:

@@ -35,8 +35,8 @@ Every conversation with a worker is a one-shot
 :func:`repro.server.protocol.dial` + :func:`~repro.server.protocol.roundtrip`
 — the same pair the router's upstream links and the replication client use
 — so a worker's refusal arrives under its own error class; what the pool
-adds is only the policy (retry until ``start_timeout``, flip to down, back
-off).
+adds is only the policy (retry until :data:`START_TIMEOUT`, flip to down,
+back off).
 """
 
 from __future__ import annotations
@@ -56,6 +56,13 @@ from ..server.protocol import dial, roundtrip
 _LISTENING = re.compile(
     r"coral-server listening on ([^\s:]+):(\d+)"
 )
+
+#: seconds a worker has to report its address, and then to answer the
+#: handshake
+START_TIMEOUT = 30.0
+
+#: the name the handshake gives workers for the process that supervises them
+ROUTER_NAME = "router"
 
 
 def _ask(
@@ -124,9 +131,7 @@ class WorkerPool:
         heartbeat: float = 1.0,
         backoff: float = 0.2,
         backoff_cap: float = 5.0,
-        start_timeout: float = 30.0,
         io_timeout: float = 10.0,
-        router_name: str = "router",
     ) -> None:
         if count < 1:
             raise ProtocolError(f"a worker pool needs >= 1 worker, got {count}")
@@ -142,9 +147,7 @@ class WorkerPool:
         self.heartbeat = heartbeat
         self.backoff = backoff
         self.backoff_cap = backoff_cap
-        self.start_timeout = start_timeout
         self.io_timeout = io_timeout
-        self.router_name = router_name
         self.workers: List[WorkerHandle] = [
             WorkerHandle(i) for i in range(count)
         ]
@@ -295,17 +298,17 @@ class WorkerPool:
         )
         reader.start()
         handle._reader = reader
-        if not ready.wait(self.start_timeout) or not found:
+        if not ready.wait(START_TIMEOUT) or not found:
             proc.kill()
             raise ProtocolError(
                 f"worker {handle.index} did not report a listening address "
-                f"within {self.start_timeout}s"
+                f"within {START_TIMEOUT}s"
             )
         handle.address = found[0]
 
     def _handshake(self, handle: WorkerHandle) -> None:
         """Brand the freshly-booted server with its shard index."""
-        deadline = time.monotonic() + self.start_timeout
+        deadline = time.monotonic() + START_TIMEOUT
         last: Optional[Exception] = None
         while time.monotonic() < deadline:
             try:
@@ -315,7 +318,7 @@ class WorkerPool:
                     {
                         "op": "WORKER_HELLO",
                         "worker": handle.index,
-                        "router": self.router_name,
+                        "router": ROUTER_NAME,
                     },
                 )
                 handle.pid = int(response.get("pid", 0)) or None

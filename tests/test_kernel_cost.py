@@ -12,6 +12,7 @@ from collections import Counter
 import pytest
 
 import repro.builtins.lists as lists
+import repro.eval.join as join
 import repro.eval.ordered as ordered
 from repro import Session
 from repro.relations import Tuple
@@ -116,7 +117,7 @@ def test_figure_3_read_keeps_path_terms_on_the_value_path(counts, monkeypatch):
     seen = Counter()
     within = set()  # "append" / "head" while one of those is running
     var_init, tuple_init = Var.__init__, Tuple.__init__
-    list_unify, head = lists.unify, ordered.instantiate_head
+    list_unify, head = lists.unify, join.instantiate_head
     append = made.ctx.builtins.lookup("append", 3).impl
 
     def counted_var(self, *args, **kwargs):
@@ -155,7 +156,7 @@ def test_figure_3_read_keeps_path_terms_on_the_value_path(counts, monkeypatch):
     monkeypatch.setattr(Var, "__init__", counted_var)
     monkeypatch.setattr(Tuple, "__init__", counted_tuple)
     monkeypatch.setattr(lists, "unify", counted_list_unify)
-    monkeypatch.setattr(ordered, "instantiate_head", counted_head)
+    monkeypatch.setattr(join, "instantiate_head", counted_head)
     made.ctx.builtins.register_function("append", 3, counted_append, replace=True)
     counts["unify"] = 0
     answers = made.query("s_p(0, Y, P, C)").all()

@@ -14,6 +14,7 @@ from collections import Counter
 
 import pytest
 
+import repro.eval.join as join
 import repro.eval.ordered as ordered
 from repro import Session
 from repro.errors import StratificationError
@@ -194,6 +195,7 @@ RING = """
 module tc.
 export path(bf).
 @ordered_search.
+%s
 path(X, Y) :- edge(X, Y).
 path(X, Y) :- edge(X, Z), path(Z, Y).
 end_module.
@@ -205,18 +207,26 @@ end_module.
 RING_INFERENCES = {20: 420, 40: 1640}
 
 
+#: Ordered Search backjumps unless told not to; neither changes a count
+BACKJUMPING = pytest.mark.parametrize(
+    "flag", ["", "@no_backjumping."], ids=["backjumping", "no_backjumping"]
+)
+
+
+@BACKJUMPING
 @pytest.mark.parametrize("n", sorted(RING_INFERENCES))
-def test_a_ring_of_n_subgoals_costs_n_squared_inferences(n):
+def test_a_ring_of_n_subgoals_costs_n_squared_inferences(n, flag):
     session = Session()
     session.consult_string(
-        "".join(f"edge({i}, {(i + 1) % n}).\n" for i in range(n)) + RING
+        "".join(f"edge({i}, {(i + 1) % n}).\n" for i in range(n)) + RING % flag
     )
     before = session.stats.inferences
     assert len(session.query("path(0, Y)").all()) == n
     assert session.stats.inferences - before == RING_INFERENCES[n] == n * n + n
 
 
-def test_no_combination_of_answers_is_joined_twice(monkeypatch):
+@BACKJUMPING
+def test_no_combination_of_answers_is_joined_twice(monkeypatch, flag):
     """The invariant of the semi-naive SCC loop, on the case that breaks a
     per-literal delta: in ``t(X, Y) :- t(X, Z), t(Z, Y)`` a fresh ``t(x, z)``
     makes a new call that must see old answers, and an old one must see only
@@ -224,7 +234,7 @@ def test_no_combination_of_answers_is_joined_twice(monkeypatch):
     rule's head arguments are renamed once) and the body's bindings, which
     name the two answers joined."""
     built = Counter()
-    instantiate_head = ordered.instantiate_head
+    instantiate_head = join.instantiate_head
 
     def recording(head_args, env):
         bindings = sorted(
@@ -234,7 +244,7 @@ def test_no_combination_of_answers_is_joined_twice(monkeypatch):
         built[id(head_args), tuple(bindings)] += 1
         return instantiate_head(head_args, env)
 
-    monkeypatch.setattr(ordered, "instantiate_head", recording)
+    monkeypatch.setattr(join, "instantiate_head", recording)
     edges = [(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2), (1, 5), (5, 0)]
     session = Session()
     session.consult_string(
@@ -242,10 +252,11 @@ def test_no_combination_of_answers_is_joined_twice(monkeypatch):
         module nl.
         export t(bf).
         @ordered_search.
+        %s
         t(X, Y) :- e(X, Y).
         t(X, Y) :- t(X, Z), t(Z, Y).
         end_module.
-        """
+        """ % flag
     )
     before = session.stats.snapshot()
     assert len(session.query("t(0, Y)").all()) == 6

@@ -4,7 +4,7 @@ negation and aggregation patterns beyond win/move."""
 import pytest
 
 from repro import Session
-from repro.errors import StratificationError
+from repro.errors import EvaluationError, StratificationError
 
 
 class TestModularlyStratifiedNegation:
@@ -197,3 +197,27 @@ class TestSelectionWithABoundNonGroupArgument:
             (a["Y"], [str(edge) for edge in a["P"]], a["C"])
             for a in session.query("p(a, Y, P, C)")
         ) == [("b", ["edge(a, b)"], 1), ("c", ["edge(a, c)"], 1)]
+
+
+NEGATED_BUILTIN = """
+n(1). n(2). n(5). n(7).
+module m.
+export small(f).
+{flag}
+small(X) :- n(X), not member(X, [1, 5]).
+end_module.
+"""
+
+
+@pytest.mark.parametrize("compiled", ["push", None], ids=["push", "interpreted"])
+@pytest.mark.parametrize(
+    "flag", ["@ordered_search.", "@no_rewriting.", "@pipelining.", ""],
+    ids=["ordered_search", "no_rewriting", "pipelining", "default"],
+)
+def test_a_negated_builtin_is_refused_by_every_engine(flag, compiled):
+    """A negated builtin is refused, not run as the positive builtin (which
+    would answer 1 and 5 here)."""
+    session = Session() if compiled else Session(compiled=None)
+    session.consult_string(NEGATED_BUILTIN.format(flag=flag))
+    with pytest.raises(EvaluationError, match="negation of builtin member"):
+        session.query("small(X)").all()

@@ -404,8 +404,7 @@ class OrderedSearchEvaluator:
 
     def _executor(self, prepared: _PreparedRule, seed: int) -> BodyExecutor:
         """The version of a prepared rule seeded at position ``seed`` (-1:
-        the first run's single pass), its derived positions reading
-        :meth:`_source` s."""
+        the first run's single pass); see :meth:`_source`."""
         sources = {
             position: self._source(prepared, position, seed)
             for position in prepared.derived

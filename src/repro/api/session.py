@@ -12,16 +12,24 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Dict, Iterator, List, Optional, Union
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Tuple as PyTuple,
+    Union,
+)
 
-from ..builtins import BuiltinRegistry
 from ..errors import (
     CoralError,
     EvaluationError,
     ResourceLimitError,
     SessionClosedError,
 )
-from ..eval.context import EvalContext
+from ..eval.context import EvalContext, PredKey
 from ..eval.limits import ResourceLimits
 from ..eval.memo import MemoCache, MemoPolicy
 from ..language import Literal, Program, parse_program, parse_query
@@ -107,6 +115,16 @@ class QueryResult:
             pass
 
     def get_next(self) -> Optional[Answer]:
+        answer = self.pull()
+        if answer is not None:
+            self._cache.append(answer)
+        return answer
+
+    def pull(self) -> Optional[Answer]:
+        """The next answer, not retained: :meth:`all` and iteration will
+        not see it again.  For a consumer that hands each answer on once
+        and must not hold a whole answer set (a server cursor ships batch
+        after batch)."""
         if self._done:
             return None
         limits = self._limits
@@ -136,8 +154,6 @@ class QueryResult:
                 self._ctx.limits = previous
         if answer is None:
             self._done = True
-            return None
-        self._cache.append(answer)
         return answer
 
     def set_limits(self, limits: Optional["ResourceLimits"]) -> "QueryResult":
@@ -192,14 +208,13 @@ class Session:
 
     def __init__(
         self,
-        builtins: Optional[BuiltinRegistry] = None,
         data_directory: Optional[str] = None,
         buffer_capacity: int = 64,
         limits: Optional[ResourceLimits] = None,
         memo: Union[None, bool, str, MemoPolicy] = None,
         compiled: Optional[str] = "push",
     ) -> None:
-        self.ctx = EvalContext(builtins)
+        self.ctx = EvalContext()
         #: modules evaluate through the push code generator by default
         #: (docs/COMPILED.md); ``compiled=None`` keeps the interpreter, and
         #: an explicit ``@compiled(...)`` module annotation still wins
@@ -214,8 +229,8 @@ class Session:
         self._buffer_capacity = buffer_capacity
         #: cross-query answer cache (docs/MEMO.md).  ``memo=True`` memoizes
         #: every eligible module, ``memo="annotated"`` only modules carrying
-        #: ``@memo``, a :class:`~repro.eval.memo.MemoPolicy` tunes budget and
-        #: damage threshold; None/False disables.
+        #: ``@memo``, a :class:`~repro.eval.memo.MemoPolicy` tunes the byte
+        #: budget; None/False disables.
         self.memo: Optional[MemoCache] = None
         #: live-query registry (docs/LIVE.md), created lazily by the first
         #: :meth:`subscribe`; None until then so sessions that never
@@ -262,19 +277,12 @@ class Session:
 
         def _assert_impl(args, env, trail):
             name, fact_args = _target(args, env)
-            inserted = self.ctx.base_relation(name, len(fact_args)).insert(
-                Tuple(tuple(fact_args))
-            )
-            if inserted:
-                self.ctx.notify_insert((name, len(fact_args)))
+            self.commit_inserts([((name, len(fact_args)), Tuple(fact_args))])
             yield None
 
         def _retract_impl(args, env, trail):
             name, fact_args = _target(args, env)
-            relation = self.ctx.base_relations.get((name, len(fact_args)))
-            tup = Tuple(tuple(fact_args))
-            if relation is not None and relation.delete(tup):
-                self.ctx.notify_delete((name, len(fact_args)), tup)
+            if self.commit_deletes([((name, len(fact_args)), Tuple(fact_args))]):
                 yield None
 
         self.ctx.builtins.register_function(
@@ -379,17 +387,16 @@ class Session:
                 self.consult(nested)
         for module in program.modules:
             self.modules.load(module)
-        changed_keys = set()
-        for fact in program.facts:
-            head = fact.head
-            relation = self.ctx.base_relation(head.pred, len(head.args))
-            args = head.args
-            if len(self.types):
-                args = tuple(self.types.reconstruct(arg) for arg in args)
-            if relation.insert(Tuple(tuple(args))):
-                changed_keys.add((head.pred, len(head.args)))
-        for key in changed_keys:
-            self.ctx.notify_insert(key)
+        reconstruct = self.types.reconstruct if len(self.types) else None
+        self.commit_inserts(
+            (
+                fact.head.key,
+                Tuple(
+                    map(reconstruct, fact.head.args) if reconstruct else fact.head.args
+                ),
+            )
+            for fact in program.facts
+        )
         for annotation in program.index_annotations:
             relation = self.ctx.base_relation(annotation.pred, annotation.arity)
             if isinstance(relation, HashRelation):
@@ -552,20 +559,43 @@ class Session:
         return count
 
     def insert(self, pred: str, *values: Any) -> bool:
-        inserted = self.ctx.base_relation(
-            pred, len(values)
-        ).insert_values(*values)
-        if inserted:
-            self.ctx.notify_insert((pred, len(values)))
-        return inserted
+        return self.commit_inserts(
+            [((pred, len(values)), Tuple(to_arg(v) for v in values))]
+        )
 
     def delete(self, pred: str, *values: Any) -> bool:
-        relation = self.ctx.base_relation(pred, len(values), create=False)
-        tup = Tuple(tuple(to_arg(v) for v in values))
-        deleted = relation.delete(tup)
-        if deleted:
-            self.ctx.notify_delete((pred, len(values)), tup)
-        return deleted
+        self.ctx.base_relation(pred, len(values), create=False)  # must exist
+        return self.commit_deletes(
+            [((pred, len(values)), Tuple(to_arg(v) for v in values))]
+        )
+
+    # -- the commit path: every base-relation update goes through these two
+
+    def commit_inserts(self, facts: Iterable[PyTuple[PredKey, Tuple]]) -> bool:
+        """Insert ``(key, tuple)`` pairs into base relations (created when
+        new), then tell memo and live views once per predicate that
+        changed.  True when anything was new."""
+        changed: Dict[PredKey, None] = {}
+        base_relation = self.ctx.base_relation
+        for key, tup in facts:
+            if base_relation(*key).insert(tup):
+                changed[key] = None
+        for key in changed:
+            self.ctx.notify_insert(key)
+        return bool(changed)
+
+    def commit_deletes(self, facts: Iterable[PyTuple[PredKey, Tuple]]) -> bool:
+        """Delete ``(key, tuple)`` pairs from base relations, telling push,
+        memo and live views of each one removed (a missing relation or
+        tuple is a no-op).  True when anything was removed."""
+        changed = False
+        relations = self.ctx.base_relations
+        for key, tup in facts:
+            relation = relations.get(key)
+            if relation is not None and relation.delete(tup):
+                self.ctx.notify_delete(key, tup)
+                changed = True
+        return changed
 
     @property
     def stats(self):

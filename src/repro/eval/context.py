@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple as PyTuple
 
-from ..builtins import BuiltinRegistry, default_registry
+from ..builtins import default_registry
 from ..errors import EvaluationError
 from ..relations import DuplicatePolicy, HashRelation, Relation, Tuple
 from .aggregates import AggregateConstraint
@@ -51,9 +51,9 @@ class EvalStats:
 class EvalContext:
     """Session-global evaluation state."""
 
-    def __init__(self, builtins: Optional[BuiltinRegistry] = None) -> None:
+    def __init__(self) -> None:
         self.base_relations: Dict[PredKey, Relation] = {}
-        self.builtins = builtins if builtins is not None else default_registry()
+        self.builtins = default_registry()
         self.resolvers: List[Resolver] = []
         self.stats = EvalStats()
         #: optional DerivationTracer (the Explanation tool); None = off
@@ -94,12 +94,6 @@ class EvalContext:
             self.memo.on_delete(key, tup)
         if self.live is not None:
             self.live.on_delete(key, tup)
-
-    def check_limits(self) -> None:
-        """Raise ResourceLimitError if the active guard's budget is spent;
-        no-op when no limits are installed."""
-        if self.limits is not None:
-            self.limits.check(self.stats)
 
     # -- relation resolution ---------------------------------------------------
 

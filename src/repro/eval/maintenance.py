@@ -108,6 +108,11 @@ PredKey = PyTuple[str, int]
 #: module info; consumers that refuse cross-module plans may pass None)
 ModuleDeps = Callable[[str], FrozenSet[PredKey]]
 
+#: DRed bail-out, for memo entries and live views alike: when over-deletion
+#: touches more than this fraction of an instance's derived facts (and more
+#: than 64 of them), the consumer starts over instead of repairing
+DAMAGE_THRESHOLD = 0.5
+
 
 class DamageExceeded(Exception):
     """DRed over-deletion crossed the damage threshold: repairing would
@@ -434,7 +439,6 @@ class MaintenancePlan:
     def apply_deletes(
         self,
         pending: Dict[PredKey, List[Tuple]],
-        damage_threshold: float,
         change: Optional[NetChange] = None,
     ) -> NetChange:
         """DRed delete-rederive over the instance's retained local
@@ -443,14 +447,14 @@ class MaintenancePlan:
         by default) with the net effect on the answers folded in and the
         ``over_deleted``/``rederived`` counts added; raises
         :class:`DamageExceeded` when over-deletion would touch more than
-        ``damage_threshold`` of the derived facts."""
+        :data:`DAMAGE_THRESHOLD` of the derived facts."""
         if change is None:
             change = NetChange()
         if self._joins is None:
             self._build_joins()
         local = self.instance.scope.local
         total = sum(len(relation) for relation in local.values())
-        budget = max(64, int(damage_threshold * total))
+        budget = max(64, int(DAMAGE_THRESHOLD * total))
 
         # --- over-delete: collect everything a removed tuple supports ------
         # Nothing is deleted yet, so the joins see the local pre-state as it

@@ -31,7 +31,8 @@ Three mechanisms make the cache safe:
   Magic/supplementary-magic *magic* predicates are exempt from
   over-deletion: an over-complete magic set only gates relevance, never
   truth.  A repair reports the net change of the answer set and the entry
-  patches its snapshot with it.  Above a configurable damage threshold —
+  patches its snapshot with it.  Above the damage threshold
+  (:data:`repro.eval.maintenance.DAMAGE_THRESHOLD`) —
   or for any entry whose ``maintain`` verdict is a refusal — the whole
   entry is evicted, with the reason, and recomputed on next use.
 
@@ -83,9 +84,6 @@ class MemoPolicy:
     max_bytes: int = 32 * 1024 * 1024
     #: refuse to retain any single entry larger than this (0 = max_bytes/4)
     max_entry_bytes: int = 0
-    #: DRed bail-out: evict instead of repairing when over-deletion touches
-    #: more than this fraction of an entry's derived facts
-    damage_threshold: float = 0.5
     #: memoize only modules carrying the ``@memo`` annotation
     annotated_only: bool = False
 
@@ -452,9 +450,7 @@ class MemoCache:
         scope_bytes = _estimate_scope_bytes(entry.instance)
         try:
             if entry.pending_deletes:
-                entry.plan.apply_deletes(
-                    entry.pending_deletes, self.policy.damage_threshold, change
-                )
+                entry.plan.apply_deletes(entry.pending_deletes, change)
                 self.stats.dred_overdeleted += change.over_deleted
                 self.stats.dred_rederived += change.rederived
                 self.stats.delete_refreshes += 1

@@ -30,19 +30,14 @@ from .join import fact_solutions
 
 PredKey = PyTuple[str, int]
 
-#: default bound on subgoal nesting (runaway-recursion guard)
-DEFAULT_DEPTH_LIMIT = 4000
+#: bound on subgoal nesting (runaway-recursion guard)
+DEPTH_LIMIT = 4000
 
 
 class PipelinedModule:
     """A module evaluated top-down, one answer at a time."""
 
-    def __init__(
-        self,
-        ctx: EvalContext,
-        module: ModuleDecl,
-        depth_limit: int = DEFAULT_DEPTH_LIMIT,
-    ) -> None:
+    def __init__(self, ctx: EvalContext, module: ModuleDecl) -> None:
         for rule in module.rules:
             if rule.head_aggregates:
                 raise ModuleError(
@@ -51,7 +46,6 @@ class PipelinedModule:
                 )
         self.ctx = ctx
         self.name = module.name
-        self.depth_limit = depth_limit
         #: rules per predicate, in the order they occur in the module
         #: definition (Section 5.1's pipelined module structure)
         self.rules_by_pred: Dict[PredKey, List[Rule]] = {}
@@ -94,9 +88,9 @@ class PipelinedModule:
             # pipelined evaluation derives no stored facts, so the guard is
             # consulted per subgoal instead of per insertion
             self.ctx.limits.check(self.ctx.stats)
-        if depth > self.depth_limit:
+        if depth > DEPTH_LIMIT:
             raise EvaluationError(
-                f"pipelined evaluation exceeded depth {self.depth_limit} "
+                f"pipelined evaluation exceeded depth {DEPTH_LIMIT} "
                 f"(left recursion? consider @materialization)"
             )
         builtin = self.ctx.builtins.lookup(literal.pred, literal.arity)

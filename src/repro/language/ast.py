@@ -80,10 +80,6 @@ class Rule:
     body: PyTuple[Literal, ...] = ()
     head_aggregates: PyTuple[PyTuple[int, Aggregation], ...] = ()
 
-    @property
-    def is_fact(self) -> bool:
-        return not self.body
-
     def __str__(self) -> str:
         head = _head_to_str(self)
         if not self.body:

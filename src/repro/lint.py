@@ -29,10 +29,10 @@ can surface before evaluation:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Dict, List, Optional, Set, Tuple as PyTuple
 
 from .language.ast import ModuleDecl, Program, Rule
-from .terms import Arg, Atom, Double, Int, Str, Var
+from .terms import Arg, Atom, Double, Int, Str
 
 PredKey = PyTuple[str, int]
 
@@ -68,14 +68,10 @@ def _constant_type(arg: Arg) -> Optional[str]:
 class ProgramChecker:
     """Runs all checks over a parsed program plus session context."""
 
-    def __init__(
-        self,
-        known_predicates: Optional[Set[PredKey]] = None,
-        is_builtin=None,
-    ) -> None:
+    def __init__(self, known_predicates: Set[PredKey], is_builtin) -> None:
         #: predicates known to exist outside the program being checked
         #: (base relations, other modules' exports)
-        self.known = set(known_predicates or ())
+        self.known = set(known_predicates)
         self.is_builtin = is_builtin or (lambda name, arity: False)
 
     # -- entry points --------------------------------------------------------

@@ -254,9 +254,7 @@ class LiveView:
         change = NetChange()
         try:
             if deleted is not None:
-                plan.apply_deletes(
-                    {key: [deleted]}, self.manager.damage_threshold, change
-                )
+                plan.apply_deletes({key: [deleted]}, change)
             plan.apply_inserts(change)
             self.manager.stats.refreshes += 1
         except Exception as exc:
@@ -334,9 +332,6 @@ class LiveViewManager:
     def __init__(self, ctx, modules) -> None:
         self.ctx = ctx
         self.modules = modules
-        #: DRed bail-out fraction, as MemoPolicy.damage_threshold — above
-        #: it a view rebuilds instead of repairing (still emitting deltas)
-        self.damage_threshold = 0.5
         self.stats = LiveStats()
         self._views: Dict[int, LiveView] = {}
         self._by_dep: Dict[PredKey, Set[int]] = {}

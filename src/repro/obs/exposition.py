@@ -40,19 +40,16 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple as PyTuple
 from .flight import FlightRecorder
 from .metrics import MetricsRegistry
 
-_NAME_OK = re.compile(r"[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
+#: every exposed family name starts with this (which also makes it legal)
+NAMESPACE = "coral"
 
-def metric_name(name: str, namespace: str = "coral") -> str:
+
+def metric_name(name: str) -> str:
     """Our dotted metric names (``server.request.seconds``) as legal
     Prometheus names (``coral_server_request_seconds``)."""
-    flat = _SANITIZE.sub("_", name)
-    if namespace:
-        flat = f"{namespace}_{flat}"
-    if not _NAME_OK.match(flat):
-        flat = "_" + flat
-    return flat
+    return f"{NAMESPACE}_{_SANITIZE.sub('_', name)}"
 
 
 def _escape_label_value(value: str) -> str:
@@ -146,7 +143,6 @@ def snapshot_metrics(
 
 def render_prometheus(
     registries: Iterable[MetricsRegistry],
-    namespace: str = "coral",
     snapshots: Iterable[
         PyTuple[Dict[str, str], Dict[str, Dict[str, object]]]
     ] = (),
@@ -168,7 +164,7 @@ def render_prometheus(
     sources.append(tuple(snapshot_metrics(snapshots)))
     for metrics in sources:
         for metric in metrics:
-            family = metric_name(metric.name, namespace)
+            family = metric_name(metric.name)
             slot = families.get(family)
             if slot is None:
                 families[family] = {
@@ -301,7 +297,6 @@ class TelemetryServer:
         registries: Iterable[MetricsRegistry] = (),
         flight: Optional[FlightRecorder] = None,
         health: Optional[Callable[[], PyTuple[bool, str]]] = None,
-        namespace: str = "coral",
         snapshots: Optional[
             Callable[
                 [],
@@ -323,16 +318,12 @@ class TelemetryServer:
         #: called per scrape: (extra_labels, collected) pairs for remote
         #: registries — a shard router's cached worker snapshots
         self._snapshots = snapshots
-        self.namespace = namespace
         self._httpd = ThreadingHTTPServer((host, port), _Handler)
         self._httpd.daemon_threads = True
         self._httpd.telemetry = self  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
 
-    # -- composition ---------------------------------------------------------
-
-    def add_registry(self, registry: MetricsRegistry) -> None:
-        self._registries.append(registry)
+    # -- what the handlers serve ----------------------------------------------
 
     def render(self) -> str:
         snapshots: Iterable = ()
@@ -341,7 +332,7 @@ class TelemetryServer:
                 snapshots = list(self._snapshots())
             except Exception:  # a scrape must render what it can
                 snapshots = ()
-        return render_prometheus(self._registries, self.namespace, snapshots)
+        return render_prometheus(self._registries, snapshots)
 
     def health(self) -> PyTuple[bool, str]:
         if self._health is None:

@@ -23,9 +23,7 @@ Cost discipline: the evaluator and storage layers never consult a registry
 directly.  They hold an optional observer (``ctx.obs``, installed by
 :class:`~repro.obs.profiler.Profiler`) and guard every hook with a single
 ``if obs is not None`` branch; with observability off that branch is the
-*entire* cost.  A registry constructed with ``enabled=False`` additionally
-returns shared null metrics whose mutators are no-ops, so library code can
-keep unconditional ``metric.inc()`` calls if it prefers that style.
+*entire* cost.
 """
 
 from __future__ import annotations
@@ -248,6 +246,10 @@ class Histogram:
         return {labels: self.snapshot(*labels) for labels in self._series}
 
 
+#: the one label value a :class:`LabelCapper` collapses new values into
+OVERFLOW_LABEL = "other"
+
+
 class LabelCapper:
     """Bound the cardinality of one labeled counter family.
 
@@ -255,20 +257,19 @@ class LabelCapper:
     are a cardinality bomb: a million distinct clients would mint a million
     time series and an unboundedly large ``/metrics`` payload.  The capper
     admits the first ``k`` distinct label values it sees and collapses
-    every later new value into a single ``overflow`` bucket (``"other"``),
+    every later new value into a single :data:`OVERFLOW_LABEL` bucket,
     so the family can never exceed ``k + 1`` series.  First-come admission
     keeps the steady long-lived labels (a fleet's real clients, an
     application's hot predicates) and sheds the churn.
     """
 
-    __slots__ = ("counter", "k", "overflow", "overflowed", "_seen", "_lock")
+    __slots__ = ("counter", "k", "overflowed", "_seen", "_lock")
 
-    def __init__(self, counter, k: int = 32, overflow: str = "other") -> None:
+    def __init__(self, counter, k: int = 32) -> None:
         if k < 1:
             raise MetricError(f"label cap must be >= 1, got {k}")
         self.counter = counter
         self.k = k
-        self.overflow = overflow
         #: label values collapsed into the overflow bucket so far
         self.overflowed = 0
         self._seen: set = set()
@@ -281,63 +282,14 @@ class LabelCapper:
                     self._seen.add(label)
                 else:
                     self.overflowed += 1
-                    label = self.overflow
+                    label = OVERFLOW_LABEL
         self.counter.inc(amount, label)
 
 
-class _NullBound:
-    __slots__ = ()
-
-    def inc(self, amount: float = 1) -> None:
-        pass
-
-    value = 0.0
-
-
-class _NullMetric:
-    """Shared do-nothing stand-in handed out by a disabled registry."""
-
-    __slots__ = ()
-    kind = "null"
-    name = ""
-    labelnames = ()
-
-    def labels(self, *labelvalues: str) -> _NullBound:
-        return _NULL_BOUND
-
-    def inc(self, amount: float = 1, *labelvalues: str) -> None:
-        pass
-
-    def dec(self, amount: float = 1, *labelvalues: str) -> None:
-        pass
-
-    def set(self, value: float, *labelvalues: str) -> None:
-        pass
-
-    def observe(self, value: float, *labelvalues: str) -> None:
-        pass
-
-    def value(self, *labelvalues: str) -> float:
-        return 0.0
-
-    def collect(self) -> dict:
-        return {}
-
-
-_NULL_BOUND = _NullBound()
-_NULL_METRIC = _NullMetric()
-
-
 class MetricsRegistry:
-    """Named metrics, created on first use and type-checked thereafter.
+    """Named metrics, created on first use and type-checked thereafter."""
 
-    A disabled registry (``enabled=False``) returns a shared null metric
-    from every factory: the single branch lives here, at *registration*
-    time, and instrumented code pays nothing per event.
-    """
-
-    def __init__(self, enabled: bool = True) -> None:
-        self.enabled = enabled
+    def __init__(self) -> None:
         self._metrics: Dict[str, object] = {}
 
     def __len__(self) -> int:
@@ -347,8 +299,6 @@ class MetricsRegistry:
         return name in self._metrics
 
     def _register(self, factory, name: str, **kwargs):
-        if not self.enabled:
-            return _NULL_METRIC
         metric = self._metrics.get(name)
         if metric is None:
             metric = self._metrics[name] = factory(name, **kwargs)

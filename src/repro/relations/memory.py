@@ -159,15 +159,13 @@ class HashRelation(MarkedRelation):
         name: str,
         arity: int,
         policy: DuplicatePolicy = DuplicatePolicy.SET,
-        index_specs: Sequence[IndexSpec] = (),
     ) -> None:
         super().__init__(name, arity)
         self.policy = policy
-        self._specs: List[IndexSpec] = list(index_specs)
+        self._specs: List[IndexSpec] = []
         #: positions into ``_specs``, widest key first (ties: registration
         #: order) — the order in which a probe tries them
         self._probe_order: List[int] = []
-        self._rank_specs()
         #: subsidiary relations in mark order; the last one is open
         self._segments: List[_Segment] = [_Segment(self._specs)]
         #: duplicate-detection key -> representative tuple (SET policy)

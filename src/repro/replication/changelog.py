@@ -226,11 +226,6 @@ class Changelog:
         with self._cond:
             return self._records[-1].seq if self._records else 0
 
-    @property
-    def first_seq(self) -> int:
-        with self._cond:
-            return self._records[0].seq if self._records else 0
-
     def __len__(self) -> int:
         with self._cond:
             return len(self._records)
@@ -347,21 +342,14 @@ def apply_record(session, record: ChangelogRecord) -> None:
         for result in session.consult_string(source):
             result.close()  # replicas apply programs, they don't run queries
         return
-    rows = decode_batch(record.payload)
-    ctx = session.ctx
+    facts = (
+        ((record.pred, len(row)), Tuple(row))
+        for row in decode_batch(record.payload)
+    )
     if record.kind == KIND_INSERT:
-        changed = False
-        for row in rows:
-            relation = session.relation(record.pred, len(row))
-            changed = relation.insert(Tuple(tuple(row))) or changed
-        if changed:
-            ctx.notify_insert((record.pred, len(rows[0])))
-        return
-    for row in rows:
-        relation = ctx.base_relations.get((record.pred, len(row)))
-        tup = Tuple(tuple(row))
-        if relation is not None and relation.delete(tup):
-            ctx.notify_delete((record.pred, len(row)), tup)
+        session.commit_inserts(facts)
+    else:
+        session.commit_deletes(facts)
 
 
 def replay_into(session, records: Iterable[ChangelogRecord]) -> int:

@@ -45,6 +45,10 @@ from ..server.protocol import (
 from .changelog import record_crc
 
 
+#: seconds a replica waits for its primary to accept one connection attempt
+CONNECT_TIMEOUT = 5.0
+
+
 class ReplicationClient:
     """The background thread that keeps one replica fed from its primary."""
 
@@ -54,14 +58,12 @@ class ReplicationClient:
         upstream: PyTuple[str, int],
         *,
         name: Optional[str] = None,
-        connect_timeout: float = 5.0,
         backoff: float = 0.05,
         backoff_cap: float = 2.0,
     ) -> None:
         self.server = server
         self.upstream = upstream
         self.name = name or f"replica-{id(server) & 0xFFFF:04x}"
-        self.connect_timeout = connect_timeout
         self.backoff = backoff
         self.backoff_cap = backoff_cap
         self._stop = threading.Event()
@@ -144,7 +146,7 @@ class ReplicationClient:
     def _stream(self) -> None:
         host, port = self.upstream
         with dial(
-            self.upstream, self.connect_timeout, f"repro.replica/{self.name}"
+            self.upstream, CONNECT_TIMEOUT, f"repro.replica/{self.name}"
         ) as sock:
             header, _ = roundtrip(
                 sock,

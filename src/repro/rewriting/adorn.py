@@ -30,10 +30,6 @@ def adorned_name(pred: str, adornment: str) -> str:
     return f"{pred}_{adornment}"
 
 
-def all_free(arity: int) -> str:
-    return "f" * arity
-
-
 @dataclass
 class AdornedProgram:
     """The result of adorning a module for one query form."""
@@ -46,9 +42,6 @@ class AdornedProgram:
     query_adornment: str
     #: adorned-name -> (original name, adornment)
     origin: Dict[str, PyTuple[str, str]] = field(default_factory=dict)
-
-    def original_of(self, adorned: str) -> str:
-        return self.origin.get(adorned, (adorned, ""))[0]
 
 
 def _is_bound(arg: Arg, bound_vars: Set[int]) -> bool:

@@ -15,11 +15,10 @@ query.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple as PyTuple
 
 from ..language.ast import Literal, Rule
-from ..terms import Arg, Var
-from .adorn import AdornedProgram, adorned_name
+from .adorn import AdornedProgram
 
 PredKey = PyTuple[str, int]
 
@@ -59,11 +58,6 @@ def magic_literal(literal: Literal, adornment: str) -> Literal:
         arg for arg, flag in zip(literal.args, adornment) if flag == "b"
     )
     return Literal(MAGIC_PREFIX + literal.pred, bound_args)
-
-
-def _bind_vars(literal: Literal, bound: Set[int]) -> None:
-    for arg in literal.args:
-        bound.update(var.vid for var in arg.variables())
 
 
 def magic_rewrite(

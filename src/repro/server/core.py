@@ -91,6 +91,13 @@ _SHIP_TRACE_CAP = 1024
 #: ops that mutate the shared database — refused on a read replica
 _WRITE_OPS = ("CONSULT", "INSERT", "DELETE")
 
+#: events a ``trace=True`` server's tracer keeps before it drops
+TRACE_LIMIT = 100_000
+
+#: seconds a replica's stream may go without a record or heartbeat before
+#: ``/healthz`` reports it degraded
+STALL_AFTER = 5.0
+
 
 def query_variable_names(literal: Literal) -> List[str]:
     """The query's variable names in first-occurrence order (the order
@@ -220,7 +227,6 @@ class CoralServer(FrameServer):
         batch_size: int = DEFAULT_BATCH,
         faults: Optional[FaultInjector] = None,
         trace: bool = False,
-        trace_limit: int = 100_000,
         telemetry_port: Optional[int] = None,
         telemetry_host: str = "127.0.0.1",
         flight: Union[None, bool, FlightRecorder] = None,
@@ -231,14 +237,12 @@ class CoralServer(FrameServer):
         sync_replicas: int = 0,
         ack_timeout: float = 5.0,
         heartbeat: float = 1.0,
-        stall_after: float = 5.0,
         io_timeout: Optional[float] = 30.0,
         idle_timeout: Optional[float] = 300.0,
         live_queue: int = 1024,
         trace_sample: float = 0.0,
         span_dir: Optional[str] = None,
         process_name: Optional[str] = None,
-        span_limit: int = 20_000,
     ) -> None:
         if role not in ("primary", "replica"):
             raise ProtocolError(f"role must be 'primary' or 'replica', got {role!r}")
@@ -297,11 +301,10 @@ class CoralServer(FrameServer):
             trace_sample=trace_sample,
             span_dir=span_dir,
             process_name=process_name or f"{role}-{os.getpid()}",
-            span_limit=span_limit,
             telemetry_port=telemetry_port,
             telemetry_host=telemetry_host,
             telemetry_extra={"flight": self.flight},
-            tracer=EventTracer(limit=trace_limit) if trace else None,
+            tracer=EventTracer(limit=TRACE_LIMIT) if trace else None,
         )
         self.limits = limits
         self.batch_size = batch_size
@@ -311,7 +314,6 @@ class CoralServer(FrameServer):
         self.sync_replicas = sync_replicas
         self.ack_timeout = ack_timeout
         self.heartbeat = heartbeat
-        self.stall_after = stall_after
         #: per-subscription outbound queue bound, in deltas; overflow flips
         #: the subscription to lagged → next DELTA answers a resnapshot
         self.live_queue = live_queue
@@ -410,7 +412,7 @@ class CoralServer(FrameServer):
             if stalled is None and not self.repl_client.connected:
                 return False, "degraded: replication stream never established"
             if stalled is not None and (
-                stalled > self.stall_after or not self.repl_client.connected
+                stalled > STALL_AFTER or not self.repl_client.connected
             ):
                 return False, (
                     f"degraded: replication stalled {stalled:.1f}s "
@@ -629,11 +631,7 @@ class CoralServer(FrameServer):
                 # pure query batches ship nothing; anything that changed the
                 # database (facts, modules, index annotations) is logged as
                 # one CONSULT record replicas re-consult verbatim
-                record = self.changelog.append(
-                    KIND_CONSULT, "", source.encode("utf-8")
-                )
-                self._note_ship_trace(record.seq)
-                self._m_repl_last_seq.set(self.changelog.last_seq)
+                record = self._log(KIND_CONSULT, "", source.encode("utf-8"))
             opened = []
             for query, result in zip(program.queries, results):
                 literal = query.literal
@@ -679,7 +677,7 @@ class CoralServer(FrameServer):
                 if self.limits is not None:
                     result.set_limits(self.limits.clone())
                 for _ in range(limit):
-                    answer = result.get_next()
+                    answer = result.pull()  # shipped once, never kept
                     self._m_pulls.inc()
                     if answer is None:
                         done = True
@@ -710,6 +708,15 @@ class CoralServer(FrameServer):
             response["arity"] = cursor.arity
         return response, body
 
+    def _log(self, kind: int, pred: str, payload: bytes) -> ChangelogRecord:
+        """Append one committed change to the changelog.  Called under the
+        db lock, so changelog order is apply order; the record keeps the
+        request's trace context for shipping."""
+        record = self.changelog.append(kind, pred, payload)
+        self._note_ship_trace(record.seq)
+        self._m_repl_last_seq.set(self.changelog.last_seq)
+        return record
+
     def _op_update(self, header, insert: bool) -> Dict[str, object]:
         pred = str(header.get("pred", ""))
         values = header.get("values", [])
@@ -722,14 +729,11 @@ class CoralServer(FrameServer):
             else:
                 changed = self.session.delete(pred, *values)
             if changed and self.changelog is not None:
-                # logged under the db lock so changelog order is apply order
-                record = self.changelog.append(
+                record = self._log(
                     KIND_INSERT if insert else KIND_DELETE,
                     pred,
                     encode_mutation([[to_arg(v) for v in values]]),
                 )
-                self._note_ship_trace(record.seq)
-                self._m_repl_last_seq.set(self.changelog.last_seq)
         if record is not None:
             # the ack wait happens *outside* the db lock: readers and other
             # writers proceed while this response waits for its replicas

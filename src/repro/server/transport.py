@@ -58,6 +58,9 @@ RATE_WINDOW = 30.0
 #: every front end, so a router in front of a server changes no batch shapes
 DEFAULT_BATCH = 64
 
+#: distributed-trace spans a server or router buffers before it drops
+SPAN_LIMIT = 20_000
+
 
 class Connection:
     """Per-connection state every front end keeps: identity, handshake flag,
@@ -123,7 +126,6 @@ class FrameServer:
         trace_sample: float,
         span_dir: Optional[str],
         process_name: str,
-        span_limit: int,
         telemetry_port: Optional[int],
         telemetry_host: str,
         telemetry_extra: Dict[str, object],
@@ -183,7 +185,7 @@ class FrameServer:
         #: to <span_dir>/<process_name>.jsonl when a span directory is set
         self.spans = SpanBuffer(
             process_name,
-            limit=span_limit,
+            limit=SPAN_LIMIT,
             path=(
                 os.path.join(span_dir, f"{process_name}.jsonl")
                 if span_dir

@@ -13,12 +13,11 @@ front of N supervised worker processes (docs/SHARDING.md).
 Or from the CLI: ``python -m repro.server --port 4242 --workers 4``.
 """
 
-from .hashring import DEFAULT_VNODES, HashRing, ShardMap, partition_key, stable_hash
+from .hashring import HashRing, ShardMap, partition_key, stable_hash
 from .pool import WorkerHandle, WorkerPool
 from .router import ShardRouter
 
 __all__ = [
-    "DEFAULT_VNODES",
     "HashRing",
     "ShardMap",
     "ShardRouter",

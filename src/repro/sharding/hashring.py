@@ -10,7 +10,7 @@ the hash is :mod:`hashlib` blake2b, never Python's salted ``hash()``.
 Two layers:
 
 * :class:`HashRing` — classic consistent hashing: each worker contributes
-  ``vnodes`` virtual points on a 64-bit ring; a key is owned by the first
+  :data:`VNODES` virtual points on a 64-bit ring; a key is owned by the first
   point at or clockwise of its hash.  Changing the worker count moves only
   ``~keys/n`` of the keyspace, which is what makes re-sharding a fleet with
   persistent per-worker data directories survivable.
@@ -30,7 +30,7 @@ from ..errors import ShardRoutingError
 
 #: virtual points per worker; 64 keeps the max/min keyspace imbalance
 #: under ~30% for small fleets while the ring stays tiny
-DEFAULT_VNODES = 64
+VNODES = 64
 
 
 def stable_hash(key: str) -> int:
@@ -42,16 +42,13 @@ def stable_hash(key: str) -> int:
 class HashRing:
     """Consistent hashing of string keys onto ``workers`` integer slots."""
 
-    def __init__(self, workers: int, vnodes: int = DEFAULT_VNODES) -> None:
+    def __init__(self, workers: int) -> None:
         if workers < 1:
             raise ShardRoutingError(f"a ring needs >= 1 worker, got {workers}")
-        if vnodes < 1:
-            raise ShardRoutingError(f"vnodes must be >= 1, got {vnodes}")
         self.workers = workers
-        self.vnodes = vnodes
         points: List[PyTuple[int, int]] = []
         for index in range(workers):
-            for v in range(vnodes):
+            for v in range(VNODES):
                 points.append((stable_hash(f"worker-{index}#{v}"), index))
         points.sort()
         self._hashes = [h for h, _ in points]
@@ -72,7 +69,7 @@ class HashRing:
         return out
 
     def __repr__(self) -> str:
-        return f"<HashRing workers={self.workers} vnodes={self.vnodes}>"
+        return f"<HashRing workers={self.workers} vnodes={VNODES}>"
 
 
 def partition_key(values: Iterable[object]) -> str:
@@ -101,9 +98,8 @@ class ShardMap:
         workers: int,
         pins: Optional[Dict[str, int]] = None,
         partitioned: Optional[Iterable[str]] = None,
-        vnodes: int = DEFAULT_VNODES,
     ) -> None:
-        self.ring = HashRing(workers, vnodes=vnodes)
+        self.ring = HashRing(workers)
         self.workers = workers
         self.pins: Dict[str, int] = dict(pins or {})
         self.partitioned: Set[str] = set(partitioned or ())
@@ -145,12 +141,7 @@ class ShardMap:
     # -- the operator file ---------------------------------------------------
 
     @classmethod
-    def parse(
-        cls,
-        text: str,
-        workers: int,
-        vnodes: int = DEFAULT_VNODES,
-    ) -> "ShardMap":
+    def parse(cls, text: str, workers: int) -> "ShardMap":
         """A shard map from its file form: one ``name = N`` or ``name = *``
         per line, ``#`` comments, blank lines ignored."""
         pins: Dict[str, int] = {}
@@ -181,14 +172,13 @@ class ShardMap:
                         f"shard map line {lineno}: worker index must be an "
                         f"integer or '*', got {target!r}"
                     ) from None
-        return cls(workers, pins=pins, partitioned=partitioned, vnodes=vnodes)
+        return cls(workers, pins=pins, partitioned=partitioned)
 
     @classmethod
     def load(
         cls,
         path_or_map: Union[None, str, Dict[str, object], "ShardMap"],
         workers: int,
-        vnodes: int = DEFAULT_VNODES,
     ) -> "ShardMap":
         """Coerce whatever the caller has — nothing, a file path, a dict of
         ``{name: index_or_"*"}``, or a prebuilt map — into a ShardMap."""
@@ -200,7 +190,7 @@ class ShardMap:
                 )
             return path_or_map
         if path_or_map is None:
-            return cls(workers, vnodes=vnodes)
+            return cls(workers)
         if isinstance(path_or_map, dict):
             pins = {
                 name: int(target)
@@ -210,11 +200,9 @@ class ShardMap:
             partitioned = {
                 name for name, target in path_or_map.items() if target == "*"
             }
-            return cls(
-                workers, pins=pins, partitioned=partitioned, vnodes=vnodes
-            )
+            return cls(workers, pins=pins, partitioned=partitioned)
         with open(path_or_map, "r", encoding="utf-8") as handle:
-            return cls.parse(handle.read(), workers, vnodes=vnodes)
+            return cls.parse(handle.read(), workers)
 
     def describe(self) -> Dict[str, object]:
         """The STATS/``@workers`` summary of the routing policy."""

@@ -164,7 +164,6 @@ class ShardRouter(FrameServer):
         trace_sample: float = 0.0,
         span_dir: Optional[str] = None,
         process_name: Optional[str] = None,
-        span_limit: int = 20_000,
     ) -> None:
         self.pool = pool
         self.shard_map = ShardMap.load(shard_map, pool.count)
@@ -181,7 +180,6 @@ class ShardRouter(FrameServer):
             trace_sample=trace_sample,
             span_dir=span_dir,
             process_name=process_name or f"router-{os.getpid()}",
-            span_limit=span_limit,
             telemetry_port=telemetry_port,
             telemetry_host=telemetry_host,
             telemetry_extra={"snapshots": self._worker_snapshots},

@@ -29,7 +29,6 @@ Robustness contract (exercised by ``tests/test_crash_sweep.py``):
 from __future__ import annotations
 
 import os
-import time
 from typing import Dict, Optional
 
 from ..errors import StorageError, TransactionError
@@ -185,19 +184,17 @@ class DiskFile:
 class ServerStats:
     """Request accounting at the client-server boundary."""
 
-    __slots__ = ("page_reads", "page_writes", "allocations", "simulated_latency")
+    __slots__ = ("page_reads", "page_writes", "allocations")
 
     def __init__(self) -> None:
         self.page_reads = 0
         self.page_writes = 0
         self.allocations = 0
-        self.simulated_latency = 0.0
 
     def reset(self) -> None:
         self.page_reads = 0
         self.page_writes = 0
         self.allocations = 0
-        self.simulated_latency = 0.0
 
     def snapshot(self) -> Dict[str, int]:
         """Point-in-time copy; the profiler diffs two of these."""
@@ -217,11 +214,6 @@ class ServerStats:
 class StorageServer:
     """The EXODUS-server stand-in: a directory of named page files.
 
-    ``request_delay`` simulates the client-server round trip: each page
-    request optionally sleeps for that many seconds (and always accrues it in
-    ``stats.simulated_latency``), letting benchmarks show how the buffer
-    pool's hit rate translates into saved round trips.
-
     ``faults`` threads a :class:`~repro.faults.FaultInjector` through every
     file the server opens and every journal it creates; the default shares
     the passive process-wide injector (counting only, no faults).
@@ -230,7 +222,6 @@ class StorageServer:
     def __init__(
         self,
         directory: str,
-        request_delay: float = 0.0,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.faults = faults if faults is not None else PASSIVE
@@ -241,7 +232,6 @@ class StorageServer:
                 f"cannot create storage directory {directory}: {exc}"
             ) from exc
         self.directory = directory
-        self.request_delay = request_delay
         #: set by :meth:`close`; a closed server accepts no further requests,
         #: and ``Session.close`` skips its flush when the pool's server is
         #: already gone (so tearing a session down twice cannot raise)
@@ -267,21 +257,14 @@ class StorageServer:
             self._journal.record_length(name, handle.num_pages)
         return handle
 
-    def _charge(self) -> None:
-        self.stats.simulated_latency += self.request_delay
-        if self.request_delay:
-            time.sleep(self.request_delay)
-
     # -- the request interface used by clients -----------------------------
 
     def read_page(self, file_name: str, page_id: int) -> bytearray:
         self.stats.page_reads += 1
-        self._charge()
         return self._file(file_name).read_page(page_id)
 
     def write_page(self, file_name: str, page_id: int, data: bytes) -> None:
         self.stats.page_writes += 1
-        self._charge()
         self.faults.check("server.write_page")
         handle = self._file(file_name)
         if self._journal is not None and page_id < handle.num_pages:
@@ -296,7 +279,6 @@ class StorageServer:
 
     def allocate_page(self, file_name: str) -> int:
         self.stats.allocations += 1
-        self._charge()
         return self._file(file_name).allocate_page()
 
     def num_pages(self, file_name: str) -> int:
@@ -331,9 +313,6 @@ class StorageServer:
         if self._journal is not None:
             raise TransactionError("a transaction is already in progress")
         self._journal = UndoJournal(self._journal_path, faults=self.faults)
-
-    def in_transaction(self) -> bool:
-        return self._journal is not None
 
     def commit_transaction(self) -> None:
         """Make the transaction's writes permanent.  Journal removal is the

@@ -6,7 +6,7 @@ Public surface:
   :class:`Double`, :class:`Str`, :class:`Atom`);
 * :class:`Var` — variables as a primitive type, enabling non-ground facts;
 * :class:`Functor` plus list helpers (``cons``/``make_list``/``NIL``);
-* hash-consing (:func:`hc_id`, :class:`HashConsTable`);
+* hash-consing (:func:`hc_id`);
 * binding environments (:class:`BindEnv`, :class:`Trail`, :func:`deref`,
   :func:`resolve`);
 * unification and matching (:func:`unify`, :func:`match`, :func:`subsumes`,
@@ -33,7 +33,7 @@ from .functor import (
     list_elements,
     make_list,
 )
-from .hashcons import GLOBAL_TABLE, HashConsTable, canonical, hc_id
+from .hashcons import hc_id
 from .unify import match, subsumes, unify, variant
 from .variable import Var, fresh, is_anonymous
 
@@ -45,14 +45,11 @@ __all__ = [
     "CONS",
     "Double",
     "Functor",
-    "GLOBAL_TABLE",
-    "HashConsTable",
     "Int",
     "NIL",
     "Str",
     "Trail",
     "Var",
-    "canonical",
     "canonicalize_term",
     "cons",
     "deref",

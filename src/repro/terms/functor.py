@@ -139,8 +139,8 @@ class Functor(Arg):
 
 #: The hash-consed identifier of a ground term, assigned on first demand —
 #: the slow path behind every ``term._hc_id or _intern(term)``.  It is
-#: :data:`repro.terms.hashcons.GLOBAL_TABLE`'s ``hc_id``, installed by that
-#: module (which imports this one).
+#: :func:`repro.terms.hashcons.hc_id`, installed by that module (which
+#: imports this one).
 _intern: Callable[[Functor], int]
 
 

@@ -7,11 +7,19 @@ terms unify if and only if their unique identifiers are the same.  We note
 that such identifiers cannot be assigned to functor terms that contain free
 variables, and these have to be handled differently."*
 
-The table interns structural keys ``(name, child-key...)`` and hands out
-monotonically increasing integer identifiers.  Identifiers are assigned only
-when first demanded (typically when a term is inserted into a relation or
-compared during unification), never eagerly at construction — the "lazy"
-part, which keeps term construction cheap for transient terms.
+One process-wide map interns structural keys ``(name, child-key...)`` and
+hands out monotonically increasing integer identifiers.  It keeps ids, not
+terms: interning adds no reference to a term, so a term no one else holds is
+collected as usual.  The invariant that keeps ``==`` right is that keys are
+never dropped, so ids are never reused: a collected term's equal gets the
+same id again, and a copy still carrying an old id keeps meeting it.  The
+cost is that the map grows with every distinct ground functor term the
+process interns.
+
+Identifiers are assigned only when first demanded (typically when a term is
+inserted into a relation or compared during unification), never eagerly at
+construction — the "lazy" part, which keeps term construction cheap for
+transient terms.
 
 Per-type orthogonality (the paper stresses each type generates identifiers
 independently) falls out of :meth:`Arg.ground_key`: a functor's key is built
@@ -30,92 +38,55 @@ from .base import Arg, Atom, Double, Int, Str
 from .functor import Functor
 
 
-class HashConsTable:
-    """An intern table mapping structural keys to unique identifiers.
+#: structural key -> id; keys are never dropped, so ids are never reused
+_ids: Dict[Any, int] = {}
+_lock = threading.Lock()
 
-    A fresh table can be created per session for isolation; the module-level
-    :data:`GLOBAL_TABLE` serves the common single-session case (CORAL is a
-    single-user system, Section 2).
+
+def hc_id(term: Functor) -> int:
+    """Return (assigning if needed) the unique id of a ground functor term.
+
+    The id is cached on the term itself (the ``_hc_id`` slot that equality,
+    hashing and unification read).  Iterative post-order over the term's
+    functor subterms: deep terms — long lists in particular — are exactly
+    the "large terms" the mechanism exists for, so the implementation must
+    not be bounded by the host recursion limit.
     """
-
-    def __init__(self) -> None:
-        self._ids: Dict[Any, int] = {}
-        self._terms: Dict[int, Functor] = {}
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._ids)
-
-    def hc_id(self, term: Functor) -> int:
-        """Return (assigning if needed) the unique id of a ground functor term.
-
-        Iterative post-order over the term's functor subterms: deep terms —
-        long lists in particular — are exactly the "large terms" the
-        mechanism exists for, so the implementation must not be bounded by
-        the host recursion limit.
-
-        Only :data:`GLOBAL_TABLE` caches an id on the term itself (the
-        ``_hc_id`` slot that equality, hashing and unification read); a
-        private table keeps the ids of one call's subterms to itself, so
-        its ids never meet the shared ones.
-        """
-        if not term._ground:
-            raise ValueError(f"cannot hash-cons non-ground term {term}")
-        shared = self is GLOBAL_TABLE
-        if shared and term._hc_id is not None:
-            return term._hc_id
-        private: Dict[int, int] = {}  # id(subterm) -> ident, private tables
-        stack = [term]
-        while stack:
-            current = stack[-1]
-            if (current._hc_id if shared else private.get(id(current))) is not None:
-                stack.pop()  # reached twice
+    if not term._ground:
+        raise ValueError(f"cannot hash-cons non-ground term {term}")
+    if term._hc_id is not None:
+        return term._hc_id
+    stack = [term]
+    while stack:
+        current = stack[-1]
+        if current._hc_id is not None:
+            stack.pop()  # reached twice
+            continue
+        key: Optional[list] = [current.name]
+        for arg in current.args:
+            if not isinstance(arg, Functor):
+                key.append(arg.ground_key())
                 continue
-            key: Optional[list] = [current.name]
-            for arg in current.args:
-                if not isinstance(arg, Functor):
-                    key.append(arg.ground_key())
-                    continue
-                child = arg._hc_id if shared else private.get(id(arg))
-                if child is None:
-                    stack.append(arg)  # first that one, then this one again
-                    key = None
-                    break
-                key.append(("hc", child))
-            if key is None:
-                continue
-            key = tuple(key)
-            with self._lock:
-                ident = self._ids.get(key)
-                if ident is None:
-                    ident = len(self._ids) + 1
-                    self._ids[key] = ident
-                    self._terms[ident] = current
-            if shared:
-                object.__setattr__(current, "_hc_id", ident)
-            else:
-                private[id(current)] = ident
-            stack.pop()
-        return term._hc_id if shared else private[id(term)]
+            child = arg._hc_id
+            if child is None:
+                stack.append(arg)  # first that one, then this one again
+                key = None
+                break
+            key.append(("hc", child))
+        if key is None:
+            continue
+        key = tuple(key)
+        ident = _ids.get(key)
+        if ident is None:
+            with _lock:  # two threads interning one new key get one id
+                ident = _ids.setdefault(key, len(_ids) + 1)
+        object.__setattr__(current, "_hc_id", ident)
+        stack.pop()
+    return term._hc_id
 
-    def term_for(self, ident: int) -> Optional[Functor]:
-        """The canonical term first interned under ``ident`` (or None)."""
-        return self._terms.get(ident)
 
-    def canonical(self, term: Functor) -> Functor:
-        """The canonical representative structurally equal to ``term``.
-
-        Sharing representatives turns deep equality checks into pointer
-        comparisons — the paper's structure-sharing optimization.
-        """
-        return self._terms[self.hc_id(term)]
-
-    def clear(self) -> None:
-        """Drop all interned terms.  For private tables: the shared table's
-        ids live on in the terms that cached them."""
-        with self._lock:
-            self._ids.clear()
-            self._terms.clear()
+# every functor term caches its id from here: equality and hashing included
+functor._intern = hc_id
 
 
 class Symbol:
@@ -195,7 +166,7 @@ def operand(arg: Arg):
 class InternTable:
     """Dense interning of ground constants for the push compiler.
 
-    Unlike :class:`HashConsTable` (sparse ids for functor terms, shared
+    Unlike :func:`hc_id` (sparse ids for functor terms, shared
     process-wide), an ``InternTable`` maps *any* ground :class:`Arg` —
     Int, Double, Str, Atom, or a ground functor term — to a small dense
     integer.  Generated push code then compares and hashes plain ints;
@@ -277,24 +248,3 @@ class InternTable:
             self.vals.append(value)
             self.keys.append(key)
         return ident
-
-    def arg_for(self, ident: int) -> Arg:
-        """The canonical Arg first interned under ``ident``."""
-        return self.args[ident]
-
-
-#: The process-wide table used by default.
-GLOBAL_TABLE = HashConsTable()
-
-# the one table whose ids functor terms cache, equality and hashing included
-functor._intern = GLOBAL_TABLE.hc_id
-
-
-def hc_id(term: Functor, table: HashConsTable | None = None) -> int:
-    """Unique identifier for a ground functor term (module-level shorthand)."""
-    return (table or GLOBAL_TABLE).hc_id(term)
-
-
-def canonical(term: Functor, table: HashConsTable | None = None) -> Functor:
-    """Canonical shared representative of a ground functor term."""
-    return (table or GLOBAL_TABLE).canonical(term)

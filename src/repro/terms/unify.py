@@ -171,29 +171,38 @@ def _consistent_match(
 ) -> bool:
     """Matching for subsumption: repeated pattern variables must map to
     structurally *identical* instance subterms (the instance's variables are
-    treated as constants, so no binding may happen on the instance side)."""
-    if isinstance(pattern, Var):
-        bound = pattern_env.lookup(pattern)
-        if bound is not None:
-            return bound[0] == instance
-        pattern_env.bind(pattern, instance, None, trail)
-        return True
-    if isinstance(pattern, Functor):
-        if not isinstance(instance, Functor):
+    treated as constants, so no binding may happen on the instance side).
+    Iterative, like :func:`match`."""
+    stack = [(pattern, instance)]
+    while stack:
+        pattern, instance = stack.pop()
+        if isinstance(pattern, Var):
+            bound = pattern_env.lookup(pattern)
+            if bound is not None:
+                if not bound[0] == instance:
+                    return False
+                continue
+            pattern_env.bind(pattern, instance, None, trail)
+            continue
+        if isinstance(pattern, Functor):
+            if not isinstance(instance, Functor):
+                return False
+            if pattern._ground:
+                if not pattern == instance:
+                    return False
+                continue
+            if (
+                pattern.name != instance.name
+                or len(pattern.args) != len(instance.args)
+            ):
+                return False
+            stack.extend(zip(reversed(pattern.args), reversed(instance.args)))
+            continue
+        if isinstance(instance, (Var, Functor)):
             return False
-        if pattern._ground:
-            return pattern == instance
-        if pattern.name != instance.name or len(pattern.args) != len(instance.args):
+        if not pattern.equals(instance):
             return False
-        return all(
-            _consistent_match(pa, pattern_env, ia, trail)
-            for pa, ia in zip(pattern.args, instance.args)
-        )
-    if isinstance(instance, Var):
-        return False
-    if isinstance(instance, Functor):
-        return False
-    return pattern.equals(instance)
+    return True
 
 
 def subsumes(general: Arg, specific: Arg) -> bool:

@@ -79,7 +79,6 @@ from pathlib import Path
 import pytest
 
 from repro import Session
-from repro.eval.memo import MemoPolicy
 
 _FAILURE_DIR = Path(__file__).parent / "_diff_failures"
 
@@ -288,7 +287,6 @@ def test_static_engines_agree(seed):
 #: no DRed damage budget: every stale entry must be *repaired*, so a
 #: fallback (eviction, rebuild) in the maintainable class is a failure
 _NO_DAMAGE_BUDGET = 1e9
-_REPAIR_ONLY = MemoPolicy(damage_threshold=_NO_DAMAGE_BUDGET)
 
 
 def _columns(seeds):
@@ -347,12 +345,13 @@ def _random_ops(rng, case, count=8):
 
 
 @_columns(range(10_000, 10_000 + _N_INTERLEAVED))
-def test_update_interleavings_agree(seed, flags):
+def test_update_interleavings_agree(seed, flags, monkeypatch):
+    monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", _NO_DAMAGE_BUDGET)
     case = _update_case(seed, allow_negation=seed % 4 == 3)
     rng = random.Random(seed ^ 0xDEADBEEF)
     ops = _random_ops(rng, case)
 
-    memo_session = Session(memo=_REPAIR_ONLY)
+    memo_session = Session(memo=True)
     memo_session.consult_string(case.program(flags))
     plain_session = Session()
     plain_session.consult_string(case.program(flags))
@@ -406,7 +405,7 @@ def test_update_interleavings_agree(seed, flags):
 
 
 @_columns(range(20_000, 20_000 + _N_LIVE))
-def test_streamed_deltas_fold_to_cold_truth(seed, flags):
+def test_streamed_deltas_fold_to_cold_truth(seed, flags, monkeypatch):
     """Subscribe to a generated query, replay a random update schedule,
     fold the delta stream into the snapshot, and require the folded view
     to equal a cold re-evaluation at every query checkpoint."""
@@ -442,7 +441,7 @@ def test_streamed_deltas_fold_to_cold_truth(seed, flags):
         views[query] = view
         for tup in view.snapshot():
             state[tup.key()] = tuple(from_arg(a) for a in tup.args)
-    session.live.damage_threshold = _NO_DAMAGE_BUDGET
+    monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", _NO_DAMAGE_BUDGET)
 
     trail = []
     for op in ops:
@@ -576,7 +575,8 @@ def _cold(case, facts_now, queries):
 
 
 @_columns(range(30_000, 30_000 + max(10, _N_LIVE // 2)))
-def test_targeted_schedules_repair_without_falling_back(seed, flags):
+def test_targeted_schedules_repair_without_falling_back(seed, flags, monkeypatch):
+    monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", _NO_DAMAGE_BUDGET)
     from repro.terms import from_arg
 
     case = TargetedCase(seed)
@@ -584,7 +584,7 @@ def test_targeted_schedules_repair_without_falling_back(seed, flags):
     for name, batches in schedules.items():
         # memo lazy repair: whole batches are pending at each read
         facts_now = {pred: set(tuples) for pred, tuples in case.facts.items()}
-        memo_session = Session(memo=_REPAIR_ONLY)
+        memo_session = Session(memo=True)
         memo_session.consult_string(case.program(flags))
         case.assert_factored(memo_session, flags)
         for query in case.queries:
@@ -621,7 +621,6 @@ def test_targeted_schedules_repair_without_falling_back(seed, flags):
             view = live_session.subscribe(f"?- {query}.", sink)
             for tup in view.snapshot():
                 state[tup.key()] = tuple(from_arg(a) for a in tup.args)
-        live_session.live.damage_threshold = _NO_DAMAGE_BUDGET
         for batch in batches:
             _apply_batch(live_session, facts_now, batch)
             cold = _cold(case, facts_now, case.queries)

@@ -772,10 +772,11 @@ class TestLabelCapper:
         assert set(preds) == {"edge/2", "other"}
         assert srv._m_query_preds.overflowed == 1
 
-    def test_tracer_drops_surface_as_metric_and_stats(self):
+    def test_tracer_drops_surface_as_metric_and_stats(self, monkeypatch):
+        monkeypatch.setattr("repro.server.core.TRACE_LIMIT", 1)
         session = Session()
         session.consult_string(TC_PROGRAM)
-        with CoralServer(session, port=0, trace=True, trace_limit=1) as srv:
+        with CoralServer(session, port=0, trace=True) as srv:
             with RemoteSession(*srv.address) as db:
                 for _ in range(3):
                     db.query("edge(X, Y)").all()
@@ -785,10 +786,9 @@ class TestLabelCapper:
         assert dropped.get("events") == srv.tracer.dropped
         assert srv.stats()["trace"]["events_dropped"] == srv.tracer.dropped
 
-    def test_span_buffer_drops_surface_as_metric(self):
-        with CoralServer(
-            Session(), port=0, trace_sample=1.0, span_limit=1
-        ) as srv:
+    def test_span_buffer_drops_surface_as_metric(self, monkeypatch):
+        monkeypatch.setattr("repro.server.transport.SPAN_LIMIT", 1)
+        with CoralServer(Session(), port=0, trace_sample=1.0) as srv:
             with RemoteSession(*srv.address) as db:
                 db.insert("edge", 1, 2)
                 db.insert("edge", 2, 3)

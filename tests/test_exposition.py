@@ -39,9 +39,6 @@ class TestMetricName:
             "coral_server_request_seconds"
         )
 
-    def test_namespace_override(self):
-        assert metric_name("x.y", namespace="app") == "app_x_y"
-
     def test_hostile_characters_sanitized(self):
         assert metric_name("a-b c/d") == "coral_a_b_c_d"
 

@@ -214,12 +214,12 @@ class TestRebuildFallbackIsVisible:
             if event["name"] == "live.rebuild"
         ]
 
-    def test_damage_rebuild_is_counted_and_traced_as_damage(self):
+    def test_damage_rebuild_is_counted_and_traced_as_damage(self, monkeypatch):
         session = Session()
         session.consult_string(self.CHAIN)
         view, log = _collect(session, "?- path(X, Y).")
         snapshot = view.snapshot()
-        session.live.damage_threshold = 0.0
+        monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", 0.0)
         with session.profile() as prof:
             session.delete("edge", 10, 11)  # over-deletes 10 * 10 facts
         assert _fold(snapshot, log) == sorted(

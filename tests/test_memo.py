@@ -217,9 +217,9 @@ class TestDeleteInvalidation:
         )
         assert got == want
 
-    def test_damage_threshold_evicts_instead_of_repairing(self):
-        policy = MemoPolicy(damage_threshold=0.0)
-        session = _memo_session(memo=policy)
+    def test_damage_threshold_evicts_instead_of_repairing(self, monkeypatch):
+        monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", 0.0)
+        session = _memo_session()
         session.query("path(X, Y)").all()
         session.delete("edge", 1, 2)
         got = sorted(session.query("path(X, Y)").tuples())
@@ -245,10 +245,9 @@ class TestRepairFallbackIsVisible:
             if event["name"] == name
         ]
 
-    def test_damage_eviction_is_counted_and_traced_as_damage(self):
-        session = _memo_session(
-            self.CHAIN, memo=MemoPolicy(damage_threshold=0.0)
-        )
+    def test_damage_eviction_is_counted_and_traced_as_damage(self, monkeypatch):
+        monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", 0.0)
+        session = _memo_session(self.CHAIN)
         session.query("path(X, Y)").all()
         session.delete("edge", 10, 11)
         with session.profile() as prof:
@@ -287,10 +286,11 @@ class TestRepairFallbackIsVisible:
         (event,) = self._events(prof, "memo.evict")
         assert event["args"]["reason"] == "ZeroDivisionError"
 
-    def test_subsumption_scan_survives_evicting_the_entry_it_is_trying(self):
-        session = _memo_session(
-            self.CHAIN, memo=MemoPolicy(damage_threshold=0.0)
-        )
+    def test_subsumption_scan_survives_evicting_the_entry_it_is_trying(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.eval.maintenance.DAMAGE_THRESHOLD", 0.0)
+        session = _memo_session(self.CHAIN)
         session.query("path(X, Y)").all()  # the all-free entry
         session.delete("edge", 10, 11)
         # path(bf) has no entry of its own, so the lookup tries to serve it

@@ -99,16 +99,6 @@ class TestMetrics:
         with pytest.raises(MetricError):
             registry.gauge("x")
 
-    def test_disabled_registry_is_noop(self):
-        registry = MetricsRegistry(enabled=False)
-        counter = registry.counter("x", labelnames=("a",))
-        counter.inc(5, "l")
-        counter.labels("l").inc()
-        registry.histogram("h").observe(1.0)
-        assert counter.value("l") == 0.0
-        assert len(registry) == 0
-        assert registry.collect() == {}
-
     def test_collect_schema(self):
         registry = MetricsRegistry()
         registry.counter("apps", "help text", ("rule",)).inc(2, "r1")

@@ -59,7 +59,7 @@ def test_interning_matches_relation_dedup(x, y):
 def test_interning_round_trips(x):
     table = InternTable()
     ident = table.intern(x)
-    back = table.arg_for(ident)
+    back = table.args[ident]
     assert back.ground_key() == x.ground_key()
     # re-interning the recovered arg lands on the same id
     assert table.intern(back) == ident

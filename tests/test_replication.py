@@ -292,9 +292,10 @@ class TestShipping:
             with RemoteSession(*primary.address) as db:
                 db.insert("edge", 1, 2)
             assert _caught_up(primary, replica)
+            # the replica acks after it applies: wait for the ack of #1
             assert _wait_until(
-                lambda: "r1"
-                in primary.replication_stats().get("replicas", {})
+                lambda: primary.replication_stats()
+                .get("replicas", {}).get("r1", {}).get("acked_seq") == 1
             )
             pstats = primary.replication_stats()
             assert pstats["role"] == "primary"
@@ -318,9 +319,10 @@ class TestShipping:
                 assert stats["role"] == "replica"
                 assert stats["replication"]["upstream"]["upstream_seq"] == 1
 
-    def test_replica_health_degrades_when_primary_dies(self):
+    def test_replica_health_degrades_when_primary_dies(self, monkeypatch):
+        monkeypatch.setattr("repro.server.core.STALL_AFTER", 0.2)
         primary = _primary().start()
-        with _replica(primary, stall_after=0.2) as replica:
+        with _replica(primary) as replica:
             assert _wait_until(lambda: replica.repl_client.connected)
             ok, detail = replica._health()
             assert ok and "replica" in detail

@@ -3,6 +3,7 @@ codec (disk format == wire format), handshake rules, and per-message
 behaviour against a live server.  (The handshake rules moved to
 test_transport.py, where they run against every front end.)"""
 
+import gc
 import socket
 import struct
 import time
@@ -10,6 +11,7 @@ import time
 import pytest
 
 from repro import Session
+from repro.api.session import Answer
 from repro.client import RemoteSession, remote
 from repro.errors import (
     ParseError,
@@ -342,6 +344,27 @@ class TestRoundTrips:
             pool.stop()
             for worker in workers:
                 worker.shutdown()
+
+
+class TestServerCursorMemory:
+    def test_a_streamed_cursor_holds_at_most_one_batch(self):
+        """A server cursor ships each answer once and keeps none: after
+        16 batches of 64 the server process holds at most one batch of
+        answers, not every answer it has shipped."""
+        session = Session()
+        session.consult_string("".join(f"n({i}).\n" for i in range(2_000)))
+        with CoralServer(session, port=0) as srv, _raw_conn(srv) as sock:
+            _hello(sock)
+            opened = _ask(sock, {"op": "QUERY", "query": "n(X)", "max": 64})
+            for _ in range(15):
+                header = _ask(
+                    sock, {"op": "FETCH", "cursor": opened["cursor"], "max": 64}
+                )
+                assert header["count"] == 64 and not header["done"]
+            gc.collect()
+            held = sum(isinstance(o, Answer) for o in gc.get_objects())
+            assert held <= 64
+            assert srv.open_cursors() == 1
 
 
 class TestRemoteQueryResult:

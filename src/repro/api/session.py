@@ -75,7 +75,8 @@ class QueryResult:
     If the owning session carries default :class:`ResourceLimits` (or
     :meth:`all` is called with ``timeout=``/``max_tuples=``), the guard is
     armed when the first answer is pulled and installed on the evaluation
-    context for the duration of each pull; exceeding it raises
+    context for the duration of each pull (or of :meth:`all`'s one drain);
+    exceeding it raises
     :class:`~repro.errors.ResourceLimitError` and leaves the session usable.
     """
 
@@ -127,34 +128,39 @@ class QueryResult:
         after batch)."""
         if self._done:
             return None
-        limits = self._limits
-        if limits is None or self._ctx is None:
-            try:
-                answer = next(self._source, None)
-            except CoralError as exc:
-                self._notify_error(exc)
-                raise
-        else:
-            if not self._armed:
-                # the timeout clock spans the whole drain, not each pull
-                limits.start(self._ctx.stats)
-                self._armed = True
-            previous = self._ctx.limits
-            self._ctx.limits = limits
-            try:
-                answer = next(self._source, None)
-            except ResourceLimitError as exc:
-                self._done = True
-                self._notify_error(exc)
-                raise
-            except CoralError as exc:
-                self._notify_error(exc)
-                raise
-            finally:
-                self._ctx.limits = previous
+        answer = self._guarded(next, self._source, None)
         if answer is None:
             self._done = True
         return answer
+
+    def _guarded(self, take, *args):
+        """``take(*args)`` under this cursor's limits, installed on the
+        evaluation context for the call; a dying call is reported to the
+        observer, and a limit trip ends the cursor."""
+        limits, ctx = self._limits, self._ctx
+        if limits is None or ctx is None:
+            try:
+                return take(*args)
+            except CoralError as exc:
+                self._notify_error(exc)
+                raise
+        if not self._armed:
+            # the timeout clock spans the whole drain, not each pull
+            limits.start(ctx.stats)
+            self._armed = True
+        previous = ctx.limits
+        ctx.limits = limits
+        try:
+            return take(*args)
+        except ResourceLimitError as exc:
+            self._done = True
+            self._notify_error(exc)
+            raise
+        except CoralError as exc:
+            self._notify_error(exc)
+            raise
+        finally:
+            ctx.limits = previous
 
     def set_limits(self, limits: Optional["ResourceLimits"]) -> "QueryResult":
         """Swap in a fresh guard for subsequent pulls (re-arming the timeout
@@ -188,8 +194,10 @@ class QueryResult:
 
             self._limits = ResourceLimits(timeout=timeout, max_tuples=max_tuples)
             self._armed = False
-        while self.get_next() is not None:
-            pass
+        if not self._done:
+            # one drain, not a pull per answer
+            self._guarded(self._cache.extend, self._source)
+            self._done = True
         return list(self._cache)
 
     def __len__(self) -> int:
@@ -462,23 +470,25 @@ class Session:
             trail = Trail()
             cursor = relation.scan(args, env)
             try:
-                while True:
-                    candidate = cursor.get_next()
-                    if candidate is None:
-                        if slow is not None:
-                            finished = True
-                        return
-                    fact = candidate.renamed()
+                for candidate in cursor:
                     answer = None
-                    if constants is not None and fact.is_ground():
-                        if all(
-                            arg.equals(fact.args[p]) for p, arg in constants
-                        ):
+                    if constants is not None and candidate.is_ground():
+                        values = candidate.args
+                        for position, arg in constants:
+                            value = values[position]
+                            if value is not arg and not arg.equals(value):
+                                break
+                        else:
+                            # a stored tuple is copied: inserting the answer
+                            # into another relation restamps its seqno, and
+                            # the relation holding it could not delete it
                             answer = Answer(
-                                Tuple.ground(fact.args),
-                                {name: fact.args[p] for name, p in reported},
+                                candidate if candidate.seqno == -1
+                                else Tuple.ground(values),
+                                {name: values[p] for name, p in reported},
                             )
                     else:
+                        fact = candidate.renamed()
                         mark = trail.mark()
                         if unify_fact(args, env, fact.args, trail):
                             answer = Answer(
@@ -503,6 +513,8 @@ class Session:
                             # at this yield, so the tail segment added
                             # in the outer finally starts counting here
                             resumed = time.perf_counter()
+                if slow is not None:
+                    finished = True
             finally:
                 cursor.close()
                 if obs is not None:

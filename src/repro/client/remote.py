@@ -169,12 +169,19 @@ class RemoteQueryResult:
     # -- the get-next-tuple interface ---------------------------------------
 
     def get_next(self) -> Optional[Answer]:
+        answer = self.pull()
+        if answer is not None:
+            self._cache.append(answer)
+        return answer
+
+    def pull(self) -> Optional[Answer]:
+        """The next answer, not retained: :meth:`all` and iteration will
+        not see it again.  For a consumer that streams a large answer set
+        and must hold no more of it than the batch in hand."""
         if not self._pending and not self._done:
             self._fetch_batch()
         if self._pending:
-            answer = self._pending.popleft()
-            self._cache.append(answer)
-            return answer
+            return self._pending.popleft()
         return None
 
     def __iter__(self) -> Iterator[Answer]:

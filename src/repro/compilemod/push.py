@@ -21,7 +21,8 @@ directly into the rule bodies that consume its predicate:
   keeps each one the pushed SCCs read as interned tuples plus every hash
   index the generated code probes, kept current by insertion sequence
   numbers and delete notifications — a query re-interns nothing it read
-  before.
+  before; within one call, an SCC's output relations stay interned for
+  the pushed SCCs after it.
 
 The compilable class is deliberately restricted, like any realistic
 codegen: flat argument patterns over primitive constants, positive
@@ -651,15 +652,16 @@ class _Resident:
     """A relation as pushed code reads it: its tuples interned, and one hash
     index per bound-position pattern some program probes.  A base
     relation's stays resident in the session's :class:`PushState`; an
-    instance's own relation is read through one built for the run."""
+    instance's own relation is handed on by the pushed SCC that computed
+    it, for the rest of the call, or interned for the run."""
 
     __slots__ = ("seen", "tuples", "indexes")
 
-    def __init__(self, relation: Relation) -> None:
+    def __init__(self, relation: Relation, rows: Sequence[tuple] = ()) -> None:
         #: how far ``tuples`` has read the relation
         self.seen = Watermark(relation)
         #: interned tuple -> None: an insertion-ordered set
-        self.tuples: Dict[tuple, None] = {}
+        self.tuples: Dict[tuple, None] = dict.fromkeys(rows)
         #: bound positions -> {key: [interned tuples]}
         self.indexes: Dict[tuple, Dict[tuple, list]] = {}
 
@@ -682,6 +684,18 @@ class _Resident:
             for ids in fresh:
                 index.setdefault(key_of(ids), []).append(ids)
         return True
+
+    def catch_up(self, relation: Relation, intern) -> bool:
+        """Whether this copy still reads ``relation``, taking in what
+        arrived since: the same relation object, and the copy plus those
+        arrivals count it (a delete that bypassed
+        ``EvalContext.notify_delete`` makes them disagree)."""
+        if self.seen.relation is not relation:
+            return False
+        arrived = self.seen.arrivals()
+        if len(self.tuples) + len(arrived) != len(relation):
+            return False
+        return self.absorb(arrived, intern)
 
     def index(self, positions: tuple) -> Dict[tuple, list]:
         index = self.indexes.get(positions)
@@ -732,13 +746,8 @@ class PushState:
         non-ground tuple."""
         intern = self.intern.intern
         entry = self._bases.get(key)
-        if entry is not None and entry.seen.relation is relation:
-            arrived = entry.seen.arrivals()
-            if (
-                len(entry.tuples) + len(arrived) == len(relation)
-                and entry.absorb(arrived, intern)
-            ):
-                return entry
+        if entry is not None and entry.catch_up(relation, intern):
+            return entry
         entry = _resident(relation, intern)
         if entry is None:
             self._bases.pop(key, None)
@@ -765,6 +774,22 @@ def _resident(relation: Relation, intern) -> Optional[_Resident]:
     return entry if entry.absorb(relation.inserted_after(0), intern) else None
 
 
+def _handed_on(
+    rows: Dict[PredKey, PyTuple[PushState, _Resident]], key: PredKey,
+    state: PushState, relation: Relation,
+) -> Optional[_Resident]:
+    """The rows an earlier pushed SCC of this call left for ``relation``,
+    numbered by ``state`` and caught up as a resident base is; None (and
+    the rows dropped) when they do not pass."""
+    handed = rows.get(key)
+    if handed is not None:
+        owner, entry = handed
+        if owner is state and entry.catch_up(relation, state.intern.intern):
+            return entry
+        del rows[key]
+    return None
+
+
 class PushSCCEvaluator(SCCEvaluator):
     """An :class:`SCCEvaluator` whose first fixpoint run is the compiled
     push program; out-of-class rules interleave through the interpreter.
@@ -772,7 +797,8 @@ class PushSCCEvaluator(SCCEvaluator):
     Sequencing per run: (1) out-of-class once rules run interpreted — their
     heads land in the local relations and become push seeds alongside the
     magic seed; (2) the push function runs to its fixpoint over interned
-    tuples, and new facts are flushed back into the relations; (3) if any
+    tuples, new facts are flushed back into the relations, and the
+    outputs' interned rows are left for later pushed SCCs; (3) if any
     recursive rule was *not* pushed, the ordinary delta loop runs with the
     pushed rules suppressed for the first iteration (``prev = 0`` makes the
     last-delta triangular version cover the full cross product, so the
@@ -790,9 +816,14 @@ class PushSCCEvaluator(SCCEvaluator):
         strategy: str = "bsn",
         use_backjumping: bool = True,
         compiler: Optional[PushCompiler] = None,
+        rows: Optional[Dict[PredKey, PyTuple[PushState, _Resident]]] = None,
     ) -> None:
         super().__init__(scope, plan, strategy, use_backjumping)
         self.compiler = compiler if compiler is not None else PushCompiler()
+        #: the instance's hand-off between its pushed SCCs: an output
+        #: relation's interned rows, with the push state that numbered them
+        #: (the instance empties it when a call ends)
+        self._rows = rows if rows is not None else {}
         self._program = self.compiler.program_for(
             plan, scope.ctx.is_builtin, obs=scope.ctx.obs
         )
@@ -870,6 +901,7 @@ class PushSCCEvaluator(SCCEvaluator):
             state = ctx.push = PushState()
         intern = state.intern
         intern_arg = intern.intern
+        rows = self._rows
 
         bases: Dict[PredKey, _Resident] = {}
         for key in program.static_preds:
@@ -880,14 +912,19 @@ class PushSCCEvaluator(SCCEvaluator):
                 bases[key] = entry
         consts = [intern_arg(arg) for arg in program.const_args]
         watermark = len(intern)
+        taken: List[PredKey] = []
         try:
             batches = []
             for key in program.static_preds:
                 entry = bases.get(key)
-                if entry is None:  # the instance's own: interned for this run
-                    entry = _resident(scope.local[key], intern_arg)
+                if entry is None:  # the instance's own
+                    entry = _handed_on(rows, key, state, scope.local[key])
                     if entry is None:
-                        return "non-ground fact in %s/%d" % key
+                        entry = _resident(scope.local[key], intern_arg)
+                        if entry is None:
+                            return "non-ground fact in %s/%d" % key
+                    else:
+                        taken.append(key)
                 batches.append(entry)
             indexes = [
                 batches[batch].index(positions)
@@ -906,12 +943,22 @@ class PushSCCEvaluator(SCCEvaluator):
                 # the interpreter evaluates a stored 1+2 where a guard or
                 # = reads it; push would compare the term itself
                 return ARITH_VALUE
-            self._push(seeds, batches, indexes, consts, intern)
+            per_pred = self._push(seeds, batches, indexes, consts, intern)
+            if len(intern) == watermark:
+                # every id survives the truncation: hand the outputs on,
+                # read up to now (after the flush)
+                for key, (all_tuples, _) in zip(program.out_preds, per_pred):
+                    rows[key] = (state, _Resident(scope.local[key], all_tuples))
         finally:
+            if len(intern) > watermark:
+                # a row this run took in may hold an id about to die
+                for key in taken:
+                    rows.pop(key, None)
             intern.truncate(watermark)
         return None
 
-    def _push(self, seeds, batches, indexes, consts, intern) -> None:
+    def _push(self, seeds, batches, indexes, consts, intern):
+        """Run the program and flush its new facts; returns ``per_pred``."""
         program = self._program
         ctx = self.scope.ctx
         stats = ctx.stats
@@ -939,9 +986,6 @@ class PushSCCEvaluator(SCCEvaluator):
             ) from None
         elapsed = time.perf_counter() - started if obs is not None else 0.0
 
-        arg_of = intern.args.__getitem__
-        key_of = intern.keys.__getitem__
-        make = Tuple.ground
         new_facts = 0
         for key, (all_tuples, seed_count) in zip(program.out_preds, per_pred):
             fresh = all_tuples[seed_count:]
@@ -949,10 +993,7 @@ class PushSCCEvaluator(SCCEvaluator):
                 continue
             # seen was seeded from this relation's contents, so everything
             # beyond the seed prefix is new — the unchecked bulk path applies
-            self.scope.local[key].extend_new(
-                make(tuple(map(arg_of, ids)), tuple(map(key_of, ids)))
-                for ids in fresh
-            )
+            self.scope.local[key].insert_interned(fresh, intern.args, intern.keys)
             new_facts += len(fresh)
         attempts = sum(tried for tried, _ in counts)
         stats.inferences += attempts
@@ -968,3 +1009,4 @@ class PushSCCEvaluator(SCCEvaluator):
                 ],
                 started, elapsed,
             )
+        return per_pred

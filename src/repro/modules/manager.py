@@ -301,13 +301,21 @@ class MaterializedInstance:
         #: the interpreter; a refused ``push`` verdict and every SCC left to
         #: the interpreter are recorded in its stats
         self.compiler = None
+        #: interned rows one pushed SCC hands the next, for the rest of a
+        #: call: dropped when its evaluation ends, so neither a retained
+        #: instance's memory, save-module resumption nor maintenance (which
+        #: edits these relations unannounced) keeps them
+        self._push_rows: Dict = {}
         pushed = None
         if compiled.compiled:
             from ..compilemod.push import PushCompiler, PushSCCEvaluator
 
             self.compiler = PushCompiler()
             if self.compiler.admits(compiled, self.capabilities, ctx.obs):
-                pushed = partial(PushSCCEvaluator, compiler=self.compiler)
+                pushed = partial(
+                    PushSCCEvaluator, compiler=self.compiler,
+                    rows=self._push_rows,
+                )
         if compiled.ordered_search:
             self.evaluators: List = []
             self._ordered = OrderedSearchEvaluator(self.scope, compiled)
@@ -416,7 +424,7 @@ class MaterializedInstance:
         try:
             run()
         finally:
-            self._active = False
+            self._finish()
         return self._answer_cursor(call_args)
 
     def _lazy_answers(self, call_args: Sequence[Arg]) -> Iterator[Tuple]:
@@ -439,7 +447,12 @@ class MaterializedInstance:
                         read_mark = frontier
             yield from self._answer_cursor(call_args, since=read_mark)
         finally:
-            self._active = False
+            self._finish()
+
+    def _finish(self) -> None:
+        """The call's evaluation is over: no handed-on rows outlive it."""
+        self._active = False
+        self._push_rows.clear()
 
     def _answer_cursor(
         self,
@@ -462,12 +475,15 @@ class MaterializedInstance:
         # context factoring: splice the bound constants back around the
         # answer predicate's free-position values
         positions = rewritten.answer_positions
+        make = Tuple.ground
 
         def reassemble() -> Iterator[Tuple]:
+            full: List[Arg] = list(call_args)
             for partial in candidates:
-                full: List[Arg] = list(call_args)
                 for value, position in zip(partial.args, positions):
                     full[position] = value
-                yield Tuple(tuple(full))
+                # the rest are the form's bound positions, which the call
+                # binds to ground terms: no second groundness walk
+                yield make(full) if partial.is_ground() else Tuple(full)
 
         return GeneratorTupleIterator(reassemble())

@@ -53,17 +53,16 @@ class Tuple:
         self.seqno: int = -1
 
     @classmethod
-    def ground(cls, args: Sequence[Arg], key: Any = None) -> "Tuple":
+    def ground(cls, args: Sequence[Arg]) -> "Tuple":
         """A tuple the caller guarantees is ground — skips the groundness
-        walk.  The push compiler's flush creates tens of thousands at once
-        from already-interned (hence ground) Args, and passes their
-        duplicate ``key`` too; the interpreter's ``instantiate_head`` makes
-        one per inference whenever every head argument came out a primitive
-        constant."""
+        walk.  The interpreter's ``instantiate_head`` makes one per
+        inference whenever every head argument came out a primitive
+        constant, and context factoring's answer reassembly one per ground
+        answer."""
         tup = cls.__new__(cls)
         tup.args = tuple(args)
         tup._ground = True
-        tup._key = key
+        tup._key = None
         tup.seqno = -1
         return tup
 
@@ -189,6 +188,10 @@ class GeneratorTupleIterator(TupleIterator):
 
     def get_next(self) -> Optional[Tuple]:
         return next(self._source, None)
+
+    def __iter__(self) -> Iterator[Tuple]:
+        # the source itself: iterating adds no generator layer per tuple
+        return self._source
 
 
 class Relation(ABC):

@@ -228,25 +228,46 @@ class HashRelation(MarkedRelation):
         self._count += 1
         return True
 
-    def extend_new(self, tuples) -> int:
-        """Bulk-insert tuples the caller guarantees are ground, of the right
-        arity, and not already present — no duplicate or subsumption checks.
+    def insert_interned(
+        self, rows: Sequence[PyTuple[int, ...]], args: Sequence[Arg],
+        keys: Sequence[Any],
+    ) -> int:
+        """Bulk-insert interned rows the caller guarantees are of the right
+        arity and not already present — no duplicate or subsumption checks.
+        A row is a tuple of intern ids; ``args[i]`` and ``keys[i]`` are the
+        ground Arg and the ground key of id ``i`` (an ``InternTable``'s
+        lists), so each stored :class:`Tuple` is built here, once, with its
+        duplicate key.
 
         The push evaluator's flush qualifies: it seeds its ``seen`` set from
         this relation's contents, so everything beyond the seed prefix is
-        genuinely new.  Marks and indexes are maintained exactly as
-        :meth:`insert` would."""
+        genuinely new.  Segments, indexes and the duplicate map are
+        maintained exactly as :meth:`insert` would."""
         segment = self._segments[-1]
+        stored = segment.tuples
+        indexes = segment.indexes
         by_key = self._by_key if self.policy is DuplicatePolicy.SET else None
-        count = 0
-        for tup in tuples:
-            tup.seqno = next(_next_seqno)
-            segment.insert(tup)
+        if self.arity:
+            # column by column, so every lookup and tuple build runs in C
+            columns = list(zip(*rows))
+            values = zip(*[map(args.__getitem__, ids) for ids in columns])
+            tuple_keys = zip(*[map(keys.__getitem__, ids) for ids in columns])
+        else:
+            values = tuple_keys = [()] * len(rows)
+        new = Tuple.__new__
+        for arg_row, key, seqno in zip(values, tuple_keys, _next_seqno):
+            tup = new(Tuple)
+            tup.args = arg_row
+            tup._ground = True
+            tup._key = key
+            tup.seqno = seqno
+            stored[seqno] = tup
+            for index in indexes:
+                index.insert(tup)
             if by_key is not None:
-                by_key[tup.key()] = tup
-            count += 1
-        self._count += count
-        return count
+                by_key[key] = tup
+        self._count += len(rows)
+        return len(rows)
 
     def find(self, tup: Tuple) -> Optional[Tuple]:
         """The stored tuple equal to ``tup`` (for a non-ground fact, a

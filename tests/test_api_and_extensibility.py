@@ -132,6 +132,53 @@ class TestScanDescriptor:
         assert sorted(scan) == [(1, 2), (1, 3)]
 
 
+class TestAnswerStream:
+    """``Session.query`` hands each cursor tuple to its ``Answer``: a tuple
+    made for the answer as it stands, a stored one as a copy."""
+
+    def test_a_stored_answer_is_a_copy_so_its_relation_can_delete_it(self):
+        session = Session()
+        session.insert("edge", 1, 2)
+        (answer,) = session.query("edge(1, Y)").all()
+        # inserting the tuple elsewhere stamps it with a new seqno; were it
+        # the stored one, edge could no longer find it to delete it
+        assert session.relation("copy", 2).insert(answer.tuple)
+        assert session.delete("edge", 1, 2) is True
+        assert session.query("edge(X, Y)").all() == []
+        assert session.query("copy(1, Y)").tuples() == [(1, 2)]
+
+    def test_a_reassembled_answer_is_handed_over_uncopied(self, monkeypatch):
+        from repro.modules.manager import ExportedRelation
+        from repro.relations import GeneratorTupleIterator
+
+        session = Session()
+        session.consult_string(
+            "edge(1, 2). edge(2, 3). edge(3, 4).\n"
+            "module tc.\nexport path(bf).\n"
+            "path(X, Y) :- edge(X, Y).\n"
+            "path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.\n"
+        )
+        yielded = []
+        honest = ExportedRelation.scan
+
+        def recording(self, pattern=None, env=None):
+            cursor = honest(self, pattern, env)
+
+            def tuples():
+                for tup in cursor:
+                    yielded.append(tup)
+                    yield tup
+
+            return GeneratorTupleIterator(tuples())
+
+        monkeypatch.setattr(ExportedRelation, "scan", recording)
+        answers = session.query("path(1, Y)").all()
+        assert sorted(a["Y"] for a in answers) == [2, 3, 4]
+        assert len(yielded) == 3
+        assert all(a.tuple is tup for a, tup in zip(answers, yielded))
+        assert all(tup.seqno == -1 and tup.is_ground() for tup in yielded)
+
+
 class Temperature(Arg):
     """A user ADT: a temperature with unit-aware equality (Section 7.1)."""
 

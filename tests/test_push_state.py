@@ -114,6 +114,60 @@ def test_a_missed_delete_hidden_by_an_insert_still_rebuilds():
     assert _reach(session, 40) == _reach(interpreted, 40) == [41]
 
 
+def test_a_repeated_read_interns_no_context_fact(intern_calls):
+    """The factored form's first SCC computes ``ctx_path`` and hands its
+    interned rows to the second (``fans_path``), which used to intern all
+    of them again: a read on an unchanged database now interns only the
+    call's seed."""
+    session = _session(_chain(200) + TC)
+    assert _reach(session, 100) == list(range(101, 201))
+    del intern_calls[:]
+    assert _reach(session, 100) == list(range(101, 201))
+    assert intern_calls == [Int(100)]  # 102 with the context re-interned
+
+
+COMPUTED = """
+p(1). p(2). p(3). s(102). s(103). s(104).
+module m.
+export r(f).
+q(Y) :- p(X), Y = X + 100.
+r(Y) :- q(Y), s(Y).
+end_module.
+"""
+
+
+def test_computed_numbers_are_not_handed_on(intern_calls):
+    """An SCC that interns values of its own (``intern_num``) loses them to
+    the truncation when its run ends, so it hands on no rows: the next SCC
+    interns ``q`` itself, and answers as the interpreter does."""
+    session = _session(COMPUTED)
+    del intern_calls[:]
+    assert session.query("r(Y)").tuples() == [(102,), (103,)]
+    assert Int(101) in intern_calls  # q read back from its relation
+    session.insert("p", 4)
+    session.delete("s", 102)
+    cold = _session(COMPUTED, compiled=None)
+    cold.insert("p", 4)
+    cold.delete("s", 102)
+    assert sorted(session.query("r(Y)").tuples()) == \
+        sorted(cold.query("r(Y)").tuples()) == [(103,), (104,)]
+
+
+def test_rows_that_took_in_new_values_go_no_further():
+    """``p``'s rows are handed on after its pushed once rule; its
+    interpreted recursive rule then adds ``g(2)`` and ``g(3)``, which the
+    ``r`` SCC interns as it takes the rows — ids its run's truncation
+    kills.  The rows must not reach the ``t`` SCC, whose base ``s`` reuses
+    those ids."""
+    program = (
+        "q(1, 2). q(2, 3). s(z).\nmodule m.\nexport t(f).\n"
+        "p(X) :- q(X, W).\np(Y) :- p(X), q(X, Z), Y = g(Z).\n"
+        "r(X) :- p(X).\nt(X) :- p(X), r(X), s(z).\nend_module.\n"
+    )
+    interpreted, pushed = _both(program, "t(X)")
+    assert interpreted == pushed == [("1",), ("2",), ("g(2)",), ("g(3)",)]
+
+
 SAVED = TC.replace("export path(bf).", "export path(bf).\n@save_module.")
 
 
@@ -165,6 +219,32 @@ def test_reads_leave_the_base_segments_alone(make):
 
 def _edges(relation):
     return [tuple(arg.value for arg in t.args) for t in relation.scan()]
+
+
+def test_handed_on_rows_do_not_outlive_their_call():
+    """Rows are handed between the SCCs of one call only.  A retained
+    instance — a memo entry, repaired by deleting from its relations
+    without any fan-out — keeps none once its call is over, and a
+    save-module form resumed after a base insert and a memo entry repaired
+    after a delete answer as a cold interpreter does."""
+    memo = _session(_chain(30) + TC, memo=True)
+    saved = _session(_chain(30) + SAVED)
+    assert _reach(memo, 10) == _reach(saved, 10) == list(range(11, 31))
+    (entry,) = memo.memo._entries.values()
+    assert entry.instance._push_rows == {}
+    for session in (memo, saved):
+        session.delete("edge", 20, 21)
+        session.insert("edge", 20, 40)
+        session.insert("edge", 40, 41)
+    cold = _session(_chain(30) + TC, compiled=None)
+    cold.delete("edge", 20, 21)
+    cold.insert("edge", 20, 40)
+    cold.insert("edge", 40, 41)
+    for key in (10, 20, 25):
+        assert _reach(memo, key) == _reach(saved, key) == _reach(cold, key)
+    assert memo.memo.snapshot()["evictions"] == 0
+    for entry in memo.memo._entries.values():
+        assert entry.instance._push_rows == {}
 
 
 def test_fresh_numbers_do_not_grow_the_table():

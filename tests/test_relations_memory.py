@@ -78,6 +78,53 @@ class TestHashRelationBasics:
         assert rel.contains(Tuple((Atom("john"), Int(30))))
 
 
+class TestInsertInterned:
+    """The push flush's bulk insert of interned rows stores what ``insert``
+    of the same tuples would: segments, indexes, duplicate map, count."""
+
+    VALUES = [Int(10), Atom("a"), Functor("f", (Int(1),)), Int(20)]
+
+    def _pair(self, arity, rows, specs=()):
+        args = self.VALUES
+        keys = [arg.ground_key() for arg in args]
+        bulk, single = HashRelation("p", arity), HashRelation("p", arity)
+        for spec in specs:
+            bulk.add_index(spec)
+            single.add_index(spec)
+        assert bulk.insert_interned(rows, args, keys) == len(rows)
+        for ids in rows:
+            assert single.insert(Tuple(tuple(args[i] for i in ids)))
+        return bulk, single
+
+    @pytest.mark.parametrize("arity, rows", [
+        (0, [()]),
+        (1, [(0,), (1,), (2,)]),
+        (2, [(0, 1), (1, 0), (2, 3), (3, 3)]),
+    ])
+    def test_stores_what_insert_stores(self, arity, rows):
+        specs = [ArgumentIndexSpec(arity, [0])] if arity else []
+        bulk, single = self._pair(arity, rows, specs)
+        assert len(bulk) == len(single) == len(rows)
+        assert bulk.all_tuples() == single.all_tuples()
+        assert bulk.segment_count() == single.segment_count() == 1
+        for tup in single.all_tuples():
+            assert bulk.contains(tup) and not bulk.insert(tup)
+            assert bulk.find(tup).is_ground()
+            if arity:
+                assert list(bulk.scan(tup.args[:1] + (Var("Y"),) * (arity - 1))) \
+                    == list(single.scan(tup.args[:1] + (Var("Y"),) * (arity - 1)))
+        for tup in single.all_tuples():
+            assert bulk.delete(tup)
+        assert len(bulk) == 0 and bulk.all_tuples() == []
+
+    def test_arrivals_are_numbered_in_order(self):
+        bulk, _ = self._pair(1, [])
+        seen = Watermark(bulk)
+        bulk.insert_interned([(1,), (0,)], self.VALUES,
+                             [arg.ground_key() for arg in self.VALUES])
+        assert [tup.args[0] for tup in seen.arrivals()] == [Atom("a"), Int(10)]
+
+
 class TestNonGroundFacts:
     def test_variant_is_duplicate(self):
         rel = HashRelation("p", 2)

@@ -366,6 +366,22 @@ class TestServerCursorMemory:
             assert held <= 64
             assert srv.open_cursors() == 1
 
+    def test_a_pulling_client_holds_at_most_one_batch(self):
+        """``RemoteQueryResult.pull`` keeps no answer it hands out, so a
+        client streaming 1,024 of 2,000 answers in batches of 64 holds at
+        most the batch in hand (``get_next`` keeps every one: 1,025)."""
+        session = Session()
+        session.consult_string("".join(f"n({i}).\n" for i in range(2_000)))
+        with CoralServer(session, port=0) as srv, \
+                RemoteSession(*srv.address, batch_size=64) as db:
+            result = db.query("n(X)")
+            pulled = [result.pull()["X"] for _ in range(1_024)]
+            assert pulled == list(range(1_024))
+            gc.collect()
+            held = sum(isinstance(o, Answer) for o in gc.get_objects())
+            assert held <= 65
+            result.close()
+
 
 class TestRemoteQueryResult:
     def test_close_after_a_done_first_batch_writes_no_frame(

@@ -469,6 +469,7 @@ class Session:
             env = BindEnv()
             trail = Trail()
             cursor = relation.scan(args, env)
+            owned = cursor.owned
             try:
                 for candidate in cursor:
                     answer = None
@@ -479,12 +480,13 @@ class Session:
                             if value is not arg and not arg.equals(value):
                                 break
                         else:
-                            # a stored tuple is copied: inserting the answer
-                            # into another relation restamps its seqno, and
-                            # the relation holding it could not delete it
+                            # a tuple the cursor does not own is copied: a
+                            # relation may hold it, or a memo entry serving
+                            # it to other answers, and inserting the answer
+                            # elsewhere restamps its seqno, so the relation
+                            # holding it could not delete it
                             answer = Answer(
-                                candidate if candidate.seqno == -1
-                                else Tuple.ground(values),
+                                candidate if owned else Tuple.ground(values),
                                 {name: values[p] for name, p in reported},
                             )
                     else:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple as PyTuple
+from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..builtins.core import is_arith_expr
 from ..errors import EvaluationError
@@ -657,9 +657,9 @@ class _Resident:
 
     __slots__ = ("seen", "tuples", "indexes")
 
-    def __init__(self, relation: Relation, rows: Sequence[tuple] = ()) -> None:
+    def __init__(self, seen: Watermark, rows: Iterable[tuple]) -> None:
         #: how far ``tuples`` has read the relation
-        self.seen = Watermark(relation)
+        self.seen = seen
         #: interned tuple -> None: an insertion-ordered set
         self.tuples: Dict[tuple, None] = dict.fromkeys(rows)
         #: bound positions -> {key: [interned tuples]}
@@ -770,24 +770,26 @@ class PushState:
 
 def _resident(relation: Relation, intern) -> Optional[_Resident]:
     """All of ``relation`` interned, or None if a tuple is not ground."""
-    entry = _Resident(relation)
+    entry = _Resident(Watermark(relation), ())
     return entry if entry.absorb(relation.inserted_after(0), intern) else None
 
 
 def _handed_on(
-    rows: Dict[PredKey, PyTuple[PushState, _Resident]], key: PredKey,
-    state: PushState, relation: Relation,
+    rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]],
+    key: PredKey, state: PushState, relation: Relation,
 ) -> Optional[_Resident]:
     """The rows an earlier pushed SCC of this call left for ``relation``,
-    numbered by ``state`` and caught up as a resident base is; None (and
-    the rows dropped) when they do not pass."""
-    handed = rows.get(key)
-    if handed is not None:
-        owner, entry = handed
-        if owner is state and entry.catch_up(relation, state.intern.intern):
-            return entry
-        del rows[key]
-    return None
+    numbered by ``state`` and caught up as a resident base is; None when
+    there are none or they do not pass.  Either way they are taken, by one
+    reader only: what it absorbs may hold ids its run's truncation kills."""
+    handed = rows.pop(key, None)
+    if handed is None:
+        return None
+    owner, seen, tuples = handed
+    if owner is not state:
+        return None
+    entry = _Resident(seen, tuples)
+    return entry if entry.catch_up(relation, state.intern.intern) else None
 
 
 class PushSCCEvaluator(SCCEvaluator):
@@ -816,14 +818,16 @@ class PushSCCEvaluator(SCCEvaluator):
         strategy: str = "bsn",
         use_backjumping: bool = True,
         compiler: Optional[PushCompiler] = None,
-        rows: Optional[Dict[PredKey, PyTuple[PushState, _Resident]]] = None,
+        *,
+        rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]],
     ) -> None:
         super().__init__(scope, plan, strategy, use_backjumping)
         self.compiler = compiler if compiler is not None else PushCompiler()
         #: the instance's hand-off between its pushed SCCs: an output
         #: relation's interned rows, with the push state that numbered them
-        #: (the instance empties it when a call ends)
-        self._rows = rows if rows is not None else {}
+        #: and how far they read the relation (the instance empties it when
+        #: a call ends)
+        self._rows = rows
         self._program = self.compiler.program_for(
             plan, scope.ctx.is_builtin, obs=scope.ctx.obs
         )
@@ -912,7 +916,6 @@ class PushSCCEvaluator(SCCEvaluator):
                 bases[key] = entry
         consts = [intern_arg(arg) for arg in program.const_args]
         watermark = len(intern)
-        taken: List[PredKey] = []
         try:
             batches = []
             for key in program.static_preds:
@@ -923,8 +926,6 @@ class PushSCCEvaluator(SCCEvaluator):
                         entry = _resident(scope.local[key], intern_arg)
                         if entry is None:
                             return "non-ground fact in %s/%d" % key
-                    else:
-                        taken.append(key)
                 batches.append(entry)
             indexes = [
                 batches[batch].index(positions)
@@ -948,12 +949,10 @@ class PushSCCEvaluator(SCCEvaluator):
                 # every id survives the truncation: hand the outputs on,
                 # read up to now (after the flush)
                 for key, (all_tuples, _) in zip(program.out_preds, per_pred):
-                    rows[key] = (state, _Resident(scope.local[key], all_tuples))
+                    rows[key] = (
+                        state, Watermark(scope.local[key]), all_tuples
+                    )
         finally:
-            if len(intern) > watermark:
-                # a row this run took in may hold an id about to die
-                for key in taken:
-                    rows.pop(key, None)
             intern.truncate(watermark)
         return None
 

@@ -377,7 +377,10 @@ class MaterializedInstance:
                 ),
             )
         if self.compiled.lazy:
-            return GeneratorTupleIterator(self._lazy_answers(call_args))
+            cursor = GeneratorTupleIterator(self._lazy_answers(call_args))
+            # its answers come from _answer_cursor, call by call
+            cursor.owned = rewritten.answer_positions is not None
+            return cursor
         return self._eager_answers(call_args, self._run_all)
 
     def outdated(self) -> bool:
@@ -486,4 +489,6 @@ class MaterializedInstance:
                 # binds to ground terms: no second groundness walk
                 yield make(full) if partial.is_ground() else Tuple(full)
 
-        return GeneratorTupleIterator(reassemble())
+        cursor = GeneratorTupleIterator(reassemble())
+        cursor.owned = True  # each answer is built here, for this call alone
+        return cursor

@@ -150,6 +150,10 @@ class TupleIterator(ABC):
     the same relation may be open concurrently; each holds its own position.
     """
 
+    #: True when every tuple it yields was built for this cursor and is held
+    #: by nothing else — a consumer may keep one without copying it
+    owned = False
+
     @abstractmethod
     def get_next(self) -> Optional[Tuple]:
         """The next tuple, or None when exhausted."""

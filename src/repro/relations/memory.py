@@ -77,6 +77,13 @@ class _Segment:
         for index in self.indexes:
             index.insert(tup)
 
+    def extend(self, tuples: Sequence[Tuple]) -> None:
+        """:meth:`insert` for numbered tuples in bulk."""
+        self.tuples.update([(tup.seqno, tup) for tup in tuples])
+        for index in self.indexes:
+            for tup in tuples:
+                index.insert(tup)
+
     def delete(self, tup: Tuple) -> bool:
         if tup.seqno not in self.tuples:
             return False
@@ -243,31 +250,31 @@ class HashRelation(MarkedRelation):
         this relation's contents, so everything beyond the seed prefix is
         genuinely new.  Segments, indexes and the duplicate map are
         maintained exactly as :meth:`insert` would."""
-        segment = self._segments[-1]
-        stored = segment.tuples
-        indexes = segment.indexes
-        by_key = self._by_key if self.policy is DuplicatePolicy.SET else None
         if self.arity:
             # column by column, so every lookup and tuple build runs in C
             columns = list(zip(*rows))
             values = zip(*[map(args.__getitem__, ids) for ids in columns])
-            tuple_keys = zip(*[map(keys.__getitem__, ids) for ids in columns])
+            tuple_keys = list(
+                zip(*[map(keys.__getitem__, ids) for ids in columns])
+            )
         else:
             values = tuple_keys = [()] * len(rows)
+        # Tuple.ground with the key filled in, inline: a call per row costs
+        # a tc_reach read ~7 % (docs/COMPILED.md, "Flush")
         new = Tuple.__new__
+        built = []
         for arg_row, key, seqno in zip(values, tuple_keys, _next_seqno):
             tup = new(Tuple)
             tup.args = arg_row
             tup._ground = True
             tup._key = key
             tup.seqno = seqno
-            stored[seqno] = tup
-            for index in indexes:
-                index.insert(tup)
-            if by_key is not None:
-                by_key[key] = tup
-        self._count += len(rows)
-        return len(rows)
+            built.append(tup)
+        self._segments[-1].extend(built)
+        if self.policy is DuplicatePolicy.SET:
+            self._by_key.update(zip(tuple_keys, built))
+        self._count += len(built)
+        return len(built)
 
     def find(self, tup: Tuple) -> Optional[Tuple]:
         """The stored tuple equal to ``tup`` (for a non-ground fact, a

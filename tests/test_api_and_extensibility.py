@@ -134,7 +134,28 @@ class TestScanDescriptor:
 
 class TestAnswerStream:
     """``Session.query`` hands each cursor tuple to its ``Answer``: a tuple
-    made for the answer as it stands, a stored one as a copy."""
+    its cursor built for this call alone as it stands, any other (stored,
+    retained by a memo entry or by a host relation) as a copy."""
+
+    TC = (
+        "edge(1, 2). edge(2, 3). edge(3, 4).\n"
+        "module tc.\nexport path(bf).\n"
+        "path(X, Y) :- edge(X, Y).\n"
+        "path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.\n"
+    )
+
+    @staticmethod
+    def _insert_both_then_delete(first, second):
+        """Insert two answers' tuples into relations ``a`` and ``b`` of
+        one session, then delete the first from ``a``: the insert into
+        ``b`` must not have restamped the tuple ``a`` holds."""
+        session = Session()
+        a = session.relation("a", len(first.tuple.args))
+        b = session.relation("b", len(second.tuple.args))
+        assert a.insert(first.tuple)
+        assert b.insert(second.tuple)
+        assert a.delete(first.tuple) is True
+        assert len(a) == 0 and len(b) == 1
 
     def test_a_stored_answer_is_a_copy_so_its_relation_can_delete_it(self):
         session = Session()
@@ -152,24 +173,22 @@ class TestAnswerStream:
         from repro.relations import GeneratorTupleIterator
 
         session = Session()
-        session.consult_string(
-            "edge(1, 2). edge(2, 3). edge(3, 4).\n"
-            "module tc.\nexport path(bf).\n"
-            "path(X, Y) :- edge(X, Y).\n"
-            "path(X, Y) :- edge(X, Z), path(Z, Y).\nend_module.\n"
-        )
+        session.consult_string(self.TC)
         yielded = []
         honest = ExportedRelation.scan
 
         def recording(self, pattern=None, env=None):
             cursor = honest(self, pattern, env)
+            assert cursor.owned
 
             def tuples():
                 for tup in cursor:
                     yielded.append(tup)
                     yield tup
 
-            return GeneratorTupleIterator(tuples())
+            recorded = GeneratorTupleIterator(tuples())
+            recorded.owned = True
+            return recorded
 
         monkeypatch.setattr(ExportedRelation, "scan", recording)
         answers = session.query("path(1, Y)").all()
@@ -177,6 +196,44 @@ class TestAnswerStream:
         assert len(yielded) == 3
         assert all(a.tuple is tup for a, tup in zip(answers, yielded))
         assert all(tup.seqno == -1 and tup.is_ground() for tup in yielded)
+
+    def test_answers_served_from_one_memo_entry_are_copies(self):
+        session = Session(memo=True)
+        session.consult_string(self.TC)
+        first = session.query("path(1, Y)").all()
+        second = session.query("path(1, Y)").all()
+        assert session.memo.snapshot()["hits"] == 1
+        assert first[0].tuple is not second[0].tuple
+        self._insert_both_then_delete(first[0], second[0])
+
+    def test_answers_of_a_host_relation_are_copies(self):
+        from repro.relations import GeneratorTupleIterator, Relation
+
+        class Held(Relation):
+            """Yields the same tuple objects on every scan."""
+
+            def __init__(self):
+                super().__init__("held", 1)
+                self.tuples = [Tuple((Int(1),)), Tuple((Int(2),))]
+
+            def insert(self, tup):
+                return False
+
+            def delete(self, tup):
+                return False
+
+            def __len__(self):
+                return len(self.tuples)
+
+            def scan(self, pattern=None, env=None):
+                return GeneratorTupleIterator(self.tuples)
+
+        session = Session()
+        session.register_relation(Held())
+        first = session.query("held(1)").all()
+        second = session.query("held(1)").all()
+        assert first[0].tuple is not second[0].tuple
+        self._insert_both_then_delete(first[0], second[0])
 
 
 class Temperature(Arg):

@@ -85,6 +85,15 @@ def number_to_arg(value: Number) -> Arg:
     return Int(value) if isinstance(value, int) else Double(value)
 
 
+def unify_one(arg: Arg, env: BindEnv, value: Arg, trail: Trail) -> Iterator[None]:
+    """Succeed once if ``arg`` unifies with ``value``; undo it otherwise."""
+    mark = trail.mark()
+    if unify(arg, env, value, None, trail):
+        yield None
+    else:
+        trail.undo_to(mark)
+
+
 def _comparable(term: Arg, env: Optional[BindEnv], op: str):
     """The Python value a comparison operand denotes."""
     term, env = deref(term, env)

@@ -27,6 +27,7 @@ from ..terms import (
     resolve,
     unify,
 )
+from .core import unify_one
 from .registry import BuiltinRegistry
 
 
@@ -147,19 +148,11 @@ def _elements(term: Arg, env: BindEnv, name: str):
     return elements
 
 
-def _unify_one(arg: Arg, env: BindEnv, value: Arg, trail: Trail) -> Iterator[None]:
-    mark = trail.mark()
-    if unify(arg, env, value, None, trail):
-        yield None
-    else:
-        trail.undo_to(mark)
-
-
 def _reverse_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
     from ..terms import make_list
 
     elements = _elements(args[0], env, "reverse/2")
-    yield from _unify_one(args[1], env, make_list(list(reversed(elements))), trail)
+    yield from unify_one(args[1], env, make_list(list(reversed(elements))), trail)
 
 
 def _nth_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
@@ -169,7 +162,7 @@ def _nth_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]
     if isinstance(index_term, Int):
         position = index_term.value
         if 1 <= position <= len(elements):
-            yield from _unify_one(args[2], env, elements[position - 1], trail)
+            yield from unify_one(args[2], env, elements[position - 1], trail)
         return
     for position, element in enumerate(elements, start=1):
         mark = trail.mark()
@@ -183,7 +176,7 @@ def _nth_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]
 def _last_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
     elements = _elements(args[0], env, "last/2")
     if elements:
-        yield from _unify_one(args[1], env, elements[-1], trail)
+        yield from unify_one(args[1], env, elements[-1], trail)
 
 
 def _numeric_fold(name: str, fold):
@@ -200,7 +193,7 @@ def _numeric_fold(name: str, fold):
         result = fold(values)
         if result is None:
             return
-        yield from _unify_one(args[1], env, number_to_arg(result), trail)
+        yield from unify_one(args[1], env, number_to_arg(result), trail)
 
     return impl
 
@@ -225,7 +218,7 @@ def _sort_impl(dedup: bool):
                 if not unique or unique[-1] != element:
                     unique.append(element)
             ordered = unique
-        yield from _unify_one(args[1], env, make_list(ordered), trail)
+        yield from unify_one(args[1], env, make_list(ordered), trail)
 
     return impl
 

@@ -16,6 +16,7 @@ from typing import Iterator, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import EvaluationError, InstantiationError
 from ..terms import Arg, Atom, BindEnv, Double, Int, Str, Trail, Var, deref, unify
+from .core import unify_one
 from .registry import BuiltinRegistry
 
 
@@ -32,31 +33,23 @@ def _text(term: Arg, env: Optional[BindEnv]) -> Optional[str]:
     raise EvaluationError(f"expected an atom or string, got {term}")
 
 
-def _unify_one(arg: Arg, env: BindEnv, value: Arg, trail: Trail) -> Iterator[None]:
-    mark = trail.mark()
-    if unify(arg, env, value, None, trail):
-        yield None
-    else:
-        trail.undo_to(mark)
-
-
 def _concat_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
     """string_concat(A, B, C): concatenation; any single argument may be
     unbound (prefix/suffix subtraction); with A and B unbound, enumerates
     every split of C."""
     left, right, whole = (_text(a, env) for a in args)
     if left is not None and right is not None:
-        yield from _unify_one(args[2], env, Str(left + right), trail)
+        yield from unify_one(args[2], env, Str(left + right), trail)
         return
     if whole is None:
         raise InstantiationError("string_concat/3: need C or both A and B")
     if left is not None:
         if whole.startswith(left):
-            yield from _unify_one(args[1], env, Str(whole[len(left):]), trail)
+            yield from unify_one(args[1], env, Str(whole[len(left):]), trail)
         return
     if right is not None:
         if whole.endswith(right):
-            yield from _unify_one(
+            yield from unify_one(
                 args[0], env, Str(whole[: len(whole) - len(right)]), trail
             )
         return
@@ -73,7 +66,7 @@ def _length_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[No
     text = _text(args[0], env)
     if text is None:
         raise InstantiationError("string_length/2: first argument unbound")
-    yield from _unify_one(args[1], env, Int(len(text)), trail)
+    yield from unify_one(args[1], env, Int(len(text)), trail)
 
 
 def _atom_string_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
@@ -81,10 +74,10 @@ def _atom_string_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterat
     atom_side, atom_env = deref(args[0], env)
     string_side, _ = deref(args[1], env)
     if isinstance(atom_side, Atom):
-        yield from _unify_one(args[1], env, Str(atom_side.name), trail)
+        yield from unify_one(args[1], env, Str(atom_side.name), trail)
         return
     if isinstance(string_side, Str):
-        yield from _unify_one(args[0], env, Atom(string_side.value), trail)
+        yield from unify_one(args[0], env, Atom(string_side.value), trail)
         return
     raise InstantiationError("atom_string/2: both arguments unbound")
 
@@ -94,7 +87,7 @@ def _case_impl(transform):
         text = _text(args[0], env)
         if text is None:
             raise InstantiationError("case conversion: first argument unbound")
-        yield from _unify_one(args[1], env, Str(transform(text)), trail)
+        yield from unify_one(args[1], env, Str(transform(text)), trail)
 
     return impl
 
@@ -105,7 +98,7 @@ def _number_string_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iter
     text = _text(args[1], env)
     if isinstance(number_side, (Int, Double)):
         printed = str(number_side.value)
-        yield from _unify_one(args[1], env, Str(printed), trail)
+        yield from unify_one(args[1], env, Str(printed), trail)
         return
     if text is None:
         raise InstantiationError("number_string/2: both arguments unbound")
@@ -116,7 +109,7 @@ def _number_string_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iter
             value = Double(float(text))
         except ValueError:
             return  # not a number: fail, don't error (test usage)
-    yield from _unify_one(args[0], env, value, trail)
+    yield from unify_one(args[0], env, value, trail)
 
 
 def _sub_string_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:

@@ -28,15 +28,8 @@ from ..terms import (
     resolve,
     unify,
 )
+from .core import unify_one
 from .registry import BuiltinRegistry
-
-
-def _unify_one(arg: Arg, env: BindEnv, value: Arg, trail: Trail) -> Iterator[None]:
-    mark = trail.mark()
-    if unify(arg, env, value, None, trail):
-        yield None
-    else:
-        trail.undo_to(mark)
 
 
 def _functor_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:
@@ -74,7 +67,7 @@ def _functor_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[N
         built = Functor(
             name_term.name, tuple(Var("_A") for _ in range(arity_term.value))
         )
-    yield from _unify_one(args[0], env, built, trail)
+    yield from unify_one(args[0], env, built, trail)
 
 
 def _arg_impl(args: Sequence[Arg], env: BindEnv, trail: Trail) -> Iterator[None]:

@@ -817,12 +817,12 @@ class PushSCCEvaluator(SCCEvaluator):
         plan: SCCPlan,
         strategy: str = "bsn",
         use_backjumping: bool = True,
-        compiler: Optional[PushCompiler] = None,
         *,
+        compiler: PushCompiler,
         rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]],
     ) -> None:
         super().__init__(scope, plan, strategy, use_backjumping)
-        self.compiler = compiler if compiler is not None else PushCompiler()
+        self.compiler = compiler
         #: the instance's hand-off between its pushed SCCs: an output
         #: relation's interned rows, with the push state that numbered them
         #: and how far they read the relation (the instance empties it when

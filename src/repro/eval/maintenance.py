@@ -8,8 +8,10 @@ joins with the indexes they need** — so that absorbing a commit costs in
 proportion to the change, not to the size of the materialization or to how
 long the session has lived.
 
-A :class:`MaintenancePlan` wraps one retained
-:class:`~repro.modules.manager.MaterializedInstance` and builds, once:
+A :class:`MaintenancePlan` is one maintained call: a module's canonical
+call, the retained :class:`~repro.modules.manager.MaterializedInstance`
+that answers it, and the changes not yet repaired.  For its repairs it
+builds, once:
 
 * a **delta join** for every rule and every positive non-builtin body
   position — a :class:`~repro.rewriting.seminaive.DeltaRule` made by the
@@ -45,16 +47,18 @@ derives are collected before any is inserted.
   head-bound checks, reinsert the survivors, and let the insert wave carry
   them to everything they support.
 
-Each repair returns the :class:`NetChange` of the goal's answer set, so a
-consumer patches what it published instead of re-reading the answer
-relation.
+A consumer queues each committed change with :meth:`MaintenancePlan.note`
+and runs both repairs with :meth:`MaintenancePlan.repair`, which returns the
+:class:`NetChange` of the goal's answer set, so the consumer patches what it
+published instead of re-reading the answer relation.
 
 The engine is consumer-neutral with **strictly per-consumer state**: the
-watermarks and the joins belong to one plan, the pending-delete queue
-to the consumer that owns it.  Two consumers drive it today:
+call, its instance, the watermarks, the joins and the queue of unrepaired
+changes all belong to one plan, and each consumer holds its own plans.
+Two consumers drive it today, and keep only their policy:
 
-* :class:`repro.eval.memo.MemoCache` — lazy repair: entries marked stale by
-  an update are freshened at the next lookup;
+* :class:`repro.eval.memo.MemoCache` — lazy repair: an update queues on an
+  entry's plan, and the next lookup repairs it (or evicts the entry);
 * :class:`repro.live.LiveViewManager` — eager repair: registered live views
   are repaired at commit time and the net change is pushed to subscribers
   as ``+tuple``/``-tuple`` deltas (docs/LIVE.md).
@@ -97,7 +101,7 @@ from ..relations import (
 )
 from ..rewriting.magic import MAGIC_PREFIX
 from ..rewriting.seminaive import delta_rules
-from ..terms import BindEnv, Trail
+from ..terms import BindEnv, Trail, Var
 from ..terms.unify import unify_fact
 from .join import BodyExecutor, derive, instantiate_head
 
@@ -129,6 +133,24 @@ def failure_reason(exc: Exception) -> str:
     """Why a repair fell back, as consumers record it on their ``memo.evict``
     / ``live.rebuild`` events: ``"damage"``, or the exception's type name."""
     return "damage" if isinstance(exc, DamageExceeded) else type(exc).__name__
+
+
+class Buckets(dict):
+    """key -> the set of members filed under it, with no empty set kept: the
+    consumers' indexes of what they hold (base predicate -> the memo entries
+    or live views whose plans read it)."""
+
+    def add(self, keys, member) -> None:
+        for key in keys:
+            self.setdefault(key, set()).add(member)
+
+    def discard(self, keys, member) -> None:
+        for key in keys:
+            bucket = self.get(key)
+            if bucket is not None:
+                bucket.discard(member)
+                if not bucket:
+                    del self[key]
 
 
 class NetChange:
@@ -165,7 +187,7 @@ class NetChange:
 
 class _PreState:
     """A base dependency as over-deletion must see it: its current contents
-    ∪ the tuples this consumer has not yet repaired for.  Only ever scanned;
+    ∪ the tuples this plan has not yet repaired for.  Only ever scanned;
     the pending side is a handful of tuples, returned to every probe (the
     caller unifies each candidate anyway)."""
 
@@ -185,9 +207,9 @@ class _RepairScope:
     over-deletion is collecting, ``pre_state`` shows each base dependency
     with pending deletes as current ∪ pending.
 
-    ``pre_state`` is filled from one consumer's pending queue for the
+    ``pre_state`` is filled from one plan's pending queue for the
     duration of one :meth:`MaintenancePlan.apply_deletes` call and lives on
-    that consumer's plan — never on the shared base relations — which is
+    that plan — never on the shared base relations — which is
     what keeps concurrent consumers (memo + live views) from
     double-applying each other's deletions."""
 
@@ -204,40 +226,65 @@ class _RepairScope:
 
 
 class MaintenancePlan:
-    """One retained instance plus everything needed to repair it in place.
+    """One maintained call: the canonical call of ``pred`` under query form
+    ``form`` (the values of ``resolved`` at the form's 'b' positions, fresh
+    variables elsewhere), the instance that answers it, the changes not yet
+    repaired, and everything needed to repair it in place.
 
-    Built by :func:`plan_maintenance`.  All repair state — the watermarks
-    in ``base_seen``, the delta joins — is owned by this plan (and
-    therefore by one consumer); the engine never hangs repair state off the
-    shared base relations.  The joins and their indexes are built by the
-    first repair, over the evaluated relations: a retained result that is
-    never updated never pays for them, and the initial fixpoint does not
-    maintain (or probe past) indexes only repairs use.
+    ``deps`` are the base relations the instance reads, a called module's
+    through ``module_deps`` when provided: complete either way, since
+    consumers that retain unmaintainable results (the memo cache's
+    evict-on-update entries) still index them.  Repairs work only when
+    ``instance.capabilities.maintain`` is None (docs/INTERNALS.md,
+    "Capabilities").  All repair state — the queue, the watermarks in
+    ``base_seen``, the delta joins — is owned by this plan (and therefore
+    by one consumer); the engine never hangs repair state off the shared
+    base relations.  The joins and their indexes are built by the first
+    repair, over the evaluated relations: a retained result that is never
+    updated never pays for them, and the initial fixpoint does not maintain
+    (or probe past) indexes only repairs use.
     """
 
-    __slots__ = ("ctx", "instance", "deps", "call_args", "base_seen",
-                 "_scope", "_joins", "_checks", "_answer_key", "_seed",
-                 "_wave")
+    __slots__ = ("ctx", "call_args", "instance", "deps", "base_seen",
+                 "pending", "inserted", "_scope", "_joins", "_checks",
+                 "_answer_key", "_seed", "_wave")
 
     def __init__(
         self,
         ctx,
-        instance,
-        deps: FrozenSet[PredKey],
-        call_args: Sequence = (),
+        modules,
+        module_name: str,
+        pred: str,
+        form: str,
+        resolved: Sequence,
+        module_deps: Optional[ModuleDeps] = None,
     ) -> None:
         self.ctx = ctx
-        self.instance = instance
-        self.deps = deps
-        #: the canonical call this instance answers; selects (and, under
-        #: context factoring, completes) the answer facts a repair reports
-        self.call_args = list(call_args)
+        #: selects (and, under context factoring, completes) the answer
+        #: facts a repair reports
+        self.call_args = [
+            resolved[position] if flag == "b" else Var("_")
+            for position, flag in enumerate(form)
+        ]
+        self.instance = instance = modules.instance_for(module_name, pred, form)
+        deps: Set[PredKey] = set()
+        for key in instance.compiled.reads:
+            exported = modules.exports.get(key)
+            if exported is None:
+                deps.add(key)
+            elif module_deps is not None:
+                deps |= module_deps(exported[0])
+        self.deps: FrozenSet[PredKey] = frozenset(deps)
         #: per base dep: how far its inserts are absorbed, from before the
         #: evaluation reads it (none when nothing will be repaired)
         self.base_seen: Dict[PredKey, Watermark] = {}
         if instance.capabilities.maintain is None:
             for dep in deps:
                 self.base_seen[dep] = Watermark(ctx.base_relation(*dep))
+        #: base predicate -> the deleted tuples not yet repaired for
+        self.pending: Dict[PredKey, List[Tuple]] = {}
+        #: whether inserts arrived that are not yet absorbed
+        self.inserted = False
         self._scope = _RepairScope(instance.scope)
         #: seed predicate -> the delta joins a change to it starts, each as
         #: (head key, head arguments, executor, whether over-deletion
@@ -261,6 +308,32 @@ class MaintenancePlan:
             self._seed = ((rewritten.magic_pred, len(seed.args)), seed.key())
         #: predicate -> changed tuples: what the running wave's seeds read
         self._wave: Dict[PredKey, List[Tuple]] = {}
+
+    # -- the queue -------------------------------------------------------------
+
+    def note(self, key: PredKey, deleted: Optional[Tuple]) -> None:
+        """Queue one committed change of base predicate ``key``: an insert
+        batch (``deleted`` None; its tuples are read past the watermark) or
+        the delete of ``deleted``."""
+        if deleted is None:
+            self.inserted = True
+        else:
+            self.pending.setdefault(key, []).append(deleted)
+
+    @property
+    def stale(self) -> bool:
+        return self.inserted or bool(self.pending)
+
+    def repair(self) -> NetChange:
+        """Repair everything queued — DRed over the pending deletes, then
+        the insert wave — and return the net change of the answers.  The
+        queue is empty afterwards, even when a repair raises (the consumer
+        then discards this plan)."""
+        pending, self.pending, self.inserted = self.pending, {}, False
+        change = NetChange()
+        if pending:
+            self.apply_deletes(pending, change)
+        return self.apply_inserts(change)
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -417,13 +490,10 @@ class MaintenancePlan:
 
     # -- insert repair ---------------------------------------------------------
 
-    def apply_inserts(self, change: Optional[NetChange] = None) -> NetChange:
+    def apply_inserts(self, change: NetChange) -> NetChange:
         """Absorb base-predicate inserts: seed a wave with the arrivals past
         every base dependency's watermark (advancing it) and propagate it.
-        Returns ``change`` (a fresh one by default) with the answers that
-        arrived folded in."""
-        if change is None:
-            change = NetChange()
+        Returns ``change`` with the answers that arrived folded in."""
         if self._joins is None:
             self._build_joins()
         wave: Dict[PredKey, List[Tuple]] = {}
@@ -437,19 +507,15 @@ class MaintenancePlan:
     # -- delete repair (DRed) --------------------------------------------------
 
     def apply_deletes(
-        self,
-        pending: Dict[PredKey, List[Tuple]],
-        change: Optional[NetChange] = None,
+        self, pending: Dict[PredKey, List[Tuple]], change: NetChange
     ) -> NetChange:
         """DRed delete-rederive over the instance's retained local
         relations; ``pending`` maps each base predicate to the tuples this
-        consumer has not yet repaired for.  Returns ``change`` (a fresh one
-        by default) with the net effect on the answers folded in and the
-        ``over_deleted``/``rederived`` counts added; raises
-        :class:`DamageExceeded` when over-deletion would touch more than
-        :data:`DAMAGE_THRESHOLD` of the derived facts."""
-        if change is None:
-            change = NetChange()
+        plan has not yet repaired for.  Returns ``change`` with the net
+        effect on the answers folded in and the ``over_deleted``/
+        ``rederived`` counts added; raises :class:`DamageExceeded` when
+        over-deletion would touch more than :data:`DAMAGE_THRESHOLD` of the
+        derived facts."""
         if self._joins is None:
             self._build_joins()
         local = self.instance.scope.local
@@ -519,27 +585,3 @@ class MaintenancePlan:
 
 def _vids(args) -> Set[int]:
     return {var.vid for arg in args for var in arg.variables()}
-
-
-def plan_maintenance(
-    ctx,
-    instance,
-    exports: Dict[PredKey, tuple],
-    module_deps: Optional[ModuleDeps] = None,
-    call_args: Sequence = (),
-) -> MaintenancePlan:
-    """Wrap an instance in a :class:`MaintenancePlan`; repairs work only
-    when ``instance.capabilities.maintain`` is None (docs/INTERNALS.md,
-    "Capabilities").  ``plan.deps`` are the base relations the instance
-    reads, a called module's through ``module_deps`` when provided: complete
-    either way, since consumers that retain unmaintainable results (the
-    memo cache's evict-on-update entries) still index them.  ``call_args``
-    is the canonical call the instance is about to answer."""
-    deps: Set[PredKey] = set()
-    for key in instance.compiled.reads:
-        exported = exports.get(key)
-        if exported is None:
-            deps.add(key)
-        elif module_deps is not None:
-            deps |= module_deps(exported[0])
-    return MaintenancePlan(ctx, instance, frozenset(deps), call_args)

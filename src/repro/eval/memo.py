@@ -41,13 +41,15 @@ Three mechanisms make the cache safe:
   streaming cursor (the server's ``FETCH`` loop) never observes a
   concurrent invalidation mid-cursor.
 
-Entries live in an LRU keyed store under a byte budget
+Entries live in an LRU keyed store under a byte budget, a quarter of
+which any one entry may use, also after a refresh grows it
 (:class:`MemoPolicy`); ``@memo`` / ``@no_memo`` module annotations and the
 ``Session(memo=...)`` policy select which modules participate.
 
-The repair machinery itself (delta joins, wave propagation, DRed) lives in
-:mod:`repro.eval.maintenance` — this cache and the live-query subsystem
-(:mod:`repro.live`) are two consumers of one engine.
+Each entry holds one :class:`~repro.eval.maintenance.MaintenancePlan`: the
+canonical call, its retained instance, its unrepaired changes and the
+repair machinery (delta joins, wave propagation, DRed) — this cache and the
+live-query subsystem (:mod:`repro.live`) are two consumers of one engine.
 """
 
 from __future__ import annotations
@@ -68,7 +70,7 @@ from ..relations import GeneratorTupleIterator, Tuple, TupleIterator
 from ..terms import Atom, Double, Functor, Int, Str, Var
 from ..terms.unify import flat_constants
 from .join import goal_filter
-from .maintenance import NetChange, failure_reason, plan_maintenance
+from .maintenance import Buckets, MaintenancePlan, failure_reason
 
 PredKey = PyTuple[str, int]
 
@@ -80,15 +82,11 @@ EntryKey = PyTuple[str, str, int, str, tuple]
 class MemoPolicy:
     """Knobs for the cross-query answer cache (``Session(memo=...)``)."""
 
-    #: total byte budget across entries; least recently used evicted first
+    #: total byte budget across entries, least recently used evicted
+    #: first; no entry is retained past a quarter of it
     max_bytes: int = 32 * 1024 * 1024
-    #: refuse to retain any single entry larger than this (0 = max_bytes/4)
-    max_entry_bytes: int = 0
     #: memoize only modules carrying the ``@memo`` annotation
     annotated_only: bool = False
-
-    def entry_budget(self) -> int:
-        return self.max_entry_bytes or max(1, self.max_bytes // 4)
 
 
 @dataclass
@@ -121,49 +119,22 @@ class _ModuleInfo:
 
 
 class MemoEntry:
-    """One retained module invocation: its answers, its evaluators (held by
-    ``plan.instance``), and its private repair state.  The *mechanics* of
-    repair live in the entry's :class:`~repro.eval.maintenance.MaintenancePlan`;
-    the pending-delete queue stays here because it is strictly per-consumer
-    state (a live view over the same predicate keeps its own)."""
+    """One retained module invocation: its answers and the
+    :class:`~repro.eval.maintenance.MaintenancePlan` holding its canonical
+    call, its instance and its unrepaired changes (a live view over the same
+    predicate holds its own plan)."""
 
-    __slots__ = (
-        "key",
-        "module_name",
-        "pred",
-        "arity",
-        "form",
-        "call_args",
-        "answers",
-        "instance",
-        "plan",
-        "stale_inserts",
-        "pending_deletes",
-        "nbytes",
-    )
+    __slots__ = ("key", "plan", "answers", "nbytes")
 
-    def __init__(self, key: EntryKey, module_name: str, pred: str, arity: int,
-                 form: str, call_args: Sequence) -> None:
+    def __init__(self, key: EntryKey, plan: MaintenancePlan) -> None:
         self.key = key
-        self.module_name = module_name
-        self.pred = pred
-        self.arity = arity
-        self.form = form
-        self.call_args = list(call_args)
+        self.plan = plan
         self.answers: List[Tuple] = []
-        self.instance = None
-        self.plan = None
-        self.stale_inserts = False
-        self.pending_deletes: Dict[PredKey, List[Tuple]] = {}
         self.nbytes = 0
 
     @property
-    def deps(self) -> FrozenSet[PredKey]:
-        return self.plan.deps if self.plan is not None else frozenset()
-
-    @property
-    def stale(self) -> bool:
-        return self.stale_inserts or bool(self.pending_deletes)
+    def instance(self):
+        return self.plan.instance
 
 
 class MemoCache:
@@ -177,9 +148,9 @@ class MemoCache:
         self.stats = MemoStats()
         self._entries: "OrderedDict[EntryKey, MemoEntry]" = OrderedDict()
         #: secondary index: (module, pred, arity) -> entry keys (subsumption)
-        self._by_pred: Dict[PyTuple[str, str, int], Set[EntryKey]] = {}
+        self._by_pred = Buckets()
         #: reverse dependency index: base PredKey -> entry keys
-        self._by_dep: Dict[PredKey, Set[EntryKey]] = {}
+        self._by_dep = Buckets()
         self._module_info: Dict[str, _ModuleInfo] = {}
         self._module_eligible: Dict[str, bool] = {}
         self._building: Set[EntryKey] = set()
@@ -229,10 +200,8 @@ class MemoCache:
             if refusal is not None:
                 self._trace("memo.evict", entry, reason=refusal)
                 self._evict(entry)
-            elif deleted is None:
-                entry.stale_inserts = True
             else:
-                entry.pending_deletes.setdefault(key, []).append(deleted)
+                entry.plan.note(key, deleted)
 
     # -- lookup (the ExportedRelation.scan hook) -------------------------------
 
@@ -261,7 +230,6 @@ class MemoCache:
         entry = self._entries.get(key)
         if entry is not None and self._freshen(entry):
             self.stats.hits += 1
-            self._entries.move_to_end(key)
             self._trace("memo.hit", entry)
             return _serve(entry.answers, resolved, form)
         if entry is None:
@@ -275,14 +243,9 @@ class MemoCache:
     def _trace(self, name: str, entry: MemoEntry, **extra) -> None:
         obs = self.ctx.obs
         if obs is not None:
-            obs.event(
-                name,
-                cat="memo",
-                module=entry.module_name,
-                pred=f"{entry.pred}/{entry.arity}",
-                form=entry.form,
-                **extra,
-            )
+            module_name, pred, arity, form, _ = entry.key
+            obs.event(name, cat="memo", module=module_name,
+                      pred=f"{pred}/{arity}", form=form, **extra)
 
     def _eligible(self, module_name: str) -> bool:
         cached = self._module_eligible.get(module_name)
@@ -338,17 +301,16 @@ class MemoCache:
     ) -> Optional[TupleIterator]:
         """An existing entry whose bound positions are a subset of this
         call's ground positions (with equal values) serves by filtering."""
-        module_name, pred, arity = key[0], key[1], key[2]
         # (a copy: freshening an entry may evict it from this very bucket)
-        for entry_key in list(self._by_pred.get((module_name, pred, arity), ())):
+        for entry_key in list(self._by_pred.get(key[:3], ())):
             entry = self._entries.get(entry_key)
             if entry is None:
                 continue
-            form = entry.form
+            form = entry_key[3]
             usable = all(
                 flag == "f"
                 or (bound[position]
-                    and resolved[position].ground_key() == entry.key[4][
+                    and resolved[position].ground_key() == entry_key[4][
                         sum(1 for f in form[:position] if f == "b")])
                 for position, flag in enumerate(form)
             )
@@ -358,8 +320,7 @@ class MemoCache:
                 continue  # evicted during refresh; retry others
             self.stats.hits += 1
             self.stats.subsumption_hits += 1
-            self._entries.move_to_end(entry.key)
-            self._trace("memo.hit", entry, subsumed_by=entry.form)
+            self._trace("memo.hit", entry, subsumed_by=form)
             return _serve(entry.answers, resolved)
         return None
 
@@ -372,91 +333,64 @@ class MemoCache:
         retain the instance, and serve the caller by filtering."""
         self.stats.misses += 1
         generation = self.generation
-        call_args = [
-            resolved[position] if flag == "b" else Var("_")
-            for position, flag in enumerate(form)
-        ]
-        entry = MemoEntry(key, module_name, export.pred, export.arity, form,
-                          call_args)
-        instance = self.manager.instance_for(module_name, export.pred, form)
-        entry.instance = instance
-        self._analyze(entry)
+        # the plan carries the base deps (for the reverse-dependency index
+        # even when eviction is the only option) and the repair machinery
+        plan = MaintenancePlan(
+            self.ctx, self.manager, module_name, export.pred, form, resolved,
+            module_deps=lambda name: self._info(name).base_deps,
+        )
+        entry = MemoEntry(key, plan)
         self._building.add(key)
         try:
-            entry.answers = list(instance.call(call_args))
+            entry.answers = list(plan.instance.call(plan.call_args))
         finally:
             self._building.discard(key)
         self._trace("memo.miss", entry, answers=len(entry.answers))
         entry.nbytes = _estimate_entry_bytes(entry)
         if generation == self.generation and \
-                entry.nbytes <= self.policy.entry_budget():
+                entry.nbytes <= self.policy.max_bytes // 4:
             self._store(entry)
         return _serve(entry.answers, resolved, form)
-
-    def _analyze(self, entry: MemoEntry) -> None:
-        """Delegate to the shared maintenance engine: the plan carries the
-        base deps (for the reverse-dependency index even when eviction is
-        the only option) and whether incremental repair is possible."""
-        entry.plan = plan_maintenance(
-            self.ctx,
-            entry.instance,
-            self.manager.exports,
-            module_deps=lambda name: self._info(name).base_deps,
-            call_args=entry.call_args,
-        )
 
     def _store(self, entry: MemoEntry) -> None:
         old = self._entries.get(entry.key)
         if old is not None:
             self._evict(old)
         self._entries[entry.key] = entry
-        self._by_pred.setdefault(
-            (entry.module_name, entry.pred, entry.arity), set()
-        ).add(entry.key)
-        for dep in entry.deps:
-            self._by_dep.setdefault(dep, set()).add(entry.key)
+        self._by_pred.add([entry.key[:3]], entry.key)
+        self._by_dep.add(entry.plan.deps, entry.key)
         self.total_bytes += entry.nbytes
+        self._trim()
+
+    def _trim(self) -> None:
+        """Evict least recently used entries until the byte budget holds."""
         while self.total_bytes > self.policy.max_bytes and self._entries:
-            oldest = next(iter(self._entries.values()))
-            self._evict(oldest)
+            self._evict(next(iter(self._entries.values())))
 
     def _evict(self, entry: MemoEntry) -> None:
         if self._entries.pop(entry.key, None) is None:
             return
         self.stats.evictions += 1
         self.total_bytes -= entry.nbytes
-        pred_key = (entry.module_name, entry.pred, entry.arity)
-        bucket = self._by_pred.get(pred_key)
-        if bucket is not None:
-            bucket.discard(entry.key)
-            if not bucket:
-                del self._by_pred[pred_key]
-        for dep in entry.deps:
-            bucket = self._by_dep.get(dep)
-            if bucket is not None:
-                bucket.discard(entry.key)
-                if not bucket:
-                    del self._by_dep[dep]
+        self._by_pred.discard([entry.key[:3]], entry.key)
+        self._by_dep.discard(entry.plan.deps, entry.key)
 
     # -- incremental refresh ---------------------------------------------------
 
     def _freshen(self, entry: MemoEntry) -> bool:
-        """Bring a stale entry up to date in place.  Returns False when the
-        entry was evicted instead (damage threshold, unexpected failure) —
-        the caller falls back to a rebuild."""
-        if not entry.stale:
+        """Bring an entry up to date in place and mark it most recently
+        used.  Returns False when the entry was evicted instead (damage
+        threshold, unexpected failure) — the caller falls back to a
+        rebuild.  A refresh that grows it past a quarter of the byte budget
+        evicts it too, but it still serves this lookup."""
+        self._entries.move_to_end(entry.key)
+        plan = entry.plan
+        if not plan.stale:
             return True
-        change = NetChange()
-        scope_bytes = _estimate_scope_bytes(entry.instance)
+        deletes, inserts = bool(plan.pending), plan.inserted
+        scope_bytes = _estimate_scope_bytes(plan.instance)
         try:
-            if entry.pending_deletes:
-                entry.plan.apply_deletes(entry.pending_deletes, change)
-                self.stats.dred_overdeleted += change.over_deleted
-                self.stats.dred_rederived += change.rederived
-                self.stats.delete_refreshes += 1
-            if entry.stale_inserts:
-                entry.plan.apply_inserts(change)
-                self.stats.insert_refreshes += 1
+            change = plan.repair()
         except Exception as exc:
             # any repair failure degrades to eviction: correctness comes
             # from recomputation, the cache only ever skips work — but say
@@ -469,8 +403,12 @@ class MemoCache:
             self._trace("memo.evict", entry, reason=reason)
             self._evict(entry)
             return False
-        entry.pending_deletes = {}
-        entry.stale_inserts = False
+        if deletes:
+            self.stats.dred_overdeleted += change.over_deleted
+            self.stats.dred_rederived += change.rederived
+            self.stats.delete_refreshes += 1
+        if inserts:
+            self.stats.insert_refreshes += 1
         if change:
             # patch the snapshot with the net change; a new list, so an
             # open cursor keeps the one it captured
@@ -482,11 +420,14 @@ class MemoCache:
         grown = (
             sum(map(_estimate_tuple_bytes, change.added.values()))
             - sum(map(_estimate_tuple_bytes, change.removed.values()))
-            + _estimate_scope_bytes(entry.instance) - scope_bytes
+            + _estimate_scope_bytes(plan.instance) - scope_bytes
         )
         entry.nbytes += grown
         self.total_bytes += grown
         self._trace("memo.refresh", entry, answers=len(entry.answers))
+        if entry.nbytes > self.policy.max_bytes // 4:
+            self._evict(entry)
+        self._trim()
         return True
 
 

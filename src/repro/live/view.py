@@ -9,11 +9,12 @@ the push analogue of the server's pull cursors (ROADMAP item 4).
 Two kinds of view share one registry:
 
 * **Derived views** — the goal's predicate is exported by a module.  The
-  view holds a private retained
-  :class:`~repro.modules.manager.MaterializedInstance` wrapped in a
-  :class:`~repro.eval.maintenance.MaintenancePlan`, the same engine the
-  memo cache uses: inserts are absorbed by wave propagation through the
-  rules' delta joins, deletes by DRed delete-rederive over the same joins.
+  view holds a private :class:`~repro.eval.maintenance.MaintenancePlan` —
+  the goal's canonical call, a retained
+  :class:`~repro.modules.manager.MaterializedInstance` answering it and the
+  changes not yet repaired — the same engine the memo cache uses: inserts
+  are absorbed by wave propagation through the rules' delta joins, deletes
+  by DRed delete-rederive over the same joins.
   Where the memo cache repairs *lazily* (entries marked stale, freshened at
   the next lookup) a live view repairs *eagerly*, at mutation time, because
   the delta itself is the product: the repair reports the net change of
@@ -47,20 +48,15 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Set, Tuple as PyTuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple as PyTuple
 
 from ..errors import SubscriptionError
 from ..eval.join import goal_filter
-from ..eval.maintenance import (
-    MaintenancePlan,
-    NetChange,
-    failure_reason,
-    plan_maintenance,
-)
+from ..eval.maintenance import Buckets, MaintenancePlan, failure_reason
 from ..language.ast import Literal
 from ..optimizer.capabilities import OBSTRUCTIONS, instance_capabilities
 from ..relations import MarkedRelation, Tuple, Watermark
-from ..terms import Var, resolve
+from ..terms import resolve
 
 PredKey = PyTuple[str, int]
 
@@ -106,8 +102,6 @@ class LiveView:
         "pattern",
         "module_name",
         "form",
-        "call_args",
-        "instance",
         "plan",
         "base_key",
         "base_seen",
@@ -131,8 +125,6 @@ class LiveView:
         self._matches = goal_filter(self.pattern)
         self.module_name: Optional[str] = None
         self.form: Optional[str] = None
-        self.call_args: Optional[list] = None
-        self.instance = None
         self.plan: Optional[MaintenancePlan] = None
         self.base_key: Optional[PredKey] = None
         self.base_seen: Optional[Watermark] = None
@@ -145,12 +137,14 @@ class LiveView:
         self.rebuilds = 0
 
     @property
-    def deps(self) -> Set[PredKey]:
+    def deps(self) -> FrozenSet[PredKey]:
         if self.base_key is not None:
-            return {self.base_key}
-        if self.plan is not None:
-            return set(self.plan.deps)
-        return set()
+            return frozenset((self.base_key,))
+        return self.plan.deps
+
+    @property
+    def instance(self):
+        return self.plan.instance
 
     def snapshot(self) -> List[Tuple]:
         """The current answer set (a copy; safe to hand to a cursor)."""
@@ -172,10 +166,6 @@ class LiveView:
         self.module_name, export = exported
         bound = [arg.is_ground() for arg in self.pattern]
         self.form = modules.choose_form(export, bound)
-        self.call_args = [
-            self.pattern[position] if flag == "b" else Var("_")
-            for position, flag in enumerate(self.form)
-        ]
         self._build_instance()
 
     def _build_instance(self) -> None:
@@ -191,14 +181,11 @@ class LiveView:
                 f"{self.literal.pred}/{self.literal.arity} cannot be "
                 f"maintained incrementally: {reason}"
             )
-        self.instance = instance = modules.instance_for(
-            self.module_name, self.literal.pred, self.form
+        self.plan = plan = MaintenancePlan(
+            manager.ctx, modules, self.module_name, self.literal.pred,
+            self.form, self.pattern,
         )
-        self.plan = plan_maintenance(
-            manager.ctx, instance, manager.modules.exports,
-            call_args=self.call_args,
-        )
-        cursor = instance.call(self.call_args)
+        cursor = plan.instance.call(plan.call_args)
         try:
             self.answers = {
                 candidate.key(): candidate
@@ -250,12 +237,9 @@ class LiveView:
         self._emit(deltas)
 
     def _apply_derived(self, key: PredKey, deleted: Optional[Tuple]) -> None:
-        plan = self.plan
-        change = NetChange()
+        self.plan.note(key, deleted)
         try:
-            if deleted is not None:
-                plan.apply_deletes({key: [deleted]}, change)
-            plan.apply_inserts(change)
+            change = self.plan.repair()
             self.manager.stats.refreshes += 1
         except Exception as exc:
             # damage threshold or any repair failure: rebuild from scratch.
@@ -324,17 +308,19 @@ class LiveViewManager:
     Mutation hooks (:meth:`on_insert` / :meth:`on_delete`) arrive from the
     same call sites that notify the memo cache; each hook call is one
     committed mutation and produces at most one delta event per dependent
-    view, in commit order.  Each view's repair state (pending deletes,
-    watermarks) lives in its own :class:`MaintenancePlan`, so a memo
-    entry and a live view over the same predicate repair independently —
-    neither consumes or double-applies the other's deltas."""
+    view, in commit order.  Each view's repair state (its queue of
+    unrepaired changes, watermarks) lives in its own
+    :class:`MaintenancePlan`, so a memo entry and a live view over the same
+    predicate repair independently — neither consumes or double-applies the
+    other's deltas."""
 
     def __init__(self, ctx, modules) -> None:
         self.ctx = ctx
         self.modules = modules
         self.stats = LiveStats()
         self._views: Dict[int, LiveView] = {}
-        self._by_dep: Dict[PredKey, Set[int]] = {}
+        #: base predicate -> ids of the views reading it
+        self._by_dep = Buckets()
         self._next_id = 1
         self._queue: deque = deque()
         self._draining = False
@@ -359,8 +345,7 @@ class LiveViewManager:
             raise
         self._next_id += 1
         self._views[view.view_id] = view
-        for dep in view.deps:
-            self._by_dep.setdefault(dep, set()).add(view.view_id)
+        self._by_dep.add(view.deps, view.view_id)
         self.stats.subscriptions = len(self._views)
         self.stats.subscribed_total += 1
         self._trace("live.subscribe", literal.pred, literal.arity,
@@ -372,12 +357,7 @@ class LiveViewManager:
         if view is None:
             return False
         view.closed = True
-        for dep in view.deps:
-            bucket = self._by_dep.get(dep)
-            if bucket is not None:
-                bucket.discard(view_id)
-                if not bucket:
-                    del self._by_dep[dep]
+        self._by_dep.discard(view.deps, view_id)
         self.stats.subscriptions = len(self._views)
         self.stats.unsubscribed_total += 1
         self._trace("live.unsubscribe", view.literal.pred,
@@ -443,17 +423,9 @@ class LiveViewManager:
                 continue
             old_deps = view.deps
             view._rebuild("modules")
-            if view.closed:
-                continue
-            if view.deps != old_deps:
-                for dep in old_deps:
-                    bucket = self._by_dep.get(dep)
-                    if bucket is not None:
-                        bucket.discard(view.view_id)
-                        if not bucket:
-                            del self._by_dep[dep]
-                for dep in view.deps:
-                    self._by_dep.setdefault(dep, set()).add(view.view_id)
+            if not view.closed:
+                self._by_dep.discard(old_deps, view.view_id)
+                self._by_dep.add(view.deps, view.view_id)
 
     # -- bookkeeping -----------------------------------------------------------
 

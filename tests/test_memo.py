@@ -378,16 +378,39 @@ class TestPoliciesAndAnnotations:
         assert opted_in.memo.snapshot()["entries"] == 1
 
     def test_byte_budget_evicts_least_recently_used(self):
-        session = _memo_session(memo=MemoPolicy(max_bytes=1, max_entry_bytes=10**9))
-        session.query("path(1, Y)").all()
-        session.query("path(2, Y)").all()
+        # five disjoint three-node chains: path(10k, Y) entries of one size
+        program = "".join(
+            f"edge({10 * k}, {10 * k + 1}). edge({10 * k + 1}, {10 * k + 2}).\n"
+            for k in range(5)
+        ) + TC[TC.index("module tc."):]
+        sizing = _memo_session(program)
+        sizing.query("path(0, Y)").all()
+        size = sizing.memo.snapshot()["bytes"]
+        # room for four entries: each is retained, the fifth evicts the first
+        session = _memo_session(program, memo=MemoPolicy(max_bytes=4 * size))
+        for k in range(5):
+            session.query(f"path({10 * k}, Y)").all()
         stats = session.memo.snapshot()
-        assert stats["entries"] <= 1
-        assert stats["evictions"] >= 1
-        # evicted entries recompute correctly
-        assert sorted(session.query("path(1, Y)").tuples()) == [
-            (1, 2), (1, 3), (1, 4), (1, 5),
-        ]
+        assert stats["entries"] == 4 and stats["evictions"] == 1
+        assert stats["bytes"] == 4 * size
+        # the evicted entry recomputes correctly
+        assert sorted(session.query("path(0, Y)").tuples()) == [(0, 1), (0, 2)]
+        assert session.memo.snapshot()["misses"] == 6
+
+    def test_an_entry_a_refresh_grows_past_its_budget_is_evicted(self):
+        session = _memo_session(
+            TC.replace("edge(1, 2).", "edge(0, 1). edge(1, 2)."),
+            memo=MemoPolicy(max_bytes=40_000),
+        )
+        session.query("path(0, Y)").all()
+        assert session.memo.snapshot()["entries"] == 1
+        for n in range(5, 404):
+            session.insert("edge", n, n + 1)
+        got = sorted(session.query("path(0, Y)").tuples())
+        assert got == [(0, n) for n in range(1, 405)]  # served, then dropped
+        stats = session.memo.snapshot()
+        assert stats["insert_refreshes"] == 1
+        assert stats["entries"] == 0 and stats["bytes"] == 0
 
     def test_save_module_entry_is_evicted_on_update_with_its_reason(self):
         """A save-module form's ``maintain`` verdict is a refusal like any

@@ -30,12 +30,13 @@ from ..errors import (
     SessionClosedError,
 )
 from ..eval.context import EvalContext, PredKey
+from ..eval.join import goal_filter
 from ..eval.limits import ResourceLimits
 from ..eval.memo import MemoCache, MemoPolicy
 from ..language import Literal, Program, parse_program, parse_query
 from ..modules import ModuleManager
 from ..optimizer import index_spec_from_annotation
-from ..relations import HashRelation, Relation, Tuple
+from ..relations import HashRelation, Relation, RowCursor, Tuple
 from ..storage import BufferPool, PersistentRelation, StorageServer
 from ..terms import Arg, BindEnv, Trail, Var, from_arg, resolve, to_arg
 from ..terms.unify import flat_constants, unify_fact
@@ -43,27 +44,42 @@ from ..extensibility import TypeRegistry
 
 
 class Answer:
-    """One query answer: the matched tuple plus the query variables' values."""
+    """One query answer: the matched tuple plus the query variables' values,
+    as a view over rows: ``values[where[name]]`` is a variable's value, and
+    the :class:`Tuple` is ``tup`` if the answer's cursor owned one, else
+    built from ``args`` when first asked for, for this answer alone."""
 
-    def __init__(self, tup: Tuple, bindings: Dict[str, Arg]) -> None:
-        self.tuple = tup
-        self._bindings = bindings
+    __slots__ = ("args", "_values", "_where", "_tuple")
+
+    def __init__(
+        self, args: tuple, values: tuple, where: Dict[str, int],
+        tup: Optional[Tuple],
+    ) -> None:
+        #: the answer tuple's args
+        self.args = args
+        self._values, self._where, self._tuple = values, where, tup
+
+    @property
+    def tuple(self) -> Tuple:
+        if self._tuple is None:
+            self._tuple = Tuple.ground(self.args)
+        return self._tuple
 
     def __getitem__(self, name: str) -> Any:
         """The Python value bound to a query variable, by name."""
-        if name not in self._bindings:
+        if name not in self._where:
             raise KeyError(f"no query variable named {name}")
-        return from_arg(self._bindings[name])
+        return from_arg(self._values[self._where[name]])
 
     def term(self, name: str) -> Arg:
         """The raw term bound to a query variable."""
-        return self._bindings[name]
+        return self._values[self._where[name]]
 
     def variables(self) -> Dict[str, Any]:
-        return {name: from_arg(term) for name, term in self._bindings.items()}
+        return {name: from_arg(self._values[i]) for name, i in self._where.items()}
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in self._bindings.items())
+        inner = ", ".join(f"{k}={self._values[i]}" for k, i in self._where.items())
         return f"Answer({inner})" if inner else f"Answer{self.tuple}"
 
 
@@ -94,26 +110,20 @@ class QueryResult:
         self._armed = False
 
     def __iter__(self) -> Iterator[Answer]:
-        for answer in self._cache:
-            yield answer
-        while True:
-            answer = self.get_next()
-            if answer is None:
-                return
+        yield from self._cache
+        while (answer := self.get_next()) is not None:
             yield answer
 
     def _notify_error(self, exc: CoralError) -> None:
         """Let the observer see a dying pull (an attached flight recorder
         dumps its ring for StorageError / ResourceLimitError).  Best-effort
         only: the notification must never mask the original error."""
-        ctx = self._ctx
-        obs = ctx.obs if ctx is not None else None
-        if obs is None:
-            return
-        try:
-            obs.on_error(exc)
-        except Exception:
-            pass
+        obs = self._ctx.obs if self._ctx is not None else None
+        if obs is not None:
+            try:
+                obs.on_error(exc)
+            except Exception:
+                pass
 
     def get_next(self) -> Optional[Answer]:
         answer = self.pull()
@@ -138,29 +148,23 @@ class QueryResult:
         evaluation context for the call; a dying call is reported to the
         observer, and a limit trip ends the cursor."""
         limits, ctx = self._limits, self._ctx
-        if limits is None or ctx is None:
-            try:
-                return take(*args)
-            except CoralError as exc:
-                self._notify_error(exc)
-                raise
-        if not self._armed:
-            # the timeout clock spans the whole drain, not each pull
-            limits.start(ctx.stats)
-            self._armed = True
-        previous = ctx.limits
-        ctx.limits = limits
+        guarded = limits is not None and ctx is not None
+        if guarded:
+            if not self._armed:
+                # the timeout clock spans the whole drain, not each pull
+                limits.start(ctx.stats)
+                self._armed = True
+            previous, ctx.limits = ctx.limits, limits
         try:
             return take(*args)
-        except ResourceLimitError as exc:
-            self._done = True
-            self._notify_error(exc)
-            raise
         except CoralError as exc:
+            if guarded and isinstance(exc, ResourceLimitError):
+                self._done = True
             self._notify_error(exc)
             raise
         finally:
-            ctx.limits = previous
+            if guarded:
+                ctx.limits = previous
 
     def set_limits(self, limits: Optional["ResourceLimits"]) -> "QueryResult":
         """Swap in a fresh guard for subsequent pulls (re-arming the timeout
@@ -205,10 +209,7 @@ class QueryResult:
 
     def tuples(self) -> List[tuple]:
         """All answers as plain Python tuples."""
-        return [
-            tuple(from_arg(arg) for arg in answer.tuple.args)
-            for answer in self.all()
-        ]
+        return [tuple(map(from_arg, answer.args)) for answer in self.all()]
 
 
 class Session:
@@ -445,11 +446,13 @@ class Session:
             for var in arg.variables():
                 if var.name != "_":
                     named.setdefault(var.name, var)
-        # a flat goal meets a ground fact position by position: nothing to
-        # bind, resolve or undo
-        constants = flat_constants(args)
-        reported = [(name, args.index(var)) for name, var in named.items()] \
-            if constants is not None else []
+        # a flat goal meets a ground fact position by position: an answer
+        # reads each variable off its position, with nothing to bind,
+        # resolve or undo
+        where = {name: args.index(var) for name, var in named.items()} \
+            if flat_constants(args) is not None else None
+        matches = goal_filter(args)
+        order = {name: i for i, name in enumerate(named)}
 
         def answers() -> Iterator[Answer]:
             # observability is sampled at first pull, not at query() time —
@@ -457,87 +460,70 @@ class Session:
             obs = self.ctx.obs
             slow = self.slow_log
             started = obs.begin_span() if obs is not None else 0.0
+            finished = False
             if slow is not None:
                 # accounting for the slow-query log: only time spent inside
                 # this generator counts (resumed..yield segments), so a
                 # consumer idling on a lazy cursor can't make a query "slow"
                 stats_before = self.ctx.stats.snapshot()
-                produced = 0
-                finished = False
-                eval_seconds = 0.0
+                produced, eval_seconds = 0, 0.0
                 resumed = time.perf_counter()
-            env = BindEnv()
-            trail = Trail()
+            env, trail = BindEnv(), Trail()
             cursor = relation.scan(args, env)
             owned = cursor.owned
             try:
-                for candidate in cursor:
-                    answer = None
-                    if constants is not None and candidate.is_ground():
-                        values = candidate.args
-                        for position, arg in constants:
-                            value = values[position]
-                            if value is not arg and not arg.equals(value):
-                                break
-                        else:
-                            # a tuple the cursor does not own is copied: a
-                            # relation may hold it, or a memo entry serving
-                            # it to other answers, and inserting the answer
-                            # elsewhere restamps its seqno, so the relation
-                            # holding it could not delete it
-                            answer = Answer(
-                                candidate if owned else Tuple.ground(values),
-                                {name: values[p] for name, p in reported},
-                            )
+                for row in cursor.rows() if isinstance(cursor, RowCursor) else cursor:
+                    if type(row) is tuple:
+                        # built for this call and matching it as it stands
+                        answer = Answer(row, row, where, None)
+                    elif where is not None and row.is_ground():
+                        if not matches(row):
+                            continue
+                        # a tuple the cursor does not own is not kept: a
+                        # relation may hold it, or a memo entry serving it
+                        # to other answers, and inserting the answer
+                        # elsewhere restamps its seqno, so the relation
+                        # holding it could not delete it
+                        values = row.args
+                        answer = Answer(values, values, where, row if owned else None)
                     else:
-                        fact = candidate.renamed()
+                        fact = row.renamed()
                         mark = trail.mark()
+                        answer = None
                         if unify_fact(args, env, fact.args, trail):
-                            answer = Answer(
-                                Tuple(tuple(resolve(arg, env) for arg in args)),
-                                {
-                                    name: resolve(var, env)
-                                    for name, var in named.items()
-                                },
-                            )
+                            tup = Tuple(tuple(resolve(arg, env) for arg in args))
+                            answer = Answer(tup.args, tuple(
+                                resolve(var, env) for var in named.values()
+                            ), order, tup)
                         trail.undo_to(mark)
                     if answer is None:
                         continue
                     if slow is None:
                         yield answer
-                    else:
-                        produced += 1
-                        eval_seconds += time.perf_counter() - resumed
-                        try:
-                            yield answer
-                        finally:
-                            # runs on normal resumption *and* on close
-                            # at this yield, so the tail segment added
-                            # in the outer finally starts counting here
-                            resumed = time.perf_counter()
-                if slow is not None:
-                    finished = True
+                        continue
+                    produced += 1
+                    eval_seconds += time.perf_counter() - resumed
+                    try:
+                        yield answer
+                    finally:
+                        # runs on normal resumption *and* on close at this
+                        # yield, so the tail segment added in the outer
+                        # finally starts counting here
+                        resumed = time.perf_counter()
+                finished = True
             finally:
                 cursor.close()
                 if obs is not None:
-                    obs.end_span(
-                        "query",
-                        "eval",
-                        started,
-                        query=f"{literal.pred}/{literal.arity}",
-                    )
+                    obs.end_span("query", "eval", started,
+                                 query=f"{literal.pred}/{literal.arity}")
                 if slow is not None:
                     eval_seconds += time.perf_counter() - resumed
                     if eval_seconds >= slow.threshold:
                         after = self.ctx.stats.snapshot()
-                        delta = {
-                            key: after[key] - stats_before.get(key, 0)
-                            for key in after
-                        }
-                        slow.observe(
-                            self, literal, eval_seconds, produced,
-                            delta, finished,
-                        )
+                        delta = {key: after[key] - stats_before.get(key, 0)
+                                 for key in after}
+                        slow.observe(self, literal, eval_seconds, produced,
+                                     delta, finished)
 
         return QueryResult(answers(), ctx=self.ctx, limits=self.limits)
 

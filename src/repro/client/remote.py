@@ -152,8 +152,11 @@ class RemoteQueryResult:
         self._link = link
         self._generation = link.generation
         self._cursor_id = meta.get("cursor")
-        self._vars = list(meta["vars"])
         self._arity = int(meta["arity"])
+        #: a variable's position in a row: its value follows the tuple's
+        self._where = {
+            name: self._arity + i for i, name in enumerate(meta["vars"])
+        }
         self._batch_size = batch_size
         self._cache: List[Answer] = []
         self._pending: Deque[Answer] = deque()
@@ -263,10 +266,9 @@ class RemoteQueryResult:
     def _take(self, header: Dict[str, object], body: bytes) -> int:
         """Queue one batch response's answers; returns how many."""
         rows = decode_batch(body)
-        arity, variables = self._arity, self._vars
+        arity, where = self._arity, self._where
         for row in rows:
-            bindings = dict(zip(variables, row[arity:]))
-            self._pending.append(Answer(Tuple(tuple(row[:arity])), bindings))
+            self._pending.append(Answer(tuple(row[:arity]), row, where, None))
         if header.get("done"):
             self._done = True
         return len(rows)

@@ -48,7 +48,7 @@ from ..builtins.core import is_arith_expr
 from ..errors import EvaluationError
 from ..eval.context import LocalScope
 from ..eval.fixpoint import SCCEvaluator, SCCPlan
-from ..relations import Relation, Tuple, Watermark
+from ..relations import Relation, Tuple, Watermark, interned_columns
 from ..rewriting.seminaive import recursive_body_positions
 from ..terms import Arg, Atom, Double, Functor, Int, Str, Var
 from ..terms.hashcons import InternTable
@@ -841,9 +841,15 @@ class PushSCCEvaluator(SCCEvaluator):
         self._pushed_run = False
         self._unpushed_delta = any(
             rule.source_index not in self._pushed_sources
-            for _, group in self._groups
-            for rule, _ in group
+            for rule in plan.delta_rules
         )
+        #: a factored form's answer predicate, when a call skeleton's cursor
+        #: is its only reader: a pushed run hands its rows to the cursor
+        #: (``handed``) instead of flushing them into the relation
+        self.to_cursor: Optional[PredKey] = None
+        #: (row count, columns of values) of the answer rows handed to the
+        #: cursor, until it takes them
+        self.handed: Optional[PyTuple[int, List[list]]] = None
 
     # -- interpreter interleaving ---------------------------------------------
 
@@ -988,6 +994,13 @@ class PushSCCEvaluator(SCCEvaluator):
         new_facts = 0
         for key, (all_tuples, seed_count) in zip(program.out_preds, per_pred):
             fresh = all_tuples[seed_count:]
+            if key == self.to_cursor and not seed_count:
+                # the relation is empty, and this run completes it (a
+                # factored answer SCC is one non-recursive predicate): its
+                # rows go to the cursor as values, before the truncation
+                self.handed = (len(fresh), interned_columns(fresh, intern.args))
+                new_facts += len(fresh)
+                continue
             if not fresh:
                 continue
             # seen was seeded from this relation's contents, so everything

@@ -8,8 +8,9 @@ predicate, base or derived, presents the same scan interface).
 
 Module evaluation happens in a :class:`LocalScope` layered on top: the
 rewritten program's internal predicates (adorned, magic, supplementary)
-live in per-invocation relations that are discarded when the call ends
-(Section 5.4.2's default) or retained by the save-module facility.
+live in per-invocation relations whose contents no later call sees
+(Section 5.4.2's default: a call skeleton's are emptied when the next
+call checks it out) or that the save-module facility retains.
 """
 
 from __future__ import annotations
@@ -153,6 +154,9 @@ class LocalScope:
         self.local: Dict[PredKey, HashRelation] = {}
         self.constraints: Dict[PredKey, List[AggregateConstraint]] = {}
         self.multiset_preds = multiset_preds or set()
+        #: per SCC plan evaluated here: its rule executors over this scope
+        #: (``eval.fixpoint.SCCEvaluator``), built once
+        self.prepared: Dict[tuple, tuple] = {}
 
     # -- relations ---------------------------------------------------------------
 

@@ -146,23 +146,40 @@ class SCCEvaluator:
         self.scope = scope
         self.plan = plan
         self.strategy = strategy
-        #: per recursive predicate: [prev, cur) is the current delta window
-        self.prev: Dict[PredKey, int] = {}
-        self.cur: Dict[PredKey, int] = {}
         self._started = False
         #: lazy SCC label for profiling spans ("pred/arity,...")
         self._label: Optional[str] = None
+        #: per resumption seed predicate: how far this SCC has read its
+        #: relation, as of the last run's start
+        self._seen: Dict[PredKey, Watermark] = {}
+        # the executors are the scope's: a later evaluator of the plan over
+        # the same scope (a call skeleton's next call, a save-module
+        # stratum recomputed) reuses them, and the maps they read, which
+        # its first run sets before they are read
+        key = (id(plan), strategy, use_backjumping)
+        prepared = scope.prepared.get(key)
+        if prepared is None:
+            prepared = scope.prepared[key] = self._prepare(use_backjumping)
+        (_, self.prev, self.cur, self._fresh, self._once_executors,
+         self._resume_executors, self._groups) = prepared
+
+    def _prepare(self, use_backjumping: bool) -> tuple:
+        """The plan's executors over the scope, with the maps they read:
+        per recursive predicate, the current delta window ``[prev, cur)``,
+        and per resumption seed predicate, what the running resumption
+        reads.  The plan comes first, so that it outlives the entry and its
+        ``id`` keys nothing else."""
+        scope, plan = self.scope, self.plan
         for pred in plan.preds:
             scope.declare_local(pred[0], pred[1])
-
+        prev: Dict[PredKey, int] = {}
+        cur: Dict[PredKey, int] = {}
+        fresh: Dict[PredKey, Source] = {}
         # the sources close over the mark maps, never over the evaluator:
         # executors that pointed back at it would make every evaluator a
         # reference cycle, left to the garbage collector
-        upto_cur = _window(scope, None, self.cur)
-        upto_prev = _window(scope, None, self.prev)
-        #: per resumption seed predicate: what the running resumption reads
-        self._fresh: Dict[PredKey, Source] = {}
-        fresh = self._fresh
+        upto_cur = _window(scope, None, cur)
+        upto_prev = _window(scope, None, prev)
 
         def executors(rules, seed: Optional[Source] = None):
             out = []
@@ -178,20 +195,18 @@ class SCCEvaluator:
                 )))
             return out
 
-        self._once_executors = executors(plan.once_rules)
-        self._resume_executors = executors(
+        once = executors(plan.once_rules)
+        resume = executors(
             plan.resume_rules,
             lambda literal, env: fresh[literal.key](literal, env),
         )
-        #: per resumption seed predicate: how far this SCC has read its
-        #: relation, as of the last run's start
-        self._seen: Dict[PredKey, Watermark] = {}
         # the seed of a delta version: the last iteration's new facts
-        delta = executors(plan.delta_rules, _window(scope, self.prev, self.cur))
-        if strategy == "psn":
-            self._groups = self._group_by_head(delta)
-        else:
-            self._groups = [(None, delta)]
+        delta = executors(plan.delta_rules, _window(scope, prev, cur))
+        groups = (
+            self._group_by_head(delta) if self.strategy == "psn"
+            else [(None, delta)]
+        )
+        return plan, prev, cur, fresh, once, resume, groups
 
     def _relation(self, pred: PredKey) -> MarkedRelation:
         relation = self.scope.local[pred]

@@ -106,7 +106,11 @@ def goal_filter(pattern: Sequence[Arg]) -> Callable[[Tuple], bool]:
         if not fact.is_ground():
             return unifies(fact)
         args = fact.args
-        return all(constant.equals(args[p]) for p, constant in constants)
+        for position, constant in constants:
+            value = args[position]
+            if value is not constant and not constant.equals(value):
+                return False
+        return True
 
     return flat
 

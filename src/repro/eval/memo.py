@@ -365,7 +365,14 @@ class MemoCache:
     def _trim(self) -> None:
         """Evict least recently used entries until the byte budget holds."""
         while self.total_bytes > self.policy.max_bytes and self._entries:
-            self._evict(next(iter(self._entries.values())))
+            self._evict_over_budget(next(iter(self._entries.values())))
+
+    def _evict_over_budget(self, entry: MemoEntry) -> None:
+        self._trace(
+            "memo.evict", entry, reason="budget",
+            max_bytes=self.policy.max_bytes,
+        )
+        self._evict(entry)
 
     def _evict(self, entry: MemoEntry) -> None:
         if self._entries.pop(entry.key, None) is None:
@@ -426,7 +433,7 @@ class MemoCache:
         self.total_bytes += grown
         self._trace("memo.refresh", entry, answers=len(entry.answers))
         if entry.nbytes > self.policy.max_bytes // 4:
-            self._evict(entry)
+            self._evict_over_budget(entry)
         self._trim()
         return True
 

@@ -9,16 +9,19 @@ The :class:`ModuleManager` registers every export as a resolver on the
 evaluation context; any literal anywhere that mentions an exported predicate
 scans an :class:`ExportedRelation`, whose cursor transparently sets up a
 module call: pick a compiled query form matching the call's bound arguments,
-instantiate (or reuse, under save-module) a :class:`MaterializedInstance`,
-seed its magic relation, and stream answers — per fixpoint iteration for
-lazy modules, all at once for eager ones, one suspended proof at a time for
-pipelined modules.  The caller cannot tell the difference (Section 5.6's
-inter-module call rule).
+check out the form's call skeleton (a :class:`MaterializedInstance` kept
+between calls and reset, not rebuilt; the retained instance under
+save-module), seed its magic relation, and stream answers — per fixpoint
+iteration for lazy modules, all at once for eager ones, one suspended proof
+at a time for pipelined modules.  The caller cannot tell the difference
+(Section 5.6's inter-module call rule).
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from functools import partial
+from itertools import islice, repeat
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
 
 from ..errors import ModuleError
@@ -31,15 +34,16 @@ from ..language.ast import ExportDecl, ModuleDecl
 from ..optimizer import CompiledForm, Optimizer
 from ..optimizer.capabilities import instance_capabilities
 from ..relations import (
-    GeneratorTupleIterator,
     HashRelation,
     MarkedRelation,
     Relation,
+    RowCursor,
     Tuple,
     TupleIterator,
     Watermark,
 )
-from ..terms import Arg, BindEnv, resolve
+from ..terms import Arg, BindEnv, Var, resolve
+from ..terms.unify import flat_constants
 
 PredKey = PyTuple[str, int]
 
@@ -59,6 +63,8 @@ class ModuleManager:
         self._compiled: Dict[PyTuple[str, str, str], CompiledForm] = {}
         self._pipelined: Dict[str, PipelinedModule] = {}
         self._saved: Dict[PyTuple[str, str, str], "MaterializedInstance"] = {}
+        #: per form, its call skeleton while no call has it checked out
+        self._idle: Dict[PyTuple[str, str, str], "MaterializedInstance"] = {}
         ctx.add_resolver(self._resolve)
 
     # -- loading --------------------------------------------------------------
@@ -98,10 +104,9 @@ class ModuleManager:
         for export in module.exports:
             self.exports.pop((export.pred, export.arity), None)
         self._pipelined.pop(name, None)
-        for key in [k for k in self._compiled if k[0] == name]:
-            del self._compiled[key]
-        for key in [k for k in self._saved if k[0] == name]:
-            del self._saved[key]
+        for cache in (self._compiled, self._saved, self._idle):
+            for key in [k for k in cache if k[0] == name]:
+                del cache[key]
         if self.ctx.memo is not None:
             self.ctx.memo.clear()
         if self.ctx.live is not None:
@@ -125,21 +130,13 @@ class ModuleManager:
         compiled = self._compiled.get(key)
         if compiled is None:
             obs = self.ctx.obs
-            if obs is None:
+            with nullcontext() if obs is None else obs.span(
+                "rewrite", cat="compile", module=module_name, pred=pred,
+                form=adornment,
+            ):
                 compiled = self.optimizer.compile(
                     self.modules[module_name], pred, adornment
                 )
-            else:
-                with obs.span(
-                    "rewrite",
-                    cat="compile",
-                    module=module_name,
-                    pred=pred,
-                    form=adornment,
-                ):
-                    compiled = self.optimizer.compile(
-                        self.modules[module_name], pred, adornment
-                    )
             self._compiled[key] = compiled
         return compiled
 
@@ -174,8 +171,31 @@ class ModuleManager:
             return instance
         return MaterializedInstance(self.ctx, compiled, self.exports)
 
-    def pipelined(self, module_name: str) -> Optional[PipelinedModule]:
-        return self._pipelined.get(module_name)
+    def call(
+        self, module_name: str, pred: str, form: str, call_args: Sequence[Arg]
+    ) -> TupleIterator:
+        """A plain call of ``pred(call_args)`` under ``form``, on the form's
+        call skeleton: checked out, reset, and back when the call's cursor
+        ends or is closed.  A re-entrant call or a second open cursor finds
+        none idle and builds its own, as does one after the session changed
+        what the form may run on (a module, a base relation, tracing).
+        Memo entries and live views build private instances
+        (:meth:`instance_for`); save-module calls use the retained one."""
+        key = (module_name, pred, form)
+        compiled = self.compiled_form(module_name, pred, form)
+        instance = self._idle.pop(key, None)
+        if (
+            instance is not None
+            and instance.compiled is compiled
+            and instance.capabilities
+            == instance_capabilities(compiled, self.ctx, self.exports)
+        ):
+            instance.reset()
+        else:
+            instance = self.instance_for(module_name, pred, form)
+            if not instance.compiled.save_module:
+                instance._home = (self._idle, key)  # the form's skeleton
+        return instance.call(call_args)
 
 
 class ExportedRelation(Relation):
@@ -210,21 +230,15 @@ class ExportedRelation(Relation):
         self.manager.ctx.stats.module_calls += 1
         obs = self.manager.ctx.obs
         if obs is not None:
-            obs.event(
-                "module.call",
-                cat="module",
-                module=self.module_name,
-                pred=f"{self.name}/{self.arity}",
-            )
-        if pattern is None:
-            resolved: List[Arg] = [  # an open scan: all-free call
-                *(resolve(v, None) for v in _fresh_vars(self.arity))
-            ]
-        else:
-            resolved = [resolve(arg, env) for arg in pattern]
+            obs.event("module.call", cat="module", module=self.module_name,
+                      pred=f"{self.name}/{self.arity}")
+        resolved: List[Arg] = (
+            [Var("_") for _ in range(self.arity)]  # an open scan: all free
+            if pattern is None else [resolve(arg, env) for arg in pattern]
+        )
         bound = [arg.is_ground() for arg in resolved]
 
-        pipelined = self.manager.pipelined(self.module_name)
+        pipelined = self.manager._pipelined.get(self.module_name)
         if pipelined is not None:
             return pipelined.answers(self.name, resolved, None)
 
@@ -235,26 +249,20 @@ class ExportedRelation(Relation):
                 return served
 
         form = self.manager.choose_form(self.export, bound)
-        instance = self.manager.instance_for(self.module_name, self.name, form)
-        return instance.call(resolved)
-
-
-def _fresh_vars(count: int):
-    from ..terms import Var
-
-    return [Var("_") for _ in range(count)]
+        return self.manager.call(self.module_name, self.name, form, resolved)
 
 
 class MaterializedInstance:
     """One (possibly retained) evaluation of a compiled query form.
 
-    By default all relations computed here are discarded when the instance
-    goes away at the end of the call (Section 5.4.2); under ``@save_module``
-    the manager keeps the instance, later calls seed additional magic facts,
-    and the semi-naive fixpoint resumes — marks and watermarks guarantee
-    derivations are not repeated across calls.  Resumption also absorbs
-    inserts into base relations; anything it cannot absorb makes the
-    instance :meth:`outdated`.
+    By default the relations computed here are discarded when the call ends
+    (Section 5.4.2): a plain call's instance is its form's call skeleton,
+    emptied by :meth:`reset` at the next checkout.  Under ``@save_module``
+    the manager keeps the instance, later calls seed additional magic
+    facts, and the semi-naive fixpoint resumes — marks and watermarks
+    guarantee derivations are not repeated across calls.  Resumption also
+    absorbs inserts into base relations; anything it cannot absorb makes
+    the instance :meth:`outdated`.
     """
 
     def __init__(
@@ -267,10 +275,9 @@ class MaterializedInstance:
         self.capabilities = instance_capabilities(compiled, ctx, exports)
         self.scope = LocalScope(ctx, multiset_preds=set(compiled.multiset_preds))
         self._active = False
-        self._calls = 0
-        #: save-module only: per read, a watermark on it and its size as the
-        #: last call began (None: it numbers no insertions)
-        self._bases: Dict[PredKey, Optional[PyTuple[Watermark, int]]] = {}
+        #: a call skeleton's (idle map, key), set by the manager; None for
+        #: a private instance, whose answers a consumer reads after the call
+        self._home: Optional[PyTuple[Dict, PyTuple[str, str, str]]] = None
 
         # declare every local predicate up front and attach indexes
         for plan in compiled.scc_plans:
@@ -294,46 +301,61 @@ class MaterializedInstance:
             if isinstance(relation, HashRelation):
                 for spec in specs:
                     relation.add_index(spec)
-        for (name, arity), selection in compiled.constraints:
-            self.scope.add_constraint(name, arity, AggregateConstraint(selection))
 
-        #: the push backend's compiler when the form is compiled, None for
-        #: the interpreter; a refused ``push`` verdict and every SCC left to
-        #: the interpreter are recorded in its stats
-        self.compiler = None
         #: interned rows one pushed SCC hands the next, for the rest of a
         #: call: dropped when its evaluation ends, so neither a retained
         #: instance's memory, save-module resumption nor maintenance (which
         #: edits these relations unannounced) keeps them
         self._push_rows: Dict = {}
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty relations, and fresh aggregate constraints, Ordered Search
+        state, push compiler and SCC evaluators (cheap: their executors are
+        the scope's).  ``__init__`` ends here, as does a skeleton's checkout."""
+        compiled, scope, obs = self.compiled, self.scope, self.ctx.obs
+        for relation in scope.local.values():
+            relation.clear()
+        scope.constraints.clear()
+        for (name, arity), selection in compiled.constraints:
+            scope.add_constraint(name, arity, AggregateConstraint(selection))
+        self._calls = 0
+        #: save-module only: per read, a watermark on it and its size as the
+        #: last call began (None: it numbers no insertions)
+        self._bases: Dict[PredKey, Optional[PyTuple[Watermark, int]]] = {}
+        #: the push backend's compiler when the form is compiled, None for
+        #: the interpreter; a refused ``push`` verdict and every SCC left to
+        #: the interpreter are recorded in its stats
+        self.compiler = None
         pushed = None
         if compiled.compiled:
             from ..compilemod.push import PushCompiler, PushSCCEvaluator
 
             self.compiler = PushCompiler()
-            if self.compiler.admits(compiled, self.capabilities, ctx.obs):
-                pushed = partial(
-                    PushSCCEvaluator, compiler=self.compiler,
-                    rows=self._push_rows,
-                )
+            if self.compiler.admits(compiled, self.capabilities, obs):
+                pushed = partial(PushSCCEvaluator, compiler=self.compiler,
+                                 rows=self._push_rows)
+        self.evaluators: List = []
+        #: the pushed SCC that derives the answer predicate, if any
+        self._answer_scc = None
+        self._ordered = None
         if compiled.ordered_search:
-            self.evaluators: List = []
-            self._ordered = OrderedSearchEvaluator(self.scope, compiled)
-        else:
-            self._ordered = None
-            self.evaluators = []
-            for plan in compiled.scc_plans:
-                make = SCCEvaluator
-                if pushed is not None and self.compiler.admits_scc(
-                    compiled, plan, ctx.obs
-                ):
-                    make = pushed
-                self.evaluators.append(make(
-                    self.scope,
-                    plan,
-                    strategy=compiled.strategy,
-                    use_backjumping=compiled.use_backjumping,
-                ))
+            self._ordered = OrderedSearchEvaluator(scope, compiled)
+            return
+        answer_key = (compiled.rewritten.answer_pred, compiled.rewritten.answer_arity)
+        for plan in compiled.scc_plans:
+            if pushed is not None and self.compiler.admits_scc(compiled, plan, obs):
+                evaluator = self._evaluator(pushed, plan)
+                if answer_key in plan.preds:
+                    self._answer_scc = evaluator
+            else:
+                evaluator = self._evaluator(SCCEvaluator, plan)
+            self.evaluators.append(evaluator)
+
+    def _evaluator(self, make, plan) -> SCCEvaluator:
+        compiled = self.compiled
+        return make(self.scope, plan, strategy=compiled.strategy,
+                    use_backjumping=compiled.use_backjumping)
 
     # -- the call protocol ----------------------------------------------------------
 
@@ -359,29 +381,33 @@ class MaterializedInstance:
                 )
 
         if rewritten.magic_pred is not None:
-            seed = Tuple(
-                tuple(call_args[position] for position in rewritten.bound_positions)
-            )
+            seed = Tuple(tuple(call_args[p] for p in rewritten.bound_positions))
             self.ctx.stats.subgoals += 1
-            self.scope.insert_fact(
-                rewritten.magic_pred, len(seed.args), seed
-            )
+            self.scope.insert_fact(rewritten.magic_pred, len(seed.args), seed)
         if is_resumption:
             self._reset_aggregate_sccs()
-
-        if self._ordered is not None:
-            return self._eager_answers(
-                call_args,
-                lambda: self._ordered.solve_query(
-                    self.compiled.rewritten.answer_pred, tuple(call_args)
-                ),
+        if self._home is not None and self._answer_scc is not None and \
+                rewritten.answer_positions is not None:
+            # only this call's cursor reads the answers: the pushed answer
+            # SCC hands its rows to it instead of flushing them
+            self._answer_scc.to_cursor = (
+                rewritten.answer_pred, rewritten.answer_arity
             )
-        if self.compiled.lazy:
-            cursor = GeneratorTupleIterator(self._lazy_answers(call_args))
-            # its answers come from _answer_cursor, call by call
-            cursor.owned = rewritten.answer_positions is not None
-            return cursor
-        return self._eager_answers(call_args, self._run_all)
+
+        lazy = self.compiled.lazy and self._ordered is None
+        if not lazy:
+            self._active = True
+            try:
+                if self._ordered is not None:
+                    self._ordered.solve_query(rewritten.answer_pred, tuple(call_args))
+                for evaluator in self.evaluators:
+                    evaluator.run_to_completion()
+            finally:
+                self._finish()
+        # a factored answer is built for this call alone; any other is the
+        # answer relation's own
+        factored = rewritten.answer_positions is not None
+        return RowCursor(self._stream(call_args, lazy), factored)
 
     def outdated(self) -> bool:
         """Must the next save-module call start from a fresh instance?
@@ -403,10 +429,6 @@ class MaterializedInstance:
                 return True
         return False
 
-    def _run_all(self) -> None:
-        for evaluator in self.evaluators:
-            evaluator.run_to_completion()
-
     def _reset_aggregate_sccs(self) -> None:
         """On save-module resumption, grouped-aggregation strata must be
         recomputed from scratch: their old facts may be stale (a new group
@@ -415,80 +437,71 @@ class MaterializedInstance:
             if any(rule.head_aggregates for rule in plan.once_rules):
                 for pred in plan.preds:
                     self.scope.local[pred].clear()
-                self.evaluators[index] = SCCEvaluator(
-                    self.scope,
-                    plan,
-                    strategy=self.compiled.strategy,
-                    use_backjumping=self.compiled.use_backjumping,
-                )
+                self.evaluators[index] = self._evaluator(SCCEvaluator, plan)
 
-    def _eager_answers(self, call_args: Sequence[Arg], run) -> TupleIterator:
-        self._active = True
-        try:
-            run()
-        finally:
-            self._finish()
-        return self._answer_cursor(call_args)
-
-    def _lazy_answers(self, call_args: Sequence[Arg]) -> Iterator[Tuple]:
-        """Answers at the end of every fixpoint iteration (Sections 5.4.3,
-        5.6): run one iteration, flush new matching answers, repeat."""
+    def _stream(self, call_args: Sequence[Arg], lazy: bool) -> Iterator:
+        """The call's answers; a lazy call evaluates here, streaming new
+        answers at the end of every fixpoint iteration (Sections 5.4.3,
+        5.6).  When it ends or is closed, a skeleton goes back home."""
         rewritten = self.compiled.rewritten
-        answer_rel = self.scope.local[
-            (rewritten.answer_pred, rewritten.answer_arity)
-        ]
-        self._active = True
+        answer_rel = self.scope.local[(rewritten.answer_pred, rewritten.answer_arity)]
+        read_mark = 0
         try:
-            read_mark = 0
-            for evaluator in self.evaluators:
-                for _count in evaluator.iterations():
-                    frontier = answer_rel.mark()
-                    if frontier > read_mark:
-                        yield from self._answer_cursor(
-                            call_args, since=read_mark, until=frontier
-                        )
-                        read_mark = frontier
-            yield from self._answer_cursor(call_args, since=read_mark)
+            if lazy:
+                self._active = True
+                for evaluator in self.evaluators:
+                    for _count in evaluator.iterations():
+                        frontier = answer_rel.mark()
+                        if frontier > read_mark:
+                            yield from self._answers(
+                                call_args, answer_rel, read_mark, frontier
+                            )
+                            read_mark = frontier
+            yield from self._answers(call_args, answer_rel, read_mark, None)
         finally:
-            self._finish()
+            if lazy:
+                self._finish()
+            if self._home is not None:
+                idle, key = self._home
+                idle.setdefault(key, self)
 
     def _finish(self) -> None:
         """The call's evaluation is over: no handed-on rows outlive it."""
         self._active = False
         self._push_rows.clear()
 
-    def _answer_cursor(
+    def _answers(
         self,
         call_args: Sequence[Arg],
-        since: int = 0,
-        until: Optional[int] = None,
-    ) -> TupleIterator:
-        rewritten = self.compiled.rewritten
-        answer_rel = self.scope.local[
-            (rewritten.answer_pred, rewritten.answer_arity)
-        ]
-        candidates = answer_rel.scan(
-            None if rewritten.answer_positions is not None else list(call_args),
-            None,
-            since=since,
-            until=until,
-        )
-        if rewritten.answer_positions is None:
-            return candidates
-        # context factoring: splice the bound constants back around the
-        # answer predicate's free-position values
-        positions = rewritten.answer_positions
-        make = Tuple.ground
-
-        def reassemble() -> Iterator[Tuple]:
-            full: List[Arg] = list(call_args)
-            for partial in candidates:
-                for value, position in zip(partial.args, positions):
-                    full[position] = value
-                # the rest are the form's bound positions, which the call
-                # binds to ground terms: no second groundness walk
-                yield make(full) if partial.is_ground() else Tuple(full)
-
-        cursor = GeneratorTupleIterator(reassemble())
-        cursor.owned = True  # each answer is built here, for this call alone
-        return cursor
+        answer_rel: HashRelation,
+        since: int,
+        until: Optional[int],
+    ) -> Iterator:
+        """The answers in marks ``[since, until)``: the rows the pushed
+        answer SCC handed over, else the answer relation's.  Context
+        factoring splices the call's bound constants back in, building each
+        answer for this call alone: as plain rows of args when all are
+        ground and match the call as they stand (its free positions hold
+        distinct variables), else as :class:`Tuple` objects."""
+        positions = self.compiled.rewritten.answer_positions
+        if positions is None:
+            return answer_rel.scan(list(call_args), None, since=since, until=until)
+        scc = self._answer_scc
+        handed = scc.handed if scc is not None else None
+        ground = True
+        if handed is None:
+            partials = list(answer_rel.scan(None, None, since=since, until=until))
+            ground = all(partial.is_ground() for partial in partials)
+            handed = len(partials), list(zip(*[p.args for p in partials]))
+        else:
+            scc.handed = None
+        # by column, the bound ones repeating the call's constants: one zip
+        # builds every row
+        count, columns = handed
+        full: List = [repeat(arg) for arg in call_args]
+        for column, position in zip(columns, positions):
+            full[position] = column
+        rows = islice(zip(*full), count)
+        if ground and flat_constants([call_args[p] for p in positions]) == []:
+            return rows
+        return map(Tuple.ground if ground else Tuple, rows)

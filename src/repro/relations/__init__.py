@@ -10,6 +10,7 @@ from .base import (
     GeneratorTupleIterator,
     ListTupleIterator,
     Relation,
+    RowCursor,
     Tuple,
     TupleIterator,
     make_tuple,
@@ -27,6 +28,7 @@ from .memory import (
     ListRelation,
     MarkedRelation,
     Watermark,
+    interned_columns,
 )
 
 __all__ = [
@@ -41,6 +43,7 @@ __all__ = [
     "MarkedRelation",
     "PatternIndexSpec",
     "Relation",
+    "RowCursor",
     "Tuple",
     "TupleIterator",
     "VAR_BUCKET",

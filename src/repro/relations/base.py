@@ -198,6 +198,34 @@ class GeneratorTupleIterator(TupleIterator):
         return self._source
 
 
+def _as_tuple(row):
+    return Tuple.ground(row) if type(row) is tuple else row
+
+
+class RowCursor(TupleIterator):
+    """A module call's answers: each a :class:`Tuple`, or a plain tuple of
+    ground args built for this cursor alone that matches the call as it
+    stands.  A tuple consumer gets every answer as a Tuple (a row becomes
+    one as it is pulled); the top-level answer loop, which reads values
+    and builds a Tuple only when asked, takes :meth:`rows` as they are."""
+
+    def __init__(self, rows: Iterator, owned: bool) -> None:
+        self._rows = rows
+        self.owned = owned
+
+    def get_next(self) -> Optional[Tuple]:
+        return _as_tuple(next(self._rows, None))
+
+    def __iter__(self) -> Iterator[Tuple]:
+        return map(_as_tuple, self._rows)
+
+    def rows(self) -> Iterator:
+        return self._rows
+
+    def close(self) -> None:
+        self._rows.close()
+
+
 class Relation(ABC):
     """Abstract relation: a set (or multiset) of tuples of a fixed arity.
 

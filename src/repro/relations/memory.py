@@ -49,6 +49,15 @@ from .index import Index, IndexSpec
 _next_seqno = itertools.count(1)
 
 
+def interned_columns(
+    rows: Sequence[PyTuple[int, ...]], table: Sequence[Any]
+) -> List[list]:
+    """Rows of intern ids as columns of ``table[id]`` values, column by
+    column so that every lookup runs in C; ``zip(*columns)`` makes the rows
+    of values again, also in C."""
+    return [list(map(table.__getitem__, ids)) for ids in zip(*rows)]
+
+
 class DuplicatePolicy(Enum):
     """How a relation treats re-derived facts (Section 4.2)."""
 
@@ -251,12 +260,8 @@ class HashRelation(MarkedRelation):
         genuinely new.  Segments, indexes and the duplicate map are
         maintained exactly as :meth:`insert` would."""
         if self.arity:
-            # column by column, so every lookup and tuple build runs in C
-            columns = list(zip(*rows))
-            values = zip(*[map(args.__getitem__, ids) for ids in columns])
-            tuple_keys = list(
-                zip(*[map(keys.__getitem__, ids) for ids in columns])
-            )
+            values = zip(*interned_columns(rows, args))
+            tuple_keys = list(zip(*interned_columns(rows, keys)))
         else:
             values = tuple_keys = [()] * len(rows)
         # Tuple.ground with the key filled in, inline: a call per row costs

@@ -683,7 +683,7 @@ class CoralServer(FrameServer):
                         done = True
                         self._close_cursor(conn, cursor.cursor_id)
                         break
-                    row = list(answer.tuple.args)
+                    row = list(answer.args)
                     for name in cursor.vars:
                         row.append(answer.term(name))
                     rows.append(row)

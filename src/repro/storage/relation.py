@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple as PyTuple
 
 from ..errors import StorageError
 from ..terms import Arg, BindEnv, resolve
@@ -33,6 +33,10 @@ from .btree import BTree, Rid
 from .buffer import BufferPool
 from .pages import SlottedPage
 from .serde import decode_tuple, encode_tuple
+
+
+def _key(args: Sequence[Arg]) -> tuple:
+    return tuple([arg.ground_key() for arg in args])
 
 
 class PersistentRelation(Relation):
@@ -54,6 +58,9 @@ class PersistentRelation(Relation):
         self._indexes: Dict[PyTuple[int, ...], BTree] = {}
         self._count = 0
         self._last_page_with_space: Optional[int] = None
+        #: unique relations only: every stored tuple's key, under Arg
+        #: equality, so a duplicate check decodes nothing
+        self._keys: Optional[Set[tuple]] = None
         self._load_or_create_catalog()
 
     # -- catalog -----------------------------------------------------------
@@ -83,9 +90,14 @@ class PersistentRelation(Relation):
             self.unique = catalog["unique"]
             for positions in catalog["indexes"]:
                 self._open_index(tuple(positions))
-            self._count = sum(1 for _ in self._heap_records())
+            self._keys = set() if self.unique else None
+            for _rid, args in self._heap_records():
+                self._count += 1
+                if self._keys is not None:
+                    self._keys.add(_key(args))
         else:
             self._save_catalog()
+            self._keys = set() if self.unique else None
 
     def _save_catalog(self) -> None:
         try:
@@ -159,29 +171,18 @@ class PersistentRelation(Relation):
                 f"arity mismatch inserting into {self.name}/{self.arity}"
             )
         record = encode_tuple(tup.args)  # also validates primitive-only fields
-        if self.unique and self._exists(tup.args):
-            return False
+        keys = self._keys
+        if keys is not None:
+            key = _key(tup.args)
+            if key in keys:
+                return False
         rid = self._append_record(record)
         for positions, tree in self._indexes.items():
             tree.insert([tup.args[p] for p in positions], rid)
+        if keys is not None:
+            keys.add(key)
         self._count += 1
         return True
-
-    def _exists(self, args: Sequence[Arg]) -> bool:
-        best = self._best_index([True] * self.arity)
-        if best is not None:
-            positions, tree = best
-            for rid in tree.search([args[p] for p in positions]):
-                stored = self._fetch_by_rid(rid)
-                if stored is not None and all(
-                    s == a for s, a in zip(stored, args)
-                ):
-                    return True
-            return False
-        return any(
-            all(s == a for s, a in zip(stored, args))
-            for _rid, stored in self._heap_records()
-        )
 
     def _append_record(self, record: bytes) -> Rid:
         if self._last_page_with_space is not None:
@@ -220,6 +221,8 @@ class PersistentRelation(Relation):
                     self.pool.unpin(page, dirty=True)
                 for positions, tree in self._indexes.items():
                     tree.delete([stored[p] for p in positions], rid)
+                if self._keys is not None:
+                    self._keys.discard(_key(stored))
                 self._count -= 1
                 self._last_page_with_space = rid[0]
                 return True

@@ -197,6 +197,40 @@ class TestAnswerStream:
         assert all(a.tuple is tup for a, tup in zip(answers, yielded))
         assert all(tup.seqno == -1 and tup.is_ground() for tup in yielded)
 
+    def test_row_fed_answers_build_their_own_tuples(self, monkeypatch):
+        """A call skeleton's pushed answers reach the answer loop as plain
+        rows, never stored: the cursor owns them, and each answer builds
+        its own Tuple, once, when asked for it."""
+        from repro.modules.manager import ExportedRelation
+        from repro.relations import RowCursor
+
+        session = Session()
+        session.consult_string(self.TC)
+        session.query("path(1, Y)").all()  # builds the skeleton
+        cursors, kinds = [], []
+        honest_scan, honest_rows = ExportedRelation.scan, RowCursor.rows
+
+        def scan(self, pattern=None, env=None):
+            cursors.append(honest_scan(self, pattern, env))
+            return cursors[-1]
+
+        def rows(self):
+            for row in honest_rows(self):
+                kinds.append(type(row))
+                yield row
+
+        monkeypatch.setattr(ExportedRelation, "scan", scan)
+        monkeypatch.setattr(RowCursor, "rows", rows)
+        first = session.query("path(1, Y)").all()
+        second = session.query("path(1, Y)").all()
+        assert all(isinstance(c, RowCursor) and c.owned for c in cursors)
+        assert kinds == [tuple] * 6
+        assert first[0].tuple is first[0].tuple
+        assert first[0].tuple is not second[0].tuple
+        assert first[0].tuple.seqno == -1 and first[0].tuple.is_ground()
+        self._insert_both_then_delete(first[0], second[0])
+        self._insert_both_then_delete(first[0], first[1])
+
     def test_answers_served_from_one_memo_entry_are_copies(self):
         session = Session(memo=True)
         session.consult_string(self.TC)

@@ -388,10 +388,14 @@ class TestPoliciesAndAnnotations:
         size = sizing.memo.snapshot()["bytes"]
         # room for four entries: each is retained, the fifth evicts the first
         session = _memo_session(program, memo=MemoPolicy(max_bytes=4 * size))
-        for k in range(5):
-            session.query(f"path({10 * k}, Y)").all()
+        with session.profile() as prof:
+            for k in range(5):
+                session.query(f"path({10 * k}, Y)").all()
         stats = session.memo.snapshot()
         assert stats["entries"] == 4 and stats["evictions"] == 1
+        (event,) = TestRepairFallbackIsVisible._events(prof, "memo.evict")
+        assert event["args"]["reason"] == "budget"
+        assert event["args"]["max_bytes"] == 4 * size
         assert stats["bytes"] == 4 * size
         # the evicted entry recomputes correctly
         assert sorted(session.query("path(0, Y)").tuples()) == [(0, 1), (0, 2)]
@@ -411,6 +415,25 @@ class TestPoliciesAndAnnotations:
         stats = session.memo.snapshot()
         assert stats["insert_refreshes"] == 1
         assert stats["entries"] == 0 and stats["bytes"] == 0
+
+    def test_an_entry_evicted_past_its_budget_is_traced_so(self):
+        """The eviction of an entry a refresh grew past its budget names
+        the entry and the budget, as damage, error and refusal evictions
+        name theirs."""
+        session = _memo_session(
+            TC.replace("edge(1, 2).", "edge(0, 1). edge(1, 2)."),
+            memo=MemoPolicy(max_bytes=40_000),
+        )
+        session.query("path(0, Y)").all()
+        for n in range(5, 404):
+            session.insert("edge", n, n + 1)
+        with session.profile() as prof:
+            session.query("path(0, Y)").all()
+        (event,) = TestRepairFallbackIsVisible._events(prof, "memo.evict")
+        assert event["args"]["reason"] == "budget"
+        assert event["args"]["max_bytes"] == 40_000
+        assert (event["args"]["pred"], event["args"]["form"]) == ("path/2", "bf")
+        assert session.memo.snapshot()["evictions"] == 1
 
     def test_save_module_entry_is_evicted_on_update_with_its_reason(self):
         """A save-module form's ``maintain`` verdict is a refusal like any

@@ -55,6 +55,32 @@ class TestPersistentRelation:
         assert pool.server.num_pages("big.heap") > 1
         assert sum(1 for _ in rel.scan()) == 2000
 
+    def test_bulk_load_decodes_no_record(self, pool, monkeypatch):
+        """A unique insert checks a set of the stored tuples' keys: a
+        2,000-tuple load decodes nothing (it decoded the whole heap per
+        insert, quadratic in the load), a reopen decodes each record once,
+        and a delete frees its key for a later insert."""
+        from repro.storage import relation as module
+
+        decoded = []
+        honest = module.decode_tuple
+
+        def counting(record):
+            decoded.append(record)
+            return honest(record)
+
+        monkeypatch.setattr(module, "decode_tuple", counting)
+        rel = PersistentRelation("bulk", 2, pool)
+        for i in range(2000):
+            assert rel.insert(t(i, i + 1))
+        assert not rel.insert(t(1999, 2000))
+        assert decoded == []
+        assert len(PersistentRelation("bulk", 2, pool)) == 2000
+        assert len(decoded) == 2000
+        assert rel.delete(t(7, 8))
+        assert not rel.insert(t(8, 9)) and rel.insert(t(7, 8))
+        assert len(rel) == 2000
+
     def test_indexed_probe_uses_btree(self, pool):
         rel = PersistentRelation("edge", 2, pool)
         rel.create_index([0])

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import os
 import time
+from itertools import repeat
 from typing import (
     Any,
     Dict,
@@ -33,10 +34,10 @@ from ..eval.context import EvalContext, PredKey
 from ..eval.join import goal_filter
 from ..eval.limits import ResourceLimits
 from ..eval.memo import MemoCache, MemoPolicy
-from ..language import Literal, Program, parse_program, parse_query
+from ..language import Literal, Program, cached_query, parse_program, parse_query
 from ..modules import ModuleManager
 from ..optimizer import index_spec_from_annotation
-from ..relations import HashRelation, Relation, RowCursor, Tuple
+from ..relations import HashRelation, Relation, Tuple
 from ..storage import BufferPool, PersistentRelation, StorageServer
 from ..terms import Arg, BindEnv, Trail, Var, from_arg, resolve, to_arg
 from ..terms.unify import flat_constants, unify_fact
@@ -45,19 +46,21 @@ from ..extensibility import TypeRegistry
 
 class Answer:
     """One query answer: the matched tuple plus the query variables' values,
-    as a view over rows: ``values[where[name]]`` is a variable's value, and
-    the :class:`Tuple` is ``tup`` if the answer's cursor owned one, else
-    built from ``args`` when first asked for, for this answer alone."""
+    as a view over rows: ``values[where[name]]`` is a variable's value
+    (``values`` defaults to ``args``), and the :class:`Tuple` is ``tup`` if
+    the answer's cursor owned one, else built from ``args`` when first asked
+    for, for this answer alone."""
 
     __slots__ = ("args", "_values", "_where", "_tuple")
 
     def __init__(
-        self, args: tuple, values: tuple, where: Dict[str, int],
-        tup: Optional[Tuple],
+        self, args: tuple, where: Dict[str, int],
+        values: Optional[tuple] = None, tup: Optional[Tuple] = None,
     ) -> None:
         #: the answer tuple's args
         self.args = args
-        self._values, self._where, self._tuple = values, where, tup
+        self._where, self._tuple = where, tup
+        self._values = args if values is None else values
 
     @property
     def tuple(self) -> Tuple:
@@ -415,8 +418,9 @@ class Session:
     # -- queries ----------------------------------------------------------------------
 
     def query(self, text: str) -> QueryResult:
-        """Answer a textual query, e.g. ``session.query("path(1, X)")``."""
-        return self.query_literal(parse_query(text).literal)
+        """Answer a textual query, e.g. ``session.query("path(1, X)")``;
+        a short text asked lately is not parsed again."""
+        return self.query_literal(cached_query(text, parse_query).literal)
 
     def query_values(self, pred: str, *values: Any) -> QueryResult:
         """Programmatic query: Python values bind arguments, None leaves an
@@ -451,7 +455,6 @@ class Session:
         # resolve or undo
         where = {name: args.index(var) for name, var in named.items()} \
             if flat_constants(args) is not None else None
-        matches = goal_filter(args)
         order = {name: i for i, name in enumerate(named)}
 
         def answers() -> Iterator[Answer]:
@@ -469,14 +472,18 @@ class Session:
                 produced, eval_seconds = 0, 0.0
                 resumed = time.perf_counter()
             env, trail = BindEnv(), Trail()
-            cursor = relation.scan(args, env)
-            owned = cursor.owned
+            cursor = None
             try:
-                for row in cursor.rows() if isinstance(cursor, RowCursor) else cursor:
-                    if type(row) is tuple:
-                        # built for this call and matching it as it stands
-                        answer = Answer(row, row, where, None)
-                    elif where is not None and row.is_ground():
+                cursor = relation.scan(args, env)
+                owned = cursor.owned
+                if slow is None and cursor.plain:
+                    # rows built for this call and matching it as they stand
+                    yield from map(Answer, cursor.rows(), repeat(where))
+                    rows = ()
+                else:  # a plain cursor's rows come as Tuples
+                    rows, matches = cursor, goal_filter(args)
+                for row in rows:
+                    if where is not None and row.is_ground():
                         if not matches(row):
                             continue
                         # a tuple the cursor does not own is not kept: a
@@ -484,17 +491,17 @@ class Session:
                         # to other answers, and inserting the answer
                         # elsewhere restamps its seqno, so the relation
                         # holding it could not delete it
-                        values = row.args
-                        answer = Answer(values, values, where, row if owned else None)
+                        answer = Answer(row.args, where, None,
+                                        row if owned else None)
                     else:
                         fact = row.renamed()
                         mark = trail.mark()
                         answer = None
                         if unify_fact(args, env, fact.args, trail):
                             tup = Tuple(tuple(resolve(arg, env) for arg in args))
-                            answer = Answer(tup.args, tuple(
+                            answer = Answer(tup.args, order, tuple(
                                 resolve(var, env) for var in named.values()
-                            ), order, tup)
+                            ), tup)
                         trail.undo_to(mark)
                     if answer is None:
                         continue
@@ -512,7 +519,8 @@ class Session:
                         resumed = time.perf_counter()
                 finished = True
             finally:
-                cursor.close()
+                if cursor is not None:
+                    cursor.close()
                 if obs is not None:
                     obs.end_span("query", "eval", started,
                                  query=f"{literal.pred}/{literal.arity}")

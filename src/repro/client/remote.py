@@ -268,7 +268,7 @@ class RemoteQueryResult:
         rows = decode_batch(body)
         arity, where = self._arity, self._where
         for row in rows:
-            self._pending.append(Answer(tuple(row[:arity]), row, where, None))
+            self._pending.append(Answer(tuple(row[:arity]), where, row))
         if header.get("done"):
             self._done = True
         return len(rows)

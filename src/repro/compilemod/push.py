@@ -685,15 +685,16 @@ class _Resident:
                 index.setdefault(key_of(ids), []).append(ids)
         return True
 
-    def catch_up(self, relation: Relation, intern) -> bool:
+    def catch_up(self, relation: Relation, intern, held: int = 0) -> bool:
         """Whether this copy still reads ``relation``, taking in what
         arrived since: the same relation object, and the copy plus those
-        arrivals count it (a delete that bypassed
-        ``EvalContext.notify_delete`` makes them disagree)."""
+        arrivals count it and the ``held`` rows it has yet to take in (a
+        delete that bypassed ``EvalContext.notify_delete`` makes them
+        disagree)."""
         if self.seen.relation is not relation:
             return False
         arrived = self.seen.arrivals()
-        if len(self.tuples) + len(arrived) != len(relation):
+        if len(self.tuples) + len(arrived) != len(relation) + held:
             return False
         return self.absorb(arrived, intern)
 
@@ -774,22 +775,50 @@ def _resident(relation: Relation, intern) -> Optional[_Resident]:
     return entry if entry.absorb(relation.inserted_after(0), intern) else None
 
 
-def _handed_on(
-    rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]],
-    key: PredKey, state: PushState, relation: Relation,
-) -> Optional[_Resident]:
-    """The rows an earlier pushed SCC of this call left for ``relation``,
-    numbered by ``state`` and caught up as a resident base is; None when
-    there are none or they do not pass.  Either way they are taken, by one
-    reader only: what it absorbs may hold ids its run's truncation kills."""
-    handed = rows.pop(key, None)
-    if handed is None:
-        return None
-    owner, seen, tuples = handed
-    if owner is not state:
-        return None
-    entry = _Resident(seen, tuples)
-    return entry if entry.catch_up(relation, state.intern.intern) else None
+class HandOff:
+    """What a call's pushed SCCs leave the SCCs after them and its cursor,
+    emptied when the call's evaluation ends.  ``rows``: an output's interned
+    rows, with the push state that numbered them and how far they read its
+    relation.  ``held``: the new rows of an output in ``keep`` as (count,
+    columns of values), left out of its relation — the next pushed SCC
+    takes them from ``rows``, the cursor takes the answers, and only a run
+    that falls back has them put in (:meth:`fill`)."""
+
+    __slots__ = ("rows", "held", "keep")
+
+    def __init__(self) -> None:
+        self.rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]] = {}
+        self.held: Dict[PredKey, PyTuple[int, List[list]]] = {}
+        #: set once, when its instance becomes a call skeleton
+        #: (``MaterializedInstance.home``); a private instance keeps nothing
+        self.keep: FrozenSet[PredKey] = frozenset()
+
+    def fill(self, scope: LocalScope) -> None:
+        """Put every held row into its relation."""
+        for key, (count, columns) in self.held.items():
+            rows = list(zip(*columns)) if columns else [()] * count
+            keys = [tuple([arg.ground_key() for arg in row]) for row in rows]
+            scope.local[key].insert_new(rows, keys)
+        self.held.clear()
+
+    def clear(self) -> None:
+        self.rows.clear()
+        self.held.clear()
+
+    def take(
+        self, key: PredKey, state: PushState, relation: Relation
+    ) -> Optional[_Resident]:
+        """The rows an earlier pushed SCC of this call left for
+        ``relation``, numbered by ``state`` and caught up as a resident base
+        is; None when there are none or they do not pass.  Either way they
+        are taken, by one reader only: what it absorbs may hold ids its
+        run's truncation kills."""
+        handed = self.rows.pop(key, None)
+        if handed is None or handed[0] is not state:
+            return None
+        entry = _Resident(handed[1], handed[2])
+        held = self.held.get(key, (0,))[0]
+        return entry if entry.catch_up(relation, state.intern.intern, held) else None
 
 
 class PushSCCEvaluator(SCCEvaluator):
@@ -819,15 +848,12 @@ class PushSCCEvaluator(SCCEvaluator):
         use_backjumping: bool = True,
         *,
         compiler: PushCompiler,
-        rows: Dict[PredKey, PyTuple[PushState, Watermark, List[tuple]]],
+        handoff: HandOff,
     ) -> None:
         super().__init__(scope, plan, strategy, use_backjumping)
         self.compiler = compiler
-        #: the instance's hand-off between its pushed SCCs: an output
-        #: relation's interned rows, with the push state that numbered them
-        #: and how far they read the relation (the instance empties it when
-        #: a call ends)
-        self._rows = rows
+        #: the instance's hand-off between its pushed SCCs and its cursor
+        self._handoff = handoff
         self._program = self.compiler.program_for(
             plan, scope.ctx.is_builtin, obs=scope.ctx.obs
         )
@@ -843,13 +869,8 @@ class PushSCCEvaluator(SCCEvaluator):
             rule.source_index not in self._pushed_sources
             for rule in plan.delta_rules
         )
-        #: a factored form's answer predicate, when a call skeleton's cursor
-        #: is its only reader: a pushed run hands its rows to the cursor
-        #: (``handed``) instead of flushing them into the relation
-        self.to_cursor: Optional[PredKey] = None
-        #: (row count, columns of values) of the answer rows handed to the
-        #: cursor, until it takes them
-        self.handed: Optional[PyTuple[int, List[list]]] = None
+        #: every rule of the SCC is fused into the program
+        self.whole = self._program is not None and not self._program.fallbacks
 
     # -- interpreter interleaving ---------------------------------------------
 
@@ -888,7 +909,8 @@ class PushSCCEvaluator(SCCEvaluator):
         self._pushed_run = reason is None
         if reason is not None:
             # interpret the whole run: the pushed once rules now, every
-            # delta rule from the first iteration on
+            # delta rule from the first iteration on, over every row
+            self._handoff.fill(self.scope)
             self._suppress_pushed = False
             for rule, executor in self._once_executors:
                 if rule.source_index in self._pushed_sources:
@@ -911,7 +933,7 @@ class PushSCCEvaluator(SCCEvaluator):
             state = ctx.push = PushState()
         intern = state.intern
         intern_arg = intern.intern
-        rows = self._rows
+        handoff = self._handoff
 
         bases: Dict[PredKey, _Resident] = {}
         for key in program.static_preds:
@@ -927,8 +949,9 @@ class PushSCCEvaluator(SCCEvaluator):
             for key in program.static_preds:
                 entry = bases.get(key)
                 if entry is None:  # the instance's own
-                    entry = _handed_on(rows, key, state, scope.local[key])
+                    entry = handoff.take(key, state, scope.local[key])
                     if entry is None:
+                        handoff.fill(scope)
                         entry = _resident(scope.local[key], intern_arg)
                         if entry is None:
                             return "non-ground fact in %s/%d" % key
@@ -955,7 +978,7 @@ class PushSCCEvaluator(SCCEvaluator):
                 # every id survives the truncation: hand the outputs on,
                 # read up to now (after the flush)
                 for key, (all_tuples, _) in zip(program.out_preds, per_pred):
-                    rows[key] = (
+                    handoff.rows[key] = (
                         state, Watermark(scope.local[key]), all_tuples
                     )
         finally:
@@ -992,21 +1015,19 @@ class PushSCCEvaluator(SCCEvaluator):
         elapsed = time.perf_counter() - started if obs is not None else 0.0
 
         new_facts = 0
+        handoff = self._handoff
         for key, (all_tuples, seed_count) in zip(program.out_preds, per_pred):
             fresh = all_tuples[seed_count:]
-            if key == self.to_cursor and not seed_count:
-                # the relation is empty, and this run completes it (a
-                # factored answer SCC is one non-recursive predicate): its
-                # rows go to the cursor as values, before the truncation
-                self.handed = (len(fresh), interned_columns(fresh, intern.args))
-                new_facts += len(fresh)
-                continue
-            if not fresh:
-                continue
-            # seen was seeded from this relation's contents, so everything
-            # beyond the seed prefix is new — the unchecked bulk path applies
-            self.scope.local[key].insert_interned(fresh, intern.args, intern.keys)
             new_facts += len(fresh)
+            if key in handoff.keep:
+                # as values, before the truncation
+                handoff.held[key] = (len(fresh), interned_columns(fresh, intern.args))
+            elif fresh:
+                # seen was seeded from this relation's contents, so all
+                # beyond the seed prefix is new: the unchecked bulk path
+                self.scope.local[key].insert_interned(
+                    fresh, intern.args, intern.keys
+                )
         attempts = sum(tried for tried, _ in counts)
         stats.inferences += attempts
         stats.duplicates += attempts - new_facts

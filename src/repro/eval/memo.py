@@ -14,9 +14,10 @@ Three mechanisms make the cache safe:
   bound values ``v`` answers any call whose ground positions include ``F``'s
   'b' positions with equal values: a cached ``anc(bf)`` with ``X = a``
   serves ``anc(a, Y)`` *and* ``anc(a, b)``; a cached all-free result serves
-  any more-bound call by filtering.  This is sound because the relation scan
-  contract returns *candidates* — every caller unifies each tuple against
-  its own pattern anyway.
+  any more-bound call, through a hash index on the call's extra bound
+  positions.  This is sound because the relation scan contract returns
+  *candidates* — every caller unifies each tuple against its own pattern
+  anyway.
 
 * **Incremental invalidation.**  ``Session.insert/delete`` (and the
   ``assertz``/``retract`` builtins) report base-predicate changes to the
@@ -37,8 +38,8 @@ Three mechanisms make the cache safe:
   entry is evicted, with the reason, and recomputed on next use.
 
 * **Snapshot pinning.**  Served answers are an immutable list captured at
-  lookup time; a refresh *replaces* the list rather than mutating it, so a
-  streaming cursor (the server's ``FETCH`` loop) never observes a
+  lookup time; a refresh *replaces* the list (and drops its indexes) rather
+  than mutating it, so a streaming cursor (the server's ``FETCH`` loop) never observes a
   concurrent invalidation mid-cursor.
 
 Entries live in an LRU keyed store under a byte budget, a quarter of
@@ -124,13 +125,16 @@ class MemoEntry:
     call, its instance and its unrepaired changes (a live view over the same
     predicate holds its own plan)."""
 
-    __slots__ = ("key", "plan", "answers", "nbytes")
+    __slots__ = ("key", "plan", "answers", "nbytes", "indexes")
 
     def __init__(self, key: EntryKey, plan: MaintenancePlan) -> None:
         self.key = key
         self.plan = plan
         self.answers: List[Tuple] = []
         self.nbytes = 0
+        #: positions -> {their values' ground keys: answers}, built by the
+        #: subsumed hits that ask for them (None: an answer is not ground)
+        self.indexes: Dict[tuple, Optional[Dict[tuple, List[Tuple]]]] = {}
 
     @property
     def instance(self):
@@ -321,8 +325,33 @@ class MemoCache:
             self.stats.hits += 1
             self.stats.subsumption_hits += 1
             self._trace("memo.hit", entry, subsumed_by=form)
-            return _serve(entry.answers, resolved)
+            return self._serve_subsumed(entry, resolved, bound)
         return None
+
+    def _serve_subsumed(
+        self, entry: MemoEntry, resolved: Sequence, bound: Sequence[bool]
+    ) -> TupleIterator:
+        """Serve a more-bound call from ``entry``: one bucket of the entry's
+        hash index on the positions the call binds and its form leaves free
+        (the pattern-form index of Section 3.3), built on first use and
+        counted in the entry's bytes."""
+        form = entry.key[3]
+        positions = tuple(p for p, flag in enumerate(form) if flag == "f" and bound[p])
+        if positions and positions not in entry.indexes:
+            index = None
+            if all(tup.is_ground() for tup in entry.answers):
+                index = {}
+                for tup in entry.answers:
+                    key = tuple([tup.args[p].ground_key() for p in positions])
+                    index.setdefault(key, []).append(tup)
+            entry.indexes[positions] = index
+            self._grow(entry, _estimate_index_bytes(index))
+        index = entry.indexes.get(positions)
+        if index is None:
+            return _serve(entry.answers, resolved, form)
+        key = tuple([resolved[p].ground_key() for p in positions])
+        form = "".join("b" if flag else "f" for flag in bound)
+        return _serve(index.get(key, []), resolved, form)
 
     def _build(
         self, key: EntryKey, module_name: str, export, form: str,
@@ -429,33 +458,40 @@ class MemoCache:
             - sum(map(_estimate_tuple_bytes, change.removed.values()))
             + _estimate_scope_bytes(plan.instance) - scope_bytes
         )
+        if change:  # the indexes were over the replaced list
+            grown -= sum(map(_estimate_index_bytes, entry.indexes.values()))
+            entry.indexes = {}
+        self._trace("memo.refresh", entry, answers=len(entry.answers))
+        self._grow(entry, grown)
+        return True
+
+    def _grow(self, entry: MemoEntry, grown: int) -> None:
+        """Count ``grown`` more bytes held by ``entry``: one grown past a
+        quarter of the byte budget is evicted (it still serves the lookup
+        at hand), then least recently used ones until the budget holds."""
         entry.nbytes += grown
         self.total_bytes += grown
-        self._trace("memo.refresh", entry, answers=len(entry.answers))
         if entry.nbytes > self.policy.max_bytes // 4:
             self._evict_over_budget(entry)
         self._trim()
-        return True
 
 
 # -- serving -------------------------------------------------------------------
 
 
-def _serve(
-    answers: List[Tuple], resolved: Sequence, form: Optional[str] = None
-) -> TupleIterator:
+def _serve(answers: List[Tuple], resolved: Sequence, form: str) -> TupleIterator:
     """A cursor over a pinned answer snapshot, filtered down to tuples
     compatible with the call's (possibly more-bound) arguments.  The list
     reference is captured here, so a refresh replacing ``entry.answers``
     never disturbs an open cursor.
 
-    When the caller knows the entry's adornment ``form``, its 'b' positions
-    equal the entry key by construction and select nothing; a call whose
+    The answers match the call at ``form``'s 'b' positions by
+    construction, so those select nothing; a call whose
     other arguments are pairwise-distinct free variables — the common case
     — serves the snapshot without looking at an answer.
     """
     pattern = [
-        Var("_") if form is not None and form[position] == "b" else arg
+        Var("_") if form[position] == "b" else arg
         for position, arg in enumerate(resolved)
     ]
     if flat_constants(pattern) == []:
@@ -479,6 +515,10 @@ def _estimate_arg_bytes(arg) -> int:
 
 def _estimate_tuple_bytes(tup: Tuple) -> int:
     return 56 + sum(_estimate_arg_bytes(arg) for arg in tup.args)
+
+
+def _estimate_index_bytes(index: Optional[Dict[tuple, List[Tuple]]]) -> int:
+    return 0 if index is None else 128 * len(index) + 8 * sum(map(len, index.values()))
 
 
 def _estimate_scope_bytes(instance) -> int:

@@ -16,7 +16,15 @@ from .ast import (
     Rule,
 )
 from .lexer import Token, tokenize
-from .parser import COMPARISON_OPS, parse_module, parse_program, parse_query
+from .parser import (
+    COMPARISON_OPS,
+    QUERY_CACHE_SIZE,
+    QUERY_CACHE_TEXT,
+    cached_query,
+    parse_module,
+    parse_program,
+    parse_query,
+)
 
 __all__ = [
     "AGGREGATE_FUNCTIONS",
@@ -31,9 +39,12 @@ __all__ = [
     "MODULE_FLAGS",
     "ModuleDecl",
     "Program",
+    "QUERY_CACHE_SIZE",
+    "QUERY_CACHE_TEXT",
     "Query",
     "Rule",
     "Token",
+    "cached_query",
     "parse_module",
     "parse_program",
     "parse_query",

@@ -20,7 +20,8 @@ source.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import threading
+from typing import Callable, Dict, List, Optional
 
 from ..errors import ParseError
 from ..terms import Arg, Atom, Double, Functor, Int, NIL, Str, Var, cons
@@ -484,6 +485,38 @@ def parse_query(source: str) -> Query:
     """Parse a single query, with or without the ``?-`` prefix, the ``?``
     suffix and the closing full stop."""
     return _parse(source, Parser.parse_query)
+
+
+#: how many distinct query texts :func:`cached_query` keeps parsed
+QUERY_CACHE_SIZE = 512
+#: the longest text it keeps: a longer one is parsed every time, so what the
+#: cache holds stays small whoever chooses the texts (a server's clients)
+QUERY_CACHE_TEXT = 256
+
+_queries: Dict[str, Query] = {}
+_queries_lock = threading.Lock()
+
+
+def cached_query(
+    source: str, parse: Callable[[str], Query] = parse_query
+) -> Query:
+    """``parse(source)``, once per text while it is among the last
+    :data:`QUERY_CACHE_SIZE` texts kept (the oldest goes first); a text
+    longer than :data:`QUERY_CACHE_TEXT` or one that fails to parse is
+    never kept.  Sharing one parse is safe because no read changes it: a
+    :class:`Literal` and its argument tuple are frozen, a :class:`Var`
+    refuses attribute writes, and every binding lives in a
+    :class:`~repro.terms.BindEnv` keyed by the variable's id, one per
+    read."""
+    query = _queries.get(source)
+    if query is None:
+        query = parse(source)
+        if len(source) <= QUERY_CACHE_TEXT:
+            with _queries_lock:
+                if len(_queries) >= QUERY_CACHE_SIZE:
+                    del _queries[next(iter(_queries))]
+                _queries[source] = query
+    return query
 
 
 def parse_module(source: str) -> ModuleDecl:

@@ -194,7 +194,7 @@ class ModuleManager:
         else:
             instance = self.instance_for(module_name, pred, form)
             if not instance.compiled.save_module:
-                instance._home = (self._idle, key)  # the form's skeleton
+                instance.home(self._idle, key)  # the form's skeleton
         return instance.call(call_args)
 
 
@@ -302,11 +302,12 @@ class MaterializedInstance:
                 for spec in specs:
                     relation.add_index(spec)
 
-        #: interned rows one pushed SCC hands the next, for the rest of a
-        #: call: dropped when its evaluation ends, so neither a retained
+        #: what one call's pushed SCCs leave the SCCs after them and its
+        #: cursor (compilemod.push), made by the first reset that pushes;
+        #: emptied when the call's evaluation ends, so neither a retained
         #: instance's memory, save-module resumption nor maintenance (which
-        #: edits these relations unannounced) keeps them
-        self._push_rows: Dict = {}
+        #: edits these relations unannounced) keeps it
+        self._handoff = None
         self.reset()
 
     def reset(self) -> None:
@@ -329,33 +330,50 @@ class MaterializedInstance:
         self.compiler = None
         pushed = None
         if compiled.compiled:
-            from ..compilemod.push import PushCompiler, PushSCCEvaluator
+            from ..compilemod.push import HandOff, PushCompiler, PushSCCEvaluator
 
             self.compiler = PushCompiler()
             if self.compiler.admits(compiled, self.capabilities, obs):
+                if self._handoff is None:
+                    self._handoff = HandOff()
                 pushed = partial(PushSCCEvaluator, compiler=self.compiler,
-                                 rows=self._push_rows)
+                                 handoff=self._handoff)
         self.evaluators: List = []
-        #: the pushed SCC that derives the answer predicate, if any
-        self._answer_scc = None
         self._ordered = None
         if compiled.ordered_search:
             self._ordered = OrderedSearchEvaluator(scope, compiled)
             return
-        answer_key = (compiled.rewritten.answer_pred, compiled.rewritten.answer_arity)
         for plan in compiled.scc_plans:
             if pushed is not None and self.compiler.admits_scc(compiled, plan, obs):
-                evaluator = self._evaluator(pushed, plan)
-                if answer_key in plan.preds:
-                    self._answer_scc = evaluator
+                self.evaluators.append(self._evaluator(pushed, plan))
             else:
-                evaluator = self._evaluator(SCCEvaluator, plan)
-            self.evaluators.append(evaluator)
+                self.evaluators.append(self._evaluator(SCCEvaluator, plan))
 
     def _evaluator(self, make, plan) -> SCCEvaluator:
         compiled = self.compiled
         return make(self.scope, plan, strategy=compiled.strategy,
                     use_backjumping=compiled.use_backjumping)
+
+    def home(self, idle: Dict, key: PyTuple[str, str, str]) -> None:
+        """Make this instance its form's call skeleton, given back to
+        ``idle[key]`` after each call.  Only a skeleton's own call reads its
+        relations, so its pushed runs keep some rows out of them, as value
+        columns: the outputs of SCCs pushed whole that no SCC reads through
+        the interpreter, and the answers if context factoring rebuilds them
+        for the cursor anyway."""
+        self._home = (idle, key)
+        if self._handoff is None:
+            return
+        whole = [getattr(e, "whole", False) for e in self.evaluators]
+        keep = {p for e, w in zip(self.evaluators, whole) if w for p in e.plan.preds}
+        keep.difference_update(
+            literal.key for e, w in zip(self.evaluators, whole) if not w
+            for rule in e.plan.rules for literal in rule.body
+        )
+        rewritten = self.compiled.rewritten
+        if rewritten.answer_positions is None:
+            keep.discard((rewritten.answer_pred, rewritten.answer_arity))
+        self._handoff.keep = frozenset(keep)
 
     # -- the call protocol ----------------------------------------------------------
 
@@ -386,28 +404,27 @@ class MaterializedInstance:
             self.scope.insert_fact(rewritten.magic_pred, len(seed.args), seed)
         if is_resumption:
             self._reset_aggregate_sccs()
-        if self._home is not None and self._answer_scc is not None and \
-                rewritten.answer_positions is not None:
-            # only this call's cursor reads the answers: the pushed answer
-            # SCC hands its rows to it instead of flushing them
-            self._answer_scc.to_cursor = (
-                rewritten.answer_pred, rewritten.answer_arity
-            )
-
-        lazy = self.compiled.lazy and self._ordered is None
-        if not lazy:
-            self._active = True
-            try:
-                if self._ordered is not None:
-                    self._ordered.solve_query(rewritten.answer_pred, tuple(call_args))
-                for evaluator in self.evaluators:
-                    evaluator.run_to_completion()
-            finally:
-                self._finish()
+        factored = rewritten.answer_positions is not None
+        # kept answers arrive all at once: a call that keeps them evaluates now
+        kept = self._handoff is not None and \
+            (rewritten.answer_pred, rewritten.answer_arity) in self._handoff.keep
+        if self.compiled.lazy and self._ordered is None and not kept:
+            return RowCursor(self._stream(call_args), factored)
+        self._active = True
+        try:
+            if self._ordered is not None:
+                self._ordered.solve_query(rewritten.answer_pred, tuple(call_args))
+            for evaluator in self.evaluators:
+                evaluator.run_to_completion()
+            rows, plain = self._answers(call_args, 0, None)
+        except BaseException:
+            self._go_home()
+            raise
+        finally:
+            self._finish()
         # a factored answer is built for this call alone; any other is the
         # answer relation's own
-        factored = rewritten.answer_positions is not None
-        return RowCursor(self._stream(call_args, lazy), factored)
+        return RowCursor(self._stream(call_args, rows), factored, plain)
 
     def outdated(self) -> bool:
         """Must the next save-module call start from a fresh instance?
@@ -439,69 +456,76 @@ class MaterializedInstance:
                     self.scope.local[pred].clear()
                 self.evaluators[index] = self._evaluator(SCCEvaluator, plan)
 
-    def _stream(self, call_args: Sequence[Arg], lazy: bool) -> Iterator:
-        """The call's answers; a lazy call evaluates here, streaming new
-        answers at the end of every fixpoint iteration (Sections 5.4.3,
-        5.6).  When it ends or is closed, a skeleton goes back home."""
-        rewritten = self.compiled.rewritten
-        answer_rel = self.scope.local[(rewritten.answer_pred, rewritten.answer_arity)]
-        read_mark = 0
+    def _stream(self, call_args: Sequence[Arg], rows=None) -> Iterator:
+        """The call's answers: ``rows`` if it was evaluated, else it
+        evaluates here, streaming new answers at the end of every fixpoint
+        iteration (Sections 5.4.3, 5.6).  A skeleton goes home after them."""
         try:
-            if lazy:
-                self._active = True
-                for evaluator in self.evaluators:
-                    for _count in evaluator.iterations():
-                        frontier = answer_rel.mark()
-                        if frontier > read_mark:
-                            yield from self._answers(
-                                call_args, answer_rel, read_mark, frontier
-                            )
-                            read_mark = frontier
-            yield from self._answers(call_args, answer_rel, read_mark, None)
+            if rows is not None:
+                yield from rows
+                return
+            rewritten = self.compiled.rewritten
+            answer_rel = self.scope.local[(rewritten.answer_pred, rewritten.answer_arity)]
+            read_mark = 0
+            self._active = True
+            for evaluator in self.evaluators:
+                for _count in evaluator.iterations():
+                    frontier = answer_rel.mark()
+                    if frontier > read_mark:
+                        yield from _tuples(*self._answers(call_args, read_mark, frontier))
+                        read_mark = frontier
+            yield from _tuples(*self._answers(call_args, read_mark, None))
         finally:
-            if lazy:
+            if rows is None:
                 self._finish()
-            if self._home is not None:
-                idle, key = self._home
-                idle.setdefault(key, self)
+            self._go_home()
+
+    def _go_home(self) -> None:
+        """The call is over or closed: a skeleton is idle again."""
+        if self._home is not None:
+            idle, key = self._home
+            idle.setdefault(key, self)
 
     def _finish(self) -> None:
-        """The call's evaluation is over: no handed-on rows outlive it."""
+        """The call's evaluation is over: nothing handed on outlives it."""
         self._active = False
-        self._push_rows.clear()
+        if self._handoff is not None:
+            self._handoff.clear()
 
     def _answers(
-        self,
-        call_args: Sequence[Arg],
-        answer_rel: HashRelation,
-        since: int,
-        until: Optional[int],
-    ) -> Iterator:
-        """The answers in marks ``[since, until)``: the rows the pushed
-        answer SCC handed over, else the answer relation's.  Context
-        factoring splices the call's bound constants back in, building each
-        answer for this call alone: as plain rows of args when all are
-        ground and match the call as they stand (its free positions hold
-        distinct variables), else as :class:`Tuple` objects."""
-        positions = self.compiled.rewritten.answer_positions
+        self, call_args: Sequence[Arg], since: int, until: Optional[int]
+    ) -> PyTuple[Iterator, bool]:
+        """The answers in marks ``[since, until)`` of the answer relation,
+        or the ones the pushed answer SCC kept for the cursor instead, and
+        whether they are all plain rows.  Context factoring splices the
+        call's bound constants back in, building each answer for this call
+        alone: as plain rows of args when all are ground and match the call
+        as they stand (its free positions hold distinct variables), else as
+        :class:`Tuple` objects."""
+        rewritten = self.compiled.rewritten
+        answer_key = (rewritten.answer_pred, rewritten.answer_arity)
+        answer_rel = self.scope.local[answer_key]
+        positions = rewritten.answer_positions
         if positions is None:
-            return answer_rel.scan(list(call_args), None, since=since, until=until)
-        scc = self._answer_scc
-        handed = scc.handed if scc is not None else None
+            scan = answer_rel.scan(list(call_args), None, since=since, until=until)
+            return scan, False
+        held = self._handoff.held.pop(answer_key, None) if self._handoff else None
         ground = True
-        if handed is None:
+        if held is None:
             partials = list(answer_rel.scan(None, None, since=since, until=until))
             ground = all(partial.is_ground() for partial in partials)
-            handed = len(partials), list(zip(*[p.args for p in partials]))
-        else:
-            scc.handed = None
+            held = len(partials), list(zip(*[p.args for p in partials]))
         # by column, the bound ones repeating the call's constants: one zip
         # builds every row
-        count, columns = handed
+        count, columns = held
         full: List = [repeat(arg) for arg in call_args]
         for column, position in zip(columns, positions):
             full[position] = column
         rows = islice(zip(*full), count)
         if ground and flat_constants([call_args[p] for p in positions]) == []:
-            return rows
-        return map(Tuple.ground if ground else Tuple, rows)
+            return rows, True
+        return map(Tuple.ground if ground else Tuple, rows), False
+
+
+def _tuples(rows: Iterator, plain: bool) -> Iterator[Tuple]:
+    return map(Tuple.ground, rows) if plain else rows

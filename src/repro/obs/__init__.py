@@ -18,14 +18,16 @@ One observer, one event buffer, one exporter:
   ``session.profile()`` returns, producing a :class:`QueryProfile`;
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with labeled
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` (fixed bucket
-  boundaries), rendered by :mod:`repro.obs.exposition`.
+  boundaries), rendered by :mod:`repro.obs.exposition`, which this package
+  loads on first use of :class:`TelemetryServer` or
+  :func:`render_prometheus` (it needs ``http.server``, which nothing else
+  here does).
 
 Everything hot is gated behind ``ctx.obs is None`` single-branch guards;
 see docs/OBSERVABILITY.md for metric names and the span taxonomy.
 """
 
 from .disttrace import HeadSampler, SpanBuffer, TraceCollector, TraceContext
-from .exposition import TelemetryServer, render_prometheus
 from .flight import FlightRecorder
 from .metrics import (
     Counter,
@@ -62,3 +64,11 @@ __all__ = [
     "TraceContext",
     "render_prometheus",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("TelemetryServer", "render_prometheus"):
+        from . import exposition
+
+        return getattr(exposition, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -153,6 +153,9 @@ class TupleIterator(ABC):
     #: True when every tuple it yields was built for this cursor and is held
     #: by nothing else — a consumer may keep one without copying it
     owned = False
+    #: True when it yields plain tuples of ground args that match the scan
+    #: as they stand (:class:`RowCursor`), not :class:`Tuple` objects
+    plain = False
 
     @abstractmethod
     def get_next(self) -> Optional[Tuple]:
@@ -198,26 +201,25 @@ class GeneratorTupleIterator(TupleIterator):
         return self._source
 
 
-def _as_tuple(row):
-    return Tuple.ground(row) if type(row) is tuple else row
-
-
 class RowCursor(TupleIterator):
-    """A module call's answers: each a :class:`Tuple`, or a plain tuple of
-    ground args built for this cursor alone that matches the call as it
-    stands.  A tuple consumer gets every answer as a Tuple (a row becomes
-    one as it is pulled); the top-level answer loop, which reads values
-    and builds a Tuple only when asked, takes :meth:`rows` as they are."""
+    """A module call's answers: :class:`Tuple` objects, or if ``plain``,
+    plain tuples of ground args built for this cursor alone that match the
+    call as it stands.  A tuple consumer gets every answer as a Tuple (a
+    plain row becomes one as it is pulled); the top-level answer loop,
+    which reads values and builds a Tuple only when asked, takes plain
+    :meth:`rows` as they are."""
 
-    def __init__(self, rows: Iterator, owned: bool) -> None:
+    def __init__(self, rows: Iterator, owned: bool, plain: bool = False) -> None:
         self._rows = rows
         self.owned = owned
+        self.plain = plain
 
     def get_next(self) -> Optional[Tuple]:
-        return _as_tuple(next(self._rows, None))
+        row = next(self._rows, None)
+        return Tuple.ground(row) if self.plain and row is not None else row
 
     def __iter__(self) -> Iterator[Tuple]:
-        return map(_as_tuple, self._rows)
+        return map(Tuple.ground, self._rows) if self.plain else self._rows
 
     def rows(self) -> Iterator:
         return self._rows

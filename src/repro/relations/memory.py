@@ -38,7 +38,16 @@ from __future__ import annotations
 
 import itertools
 from enum import Enum
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple as PyTuple
+from typing import (
+    Any,
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple as PyTuple,
+)
 
 from ..errors import CoralError
 from ..terms import Arg, BindEnv
@@ -248,27 +257,31 @@ class HashRelation(MarkedRelation):
         self, rows: Sequence[PyTuple[int, ...]], args: Sequence[Arg],
         keys: Sequence[Any],
     ) -> int:
-        """Bulk-insert interned rows the caller guarantees are of the right
-        arity and not already present — no duplicate or subsumption checks.
-        A row is a tuple of intern ids; ``args[i]`` and ``keys[i]`` are the
-        ground Arg and the ground key of id ``i`` (an ``InternTable``'s
-        lists), so each stored :class:`Tuple` is built here, once, with its
-        duplicate key.
+        """:meth:`insert_new` for rows of intern ids: ``args[i]`` and
+        ``keys[i]`` are the ground Arg and the ground key of id ``i`` (an
+        ``InternTable``'s lists).
 
         The push evaluator's flush qualifies: it seeds its ``seen`` set from
         this relation's contents, so everything beyond the seed prefix is
-        genuinely new.  Segments, indexes and the duplicate map are
-        maintained exactly as :meth:`insert` would."""
-        if self.arity:
-            values = zip(*interned_columns(rows, args))
-            tuple_keys = list(zip(*interned_columns(rows, keys)))
-        else:
-            values = tuple_keys = [()] * len(rows)
+        genuinely new."""
+        if not self.arity:
+            return self.insert_new([()] * len(rows), [()] * len(rows))
+        return self.insert_new(
+            zip(*interned_columns(rows, args)), zip(*interned_columns(rows, keys))
+        )
+
+    def insert_new(self, rows: Iterable[tuple], keys: Iterable[Any]) -> int:
+        """Bulk-insert ground rows of args, each with its duplicate key,
+        that the caller guarantees are of the right arity and not already
+        present — no duplicate or subsumption checks.  Each stored
+        :class:`Tuple` is built here, once; segments, indexes and the
+        duplicate map are maintained exactly as :meth:`insert` would."""
         # Tuple.ground with the key filled in, inline: a call per row costs
         # a tc_reach read ~7 % (docs/COMPILED.md, "Flush")
+        keys = list(keys)
         new = Tuple.__new__
         built = []
-        for arg_row, key, seqno in zip(values, tuple_keys, _next_seqno):
+        for arg_row, key, seqno in zip(rows, keys, _next_seqno):
             tup = new(Tuple)
             tup.args = arg_row
             tup._ground = True
@@ -277,7 +290,7 @@ class HashRelation(MarkedRelation):
             built.append(tup)
         self._segments[-1].extend(built)
         if self.policy is DuplicatePolicy.SET:
-            self._by_key.update(zip(tuple_keys, built))
+            self._by_key.update(zip(keys, built))
         self._count += len(built)
         return len(built)
 

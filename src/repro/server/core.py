@@ -53,7 +53,7 @@ from ..api.session import QueryResult
 from ..errors import CoralError, ProtocolError, ReadOnlyError, StorageError
 from ..eval.limits import ResourceLimits
 from ..faults import FaultInjector
-from ..language import Literal, parse_program, parse_query
+from ..language import Literal, cached_query, parse_program, parse_query
 from ..obs import EventTracer, FlightRecorder, LabelCapper
 from ..obs.disttrace import SpanBuffer, TraceContext
 # only the changelog side is imported eagerly: ReplicationClient lives in
@@ -610,7 +610,7 @@ class CoralServer(FrameServer):
         text = str(header.get("query", ""))
 
         def open_cursor() -> _Cursor:
-            literal = parse_query(text).literal
+            literal = cached_query(text, parse_query).literal
             return self._open_cursor(conn, literal, text)
 
         return self._fill(conn, "QUERY", header, open_cursor)
@@ -801,7 +801,7 @@ class CoralServer(FrameServer):
                 sub.cond.notify_all()
 
         with self._db_lock, self._session_trace():
-            literal = parse_query(text).literal
+            literal = cached_query(text, parse_query).literal
             view = self.session.subscribe(literal, on_deltas, on_close)
             sub.view = view
             snapshot = view.snapshot()

@@ -37,11 +37,11 @@ import socketserver
 import threading
 import time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Tuple as PyTuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Tuple as PyTuple
 
 from ..errors import CoralError, ProtocolError
 from ..faults import FaultInjector, SimulatedCrash
-from ..obs import EventTracer, MetricsRegistry, TelemetryServer
+from ..obs import EventTracer, MetricsRegistry
 from ..obs.disttrace import HeadSampler, SpanBuffer, TraceCollector, TraceContext
 from .protocol import (
     PROTOCOL_VERSION,
@@ -50,6 +50,9 @@ from .protocol import (
     read_frame,
     write_frame,
 )
+
+if TYPE_CHECKING:  # the HTTP stack loads only when a telemetry port is asked for
+    from ..obs.exposition import TelemetryServer
 
 #: trailing window, in seconds, behind the STATS ``rates`` section
 RATE_WINDOW = 30.0
@@ -196,6 +199,8 @@ class FrameServer:
         #: the /metrics—/healthz—/debug endpoint (None = disabled)
         self.telemetry: Optional[TelemetryServer] = None
         if telemetry_port is not None:
+            from ..obs.exposition import TelemetryServer
+
             self.telemetry = TelemetryServer(
                 port=telemetry_port,
                 host=telemetry_host,

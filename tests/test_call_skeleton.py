@@ -243,3 +243,56 @@ def test_loading_a_module_that_exports_a_read_rebuilds_the_skeleton(builds):
     assert _rows(session, "path(0, Y)") == [(0, 99)]
     built = [i.compiled.module_name for i in builds(session)]
     assert built == ["tc", "tc", "e"]
+
+
+def _no_rewriting(module):
+    return module.replace("end_module.", "@no_rewriting.\nend_module.")
+
+
+@pytest.mark.parametrize("module, query, ordered", [
+    (SHORTEST_PATH, "s_p(%d, Y, P, C)", True),
+    (MIN_COST, "sp(%d, Y, C)", False),
+])
+def test_a_skeleton_with_search_state_alternates_with_updates(
+    module, query, ordered, builds
+):
+    """Alternating keys while an edge comes and goes, against a cold
+    interpreter that does not rewrite: one skeleton serves every read, its
+    Ordered Search state or aggregate constraints fresh at each checkout."""
+    edges = set(re.findall(r"edge\([^)]*\)\.", WEIGHTED))
+    session = _session(WEIGHTED + module)
+    for step in range(12):
+        key = (1, 6, 3)[step % 3]
+        if step % 3 == 1:
+            edges ^= {"edge(3, 2, 1)."}
+            if "edge(3, 2, 1)." in edges:
+                session.insert("edge", 3, 2, 1)
+            else:
+                session.delete("edge", 3, 2, 1)
+        program = " ".join(sorted(edges)) + _no_rewriting(module)
+        expected = _cold(program, query % key, compiled=None)
+        assert _rows(session, query % key) == expected
+        (skeleton,) = session.modules._idle.values()
+        assert (skeleton._ordered is not None) == ordered
+    assert len(builds(session)) == 1
+
+
+def test_every_read_on_a_skeleton_pushes_both_sccs(monkeypatch):
+    """Count the push runs themselves (None: not refused), not the
+    evaluators built: both SCCs of every read push, none falls back."""
+    from repro.compilemod.push import PushSCCEvaluator
+
+    runs = []
+    honest = PushSCCEvaluator._run_push
+
+    def run(self):
+        runs.append(honest(self))
+        return runs[-1]
+
+    monkeypatch.setattr(PushSCCEvaluator, "_run_push", run)
+    session = _session(EDGES + TC)
+    for key in (0, 10, 0, 10):
+        assert _rows(session, f"path({key}, Y)") == _cold(
+            EDGES + _no_rewriting(TC), f"path({key}, Y)", compiled=None
+        )
+    assert runs == [None] * 8

@@ -4,6 +4,9 @@ by the checked-in parser (tests/prom_parser.py), the same one the CI
 telemetry-smoke job runs."""
 
 import json
+import os
+import subprocess
+import sys
 import urllib.error
 import urllib.request
 
@@ -229,3 +232,27 @@ class TestServerEndToEnd:
         with CoralServer(session, port=0) as server:
             assert server.telemetry is None
             assert server.telemetry_address is None
+
+
+def test_the_server_entry_point_loads_no_http_stack():
+    """The exposition module (``http.server``, and with it ``http.client``
+    and ``ssl``) loads only when a telemetry endpoint starts: a server
+    started without one, or any ``import repro``, pays nothing for it."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.join(os.path.dirname(__file__), "..", "src")]
+        + env.get("PYTHONPATH", "").split(os.pathsep)
+    )
+    probe = (
+        "import sys, repro.server.__main__\n"
+        "print(sorted(m for m in ('http.server', 'http.client', 'ssl')"
+        " if m in sys.modules))\n"
+        "from repro.obs import TelemetryServer\n"
+        "print('http.server' in sys.modules)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split("\n")[:2] == ["[]", "True"]

@@ -94,6 +94,47 @@ class TestHitsAndSubsumption:
         assert stats["hits"] + stats["subsumption_hits"] == 1
         assert stats["misses"] == 1
 
+    def test_a_subsumed_hit_counts_its_index_in_the_entry_bytes(self):
+        """A subsumed hit reads one bucket of a hash index on the entry;
+        the entry's bytes count the index until a refresh drops it with
+        the answers it was built over."""
+        from repro.eval import memo as memo_module
+
+        session = _memo_session()
+        session.query("path(X, Y)").all()
+        (entry,) = session.memo._entries.values()
+        for key in (1, 2, 1):
+            assert sorted(session.query(f"path({key}, Y)").tuples()) == [
+                (key, y) for y in range(key + 1, 6)
+            ]
+        assert list(entry.indexes) == [(0,)]
+        index_bytes = memo_module._estimate_index_bytes(entry.indexes[(0,)])
+        assert index_bytes > 0
+        assert entry.nbytes == memo_module._estimate_entry_bytes(entry) + index_bytes
+        assert session.memo.snapshot()["bytes"] == entry.nbytes
+        session.insert("edge", 5, 6)
+        assert sorted(session.query("path(4, Y)").tuples()) == [(4, 5), (4, 6)]
+        assert session.memo.snapshot()["subsumption_hits"] == 4
+        assert list(entry.indexes) == [(0,)]  # built again over the new list
+        session.insert("edge", 6, 7)
+        session.query("path(X, Y)").all()  # refreshed, served whole
+        assert entry.indexes == {}
+        assert entry.nbytes == memo_module._estimate_entry_bytes(entry)
+        assert session.memo.snapshot()["bytes"] == entry.nbytes
+
+    def test_an_index_that_grows_an_entry_past_its_budget_evicts_it(self):
+        sizing = _memo_session()
+        sizing.query("path(X, Y)").all()
+        size = sizing.memo.snapshot()["bytes"]
+        # a quarter of the budget is one byte more than the entry itself
+        session = _memo_session(memo=MemoPolicy(max_bytes=4 * size + 4))
+        session.query("path(X, Y)").all()
+        assert session.memo.snapshot()["entries"] == 1
+        assert sorted(session.query("path(2, Y)").tuples()) == [(2, 3), (2, 4), (2, 5)]
+        stats = session.memo.snapshot()
+        assert stats["subsumption_hits"] == 1 and stats["evictions"] == 1
+        assert stats["entries"] == 0 and stats["bytes"] == 0
+
     def test_distinct_bound_values_are_distinct_entries(self):
         session = _memo_session()
         session.query("path(1, Y)").all()

@@ -231,7 +231,7 @@ def test_handed_on_rows_do_not_outlive_their_call():
     saved = _session(_chain(30) + SAVED)
     assert _reach(memo, 10) == _reach(saved, 10) == list(range(11, 31))
     (entry,) = memo.memo._entries.values()
-    assert entry.instance._push_rows == {}
+    assert entry.instance._handoff.rows == entry.instance._handoff.held == {}
     for session in (memo, saved):
         session.delete("edge", 20, 21)
         session.insert("edge", 20, 40)
@@ -244,7 +244,7 @@ def test_handed_on_rows_do_not_outlive_their_call():
         assert _reach(memo, key) == _reach(saved, key) == _reach(cold, key)
     assert memo.memo.snapshot()["evictions"] == 0
     for entry in memo.memo._entries.values():
-        assert entry.instance._push_rows == {}
+        assert entry.instance._handoff.rows == entry.instance._handoff.held == {}
 
 
 def test_fresh_numbers_do_not_grow_the_table():

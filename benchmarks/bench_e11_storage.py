@@ -21,8 +21,7 @@ from repro import Session
 from repro.relations import Tuple
 from repro.storage import BufferPool, PersistentRelation, StorageServer
 from repro.terms import Int, Var
-from emit import emit, timed
-from workloads import report
+from workloads import report, timed
 
 ROWS = 3000
 
@@ -108,12 +107,11 @@ class TestE11Storage:
         assert len(session.query("path(30, Y)").all()) == 30
         session.close()
 
-    def test_emit_bench_json(self, tmp_path):
-        """Persist storage counters as BENCH_e11_storage.json for the CI
-        trend job: a profiled query over an indexed persistent relation,
-        with the full repro.obs storage section as counters."""
+    def test_profiled_indexed_query(self, tmp_path):
+        """A profiled query over an indexed persistent relation, read from
+        a cold pool: its answers and the profile's storage counters."""
         rows = 500
-        session = Session(data_directory=str(tmp_path / "emit"), buffer_capacity=16)
+        session = Session(data_directory=str(tmp_path / "profiled"), buffer_capacity=16)
         relation = session.persistent_relation("edge", 2)
         relation.create_index([0])
         for i in range(rows):
@@ -132,22 +130,16 @@ class TestE11Storage:
             answers = len(session.query("path(450, Y)").all())
         session.close()
         profile = prof.profile
-        path = emit(
-            "e11_storage",
-            workload={
-                "relation_rows": rows,
-                "query": "path(450, Y)",
-                "answers": answers,
-            },
-            wall_time_seconds=t.seconds,
-            counters=dict(
-                profile.storage,
-                buffer_hit_rate=profile.buffer_hit_rate,
-                eval=profile.eval,
-            ),
+        report(
+            f"E11: path(450, Y) over {rows} persistent edges, cold pool",
+            ["counter", "value"],
+            [("answers", answers), ("ms", round(t.seconds * 1e3, 2)),
+             ("buffer hit rate", round(profile.buffer_hit_rate, 3)),
+             *((f"{layer}.{name}", value)
+               for layer, counts in sorted(profile.storage.items())
+               for name, value in counts.items())],
         )
         assert answers == rows - 451 + 1
-        assert path.endswith("BENCH_e11_storage.json")
 
     def test_scan_speed_warm(self, tmp_path, benchmark):
         server, pool, relation = _build(tmp_path / "warm", 256)

@@ -16,8 +16,7 @@ its last numbers).  The one compiled backend left, *push*
 (``docs/COMPILED.md``), compiles a whole SCC into one function over interned
 integers and escapes it: the comparison below measures interpreted vs push
 on the fixpoint itself (evaluators driven directly, so answer streaming —
-identical across backends — doesn't dilute the ratio) and records the
-numbers in ``BENCH_push.json``.
+identical across backends — doesn't dilute the ratio).
 """
 
 import time
@@ -25,7 +24,6 @@ import time
 import pytest
 
 from repro import Session
-from emit import emit
 from workloads import (
     chain_edges,
     edge_facts,
@@ -210,7 +208,7 @@ class TestPushVsInterpreted:
     :data:`PUSH_VS_INTERPRETED_BAR` on the E2 chain closure and on the E1
     stand-in."""
 
-    def test_push_speedup_and_emit(self):
+    def test_push_speedup(self):
         workloads = {
             "e2_chain_tc": (
                 edge_facts(chain_edges(150)),
@@ -223,7 +221,7 @@ class TestPushVsInterpreted:
                 ("wp", "wpath", 3),
             ),
         }
-        counters = {}
+        speedups = {}
         rows = []
         for name, (facts, template, (module, pred, arity)) in workloads.items():
             times = {}
@@ -237,21 +235,13 @@ class TestPushVsInterpreted:
             assert len(answer_counts) == 1, (
                 f"{name}: backends disagree on answer count {answer_counts}"
             )
-            counters[name] = {
-                "facts": answer_counts.pop(),
-                **{
-                    f"{backend}_seconds": elapsed
-                    for backend, elapsed in times.items()
-                },
-                "speedup_vs_interpreted": times["interpreted"] / times["push"],
-                "bar_vs_interpreted": PUSH_VS_INTERPRETED_BAR[name],
-            }
+            speedups[name] = times["interpreted"] / times["push"]
             rows.append(
                 (
                     name,
                     f"{times['interpreted'] * 1000:.1f}",
                     f"{times['push'] * 1000:.1f}",
-                    f"{times['interpreted'] / times['push']:.1f}x",
+                    f"{speedups[name]:.1f}x",
                 )
             )
         # both absolute times, before any verdict: a push regression must
@@ -261,27 +251,10 @@ class TestPushVsInterpreted:
             ["workload", "interpreted", "push", "push speedup"],
             rows,
         )
-        for name, measured in counters.items():
+        for name, speedup in speedups.items():
             # acceptance criterion: push beats the interpreter by the
             # workload's bar
-            assert (
-                measured["speedup_vs_interpreted"] >= measured["bar_vs_interpreted"]
-            ), measured
-        path = emit(
-            "push",
-            workload={
-                "e2_chain_tc": {"graph": "chain", "length": 150},
-                "e1_bounded_wpath": {
-                    "graph": "weighted_random",
-                    "nodes": 60,
-                    "edges": 240,
-                    "cost_bound": 40,
-                },
-            },
-            wall_time_seconds=counters["e2_chain_tc"]["push_seconds"],
-            counters=counters,
-        )
-        assert path.endswith("BENCH_push.json")
+            assert speedup >= PUSH_VS_INTERPRETED_BAR[name], (name, speedup)
 
     def test_push_answers_match_interpreter_through_query_api(self):
         facts = edge_facts(chain_edges(60))

@@ -24,8 +24,7 @@ from repro.rewriting.graph import (
     recursive_predicates,
 )
 
-from emit import emit, timed
-from workloads import chain_edges, cycle_edges, edge_facts, report
+from workloads import chain_edges, cycle_edges, edge_facts, report, timed
 
 REGISTRY = default_registry()
 
@@ -103,27 +102,21 @@ class TestE2SemiNaive:
         assert naive_answers == bsn_answers == 144  # complete digraph closure
         assert bsn_stats.inferences < naive_stats.inferences
 
-    def test_emit_bench_json(self):
-        """Persist the headline comparison as BENCH_e2_seminaive.json for
-        the CI trend job (see benchmarks/emit.py for the schema)."""
-        length = 32
-        edges = chain_edges(length)
-        with timed() as naive_t:
-            naive_stats, answers = _evaluate(edges, "naive")
-        with timed() as bsn_t:
-            bsn_stats, _ = _evaluate(edges, "bsn")
-        path = emit(
-            "e2_seminaive",
-            workload={"graph": "chain", "length": length, "facts": answers},
-            wall_time_seconds=bsn_t.seconds,
-            counters={
-                "bsn": dict(bsn_stats.snapshot(), wall_time_seconds=bsn_t.seconds),
-                "naive": dict(
-                    naive_stats.snapshot(), wall_time_seconds=naive_t.seconds
-                ),
-            },
+    def test_chain_wall_time(self):
+        """One timed run of each strategy on the 32-edge chain."""
+        edges = chain_edges(32)
+        rows = []
+        for strategy in ("bsn", "naive"):
+            with timed() as t:
+                stats, answers = _evaluate(edges, strategy)
+            rows.append((strategy, answers, stats.inferences,
+                         stats.duplicates, round(t.seconds * 1e3, 2)))
+        report(
+            "E2: chain TC of length 32, one run each",
+            ["strategy", "facts", "inferences", "duplicates", "ms"],
+            rows,
         )
-        assert path.endswith("BENCH_e2_seminaive.json")
+        assert rows[0][1] == rows[1][1] == 32 * 33 // 2
 
     def test_bsn_speed(self, benchmark):
         edges = chain_edges(32)

@@ -5,13 +5,9 @@ evaluation into a lookup (a ≥5x throughput win on a repeated-query
 workload), while incremental invalidation keeps post-update answers
 *correct* — inserts refresh entries delta-semi-naively and deletes run
 DRed over-delete/re-derive, so the cache never trades speed for staleness.
-
-Emits ``BENCH_memo.json`` with both workloads' timings and the cache's own
-hit/refresh counters.
 """
 
-from emit import emit, timed
-from workloads import TC_RIGHT, edge_facts, random_edges, report
+from workloads import TC_RIGHT, edge_facts, random_edges, report, timed
 
 from repro import Session
 
@@ -80,7 +76,6 @@ class TestMemoBench:
 
         assert memo_answers == cold_answers  # identical result sets
         speedup = t_cold.seconds / max(t_memo.seconds, 1e-9)
-        memo_stats = memo_session.memo.snapshot()
 
         # the optimizer factors path(bf), so a cold bound read is cheap; a hit
         # served by filtering the all-free entry must still never cost more
@@ -109,27 +104,6 @@ class TestMemoBench:
                 ("speedup", round(speedup, 1), "-"),
                 ("subsumed hit / cold read", round(hit_vs_cold, 2), "-"),
             ],
-        )
-        emit(
-            "memo",
-            workload={
-                "graph": "random",
-                "nodes": NODES,
-                "edges": EDGES,
-                "repeats": REPEATS,
-                "queries": QUERIES,
-                "update_rounds": UPDATE_ROUNDS,
-            },
-            wall_time_seconds=t_memo.seconds + t_cold.seconds,
-            counters={
-                "repeated_query_seconds_memo_on": t_memo.seconds,
-                "repeated_query_seconds_memo_off": t_cold.seconds,
-                "repeated_query_speedup": speedup,
-                "subsumed_hit_vs_cold_read": hit_vs_cold,
-                "update_loop_seconds_memo_on": t_update_memo.seconds,
-                "update_loop_seconds_memo_off": t_update_cold.seconds,
-                "memo": memo_stats,
-            },
         )
         # the acceptance bar: repeated queries at least 5x faster with the
         # cache, answers bit-identical throughout

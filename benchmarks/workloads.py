@@ -13,6 +13,7 @@ pytest-benchmark timing.
 from __future__ import annotations
 
 import random
+import time
 from typing import Iterable, List, Sequence, Tuple
 
 from repro import Session
@@ -173,3 +174,20 @@ def report(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> None:
     print("-" * len(line))
     for row in rows:
         print("  ".join(str(v).ljust(w) for v, w in zip(row, widths)))
+
+
+class timed:
+    """Context manager measuring one wall-clock interval::
+
+        with timed() as t:
+            run_workload()
+        print(t.seconds)
+    """
+
+    def __enter__(self) -> "timed":
+        self.seconds = 0.0
+        self._start = time.perf_counter()
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.seconds = time.perf_counter() - self._start

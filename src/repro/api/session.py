@@ -34,7 +34,14 @@ from ..eval.context import EvalContext, PredKey
 from ..eval.join import goal_filter
 from ..eval.limits import ResourceLimits
 from ..eval.memo import MemoCache, MemoPolicy
-from ..language import Literal, Program, cached_query, parse_program, parse_query
+from ..language import (
+    Literal,
+    Program,
+    answer_variables,
+    cached_query,
+    parse_program,
+    parse_query,
+)
 from ..modules import ModuleManager
 from ..optimizer import index_spec_from_annotation
 from ..relations import HashRelation, Relation, Tuple
@@ -444,12 +451,7 @@ class Session:
                 f"{literal.arity}: the session's storage was closed"
             )
         args = literal.args
-        #: the variables an answer reports, by name (first occurrence)
-        named: Dict[str, Var] = {}
-        for arg in args:
-            for var in arg.variables():
-                if var.name != "_":
-                    named.setdefault(var.name, var)
+        named = answer_variables(literal)
         # a flat goal meets a ground fact position by position: an answer
         # reads each variable off its position, with nothing to bind,
         # resolve or undo

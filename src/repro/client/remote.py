@@ -51,11 +51,9 @@ import random
 import socket
 import threading
 import time
-from collections import deque
 from contextlib import contextmanager, nullcontext
 from typing import (
     Any,
-    Deque,
     Dict,
     Iterator,
     List,
@@ -65,7 +63,7 @@ from typing import (
     Union,
 )
 
-from ..api.session import Answer
+from ..api.session import Answer, QueryResult
 from ..errors import (
     CoralError,
     FailoverError,
@@ -129,10 +127,11 @@ def _hang_up(sock, say_bye: bool = False) -> None:
         pass
 
 
-class RemoteQueryResult:
+class RemoteQueryResult(QueryResult):
     """A pull-based cursor over a remote query's answers — the client half
-    of a server-side cursor.  Mirrors :class:`~repro.api.session.QueryResult`:
-    iterate lazily, or ``all()`` / ``list(...)`` / ``len(...)`` to drain.
+    of a server-side cursor, and a :class:`~repro.api.session.QueryResult`
+    over the answers of batch after batch: iterate lazily, or ``all()`` /
+    ``list(...)`` / ``len(...)`` to drain.
 
     ``meta`` is the response that opened the cursor (its ``cursor``,
     ``vars`` and ``arity``).  A ``QUERY`` result starts with that response's
@@ -152,73 +151,50 @@ class RemoteQueryResult:
         self._link = link
         self._generation = link.generation
         self._cursor_id = meta.get("cursor")
-        self._arity = int(meta["arity"])
-        #: a variable's position in a row: its value follows the tuple's
-        self._where = {
-            name: self._arity + i for i, name in enumerate(meta["vars"])
-        }
         self._batch_size = batch_size
-        self._cache: List[Answer] = []
-        self._pending: Deque[Answer] = deque()
-        self._done = False
         #: the trace context minted for the QUERY that opened this cursor;
         #: every FETCH runs under a child of it, so the whole drain shares
         #: one trace id
         self._trace = trace
         self.trace_id = trace.trace_id if trace is not None else None
-        if body is not None:
-            self._take(meta, body)
+        rows = decode_batch(body) if body is not None else None
+        source = self._answers(meta, rows)
+        next(source)  # primed: closing it from here on frees the cursor
+        super().__init__(source)
 
-    # -- the get-next-tuple interface ---------------------------------------
+    def _answers(
+        self, header: Dict[str, object], rows: Optional[list]
+    ) -> Iterator[Answer]:
+        """The answers of ``rows`` (the first batch), then of each batch
+        FETCHed when the last is used up.  Closed by :meth:`close`, it
+        keeps the answers received but not read yet, and tells the server
+        to free the cursor while it still holds one: no ``done`` batch yet,
+        no failed FETCH (the server frees the cursor before erroring)."""
+        arity = int(header["arity"])
+        #: a variable's position in a row: its value follows the tuple's
+        where = {name: arity + i for i, name in enumerate(header["vars"])}
+        batch = iter(rows or ())
+        try:
+            yield  # where the constructor primes it
+            while True:
+                for row in batch:
+                    yield Answer(tuple(row[:arity]), where, row)
+                if header.get("done"):
+                    return
+                header, rows = self._fetch()
+                batch = iter(rows)
+        except GeneratorExit:
+            # only close() marks the result done first; a result collected
+            # unclosed leaves its cursor to the connection's end
+            if self._done:
+                self._cache.extend(
+                    Answer(tuple(row[:arity]), where, row) for row in batch
+                )
+                if not header.get("done"):
+                    self._close_cursor()
+            raise
 
-    def get_next(self) -> Optional[Answer]:
-        answer = self.pull()
-        if answer is not None:
-            self._cache.append(answer)
-        return answer
-
-    def pull(self) -> Optional[Answer]:
-        """The next answer, not retained: :meth:`all` and iteration will
-        not see it again.  For a consumer that streams a large answer set
-        and must hold no more of it than the batch in hand."""
-        if not self._pending and not self._done:
-            self._fetch_batch()
-        if self._pending:
-            return self._pending.popleft()
-        return None
-
-    def __iter__(self) -> Iterator[Answer]:
-        for answer in self._cache:
-            yield answer
-        while True:
-            answer = self.get_next()
-            if answer is None:
-                return
-            yield answer
-
-    def all(self) -> List[Answer]:
-        while self.get_next() is not None:
-            pass
-        return list(self._cache)
-
-    def __len__(self) -> int:
-        return len(self.all())
-
-    def tuples(self) -> List[tuple]:
-        from ..terms import from_arg
-
-        return [
-            tuple(from_arg(arg) for arg in answer.tuple.args)
-            for answer in self.all()
-        ]
-
-    def close(self) -> None:
-        """Abandon the cursor: tells the server to free it, unless the last
-        batch already arrived (the server closed it then).  Idempotent;
-        already-fetched answers stay readable."""
-        if self._done:
-            return
-        self._done = True
+    def _close_cursor(self) -> None:
         header: Dict[str, object] = {
             "op": "CLOSE_CURSOR",
             "cursor": self._cursor_id,
@@ -230,9 +206,8 @@ class RemoteQueryResult:
         except (ProtocolError, OSError):
             pass  # connection already gone: the server freed it on its side
 
-    # -- internals ----------------------------------------------------------
-
-    def _fetch_batch(self) -> None:
+    def _fetch(self) -> PyTuple[Dict[str, object], list]:
+        """One FETCH round trip: its response header and decoded rows."""
         request: Dict[str, object] = {
             "op": "FETCH",
             "cursor": self._cursor_id,
@@ -245,14 +220,10 @@ class RemoteQueryResult:
         if child is not None:
             request["trace"] = child.to_wire()
             started = SpanBuffer.now()
-        try:
-            frame = self._session._cursor_request(
-                self._link, self._generation, request
-            )
-        except CoralError:
-            self._done = True  # server freed the cursor before erroring
-            raise
-        rows = self._take(*frame)
+        header, body = self._session._cursor_request(
+            self._link, self._generation, request
+        )
+        rows = decode_batch(body)
         if child is not None:
             self._session.spans.record(
                 child,
@@ -260,18 +231,9 @@ class RemoteQueryResult:
                 started,
                 SpanBuffer.now(),
                 cursor=self._cursor_id,
-                rows=rows,
+                rows=len(rows),
             )
-
-    def _take(self, header: Dict[str, object], body: bytes) -> int:
-        """Queue one batch response's answers; returns how many."""
-        rows = decode_batch(body)
-        arity, where = self._arity, self._where
-        for row in rows:
-            self._pending.append(Answer(tuple(row[:arity]), where, row))
-        if header.get("done"):
-            self._done = True
-        return len(rows)
+        return header, rows
 
     def __repr__(self) -> str:
         state = "done" if self._done else "open"

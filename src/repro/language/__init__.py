@@ -14,6 +14,7 @@ from .ast import (
     Program,
     Query,
     Rule,
+    answer_variables,
 )
 from .lexer import Token, tokenize
 from .parser import (
@@ -44,6 +45,7 @@ __all__ = [
     "Query",
     "Rule",
     "Token",
+    "answer_variables",
     "cached_query",
     "parse_module",
     "parse_program",

@@ -51,6 +51,18 @@ class Literal:
         return f"not {body}" if self.negated else body
 
 
+def answer_variables(literal: Literal) -> Dict[str, Var]:
+    """The variables a query's answers report, by name, in first-occurrence
+    order (``_`` excluded).  The order is the wire's too: a batch row
+    carries the binding values in it, after the tuple."""
+    named: Dict[str, Var] = {}
+    for arg in literal.args:
+        for var in arg.variables():
+            if var.name != "_":
+                named.setdefault(var.name, var)
+    return named
+
+
 @dataclass(frozen=True)
 class Aggregation:
     """A grouped head argument such as ``min(<C>)`` (Figure 3).

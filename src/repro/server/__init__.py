@@ -10,7 +10,7 @@ Run one from the command line with ``python -m repro.server`` (or the
 ``coral-server`` console script).
 """
 
-from .core import CoralServer, DEFAULT_BATCH, query_variable_names
+from .core import CoralServer, DEFAULT_BATCH
 from .protocol import (
     MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -35,7 +35,6 @@ __all__ = [
     "STREAM_OPS",
     "decode_frame",
     "encode_frame",
-    "query_variable_names",
     "read_frame",
     "write_frame",
 ]

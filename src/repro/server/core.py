@@ -53,7 +53,13 @@ from ..api.session import QueryResult
 from ..errors import CoralError, ProtocolError, ReadOnlyError, StorageError
 from ..eval.limits import ResourceLimits
 from ..faults import FaultInjector
-from ..language import Literal, cached_query, parse_program, parse_query
+from ..language import (
+    Literal,
+    answer_variables,
+    cached_query,
+    parse_program,
+    parse_query,
+)
 from ..obs import EventTracer, FlightRecorder, LabelCapper
 from ..obs.disttrace import SpanBuffer, TraceContext
 # only the changelog side is imported eagerly: ReplicationClient lives in
@@ -97,19 +103,6 @@ TRACE_LIMIT = 100_000
 #: seconds a replica's stream may go without a record or heartbeat before
 #: ``/healthz`` reports it degraded
 STALL_AFTER = 5.0
-
-
-def query_variable_names(literal: Literal) -> List[str]:
-    """The query's variable names in first-occurrence order (the order
-    answer batches carry binding values on the wire)."""
-    names: List[str] = []
-    seen = set()
-    for arg in literal.args:
-        for var in arg.variables():
-            if var.name != "_" and var.name not in seen:
-                seen.add(var.name)
-                names.append(var.name)
-    return names
 
 
 class _Cursor:
@@ -594,7 +587,7 @@ class CoralServer(FrameServer):
         cursor = _Cursor(
             self._count_cursor_opened(),
             result,
-            query_variable_names(literal),
+            list(answer_variables(literal)),
             literal.arity,
             query_text,
         )

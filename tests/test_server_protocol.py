@@ -20,13 +20,12 @@ from repro.errors import (
     StorageError,
 )
 from repro.eval.limits import ResourceLimits
-from repro.language import parse_query
+from repro.language import answer_variables, parse_query
 from repro.server import (
     CoralServer,
     PROTOCOL_VERSION,
     decode_frame,
     encode_frame,
-    query_variable_names,
     read_frame,
     write_frame,
 )
@@ -137,11 +136,11 @@ class TestBatchCodec:
 class TestQueryVariableNames:
     def test_first_occurrence_order_and_dedup(self):
         literal = parse_query("p(Y, X, Y, _, 3)").literal
-        assert query_variable_names(literal) == ["Y", "X"]
+        assert list(answer_variables(literal)) == ["Y", "X"]
 
     def test_ground_query_has_no_vars(self):
         literal = parse_query("p(1, a)").literal
-        assert query_variable_names(literal) == []
+        assert list(answer_variables(literal)) == []
 
 
 def _raw_conn(server):
@@ -403,6 +402,38 @@ class TestRemoteQueryResult:
             result.close()
             assert frames == ["CLOSE_CURSOR"]
             assert server.open_cursors() == 0
+
+    def test_a_failed_fetch_raises_once_and_ends_the_cursor(self, frames):
+        """A per-request limit tripped by the second batch raises from the
+        read that FETCHes it, once: the server freed the cursor, so the
+        result is done and closing it writes no frame."""
+        session = Session()
+        # p(X) answers p(0) in its first iteration and the 50 fans in its
+        # second: one batch of 1 fits the cap, the FETCH after it does not
+        session.consult_string(
+            "start(0). "
+            + " ".join(f"fan(0, {i})." for i in range(1, 51))
+            + """
+            module fanout.
+            export p(f).
+            p(X) :- start(X).
+            p(Y) :- p(X), fan(X, Y).
+            end_module.
+            """
+        )
+        limits = ResourceLimits(max_tuples=20)
+        with CoralServer(session, port=0, limits=limits) as srv:
+            with RemoteSession(*srv.address, batch_size=1) as db:
+                result = db.query("p(X)")
+                assert result.get_next()["X"] == 0
+                with pytest.raises(ResourceLimitError):
+                    result.get_next()
+                assert srv.open_cursors() == 0
+                assert result.get_next() is None
+                assert [answer["X"] for answer in result.all()] == [0]
+                del frames[:]
+                result.close()
+                assert frames == []
 
     def test_draining_a_batch_is_linear(self):
         """get_next takes answers off the front of the received batch; a
